@@ -162,6 +162,13 @@ class QFunction:
             )
         return self.values[n - 1]
 
+    def log_at(self, n: int) -> float:
+        """ln q(n), formed in the log domain for the power kind (α·ln n),
+        where n^α itself under- or overflows for large |α|."""
+        if self.kind == "power" and n >= 1:
+            return self.alpha * math.log(n)
+        return math.log(self(n))
+
     def label(self) -> str:
         if self.kind == "power":
             return f"power({self.alpha:g})"
@@ -171,6 +178,14 @@ class QFunction:
 
 
 # -- tail fitting -------------------------------------------------------------
+
+
+def _exp_or_inf(x: float) -> float:
+    """exp(x) for a diagnostic, reported as inf where it overflows."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
@@ -212,7 +227,7 @@ def _classify_series(
     b_tail = ns[b_ok] >= tail_start
     lnln = np.log(ln_n[b_ok][b_tail])
     b_slope = _fit_slope(lnln, log_b[b_tail])
-    b_last = float(math.exp(log_b[-1]))
+    b_last = _exp_or_inf(float(log_b[-1]))
 
     if p_fit < 1.0 - BORDERLINE_BAND:
         status, refined = SATISFIED, 0.0
@@ -291,7 +306,7 @@ def check_growth_rate(seq: MomentSequence, q: QFunction | None = None) -> Verdic
     ns = np.arange(1, n_max, dtype=float)
     log_g = np.array(
         [
-            (logs[n + 1] - logs[n]) - 2.0 * math.log(n + 1.0) - 2.0 * math.log(q(n + 1))
+            (logs[n + 1] - logs[n]) - 2.0 * math.log(n + 1.0) - 2.0 * q.log_at(n + 1)
             for n in range(1, n_max)
         ]
     )
@@ -304,10 +319,7 @@ def check_growth_rate(seq: MomentSequence, q: QFunction | None = None) -> Verdic
     rising = log_g[tail][-1] > log_g[tail][0]
     loglog_slope = _fit_slope(np.log(ln_n[tail]), log_g[tail])
     sup_log_g = float(np.max(log_g))
-    try:
-        sup_g = math.exp(sup_log_g)
-    except OverflowError:
-        sup_g = math.inf
+    sup_g = _exp_or_inf(sup_log_g)
 
     if power_slope >= GROWTH_POWER_SLOPE and rising:
         status = VIOLATED
@@ -323,7 +335,7 @@ def check_growth_rate(seq: MomentSequence, q: QFunction | None = None) -> Verdic
         "loglog_slope": loglog_slope,
         "sup_g": sup_g,
         "sup_log_g": sup_log_g,
-        "g_last": float(math.exp(log_g[-1])),
+        "g_last": _exp_or_inf(float(log_g[-1])),
         "tail_start": float(tail_start),
     }
     criterion = "growth_rate" if q.kind == "constant-one" else "growth_rate_q"
@@ -387,7 +399,7 @@ def check_hardy(seq: MomentSequence) -> Verdict:
     slope = _fit_slope(np.log(ns[tail]), b[tail])
     rising = b[tail][-1] > b[tail][0]
     sup_b = float(np.max(b))
-    c0 = math.exp(sup_b)
+    c0 = _exp_or_inf(sup_b)
 
     if slope > HARDY_SLOPE_TOL and rising:
         status = VIOLATED

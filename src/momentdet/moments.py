@@ -37,6 +37,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DomainError, FamilyParseError, SequenceError
 from .logdomain import SignedLogValue
 from .quadrature import DEFAULT_REL_TOL, log_power_integral
@@ -168,43 +170,45 @@ class MomentSequence:
 # -- generation --------------------------------------------------------------
 
 
-def _base_log_moment(factors: tuple[tuple[float, float], ...], n: float, rel_tol: float) -> float:
-    total = 0.0
-    for d, r in factors:
-        total += math.lgamma(d * n + 1.0)
-        p = n * r
-        if p > 0.0:
-            total += log_power_integral(p, rel_tol)
-        # p == 0 contributes log S(0) = log 1 = 0 exactly
-    return total
-
-
 def generate_moments(
     family: FamilySpec, n_max: int, rel_tol: float = DEFAULT_REL_TOL
 ) -> MomentSequence:
     """Generate the moment sequence of a product family up to order n_max.
 
     Stieltjes mode stores m_0..m_{n_max}; the symmetrization modes store
-    the even moments m_0, m_2, ..., m_{2·n_max}.
+    the even moments m_0, m_2, ..., m_{2·n_max}.  Every distinct S(p),
+    p = n·r > 0, is evaluated once, all of them in one batch.
     """
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 2:
         raise DomainError(f"generate_moments requires an integer n_max >= 2, got {n_max!r}")
     if family.symmetrization == "symmetric-product":
-        orders: list[float] = [2.0 * j for j in range(n_max + 1)]
+        orders = 2.0 * np.arange(n_max + 1)
         support = "hamburger-symmetric"
     else:
-        orders = [float(n) for n in range(n_max + 1)]
+        orders = np.arange(n_max + 1, dtype=float)
         support = "stieltjes" if family.symmetrization == "none" else "hamburger-symmetric"
-    logs = []
-    for n in orders:
+    ps = np.outer(orders, [r for _, r in family.factors])
+    log_s = np.zeros(ps.shape)  # p == 0 contributes log S(0) = log 1 = 0 exactly
+    positive = ps > 0.0
+    if positive.any():
+        unique_ps, inverse = np.unique(ps[positive], return_inverse=True)
         try:
-            logs.append(_base_log_moment(family.factors, n, rel_tol))
-        except Exception as exc:
-            raise type(exc)(
-                f"while generating moment of order {_format_number(n)} "
-                f"for {family.label!r}: {exc}"
-            ) from exc
-    entries = tuple(SignedLogValue.from_log(lg) for lg in logs)
+            log_s[positive] = log_power_integral(unique_ps, rel_tol)[inverse]
+        except Exception:
+            # name the lowest order whose own integrals fail (order 0 has none)
+            for n, row in zip(orders[1:], ps[1:]):
+                try:
+                    log_power_integral(row[row > 0.0], rel_tol)
+                except Exception as exc:
+                    raise type(exc)(
+                        f"while generating moment of order {_format_number(n)} "
+                        f"for {family.label!r}: {exc}"
+                    ) from exc
+            raise
+    logs = np.zeros(orders.size)
+    for j, (d, _) in enumerate(family.factors):
+        logs = logs + [math.lgamma(d * n + 1.0) for n in orders] + log_s[:, j]
+    entries = tuple(SignedLogValue.from_log(float(lg)) for lg in logs)
     return MomentSequence(
         support=support,
         n_max=n_max,
@@ -317,16 +321,21 @@ def carleman_terms(seq: MomentSequence) -> list[float]:
 
 
 def to_json(seq: MomentSequence) -> str:
-    """Serialize to JSON; log-magnitudes are rendered via repr for bit-exactness."""
-    doc = {
-        "support": seq.support,
-        "n_max": seq.n_max,
-        "label": seq.label,
-        "moments": [
-            {"sign": entry.sign, "logmag": repr(entry.logmag)} for entry in seq.log_moments
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Serialize to JSON; log-magnitudes are rendered via repr for bit-exactness.
+
+    The text is exactly ``json.dumps(doc, indent=2)`` of the document; the
+    moments are written directly because json's indenting encoder runs
+    in pure Python and took most of a load-check-save round trip.
+    """
+    head = "".join(
+        f"  {json.dumps(key)}: {json.dumps(value)},\n"
+        for key, value in (("support", seq.support), ("n_max", seq.n_max), ("label", seq.label))
+    )
+    moments = ",\n".join(
+        f'    {{\n      "sign": {entry.sign},\n      "logmag": "{entry.logmag!r}"\n    }}'
+        for entry in seq.log_moments
+    )
+    return "{\n" + head + '  "moments": [\n' + moments + "\n  ]\n}\n"
 
 
 def _rehydrate(support: object, n_max: object, label: object, rows: list[tuple[int, float]]):
@@ -334,7 +343,12 @@ def _rehydrate(support: object, n_max: object, label: object, rows: list[tuple[i
         raise SequenceError(f"bad support field {support!r}")
     if not isinstance(n_max, int):
         raise SequenceError(f"bad n_max field {n_max!r}")
-    entries = tuple(SignedLogValue.from_log(logmag, sign=sign) for sign, logmag in rows)
+    entries = []
+    for i, (sign, logmag) in enumerate(rows):
+        try:
+            entries.append(SignedLogValue.from_log(logmag, sign=sign))
+        except ValueError as exc:
+            raise SequenceError(f"bad moment entry at index {i}: {exc}") from exc
     family = None
     if isinstance(label, str) and label:
         try:

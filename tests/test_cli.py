@@ -129,6 +129,37 @@ class TestCheck:
         assert verdict["criterion"] == "growth_rate_q"
         assert verdict["diagnostics"]["q_alpha"] == 0.5
 
+    def test_growth_q_extreme_power_gives_a_report(self, runner, tmp_path):
+        path = tmp_path / "x11.json"
+        runner.invoke(main, ["gen", "--family", X11, "--nmax", "100", "--out", str(path)])
+        result = runner.invoke(
+            main,
+            ["check", "--in", str(path), "--criteria", "growth-q", "--q", "power:-400"],
+        )
+        assert result.exit_code == 0, result.output
+        verdict = json.loads(result.output)["verdicts"][0]
+        assert verdict["diagnostics"]["q_alpha"] == -400.0
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_nan_logmag_file_exits_2(self, runner, tmp_path, fmt):
+        path = tmp_path / f"exp.{fmt}"
+        runner.invoke(
+            main, ["gen", "--family", "exp", "--nmax", "20", "--format", fmt, "--out", str(path)]
+        )
+        if fmt == "json":
+            doc = json.loads(path.read_text())
+            doc["moments"][5]["logmag"] = "nan"
+            path.write_text(json.dumps(doc))
+        else:
+            lines = [
+                "5,1,nan" if line.startswith("5,1,") else line
+                for line in path.read_text().splitlines()
+            ]
+            path.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["check", "--in", str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+
     def test_unknown_criterion_exits_2(self, runner, tmp_path):
         path = tmp_path / "exp.json"
         runner.invoke(main, ["gen", "--family", "exp", "--nmax", "100", "--out", str(path)])
@@ -271,6 +302,11 @@ class TestAsym:
     def test_invalid_t_exits_2(self, runner):
         result = runner.invoke(main, ["asym", "--t", "-5", "--format", "csv"])
         assert result.exit_code == 2
+
+    def test_t_beyond_float_resolution_exits_2(self, runner):
+        result = runner.invoke(main, ["asym", "--t", "1e20"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
 
 
 class TestWTable:

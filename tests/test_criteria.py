@@ -71,6 +71,14 @@ class TestCalibrationMatrix:
     def test_lognormal(self, seqs):
         assert check_carleman(seqs("lognormal", 200)).status == VIOLATED
 
+    def test_lognormal_past_float_range(self, seqs):
+        # g_n, b_n and c0 overflow a float from n_max ≈ 724 on; they read inf
+        report = analyze(seqs("lognormal", 1000))
+        assert [v["status"] for v in report["verdicts"]] == [VIOLATED] * 4
+        growth = report["verdicts"][1]["diagnostics"]
+        assert growth["g_last"] == math.inf
+        assert growth["sup_g"] == math.inf
+
     def test_symmetrized_flagship(self, seqs):
         seq = seqs(SYM_X11, 200)
         assert seq.support == "hamburger-symmetric"
@@ -181,6 +189,14 @@ class TestGrowthRate:
     def test_lognormal_blows_up(self, seqs):
         v = check_growth_rate(seqs("lognormal", 200))
         assert v.status == VIOLATED
+
+    @pytest.mark.parametrize("alpha", [-400.0, 400.0])
+    def test_extreme_power_q_stays_in_the_log_domain(self, seqs, alpha):
+        # n^alpha under- or overflows; ln q(n) = alpha·ln n does not
+        assert QFunction.power(alpha).log_at(10) == alpha * math.log(10)
+        v = check_growth_rate(seqs(X11, 100), QFunction.power(alpha))
+        assert v.status in (SATISFIED, VIOLATED, INCONCLUSIVE)
+        assert math.isfinite(v.diagnostics["sup_log_g"])
 
     def test_minimum_length(self, seqs):
         with pytest.raises(SequenceError):

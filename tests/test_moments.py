@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import momentdet.moments as moments_mod
 from momentdet import (
     DomainError,
     FamilyParseError,
     FamilySpec,
     MomentSequence,
+    QuadratureError,
     SequenceError,
     SignedLogValue,
     carleman_terms,
@@ -204,6 +207,35 @@ class TestValidationGates:
         with pytest.raises(DomainError, match="while generating moment of order 1"):
             generate_from_label(X11, 5, rel_tol=1.0)
 
+    def test_batch_error_names_the_lowest_failing_order(self, monkeypatch):
+        # p = n·1 reaches 7 at order 7, p = n·0.5 only at order 14
+        def fails_from_seven(ps, rel_tol):
+            if (ps >= 7.0).any():
+                raise QuadratureError("synthetic non-convergence")
+            return ps * 0.0
+
+        monkeypatch.setattr(moments_mod, "log_power_integral", fails_from_seven)
+        with pytest.raises(QuadratureError, match="while generating moment of order 7 "):
+            generate_from_label("product[(1,0.5),(1,1)]", 20)
+
+
+class TestBatchedGeneration:
+    @pytest.mark.parametrize(
+        "label", [X11, "product[(1,0.613),(1,0.871)]", "symprod[(1,1),(1,0.7)]"]
+    )
+    def test_matches_per_order_quadrature(self, seqs, label):
+        seq = seqs(label, 5000)
+        step = 2 if seq.family.symmetrization == "symmetric-product" else 1
+        for j in [*range(0, 5000, 3), 5000]:
+            n = step * j
+            expected = 0.0
+            for d, r in seq.family.factors:
+                expected += math.lgamma(d * n + 1.0)
+                if n * r > 0.0:
+                    expected += integrate_logweighted(n * r).value.logmag
+            got = seq.log_moments[j].logmag
+            assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected)), j
+
 
 class TestFamilyGrammar:
     def test_stock_names(self):
@@ -267,6 +299,31 @@ class TestSerialization:
         back = from_csv(to_csv(seq))
         assert back.log_moments == seq.log_moments
         assert back == seq
+
+    @pytest.mark.parametrize("label", [X11, None, 'quo"te \\ é'])
+    def test_json_text_is_indented_json_dumps(self, seqs, label):
+        seq = seqs(X11, 30)
+        seq = MomentSequence(seq.support, seq.n_max, seq.log_moments, label=label)
+        doc = {
+            "support": seq.support,
+            "n_max": seq.n_max,
+            "label": seq.label,
+            "moments": [{"sign": e.sign, "logmag": repr(e.logmag)} for e in seq.log_moments],
+        }
+        assert to_json(seq) == json.dumps(doc, indent=2) + "\n"
+
+    def test_nan_logmag_in_json_is_a_sequence_error(self, seqs):
+        doc = json.loads(to_json(seqs("exp", 10)))
+        doc["moments"][3]["logmag"] = "nan"
+        with pytest.raises(SequenceError, match="index 3"):
+            from_json(json.dumps(doc))
+
+    def test_nan_logmag_in_csv_is_a_sequence_error(self, seqs):
+        lines = to_csv(seqs("exp", 10)).splitlines()
+        row = lines.index("n,sign,logmag") + 4
+        lines[row] = "3,1,nan"
+        with pytest.raises(SequenceError, match="index 3"):
+            from_csv("\n".join(lines) + "\n")
 
     def test_unparseable_label_kept_family_dropped(self, seqs):
         text = to_json(seqs("exp", 10)).replace('"exp"', '"my custom data"')

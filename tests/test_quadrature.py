@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import momentdet.quadrature as quadrature
 from momentdet import (
     DEFAULT_REL_TOL,
     DomainError,
@@ -20,10 +22,15 @@ from momentdet import (
     validate_rel_tol,
 )
 
-from .oracles import EULER, simpson_s, simpson_unit
+from .oracles import EULER, bisect_unit_peak, bisect_w, simpson_s, simpson_unit
 
 # ∫₀^∞ ln(1+x)^p e^{−x} dx, independently computed / published anchors
 S1 = 0.596347362323194
+
+EPS = 2.220446049250313e-16
+
+#: Node counts of one panel converged at refinement level L = 4..12.
+LEVEL_NODES = {8 * 2**level + 1 for level in range(4, 13)}
 
 
 def s_value(p: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
@@ -171,6 +178,17 @@ class TestErrorEstimates:
             res = integrate_logweighted(p, rel_tol=rel_tol)
             assert res.est_rel_error <= rel_tol
 
+    @pytest.mark.parametrize("p", [0.0, 2.0, 100.0, 1000.0, 1e5])
+    def test_estimate_never_below_float_resolution(self, p):
+        # levels that agree bit for bit still leave the rounding of log S
+        res = integrate_logweighted(p)
+        assert res.est_rel_error >= EPS * max(1.0, abs(res.value.logmag))
+
+    @pytest.mark.parametrize("n", [0, 1, 60, 200])
+    def test_gamma_estimate_floor(self, n):
+        res = gamma_derivative(n)
+        assert res.est_rel_error >= EPS * max(1.0, abs(res.value.logmag))
+
     def test_tighter_tolerance_costs_more_nodes(self):
         loose = integrate_logweighted(5.0, rel_tol=1e-4)
         tight = integrate_logweighted(5.0, rel_tol=1e-12)
@@ -190,3 +208,91 @@ class TestDeterminism:
 
     def test_log_power_integral_cached_identity(self):
         assert log_power_integral(11.0) == log_power_integral(11.0)
+
+
+class TestBatchedPath:
+    def test_scalar_in_float_out(self):
+        assert isinstance(log_power_integral(3.0), float)
+
+    def test_array_in_array_out(self):
+        ps = np.array([[0.0, 0.5, 3.0], [100.0, 1000.0, 4000.0]])
+        got = log_power_integral(ps)
+        assert got.shape == ps.shape
+        for p, lg in zip(ps.ravel(), got.ravel()):
+            expected = integrate_logweighted(float(p)).value.logmag
+            assert abs(lg - expected) <= 1e-12 * max(1.0, abs(expected))
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_invalid_p_in_array(self, bad):
+        with pytest.raises(DomainError):
+            log_power_integral(np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("p", [1e17, 1e20])
+    def test_p_beyond_float_resolution(self, p):
+        # eps·|log integrand| exceeds the 60-nat cutoff window there
+        with pytest.raises(DomainError, match="float rounding"):
+            integrate_logweighted(p)
+
+
+class TestNodeCounts:
+    @pytest.mark.parametrize("tol", [1e-4, 1e-9, 1e-13])
+    def test_one_panel_reports_its_level_nodes(self, tol):
+        # ∫₀^60 e^{−x} dx: nested levels evaluate 8·2^L + 1 nodes in all
+        _, _, nodes = quadrature._tanh_sinh(
+            lambda x, p: -x, np.array([0.0]), np.array([60.0]), np.zeros(1), np.zeros(1), tol
+        )
+        assert nodes[0] in LEVEL_NODES
+
+    def test_tighter_panel_tolerance_reaches_a_deeper_level(self):
+        def nodes(tol):
+            return quadrature._tanh_sinh(
+                lambda x, p: p * np.log(x) - x,
+                np.array([0.0]),
+                np.array([80.0]),
+                np.array([0.5]),
+                np.zeros(1),
+                tol,
+            )[2][0]
+
+        assert nodes(1e-13) > nodes(1e-4)
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 7.0, 300.0, 5000.0])
+    def test_two_panels_report_two_levels(self, p):
+        nodes = integrate_logweighted(p).nodes_used
+        assert any(nodes - left in LEVEL_NODES for left in LEVEL_NODES)
+
+
+def _s_log_integrand(p: float, x: float) -> float:
+    return -x if p == 0.0 else p * math.log(math.log1p(x)) - x
+
+
+class TestCutoff:
+    # The peak comes from the bisection oracle and its value is at most the
+    # true maximum, so these checks are at least as strict as the contract.
+
+    @given(st.floats(min_value=0.0, max_value=1e6))
+    def test_s_cutoff_lies_past_the_drop(self, p):
+        ps = np.array([p])
+        cut = float(
+            quadrature._cutoff(
+                quadrature._s_logf, quadrature._s_slope, ps, *quadrature._s_shape(ps)
+            )[0]
+        )
+        peak_log = _s_log_integrand(p, math.expm1(bisect_w(p)))
+        drop = peak_log - _s_log_integrand(p, cut)
+        assert 60.0 <= drop <= 61.0
+
+    @given(st.integers(min_value=0, max_value=5000))
+    def test_unit_cutoff_lies_past_the_drop(self, n):
+        cut = float(
+            quadrature._cutoff(
+                quadrature._unit_logf,
+                quadrature._unit_slope,
+                np.array([float(n)]),
+                *quadrature._unit_shape(n),
+            )[0]
+        )
+        peak = bisect_unit_peak(n)
+        peak_log = n * math.log(peak) - peak - math.exp(-peak) if n else -1.0
+        drop = peak_log - (n * math.log(cut) - cut - math.exp(-cut))
+        assert 60.0 <= drop <= 61.0
