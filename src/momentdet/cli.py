@@ -31,7 +31,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import click
 
@@ -62,35 +61,17 @@ _DEFAULT_NMAX_CAP = 5000
 _LOG10 = math.log(10.0)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved per-invocation settings shared by the subcommands."""
-
-    command: str
-    input_path: str | None = None
-    output_path: str = "-"
-    n_max: int | None = None
-    rel_tol: float = DEFAULT_REL_TOL
-    fmt: str = "human"
-
-    def __post_init__(self) -> None:
-        if self.n_max is not None and self.n_max < 2:
-            raise DomainError(f"--nmax must be >= 2, got {self.n_max}")
-        validate_rel_tol(self.rel_tol)
-        if self.fmt not in ("json", "csv", "human"):
-            raise DomainError(f"unknown format {self.fmt!r}")
-
-
 def _resolve_rel_tol(flag_value: float | None) -> float:
     if flag_value is not None:
-        return float(flag_value)
+        return validate_rel_tol(flag_value)
     env = os.environ.get(_ENV_REL_TOL)
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError as exc:
-            raise DomainError(f"{_ENV_REL_TOL} must be a float, got {env!r}") from exc
-    return DEFAULT_REL_TOL
+    if env is None:
+        return DEFAULT_REL_TOL
+    try:
+        value = float(env)
+    except ValueError as exc:
+        raise DomainError(f"{_ENV_REL_TOL} must be a float, got {env!r}") from exc
+    return validate_rel_tol(value)
 
 
 def _resolve_nmax(n_max: int) -> int:
@@ -187,15 +168,8 @@ def cmd_gen(family: str, nmax: int, rel_tol: float | None, fmt: str, out: str) -
     Grammar: exp | exp2 | lognormal | product[(delta,r),...] |
     symroot[(delta,r),...] | symprod[(delta,r),...].
     """
-    config = RunConfig(
-        command="gen",
-        output_path=out,
-        n_max=_resolve_nmax(nmax),
-        rel_tol=_resolve_rel_tol(rel_tol),
-        fmt=fmt,
-    )
-    seq = generate_from_label(family, config.n_max, rel_tol=config.rel_tol)
-    _write(config.output_path, to_json(seq) if config.fmt == "json" else to_csv(seq))
+    seq = generate_from_label(family, _resolve_nmax(nmax), rel_tol=_resolve_rel_tol(rel_tol))
+    _write(out, to_json(seq) if fmt == "json" else to_csv(seq))
 
 
 # -- check --------------------------------------------------------------------
@@ -260,8 +234,7 @@ def _human_report(report: dict[str, object]) -> str:
 @_exit_codes
 def cmd_check(input_path: str, criteria: str, q_spec: str, fmt: str, out: str) -> None:
     """Run determinacy checkers on a sequence file; exit 0 regardless of verdicts."""
-    config = RunConfig(command="check", input_path=input_path, output_path=out, fmt=fmt)
-    seq = _load_sequence(config.input_path)
+    seq = _load_sequence(input_path)
     wanted = [c.strip() for c in criteria.split(",") if c.strip()]
     if not wanted:
         raise DomainError("--criteria must name at least one checker")
@@ -288,10 +261,10 @@ def cmd_check(input_path: str, criteria: str, q_spec: str, fmt: str, out: str) -
             "n_max": seq.n_max,
             "verdicts": [v.to_dict() for v in verdicts],
         }
-    if config.fmt == "json":
-        _write(config.output_path, json.dumps(report, indent=2) + "\n")
+    if fmt == "json":
+        _write(out, json.dumps(report, indent=2) + "\n")
     else:
-        _write(config.output_path, _human_report(report))
+        _write(out, _human_report(report))
 
 
 # -- paper-table ----------------------------------------------------------------
@@ -368,18 +341,15 @@ _TABLE_HEADER = ["name", "computed", "reference", "deviation", "tolerance", "mod
 @_exit_codes
 def cmd_paper_table(rel_tol: float | None, fmt: str, out: str) -> None:
     """Reproduce the reference K-ratio/moment table; exit 1 on tolerance failure."""
-    config = RunConfig(
-        command="paper-table", output_path=out, rel_tol=_resolve_rel_tol(rel_tol), fmt=fmt
-    )
-    rows = _reference_rows(config.rel_tol)
+    rows = _reference_rows(_resolve_rel_tol(rel_tol))
     all_within = all(r["status"] != "FAIL" for r in rows)
     as_lists = [[r[h] for h in _TABLE_HEADER] for r in rows]
-    if config.fmt == "json":
-        _write(config.output_path, json.dumps({"rows": rows, "all_within": all_within}, indent=2) + "\n")
-    elif config.fmt == "csv":
-        _write(config.output_path, _csv_table(_TABLE_HEADER, as_lists))
+    if fmt == "json":
+        _write(out, json.dumps({"rows": rows, "all_within": all_within}, indent=2) + "\n")
+    elif fmt == "csv":
+        _write(out, _csv_table(_TABLE_HEADER, as_lists))
     else:
-        _write(config.output_path, _human_table(_TABLE_HEADER, as_lists))
+        _write(out, _human_table(_TABLE_HEADER, as_lists))
     if not all_within:
         sys.exit(1)
 
@@ -397,9 +367,7 @@ def cmd_paper_table(rel_tol: float | None, fmt: str, out: str) -> None:
 @_exit_codes
 def cmd_asym(t_values: tuple[float, ...], rel_tol: float | None, fmt: str, out: str) -> None:
     """Compare quadrature S(t) against the exact and leading saddle estimates."""
-    config = RunConfig(
-        command="asym", output_path=out, rel_tol=_resolve_rel_tol(rel_tol), fmt=fmt
-    )
+    rel_tol = _resolve_rel_tol(rel_tol)
     header = [
         "t",
         "log10_integral",
@@ -410,7 +378,7 @@ def cmd_asym(t_values: tuple[float, ...], rel_tol: float | None, fmt: str, out: 
     ]
     rows = []
     for t in t_values:
-        log_s = integrate_logweighted(t, rel_tol=config.rel_tol).value.logmag
+        log_s = integrate_logweighted(t, rel_tol=rel_tol).value.logmag
         log_exact = laplace_estimate_exact(t).logmag
         log_leading = laplace_estimate_leading(t).logmag
         rows.append(
@@ -423,8 +391,8 @@ def cmd_asym(t_values: tuple[float, ...], rel_tol: float | None, fmt: str, out: 
                 math.exp(log_leading - log_s),
             ]
         )
-    text = _csv_table(header, rows) if config.fmt == "csv" else _human_table(header, rows)
-    _write(config.output_path, text)
+    text = _csv_table(header, rows) if fmt == "csv" else _human_table(header, rows)
+    _write(out, text)
 
 
 # -- wtable ----------------------------------------------------------------------
@@ -449,7 +417,6 @@ def _parse_t(token: str) -> float:
 @_exit_codes
 def cmd_wtable(t_values: tuple[str, ...], fmt: str, out: str) -> None:
     """Tabulate W(t) with residuals and the a-priori bounds (t > e)."""
-    config = RunConfig(command="wtable", output_path=out, fmt=fmt)
     header = ["t", "w", "residual", "lower_bound", "upper_bound", "note"]
     rows = []
     for token in t_values:
@@ -462,8 +429,8 @@ def cmd_wtable(t_values: tuple[str, ...], fmt: str, out: str) -> None:
             lower = upper = None
             note = "boundary (t = e): bounds require t > e" if t == math.e else "bounds require t > e"
         rows.append([wv.t, wv.w, wv.residual, lower, upper, note])
-    text = _csv_table(header, rows) if config.fmt == "csv" else _human_table(header, rows)
-    _write(config.output_path, text)
+    text = _csv_table(header, rows) if fmt == "csv" else _human_table(header, rows)
+    _write(out, text)
 
 
 # -- gamma-derivs -----------------------------------------------------------------
@@ -481,12 +448,7 @@ def cmd_gamma_derivs(nmax: int, rel_tol: float | None, fmt: str, out: str) -> No
     """Tabulate gamma-function derivatives at 1 with unit-part bracket checks."""
     if nmax < 0:
         raise DomainError(f"--nmax must be >= 0, got {nmax}")
-    config = RunConfig(
-        command="gamma-derivs",
-        output_path=out,
-        rel_tol=_resolve_rel_tol(rel_tol),
-        fmt=fmt,
-    )
+    rel_tol = _resolve_rel_tol(rel_tol)
     _resolve_nmax(nmax)  # cap applies to the tabulation order, which may be < 2
     header = [
         "n",
@@ -500,16 +462,16 @@ def cmd_gamma_derivs(nmax: int, rel_tol: float | None, fmt: str, out: str) -> No
     ]
     rows = []
     for n in range(nmax + 1):
-        g = gamma_derivative(n, rel_tol=config.rel_tol)
-        unit = integrate_unit_log_power(n, rel_tol=config.rel_tol)
+        g = gamma_derivative(n, rel_tol=rel_tol)
+        unit = integrate_unit_log_power(n, rel_tol=rel_tol)
         # e^{-1}·n! <= |unit| <= n!, in the log domain
         lo = math.lgamma(n + 1.0) - 1.0
         hi = math.lgamma(n + 1.0)
         ok = int(lo - 1e-9 <= unit.value.logmag <= hi + 1e-9)
         value = g.value.to_float() if abs(g.value.logmag) < 700.0 else None
         rows.append([n, g.value.sign, g.value.logmag, value, unit.value.logmag, lo, hi, ok])
-    text = _csv_table(header, rows) if config.fmt == "csv" else _human_table(header, rows)
-    _write(config.output_path, text)
+    text = _csv_table(header, rows) if fmt == "csv" else _human_table(header, rows)
+    _write(out, text)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -47,12 +47,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, SequenceError
-from .moments import MomentSequence
+from .moments import MomentSequence, _log_carleman_terms
 
 __all__ = [
     "INCONCLUSIVE",
@@ -162,12 +161,32 @@ class QFunction:
             )
         return self.values[n - 1]
 
-    def log_at(self, n: int) -> float:
-        """ln q(n), formed in the log domain for the power kind (α·ln n),
-        where n^α itself under- or overflows for large |α|."""
-        if self.kind == "power" and n >= 1:
-            return self.alpha * math.log(n)
-        return math.log(self(n))
+    def log_at(self, n):
+        """ln q(n) for an integer n >= 1, or elementwise for an array of them.
+
+        Formed in the log domain for the power kind (α·ln n), where n^α
+        itself under- or overflows for large |α|; the log kind gives −inf
+        at n = 1, where q(1) = 0.
+        """
+        ns = np.asarray(n, dtype=float)
+        if np.any(ns < 1):
+            raise DomainError(f"QFunction is defined for n >= 1, got {ns.min():g}")
+        if self.kind == "constant-one":
+            out = np.zeros_like(ns)
+        elif self.kind == "log":
+            with np.errstate(divide="ignore"):
+                out = np.log(np.log(ns))
+        elif self.kind == "power":
+            out = self.alpha * np.log(ns)
+        else:
+            assert self.values is not None
+            if np.any(ns > len(self.values)):
+                raise DomainError(
+                    f"table QFunction has {len(self.values)} values; "
+                    f"q({ns.max():g}) is out of range"
+                )
+            out = np.log(np.take(self.values, ns.astype(np.intp) - 1))
+        return float(out) if out.ndim == 0 else out
 
     def label(self) -> str:
         if self.kind == "power":
@@ -218,7 +237,7 @@ def _classify_series(
     local_p = -d_log / d_ln
     drift = _fit_slope(ln_n[tail][1:], local_p)
 
-    with np.errstate(under="ignore"):
+    with np.errstate(over="ignore", under="ignore"):  # an overflowing sum reads inf
         partial_sum = float(np.sum(np.exp(log_terms)))
 
     # critical-scale refinement data: b_n = term_n · n · ln n (needs n ≥ 2)
@@ -279,10 +298,8 @@ def check_carleman(seq: MomentSequence, n_min: int | None = None) -> Verdict:
             f"check_carleman needs n_max >= max(n_min + 8, 16); got n_max = {n_max}, "
             f"tail start {tail_start}"
         )
-    logs = [entry.logmag for entry in seq.log_moments]
     ns = np.arange(1, n_max + 1, dtype=float)
-    log_a = np.array([-logs[n] / (2.0 * n) for n in range(1, n_max + 1)])
-    status, diagnostics = _classify_series(ns, log_a, tail_start)
+    status, diagnostics = _classify_series(ns, _log_carleman_terms(seq), tail_start)
     return Verdict(
         criterion="carleman", status=status, diagnostics=diagnostics, n_used=n_max
     )
@@ -301,15 +318,9 @@ def check_growth_rate(seq: MomentSequence, q: QFunction | None = None) -> Verdic
     n_max = seq.n_max
     if n_max < 8:
         raise SequenceError(f"check_growth_rate needs >= 8 ratio terms, got {n_max}")
-    logs = [entry.logmag for entry in seq.log_moments]
     # g_n for ratio index n = 1..n_max−1 (n = 0 has no ln n scale)
     ns = np.arange(1, n_max, dtype=float)
-    log_g = np.array(
-        [
-            (logs[n + 1] - logs[n]) - 2.0 * math.log(n + 1.0) - 2.0 * q.log_at(n + 1)
-            for n in range(1, n_max)
-        ]
-    )
+    log_g = np.diff(seq.log_moments)[1:] - 2.0 * np.log(ns + 1.0) - 2.0 * q.log_at(ns + 1.0)
     tail_start = max(1, (n_max - 1) // 2)
     tail = ns >= tail_start
     if int(np.count_nonzero(tail)) < 4:
@@ -349,27 +360,18 @@ def check_growth_rate(seq: MomentSequence, q: QFunction | None = None) -> Verdic
 def check_q_divergence(q: QFunction, n_max: int = 400) -> Verdict:
     """Divergence evidence for Σ 1/(n·q(n)); requires n_max >= 100.
 
-    The first index with q(n) <= 0 is skipped (the log kind has
-    q(1) = 0); a non-positive q anywhere past n = 1 is a domain error.
+    The terms come from ln q(n) (α·ln n for the power kind), so they stay
+    finite where n^α under- or overflows.  n = 1 is skipped where
+    q(1) = 0 (the log kind).
     """
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 100:
         raise DomainError(f"check_q_divergence requires integer n_max >= 100, got {n_max!r}")
     n_start = 1 if q(1) > 0.0 else 2
-    ns_list = list(range(n_start, n_max + 1))
-    qs = []
-    for n in ns_list:
-        qn = q(n)
-        if not qn > 0.0:
-            raise DomainError(f"q({n}) = {qn!r} is not positive")
-        qs.append(qn)
-    ns = np.array(ns_list, dtype=float)
-    log_terms = -np.log(ns) - np.log(np.array(qs))
+    ns = np.arange(n_start, n_max + 1, dtype=float)
+    log_terms = -np.log(ns) - q.log_at(ns)
     status, diagnostics = _classify_series(ns, log_terms, max(2, n_max // 2))
     return Verdict(
-        criterion="q_divergence",
-        status=status,
-        diagnostics=diagnostics,
-        n_used=len(ns_list),
+        criterion="q_divergence", status=status, diagnostics=diagnostics, n_used=ns.size
     )
 
 
@@ -389,11 +391,10 @@ def check_hardy(seq: MomentSequence) -> Verdict:
     n_max = seq.n_max
     if n_max < 16:
         raise SequenceError(f"check_hardy needs n_max >= 16, got {n_max}")
-    logs = [entry.logmag for entry in seq.log_moments]
     ns = np.arange(1, n_max + 1, dtype=float)
-    b = np.array(
-        [(logs[n] - math.lgamma(2.0 * n + 1.0)) / n for n in range(1, n_max + 1)]
-    )
+    log_m = seq.log_moments[1:]
+    log_fact = np.array(list(map(math.lgamma, (2.0 * ns + 1.0).tolist())))  # ln (2n)!
+    b = (log_m - log_fact) / ns
     tail_start = max(2, n_max // 2)
     tail = ns >= tail_start
     slope = _fit_slope(np.log(ns[tail]), b[tail])
@@ -408,11 +409,9 @@ def check_hardy(seq: MomentSequence) -> Verdict:
         status = SATISFIED
         # exact re-verification of m_n <= (2n)!·c0^n at every stored order
         bound_ok = 1.0
-        for n in range(1, n_max + 1):
-            if logs[n] > math.lgamma(2.0 * n + 1.0) + n * sup_b + 1e-9:
-                bound_ok = 0.0
-                status = INCONCLUSIVE
-                break
+        if np.any(log_m > log_fact + ns * sup_b + 1e-9):
+            bound_ok = 0.0
+            status = INCONCLUSIVE
     else:
         status = INCONCLUSIVE
         bound_ok = 0.0
@@ -472,7 +471,8 @@ def analyze(seq: MomentSequence) -> dict[str, object]:
     }
 
     if _is_two_factor_log_family(seq):
-        logs = [entry.logmag for entry in seq.log_moments]
+        # nine samples: scalar math keeps the reported values bit-stable
+        logs = seq.log_moments.tolist()
         root_trend = []
         ratio_trend = []
         for n in _trend_samples(seq.n_max):

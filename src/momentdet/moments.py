@@ -35,7 +35,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter, methodcaller
 
 import numpy as np
 
@@ -105,52 +106,57 @@ class FamilySpec:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentSequence:
     """A validated moment sequence in the log domain.
 
-    ``log_moments[j]`` holds m_j on Stieltjes support and m_{2j} on
+    ``log_moments`` is a read-only 1-D float64 array of log-magnitudes:
+    ``log_moments[j]`` is log m_j on Stieltjes support and log m_{2j} on
     hamburger-symmetric support (odd moments are implicitly zero there).
-    ``label`` preserves provenance even for sequences without a parsed
-    FamilySpec (e.g. the lognormal stock family or loaded files).
+    Every stored moment is positive, so no signs are kept.  ``label``
+    preserves provenance even for sequences without a parsed FamilySpec
+    (e.g. the lognormal stock family or loaded files).
     """
 
     support: str
     n_max: int
-    log_moments: tuple[SignedLogValue, ...]
+    log_moments: np.ndarray
     family: FamilySpec | None = None
     label: str | None = None
-    _skip_validation: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.support not in _SUPPORTS:
             raise SequenceError(f"support must be one of {_SUPPORTS}, got {self.support!r}")
-        entries = tuple(self.log_moments)
-        object.__setattr__(self, "log_moments", entries)
-        if self.n_max != len(entries) - 1:
-            raise SequenceError(
-                f"n_max = {self.n_max} inconsistent with {len(entries)} stored entries"
-            )
+        logs = np.array(self.log_moments, dtype=np.float64)  # a copy: the caller's stays writeable
+        logs.flags.writeable = False
+        object.__setattr__(self, "log_moments", logs)
+        if logs.ndim != 1 or self.n_max != logs.size - 1:
+            raise SequenceError(f"n_max = {self.n_max} inconsistent with stored shape {logs.shape}")
         if self.n_max < 2:
             raise SequenceError(f"a moment sequence needs n_max >= 2, got {self.n_max}")
-        if self._skip_validation:
-            return
-        logs = []
-        for j, entry in enumerate(entries):
-            if entry.sign != 1:
-                raise SequenceError(
-                    f"stored moment at index {j} must be positive, got sign {entry.sign}"
-                )
-            logs.append(entry.logmag)
+        finite = np.isfinite(logs)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise SequenceError(f"stored moment at index {j} is not finite: log m = {logs[j]}")
         if abs(logs[0]) > _VALIDATION_SLACK:
-            raise SequenceError(f"m_0 must equal 1, got log m_0 = {logs[0]!r}")
-        for j in range(1, len(logs) - 1):
-            gap = logs[j - 1] + logs[j + 1] - 2.0 * logs[j]
-            if gap < -_VALIDATION_SLACK:
-                raise SequenceError(
-                    f"log-convexity violated at index {j} "
-                    f"(log m_{j-1} + log m_{j+1} - 2 log m_{j} = {gap:.3e})"
-                )
+            raise SequenceError(f"m_0 must equal 1, got log m_0 = {float(logs[0])!r}")
+        gaps = logs[:-2] + logs[2:] - 2.0 * logs[1:-1]
+        concave = gaps < -_VALIDATION_SLACK
+        if concave.any():
+            j = int(np.argmax(concave)) + 1
+            raise SequenceError(
+                f"log-convexity violated at index {j} "
+                f"(log m_{j-1} + log m_{j+1} - 2 log m_{j} = {gaps[j - 1]:.3e})"
+            )
+
+    def __eq__(self, other: object) -> bool:
+        """Field-wise equality; the log-magnitudes must match exactly."""
+        if not isinstance(other, MomentSequence):
+            return NotImplemented
+        key = (self.support, self.n_max, self.family, self.label)
+        return key == (other.support, other.n_max, other.family, other.label) and np.array_equal(
+            self.log_moments, other.log_moments
+        )
 
     def moment(self, k: int) -> SignedLogValue:
         """The k-th raw moment m_k (odd orders are zero on symmetric support)."""
@@ -159,12 +165,12 @@ class MomentSequence:
         if self.support == "stieltjes":
             if k > self.n_max:
                 raise SequenceError(f"moment order {k} exceeds n_max = {self.n_max}")
-            return self.log_moments[k]
+            return SignedLogValue.from_log(float(self.log_moments[k]))
         if k % 2 == 1:
             return SignedLogValue.zero()
         if k // 2 > self.n_max:
             raise SequenceError(f"moment order {k} exceeds stored range 2n_max = {2 * self.n_max}")
-        return self.log_moments[k // 2]
+        return SignedLogValue.from_log(float(self.log_moments[k // 2]))
 
 
 # -- generation --------------------------------------------------------------
@@ -208,11 +214,10 @@ def generate_moments(
     logs = np.zeros(orders.size)
     for j, (d, _) in enumerate(family.factors):
         logs = logs + [math.lgamma(d * n + 1.0) for n in orders] + log_s[:, j]
-    entries = tuple(SignedLogValue.from_log(float(lg)) for lg in logs)
     return MomentSequence(
         support=support,
         n_max=n_max,
-        log_moments=entries,
+        log_moments=logs,
         family=family,
         label=family.label,
     )
@@ -222,9 +227,9 @@ def lognormal_moments(n_max: int) -> MomentSequence:
     """Stock lognormal-type calibration family: m_n = e^{n²/2} (closed form)."""
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 2:
         raise DomainError(f"lognormal_moments requires an integer n_max >= 2, got {n_max!r}")
-    entries = tuple(SignedLogValue.from_log(n * n / 2.0) for n in range(n_max + 1))
+    ns = np.arange(n_max + 1, dtype=float)
     return MomentSequence(
-        support="stieltjes", n_max=n_max, log_moments=entries, family=None, label="lognormal"
+        support="stieltjes", n_max=n_max, log_moments=ns * ns / 2.0, family=None, label="lognormal"
     )
 
 
@@ -293,15 +298,14 @@ def moment_ratios(seq: MomentSequence) -> list[float]:
     """Log of consecutive stored-moment ratios.
 
     Stieltjes: ln(m_{n+1}/m_n) for n = 0..n_max−1; hamburger-symmetric:
-    ln(m_{2n+2}/m_{2n}).  Requires at least three stored entries.
+    ln(m_{2n+2}/m_{2n}).
     """
-    if len(seq.log_moments) < 3:
-        raise SequenceError("moment_ratios requires at least 3 stored entries")
-    for j, entry in enumerate(seq.log_moments):
-        if entry.sign != 1:
-            raise SequenceError(f"moment_ratios: stored moment {j} is not positive")
-    logs = [entry.logmag for entry in seq.log_moments]
-    return [logs[n + 1] - logs[n] for n in range(len(logs) - 1)]
+    return np.diff(seq.log_moments).tolist()
+
+
+def _log_carleman_terms(seq: MomentSequence) -> np.ndarray:
+    """ln a_n = −ln m_n/(2n) (−ln m_{2n}/(2n) on symmetric support), n = 1..n_max."""
+    return -seq.log_moments[1:] / (2.0 * np.arange(1, seq.n_max + 1))
 
 
 def carleman_terms(seq: MomentSequence) -> list[float]:
@@ -310,14 +314,14 @@ def carleman_terms(seq: MomentSequence) -> list[float]:
 
     These are O(1) magnitudes, returned as ordinary floats.
     """
-    for j, entry in enumerate(seq.log_moments):
-        if entry.sign != 1:
-            raise SequenceError(f"carleman_terms: stored moment {j} is not positive")
-    logs = [entry.logmag for entry in seq.log_moments]
-    return [math.exp(-logs[n] / (2.0 * n)) for n in range(1, len(logs))]
+    return list(map(math.exp, _log_carleman_terms(seq).tolist()))
 
 
 # -- serialization ------------------------------------------------------------
+
+_JSON_OPEN = '    {\n      "sign": 1,\n      "logmag": "'
+_JSON_CLOSE = '"\n    }'
+_CSV_HEADER = "n,sign,logmag"
 
 
 def to_json(seq: MomentSequence) -> str:
@@ -331,24 +335,20 @@ def to_json(seq: MomentSequence) -> str:
         f"  {json.dumps(key)}: {json.dumps(value)},\n"
         for key, value in (("support", seq.support), ("n_max", seq.n_max), ("label", seq.label))
     )
-    moments = ",\n".join(
-        f'    {{\n      "sign": {entry.sign},\n      "logmag": "{entry.logmag!r}"\n    }}'
-        for entry in seq.log_moments
-    )
-    return "{\n" + head + '  "moments": [\n' + moments + "\n  ]\n}\n"
+    moments = (_JSON_CLOSE + ",\n" + _JSON_OPEN).join(map(repr, seq.log_moments.tolist()))
+    return "{\n" + head + '  "moments": [\n' + _JSON_OPEN + moments + _JSON_CLOSE + "\n  ]\n}\n"
 
 
-def _rehydrate(support: object, n_max: object, label: object, rows: list[tuple[int, float]]):
+def _check_sign(index: int, sign: int) -> None:
+    if sign != 1:
+        raise SequenceError(f"stored moment at index {index} must be positive, got sign {sign}")
+
+
+def _rehydrate(support: object, n_max: object, label: object, logs: list[float]):
     if not isinstance(support, str) or support not in _SUPPORTS:
         raise SequenceError(f"bad support field {support!r}")
     if not isinstance(n_max, int):
         raise SequenceError(f"bad n_max field {n_max!r}")
-    entries = []
-    for i, (sign, logmag) in enumerate(rows):
-        try:
-            entries.append(SignedLogValue.from_log(logmag, sign=sign))
-        except ValueError as exc:
-            raise SequenceError(f"bad moment entry at index {i}: {exc}") from exc
     family = None
     if isinstance(label, str) and label:
         try:
@@ -358,7 +358,7 @@ def _rehydrate(support: object, n_max: object, label: object, rows: list[tuple[i
     return MomentSequence(
         support=support,
         n_max=n_max,
-        log_moments=entries,
+        log_moments=logs,
         family=family,
         label=label if isinstance(label, str) and label else None,
     )
@@ -370,59 +370,82 @@ def from_json(text: str) -> MomentSequence:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SequenceError(f"invalid JSON moment file: {exc}") from exc
-    if not isinstance(doc, dict) or "moments" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("moments"), list):
         raise SequenceError("JSON moment file must be an object with a 'moments' array")
-    rows: list[tuple[int, float]] = []
-    for i, item in enumerate(doc["moments"]):
-        try:
-            rows.append((int(item["sign"]), float(item["logmag"])))
-        except (TypeError, KeyError, ValueError) as exc:
-            raise SequenceError(f"bad moment entry at index {i}: {exc}") from exc
-    return _rehydrate(doc.get("support"), doc.get("n_max"), doc.get("label"), rows)
+    moments = doc["moments"]
+    try:
+        ok = set(map(itemgetter("sign"), moments)) == {1}
+        logs = list(map(float, map(itemgetter("logmag"), moments)))
+    except (TypeError, KeyError, ValueError):
+        ok = False
+    if not ok:  # find the first bad entry
+        logs = []
+        for i, item in enumerate(moments):
+            try:
+                sign, logmag = int(item["sign"]), float(item["logmag"])
+            except (TypeError, KeyError, ValueError) as exc:
+                raise SequenceError(f"bad moment entry at index {i}: {exc}") from exc
+            _check_sign(i, sign)
+            logs.append(logmag)
+    return _rehydrate(doc.get("support"), doc.get("n_max"), doc.get("label"), logs)
 
 
 def to_csv(seq: MomentSequence) -> str:
     """Serialize to CSV (n, sign, logmag at 17 significant digits)."""
-    lines = [
-        f"# support: {seq.support}",
-        f"# n_max: {seq.n_max}",
-    ]
+    lines = [f"# support: {seq.support}", f"# n_max: {seq.n_max}"]
     if seq.label:
         lines.append(f"# label: {seq.label}")
-    lines.append("n,sign,logmag")
-    for j, entry in enumerate(seq.log_moments):
-        lines.append(f"{j},{entry.sign},{entry.logmag:.17g}")
+    lines.append(_CSV_HEADER)
+    lines += [f"{j},1,{x:.17g}" for j, x in enumerate(seq.log_moments.tolist())]
     return "\n".join(lines) + "\n"
 
 
-def from_csv(text: str) -> MomentSequence:
-    """Load a sequence from its CSV form; bit-exact inverse of to_csv."""
-    support: object = None
-    n_max: object = None
-    label: object = None
-    rows: list[tuple[int, float]] = []
-    expected_index = 0
+def _csv_rows(lines: list[str]) -> list[float] | None:
+    """Log-magnitudes of a file laid out as to_csv writes it (comments, the
+    header, then rows n,1,logmag), or None when the layout differs or a row
+    is malformed."""
+    try:
+        start = lines.index(_CSV_HEADER) + 1
+    except ValueError:
+        return None
+    rows = lines[start:]
+    fields = ",".join(rows).split(",")
+    if (
+        any(not line.startswith("#") for line in lines[: start - 1])
+        or set(map(methodcaller("count", ","), rows)) != {2}
+        or set(fields[1::3]) != {"1"}
+        or fields[0::3] != list(map(str, range(len(rows))))
+    ):
+        return None
+    try:
+        return list(map(float, fields[2::3]))
+    except ValueError:
+        return None
+
+
+def _read_csv_lines(lines: list[str], meta: dict[str, object]) -> tuple[bool, list[float]]:
+    """Read CSV lines one at a time, in any layout, naming the first bad line.
+
+    Fills ``meta`` from the comments; returns whether the header was seen
+    and the log-magnitudes of the rows.
+    """
+    logs: list[float] = []
     saw_header = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
-            body = line.lstrip("#").strip()
-            if ":" in body:
-                key, _, value = body.partition(":")
-                key, value = key.strip(), value.strip()
-                if key == "support":
-                    support = value
-                elif key == "n_max":
-                    try:
-                        n_max = int(value)
-                    except ValueError as exc:
-                        raise SequenceError(f"line {lineno}: bad n_max {value!r}") from exc
-                elif key == "label":
-                    label = value
+            key, colon, value = (part.strip() for part in line.lstrip("#").partition(":"))
+            if colon and key == "n_max":
+                try:
+                    meta[key] = int(value)
+                except ValueError as exc:
+                    raise SequenceError(f"line {lineno}: bad n_max {value!r}") from exc
+            elif colon and key in ("support", "label"):
+                meta[key] = value
             continue
-        if line == "n,sign,logmag":
+        if line == _CSV_HEADER:
             saw_header = True
             continue
         parts = line.split(",")
@@ -432,12 +455,22 @@ def from_csv(text: str) -> MomentSequence:
             j, sign, logmag = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError as exc:
             raise SequenceError(f"line {lineno}: {exc}") from exc
-        if j != expected_index:
-            raise SequenceError(f"line {lineno}: expected index {expected_index}, got {j}")
-        expected_index += 1
-        rows.append((sign, logmag))
-    if not saw_header or not rows:
+        if j != len(logs):
+            raise SequenceError(f"line {lineno}: expected index {len(logs)}, got {j}")
+        _check_sign(j, sign)
+        logs.append(logmag)
+    return saw_header, logs
+
+
+def from_csv(text: str) -> MomentSequence:
+    """Load a sequence from its CSV form; bit-exact inverse of to_csv."""
+    lines = text.splitlines()
+    meta: dict[str, object] = {}
+    logs = _csv_rows(lines)
+    if logs is None:
+        saw_header, logs = _read_csv_lines(lines, meta)
+    else:
+        saw_header, _ = _read_csv_lines(lines[: len(lines) - len(logs)], meta)
+    if not saw_header or not logs:
         raise SequenceError("CSV moment file is missing its header or data rows")
-    if n_max is None:
-        n_max = len(rows) - 1
-    return _rehydrate(support, n_max, label, rows)
+    return _rehydrate(meta.get("support"), meta.get("n_max", len(logs) - 1), meta.get("label"), logs)

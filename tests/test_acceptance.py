@@ -229,7 +229,7 @@ def test_acceptance_7_round_trip_and_determinism(seqs):
         seq = seqs(label, 500)
         for codec, dump, load in (("json", to_json, from_json), ("csv", to_csv, from_csv)):
             back = load(dump(seq))
-            if back.log_moments != seq.log_moments:
+            if not np.array_equal(back.log_moments, seq.log_moments):
                 failures.append(f"{label}@500 {codec} round trip not bit-exact")
             if (back.support, back.n_max, back.label) != (seq.support, seq.n_max, seq.label):
                 failures.append(f"{label}@500 {codec} metadata changed")
@@ -245,6 +245,6 @@ def test_acceptance_7_round_trip_and_determinism(seqs):
             failures.append(f"analyze() differs across {workers} worker threads")
 
     regen = generate_from_label(X11, 200)
-    if regen.log_moments != seq.log_moments:
+    if not np.array_equal(regen.log_moments, seq.log_moments):
         failures.append("regenerated sequence differs from first generation")
     _finish("round trip and determinism", failures)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -39,7 +40,9 @@ class TestGen:
             main, ["gen", "--family", X11, "--nmax", "100", "--out", str(path)]
         )
         assert result.exit_code == 0
-        assert from_json(path.read_text()).log_moments == generate_from_label(X11, 100).log_moments
+        assert np.array_equal(
+            from_json(path.read_text()).log_moments, generate_from_label(X11, 100).log_moments
+        )
 
     def test_csv_format(self, runner, tmp_path):
         path = tmp_path / "exp.csv"
@@ -63,6 +66,18 @@ class TestGen:
     def test_bad_rel_tol_exits_2(self, runner):
         result = runner.invoke(main, ["gen", "--family", "exp", "--nmax", "10", "--rel-tol", "1"])
         assert result.exit_code == 2
+
+    def test_lognormal_bad_rel_tol_exits_2(self, runner):
+        # the closed-form family runs no quadrature, so the flag is checked up front
+        args = ["gen", "--family", "lognormal", "--nmax", "10", "--rel-tol", "nan"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert "rel_tol" in result.output
+
+    def test_lognormal_nmax_floor_exits_2(self, runner):
+        result = runner.invoke(main, ["gen", "--family", "lognormal", "--nmax", "1"])
+        assert result.exit_code == 2
+        assert "n_max >= 2" in result.output
 
     def test_numeric_failure_exits_3(self, runner, monkeypatch):
         import momentdet.moments as moments_mod

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,7 +18,6 @@ from momentdet import (
     MomentSequence,
     QFunction,
     SequenceError,
-    SignedLogValue,
     analyze,
     check_carleman,
     check_growth_rate,
@@ -31,15 +31,12 @@ SYM_X11 = "symroot[(1,1),(1,1)]"
 
 def scaled(seq: MomentSequence, c: float) -> MomentSequence:
     """The sequence of c·X: m_n ↦ cⁿ·m_n."""
-    entries = tuple(
-        SignedLogValue.from_log(entry.logmag + n * math.log(c))
-        for n, entry in enumerate(seq.log_moments)
-    )
+    entries = [float(x) + n * math.log(c) for n, x in enumerate(seq.log_moments)]
     return MomentSequence(seq.support, seq.n_max, entries, label=seq.label)
 
 
 def synthetic(log_moment, n_max: int = 200) -> MomentSequence:
-    entries = tuple(SignedLogValue.from_log(float(log_moment(n))) for n in range(n_max + 1))
+    entries = [float(log_moment(n)) for n in range(n_max + 1)]
     return MomentSequence("stieltjes", n_max, entries)
 
 
@@ -234,6 +231,14 @@ class TestQDivergence:
         with pytest.raises(DomainError):
             check_q_divergence(QFunction.table([1.0] * 50), n_max=400)
 
+    @pytest.mark.parametrize("alpha, status", [(400.0, VIOLATED), (-400.0, SATISFIED)])
+    def test_extreme_power_stays_in_the_log_domain(self, alpha, status):
+        # n^alpha over- or underflows; the terms are formed from alpha·ln n
+        v = check_q_divergence(QFunction.power(alpha))
+        assert v.status == status
+        assert v.n_used == 400
+        assert v.diagnostics["exponent"] == pytest.approx(1.0 + alpha, rel=1e-12)
+
     @pytest.mark.parametrize("n_max", [99, 0, -5, 200.0])
     def test_n_max_floor(self, n_max):
         with pytest.raises(DomainError):
@@ -241,6 +246,24 @@ class TestQDivergence:
 
 
 class TestQFunction:
+    @pytest.mark.parametrize(
+        "q", [QFunction.one(), QFunction.log(), QFunction.power(0.7), QFunction.table([2.0, 3.0, 5.0])]
+    )
+    def test_log_at_array_matches_scalar(self, q):
+        ns = np.arange(2, 4)
+        got = q.log_at(ns)
+        assert got.dtype == np.float64
+        assert got.tolist() == [q.log_at(int(n)) for n in ns]
+        assert got.tolist() == pytest.approx([math.log(q(int(n))) for n in ns], rel=1e-15)
+        assert type(q.log_at(3)) is float
+
+    def test_log_at_domain(self):
+        assert QFunction.log().log_at(1) == -math.inf
+        with pytest.raises(DomainError):
+            QFunction.power(1.0).log_at(np.array([1.0, 0.0]))
+        with pytest.raises(DomainError, match="q\\(4\\)"):
+            QFunction.table([1.0, 2.0]).log_at(np.arange(1, 5))
+
     def test_kinds_and_labels(self):
         assert QFunction.one()(17) == 1.0
         assert QFunction.log()(math.isqrt(100)) == math.log(10)
@@ -288,7 +311,7 @@ class TestHardy:
         v = check_hardy(seq)
         log_c0 = math.log(v.diagnostics["c0"])
         for n in range(1, seq.n_max + 1):
-            assert seq.log_moments[n].logmag <= math.lgamma(2.0 * n + 1.0) + n * log_c0 + 1e-9
+            assert float(seq.log_moments[n]) <= math.lgamma(2.0 * n + 1.0) + n * log_c0 + 1e-9
 
     def test_symmetric_support_rejected(self, seqs):
         with pytest.raises(DomainError):
@@ -395,6 +418,39 @@ class TestAggregateReport:
         criteria = [v["criterion"] for v in report["verdicts"]]
         assert "hardy" not in criteria
         assert len(criteria) == 3
+
+
+def _assert_plain(value, path="report"):
+    """Reports hold only plain Python values, so json.dumps reads them as before."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            assert type(key) is str, path
+            _assert_plain(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _assert_plain(item, f"{path}[{i}]")
+    else:
+        assert value is None or type(value) in (str, int, float), (path, type(value))
+
+
+class TestPlainReportValues:
+    @pytest.mark.parametrize("label", [X11, "exp", "lognormal", SYM_X11])
+    def test_analyze_report(self, seqs, label):
+        _assert_plain(analyze(seqs(label, 200)))
+
+    def test_checker_verdicts(self, seqs):
+        seq = seqs(X11, 200)
+        verdicts = [
+            check_carleman(seq),
+            check_growth_rate(seq, QFunction.power(0.5)),
+            check_growth_rate(seq, QFunction.table([1.0] * 200)),
+            check_hardy(seqs("exp", 200)),
+            check_q_divergence(QFunction.log()),
+        ]
+        for v in verdicts:
+            _assert_plain(v.to_dict())
+            assert all(type(x) is float for x in v.diagnostics.values())
+            assert type(v.n_used) is int
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -35,7 +36,7 @@ X11 = "product[(1,1),(1,1)]"
 
 
 def logs_of(seq: MomentSequence) -> list[float]:
-    return [entry.logmag for entry in seq.log_moments]
+    return [float(x) for x in seq.log_moments]
 
 
 class TestClosedFormFamilies:
@@ -84,13 +85,13 @@ class TestSymmetrizations:
         base = seqs(X11, 40)
         sym = seqs("symroot[(1,1),(1,1)]", 40)
         assert sym.support == "hamburger-symmetric"
-        assert sym.log_moments == base.log_moments
+        assert np.array_equal(sym.log_moments, base.log_moments)
 
     def test_symroot_moment_accessor(self, seqs):
         base = seqs(X11, 40)
         sym = seqs("symroot[(1,1),(1,1)]", 40)
         for k in range(1, 40, 7):
-            assert sym.moment(2 * k) == base.log_moments[k]
+            assert sym.moment(2 * k) == SignedLogValue.from_log(float(base.log_moments[k]))
             assert sym.moment(2 * k - 1).is_zero()
 
     def test_symprod_stores_doubled_orders(self, seqs):
@@ -145,7 +146,7 @@ class TestDerivedSeries:
         assert trend[2] < 2.0
 
     def test_minimal_sequence_has_ratios(self):
-        entries = tuple(SignedLogValue.from_log(float(n)) for n in range(3))
+        entries = [float(n) for n in range(3)]
         seq = MomentSequence("stieltjes", 2, entries)
         assert len(moment_ratios(seq)) == 2
         assert len(carleman_terms(seq)) == 2
@@ -153,7 +154,7 @@ class TestDerivedSeries:
 
 class TestValidationGates:
     def build(self, logs, **kw):
-        entries = tuple(SignedLogValue.from_log(lg) for lg in logs)
+        entries = [float(lg) for lg in logs]
         return MomentSequence("stieltjes", len(logs) - 1, entries, **kw)
 
     def test_m0_must_be_one(self):
@@ -164,37 +165,78 @@ class TestValidationGates:
         with pytest.raises(SequenceError, match="convexity"):
             self.build([0.0, 1.0, 0.5])
 
-    def test_negative_sign_rejected(self):
-        entries = (
-            SignedLogValue.one(),
-            SignedLogValue.from_log(1.0, sign=-1),
-            SignedLogValue.from_log(3.0),
-        )
-        with pytest.raises(SequenceError, match="positive"):
-            MomentSequence("stieltjes", 2, entries)
+    def test_negative_sign_rejected(self, seqs):
+        # signs enter only through files, so a sign of -1 is refused there
+        doc = json.loads(to_json(seqs("exp", 10)))
+        doc["moments"][4]["sign"] = -1
+        with pytest.raises(SequenceError, match="index 4 must be positive"):
+            from_json(json.dumps(doc))
+        text = to_csv(seqs("exp", 10)).replace("\n4,1,", "\n4,-1,")
+        with pytest.raises(SequenceError, match="index 4 must be positive"):
+            from_csv(text)
 
     def test_n_max_mismatch(self):
-        entries = tuple(SignedLogValue.from_log(float(n * n)) for n in range(4))
+        entries = [float(n * n) for n in range(4)]
         with pytest.raises(SequenceError, match="n_max"):
             MomentSequence("stieltjes", 5, entries)
 
     def test_minimum_length(self):
-        entries = (SignedLogValue.one(), SignedLogValue.one())
+        entries = [0.0, 0.0]
         with pytest.raises(SequenceError):
             MomentSequence("stieltjes", 1, entries)
 
     def test_unknown_support(self):
-        entries = tuple(SignedLogValue.from_log(float(n)) for n in range(3))
+        entries = [float(n) for n in range(3)]
         with pytest.raises(SequenceError, match="support"):
             MomentSequence("hausdorff", 2, entries)
 
     def test_moment_accessor_bounds(self, seqs):
         seq = seqs("exp", 10)
-        assert seq.moment(10) == seq.log_moments[10]
+        assert seq.moment(10) == SignedLogValue.from_log(float(seq.log_moments[10]))
         with pytest.raises(SequenceError):
             seq.moment(11)
         with pytest.raises(SequenceError):
             seq.moment(-1)
+
+    def test_log_moments_are_read_only(self, seqs):
+        seq = seqs("exp", 10)
+        assert seq.log_moments.dtype == np.float64
+        assert seq.log_moments.ndim == 1
+        assert not seq.log_moments.flags.writeable
+        with pytest.raises(ValueError):
+            seq.log_moments[3] = 0.0
+
+    def test_constructor_keeps_its_own_copy(self):
+        logs = np.arange(4, dtype=float) ** 2
+        seq = MomentSequence("stieltjes", 3, logs)
+        logs[2] = 100.0
+        assert logs.flags.writeable
+        assert seq.log_moments.tolist() == [0.0, 1.0, 4.0, 9.0]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected_at_first_index(self, bad):
+        logs = [float(n * n) for n in range(8)]
+        logs[3] = logs[5] = bad
+        with pytest.raises(SequenceError, match="index 3 "):
+            self.build(logs)
+
+    def test_two_dimensional_entries_rejected(self):
+        with pytest.raises(SequenceError, match="shape"):
+            MomentSequence("stieltjes", 2, [[0.0, 1.0, 2.0]])
+
+    def test_convexity_names_first_failing_index(self):
+        with pytest.raises(SequenceError, match="index 2 "):
+            self.build([0.0, 1.0, 3.0, 3.5, 3.6])
+
+    def test_equality_is_exact(self, seqs):
+        seq = seqs("exp", 10)
+        same = MomentSequence(seq.support, seq.n_max, seq.log_moments.copy(), seq.family, seq.label)
+        assert same == seq
+        nudged = seq.log_moments.copy()
+        nudged[7] = np.nextafter(nudged[7], np.inf)
+        assert MomentSequence(seq.support, seq.n_max, nudged, seq.family, seq.label) != seq
+        assert MomentSequence(seq.support, seq.n_max, seq.log_moments, label="other") != seq
+        assert seq != seq.log_moments.tolist()
 
     @pytest.mark.parametrize("n_max", [1, 0, -2])
     def test_generation_floor(self, n_max):
@@ -233,7 +275,7 @@ class TestBatchedGeneration:
                 expected += math.lgamma(d * n + 1.0)
                 if n * r > 0.0:
                     expected += integrate_logweighted(n * r).value.logmag
-            got = seq.log_moments[j].logmag
+            got = float(seq.log_moments[j])
             assert abs(got - expected) <= 1e-12 * max(1.0, abs(expected)), j
 
 
@@ -289,7 +331,7 @@ class TestSerialization:
     def test_json_round_trip_bit_exact(self, seqs, label):
         seq = seqs(label, 50)
         back = from_json(to_json(seq))
-        assert back.log_moments == seq.log_moments
+        assert np.array_equal(back.log_moments, seq.log_moments)
         assert (back.support, back.n_max, back.label) == (seq.support, seq.n_max, seq.label)
         assert back == seq
 
@@ -297,7 +339,7 @@ class TestSerialization:
     def test_csv_round_trip_bit_exact(self, seqs, label):
         seq = seqs(label, 50)
         back = from_csv(to_csv(seq))
-        assert back.log_moments == seq.log_moments
+        assert np.array_equal(back.log_moments, seq.log_moments)
         assert back == seq
 
     @pytest.mark.parametrize("label", [X11, None, 'quo"te \\ é'])
@@ -308,7 +350,7 @@ class TestSerialization:
             "support": seq.support,
             "n_max": seq.n_max,
             "label": seq.label,
-            "moments": [{"sign": e.sign, "logmag": repr(e.logmag)} for e in seq.log_moments],
+            "moments": [{"sign": 1, "logmag": repr(float(x))} for x in seq.log_moments],
         }
         assert to_json(seq) == json.dumps(doc, indent=2) + "\n"
 
@@ -325,12 +367,68 @@ class TestSerialization:
         with pytest.raises(SequenceError, match="index 3"):
             from_csv("\n".join(lines) + "\n")
 
+    def test_exp_json_text_is_pinned(self, seqs):
+        entry = '    {{\n      "sign": 1,\n      "logmag": "{}"\n    }}'
+        logmags = ["0.0", "0.0", "0.693147180559945", "1.7917594692280554",
+                   "3.178053830347945", "4.787491742782047"]
+        expected = (
+            '{\n  "support": "stieltjes",\n  "n_max": 5,\n  "label": "exp",\n  "moments": [\n'
+            + ",\n".join(entry.format(m) for m in logmags)
+            + "\n  ]\n}\n"
+        )
+        assert to_json(seqs("exp", 5)) == expected
+
+    def test_exp_csv_text_is_pinned(self, seqs):
+        assert to_csv(seqs("exp", 5)) == (
+            "# support: stieltjes\n# n_max: 5\n# label: exp\nn,sign,logmag\n"
+            "0,1,0\n1,1,0\n2,1,0.69314718055994495\n3,1,1.7917594692280554\n"
+            "4,1,3.1780538303479449\n5,1,4.7874917427820467\n"
+        )
+
+    def test_csv_in_other_layouts_reads_the_same(self, seqs):
+        seq = seqs("exp", 10)
+        lines = to_csv(seq).splitlines()
+        header = lines.index("n,sign,logmag")
+        shuffled = [lines[header], "", "  # a comment", *lines[:header]]
+        shuffled += [f" {row} " for row in lines[header + 1 :]]
+        shuffled[-2] = shuffled[-2].replace(",1,", ",+1,")
+        assert from_csv("\r\n".join(shuffled)) == seq
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [("4,1,x", "line 9"), ("4,1", "line 9"), ("5,1,3.1", "line 9: expected index 4"),
+         ("4,0,3.1", "index 4 must be positive"), ("4,1,1e999", "index 4 ")],
+    )
+    def test_malformed_csv_row_is_named(self, seqs, row, message):
+        lines = to_csv(seqs("exp", 10)).splitlines()
+        assert lines[8].startswith("4,1,")
+        lines[8] = row
+        with pytest.raises(SequenceError, match=message):
+            from_csv("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [({"sign": 1}, "index 4"), ({"sign": "x", "logmag": "1.0"}, "index 4"),
+         ({"sign": 0, "logmag": "1.0"}, "index 4 must be positive"), (7, "index 4")],
+    )
+    def test_malformed_json_entry_is_named(self, seqs, entry, message):
+        doc = json.loads(to_json(seqs("exp", 10)))
+        doc["moments"][4] = entry
+        with pytest.raises(SequenceError, match=message):
+            from_json(json.dumps(doc))
+
+    def test_json_signs_read_as_integers(self, seqs):
+        doc = json.loads(to_json(seqs("exp", 10)))
+        doc["moments"][2]["sign"] = "1"
+        doc["moments"][3]["sign"] = 1.0
+        assert from_json(json.dumps(doc)) == seqs("exp", 10)
+
     def test_unparseable_label_kept_family_dropped(self, seqs):
         text = to_json(seqs("exp", 10)).replace('"exp"', '"my custom data"')
         back = from_json(text)
         assert back.label == "my custom data"
         assert back.family is None
-        assert back.log_moments == seqs("exp", 10).log_moments
+        assert np.array_equal(back.log_moments, seqs("exp", 10).log_moments)
 
     @pytest.mark.parametrize(
         "text",
@@ -384,7 +482,7 @@ class TestGeneratedFamilyProperties:
         seq = generate_moments(family, 12)
         for via in (lambda s: from_json(to_json(s)), lambda s: from_csv(to_csv(s))):
             back = via(seq)
-            assert back.log_moments == seq.log_moments
+            assert np.array_equal(back.log_moments, seq.log_moments)
             assert back.support == seq.support
             assert back.n_max == seq.n_max
             assert back.label == seq.label
