@@ -91,40 +91,39 @@ def _require_positive_t(t: float, op: str) -> float:
     return t
 
 
+def _saddle(t: float) -> tuple[float, float]:
+    """(W(t), Q(x_t, t)) at the saddle x_t = e^{W(t)} − 1.
+
+    e^{W} is taken as t/w: exact in the w·e^w = t sense, and shared
+    bitwise by ``saddle_point`` and both Laplace estimates.
+    """
+    w = lambert_w0(t).w
+    return w, t * math.log(w) - t / w + 1.0
+
+
 def saddle_point(t: float) -> SaddleReport:
     """Locate the maximum of Q(·, t) and report its local expansion."""
     t = _require_positive_t(t, "saddle_point")
-    w = lambert_w0(t).w
+    w, q_peak = _saddle(t)
     x_t = math.expm1(w)
-    # e^{W} is taken as t/w: exact in the w*e^w = t sense, and shared
-    # bitwise with the Laplace estimates below.
-    q_peak = t * math.log(w) - t / w + 1.0
     q_curv = -(1.0 + w) / t
     mu = math.exp(w / 4.0)
     residual = t - (1.0 + x_t) * math.log1p(x_t)
     return SaddleReport(t=t, x_t=x_t, q_peak=q_peak, q_curv=q_curv, mu=mu, residual=residual)
 
 
-def _estimate_parts(t: float) -> tuple[float, float, float]:
-    """Shared pieces (log(2πt), log W, q_peak) of both Laplace estimates."""
-    w = lambert_w0(t).w
-    log_2pi_t = _LOG_2PI + math.log(t)
-    q_peak = t * math.log(w) - t / w + 1.0
-    return log_2pi_t, w, q_peak
-
-
 def laplace_estimate_exact(t: float) -> SignedLogValue:
     """Saddle estimate of S(t) with the exact curvature denominator W+1."""
     t = _require_positive_t(t, "laplace_estimate_exact")
-    log_2pi_t, w, q_peak = _estimate_parts(t)
-    return SignedLogValue.from_log(0.5 * log_2pi_t - 0.5 * math.log1p(w) + q_peak)
+    w, q_peak = _saddle(t)
+    return SignedLogValue.from_log(0.5 * (_LOG_2PI + math.log(t)) - 0.5 * math.log1p(w) + q_peak)
 
 
 def laplace_estimate_leading(t: float) -> SignedLogValue:
     """Leading-order saddle estimate of S(t): e·√(2πt)·W^{t−1/2}·e^{−t/W}."""
     t = _require_positive_t(t, "laplace_estimate_leading")
-    log_2pi_t, w, q_peak = _estimate_parts(t)
-    return SignedLogValue.from_log(0.5 * log_2pi_t - 0.5 * math.log(w) + q_peak)
+    w, q_peak = _saddle(t)
+    return SignedLogValue.from_log(0.5 * (_LOG_2PI + math.log(t)) - 0.5 * math.log(w) + q_peak)
 
 
 def asymptotic_kn(n: int, r: float = 1.0) -> SignedLogValue:

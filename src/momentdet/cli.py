@@ -36,7 +36,7 @@ import click
 
 from . import __version__
 from .asymptotics import laplace_estimate_exact, laplace_estimate_leading
-from .criteria import QFunction, analyze, check_carleman, check_growth_rate, check_hardy
+from .criteria import QFunction, _report, analyze, check_carleman, check_growth_rate, check_hardy
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -255,12 +255,7 @@ def cmd_check(input_path: str, criteria: str, q_spec: str, fmt: str, out: str) -
                 raise DomainError(
                     f"unknown criterion {name!r}; expected carleman, growth, growth-q, hardy"
                 )
-        report = {
-            "label": seq.label,
-            "support": seq.support,
-            "n_max": seq.n_max,
-            "verdicts": [v.to_dict() for v in verdicts],
-        }
+        report = _report(seq, verdicts)
     if fmt == "json":
         _write(out, json.dumps(report, indent=2) + "\n")
     else:

@@ -145,7 +145,11 @@ class QFunction:
         return cls(kind="table", values=tuple(values))
 
     def __call__(self, n: int) -> float:
-        """q(n) for integer n ≥ 1.  Note q(1) = 0 for the log kind."""
+        """q(n) for integer n ≥ 1.  Note q(1) = 0 for the log kind.
+
+        Raises DomainError where n^α over- or underflows a float (the
+        power kind with large |α|); ``log_at`` gives ln q(n) there.
+        """
         if n < 1:
             raise DomainError(f"QFunction is defined for n >= 1, got {n}")
         if self.kind == "constant-one":
@@ -153,7 +157,16 @@ class QFunction:
         if self.kind == "log":
             return math.log(n)
         if self.kind == "power":
-            return float(n) ** self.alpha
+            try:
+                q = float(n) ** self.alpha
+            except OverflowError:
+                q = math.inf
+            if not 0.0 < q < math.inf:
+                raise DomainError(
+                    f"q({n}) = {n}^{self.alpha:g} is not a positive finite float; "
+                    "use log_at for ln q(n)"
+                )
+            return q
         assert self.values is not None
         if n > len(self.values):
             raise DomainError(
@@ -445,6 +458,16 @@ def _trend_samples(n_hi: int, count: int = 9) -> list[int]:
     return sorted({min(n_hi, max(2, int(round(v)))) for v in raw})
 
 
+def _report(seq: MomentSequence, verdicts: list[Verdict]) -> dict[str, object]:
+    """The report header shared by ``analyze`` and the CLI's ``check``."""
+    return {
+        "label": seq.label,
+        "support": seq.support,
+        "n_max": seq.n_max,
+        "verdicts": [v.to_dict() for v in verdicts],
+    }
+
+
 def analyze(seq: MomentSequence) -> dict[str, object]:
     """Run all applicable checkers on a sequence; JSON-ready report.
 
@@ -463,13 +486,7 @@ def analyze(seq: MomentSequence) -> dict[str, object]:
     if seq.support == "stieltjes":
         verdicts.append(check_hardy(seq))
 
-    report: dict[str, object] = {
-        "label": seq.label,
-        "support": seq.support,
-        "n_max": seq.n_max,
-        "verdicts": [v.to_dict() for v in verdicts],
-    }
-
+    report = _report(seq, verdicts)
     if _is_two_factor_log_family(seq):
         # nine samples: scalar math keeps the reported values bit-stable
         logs = seq.log_moments.tolist()

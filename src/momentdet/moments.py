@@ -213,7 +213,7 @@ def generate_moments(
             raise
     logs = np.zeros(orders.size)
     for j, (d, _) in enumerate(family.factors):
-        logs = logs + [math.lgamma(d * n + 1.0) for n in orders] + log_s[:, j]
+        logs = logs + list(map(math.lgamma, (d * orders + 1.0).tolist())) + log_s[:, j]
     return MomentSequence(
         support=support,
         n_max=n_max,

@@ -190,11 +190,12 @@ def _tanh_sinh(
     """Nested tanh-sinh rule for ∫_{a_i}^{b_i} exp(logf(x, p_i)) dx, one row per panel.
 
     ``shift`` is the peak of logf on each panel, so that no exp(logf −
-    shift) at a node overflows and the sums do not vanish.  Returns (integral·e^{−shift}, estimated relative error, nodes
-    used) per row; a row that stops at level L has used the 8·2^L + 1
-    nodes of that level.  A row stops once two successive levels agree to
-    ``tol``; QuadratureError (with the partial estimate) is raised for the
-    first row still unconverged at _MAX_LEVEL.
+    shift) at a node overflows and the sums do not vanish.  Returns
+    (integral·e^{−shift}, estimated relative error, nodes used) per row;
+    a row that stops at level L has used the 8·2^L + 1 nodes of that
+    level.  A row stops once two successive levels agree to ``tol``;
+    QuadratureError (with the partial estimate) is raised for the first
+    row still unconverged at _MAX_LEVEL.
     """
     # Levels cannot agree more closely than the float rounding of the
     # log-integrand near its peak, so a row's tolerance is at least that.
@@ -303,8 +304,9 @@ def _lambert_w(p: np.ndarray) -> np.ndarray:
     increasing, and the start ln ln(1+p) lies at or right of the root
     (W(p) ≤ ln(1+p)), so the iterates fall monotonically onto it; four
     steps bring z within 1e-12 of it for every p, far closer than a
-    panel split needs.  (``lambert_w0`` does the same job for one scalar
-    at a time, at Python speed.)
+    panel split needs.  (``lambertw.lambert_w0`` solves the same equation
+    for one scalar, by Halley steps from w = ln(1+p) until they stop
+    moving, to full precision.)
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p = np.log(p)

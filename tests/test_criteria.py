@@ -287,6 +287,14 @@ class TestQFunction:
         with pytest.raises(DomainError):
             QFunction.one()(0)
 
+    @pytest.mark.parametrize("alpha", [400.0, -400.0])
+    def test_unrepresentable_power_points_to_log_at(self, alpha):
+        # 7^400 overflows and 7^-400 underflows to 0.0; ln q stays finite
+        q = QFunction.power(alpha)
+        with pytest.raises(DomainError, match="log_at"):
+            q(7)
+        assert q.log_at(7) == alpha * math.log(7)
+
 
 class TestHardy:
     def test_exp_constant(self, seqs):

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from momentdet import DomainError, TOL_W, lambert_w0, lambert_w_bounds, w_frac_diff, w_ratio_power
@@ -51,6 +51,15 @@ class TestOracleGrid:
         for t in np.geomspace(0.01, 100.0, 50):
             w = lambert_w0(float(t)).w
             assert w * math.exp(w) == pytest.approx(float(t), rel=1e-12)
+
+
+class TestWholeFloatRange:
+    @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    @example(5e-324)
+    @example(1.7976931348623157e308)
+    def test_residual_within_tolerance(self, t):
+        res = lambert_w0(t)
+        assert res.residual <= TOL_W * max(t, 1.0)
 
 
 class TestBounds:

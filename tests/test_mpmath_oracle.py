@@ -1,9 +1,14 @@
-"""S(p) against an mpmath reference, through the scalar and the batched path.
+"""S(p), W(t) and Γ⁽ⁿ⁾(1) against mpmath references.
 
 mpmath is an optional test dependency (the ``test`` extra); without it
-this module is skipped.  The reference shares no code with the package:
-mpmath's own adaptive quadrature at 30 digits, split at the integrand's
-peak expm1(W(p)) from ``mpmath.lambertw``.
+this module is skipped.  The references share no code with the package:
+
+* S(p): mpmath's own adaptive quadrature at 30 digits, split at the
+  integrand's peak expm1(W(p)) from ``mpmath.lambertw``, checked through
+  the scalar and the batched path;
+* W(t): ``mpmath.lambertw`` over the whole positive float range;
+* Γ⁽ⁿ⁾(1): the recursion Γ⁽ᵐ⁺¹⁾(1) = Σₖ C(m,k) Γ⁽ᵐ⁻ᵏ⁾(1) ψ⁽ᵏ⁾(1) with
+  ψ(1) = −γ and ψ⁽ᵏ⁾(1) = (−1)ᵏ⁺¹ k! ζ(k+1), which needs no quadrature.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from momentdet import integrate_logweighted, log_power_integral
+from momentdet import gamma_derivative, integrate_logweighted, lambert_w0, log_power_integral
 
 mp = pytest.importorskip("mpmath")
 
@@ -50,3 +55,37 @@ def test_batched_path_matches_reference():
     for p, lg in zip(P_VALUES, got):
         ref = mp_log_s(p)
         assert abs(lg - ref) <= 1e-12 * max(1.0, abs(ref)), p
+
+
+# 5e-324 (the smallest subnormal) to 1.7e308 (just below the float maximum)
+W_GRID = np.geomspace(5e-324, 1.7e308, 1201).tolist()
+
+
+def test_lambert_w_matches_reference_over_float_range():
+    with mp.workdps(40):
+        for t in W_GRID:
+            ref = mp.lambertw(mp.mpf(t)).real
+            gap = abs((mp.mpf(lambert_w0(t).w) - ref) / ref)
+            assert gap <= 4.5e-16, t
+
+
+GAMMA_N_MAX = 200
+
+
+def mp_gamma_derivatives() -> tuple[tuple[int, float], ...]:
+    """(sign, log|·|) of Γ⁽ⁿ⁾(1) for n = 0..GAMMA_N_MAX, by the ψ recursion."""
+    with mp.workdps(60):
+        psi = [-mp.euler] + [
+            (-1) ** (k + 1) * mp.factorial(k) * mp.zeta(k + 1) for k in range(1, GAMMA_N_MAX + 1)
+        ]
+        g = [mp.mpf(1)]
+        for m in range(GAMMA_N_MAX):
+            g.append(mp.fsum(mp.binomial(m, k) * g[m - k] * psi[k] for k in range(m + 1)))
+        return tuple((int(mp.sign(v)), float(mp.log(abs(v)))) for v in g)
+
+
+def test_gamma_derivative_error_within_its_estimate():
+    for n, (sign, ref) in enumerate(mp_gamma_derivatives()):
+        res = gamma_derivative(n)
+        assert res.value.sign == sign, n
+        assert abs(res.value.logmag - ref) <= res.est_rel_error + EPS * max(1.0, abs(ref)), n
