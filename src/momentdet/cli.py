@@ -33,6 +33,7 @@ import os
 import sys
 
 import click
+import numpy as np
 
 from . import __version__
 from .asymptotics import laplace_estimate_exact, laplace_estimate_leading
@@ -46,13 +47,7 @@ from .errors import (
 )
 from .lambertw import lambert_w0, lambert_w_bounds
 from .moments import from_csv, from_json, generate_from_label, to_csv, to_json
-from .quadrature import (
-    DEFAULT_REL_TOL,
-    gamma_derivative,
-    integrate_logweighted,
-    integrate_unit_log_power,
-    validate_rel_tol,
-)
+from .quadrature import DEFAULT_REL_TOL, _log_gamma, log_power_integral, validate_rel_tol
 
 _ENV_REL_TOL = "MOMENTDET_REL_TOL"
 _ENV_NMAX_CAP = "MOMENTDET_NMAX_CAP"
@@ -266,10 +261,8 @@ def cmd_check(input_path: str, criteria: str, q_spec: str, fmt: str, out: str) -
 
 
 def _reference_rows(rel_tol: float) -> list[dict[str, object]]:
-    def s_log(p: float) -> float:
-        return integrate_logweighted(p, rel_tol=rel_tol).value.logmag
-
-    logk = {n: s_log(float(n)) for n in (0, 1, 2, 3, 4, 99, 100)}
+    orders = (0, 1, 2, 3, 4, 99, 100)
+    logk = dict(zip(orders, log_power_integral(orders, rel_tol).tolist()))
 
     def row(
         name: str,
@@ -372,19 +365,11 @@ def cmd_asym(t_values: tuple[float, ...], rel_tol: float | None, fmt: str, out: 
         "leading_to_integral",
     ]
     rows = []
-    for t in t_values:
-        log_s = integrate_logweighted(t, rel_tol=rel_tol).value.logmag
-        log_exact = laplace_estimate_exact(t).logmag
-        log_leading = laplace_estimate_leading(t).logmag
+    for t, log_s in zip(t_values, log_power_integral(t_values, rel_tol).tolist()):
+        estimates = (laplace_estimate_exact(t).logmag, laplace_estimate_leading(t).logmag)
         rows.append(
-            [
-                float(t),
-                log_s / _LOG10,
-                log_exact / _LOG10,
-                log_leading / _LOG10,
-                math.exp(log_exact - log_s),
-                math.exp(log_leading - log_s),
-            ]
+            [float(t), log_s / _LOG10, *(e / _LOG10 for e in estimates)]
+            + [math.exp(e - log_s) for e in estimates]
         )
     text = _csv_table(header, rows) if fmt == "csv" else _human_table(header, rows)
     _write(out, text)
@@ -455,16 +440,17 @@ def cmd_gamma_derivs(nmax: int, rel_tol: float | None, fmt: str, out: str) -> No
         "unit_bracket_hi",
         "unit_bracket_ok",
     ]
+    (signs, logs, _, _), (unit_logs, _, _) = _log_gamma(np.arange(nmax + 1.0), rel_tol)
     rows = []
-    for n in range(nmax + 1):
-        g = gamma_derivative(n, rel_tol=rel_tol)
-        unit = integrate_unit_log_power(n, rel_tol=rel_tol)
+    for n, sign, log, unit_log in zip(
+        range(nmax + 1), signs.astype(int).tolist(), logs.tolist(), unit_logs.tolist()
+    ):
         # e^{-1}·n! <= |unit| <= n!, in the log domain
         lo = math.lgamma(n + 1.0) - 1.0
         hi = math.lgamma(n + 1.0)
-        ok = int(lo - 1e-9 <= unit.value.logmag <= hi + 1e-9)
-        value = g.value.to_float() if abs(g.value.logmag) < 700.0 else None
-        rows.append([n, g.value.sign, g.value.logmag, value, unit.value.logmag, lo, hi, ok])
+        ok = int(lo - 1e-9 <= unit_log <= hi + 1e-9)
+        value = sign * math.exp(log) if abs(log) < 700.0 else None
+        rows.append([n, sign, log, value, unit_log, lo, hi, ok])
     text = _csv_table(header, rows) if fmt == "csv" else _human_table(header, rows)
     _write(out, text)
 

@@ -4,45 +4,45 @@ Two integrals are evaluated, both entirely in the log domain because
 their values span hundreds of orders of magnitude:
 
 * ``S(p) = ∫₀^∞ ln(1+x)^p · e^{−x} dx`` for real p ≥ 0
-  (``integrate_logweighted``, and ``log_power_integral`` for whole arrays
-  of p); S(100) is already ~4.5·10⁴¹ and p up to a few thousand must work.
+  (``integrate_logweighted``; ``log_power_integral`` for arrays of p).
+  S(100) is already ~4.5·10⁴¹, and p up to a few thousand must work.
 * ``∫₀¹ (ln t)^n · e^{−t} dt`` for integer n ≥ 0
   (``integrate_unit_log_power``), rewritten via t = e^{−u} as
   ``(−1)^n ∫₀^∞ u^n · e^{−u − e^{−u}} du`` so the integrand is positive
   and the sign is exact.
 
-Combining the two yields the derivatives of the gamma function at 1::
+Their sum gives the derivatives of the gamma function at 1
+(``gamma_derivative``): Γ⁽ⁿ⁾(1) = ∫₀¹ (ln t)^n e^{−t} dt + e^{−1}·S(n).
+Each has one array path (``_log_s``, ``_log_unit``, ``_log_gamma``), and
+the public scalar functions are thin wrappers over a one-row batch.
 
-    Γ⁽ⁿ⁾(1) = ∫₀¹ (ln t)^n e^{−t} dt + e^{−1}·S(n)
-
-Method.  Each log-integrand is concave with a single peak (at
-expm1(W(p)) for S, found by Newton on the stationarity equation for the
-unit integral).  The axis is split into [0, peak] and [peak, cutoff]
-panels, the cutoff lying where the log-integrand has dropped 60 nats
-below the peak (contributions below e^{−60} of the peak mass are
-invisible at the supported tolerances).  Concavity makes the cutoff
-cheap: the tangent at any point right of the peak meets the target
-level at or beyond the point where the integrand itself does, so a few
-tangent (Newton) steps, aimed slightly past the drop so that rounding
-cannot land short, never cut into the kept mass.
+Method.  Each log-integrand is concave with a single peak, placed for all
+orders at once by an array Newton: at expm1(W(p)) for S, and where the
+convex, decreasing slope vanishes for the unit integral.  The axis is
+split into [0, peak] and [peak, cutoff] panels, the cutoff lying where
+the log-integrand has dropped 60 nats below the peak (mass below e^{−60}
+of the peak's is invisible at the supported tolerances).  By concavity,
+a tangent right of the peak meets that level at or beyond the integrand
+itself, so a few tangent steps, aimed slightly past the drop against
+rounding, never cut into the kept mass.
 
 One tanh-sinh (double exponential) driver integrates all panels of all
 requested integrals together, one row per panel, in blocks of at most
-_BLOCK nodes.  Nodes and weights depend only on the refinement level,
-so they are tabulated once per level.  The levels are nested: level L+1
-halves the step, evaluates only its new odd nodes and adds them to half
-of level L's sum.  A row stops when two successive levels agree to half
-the requested relative tolerance (each panel's share), or to the float
-rounding of its log-integrand where that is coarser; that last change is
-its error estimate, and a row unconverged at the last level raises
-QuadratureError.  Sums are taken relative to e^{peak log}, so no node
-value over- or underflows and only log-magnitudes are returned.
+_BLOCK nodes, with node and weight tables cached per level.  The levels
+are nested: level L+1 halves the step, evaluates only its new odd nodes
+and adds them to half of level L's sum.  A row stops when two successive
+levels agree to half the requested relative tolerance (each panel's
+share), or to the float rounding of its log-integrand where that is
+coarser; that last change is its error estimate, and a row unconverged
+at the last level raises QuadratureError.  Sums are taken relative to
+e^{peak log}, so no node value over- or underflows.
 
 Error estimates are floored at eps·max(1, |log value|), the resolution
 of a log-magnitude held in a float, so levels that agree bit for bit do
 not claim an error of zero.  Where that rounding of the log-integrand
 near its peak reaches the 60-nat window itself (p ≳ 1e17 for S), no
-cutoff can be placed and DomainError is raised.
+cutoff can be placed and DomainError is raised, as it is wherever a
+floored estimate exceeds rel_tol (for S at 1e-9 from p ≈ 2e6 on).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, QuadratureError
-from .logdomain import SignedLogValue, sum_signed
+from .logdomain import SignedLogValue
 
 __all__ = [
     "DEFAULT_REL_TOL",
@@ -94,7 +94,6 @@ _BLOCK = 8192
 
 _EPS = float(np.finfo(float).eps)
 _LOG_HALF_PI = math.log(math.pi / 2.0)
-_LN2 = math.log(2.0)
 
 #: logf(x, p) or its x-derivative, on arrays broadcast against each other.
 _LogIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -121,6 +120,30 @@ def validate_rel_tol(rel_tol: float) -> float:
     if not (1e-14 < rel_tol < 1e-2):
         raise DomainError(f"rel_tol must lie in (1e-14, 1e-2), got {rel_tol!r}")
     return rel_tol
+
+
+def _checked(name: str, p, rel_tol: float, integer: bool = False) -> tuple[np.ndarray, float]:
+    """``p`` (a scalar or an array) as a float array, and ``rel_tol``, checked
+    for the public function ``name``; ``integer`` asks for one int order."""
+    if integer and (not isinstance(p, int) or isinstance(p, bool) or p < 0):
+        raise DomainError(f"{name} requires an integer n >= 0, got {p!r}")
+    try:
+        ps = np.asarray(p, dtype=float)
+    except OverflowError as exc:
+        raise DomainError(f"{name} requires finite p >= 0: {exc}") from exc
+    ok = (ps >= 0.0) & (ps < np.inf)
+    if not ok.all():
+        raise DomainError(f"{name} requires finite p >= 0, got {float(ps[~ok].flat[0])!r}")
+    return ps, validate_rel_tol(rel_tol)
+
+
+def _scalar_result(sign: int, log, est, nodes) -> QuadratureResult:
+    """The QuadratureResult of a one-row batch's (log, est, nodes) columns."""
+    return QuadratureResult(
+        value=SignedLogValue.from_log(float(log[0]), sign=sign),
+        est_rel_error=float(est[0]),
+        nodes_used=int(nodes[0]),
+    )
 
 
 def _floor_error(est, logmag):
@@ -194,8 +217,8 @@ def _tanh_sinh(
     (integral·e^{−shift}, estimated relative error, nodes used) per row;
     a row that stops at level L has used the 8·2^L + 1 nodes of that
     level.  A row stops once two successive levels agree to ``tol``;
-    QuadratureError (with the partial estimate) is raised for the first
-    row still unconverged at _MAX_LEVEL.
+    QuadratureError (with the partial estimate) names the lowest p among
+    the rows still unconverged at _MAX_LEVEL.
     """
     # Levels cannot agree more closely than the float rounding of the
     # log-integrand near its peak, so a row's tolerance is at least that.
@@ -214,13 +237,11 @@ def _tanh_sinh(
         active = active[~(change <= row_tol[active])]
         if not active.size:
             return total * ((b - a) / 2.0), err, nodes
-    i = active[0]
+    i = active[np.argmin(p[active])]
     raise QuadratureError(
-        f"panel [{a[i]:.6g}, {b[i]:.6g}] did not converge to rel_tol={row_tol[i]:.1e} "
-        f"within {_MAX_LEVEL} refinement levels",
-        partial=SignedLogValue.from_log(
-            float(np.log(total[i] * (b[i] - a[i]) / 2.0) + shift[i])
-        ),
+        f"the integral for p = {p[i]:.17g} did not converge on panel [{a[i]:.6g}, {b[i]:.6g}] "
+        f"to rel_tol={row_tol[i]:.1e} within {_MAX_LEVEL} refinement levels",
+        partial=SignedLogValue.from_log(float(np.log(total[i] * (b[i] - a[i]) / 2.0) + shift[i])),
     )
 
 
@@ -260,11 +281,13 @@ def _integrate(
 
     Raises DomainError where the float rounding of the log-integrand near
     its peak, eps·|peak log|, reaches the cutoff drop: the kept window then
-    collapses at float resolution and no cutoff can be placed.
+    collapses at float resolution and no cutoff can be placed.  Raises it
+    too where a floored estimate exceeds ``rel_tol``.  Both name the lowest
+    such p.
     """
-    collapsed = np.flatnonzero(~(_EPS * np.abs(peak_log) < _CUTOFF_DROP))
-    if collapsed.size:
-        i = collapsed[0]
+    held = _EPS * np.abs(peak_log) < _CUTOFF_DROP
+    if not held.all():
+        i = np.argmin(np.where(held, np.inf, p))
         raise DomainError(
             f"the integrand for p = {p[i]:.17g} peaks at log {peak_log[i]:.6g}, whose "
             f"float rounding exceeds the {_CUTOFF_DROP:g}-nat cutoff window"
@@ -276,14 +299,22 @@ def _integrate(
         logf,
         np.concatenate([np.zeros(n), split]),
         np.concatenate([split, cut]),
-        np.tile(p, 2),
-        np.tile(peak_log, 2),
+        np.concatenate([p, p]),
+        np.concatenate([peak_log, peak_log]),
         rel_tol / 2.0,
     )
     value = scaled[:n] + scaled[n:]
     abs_err = errs[:n] * scaled[:n] + errs[n:] * scaled[n:]
     total = np.log(value) + peak_log
-    return total, _floor_error(abs_err / value, total), nodes[:n] + nodes[n:]
+    est = _floor_error(abs_err / value, total)
+    within = est <= rel_tol
+    if not within.all():
+        i = np.argmin(np.where(within, np.inf, p))
+        raise DomainError(
+            f"the integral for p = {p[i]:.17g} has a floored error estimate {est[i]:.2g} "
+            f"above rel_tol={rel_tol:.1e} (its log, {total[i]:.6g}, is too coarse in a float)"
+        )
+    return total, est, nodes[:n] + nodes[n:]
 
 
 # -- S(p) -----------------------------------------------------------------------
@@ -342,29 +373,15 @@ def integrate_logweighted(p: float, rel_tol: float = DEFAULT_REL_TOL) -> Quadrat
     Supports real p ≥ 0 up to at least a few thousand; the result value
     is always positive.
     """
-    p = float(p)
-    if not (math.isfinite(p) and p >= 0.0):
-        raise DomainError(f"integrate_logweighted requires finite p >= 0, got {p!r}")
-    rel_tol = validate_rel_tol(rel_tol)
-    log, est, nodes = _log_s(np.array([p]), rel_tol)
-    return QuadratureResult(
-        value=SignedLogValue.from_log(float(log[0])),
-        est_rel_error=float(est[0]),
-        nodes_used=int(nodes[0]),
-    )
+    ps, rel_tol = _checked("integrate_logweighted", float(p), rel_tol)
+    return _scalar_result(1, *_log_s(ps.reshape(1), rel_tol))
 
 
 def log_power_integral(p, rel_tol: float = DEFAULT_REL_TOL):
     """log S(p): a float for a scalar p, an array of the same shape for an
     array of p (evaluated together in one batch); the workhorse for moment
     generation."""
-    ps = np.asarray(p, dtype=float)
-    bad = ~(np.isfinite(ps) & (ps >= 0.0))
-    if bad.any():
-        raise DomainError(
-            f"log_power_integral requires finite p >= 0, got {float(ps[bad].flat[0])!r}"
-        )
-    rel_tol = validate_rel_tol(rel_tol)
+    ps, rel_tol = _checked("log_power_integral", p, rel_tol)
     logs = _log_s(ps.ravel(), rel_tol)[0].reshape(ps.shape)
     return float(logs) if ps.ndim == 0 else logs
 
@@ -380,34 +397,55 @@ def _unit_slope(u: np.ndarray, n: np.ndarray) -> np.ndarray:
     return n / u - 1.0 + np.exp(-u)
 
 
-def _unit_peak(n: int) -> float:
-    """Stationary point of n·ln u − u − e^{−u} for n ≥ 1.
-
-    Newton on the slope n/u − 1 + e^{−u}, which is convex and decreasing,
-    from u = n, where the slope is still positive: the iterates rise
-    monotonically onto the root.
-    """
-    u = float(n)
-    for _ in range(50):
-        e = math.exp(-u)
-        step = (n / u - 1.0 + e) / (n / (u * u) + e)
-        u += step
-        if step <= 1e-15 * u:
-            break
-    return u
-
-
-def _unit_shape(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _unit_shape(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Peak abscissa, peak log and cutoff reach (as for S) of the unit
-    integral's magnitude integrand, as one-row arrays."""
-    if n == 0:
-        peak, peak_log, curvature = 0.0, -1.0, 1.0
-    else:
-        peak = _unit_peak(n)
-        peak_log = n * math.log(peak) - peak - math.exp(-peak)
-        curvature = n / (peak * peak) + math.exp(-peak)
-    reach = math.sqrt(2.0 * _CUTOFF_DROP / curvature)
-    return np.array([peak]), np.array([peak_log]), np.array([reach])
+    integral's magnitude integrand, per integer order n ≥ 0.
+
+    The peak of n·ln u − u − e^{−u} is where the slope n/u − 1 + e^{−u}
+    vanishes.  The slope is convex and decreasing, and positive at the
+    start u = max(n, 1) for n ≥ 1, so Newton steps rise monotonically onto
+    the root; a row stops once its step is at most 1e-15·u (one step from
+    n = 35 on).  For n = 0 the integrand peaks at u = 0 with log −1.
+    """
+    u = np.maximum(n, 1.0)
+    active = np.flatnonzero(n)
+    while active.size:
+        ua, na = u[active], n[active]
+        e = np.exp(-ua)
+        step = (na / ua - 1.0 + e) / (na / (ua * ua) + e)
+        u[active] = ua = ua + step
+        active = active[step > 1e-15 * ua]
+    peak_log = _unit_logf(u, n)
+    curvature = n / (u * u) + np.exp(-u)
+    zero = n == 0.0
+    u[zero], peak_log[zero], curvature[zero] = 0.0, -1.0, 1.0
+    return u, peak_log, np.sqrt(2.0 * _CUTOFF_DROP / curvature)
+
+
+def _log_unit(n: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(log |∫₀¹ (ln t)^n e^{−t} dt|, estimated relative error, nodes used)
+    for an array of integer n ≥ 0; the integral's sign is (−1)^n."""
+    return _integrate(_unit_logf, _unit_slope, n, *_unit_shape(n), rel_tol)
+
+
+def _log_gamma(n: np.ndarray, rel_tol: float):
+    """(sign, log |Γ⁽ⁿ⁾(1)|, estimated relative error, nodes used) for an
+    array of integer n ≥ 0, and the ``_log_unit`` columns it was built from.
+
+    (−1)^n·|unit| + e^{−1}·S(n) is summed relative to the larger magnitude;
+    an exact cancellation would give sign 0 and an infinite estimate.
+    """
+    unit_log, unit_est, unit_nodes = unit = _log_unit(n, rel_tol)
+    s_log, s_est, s_nodes = _log_s(n, rel_tol)
+    tail_log = s_log - 1.0
+    shift = np.maximum(unit_log, tail_log)
+    acc = np.where(n % 2.0, -1.0, 1.0) * np.exp(unit_log - shift) + np.exp(tail_log - shift)
+    with np.errstate(divide="ignore"):
+        log = shift + np.log(np.abs(acc))
+    # both estimates are floored above 0, so their logs are finite
+    abs_err = np.logaddexp(np.log(unit_est) + unit_log, np.log(s_est) + tail_log)
+    est = _floor_error(np.exp(abs_err - log), log)
+    return (np.sign(acc), log, est, unit_nodes + s_nodes), unit
 
 
 def integrate_unit_log_power(n: int, rel_tol: float = DEFAULT_REL_TOL) -> QuadratureResult:
@@ -416,45 +454,18 @@ def integrate_unit_log_power(n: int, rel_tol: float = DEFAULT_REL_TOL) -> Quadra
     Computed as (−1)^n · ∫₀^∞ u^n · e^{−u − e^{−u}} du, so the returned
     sign is exactly (−1)^n and the magnitude integrand is positive.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"integrate_unit_log_power requires an integer n >= 0, got {n!r}")
-    rel_tol = validate_rel_tol(rel_tol)
-
-    log, est, nodes = _integrate(
-        _unit_logf, _unit_slope, np.array([float(n)]), *_unit_shape(n), rel_tol
-    )
-    return QuadratureResult(
-        value=SignedLogValue.from_log(float(log[0]), sign=-1 if n % 2 else 1),
-        est_rel_error=float(est[0]),
-        nodes_used=int(nodes[0]),
-    )
+    ns, rel_tol = _checked("integrate_unit_log_power", n, rel_tol, integer=True)
+    return _scalar_result(-1 if n % 2 else 1, *_log_unit(ns.reshape(1), rel_tol))
 
 
 def gamma_derivative(n: int, rel_tol: float = DEFAULT_REL_TOL) -> QuadratureResult:
-    """Evaluate Γ⁽ⁿ⁾(1) = ∫₀¹ (ln t)^n e^{−t} dt + e^{−1}·S(n).
+    """Evaluate Γ⁽ⁿ⁾(1) = ∫₀¹ (ln t)^n e^{−t} dt + e^{−1}·S(n) as a one-row
+    ``_log_gamma`` batch; the estimate adds both pieces' absolute errors.
 
     The two pieces have opposite signs for odd n but never cancel
     catastrophically: the unit part dominates (its magnitude stays within
     [e^{−1}·n!, n!] while e^{−1}·S(n) is smaller from n = 3 on).
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DomainError(f"gamma_derivative requires an integer n >= 0, got {n!r}")
-    rel_tol = validate_rel_tol(rel_tol)
-
-    unit = integrate_unit_log_power(n, rel_tol=rel_tol)
-    tail = integrate_logweighted(float(n), rel_tol=rel_tol)
-    tail_scaled = tail.value * SignedLogValue.from_log(-1.0)
-    value = sum_signed((unit.value, tail_scaled))
-
-    if value.is_zero():
-        est = math.inf
-    else:
-        # both estimates are floored above 0, so their logs are finite
-        abs_err = np.logaddexp(
-            math.log(unit.est_rel_error) + unit.value.logmag,
-            math.log(tail.est_rel_error) + tail_scaled.logmag,
-        )
-        est = float(_floor_error(math.exp(abs_err - value.logmag), value.logmag))
-    return QuadratureResult(
-        value=value, est_rel_error=est, nodes_used=unit.nodes_used + tail.nodes_used
-    )
+    ns, rel_tol = _checked("gamma_derivative", n, rel_tol, integer=True)
+    (sign, *gamma), _ = _log_gamma(ns.reshape(1), rel_tol)
+    return _scalar_result(int(sign[0]), *gamma)

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from momentdet import QuadratureError, from_csv, from_json, generate_from_label
+from momentdet import (
+    QuadratureError,
+    from_csv,
+    from_json,
+    gamma_derivative,
+    generate_from_label,
+    integrate_unit_log_power,
+)
 from momentdet.cli import main
 
 X11 = "product[(1,1),(1,1)]"
@@ -281,7 +288,7 @@ class TestPaperTable:
         def boom(p, rel_tol):
             raise QuadratureError("synthetic non-convergence")
 
-        monkeypatch.setattr(cli_mod, "integrate_logweighted", boom)
+        monkeypatch.setattr(cli_mod, "log_power_integral", boom)
         result = runner.invoke(main, ["paper-table"])
         assert result.exit_code == 3
 
@@ -322,6 +329,14 @@ class TestAsym:
         result = runner.invoke(main, ["asym", "--t", "1e20"])
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
+
+    def test_t_past_the_requested_accuracy_exits_2(self, runner):
+        # the floored estimate of log S(1e7) is ~5.6e-9, above the default 1e-9
+        result = runner.invoke(main, ["asym", "--t", "1", "--t", "1e7"])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "p = 10000000 " in result.output
+        assert "Traceback" not in result.output
 
 
 class TestWTable:
@@ -365,6 +380,21 @@ class TestGammaDerivs:
         gamma2 = float(rows[2][header.index("gamma_value")])
         assert gamma2 == pytest.approx(1.9781119906, abs=1e-8)
         assert all(r[header.index("unit_bracket_ok")] == "1" for r in rows[1:])
+
+    def test_rows_match_the_per_order_functions(self, runner):
+        result = runner.invoke(main, ["gamma-derivs", "--nmax", "60", "--format", "csv"])
+        assert result.exit_code == 0
+        header, rows = csv_rows(result.output)
+        assert len(rows) == 61
+        for n, row in enumerate(rows):
+            g = gamma_derivative(n).value
+            unit = integrate_unit_log_power(n).value
+            cells = dict(zip(header, row))
+            assert cells["n"] == str(n)
+            assert cells["gamma_sign"] == str(g.sign)
+            assert cells["gamma_log_abs"] == f"{g.logmag:.17g}"
+            assert cells["gamma_value"] == f"{g.to_float():.17g}"
+            assert cells["unit_log_abs"] == f"{unit.logmag:.17g}"
 
     def test_nmax_zero_is_valid(self, runner):
         result = runner.invoke(main, ["gamma-derivs", "--nmax", "0", "--format", "csv"])

@@ -13,6 +13,7 @@ import momentdet.quadrature as quadrature
 from momentdet import (
     DEFAULT_REL_TOL,
     DomainError,
+    QuadratureError,
     QuadratureResult,
     SignedLogValue,
     gamma_derivative,
@@ -164,6 +165,11 @@ class TestValidation:
         with pytest.raises(DomainError):
             gamma_derivative(n)
 
+    def test_order_beyond_float_range(self):
+        for fn in (integrate_unit_log_power, gamma_derivative, log_power_integral):
+            with pytest.raises(DomainError, match="too large"):
+                fn(10**400)
+
     def test_result_field_validation(self):
         with pytest.raises(ValueError):
             QuadratureResult(SignedLogValue.one(), -0.1, 10)
@@ -233,6 +239,48 @@ class TestBatchedPath:
         with pytest.raises(DomainError, match="float rounding"):
             integrate_logweighted(p)
 
+    def test_estimate_above_rel_tol_raises(self):
+        # the floored estimate of log S(1e10) is ~6.5e-6, far above 1e-9
+        with pytest.raises(DomainError, match=r"p = 10000000000 .*above rel_tol=1\.0e-09"):
+            integrate_logweighted(1e10)
+
+    def test_estimate_above_rel_tol_names_the_lowest_p(self):
+        with pytest.raises(DomainError, match="p = 10000000000 "):
+            log_power_integral(np.array([5e10, 1.0, 1e10]))
+
+    def test_unconverged_batch_names_the_lowest_p(self, monkeypatch):
+        # both orders are still unconverged at level 4; p = 300 comes first
+        monkeypatch.setattr(quadrature, "_MAX_LEVEL", 4)
+        with pytest.raises(QuadratureError, match="the integral for p = 7 did not converge"):
+            log_power_integral(np.array([300.0, 7.0]))
+
+
+#: Batches of orders for the batch/scalar comparisons.
+ORDER_SETS = st.lists(st.integers(min_value=0, max_value=5000), min_size=1, max_size=12)
+
+
+class TestRowIndependence:
+    """Each row of a batch is the value its scalar wrapper gives, bit for bit."""
+
+    @given(ORDER_SETS)
+    def test_unit_batch_equals_scalar_calls(self, orders):
+        logs, ests, nodes = quadrature._log_unit(np.array(orders, dtype=float), DEFAULT_REL_TOL)
+        for i, n in enumerate(orders):
+            res = integrate_unit_log_power(n)
+            assert res.value == SignedLogValue.from_log(logs[i], sign=(-1) ** n)
+            assert (res.est_rel_error, res.nodes_used) == (ests[i], nodes[i])
+
+    @given(ORDER_SETS)
+    def test_gamma_batch_equals_scalar_calls(self, orders):
+        (signs, logs, ests, nodes), (unit_logs, _, _) = quadrature._log_gamma(
+            np.array(orders, dtype=float), DEFAULT_REL_TOL
+        )
+        for i, n in enumerate(orders):
+            res = gamma_derivative(n)
+            assert res.value == SignedLogValue.from_log(logs[i], sign=int(signs[i]))
+            assert (res.est_rel_error, res.nodes_used) == (ests[i], nodes[i])
+            assert integrate_unit_log_power(n).value.logmag == unit_logs[i]
+
 
 class TestNodeCounts:
     @pytest.mark.parametrize("tol", [1e-4, 1e-9, 1e-13])
@@ -284,12 +332,10 @@ class TestCutoff:
 
     @given(st.integers(min_value=0, max_value=5000))
     def test_unit_cutoff_lies_past_the_drop(self, n):
+        ns = np.array([float(n)])
         cut = float(
             quadrature._cutoff(
-                quadrature._unit_logf,
-                quadrature._unit_slope,
-                np.array([float(n)]),
-                *quadrature._unit_shape(n),
+                quadrature._unit_logf, quadrature._unit_slope, ns, *quadrature._unit_shape(ns)
             )[0]
         )
         peak = bisect_unit_peak(n)
