@@ -22,117 +22,21 @@ generation, checking, and reproducible reference tables.
 
 from __future__ import annotations
 
-from .asymptotics import (
-    ConditionCheck,
-    SaddleReport,
-    asymptotic_kn,
-    laplace_estimate_exact,
-    laplace_estimate_leading,
-    saddle_point,
-    verify_laplace_conditions,
-)
-from .criteria import (
-    INCONCLUSIVE,
-    SATISFIED,
-    VIOLATED,
-    QFunction,
-    Verdict,
-    analyze,
-    check_carleman,
-    check_growth_rate,
-    check_hardy,
-    check_q_divergence,
-)
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    FamilyParseError,
-    QuadratureError,
-    SequenceError,
-)
-from .lambertw import (
-    TOL_W,
-    WValue,
-    lambert_w0,
-    lambert_w_bounds,
-    w_frac_diff,
-    w_ratio_power,
-)
-from .logdomain import SignedLogValue, sum_signed
-from .moments import (
-    FamilySpec,
-    MomentSequence,
-    carleman_terms,
-    from_csv,
-    from_json,
-    generate_from_label,
-    generate_moments,
-    lognormal_moments,
-    moment_ratios,
-    parse_family,
-    to_csv,
-    to_json,
-)
-from .quadrature import (
-    DEFAULT_REL_TOL,
-    QuadratureResult,
-    gamma_derivative,
-    integrate_logweighted,
-    integrate_unit_log_power,
-    log_power_integral,
-    validate_rel_tol,
-)
+from . import asymptotics, criteria, errors, lambertw, logdomain, moments, quadrature
+from .asymptotics import *  # noqa: F403
+from .criteria import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .lambertw import *  # noqa: F403
+from .logdomain import *  # noqa: F403
+from .moments import *  # noqa: F403
+from .quadrature import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConditionCheck",
-    "ConvergenceError",
-    "DEFAULT_REL_TOL",
-    "DomainError",
-    "FamilyParseError",
-    "FamilySpec",
-    "INCONCLUSIVE",
-    "MomentSequence",
-    "QFunction",
-    "QuadratureError",
-    "QuadratureResult",
-    "SATISFIED",
-    "SaddleReport",
-    "SequenceError",
-    "SignedLogValue",
-    "TOL_W",
-    "VIOLATED",
-    "Verdict",
-    "WValue",
-    "analyze",
-    "asymptotic_kn",
-    "carleman_terms",
-    "check_carleman",
-    "check_growth_rate",
-    "check_hardy",
-    "check_q_divergence",
-    "from_csv",
-    "from_json",
-    "gamma_derivative",
-    "generate_from_label",
-    "generate_moments",
-    "integrate_logweighted",
-    "integrate_unit_log_power",
-    "lambert_w0",
-    "lambert_w_bounds",
-    "laplace_estimate_exact",
-    "laplace_estimate_leading",
-    "log_power_integral",
-    "lognormal_moments",
-    "moment_ratios",
-    "parse_family",
-    "saddle_point",
-    "sum_signed",
-    "to_csv",
-    "to_json",
-    "validate_rel_tol",
-    "verify_laplace_conditions",
-    "w_frac_diff",
-    "w_ratio_power",
-]
+__all__ = sorted(
+    {
+        name
+        for module in (asymptotics, criteria, errors, lambertw, logdomain, moments, quadrature)
+        for name in module.__all__
+    }
+)

@@ -26,7 +26,6 @@ round-trip bit-exactly.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -56,39 +55,77 @@ _DEFAULT_NMAX_CAP = 5000
 _LOG10 = math.log(10.0)
 
 
-def _resolve_rel_tol(flag_value: float | None) -> float:
-    if flag_value is not None:
-        return validate_rel_tol(flag_value)
-    env = os.environ.get(_ENV_REL_TOL)
-    if env is None:
-        return DEFAULT_REL_TOL
+def _env(name: str, parse, noun: str, default):
+    """The value of environment variable ``name`` read by ``parse``, or
+    ``default`` when it is unset."""
+    text = os.environ.get(name)
+    if text is None:
+        return default
     try:
-        value = float(env)
+        return parse(text)
     except ValueError as exc:
-        raise DomainError(f"{_ENV_REL_TOL} must be a float, got {env!r}") from exc
-    return validate_rel_tol(value)
+        raise DomainError(f"{name} must be {noun}, got {text!r}") from exc
+
+
+def _resolve_rel_tol(flag_value: float | None) -> float:
+    if flag_value is None:
+        flag_value = _env(_ENV_REL_TOL, float, "a float", DEFAULT_REL_TOL)
+    return validate_rel_tol(flag_value)
 
 
 def _resolve_nmax(n_max: int) -> int:
-    cap = _DEFAULT_NMAX_CAP
-    env = os.environ.get(_ENV_NMAX_CAP)
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise DomainError(f"{_ENV_NMAX_CAP} must be an integer, got {env!r}") from exc
+    cap = _env(_ENV_NMAX_CAP, int, "an integer", _DEFAULT_NMAX_CAP)
     if n_max > cap:
         raise DomainError(f"--nmax {n_max} exceeds the cap {cap} (set {_ENV_NMAX_CAP} to raise)")
     return n_max
 
 
-def _exit_codes(fn):
-    """Map package exceptions to the CLI exit-code contract."""
+def _write(out: str, text: str) -> None:
+    try:
+        with click.open_file(out, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {out!r}: {exc}") from exc
 
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+
+def _table(fmt: str, header: list[str], rows: list[list[object]]) -> str:
+    """The rows as CSV (floats at 17 significant digits) for ``fmt == "csv"``,
+    else as aligned human text (floats at 6)."""
+    spec = ".17g" if fmt == "csv" else ".6g"
+
+    def cell(value: object) -> str:
+        if value is None:
+            return ""
+        return format(value, spec) if isinstance(value, float) else str(value)
+
+    cells = [list(map(cell, row)) for row in rows]
+    if fmt == "csv":
+        return "".join(",".join(row) + "\n" for row in [header, *cells])
+    widths = [max(map(len, column)) for column in zip(header, *cells)]
+    lines = [header, ["-" * w for w in widths], *cells]
+    return "".join("  ".join(map(str.ljust, row, widths)).rstrip() + "\n" for row in lines)
+
+
+def _format_option(*choices: str):
+    return click.option(
+        "--format", "fmt", type=click.Choice(choices), default=choices[0], show_default=True
+    )
+
+
+_out_option = click.option(
+    "--out", default="-", show_default=True, help="Output path ('-' for stdout)."
+)
+_rel_tol_option = click.option(
+    "--rel-tol", type=float, default=None, help="Quadrature relative tolerance."
+)
+
+
+class _Main(click.Group):
+    """The command group; the one place package exceptions become exit codes."""
+
+    def invoke(self, ctx: click.Context):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except (FamilyParseError, SequenceError, DomainError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
@@ -96,50 +133,8 @@ def _exit_codes(fn):
             click.echo(f"numeric error: {exc}", err=True)
             sys.exit(3)
 
-    return wrapper
 
-
-def _write(out: str, text: str) -> None:
-    with click.open_file(out, "w") as handle:
-        handle.write(text)
-
-
-def _csv_table(header: list[str], rows: list[list[object]]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):
-                cells.append(f"{cell:.17g}")
-            elif cell is None:
-                cells.append("")
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
-def _human_table(header: list[str], rows: list[list[object]]) -> str:
-    def fmt(cell: object) -> str:
-        if isinstance(cell, float):
-            return f"{cell:.6g}"
-        if cell is None:
-            return ""
-        return str(cell)
-
-    text_rows = [[fmt(c) for c in row] for row in rows]
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in text_rows)) if text_rows else len(header[i])
-        for i in range(len(header))
-    ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in text_rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
-
-
-@click.group()
+@click.group(cls=_Main)
 @click.version_option(version=__version__)
 def main() -> None:
     """Moment-determinacy diagnostics and log-domain special functions."""
@@ -151,12 +146,9 @@ def main() -> None:
 @main.command("gen")
 @click.option("--family", required=True, help="Family description, e.g. 'product[(1,1),(1,1)]'.")
 @click.option("--nmax", required=True, type=int, help="Highest stored order (>= 2).")
-@click.option("--rel-tol", type=float, default=None, help="Quadrature relative tolerance.")
-@click.option(
-    "--format", "fmt", type=click.Choice(["json", "csv"]), default="json", show_default=True
-)
-@click.option("--out", default="-", show_default=True, help="Output path ('-' for stdout).")
-@_exit_codes
+@_rel_tol_option
+@_format_option("json", "csv")
+@_out_option
 def cmd_gen(family: str, nmax: int, rel_tol: float | None, fmt: str, out: str) -> None:
     """Generate a moment-sequence file for a family.
 
@@ -186,9 +178,9 @@ def _parse_q(text: str) -> QFunction:
 
 def _load_sequence(path: str):
     try:
-        with click.open_file(path, "r") as handle:
+        with click.open_file(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SequenceError(f"cannot read {path!r}: {exc}") from exc
     if text.lstrip().startswith("{"):
         return from_json(text)
@@ -222,11 +214,8 @@ def _human_report(report: dict[str, object]) -> str:
     help="Comma list from {carleman, growth, growth-q, hardy} or 'all'.",
 )
 @click.option("--q", "q_spec", default="log", show_default=True, help="q for growth-q: one, log, power:ALPHA.")
-@click.option(
-    "--format", "fmt", type=click.Choice(["json", "human"]), default="json", show_default=True
-)
-@click.option("--out", default="-", show_default=True)
-@_exit_codes
+@_format_option("json", "human")
+@_out_option
 def cmd_check(input_path: str, criteria: str, q_spec: str, fmt: str, out: str) -> None:
     """Run determinacy checkers on a sequence file; exit 0 regardless of verdicts."""
     seq = _load_sequence(input_path)
@@ -251,10 +240,7 @@ def cmd_check(input_path: str, criteria: str, q_spec: str, fmt: str, out: str) -
                     f"unknown criterion {name!r}; expected carleman, growth, growth-q, hardy"
                 )
         report = _report(seq, verdicts)
-    if fmt == "json":
-        _write(out, json.dumps(report, indent=2) + "\n")
-    else:
-        _write(out, _human_report(report))
+    _write(out, json.dumps(report, indent=2) + "\n" if fmt == "json" else _human_report(report))
 
 
 # -- paper-table ----------------------------------------------------------------
@@ -317,16 +303,9 @@ _TABLE_HEADER = ["name", "computed", "reference", "deviation", "tolerance", "mod
 
 
 @main.command("paper-table")
-@click.option("--rel-tol", type=float, default=None, help="Quadrature relative tolerance.")
-@click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["human", "json", "csv"]),
-    default="human",
-    show_default=True,
-)
-@click.option("--out", default="-", show_default=True)
-@_exit_codes
+@_rel_tol_option
+@_format_option("human", "json", "csv")
+@_out_option
 def cmd_paper_table(rel_tol: float | None, fmt: str, out: str) -> None:
     """Reproduce the reference K-ratio/moment table; exit 1 on tolerance failure."""
     rows = _reference_rows(_resolve_rel_tol(rel_tol))
@@ -334,10 +313,8 @@ def cmd_paper_table(rel_tol: float | None, fmt: str, out: str) -> None:
     as_lists = [[r[h] for h in _TABLE_HEADER] for r in rows]
     if fmt == "json":
         _write(out, json.dumps({"rows": rows, "all_within": all_within}, indent=2) + "\n")
-    elif fmt == "csv":
-        _write(out, _csv_table(_TABLE_HEADER, as_lists))
     else:
-        _write(out, _human_table(_TABLE_HEADER, as_lists))
+        _write(out, _table(fmt, _TABLE_HEADER, as_lists))
     if not all_within:
         sys.exit(1)
 
@@ -347,12 +324,9 @@ def cmd_paper_table(rel_tol: float | None, fmt: str, out: str) -> None:
 
 @main.command("asym")
 @click.option("--t", "t_values", required=True, multiple=True, type=float, help="Repeatable.")
-@click.option("--rel-tol", type=float, default=None)
-@click.option(
-    "--format", "fmt", type=click.Choice(["human", "csv"]), default="human", show_default=True
-)
-@click.option("--out", default="-", show_default=True)
-@_exit_codes
+@_rel_tol_option
+@_format_option("human", "csv")
+@_out_option
 def cmd_asym(t_values: tuple[float, ...], rel_tol: float | None, fmt: str, out: str) -> None:
     """Compare quadrature S(t) against the exact and leading saddle estimates."""
     rel_tol = _resolve_rel_tol(rel_tol)
@@ -371,8 +345,7 @@ def cmd_asym(t_values: tuple[float, ...], rel_tol: float | None, fmt: str, out: 
             [float(t), log_s / _LOG10, *(e / _LOG10 for e in estimates)]
             + [math.exp(e - log_s) for e in estimates]
         )
-    text = _csv_table(header, rows) if fmt == "csv" else _human_table(header, rows)
-    _write(out, text)
+    _write(out, _table(fmt, header, rows))
 
 
 # -- wtable ----------------------------------------------------------------------
@@ -390,11 +363,8 @@ def _parse_t(token: str) -> float:
 
 @main.command("wtable")
 @click.option("--t", "t_values", required=True, multiple=True, help="Number or 'e'; repeatable.")
-@click.option(
-    "--format", "fmt", type=click.Choice(["human", "csv"]), default="human", show_default=True
-)
-@click.option("--out", default="-", show_default=True)
-@_exit_codes
+@_format_option("human", "csv")
+@_out_option
 def cmd_wtable(t_values: tuple[str, ...], fmt: str, out: str) -> None:
     """Tabulate W(t) with residuals and the a-priori bounds (t > e)."""
     header = ["t", "w", "residual", "lower_bound", "upper_bound", "note"]
@@ -409,8 +379,7 @@ def cmd_wtable(t_values: tuple[str, ...], fmt: str, out: str) -> None:
             lower = upper = None
             note = "boundary (t = e): bounds require t > e" if t == math.e else "bounds require t > e"
         rows.append([wv.t, wv.w, wv.residual, lower, upper, note])
-    text = _csv_table(header, rows) if fmt == "csv" else _human_table(header, rows)
-    _write(out, text)
+    _write(out, _table(fmt, header, rows))
 
 
 # -- gamma-derivs -----------------------------------------------------------------
@@ -418,12 +387,9 @@ def cmd_wtable(t_values: tuple[str, ...], fmt: str, out: str) -> None:
 
 @main.command("gamma-derivs")
 @click.option("--nmax", required=True, type=int, help="Tabulate n = 0..nmax.")
-@click.option("--rel-tol", type=float, default=None)
-@click.option(
-    "--format", "fmt", type=click.Choice(["human", "csv"]), default="human", show_default=True
-)
-@click.option("--out", default="-", show_default=True)
-@_exit_codes
+@_rel_tol_option
+@_format_option("human", "csv")
+@_out_option
 def cmd_gamma_derivs(nmax: int, rel_tol: float | None, fmt: str, out: str) -> None:
     """Tabulate gamma-function derivatives at 1 with unit-part bracket checks."""
     if nmax < 0:
@@ -451,8 +417,7 @@ def cmd_gamma_derivs(nmax: int, rel_tol: float | None, fmt: str, out: str) -> No
         ok = int(lo - 1e-9 <= unit_log <= hi + 1e-9)
         value = sign * math.exp(log) if abs(log) < 700.0 else None
         rows.append([n, sign, log, value, unit_log, lo, hi, ok])
-    text = _csv_table(header, rows) if fmt == "csv" else _human_table(header, rows)
-    _write(out, text)
+    _write(out, _table(fmt, header, rows))
 
 
 if __name__ == "__main__":  # pragma: no cover

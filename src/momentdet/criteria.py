@@ -178,8 +178,9 @@ class QFunction:
         """ln q(n) for an integer n >= 1, or elementwise for an array of them.
 
         Formed in the log domain for the power kind (α·ln n), where n^α
-        itself under- or overflows for large |α|; the log kind gives −inf
-        at n = 1, where q(1) = 0.
+        itself under- or overflows for large |α|; raises DomainError, naming
+        the first such n, where α·ln n overflows too (|α| near 1e308).  The
+        log kind gives −inf at n = 1, where q(1) = 0.
         """
         ns = np.asarray(n, dtype=float)
         if np.any(ns < 1):
@@ -190,7 +191,11 @@ class QFunction:
             with np.errstate(divide="ignore"):
                 out = np.log(np.log(ns))
         elif self.kind == "power":
-            out = self.alpha * np.log(ns)
+            with np.errstate(over="ignore"):
+                out = self.alpha * np.log(ns)
+            if not np.all(np.isfinite(out)):
+                bad = ns[~np.isfinite(out)].min()
+                raise DomainError(f"ln q({bad:g}) = {self.alpha:g}*ln({bad:g}) overflows a float")
         else:
             assert self.values is not None
             if np.any(ns > len(self.values)):
@@ -333,7 +338,11 @@ def check_growth_rate(seq: MomentSequence, q: QFunction | None = None) -> Verdic
         raise SequenceError(f"check_growth_rate needs >= 8 ratio terms, got {n_max}")
     # g_n for ratio index n = 1..n_max−1 (n = 0 has no ln n scale)
     ns = np.arange(1, n_max, dtype=float)
-    log_g = np.diff(seq.log_moments)[1:] - 2.0 * np.log(ns + 1.0) - 2.0 * q.log_at(ns + 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_g = np.diff(seq.log_moments)[1:] - 2.0 * np.log(ns + 1.0) - 2.0 * q.log_at(ns + 1.0)
+    if not np.all(np.isfinite(log_g)):
+        bad = ns[~np.isfinite(log_g)].min()
+        raise DomainError(f"ln g_n with q = {q.label()} overflows a float at n = {bad:g}")
     tail_start = max(1, (n_max - 1) // 2)
     tail = ns >= tail_start
     if int(np.count_nonzero(tail)) < 4:

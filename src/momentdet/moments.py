@@ -376,16 +376,17 @@ def from_json(text: str) -> MomentSequence:
     try:
         ok = set(map(itemgetter("sign"), moments)) == {1}
         logs = list(map(float, map(itemgetter("logmag"), moments)))
-    except (TypeError, KeyError, ValueError):
+    except (TypeError, KeyError, ValueError, OverflowError):
         ok = False
     if not ok:  # find the first bad entry
         logs = []
         for i, item in enumerate(moments):
             try:
-                sign, logmag = int(item["sign"]), float(item["logmag"])
-            except (TypeError, KeyError, ValueError) as exc:
+                raw = item["sign"]
+                sign, logmag = int(raw), float(item["logmag"])
+            except (TypeError, KeyError, ValueError, OverflowError) as exc:
                 raise SequenceError(f"bad moment entry at index {i}: {exc}") from exc
-            _check_sign(i, sign)
+            _check_sign(i, raw if isinstance(raw, float) else sign)  # int() truncates 1.5
             logs.append(logmag)
     return _rehydrate(doc.get("support"), doc.get("n_max"), doc.get("label"), logs)
 

@@ -357,9 +357,11 @@ def _s_shape(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     w = _lambert_w(p)
     peak = np.expm1(w)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # near the float maximum p·ln W and the reach overflow to inf, which
+    # _integrate reports as a peak too coarse to resolve
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         peak_log = np.where(p > 0.0, _s_logf(peak, p), 0.0)
-    return peak, peak_log, 1.0 + np.sqrt(2.0 * _CUTOFF_DROP * p / (1.0 + w))
+        return peak, peak_log, 1.0 + np.sqrt(2.0 * _CUTOFF_DROP * p / (1.0 + w))
 
 
 def _log_s(p: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -86,6 +86,12 @@ class TestGen:
         assert result.exit_code == 2
         assert "n_max >= 2" in result.output
 
+    @pytest.mark.parametrize("out", [".", "no-such-dir/x.json"])
+    def test_unwritable_out_exits_2(self, runner, out):
+        result = runner.invoke(main, ["gen", "--family", "exp", "--nmax", "10", "--out", out])
+        assert result.exit_code == 2
+        assert result.output.startswith(f"error: cannot write {out!r}")
+
     def test_numeric_failure_exits_3(self, runner, monkeypatch):
         import momentdet.moments as moments_mod
 
@@ -161,6 +167,28 @@ class TestCheck:
         assert result.exit_code == 0, result.output
         verdict = json.loads(result.output)["verdicts"][0]
         assert verdict["diagnostics"]["q_alpha"] == -400.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("alpha", ["1e308", "-1e308"])
+    def test_growth_q_overflowing_power_exits_2(self, runner, tmp_path, alpha):
+        # alpha·ln n overflows from n = 7 on: an input error, not a NaN report
+        path = tmp_path / "x11.json"
+        runner.invoke(main, ["gen", "--family", X11, "--nmax", "100", "--out", str(path)])
+        result = runner.invoke(
+            main,
+            ["check", "--in", str(path), "--criteria", "growth-q", "--q", f"power:{alpha}"],
+        )
+        assert result.exit_code == 2
+        assert result.output == f"error: ln q(7) = {float(alpha):g}*ln(7) overflows a float\n"
+
+    def test_non_utf8_file_exits_2(self, runner, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe")
+        result = runner.invoke(main, ["check", "--in", str(path)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: cannot read")
+        assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_nan_logmag_file_exits_2(self, runner, tmp_path, fmt):

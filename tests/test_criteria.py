@@ -287,6 +287,20 @@ class TestQFunction:
         with pytest.raises(DomainError):
             QFunction.one()(0)
 
+    @pytest.mark.parametrize("alpha", [1e308, -1e308])
+    def test_log_at_names_the_first_n_where_alpha_ln_n_overflows(self, alpha):
+        q = QFunction.power(alpha)
+        assert q.log_at(6) == alpha * math.log(6)
+        for n in (7, np.arange(1.0, 10.0)):
+            with pytest.raises(DomainError, match=r"ln q\(7\)"):
+                q.log_at(n)
+
+    @pytest.mark.parametrize("alpha", [1e308, 2e307, -2e307])
+    def test_growth_rate_rejects_an_overflowing_q(self, seqs, alpha):
+        # 2e307·ln n is finite up to n = 1000, but twice it is not
+        with pytest.raises(DomainError, match="overflows a float"):
+            check_growth_rate(seqs(X11, 100), QFunction.power(alpha))
+
     @pytest.mark.parametrize("alpha", [400.0, -400.0])
     def test_unrepresentable_power_points_to_log_at(self, alpha):
         # 7^400 overflows and 7^-400 underflows to 0.0; ln q stays finite

@@ -409,7 +409,10 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "entry, message",
         [({"sign": 1}, "index 4"), ({"sign": "x", "logmag": "1.0"}, "index 4"),
-         ({"sign": 0, "logmag": "1.0"}, "index 4 must be positive"), (7, "index 4")],
+         ({"sign": 0, "logmag": "1.0"}, "index 4 must be positive"), (7, "index 4"),
+         ({"sign": 1.5, "logmag": "1.0"}, "index 4 must be positive, got sign 1.5"),
+         ({"sign": math.inf, "logmag": "1.0"}, "index 4"),
+         ({"sign": 1, "logmag": 10**400}, "index 4")],
     )
     def test_malformed_json_entry_is_named(self, seqs, entry, message):
         doc = json.loads(to_json(seqs("exp", 10)))

@@ -233,7 +233,8 @@ class TestBatchedPath:
         with pytest.raises(DomainError):
             log_power_integral(np.array([1.0, bad]))
 
-    @pytest.mark.parametrize("p", [1e17, 1e20])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [1e17, 1e20, 1e308])
     def test_p_beyond_float_resolution(self, p):
         # eps·|log integrand| exceeds the 60-nat cutoff window there
         with pytest.raises(DomainError, match="float rounding"):
