@@ -205,6 +205,18 @@ def _human_report(report: dict[str, object]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite_or_null(value: object) -> object:
+    """``value`` with every non-finite float in it replaced by None, so that
+    an overflowed diagnostic is written as strict JSON ``null``."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 @main.command("check")
 @click.option("--in", "input_path", required=True, help="Moment-sequence file (JSON or CSV).")
 @click.option(
@@ -240,7 +252,10 @@ def cmd_check(input_path: str, criteria: str, q_spec: str, fmt: str, out: str) -
                     f"unknown criterion {name!r}; expected carleman, growth, growth-q, hardy"
                 )
         report = _report(seq, verdicts)
-    _write(out, json.dumps(report, indent=2) + "\n" if fmt == "json" else _human_report(report))
+    if fmt == "json":
+        _write(out, json.dumps(_finite_or_null(report), indent=2, allow_nan=False) + "\n")
+    else:
+        _write(out, _human_report(report))
 
 
 # -- paper-table ----------------------------------------------------------------

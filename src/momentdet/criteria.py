@@ -502,11 +502,11 @@ def analyze(seq: MomentSequence) -> dict[str, object]:
         root_trend = []
         ratio_trend = []
         for n in _trend_samples(seq.n_max):
-            root = math.exp(logs[n] / (2.0 * n)) * math.e / (n * math.log(n + 1.0))
+            root = _exp_or_inf(logs[n] / (2.0 * n)) * math.e / (n * math.log(n + 1.0))
             root_trend.append([n, root])
             if n < seq.n_max:
                 lg_ratio = logs[n + 1] - logs[n]
-                ratio = math.exp(
+                ratio = _exp_or_inf(
                     lg_ratio - 2.0 * math.log(n + 1.0) - 2.0 * math.log(math.log(n + 1.0))
                 )
                 ratio_trend.append([n, ratio])

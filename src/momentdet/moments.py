@@ -140,13 +140,15 @@ class MomentSequence:
             raise SequenceError(f"stored moment at index {j} is not finite: log m = {logs[j]}")
         if abs(logs[0]) > _VALIDATION_SLACK:
             raise SequenceError(f"m_0 must equal 1, got log m_0 = {float(logs[0])!r}")
-        gaps = logs[:-2] + logs[2:] - 2.0 * logs[1:-1]
-        concave = gaps < -_VALIDATION_SLACK
+        # half gaps, so that logs near the float limits cannot overflow to
+        # inf - inf; halving is exact, so no other decision changes
+        half_gaps = logs[:-2] / 2.0 + logs[2:] / 2.0 - logs[1:-1]
+        concave = half_gaps < -_VALIDATION_SLACK / 2.0
         if concave.any():
             j = int(np.argmax(concave)) + 1
             raise SequenceError(
                 f"log-convexity violated at index {j} "
-                f"(log m_{j-1} + log m_{j+1} - 2 log m_{j} = {gaps[j - 1]:.3e})"
+                f"(log m_{j-1} + log m_{j+1} - 2 log m_{j} = {2.0 * float(half_gaps[j - 1]):.3e})"
             )
 
     def __eq__(self, other: object) -> bool:
@@ -374,7 +376,9 @@ def from_json(text: str) -> MomentSequence:
         raise SequenceError("JSON moment file must be an object with a 'moments' array")
     moments = doc["moments"]
     try:
-        ok = set(map(itemgetter("sign"), moments)) == {1}
+        signs = list(map(itemgetter("sign"), moments))
+        # true == 1 in Python, so booleans are ruled out by type
+        ok = set(signs) == {1} and bool not in set(map(type, signs))
         logs = list(map(float, map(itemgetter("logmag"), moments)))
     except (TypeError, KeyError, ValueError, OverflowError):
         ok = False
@@ -386,6 +390,10 @@ def from_json(text: str) -> MomentSequence:
                 sign, logmag = int(raw), float(item["logmag"])
             except (TypeError, KeyError, ValueError, OverflowError) as exc:
                 raise SequenceError(f"bad moment entry at index {i}: {exc}") from exc
+            if isinstance(raw, bool):
+                raise SequenceError(
+                    f"bad moment entry at index {i}: a sign must be a number, got {json.dumps(raw)}"
+                )
             _check_sign(i, raw if isinstance(raw, float) else sign)  # int() truncates 1.5
             logs.append(logmag)
     return _rehydrate(doc.get("support"), doc.get("n_max"), doc.get("label"), logs)

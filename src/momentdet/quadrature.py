@@ -13,11 +13,15 @@ their values span hundreds of orders of magnitude:
 
 Their sum gives the derivatives of the gamma function at 1
 (``gamma_derivative``): Γ⁽ⁿ⁾(1) = ∫₀¹ (ln t)^n e^{−t} dt + e^{−1}·S(n).
-Each has one array path (``_log_s``, ``_log_unit``, ``_log_gamma``), and
-the public scalar functions are thin wrappers over a one-row batch.
+Each has one code path (``_log_s``, ``_log_unit``, ``_log_gamma``) that
+takes its orders as a numpy float64 scalar or a 1-d array and returns
+results of the same shape.  The public one-point functions pass a scalar
+and batches an array: a numpy scalar gives the bits a one-element array
+would, at a fraction of its per-operation cost.  Only the node sums of
+``_tanh_sinh`` are always arrays, of one row per panel.
 
 Method.  Each log-integrand is concave with a single peak, placed for all
-orders at once by an array Newton: at expm1(W(p)) for S, and where the
+orders at once by Newton steps: at expm1(W(p)) for S, and where the
 convex, decreasing slope vanishes for the unit integral.  The axis is
 split into [0, peak] and [peak, cutoff] panels, the cutoff lying where
 the log-integrand has dropped 60 nats below the peak (mass below e^{−60}
@@ -95,8 +99,12 @@ _BLOCK = 8192
 _EPS = float(np.finfo(float).eps)
 _LOG_HALF_PI = math.log(math.pi / 2.0)
 
-#: logf(x, p) or its x-derivative, on arrays broadcast against each other.
-_LogIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
+#: Orders, abscissae or per-order results: a numpy float64 scalar for one
+#: point, a float64 array for a batch.
+_Floats = np.float64 | np.ndarray
+
+#: logf(x, p) or its x-derivative, on scalars or arrays broadcast together.
+_LogIntegrand = Callable[[_Floats, _Floats], _Floats]
 
 
 @dataclass(frozen=True)
@@ -122,27 +130,29 @@ def validate_rel_tol(rel_tol: float) -> float:
     return rel_tol
 
 
-def _checked(name: str, p, rel_tol: float, integer: bool = False) -> tuple[np.ndarray, float]:
-    """``p`` (a scalar or an array) as a float array, and ``rel_tol``, checked
-    for the public function ``name``; ``integer`` asks for one int order."""
+def _checked(name: str, p, rel_tol: float, integer: bool = False) -> tuple[_Floats, float]:
+    """``p`` as a float64 (a numpy scalar for a scalar, else an array), and
+    ``rel_tol``, checked for the public function ``name``; ``integer`` asks
+    for one int order."""
     if integer and (not isinstance(p, int) or isinstance(p, bool) or p < 0):
         raise DomainError(f"{name} requires an integer n >= 0, got {p!r}")
     try:
-        ps = np.asarray(p, dtype=float)
+        # [()] turns a 0-d array into a numpy scalar and leaves others as they are
+        ps = np.asarray(p, dtype=float)[()]
     except OverflowError as exc:
         raise DomainError(f"{name} requires finite p >= 0: {exc}") from exc
     ok = (ps >= 0.0) & (ps < np.inf)
     if not ok.all():
-        raise DomainError(f"{name} requires finite p >= 0, got {float(ps[~ok].flat[0])!r}")
+        raise DomainError(f"{name} requires finite p >= 0, got {float(np.extract(~ok, ps)[0])!r}")
     return ps, validate_rel_tol(rel_tol)
 
 
 def _scalar_result(sign: int, log, est, nodes) -> QuadratureResult:
-    """The QuadratureResult of a one-row batch's (log, est, nodes) columns."""
+    """The QuadratureResult of one order's (log, est, nodes) scalars."""
     return QuadratureResult(
-        value=SignedLogValue.from_log(float(log[0]), sign=sign),
-        est_rel_error=float(est[0]),
-        nodes_used=int(nodes[0]),
+        value=SignedLogValue.from_log(float(log), sign=sign),
+        est_rel_error=float(est),
+        nodes_used=int(nodes),
     )
 
 
@@ -248,11 +258,11 @@ def _tanh_sinh(
 def _cutoff(
     logf: _LogIntegrand,
     slope: _LogIntegrand,
-    p: np.ndarray,
-    peak: np.ndarray,
-    peak_log: np.ndarray,
-    reach: np.ndarray,
-) -> np.ndarray:
+    p: _Floats,
+    peak: _Floats,
+    peak_log: _Floats,
+    reach: _Floats,
+) -> _Floats:
     """Rightmost abscissa kept: at or past where logf has dropped _CUTOFF_DROP below peak.
 
     Starts from peak + reach (any point right of the peak) and takes
@@ -270,12 +280,12 @@ def _cutoff(
 def _integrate(
     logf: _LogIntegrand,
     slope: _LogIntegrand,
-    p: np.ndarray,
-    peak: np.ndarray,
-    peak_log: np.ndarray,
-    reach: np.ndarray,
+    p: _Floats,
+    peak: _Floats,
+    peak_log: _Floats,
+    reach: _Floats,
     rel_tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[_Floats, _Floats, _Floats]:
     """log ∫₀^∞ exp(logf(x, p_i)) dx for each p_i, with floored error estimates
     and node counts; ``peak + reach`` must lie right of each peak.
 
@@ -287,6 +297,7 @@ def _integrate(
     """
     held = _EPS * np.abs(peak_log) < _CUTOFF_DROP
     if not held.all():
+        p, peak_log, held = np.atleast_1d(p, peak_log, held)
         i = np.argmin(np.where(held, np.inf, p))
         raise DomainError(
             f"the integrand for p = {p[i]:.17g} peaks at log {peak_log[i]:.6g}, whose "
@@ -294,42 +305,41 @@ def _integrate(
         )
     cut = _cutoff(logf, slope, p, peak, peak_log, reach)
     split = np.maximum(peak, _PEAK_SPLIT_FLOOR)
-    n = p.size
-    scaled, errs, nodes = _tanh_sinh(
-        logf,
-        np.concatenate([np.zeros(n), split]),
-        np.concatenate([split, cut]),
-        np.concatenate([p, p]),
-        np.concatenate([peak_log, peak_log]),
-        rel_tol / 2.0,
+    # _tanh_sinh's rows: every [0, split] panel, then every [split, cut] one
+    panels = [[np.zeros(p.shape), split], [split, cut], [p, p], [peak_log, peak_log]]
+    a, b, row_p, shift = np.array(panels).reshape(4, -1)
+    # each column as (left panels, right panels), scalars for a scalar p
+    scaled, errs, nodes = (
+        col.reshape(2, *p.shape) for col in _tanh_sinh(logf, a, b, row_p, shift, rel_tol / 2.0)
     )
-    value = scaled[:n] + scaled[n:]
-    abs_err = errs[:n] * scaled[:n] + errs[n:] * scaled[n:]
+    value = scaled[0] + scaled[1]
+    abs_err = errs[0] * scaled[0] + errs[1] * scaled[1]
     total = np.log(value) + peak_log
     est = _floor_error(abs_err / value, total)
     within = est <= rel_tol
     if not within.all():
+        p, est, total, within = np.atleast_1d(p, est, total, within)
         i = np.argmin(np.where(within, np.inf, p))
         raise DomainError(
             f"the integral for p = {p[i]:.17g} has a floored error estimate {est[i]:.2g} "
             f"above rel_tol={rel_tol:.1e} (its log, {total[i]:.6g}, is too coarse in a float)"
         )
-    return total, est, nodes[:n] + nodes[n:]
+    return total, est, nodes[0] + nodes[1]
 
 
 # -- S(p) -----------------------------------------------------------------------
 
 
-def _s_logf(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _s_logf(x: _Floats, p: _Floats) -> _Floats:
     return p * np.log(np.log1p(x)) - x
 
 
-def _s_slope(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _s_slope(x: _Floats, p: _Floats) -> _Floats:
     return p / ((1.0 + x) * np.log1p(x)) - 1.0
 
 
-def _lambert_w(p: np.ndarray) -> np.ndarray:
-    """W(p) for an array of p ≥ 0.
+def _lambert_w(p: _Floats) -> _Floats:
+    """W(p) for p ≥ 0, a scalar or an array.
 
     Newton on e^z + z = ln p for z = ln W.  That function is convex and
     increasing, and the start ln ln(1+p) lies at or right of the root
@@ -345,10 +355,10 @@ def _lambert_w(p: np.ndarray) -> np.ndarray:
         for _ in range(4):
             ez = np.exp(z)
             z = z - (ez + z - log_p) / (ez + 1.0)
-        return np.where(p > 0.0, np.exp(z), 0.0)
+        return np.where(p > 0.0, np.exp(z), 0.0)[()]
 
 
-def _s_shape(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _s_shape(p: _Floats) -> tuple[_Floats, _Floats, _Floats]:
     """Peak abscissa, peak log and cutoff reach of S's integrand, per p ≥ 0.
 
     The reach is 1 plus the distance at which the curvature −(1+W)/p at
@@ -360,12 +370,13 @@ def _s_shape(p: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # near the float maximum p·ln W and the reach overflow to inf, which
     # _integrate reports as a peak too coarse to resolve
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        peak_log = np.where(p > 0.0, _s_logf(peak, p), 0.0)
+        peak_log = np.where(p > 0.0, _s_logf(peak, p), 0.0)[()]
         return peak, peak_log, 1.0 + np.sqrt(2.0 * _CUTOFF_DROP * p / (1.0 + w))
 
 
-def _log_s(p: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(log S(p), estimated relative error, nodes used) for an array of p ≥ 0."""
+def _log_s(p: _Floats, rel_tol: float) -> tuple[_Floats, _Floats, _Floats]:
+    """(log S(p), estimated relative error, nodes used) for p ≥ 0, a scalar
+    or an array."""
     return _integrate(_s_logf, _s_slope, p, *_s_shape(p), rel_tol)
 
 
@@ -376,7 +387,7 @@ def integrate_logweighted(p: float, rel_tol: float = DEFAULT_REL_TOL) -> Quadrat
     is always positive.
     """
     ps, rel_tol = _checked("integrate_logweighted", float(p), rel_tol)
-    return _scalar_result(1, *_log_s(ps.reshape(1), rel_tol))
+    return _scalar_result(1, *_log_s(ps, rel_tol))
 
 
 def log_power_integral(p, rel_tol: float = DEFAULT_REL_TOL):
@@ -384,55 +395,56 @@ def log_power_integral(p, rel_tol: float = DEFAULT_REL_TOL):
     array of p (evaluated together in one batch); the workhorse for moment
     generation."""
     ps, rel_tol = _checked("log_power_integral", p, rel_tol)
-    logs = _log_s(ps.ravel(), rel_tol)[0].reshape(ps.shape)
-    return float(logs) if ps.ndim == 0 else logs
+    if ps.ndim == 0:
+        return float(_log_s(ps, rel_tol)[0])
+    return _log_s(ps.ravel(), rel_tol)[0].reshape(ps.shape)
 
 
 # -- the unit integral and Γ⁽ⁿ⁾(1) ------------------------------------------------
 
 
-def _unit_logf(u: np.ndarray, n: np.ndarray) -> np.ndarray:
+def _unit_logf(u: _Floats, n: _Floats) -> _Floats:
     return n * np.log(u) - u - np.exp(-u)
 
 
-def _unit_slope(u: np.ndarray, n: np.ndarray) -> np.ndarray:
+def _unit_slope(u: _Floats, n: _Floats) -> _Floats:
     return n / u - 1.0 + np.exp(-u)
 
 
-def _unit_shape(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _unit_shape(n: _Floats) -> tuple[_Floats, _Floats, _Floats]:
     """Peak abscissa, peak log and cutoff reach (as for S) of the unit
     integral's magnitude integrand, per integer order n ≥ 0.
 
     The peak of n·ln u − u − e^{−u} is where the slope n/u − 1 + e^{−u}
     vanishes.  The slope is convex and decreasing, and positive at the
     start u = max(n, 1) for n ≥ 1, so Newton steps rise monotonically onto
-    the root; a row stops once its step is at most 1e-15·u (one step from
-    n = 35 on).  For n = 0 the integrand peaks at u = 0 with log −1.
+    the root; a row stops moving once its step is at most 1e-15·u (one step
+    from n = 35 on).  For n = 0 the integrand peaks at u = 0 with log −1.
     """
     u = np.maximum(n, 1.0)
-    active = np.flatnonzero(n)
-    while active.size:
-        ua, na = u[active], n[active]
-        e = np.exp(-ua)
-        step = (na / ua - 1.0 + e) / (na / (ua * ua) + e)
-        u[active] = ua = ua + step
-        active = active[step > 1e-15 * ua]
-    peak_log = _unit_logf(u, n)
-    curvature = n / (u * u) + np.exp(-u)
+    moving = n > 0.0
+    while moving.any():
+        e = np.exp(-u)
+        step = (n / u - 1.0 + e) / (n / (u * u) + e)
+        # adding step·0 leaves a stopped row's u as it is, bit for bit
+        u = u + step * moving
+        moving = moving & (step > 1e-15 * u)
     zero = n == 0.0
-    u[zero], peak_log[zero], curvature[zero] = 0.0, -1.0, 1.0
-    return u, peak_log, np.sqrt(2.0 * _CUTOFF_DROP / curvature)
+    peak_log = np.where(zero, -1.0, _unit_logf(u, n))[()]
+    curvature = np.where(zero, 1.0, n / (u * u) + np.exp(-u))[()]
+    return np.where(zero, 0.0, u)[()], peak_log, np.sqrt(2.0 * _CUTOFF_DROP / curvature)
 
 
-def _log_unit(n: np.ndarray, rel_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _log_unit(n: _Floats, rel_tol: float) -> tuple[_Floats, _Floats, _Floats]:
     """(log |∫₀¹ (ln t)^n e^{−t} dt|, estimated relative error, nodes used)
-    for an array of integer n ≥ 0; the integral's sign is (−1)^n."""
+    for integer n ≥ 0, a scalar or an array; the integral's sign is (−1)^n."""
     return _integrate(_unit_logf, _unit_slope, n, *_unit_shape(n), rel_tol)
 
 
-def _log_gamma(n: np.ndarray, rel_tol: float):
-    """(sign, log |Γ⁽ⁿ⁾(1)|, estimated relative error, nodes used) for an
-    array of integer n ≥ 0, and the ``_log_unit`` columns it was built from.
+def _log_gamma(n: _Floats, rel_tol: float):
+    """(sign, log |Γ⁽ⁿ⁾(1)|, estimated relative error, nodes used) for
+    integer n ≥ 0, a scalar or an array, and the ``_log_unit`` columns it
+    was built from.
 
     (−1)^n·|unit| + e^{−1}·S(n) is summed relative to the larger magnitude;
     an exact cancellation would give sign 0 and an infinite estimate.
@@ -441,7 +453,7 @@ def _log_gamma(n: np.ndarray, rel_tol: float):
     s_log, s_est, s_nodes = _log_s(n, rel_tol)
     tail_log = s_log - 1.0
     shift = np.maximum(unit_log, tail_log)
-    acc = np.where(n % 2.0, -1.0, 1.0) * np.exp(unit_log - shift) + np.exp(tail_log - shift)
+    acc = (-1.0) ** n * np.exp(unit_log - shift) + np.exp(tail_log - shift)
     with np.errstate(divide="ignore"):
         log = shift + np.log(np.abs(acc))
     # both estimates are floored above 0, so their logs are finite
@@ -457,17 +469,17 @@ def integrate_unit_log_power(n: int, rel_tol: float = DEFAULT_REL_TOL) -> Quadra
     sign is exactly (−1)^n and the magnitude integrand is positive.
     """
     ns, rel_tol = _checked("integrate_unit_log_power", n, rel_tol, integer=True)
-    return _scalar_result(-1 if n % 2 else 1, *_log_unit(ns.reshape(1), rel_tol))
+    return _scalar_result(-1 if n % 2 else 1, *_log_unit(ns, rel_tol))
 
 
 def gamma_derivative(n: int, rel_tol: float = DEFAULT_REL_TOL) -> QuadratureResult:
-    """Evaluate Γ⁽ⁿ⁾(1) = ∫₀¹ (ln t)^n e^{−t} dt + e^{−1}·S(n) as a one-row
-    ``_log_gamma`` batch; the estimate adds both pieces' absolute errors.
+    """Evaluate Γ⁽ⁿ⁾(1) = ∫₀¹ (ln t)^n e^{−t} dt + e^{−1}·S(n) by ``_log_gamma``
+    on one order; the estimate adds both pieces' absolute errors.
 
     The two pieces have opposite signs for odd n but never cancel
     catastrophically: the unit part dominates (its magnitude stays within
     [e^{−1}·n!, n!] while e^{−1}·S(n) is smaller from n = 3 on).
     """
     ns, rel_tol = _checked("gamma_derivative", n, rel_tol, integer=True)
-    (sign, *gamma), _ = _log_gamma(ns.reshape(1), rel_tol)
-    return _scalar_result(int(sign[0]), *gamma)
+    (sign, *gamma), _ = _log_gamma(ns, rel_tol)
+    return _scalar_result(int(sign), *gamma)

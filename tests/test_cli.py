@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -16,6 +17,8 @@ from momentdet import (
     gamma_derivative,
     generate_from_label,
     integrate_unit_log_power,
+    lognormal_moments,
+    to_json,
 )
 from momentdet.cli import main
 
@@ -25,6 +28,15 @@ X11 = "product[(1,1),(1,1)]"
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+def strict_json(text: str) -> object:
+    """json.loads that rejects NaN and ±Infinity, as strict parsers do."""
+
+    def reject(constant: str) -> None:
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def csv_rows(text: str) -> tuple[list[str], list[list[str]]]:
@@ -167,6 +179,29 @@ class TestCheck:
         assert result.exit_code == 0, result.output
         verdict = json.loads(result.output)["verdicts"][0]
         assert verdict["diagnostics"]["q_alpha"] == -400.0
+
+    def test_overflowing_diagnostics_are_null(self, runner, tmp_path):
+        # q = n^(-1e17) sends g_n past the float range: null, not Infinity
+        path = tmp_path / "x11.json"
+        runner.invoke(main, ["gen", "--family", X11, "--nmax", "100", "--out", str(path)])
+        result = runner.invoke(
+            main,
+            ["check", "--in", str(path), "--criteria", "growth-q", "--q", "power:-1e17"],
+        )
+        assert result.exit_code == 0, result.output
+        diagnostics = strict_json(result.output)["verdicts"][0]["diagnostics"]
+        assert diagnostics["sup_g"] is None
+        assert diagnostics["g_last"] is None
+
+    def test_overflowing_trend_columns_are_null(self, runner, tmp_path):
+        # lognormal moments under a two-factor label: both trend columns overflow
+        path = tmp_path / "lognormal.json"
+        path.write_text(to_json(dataclasses.replace(lognormal_moments(3000), label=X11)))
+        result = runner.invoke(main, ["check", "--in", str(path)])
+        assert result.exit_code == 0, result.output
+        trends = strict_json(result.output)["trends"]
+        assert trends["carleman_root_trend"][-1] == [3000, None]
+        assert trends["growth_ratio_trend"][-1] == [1311, None]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha", ["1e308", "-1e308"])

@@ -228,6 +228,15 @@ class TestValidationGates:
         with pytest.raises(SequenceError, match="index 2 "):
             self.build([0.0, 1.0, 3.0, 3.5, 3.6])
 
+    @pytest.mark.filterwarnings("error")
+    def test_convexity_near_the_float_limit(self):
+        # log m_1 + log m_3 overflows a float, yet index 3 is still concave
+        logs = ("0", "-1e308", "-1.7e308", "-1.2e308", "-1.7e308")
+        moments = [{"sign": 1, "logmag": lg} for lg in logs]
+        doc = {"support": "stieltjes", "n_max": 4, "moments": moments}
+        with pytest.raises(SequenceError, match=r"index 3 \(.* = -1\.000e\+308\)"):
+            from_json(json.dumps(doc))
+
     def test_equality_is_exact(self, seqs):
         seq = seqs("exp", 10)
         same = MomentSequence(seq.support, seq.n_max, seq.log_moments.copy(), seq.family, seq.label)
@@ -412,12 +421,21 @@ class TestSerialization:
          ({"sign": 0, "logmag": "1.0"}, "index 4 must be positive"), (7, "index 4"),
          ({"sign": 1.5, "logmag": "1.0"}, "index 4 must be positive, got sign 1.5"),
          ({"sign": math.inf, "logmag": "1.0"}, "index 4"),
-         ({"sign": 1, "logmag": 10**400}, "index 4")],
+         ({"sign": 1, "logmag": 10**400}, "index 4"),
+         ({"sign": True, "logmag": "1.0"}, "index 4")],
     )
     def test_malformed_json_entry_is_named(self, seqs, entry, message):
         doc = json.loads(to_json(seqs("exp", 10)))
         doc["moments"][4] = entry
         with pytest.raises(SequenceError, match=message):
+            from_json(json.dumps(doc))
+
+    def test_boolean_signs_rejected(self, seqs):
+        # every sign true, so the columnar fast path sees them all equal to 1
+        doc = json.loads(to_json(seqs("exp", 10)))
+        for item in doc["moments"]:
+            item["sign"] = True
+        with pytest.raises(SequenceError, match="index 0: a sign must be a number, got true"):
             from_json(json.dumps(doc))
 
     def test_json_signs_read_as_integers(self, seqs):

@@ -259,9 +259,30 @@ class TestBatchedPath:
 #: Batches of orders for the batch/scalar comparisons.
 ORDER_SETS = st.lists(st.integers(min_value=0, max_value=5000), min_size=1, max_size=12)
 
+#: Batches of p for S: zero, subnormals, integers and reals up to 1e5.
+P_SETS = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.floats(min_value=5e-324, max_value=2.2250738585072014e-308, exclude_max=True),
+        st.integers(min_value=0, max_value=100_000).map(float),
+        st.floats(min_value=0.0, max_value=1e5),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
 
 class TestRowIndependence:
     """Each row of a batch is the value its scalar wrapper gives, bit for bit."""
+
+    @given(P_SETS)
+    def test_s_batch_equals_scalar_calls(self, ps):
+        logs, ests, nodes = quadrature._log_s(np.array(ps), DEFAULT_REL_TOL)
+        for i, p in enumerate(ps):
+            res = integrate_logweighted(p)
+            assert res.value == SignedLogValue.from_log(logs[i])
+            assert (res.est_rel_error, res.nodes_used) == (ests[i], nodes[i])
+            assert log_power_integral(p) == logs[i]
 
     @given(ORDER_SETS)
     def test_unit_batch_equals_scalar_calls(self, orders):
