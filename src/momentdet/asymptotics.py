@@ -36,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .lambertw import lambert_w0
+from .errors import DomainError, _float_arg
+from .lambertw import _require_positive_t, lambert_w0
 from .logdomain import SignedLogValue
 
 __all__ = [
@@ -84,13 +84,6 @@ class ConditionCheck:
     grid_clipped: bool = False
 
 
-def _require_positive_t(t: float, op: str) -> float:
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"{op} requires finite t > 0, got {t!r}")
-    return t
-
-
 def _saddle(t: float) -> tuple[float, float]:
     """(W(t), Q(x_t, t)) at the saddle x_t = e^{W(t)} − 1.
 
@@ -130,12 +123,12 @@ def asymptotic_kn(n: int, r: float = 1.0) -> SignedLogValue:
     """Leading-order estimate of K_n(r) = S(n·r); exactly 1 when r = 0."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise DomainError(f"asymptotic_kn requires an integer n >= 1, got {n!r}")
-    r = float(r)
+    r = _float_arg(r, "asymptotic_kn", "r")
     if not (0.0 <= r <= 1.0):
         raise DomainError(f"asymptotic_kn requires r in [0, 1], got {r!r}")
     if r == 0.0:
         return SignedLogValue.one()
-    return laplace_estimate_leading(n * r)
+    return laplace_estimate_leading(_float_arg(n, "asymptotic_kn", "n") * r)
 
 
 def _q_curvature(x: np.ndarray, t: float) -> np.ndarray:
@@ -150,7 +143,7 @@ def verify_laplace_conditions(t: float, grid_size: int = 41) -> ConditionCheck:
     Requires t > e (so the curvature window sits comfortably inside the
     positive axis) and grid_size >= 11.
     """
-    t = float(t)
+    t = _float_arg(t, "verify_laplace_conditions", "t")
     if not (math.isfinite(t) and t > math.e):
         raise DomainError(f"verify_laplace_conditions requires t > e, got {t!r}")
     if not isinstance(grid_size, int) or isinstance(grid_size, bool) or grid_size < 11:

@@ -187,6 +187,11 @@ def _load_sequence(path: str):
     return from_csv(text)
 
 
+def _trend_value(value: float) -> str:
+    """A trend value for human output; from 1e6 on in exponent form, not hundreds of digits."""
+    return f"{value:.4e}" if math.isfinite(value) and abs(value) >= 1e6 else f"{value:.4f}"
+
+
 def _human_report(report: dict[str, object]) -> str:
     lines = [
         f"sequence: {report.get('label') or '(unlabeled)'}  "
@@ -200,7 +205,7 @@ def _human_report(report: dict[str, object]) -> str:
     trends = report.get("trends")
     if isinstance(trends, dict):
         for name, pairs in trends.items():
-            path = "  ".join(f"{n}:{val:.4f}" for n, val in pairs)
+            path = "  ".join(f"{n}:{_trend_value(val)}" for n, val in pairs)
             lines.append(f"  trend {name}: {path}")
     return "\n".join(lines) + "\n"
 
@@ -217,13 +222,23 @@ def _finite_or_null(value: object) -> object:
     return value
 
 
+#: Each ``check --criteria`` name's checker, given the sequence and the ``--q`` spec.
+_CHECKERS = {
+    "carleman": lambda seq, q_spec: check_carleman(seq),
+    "growth": lambda seq, q_spec: check_growth_rate(seq, QFunction.one()),
+    "growth-q": lambda seq, q_spec: check_growth_rate(seq, _parse_q(q_spec)),
+    "hardy": lambda seq, q_spec: check_hardy(seq),
+}
+_CHECKER_NAMES = ", ".join(_CHECKERS)
+
+
 @main.command("check")
 @click.option("--in", "input_path", required=True, help="Moment-sequence file (JSON or CSV).")
 @click.option(
     "--criteria",
     default="all",
     show_default=True,
-    help="Comma list from {carleman, growth, growth-q, hardy} or 'all'.",
+    help=f"Comma list from {{{_CHECKER_NAMES}}} or 'all'.",
 )
 @click.option("--q", "q_spec", default="log", show_default=True, help="q for growth-q: one, log, power:ALPHA.")
 @_format_option("json", "human")
@@ -239,18 +254,9 @@ def cmd_check(input_path: str, criteria: str, q_spec: str, fmt: str, out: str) -
     else:
         verdicts = []
         for name in wanted:
-            if name == "carleman":
-                verdicts.append(check_carleman(seq))
-            elif name == "growth":
-                verdicts.append(check_growth_rate(seq, QFunction.one()))
-            elif name == "growth-q":
-                verdicts.append(check_growth_rate(seq, _parse_q(q_spec)))
-            elif name == "hardy":
-                verdicts.append(check_hardy(seq))
-            else:
-                raise DomainError(
-                    f"unknown criterion {name!r}; expected carleman, growth, growth-q, hardy"
-                )
+            if name not in _CHECKERS:
+                raise DomainError(f"unknown criterion {name!r}; expected {_CHECKER_NAMES}")
+            verdicts.append(_CHECKERS[name](seq, q_spec))
         report = _report(seq, verdicts)
     if fmt == "json":
         _write(out, json.dumps(_finite_or_null(report), indent=2, allow_nan=False) + "\n")

@@ -33,10 +33,12 @@ The growth-rate checker analogously separates power-law growth of g_n
 (violation) from at-most-logarithmic drift (bounded evidence) by fitting
 ln g_n against both ln n and ln ln n.
 
-All tail fits use the last half of the available indices by default.
-Verdicts describe the *given truncation*, not the limit: sequences whose
-log corrections settle slowly can honestly classify differently at short
-lengths.  The double-log-weighted product family, for instance, reads as
+The series, growth-rate and Hardy checkers share one tail fit, over the
+last half of the available indices by default: its least-squares slope
+against ln n and whether the tail rose.  Verdicts describe the *given
+truncation*, not the limit: sequences whose log corrections settle
+slowly can honestly classify differently at short lengths.  The
+double-log-weighted product family, for instance, reads as
 violated-evidence below n_max ≈ 100 (its local exponents are still
 rising there) and locks in satisfied-evidence from n_max ≈ 100 on;
 supply a few hundred moments when the family is expected to sit near the
@@ -50,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SequenceError
+from .errors import DomainError, SequenceError, _float_arg
 from .moments import MomentSequence, _log_carleman_terms
 
 __all__ = [
@@ -124,7 +126,8 @@ class QFunction:
         if self.kind == "table":
             if not self.values:
                 raise DomainError("table QFunction requires a non-empty values tuple")
-            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+            values = tuple(_float_arg(v, "QFunction.table", "values") for v in self.values)
+            object.__setattr__(self, "values", values)
             if any(not (v > 0.0 and math.isfinite(v)) for v in self.values):
                 raise DomainError("table QFunction values must be positive and finite")
 
@@ -138,7 +141,7 @@ class QFunction:
 
     @classmethod
     def power(cls, alpha: float) -> "QFunction":
-        return cls(kind="power", alpha=float(alpha))
+        return cls(kind="power", alpha=_float_arg(alpha, "QFunction.power", "alpha"))
 
     @classmethod
     def table(cls, values) -> "QFunction":
@@ -147,11 +150,11 @@ class QFunction:
     def __call__(self, n: int) -> float:
         """q(n) for integer n ≥ 1.  Note q(1) = 0 for the log kind.
 
-        Raises DomainError where n^α over- or underflows a float (the
-        power kind with large |α|); ``log_at`` gives ln q(n) there.
+        Raises DomainError outside the domain of ``log_at``, and where n^α
+        over- or underflows a float (the power kind with large |α|);
+        ``log_at`` gives ln q(n) there.
         """
-        if n < 1:
-            raise DomainError(f"QFunction is defined for n >= 1, got {n}")
+        self.log_at(n)  # for its domain checks; the value is formed below
         if self.kind == "constant-one":
             return 1.0
         if self.kind == "log":
@@ -168,10 +171,6 @@ class QFunction:
                 )
             return q
         assert self.values is not None
-        if n > len(self.values):
-            raise DomainError(
-                f"table QFunction has {len(self.values)} values; q({n}) is out of range"
-            )
         return self.values[n - 1]
 
     def log_at(self, n):
@@ -232,38 +231,39 @@ def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(sol[0])
 
 
+def _tail_fit(
+    ns: np.ndarray, y: np.ndarray, tail_start: int
+) -> tuple[np.ndarray, np.ndarray, float, bool]:
+    """ln n and y over the tail n >= ``tail_start``, the least-squares slope
+    of y against ln n there, and whether y rose across the tail."""
+    tail = ns >= tail_start
+    ln_n, y_tail = np.log(ns[tail]), y[tail]
+    return ln_n, y_tail, _fit_slope(ln_n, y_tail), bool(y_tail[-1] > y_tail[0])
+
+
 def _classify_series(
     ns: np.ndarray, log_terms: np.ndarray, tail_start: int
 ) -> tuple[str, dict[str, float]]:
     """Two-scale divergence classification of Σ term_n from ln term_n.
 
     ``ns`` must be increasing integers (as floats) with at least 8 of them
-    at or beyond ``tail_start``.
+    at or beyond ``tail_start``; the callers' input checks ensure it.
     """
-    tail = ns >= tail_start
-    if int(np.count_nonzero(tail)) < 8:
-        raise SequenceError(
-            f"too few terms: need >= 8 tail points at n >= {tail_start}, "
-            f"have {int(np.count_nonzero(tail))}"
-        )
-    ln_n = np.log(ns)
-    p_fit = -_fit_slope(ln_n[tail], log_terms[tail])
+    ln_n, log_tail, slope, _ = _tail_fit(ns, log_terms, tail_start)
+    p_fit = -slope
 
     # local exponents and their drift across the tail
-    d_log = np.diff(log_terms[tail])
-    d_ln = np.diff(ln_n[tail])
-    local_p = -d_log / d_ln
-    drift = _fit_slope(ln_n[tail][1:], local_p)
+    local_p = -np.diff(log_tail) / np.diff(ln_n)
+    drift = _fit_slope(ln_n[1:], local_p)
 
     with np.errstate(over="ignore", under="ignore"):  # an overflowing sum reads inf
         partial_sum = float(np.sum(np.exp(log_terms)))
 
-    # critical-scale refinement data: b_n = term_n · n · ln n (needs n ≥ 2)
-    b_ok = ns >= 2.0
-    log_b = log_terms[b_ok] + ln_n[b_ok] + np.log(ln_n[b_ok])
-    b_tail = ns[b_ok] >= tail_start
-    lnln = np.log(ln_n[b_ok][b_tail])
-    b_slope = _fit_slope(lnln, log_b[b_tail])
+    # critical-scale refinement data: b_n = term_n · n · ln n over the tail's n ≥ 2
+    b_ok = ln_n > 0.0
+    lnln = np.log(ln_n[b_ok])
+    log_b = log_tail[b_ok] + ln_n[b_ok] + lnln
+    b_slope = _fit_slope(lnln, log_b)
     b_last = _exp_or_inf(float(log_b[-1]))
 
     if p_fit < 1.0 - BORDERLINE_BAND:
@@ -291,14 +291,6 @@ def _classify_series(
     return status, diagnostics
 
 
-def _default_tail_start(n_hi: int, n_min: int | None) -> int:
-    if n_min is None:
-        return max(2, n_hi // 2)
-    if not isinstance(n_min, int) or isinstance(n_min, bool) or n_min < 1:
-        raise DomainError(f"n_min must be a positive integer, got {n_min!r}")
-    return n_min
-
-
 # -- checkers -----------------------------------------------------------------
 
 
@@ -310,7 +302,9 @@ def check_carleman(seq: MomentSequence, n_min: int | None = None) -> Verdict:
     and must leave at least 8 points (and n_max >= 16).
     """
     n_max = seq.n_max
-    tail_start = _default_tail_start(n_max, n_min)
+    tail_start = max(2, n_max // 2) if n_min is None else n_min
+    if not isinstance(tail_start, int) or isinstance(tail_start, bool) or tail_start < 1:
+        raise DomainError(f"n_min must be a positive integer, got {n_min!r}")
     if n_max < max(tail_start + 8, 16):
         raise SequenceError(
             f"check_carleman needs n_max >= max(n_min + 8, 16); got n_max = {n_max}, "
@@ -344,13 +338,8 @@ def check_growth_rate(seq: MomentSequence, q: QFunction | None = None) -> Verdic
         bad = ns[~np.isfinite(log_g)].min()
         raise DomainError(f"ln g_n with q = {q.label()} overflows a float at n = {bad:g}")
     tail_start = max(1, (n_max - 1) // 2)
-    tail = ns >= tail_start
-    if int(np.count_nonzero(tail)) < 4:
-        raise SequenceError("check_growth_rate: tail window too small")
-    ln_n = np.log(ns)
-    power_slope = _fit_slope(ln_n[tail], log_g[tail])
-    rising = log_g[tail][-1] > log_g[tail][0]
-    loglog_slope = _fit_slope(np.log(ln_n[tail]), log_g[tail])
+    ln_n, log_g_tail, power_slope, rising = _tail_fit(ns, log_g, tail_start)
+    loglog_slope = _fit_slope(np.log(ln_n), log_g_tail)
     sup_log_g = float(np.max(log_g))
     sup_g = _exp_or_inf(sup_log_g)
 
@@ -388,7 +377,7 @@ def check_q_divergence(q: QFunction, n_max: int = 400) -> Verdict:
     """
     if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 100:
         raise DomainError(f"check_q_divergence requires integer n_max >= 100, got {n_max!r}")
-    n_start = 1 if q(1) > 0.0 else 2
+    n_start = 1 if q.log_at(1) > -math.inf else 2
     ns = np.arange(n_start, n_max + 1, dtype=float)
     log_terms = -np.log(ns) - q.log_at(ns)
     status, diagnostics = _classify_series(ns, log_terms, max(2, n_max // 2))
@@ -418,25 +407,18 @@ def check_hardy(seq: MomentSequence) -> Verdict:
     log_fact = np.array(list(map(math.lgamma, (2.0 * ns + 1.0).tolist())))  # ln (2n)!
     b = (log_m - log_fact) / ns
     tail_start = max(2, n_max // 2)
-    tail = ns >= tail_start
-    slope = _fit_slope(np.log(ns[tail]), b[tail])
-    rising = b[tail][-1] > b[tail][0]
+    _, _, slope, rising = _tail_fit(ns, b, tail_start)
     sup_b = float(np.max(b))
     c0 = _exp_or_inf(sup_b)
+    # a flat tail, and exact re-verification of m_n <= (2n)!·c0^n at every stored order
+    bound_ok = slope <= HARDY_SLOPE_TOL and not np.any(log_m > log_fact + ns * sup_b + 1e-9)
 
     if slope > HARDY_SLOPE_TOL and rising:
         status = VIOLATED
-        bound_ok = 0.0
-    elif slope <= HARDY_SLOPE_TOL:
+    elif bound_ok:
         status = SATISFIED
-        # exact re-verification of m_n <= (2n)!·c0^n at every stored order
-        bound_ok = 1.0
-        if np.any(log_m > log_fact + ns * sup_b + 1e-9):
-            bound_ok = 0.0
-            status = INCONCLUSIVE
     else:
         status = INCONCLUSIVE
-        bound_ok = 0.0
 
     diagnostics = {
         "slope": slope,
@@ -444,7 +426,7 @@ def check_hardy(seq: MomentSequence) -> Verdict:
         "sup_b": sup_b,
         "b_last": float(b[-1]),
         "tail_start": float(tail_start),
-        "bound_ok": bound_ok,
+        "bound_ok": float(bound_ok),
     }
     return Verdict(criterion="hardy", status=status, diagnostics=diagnostics, n_used=n_max)
 

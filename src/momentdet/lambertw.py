@@ -40,7 +40,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, _float_arg
 
 __all__ = [
     "TOL_W",
@@ -66,13 +66,20 @@ class WValue:
     residual: float
 
 
+def _require_positive_t(t: float, op: str) -> float:
+    t = _float_arg(t, op, "t")
+    if not (math.isfinite(t) and t > 0.0):
+        raise DomainError(f"{op} requires finite t > 0, got {t!r}")
+    return t
+
+
 def lambert_w0(t: float) -> WValue:
     """Evaluate the principal branch W(t) for t >= 0.
 
     Raises DomainError for negative or non-finite t, and ConvergenceError
     if the residual tolerance ``TOL_W * max(t, 1)`` is not met.
     """
-    t = float(t)
+    t = _float_arg(t, "lambert_w0", "t")
     if math.isnan(t) or math.isinf(t) or t < 0.0:
         raise DomainError(f"lambert_w0 requires finite t >= 0, got {t!r}")
     if t == 0.0:
@@ -95,7 +102,7 @@ def lambert_w0(t: float) -> WValue:
 
 def lambert_w_bounds(t: float) -> tuple[float, float]:
     """A-priori sandwich (lower, upper) for W(t); requires t > e."""
-    t = float(t)
+    t = _float_arg(t, "lambert_w_bounds", "t")
     if not t > math.e:
         raise DomainError(f"lambert_w_bounds requires t > e, got {t!r}")
     lt = math.log(t)
@@ -132,9 +139,7 @@ def w_ratio_power(t: float) -> float:
     forming it from two separate logarithms would lose the bound's
     O(1/t)-thin margin to cancellation for large ``t``.
     """
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"w_ratio_power requires finite t > 0, got {t!r}")
+    t = _require_positive_t(t, "w_ratio_power")
     w0, d, ell = _w_unit_increment(t)
     return math.exp(t * (ell - d))
 
@@ -146,8 +151,6 @@ def w_frac_diff(t: float) -> float:
     difference equals ``(t/W(t))·expm1(d)`` with d = W(t+1) − W(t),
     which stays fully precise when the two fractions grow huge.
     """
-    t = float(t)
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"w_frac_diff requires finite t > 0, got {t!r}")
+    t = _require_positive_t(t, "w_frac_diff")
     w0, d, _ = _w_unit_increment(t)
     return (t / w0) * math.expm1(d)

@@ -58,7 +58,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, _float_arg
 from .logdomain import SignedLogValue
 
 __all__ = [
@@ -124,7 +124,7 @@ class QuadratureResult:
 
 def validate_rel_tol(rel_tol: float) -> float:
     """Check rel_tol against the supported open range (1e-14, 1e-2)."""
-    rel_tol = float(rel_tol)
+    rel_tol = _float_arg(rel_tol, "validate_rel_tol", "rel_tol")
     if not (1e-14 < rel_tol < 1e-2):
         raise DomainError(f"rel_tol must lie in (1e-14, 1e-2), got {rel_tol!r}")
     return rel_tol
@@ -386,7 +386,8 @@ def integrate_logweighted(p: float, rel_tol: float = DEFAULT_REL_TOL) -> Quadrat
     Supports real p ≥ 0 up to at least a few thousand; the result value
     is always positive.
     """
-    ps, rel_tol = _checked("integrate_logweighted", float(p), rel_tol)
+    p = _float_arg(p, "integrate_logweighted", "p")  # refuses arrays, as float() does
+    ps, rel_tol = _checked("integrate_logweighted", p, rel_tol)
     return _scalar_result(1, *_log_s(ps, rel_tol))
 
 

@@ -157,6 +157,16 @@ class TestCheck:
         report = json.loads(result.output)
         assert [v["criterion"] for v in report["verdicts"]] == ["carleman", "hardy"]
 
+    def test_every_named_criterion_matches_all(self, runner, tmp_path):
+        path = tmp_path / "x11.json"
+        runner.invoke(main, ["gen", "--family", X11, "--nmax", "200", "--out", str(path)])
+        named = runner.invoke(
+            main, ["check", "--in", str(path), "--criteria", "carleman,growth,growth-q,hardy"]
+        )
+        every = runner.invoke(main, ["check", "--in", str(path)])
+        assert named.exit_code == every.exit_code == 0
+        assert json.loads(named.output)["verdicts"] == json.loads(every.output)["verdicts"]
+
     def test_growth_q_power_spec(self, runner, tmp_path):
         path = tmp_path / "exp.json"
         runner.invoke(main, ["gen", "--family", "exp", "--nmax", "100", "--out", str(path)])
@@ -202,6 +212,18 @@ class TestCheck:
         trends = strict_json(result.output)["trends"]
         assert trends["carleman_root_trend"][-1] == [3000, None]
         assert trends["growth_ratio_trend"][-1] == [1311, None]
+
+    def test_human_trend_values_stay_short(self, runner, tmp_path):
+        # finite trend values up to ~1e300: exponent form, not hundreds of digits
+        path = tmp_path / "lognormal.json"
+        path.write_text(to_json(dataclasses.replace(lognormal_moments(2800), label=X11)))
+        result = runner.invoke(main, ["check", "--in", str(path), "--format", "human"])
+        assert result.exit_code == 0, result.output
+        trend_lines = [line for line in result.output.splitlines() if line.startswith("  trend ")]
+        tokens = [token for line in trend_lines for token in line.split(": ", 1)[1].split()]
+        assert len(tokens) == 17
+        assert "2800:1.2404e+300" in tokens
+        assert max(map(len, tokens)) <= 20
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("alpha", ["1e308", "-1e308"])

@@ -282,10 +282,13 @@ class TestQFunction:
             QFunction.table([])
         with pytest.raises(DomainError):
             QFunction.table([1.0, -2.0])
-        with pytest.raises(DomainError):
-            QFunction.table([1.0, 2.0])(3)
-        with pytest.raises(DomainError):
-            QFunction.one()(0)
+        qs = (QFunction.one(), QFunction.log(), QFunction.power(0.7), QFunction.table([1.0, 2.0]))
+        for q in qs:
+            for out_of_domain in (0, 3) if q.kind == "table" else (0,):
+                with pytest.raises(DomainError):
+                    q(out_of_domain)
+                with pytest.raises(DomainError):
+                    q.log_at(out_of_domain)
 
     @pytest.mark.parametrize("alpha", [1e308, -1e308])
     def test_log_at_names_the_first_n_where_alpha_ln_n_overflows(self, alpha):
