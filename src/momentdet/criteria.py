@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SequenceError, _float_arg
-from .moments import MomentSequence, _log_carleman_terms
+from .moments import MomentSequence, _check_n_max, _log_carleman_terms
 
 __all__ = [
     "INCONCLUSIVE",
@@ -121,7 +121,11 @@ class QFunction:
         if self.kind not in ("constant-one", "log", "power", "table"):
             raise DomainError(f"unknown QFunction kind {self.kind!r}")
         if self.kind == "power":
-            if self.alpha is None or not math.isfinite(self.alpha):
+            try:
+                finite = self.alpha is not None and math.isfinite(self.alpha)
+            except OverflowError as exc:  # an int too large for a float
+                raise DomainError(f"QFunction requires alpha to fit a float: {exc}") from exc
+            if not finite:
                 raise DomainError("power QFunction requires a finite alpha")
         if self.kind == "table":
             if not self.values:
@@ -375,8 +379,7 @@ def check_q_divergence(q: QFunction, n_max: int = 400) -> Verdict:
     finite where n^α under- or overflows.  n = 1 is skipped where
     q(1) = 0 (the log kind).
     """
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 100:
-        raise DomainError(f"check_q_divergence requires integer n_max >= 100, got {n_max!r}")
+    _check_n_max(n_max, 100, "check_q_divergence requires integer n_max >= 100")
     n_start = 1 if q.log_at(1) > -math.inf else 2
     ns = np.arange(n_start, n_max + 1, dtype=float)
     log_terms = -np.log(ns) - q.log_at(ns)

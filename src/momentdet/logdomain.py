@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .errors import DomainError
+
 __all__ = ["SignedLogValue", "sum_signed"]
 
 _NEG_INF = float("-inf")
@@ -36,7 +38,11 @@ class SignedLogValue:
     def __post_init__(self) -> None:
         if self.sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
-        if math.isnan(self.logmag) or self.logmag == math.inf:
+        try:
+            bad = math.isnan(self.logmag) or self.logmag == math.inf
+        except OverflowError as exc:  # an int too large for a float
+            raise DomainError(f"SignedLogValue requires logmag to fit a float: {exc}") from exc
+        if bad:
             raise ValueError(f"logmag must be finite or -inf, got {self.logmag!r}")
         if (self.sign == 0) != (self.logmag == _NEG_INF):
             raise ValueError(

@@ -177,6 +177,24 @@ class MomentSequence:
 
 # -- generation --------------------------------------------------------------
 
+#: The largest n_max: orders up to it are exact in a float64, and as many
+#: orders as that fit a numpy index.
+_N_MAX_LIMIT = min(2**53, int(np.iinfo(np.intp).max))
+
+
+def _check_n_max(n_max, lowest: int, requires: str) -> None:
+    """Refuse an n_max that is not an int (a bool is not), is below ``lowest``
+    or exceeds _N_MAX_LIMIT.  ``requires`` opens the DomainError's message
+    and names the function."""
+    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < lowest:
+        raise DomainError(f"{requires}, got {n_max!r}")
+    if n_max > _N_MAX_LIMIT:
+        # no repr: a huge int's decimal digits can run to thousands, or past int's str limit
+        raise DomainError(
+            f"{requires} and at most {_N_MAX_LIMIT} (float64 orders, a numpy index), "
+            f"got an int of {n_max.bit_length()} bits"
+        )
+
 
 def generate_moments(
     family: FamilySpec, n_max: int, rel_tol: float = DEFAULT_REL_TOL
@@ -187,8 +205,7 @@ def generate_moments(
     the even moments m_0, m_2, ..., m_{2·n_max}.  Every distinct S(p),
     p = n·r > 0, is evaluated once, all of them in one batch.
     """
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 2:
-        raise DomainError(f"generate_moments requires an integer n_max >= 2, got {n_max!r}")
+    _check_n_max(n_max, 2, "generate_moments requires an integer n_max >= 2")
     if family.symmetrization == "symmetric-product":
         orders = 2.0 * np.arange(n_max + 1)
         support = "hamburger-symmetric"
@@ -227,8 +244,7 @@ def generate_moments(
 
 def lognormal_moments(n_max: int) -> MomentSequence:
     """Stock lognormal-type calibration family: m_n = e^{n²/2} (closed form)."""
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 2:
-        raise DomainError(f"lognormal_moments requires an integer n_max >= 2, got {n_max!r}")
+    _check_n_max(n_max, 2, "lognormal_moments requires an integer n_max >= 2")
     ns = np.arange(n_max + 1, dtype=float)
     return MomentSequence(
         support="stieltjes", n_max=n_max, log_moments=ns * ns / 2.0, family=None, label="lognormal"

@@ -41,6 +41,14 @@ coarser; that last change is its error estimate, and a row unconverged
 at the last level raises QuadratureError.  Sums are taken relative to
 e^{peak log}, so no node value over- or underflows.
 
+Nearly every panel stops at level 4 or 5, so the driver's first sweep
+evaluates levels 3, 4 and 5 in one array pass where rel_tol ≤ 1e-8, and
+levels 3 and 4 above that (at rel_tol 1e-4 every S panel stops at level
+4); each level's sum is a column slice of that pass, so the results are
+those of one pass per level, bit for bit.  Rows still unconverged go on
+one level per pass.  A row's node count is that of the level it stopped
+at, 8·2^L + 1, even where the sweep evaluated a deeper level for it.
+
 Error estimates are floored at eps·max(1, |log value|), the resolution
 of a log-magnitude held in a float, so levels that agree bit for bit do
 not claim an error of zero.  Where that rounding of the log-integrand
@@ -93,8 +101,14 @@ _TMAX = 4.0
 _MIN_LEVEL = 3
 _MAX_LEVEL = 12
 
-#: Most nodes (rows × nodes of one level) evaluated in one array pass.
-_BLOCK = 8192
+#: The first sweep evaluates levels _MIN_LEVEL.._SWEEP_LEVEL in one array
+#: pass where a panel's tolerance is at most _SWEEP_TOL (rel_tol ≤ 1e-8 on
+#: a two-panel integral), and stops one level short of that above it.
+_SWEEP_LEVEL = 5
+_SWEEP_TOL = 5e-9
+
+#: Most nodes (rows × nodes of the levels evaluated together) in one array pass.
+_BLOCK = 32768
 
 _EPS = float(np.finfo(float).eps)
 _LOG_HALF_PI = math.log(math.pi / 2.0)
@@ -191,24 +205,42 @@ def _level_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     return v, logw
 
 
+@cache
+def _span_nodes(first: int, last: int) -> tuple[np.ndarray, np.ndarray, tuple[slice, ...]]:
+    """The ``_level_nodes`` tables of levels first..last, concatenated, and
+    each level's slice of them.  Read-only, like the tables."""
+    tables = [_level_nodes(level) for level in range(first, last + 1)]
+    v, logw = tables[0] if first == last else map(np.concatenate, zip(*tables))
+    v.flags.writeable = logw.flags.writeable = False
+    ends = np.cumsum([0] + [len(tv) for tv, _ in tables]).tolist()
+    return v, logw, tuple(map(slice, ends[:-1], ends[1:]))
+
+
 def _level_sums(
     logf: _LogIntegrand,
-    level: int,
+    first: int,
+    last: int,
     a: np.ndarray,
-    b: np.ndarray,
+    half: np.ndarray,
     p: np.ndarray,
     shift: np.ndarray,
 ) -> np.ndarray:
-    """Σ w·exp(logf(x) − shift) over the nodes new at ``level``, per row,
-    with the weights w of the rule on (−1, 1)."""
-    v, logw = _level_nodes(level)
-    half = (b - a) / 2.0
-    out = np.empty(a.size)
+    """Σ w·exp(logf(x) − shift) over the nodes new at each level first..last,
+    one row per level and one column per panel, with the weights w of the
+    rule on (−1, 1).
+
+    All the levels' nodes are evaluated in one array pass; each level's sum
+    is that pass's column slice, which sums to the bits of the level alone.
+    """
+    v, logw, levels = _span_nodes(first, last)
+    out = np.empty((len(levels), a.size))
     step = max(1, _BLOCK // v.size)
     for s in range(0, a.size, step):
         rows = slice(s, s + step)
         x = a[rows, None] + half[rows, None] * v
-        out[rows] = np.exp(logf(x, p[rows, None]) - shift[rows, None] + logw).sum(axis=1)
+        terms = np.exp(logf(x, p[rows, None]) - shift[rows, None] + logw)
+        for i, level in enumerate(levels):
+            terms[:, level].sum(axis=1, out=out[i, rows])
     return out
 
 
@@ -224,34 +256,63 @@ def _tanh_sinh(
 
     ``shift`` is the peak of logf on each panel, so that no exp(logf −
     shift) at a node overflows and the sums do not vanish.  Returns
-    (integral·e^{−shift}, estimated relative error, nodes used) per row;
-    a row that stops at level L has used the 8·2^L + 1 nodes of that
-    level.  A row stops once two successive levels agree to ``tol``;
-    QuadratureError (with the partial estimate) names the lowest p among
-    the rows still unconverged at _MAX_LEVEL.
+    (integral·e^{−shift}, estimated relative error, nodes used) per row.
+    A row stops at the first level L > _MIN_LEVEL whose total agrees with
+    level L − 1's to ``tol``, and has then used the 8·2^L + 1 nodes of
+    level L, whatever else was evaluated for it.  QuadratureError (with
+    the partial estimate) names the lowest p among the rows still
+    unconverged at _MAX_LEVEL.
+
+    The first sweep evaluates levels _MIN_LEVEL.._SWEEP_LEVEL together,
+    in one array pass, where ``tol`` ≤ _SWEEP_TOL (nearly every panel then
+    stops at level 5), and only through _SWEEP_LEVEL − 1 above it (where
+    most stop at level 4), never past _MAX_LEVEL; each row's stopping
+    level is decided from those sums alone.  Rows unconverged after it go
+    on one level per pass, their state gathered anew only when some stop.
     """
+    half = (b - a) / 2.0
     # Levels cannot agree more closely than the float rounding of the
     # log-integrand near its peak, so a row's tolerance is at least that.
     row_tol = np.maximum(tol, _EPS * np.abs(shift))
-    total = _level_sums(logf, _MIN_LEVEL, a, b, p, shift)
-    err = np.zeros(a.size)
-    nodes = np.zeros(a.size, dtype=int)
-    active = np.arange(a.size)
-    for level in range(_MIN_LEVEL + 1, _MAX_LEVEL + 1):
-        prev = total[active]
-        cur = prev / 2.0 + _level_sums(logf, level, a[active], b[active], p[active], shift[active])
+    depth = min(_SWEEP_LEVEL if tol <= _SWEEP_TOL else _SWEEP_LEVEL - 1, _MAX_LEVEL)
+    totals = _level_sums(logf, _MIN_LEVEL, depth, a, half, p, shift)
+    for i in range(1, len(totals)):
+        totals[i] += totals[i - 1] / 2.0
+    # change[i] is how far level _MIN_LEVEL + 1 + i moved each row's total
+    change = np.abs(totals[:-1] - totals[1:]) / totals[1:]
+    stop = change <= row_tol
+    # a row stops at its first level within tolerance: walk back from the deepest
+    total, err, nodes = totals[-1], change[-1], np.full(a.size, 8 * 2**depth + 1)
+    for i in range(len(change) - 2, -1, -1):
+        total = np.where(stop[i], totals[i + 1], total)
+        err = np.where(stop[i], change[i], err)
+        nodes = np.where(stop[i], 8 * 2 ** (_MIN_LEVEL + 1 + i) + 1, nodes)
+    # the rows no sweep level stopped, whose estimate is therefore not within tolerance
+    rows = np.flatnonzero(~(err <= row_tol))
+    if rows.size:
+        # their state, gathered again only when some of them stop
+        cur, ra, rhalf, rp, rshift, rtol = (col[rows] for col in (total, a, half, p, shift, row_tol))
+    level = depth
+    while rows.size and level < _MAX_LEVEL:
+        level += 1
+        prev = cur
+        cur = prev / 2.0 + _level_sums(logf, level, level, ra, rhalf, rp, rshift)[0]
         change = np.abs(prev - cur) / cur
-        total[active] = cur
-        err[active] = change
-        nodes[active] = 8 * 2**level + 1
-        active = active[~(change <= row_tol[active])]
-        if not active.size:
-            return total * ((b - a) / 2.0), err, nodes
-    i = active[np.argmin(p[active])]
+        stop = change <= rtol
+        if stop.any():
+            done, keep = rows[stop], ~stop
+            total[done], err[done], nodes[done] = cur[stop], change[stop], 8 * 2**level + 1
+            rows, cur, ra, rhalf, rp, rshift, rtol = (
+                col[keep] for col in (rows, cur, ra, rhalf, rp, rshift, rtol)
+            )
+    if not rows.size:
+        return total * half, err, nodes
+    j = np.argmin(rp)
+    i = rows[j]
     raise QuadratureError(
         f"the integral for p = {p[i]:.17g} did not converge on panel [{a[i]:.6g}, {b[i]:.6g}] "
         f"to rel_tol={row_tol[i]:.1e} within {_MAX_LEVEL} refinement levels",
-        partial=SignedLogValue.from_log(float(np.log(total[i] * (b[i] - a[i]) / 2.0) + shift[i])),
+        partial=SignedLogValue.from_log(float(np.log(cur[j] * (b[i] - a[i]) / 2.0) + shift[i])),
     )
 
 

@@ -249,11 +249,16 @@ class TestBatchedPath:
         with pytest.raises(DomainError, match="p = 10000000000 "):
             log_power_integral(np.array([5e10, 1.0, 1e10]))
 
-    def test_unconverged_batch_names_the_lowest_p(self, monkeypatch):
-        # both orders are still unconverged at level 4; p = 300 comes first
-        monkeypatch.setattr(quadrature, "_MAX_LEVEL", 4)
-        with pytest.raises(QuadratureError, match="the integral for p = 7 did not converge"):
-            log_power_integral(np.array([300.0, 7.0]))
+    #: Per last level: a rel_tol, and two orders both unconverged at that
+    #: level, the higher first, whose lower one the error must name.
+    UNCONVERGED = {4: (DEFAULT_REL_TOL, [300.0, 7.0], "7"), 5: (1e-12, [1578.0, 1547.0], "1547")}
+
+    @pytest.mark.parametrize("max_level", UNCONVERGED)
+    def test_unconverged_batch_names_the_lowest_p(self, monkeypatch, max_level):
+        rel_tol, ps, lowest = self.UNCONVERGED[max_level]
+        monkeypatch.setattr(quadrature, "_MAX_LEVEL", max_level)
+        with pytest.raises(QuadratureError, match=f"the integral for p = {lowest} did not converge"):
+            log_power_integral(np.array(ps), rel_tol)
 
 
 #: Batches of orders for the batch/scalar comparisons.
@@ -302,6 +307,111 @@ class TestRowIndependence:
             assert res.value == SignedLogValue.from_log(logs[i], sign=int(signs[i]))
             assert (res.est_rel_error, res.nodes_used) == (ests[i], nodes[i])
             assert integrate_unit_log_power(n).value.logmag == unit_logs[i]
+
+
+def reference_tanh_sinh(logf, a, b, p, shift, tol):
+    """``quadrature._tanh_sinh`` one level per array pass over ``_level_nodes``,
+    gathering the active rows at every level, with its QuadratureError."""
+    row_tol = np.maximum(tol, EPS * np.abs(shift))
+    err, nodes = np.zeros(a.size), np.zeros(a.size, dtype=int)
+    active = np.arange(a.size)
+    for level in range(quadrature._MIN_LEVEL, quadrature._MAX_LEVEL + 1):
+        v, logw = quadrature._level_nodes(level)
+        ra, rb = a[active], b[active]
+        x = ra[:, None] + ((rb - ra) / 2.0)[:, None] * v
+        sums = np.exp(logf(x, p[active, None]) - shift[active, None] + logw).sum(axis=1)
+        if level == quadrature._MIN_LEVEL:
+            total = sums
+            continue
+        prev = total[active]
+        total[active] = cur = prev / 2.0 + sums
+        err[active] = change = np.abs(prev - cur) / cur
+        nodes[active] = 8 * 2**level + 1
+        active = active[~(change <= row_tol[active])]
+        if not active.size:
+            return total * ((b - a) / 2.0), err, nodes
+    i = active[np.argmin(p[active])]
+    raise QuadratureError(
+        f"the integral for p = {p[i]:.17g} did not converge on panel [{a[i]:.6g}, {b[i]:.6g}] "
+        f"to rel_tol={row_tol[i]:.1e} within {quadrature._MAX_LEVEL} refinement levels",
+        partial=SignedLogValue.from_log(float(np.log(total[i] * (b[i] - a[i]) / 2.0) + shift[i])),
+    )
+
+
+def driver_calls(integral, orders, rel_tol):
+    """The argument tuples ``integral`` (``_log_s`` or ``_log_unit``) hands
+    ``_tanh_sinh`` for ``orders``, each with the driver's result."""
+    calls, real = [], quadrature._tanh_sinh
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadrature, "_tanh_sinh", spy)
+        try:
+            integral(np.array(orders, dtype=float), rel_tol)
+        except DomainError:  # a floored estimate above a tight rel_tol; the driver ran
+            pass
+    return calls
+
+
+#: Tolerances whose panels stop at levels 4 to 6, with both first-sweep depths.
+SWEEP_TOLS = [1e-4, 1e-6, 1e-8, 1e-9, 1e-12]
+
+
+class TestFirstSweep:
+    """The driver's first sweep evaluates several levels in one array pass;
+    its results are those of one pass per level, bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference(calls):
+        for args, (scaled, errs, nodes) in calls:
+            want = reference_tanh_sinh(*args)
+            assert scaled.tobytes() == want[0].tobytes()
+            assert errs.tobytes() == want[1].tobytes()
+            assert nodes.tolist() == want[2].tolist()
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=3000.0), min_size=1, max_size=8),
+           st.sampled_from(SWEEP_TOLS))
+    def test_s_panels_match_one_pass_per_level(self, ps, rel_tol):
+        self.assert_matches_reference(driver_calls(quadrature._log_s, ps, rel_tol))
+
+    @given(ORDER_SETS, st.sampled_from(SWEEP_TOLS))
+    def test_unit_panels_match_one_pass_per_level(self, orders, rel_tol):
+        self.assert_matches_reference(driver_calls(quadrature._log_unit, orders, rel_tol))
+
+    def test_panels_stop_at_levels_four_to_six(self):
+        levels = set()
+        for rel_tol in SWEEP_TOLS:
+            for integral, orders in (
+                (quadrature._log_s, [0.0, 0.5, 7.0, 300.0, 1578.0]),
+                (quadrature._log_unit, [0.0, 3.0, 200.0, 400.0]),
+            ):
+                calls = driver_calls(integral, orders, rel_tol)
+                self.assert_matches_reference(calls)
+                levels.update(int(n - 1).bit_length() - 4 for _, (_, _, ns) in calls for n in ns)
+        assert levels == {4, 5, 6}
+
+    @pytest.mark.parametrize("max_level", [4, 5, 6])
+    @pytest.mark.parametrize("tol", [1e-4, 1e-9])
+    def test_unconverged_error_matches_reference(self, monkeypatch, max_level, tol):
+        # a kink inside the panel: tanh-sinh converges too slowly for any level
+        args = (
+            lambda x, p: -p * np.abs(x - 0.3),
+            np.zeros(3),
+            np.ones(3),
+            np.array([300.0, 30.0, 100.0]),
+            np.zeros(3),
+            tol,
+        )
+        monkeypatch.setattr(quadrature, "_MAX_LEVEL", max_level)
+        with pytest.raises(QuadratureError) as want:
+            reference_tanh_sinh(*args)
+        with pytest.raises(QuadratureError, match="p = 30 ") as got:
+            quadrature._tanh_sinh(*args)
+        assert str(got.value) == str(want.value)
+        assert got.value.partial == want.value.partial
 
 
 class TestNodeCounts:
