@@ -185,7 +185,10 @@ class QFunction:
         the first such n, where α·ln n overflows too (|α| near 1e308).  The
         log kind gives −inf at n = 1, where q(1) = 0.
         """
-        ns = np.asarray(n, dtype=float)
+        try:
+            ns = np.asarray(n, dtype=float)
+        except OverflowError as exc:  # an int too large for a float
+            raise DomainError(f"QFunction requires n to fit a float: {exc}") from exc
         if np.any(ns < 1):
             raise DomainError(f"QFunction is defined for n >= 1, got {ns.min():g}")
         if self.kind == "constant-one":

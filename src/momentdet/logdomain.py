@@ -61,7 +61,11 @@ class SignedLogValue:
 
     @classmethod
     def from_float(cls, x: float) -> "SignedLogValue":
-        if math.isnan(x) or math.isinf(x):
+        try:
+            finite = math.isfinite(x)
+        except OverflowError as exc:  # an int too large for a float
+            raise DomainError(f"SignedLogValue requires x to fit a float: {exc}") from exc
+        if not finite:
             raise ValueError(f"cannot represent non-finite float {x!r}")
         if x == 0.0:
             return cls.zero()

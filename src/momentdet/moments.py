@@ -27,7 +27,14 @@ sequence: m₀ = 1, positivity, and log-convexity
 small float slack.
 
 Sequences serialize to JSON and CSV with log-magnitudes rendered through
-``repr``/``%.17g`` so a save/load round-trip is bit-exact.
+``repr``/``%.17g`` so a save/load round-trip is bit-exact.  A file laid out
+exactly as to_json or to_csv writes it (the canonical layout) loads by
+slicing its text, with one ``float()`` per moment and no other object per
+moment.  Any other file (hand-edited, re-indented, with extra keys or
+reordered lines) loads through the general path: ``json.loads`` and a
+check of each entry, or a reader of one CSV line at a time, which names
+the first bad entry.  Both paths give the same sequence, or the same
+SequenceError, from the same text.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from operator import itemgetter, methodcaller
 
 import numpy as np
 
@@ -339,6 +345,11 @@ def carleman_terms(seq: MomentSequence) -> list[float]:
 
 _JSON_OPEN = '    {\n      "sign": 1,\n      "logmag": "'
 _JSON_CLOSE = '"\n    }'
+_JSON_MOMENTS = '  "moments": [\n' + _JSON_OPEN
+_JSON_SEPARATOR = _JSON_CLOSE + ",\n" + _JSON_OPEN
+_JSON_END = _JSON_CLOSE + "\n  ]\n}\n"
+#: a character that a JSON string must escape
+_JSON_ESCAPED = re.compile(r'["\\\x00-\x1f]')
 _CSV_HEADER = "n,sign,logmag"
 
 
@@ -353,8 +364,8 @@ def to_json(seq: MomentSequence) -> str:
         f"  {json.dumps(key)}: {json.dumps(value)},\n"
         for key, value in (("support", seq.support), ("n_max", seq.n_max), ("label", seq.label))
     )
-    moments = (_JSON_CLOSE + ",\n" + _JSON_OPEN).join(map(repr, seq.log_moments.tolist()))
-    return "{\n" + head + '  "moments": [\n' + _JSON_OPEN + moments + _JSON_CLOSE + "\n  ]\n}\n"
+    moments = _JSON_SEPARATOR.join(map(repr, seq.log_moments.tolist()))
+    return "{\n" + head + _JSON_MOMENTS + moments + _JSON_END
 
 
 def _check_sign(index: int, sign: int) -> None:
@@ -382,36 +393,66 @@ def _rehydrate(support: object, n_max: object, label: object, logs: list[float])
     )
 
 
+def _json_canonical(text: str) -> tuple[dict, list[float]] | None:
+    """The head fields and log-magnitudes of a file whose moments are laid
+    out as to_json writes them, read by slicing the text; None on any
+    other layout.
+
+    The moments must run from the first ``"moments"`` marker to the end of
+    the text, each written exactly as to_json writes it, with no logmag
+    holding a character that JSON escapes (``"``, ``\\`` or a control
+    character), and the head before the marker must parse as an object
+    once the moments are replaced by ``[]``.  The text is then exactly the
+    document json would decode: the head's fields, every sign the int 1,
+    every logmag decoded verbatim, and ``"moments"`` the last key, so it
+    wins over a duplicate in the head.
+    """
+    start = text.find(_JSON_MOMENTS)
+    if start < 0 or not text.endswith(_JSON_END):
+        return None
+    # where the marker runs into the end, the one piece is empty and float refuses it
+    pieces = text[start + len(_JSON_MOMENTS) : len(text) - len(_JSON_END)].split(_JSON_SEPARATOR)
+    if _JSON_ESCAPED.search("".join(pieces)):
+        return None
+    try:
+        head = json.loads(text[:start] + '  "moments": []\n}')
+        return head, list(map(float, pieces))
+    except ValueError:  # a JSONDecodeError, or a logmag that is not a float
+        return None
+
+
 def from_json(text: str) -> MomentSequence:
-    """Load a sequence from its JSON form; bit-exact inverse of to_json."""
+    """Load a sequence from its JSON form; bit-exact inverse of to_json.
+
+    A file whose moments are laid out as to_json writes them (the
+    canonical layout; see _json_canonical) is read by slicing its text.
+    Any other file, such as a hand-edited one, goes through json.loads and
+    a check of each entry, which names the first bad one; both give the
+    same sequence from the same text.
+    """
+    canonical = _json_canonical(text)
+    if canonical is not None:
+        doc, logs = canonical
+        return _rehydrate(doc.get("support"), doc.get("n_max"), doc.get("label"), logs)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SequenceError(f"invalid JSON moment file: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("moments"), list):
         raise SequenceError("JSON moment file must be an object with a 'moments' array")
-    moments = doc["moments"]
-    try:
-        signs = list(map(itemgetter("sign"), moments))
-        # true == 1 in Python, so booleans are ruled out by type
-        ok = set(signs) == {1} and bool not in set(map(type, signs))
-        logs = list(map(float, map(itemgetter("logmag"), moments)))
-    except (TypeError, KeyError, ValueError, OverflowError):
-        ok = False
-    if not ok:  # find the first bad entry
-        logs = []
-        for i, item in enumerate(moments):
-            try:
-                raw = item["sign"]
-                sign, logmag = int(raw), float(item["logmag"])
-            except (TypeError, KeyError, ValueError, OverflowError) as exc:
-                raise SequenceError(f"bad moment entry at index {i}: {exc}") from exc
-            if isinstance(raw, bool):
-                raise SequenceError(
-                    f"bad moment entry at index {i}: a sign must be a number, got {json.dumps(raw)}"
-                )
-            _check_sign(i, raw if isinstance(raw, float) else sign)  # int() truncates 1.5
-            logs.append(logmag)
+    logs = []
+    for i, item in enumerate(doc["moments"]):
+        try:
+            raw = item["sign"]
+            sign, logmag = int(raw), float(item["logmag"])
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
+            raise SequenceError(f"bad moment entry at index {i}: {exc}") from exc
+        if isinstance(raw, bool):  # true == 1 in Python, so booleans are ruled out by type
+            raise SequenceError(
+                f"bad moment entry at index {i}: a sign must be a number, got {json.dumps(raw)}"
+            )
+        _check_sign(i, raw if isinstance(raw, float) else sign)  # int() truncates 1.5
+        logs.append(logmag)
     return _rehydrate(doc.get("support"), doc.get("n_max"), doc.get("label"), logs)
 
 
@@ -434,16 +475,19 @@ def _csv_rows(lines: list[str]) -> list[float] | None:
     except ValueError:
         return None
     rows = lines[start:]
-    fields = ",".join(rows).split(",")
+    # rows hold no newline, so a lone "\n" field is a row boundary: every
+    # row has exactly two commas iff each fourth field is one
+    fields = ",\n,".join(rows).split(",")
     if (
-        any(not line.startswith("#") for line in lines[: start - 1])
-        or set(map(methodcaller("count", ","), rows)) != {2}
-        or set(fields[1::3]) != {"1"}
-        or fields[0::3] != list(map(str, range(len(rows))))
+        len(fields) != 4 * len(rows) - 1
+        or fields[3::4].count("\n") != len(rows) - 1
+        or any(not line.startswith("#") for line in lines[: start - 1])
+        or set(fields[1::4]) != {"1"}
+        or fields[0::4] != list(map(str, range(len(rows))))
     ):
         return None
     try:
-        return list(map(float, fields[2::3]))
+        return list(map(float, fields[2::4]))
     except ValueError:
         return None
 
@@ -488,7 +532,13 @@ def _read_csv_lines(lines: list[str], meta: dict[str, object]) -> tuple[bool, li
 
 
 def from_csv(text: str) -> MomentSequence:
-    """Load a sequence from its CSV form; bit-exact inverse of to_csv."""
+    """Load a sequence from its CSV form; bit-exact inverse of to_csv.
+
+    Rows laid out as to_csv writes them (the canonical layout; see
+    _csv_rows) are checked in bulk.  Any other layout, such as a
+    hand-edited file, is read one line at a time, which names the first
+    bad line; both give the same sequence from the same text.
+    """
     lines = text.splitlines()
     meta: dict[str, object] = {}
     logs = _csv_rows(lines)

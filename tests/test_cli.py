@@ -5,11 +5,16 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import momentdet
 from momentdet import (
     QuadratureError,
     from_csv,
@@ -529,6 +534,17 @@ class TestTopLevel:
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0
         assert "0.1.0" in result.output
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(momentdet.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "momentdet", "--version"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.endswith("version 0.1.0\n")
 
     def test_help_lists_commands(self, runner):
         result = runner.invoke(main, ["--help"])

@@ -31,6 +31,14 @@ from momentdet import (
 
 HUGE = 10**400  # an int that float() cannot convert
 
+#: One QFunction of each kind.
+QFUNCTIONS = {
+    "one": QFunction.one(),
+    "log": QFunction.log(),
+    "power": QFunction.power(2.0),
+    "table": QFunction.table([1.0, 2.0]),
+}
+
 #: The function each call should name, then (after a space) which argument.
 CALLS = {
     "integrate_logweighted": integrate_logweighted,
@@ -48,9 +56,12 @@ CALLS = {
     "QFunction.table": lambda huge: QFunction.table([1.0, huge]),
     "validate_rel_tol": validate_rel_tol,
     "SignedLogValue from_log": SignedLogValue.from_log,
+    "SignedLogValue from_float": SignedLogValue.from_float,
     "SignedLogValue logmag": lambda huge: SignedLogValue(1, huge),
     "SignedLogValue negative logmag": lambda huge: SignedLogValue(-1, -huge),
     "QFunction alpha": lambda huge: QFunction(kind="power", alpha=huge),
+    **{f"QFunction {kind} log_at": q.log_at for kind, q in QFUNCTIONS.items()},
+    **{f"QFunction {kind} call": q for kind, q in QFUNCTIONS.items()},
     "generate_moments n_max": lambda huge: generate_moments(parse_family("exp"), huge),
     "lognormal_moments n_max": lognormal_moments,
     "check_q_divergence n_max": lambda huge: check_q_divergence(QFunction.one(), huge),

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momentdet.moments as moments_mod
@@ -507,3 +508,192 @@ class TestGeneratedFamilyProperties:
             assert back.support == seq.support
             assert back.n_max == seq.n_max
             assert back.label == seq.label
+
+
+# -- loader equivalence --------------------------------------------------------
+
+
+def reference_from_json(text: str) -> MomentSequence:
+    """from_json with no canonical path: json.loads, then a check of each entry."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SequenceError(f"invalid JSON moment file: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("moments"), list):
+        raise SequenceError("JSON moment file must be an object with a 'moments' array")
+    logs = []
+    for i, item in enumerate(doc["moments"]):
+        try:
+            raw = item["sign"]
+            sign, logmag = int(raw), float(item["logmag"])
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
+            raise SequenceError(f"bad moment entry at index {i}: {exc}") from exc
+        if isinstance(raw, bool):
+            raise SequenceError(
+                f"bad moment entry at index {i}: a sign must be a number, got {json.dumps(raw)}"
+            )
+        if (raw if isinstance(raw, float) else sign) != 1:
+            raise SequenceError(
+                f"stored moment at index {i} must be positive, "
+                f"got sign {raw if isinstance(raw, float) else sign}"
+            )
+        logs.append(logmag)
+    return moments_mod._rehydrate(doc.get("support"), doc.get("n_max"), doc.get("label"), logs)
+
+
+def reference_from_csv(text: str) -> MomentSequence:
+    """from_csv with no bulk row check: every line read one at a time."""
+    meta: dict[str, object] = {}
+    saw_header, logs = moments_mod._read_csv_lines(text.splitlines(), meta)
+    if not saw_header or not logs:
+        raise SequenceError("CSV moment file is missing its header or data rows")
+    return moments_mod._rehydrate(
+        meta.get("support"), meta.get("n_max", len(logs) - 1), meta.get("label"), logs
+    )
+
+
+def _outcome(load, text: str):
+    """The loaded sequence with its log-moments' bytes, or the SequenceError's message."""
+    try:
+        seq = load(text)
+    except SequenceError as exc:
+        return "SequenceError", str(exc)
+    return seq, seq.log_moments.tobytes()
+
+
+_JSON_ENTRY = moments_mod._JSON_OPEN
+_CSV_HEADER_LINE = "\nn,sign,logmag\n"
+_EDIT_CHARS = ["0", "1", "9", "-", ".", "e", "x", " ", ",", '"', "\\", "\n", "\t", "{", "}", "[", ":"]
+
+
+def _split_moments(text: str, fmt: str):
+    """(head, moment pieces, separator, tail) of a text, or None where its
+    moments can no longer be found."""
+    if fmt == "json":
+        marker, separator = moments_mod._JSON_MOMENTS, moments_mod._JSON_SEPARATOR
+        start, end = text.find(marker), text.rfind(moments_mod._JSON_END.rstrip())
+        if start < 0 or end < start + len(marker):
+            return None
+        start += len(marker)
+        return text[:start], text[start:end].split(separator), separator, text[end:]
+    start = text.find(_CSV_HEADER_LINE)
+    if start < 0:
+        return None
+    start += len(_CSV_HEADER_LINE)
+    return text[:start], text[start:].split("\n"), "\n", ""
+
+
+def _edit(data, text: str, fmt: str) -> str:
+    """One random edit of a moment file's text."""
+    kind = data.draw(
+        st.sampled_from(["char", "logmag", "sign", "duplicate-key", "bom", "trailing", "rows"])
+    )
+    if kind == "char":
+        pos = data.draw(st.integers(0, len(text)))
+        how, ch = data.draw(st.sampled_from(["replace", "insert", "delete"])), data.draw(
+            st.sampled_from(_EDIT_CHARS)
+        )
+        return text[:pos] + (ch if how != "delete" else "") + text[pos + (how != "insert") :]
+    if kind == "logmag":
+        pattern = r'"logmag": "' if fmt == "json" else r"(?m)^\d+,[^,\n]*,"
+        ends = [m.end() for m in re.finditer(pattern, text)]
+        if not ends:
+            return text
+        pos = data.draw(st.sampled_from(ends))
+        if data.draw(st.booleans()):  # at the logmag's end rather than its start
+            pos = text.find('"' if fmt == "json" else "\n", pos) % (len(text) + 1)
+        return text[:pos] + data.draw(st.sampled_from(['"', "\\", "\t", "\n", "\x00"])) + text[pos:]
+    if kind == "sign":
+        sign = data.draw(st.sampled_from(["-1", "true", '"1"']))
+        old, new = ('"sign": 1,', f'"sign": {sign},') if fmt == "json" else (",1,", f",{sign},")
+        spots = [m.start() for m in re.finditer(re.escape(old), text)]
+        if not spots:
+            return text
+        pos = data.draw(st.sampled_from(spots))
+        return text[:pos] + new + text[pos + len(old) :]
+    if kind == "duplicate-key":
+        if fmt == "json":
+            line = data.draw(st.sampled_from(
+                ['  "n_max": 3,\n', '  "moments": [],\n', '  "label": "exp",\n',
+                 '  "support": "hamburger-symmetric",\n', '  "moments": {},\n']
+            ))
+            entry = data.draw(st.sampled_from(
+                [None, ('"sign": 1,', '"sign": 1,\n      "sign": 0,'),
+                 ('"logmag": "', '"logmag": "5",\n      "logmag": "')]
+            ))
+            if entry is None:
+                return text.replace("{\n", "{\n" + line, 1)
+            return text.replace(*entry, 1)
+        line = data.draw(st.sampled_from(
+            ["# n_max: 3\n", "# label: exp\n", "# support: hamburger-symmetric\n", "# n_max: x\n"]
+        ))
+        pos = data.draw(st.sampled_from([0, text.find(_CSV_HEADER_LINE) + 1]))
+        return text[:pos] + line + text[pos:]
+    if kind == "bom":
+        return "\ufeff" + text
+    if kind == "trailing":
+        suffix = data.draw(st.sampled_from([None, " ", "\n", "x", "{}", "\n\n", ",", "0,1,0\n"]))
+        return text[:-1] if suffix is None else text + suffix
+    parts = _split_moments(text, fmt)
+    if parts is None:
+        return text
+    head, pieces, sep, tail = parts
+    i, j = data.draw(st.integers(0, len(pieces) - 1)), data.draw(st.integers(0, len(pieces) - 1))
+    how = data.draw(st.sampled_from(["duplicate", "drop", "swap"]))
+    if how == "duplicate":
+        pieces.insert(i, pieces[i])
+    elif how == "drop":
+        del pieces[i]
+    else:
+        pieces[i], pieces[j] = pieces[j], pieces[i]
+    return head + sep.join(pieces) + tail
+
+
+@st.composite
+def edited_files(draw, fmt: str):
+    """A moment file as to_json or to_csv writes it, after zero to three random edits."""
+    factors = draw(factor_lists)
+    symmetrization = draw(st.sampled_from(["none", "symmetric-root", "symmetric-product"]))
+    seq = generate_moments(FamilySpec(tuple(factors), symmetrization), draw(st.integers(2, 12)))
+    label = draw(st.sampled_from([seq.label, None, "exp", 'quo"te \\ é', '  "moments": [\n']))
+    seq = MomentSequence(seq.support, seq.n_max, seq.log_moments, label=label)
+    text = to_json(seq) if fmt == "json" else to_csv(seq)
+    data = draw(st.data())
+    for _ in range(draw(st.integers(0, 3))):
+        text = _edit(data, text, fmt)
+    return text
+
+
+class TestLoaderEquivalence:
+    """from_json and from_csv read a file only as the general path would:
+    the same sequence, bit for bit, or a SequenceError with the same text."""
+
+    @settings(max_examples=300)
+    @given(edited_files("json"))
+    def test_json_matches_reference(self, text):
+        assert _outcome(from_json, text) == _outcome(reference_from_json, text)
+
+    @settings(max_examples=300)
+    @given(edited_files("csv"))
+    def test_csv_matches_reference(self, text):
+        assert _outcome(from_csv, text) == _outcome(reference_from_csv, text)
+
+    @pytest.mark.parametrize(
+        "fmt, old, new",
+        [("json", "", ""), ("json", '"logmag": "1', '"logmag": "\\u0031'),
+         ("json", '"logmag": "1', '"logmag": "\t1'), ("json", '"logmag": "1', '"logmag": "\n1'),
+         ("json", '"logmag": "1', '"logmag": "\\t1'), ("json", '.0"', '.0\x1f"'),
+         ("json", "}\n  ]\n}\n", "}\n  ]\n}"), ("json", "}\n  ]\n}\n", "}\n  ]\n}\n\n"),
+         ("json", '"label": "exp",\n', '"label": "exp",\n  "moments": 0,\n'),
+         ("json", "{\n", '{\n  "moments": [\n' + _JSON_ENTRY + '0"\n    }\n  ],\n'),
+         ("csv", "", ""), ("csv", "\n10,1,", "\n10,1,9,"), ("csv", "\n3,1,", "\n3,1,7,"),
+         ("csv", "\n3,1,", "\n3,"), ("csv", "\n0,1,0\n", "\n0,1,0,\n"),
+         ("csv", "\n1,1,0\n2,1,", "\n1,1\n0,2,1,")],
+    )
+    def test_edge_cases_match_reference(self, seqs, fmt, old, new):
+        text = (to_json if fmt == "json" else to_csv)(seqs("exp", 10))
+        assert old in text
+        text = text.replace(old, new, 1)
+        load, reference = (from_json, reference_from_json) if fmt == "json" else (
+            from_csv, reference_from_csv)
+        assert _outcome(load, text) == _outcome(reference, text)

@@ -18,7 +18,14 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from momentdet import gamma_derivative, integrate_logweighted, lambert_w0, log_power_integral
+from momentdet import (
+    DomainError,
+    gamma_derivative,
+    integrate_logweighted,
+    integrate_unit_log_power,
+    lambert_w0,
+    log_power_integral,
+)
 
 mp = pytest.importorskip("mpmath")
 
@@ -30,7 +37,8 @@ P_VALUES = [
 
 
 @lru_cache(maxsize=None)
-def mp_log_s(p: float) -> float:
+def mp_s(p: float):
+    """S(p) at 30 digits, an mpf."""
     with mp.workdps(30):
         q = mp.mpf(p)
         peak = mp.expm1(mp.lambertw(q).real)
@@ -39,7 +47,17 @@ def mp_log_s(p: float) -> float:
             return mp.exp(q * mp.log(mp.log1p(x)) - x) if x > 0 else mp.mpf(0)
 
         points = [0, peak / 4, peak / 2, peak, 2 * peak + 10, 4 * peak + 40, mp.inf]
-        return float(mp.log(mp.quad(f, points)))
+        return mp.quad(f, points)
+
+
+def mp_log_s_exact(p: float):
+    """log S(p) at 30 digits, an mpf."""
+    with mp.workdps(30):
+        return mp.log(mp_s(p))
+
+
+def mp_log_s(p: float) -> float:
+    return float(mp_log_s_exact(p))
 
 
 @pytest.mark.parametrize("p", P_VALUES)
@@ -72,8 +90,9 @@ def test_lambert_w_matches_reference_over_float_range():
 GAMMA_N_MAX = 200
 
 
-def mp_gamma_derivatives() -> tuple[tuple[int, float], ...]:
-    """(sign, log|·|) of Γ⁽ⁿ⁾(1) for n = 0..GAMMA_N_MAX, by the ψ recursion."""
+@lru_cache(maxsize=None)
+def mp_gamma_values() -> tuple:
+    """Γ⁽ⁿ⁾(1) for n = 0..GAMMA_N_MAX at 60 digits, by the ψ recursion."""
     with mp.workdps(60):
         psi = [-mp.euler] + [
             (-1) ** (k + 1) * mp.factorial(k) * mp.zeta(k + 1) for k in range(1, GAMMA_N_MAX + 1)
@@ -81,7 +100,13 @@ def mp_gamma_derivatives() -> tuple[tuple[int, float], ...]:
         g = [mp.mpf(1)]
         for m in range(GAMMA_N_MAX):
             g.append(mp.fsum(mp.binomial(m, k) * g[m - k] * psi[k] for k in range(m + 1)))
-        return tuple((int(mp.sign(v)), float(mp.log(abs(v)))) for v in g)
+        return tuple(g)
+
+
+def mp_gamma_derivatives() -> tuple[tuple[int, float], ...]:
+    """(sign, log|·|) of Γ⁽ⁿ⁾(1) for n = 0..GAMMA_N_MAX, by the ψ recursion."""
+    with mp.workdps(60):
+        return tuple((int(mp.sign(v)), float(mp.log(abs(v)))) for v in mp_gamma_values())
 
 
 def test_gamma_derivative_error_within_its_estimate():
@@ -89,3 +114,70 @@ def test_gamma_derivative_error_within_its_estimate():
         res = gamma_derivative(n)
         assert res.value.sign == sign, n
         assert abs(res.value.logmag - ref) <= res.est_rel_error + EPS * max(1.0, abs(ref)), n
+
+
+# -- every estimate against its true error, at every tolerance ------------------
+
+REL_TOLS = [1e-4, 1e-6, 1e-9, 1e-12]
+
+#: (p, rel_tol) where eps·|log S(p)| alone exceeds rel_tol, so the floored
+#: estimate raises DomainError: log S(4000) ≈ 6829, an estimate ≈ 1.5e-12.
+FLOORED = {(4000.0, 1e-12)}
+
+#: Orders of the unit integral, checked against Γ⁽ⁿ⁾(1) − e⁻¹·S(n).
+UNIT_ORDERS = [0, 1, 2, 3, 5, 10, 30, 60, 100, 150, 200]
+
+
+def true_error(logmag: float, reference) -> float:
+    """|logmag − reference| at 30 digits: the error in the log, which is
+    the relative error of the value, with no rounding of the reference."""
+    with mp.workdps(30):
+        return float(abs(mp.mpf(logmag) - reference))
+
+
+@pytest.mark.parametrize("rel_tol", REL_TOLS)
+def test_s_estimate_covers_true_error(rel_tol):
+    for p in P_VALUES:
+        if (p, rel_tol) in FLOORED:
+            with pytest.raises(DomainError, match="floored error estimate"):
+                integrate_logweighted(p, rel_tol)
+            continue
+        res = integrate_logweighted(p, rel_tol)
+        assert true_error(res.value.logmag, mp_log_s_exact(p)) <= res.est_rel_error, p
+
+
+@pytest.mark.parametrize("rel_tol", REL_TOLS)
+def test_gamma_estimate_covers_true_error(rel_tol):
+    for n, value in enumerate(mp_gamma_values()):
+        res = gamma_derivative(n, rel_tol)
+        assert res.value.sign == int(mp.sign(value)), n
+        with mp.workdps(30):
+            ref = mp.log(abs(value))
+        assert true_error(res.value.logmag, ref) <= res.est_rel_error, n
+
+
+@pytest.mark.parametrize("rel_tol", REL_TOLS)
+def test_unit_estimate_covers_true_error(rel_tol):
+    gammas = mp_gamma_values()
+    for n in UNIT_ORDERS:
+        with mp.workdps(30):
+            unit = gammas[n] - mp_s(float(n)) / mp.e
+            ref = mp.log(abs(unit))
+        res = integrate_unit_log_power(n, rel_tol)
+        assert res.value.sign == int(mp.sign(unit)) == (-1) ** n, n
+        assert true_error(res.value.logmag, ref) <= res.est_rel_error, n
+
+
+@pytest.mark.parametrize("rel_tol", REL_TOLS)
+def test_mixed_batch_within_scalar_estimates(rel_tol):
+    # unsorted, with repeats; a floored order raises for the whole batch, naming the lowest
+    batch = P_VALUES[::-1] + P_VALUES[::4]
+    floored = sorted(p for p in batch if (p, rel_tol) in FLOORED)
+    if floored:
+        with pytest.raises(DomainError, match=f"p = {floored[0]:g} "):
+            log_power_integral(np.array(batch), rel_tol)
+        batch = [p for p in batch if p not in floored]
+    got = log_power_integral(np.array(batch), rel_tol)
+    for p, lg in zip(batch, got):
+        est = integrate_logweighted(p, rel_tol).est_rel_error
+        assert true_error(float(lg), mp_log_s_exact(p)) <= est, p
