@@ -457,9 +457,14 @@ def from_json(text: str) -> MomentSequence:
 
 
 def to_csv(seq: MomentSequence) -> str:
-    """Serialize to CSV (n, sign, logmag at 17 significant digits)."""
+    """Serialize to CSV (n, sign, logmag at 17 significant digits); raises
+    SequenceError for a label that from_csv could not read back."""
     lines = [f"# support: {seq.support}", f"# n_max: {seq.n_max}"]
     if seq.label:
+        if seq.label.splitlines() != [seq.label] or seq.label.strip() != seq.label:
+            raise SequenceError(
+                f"to_csv cannot store label {seq.label!r}: it has a line break or outer whitespace"
+            )
         lines.append(f"# label: {seq.label}")
     lines.append(_CSV_HEADER)
     lines += [f"{j},1,{x:.17g}" for j, x in enumerate(seq.log_moments.tolist())]

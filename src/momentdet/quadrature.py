@@ -21,14 +21,14 @@ would, at a fraction of its per-operation cost.  Only the node sums of
 ``_tanh_sinh`` are always arrays, of one row per panel.
 
 Method.  Each log-integrand is concave with a single peak, placed for all
-orders at once by Newton steps: at expm1(W(p)) for S, and where the
-convex, decreasing slope vanishes for the unit integral.  The axis is
-split into [0, peak] and [peak, cutoff] panels, the cutoff lying where
-the log-integrand has dropped 60 nats below the peak (mass below e^{−60}
-of the peak's is invisible at the supported tolerances).  By concavity,
-a tangent right of the peak meets that level at or beyond the integrand
-itself, so a few tangent steps, aimed slightly past the drop against
-rounding, never cut into the kept mass.
+orders at once: at expm1(W(p)) for S (W by ``lambertw._halley``), and by
+Newton steps where the convex, decreasing slope vanishes for the unit
+integral.  The axis is split into [0, peak] and [peak, cutoff] panels,
+the cutoff lying where the log-integrand has dropped 60 nats below the
+peak (mass below e^{−60} of the peak's is invisible at the supported
+tolerances).  By concavity, a tangent right of the peak meets that level
+at or beyond the integrand itself, so a few tangent steps, aimed slightly
+past the drop against rounding, never cut into the kept mass.
 
 One tanh-sinh (double exponential) driver integrates all panels of all
 requested integrals together, one row per panel, in blocks of at most
@@ -67,6 +67,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, QuadratureError, _float_arg
+from .lambertw import _halley
 from .logdomain import SignedLogValue
 
 __all__ = [
@@ -406,38 +407,20 @@ def _s_slope(x: _Floats, p: _Floats) -> _Floats:
     return p / ((1.0 + x) * np.log1p(x)) - 1.0
 
 
-def _lambert_w(p: _Floats) -> _Floats:
-    """W(p) for p ≥ 0, a scalar or an array.
-
-    Newton on e^z + z = ln p for z = ln W.  That function is convex and
-    increasing, and the start ln ln(1+p) lies at or right of the root
-    (W(p) ≤ ln(1+p)), so the iterates fall monotonically onto it; four
-    steps bring z within 1e-12 of it for every p, far closer than a
-    panel split needs.  (``lambertw.lambert_w0`` solves the same equation
-    for one scalar, by Halley steps from w = ln(1+p) until they stop
-    moving, to full precision.)
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_p = np.log(p)
-        z = np.log(np.log1p(p))
-        for _ in range(4):
-            ez = np.exp(z)
-            z = z - (ez + z - log_p) / (ez + 1.0)
-        return np.where(p > 0.0, np.exp(z), 0.0)[()]
-
-
 def _s_shape(p: _Floats) -> tuple[_Floats, _Floats, _Floats]:
     """Peak abscissa, peak log and cutoff reach of S's integrand, per p ≥ 0.
 
-    The reach is 1 plus the distance at which the curvature −(1+W)/p at
-    the peak alone would bring the drop, which puts the first tangent
-    point just left of the cutoff.
+    The peak is expm1(W(p)), with W(p) from ``lambertw._halley``.  The
+    reach is 1 plus the distance at which the curvature −(1+W)/p at the
+    peak alone would bring the drop, which puts the first tangent point
+    just left of the cutoff.
     """
-    w = _lambert_w(p)
-    peak = np.expm1(w)
+    # W(0) is 0/0 in the Halley steps, so p = 0 takes w = 0 from np.where;
     # near the float maximum p·ln W and the reach overflow to inf, which
     # _integrate reports as a peak too coarse to resolve
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = np.where(p > 0.0, _halley(p, np), 0.0)[()]
+        peak = np.expm1(w)
         peak_log = np.where(p > 0.0, _s_logf(peak, p), 0.0)[()]
         return peak, peak_log, 1.0 + np.sqrt(2.0 * _CUTOFF_DROP * p / (1.0 + w))
 

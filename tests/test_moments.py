@@ -395,6 +395,19 @@ class TestSerialization:
             "4,1,3.1780538303479449\n5,1,4.7874917427820467\n"
         )
 
+    @pytest.mark.parametrize("label", ['quo"te \\ é', "tab\tinside", "a: b # c", "n,sign,logmag"])
+    def test_csv_label_is_written_verbatim(self, seqs, label):
+        seq = seqs("exp", 5)
+        text = to_csv(MomentSequence(seq.support, seq.n_max, seq.log_moments, label=label))
+        assert text == to_csv(seq).replace("# label: exp\n", f"# label: {label}\n")
+        assert from_csv(text).label == label
+
+    @pytest.mark.parametrize("label", ["my data\n# n_max: 3", " padded ", "end\r", "a\u2028b"])
+    def test_csv_refuses_a_label_it_cannot_read_back(self, seqs, label):
+        seq = seqs("exp", 5)
+        with pytest.raises(SequenceError, match="to_csv cannot store label"):
+            to_csv(MomentSequence(seq.support, seq.n_max, seq.log_moments, label=label))
+
     def test_csv_in_other_layouts_reads_the_same(self, seqs):
         seq = seqs("exp", 10)
         lines = to_csv(seq).splitlines()
@@ -655,7 +668,10 @@ def edited_files(draw, fmt: str):
     factors = draw(factor_lists)
     symmetrization = draw(st.sampled_from(["none", "symmetric-root", "symmetric-product"]))
     seq = generate_moments(FamilySpec(tuple(factors), symmetrization), draw(st.integers(2, 12)))
-    label = draw(st.sampled_from([seq.label, None, "exp", 'quo"te \\ é', '  "moments": [\n']))
+    # a label that mimics the layout's own marker: JSON's moments key, or
+    # the CSV header (to_csv refuses a label holding a line break)
+    marker = '  "moments": [\n' if fmt == "json" else "n,sign,logmag"
+    label = draw(st.sampled_from([seq.label, None, "exp", 'quo"te \\ é', marker]))
     seq = MomentSequence(seq.support, seq.n_max, seq.log_moments, label=label)
     text = to_json(seq) if fmt == "json" else to_csv(seq)
     data = draw(st.data())

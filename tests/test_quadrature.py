@@ -251,7 +251,7 @@ class TestBatchedPath:
 
     #: Per last level: a rel_tol, and two orders both unconverged at that
     #: level, the higher first, whose lower one the error must name.
-    UNCONVERGED = {4: (DEFAULT_REL_TOL, [300.0, 7.0], "7"), 5: (1e-12, [1578.0, 1547.0], "1547")}
+    UNCONVERGED = {4: (DEFAULT_REL_TOL, [300.0, 7.0], "7"), 5: (1e-12, [1579.0, 1543.0], "1543")}
 
     @pytest.mark.parametrize("max_level", UNCONVERGED)
     def test_unconverged_batch_names_the_lowest_p(self, monkeypatch, max_level):
