@@ -105,18 +105,28 @@ def saddle_point(t: float) -> SaddleReport:
     return SaddleReport(t=t, x_t=x_t, q_peak=q_peak, q_curv=q_curv, mu=mu, residual=residual)
 
 
+def _laplace(name: str, t: float, log_denominator) -> SignedLogValue:
+    """√(2πt / D) · e^{Q(x_t,t)} with log D = log_denominator(W(t)), for
+    the public function ``name``.
+
+    From t ≈ 3e307 on, Q(x_t, t) overflows a float; that raises DomainError.
+    """
+    t = _require_positive_t(t, name)
+    w, q_peak = _saddle(t)
+    log = 0.5 * (_LOG_2PI + math.log(t)) - 0.5 * log_denominator(w) + q_peak
+    if not math.isfinite(log):
+        raise DomainError(f"{name} at t = {t!r}: the log of the estimate overflows a float")
+    return SignedLogValue.from_log(log)
+
+
 def laplace_estimate_exact(t: float) -> SignedLogValue:
     """Saddle estimate of S(t) with the exact curvature denominator W+1."""
-    t = _require_positive_t(t, "laplace_estimate_exact")
-    w, q_peak = _saddle(t)
-    return SignedLogValue.from_log(0.5 * (_LOG_2PI + math.log(t)) - 0.5 * math.log1p(w) + q_peak)
+    return _laplace("laplace_estimate_exact", t, math.log1p)
 
 
 def laplace_estimate_leading(t: float) -> SignedLogValue:
     """Leading-order saddle estimate of S(t): e·√(2πt)·W^{t−1/2}·e^{−t/W}."""
-    t = _require_positive_t(t, "laplace_estimate_leading")
-    w, q_peak = _saddle(t)
-    return SignedLogValue.from_log(0.5 * (_LOG_2PI + math.log(t)) - 0.5 * math.log(w) + q_peak)
+    return _laplace("laplace_estimate_leading", t, math.log)
 
 
 def asymptotic_kn(n: int, r: float = 1.0) -> SignedLogValue:
@@ -128,13 +138,18 @@ def asymptotic_kn(n: int, r: float = 1.0) -> SignedLogValue:
         raise DomainError(f"asymptotic_kn requires r in [0, 1], got {r!r}")
     if r == 0.0:
         return SignedLogValue.one()
-    return laplace_estimate_leading(_float_arg(n, "asymptotic_kn", "n") * r)
+    return _laplace("asymptotic_kn", _float_arg(n, "asymptotic_kn", "n") * r, math.log)
 
 
 def _q_curvature(x: np.ndarray, t: float) -> np.ndarray:
-    """Q″ₓₓ(x, t) = −t·(1 + ln(1+x)) / ((1+x)·ln(1+x))² for x > 0."""
+    """Q″ₓₓ(x, t) = −t·(1 + ln(1+x)) / ((1+x)·ln(1+x))² for x > 0.
+
+    t is divided by (1+x)·ln(1+x) before the second factor is applied, so
+    nothing overflows where that product passes the float range (t ≳ 1e155).
+    """
     l1p = np.log1p(x)
-    return -t * (1.0 + l1p) / np.square((1.0 + x) * l1p)
+    ratio = t / (1.0 + x) / l1p
+    return -ratio * (1.0 + l1p) / l1p / (1.0 + x)
 
 
 def verify_laplace_conditions(t: float, grid_size: int = 41) -> ConditionCheck:

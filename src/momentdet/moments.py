@@ -41,12 +41,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FamilyParseError, SequenceError
+from .errors import DomainError, FamilyParseError, QuadratureError, SequenceError
 from .logdomain import SignedLogValue
 from .quadrature import DEFAULT_REL_TOL, log_power_integral
 
@@ -133,6 +134,10 @@ class MomentSequence:
     def __post_init__(self) -> None:
         if self.support not in _SUPPORTS:
             raise SequenceError(f"support must be one of {_SUPPORTS}, got {self.support!r}")
+        try:  # an int, or an integer type such as np.int64 stored as an int
+            object.__setattr__(self, "n_max", operator.index(self.n_max))
+        except TypeError:
+            raise SequenceError(f"n_max must be an integer, got {self.n_max!r}") from None
         logs = np.array(self.log_moments, dtype=np.float64)  # a copy: the caller's stays writeable
         logs.flags.writeable = False
         object.__setattr__(self, "log_moments", logs)
@@ -225,15 +230,18 @@ def generate_moments(
         unique_ps, inverse = np.unique(ps[positive], return_inverse=True)
         try:
             log_s[positive] = log_power_integral(unique_ps, rel_tol)[inverse]
-        except Exception:
+        except (DomainError, QuadratureError):
             # name the lowest order whose own integrals fail (order 0 has none)
             for n, row in zip(orders[1:], ps[1:]):
                 try:
                     log_power_integral(row[row > 0.0], rel_tol)
-                except Exception as exc:
+                except (DomainError, QuadratureError) as exc:
+                    # a QuadratureError keeps its failing panel's partial estimate
+                    partial = (exc.partial,) if isinstance(exc, QuadratureError) else ()
                     raise type(exc)(
                         f"while generating moment of order {_format_number(n)} "
-                        f"for {family.label!r}: {exc}"
+                        f"for {family.label!r}: {exc}",
+                        *partial,
                     ) from exc
             raise
     logs = np.zeros(orders.size)

@@ -41,13 +41,13 @@ coarser; that last change is its error estimate, and a row unconverged
 at the last level raises QuadratureError.  Sums are taken relative to
 e^{peak log}, so no node value over- or underflows.
 
-Nearly every panel stops at level 4 or 5, so the driver's first sweep
-evaluates levels 3, 4 and 5 in one array pass where rel_tol ≤ 1e-8, and
-levels 3 and 4 above that (at rel_tol 1e-4 every S panel stops at level
-4); each level's sum is a column slice of that pass, so the results are
-those of one pass per level, bit for bit.  Rows still unconverged go on
-one level per pass.  A row's node count is that of the level it stopped
-at, 8·2^L + 1, even where the sweep evaluated a deeper level for it.
+The driver refines in array passes over the rows still refining, each
+pass deciding its rows' stops the same way.  Nearly every panel stops at
+level 4 or 5, so the first pass spans levels 3 to 5 where rel_tol ≤ 1e-8
+and 3 to 4 above it, and each later pass one level.  Each level's sum is
+a column slice of its pass, so the results are those of one pass per
+level, bit for bit.  A row's node count is that of the level it stopped
+at, 8·2^L + 1, even where its pass evaluated a deeper level for it.
 
 Error estimates are floored at eps·(4 + |log value|), the rounding of a
 log-magnitude summed and held in a float, so levels that agree bit for
@@ -102,9 +102,9 @@ _TMAX = 4.0
 _MIN_LEVEL = 3
 _MAX_LEVEL = 12
 
-#: The first sweep evaluates levels _MIN_LEVEL.._SWEEP_LEVEL in one array
-#: pass where a panel's tolerance is at most _SWEEP_TOL (rel_tol ≤ 1e-8 on
-#: a two-panel integral), and stops one level short of that above it.
+#: The driver's first array pass evaluates levels _MIN_LEVEL.._SWEEP_LEVEL
+#: where a panel's tolerance is at most _SWEEP_TOL (rel_tol ≤ 1e-8 on a
+#: two-panel integral), and stops one level short of that above it.
 _SWEEP_LEVEL = 5
 _SWEEP_TOL = 5e-9
 
@@ -271,56 +271,47 @@ def _tanh_sinh(
     the partial estimate) names the lowest p among the rows still
     unconverged at _MAX_LEVEL.
 
-    The first sweep evaluates levels _MIN_LEVEL.._SWEEP_LEVEL together,
-    in one array pass, where ``tol`` ≤ _SWEEP_TOL (nearly every panel then
-    stops at level 5), and only through _SWEEP_LEVEL − 1 above it (where
-    most stop at level 4), never past _MAX_LEVEL; each row's stopping
-    level is decided from those sums alone.  Rows unconverged after it go
-    on one level per pass, their state gathered anew only when some stop.
+    Each pass evaluates the rows still refining over a span of levels and
+    stops each at its first level within tolerance.  The first pass spans
+    levels _MIN_LEVEL.._SWEEP_LEVEL where ``tol`` ≤ _SWEEP_TOL (nearly every
+    panel then stops at level 5) and one level less above it (where most
+    stop at level 4), never past _MAX_LEVEL; each later pass spans one level.
     """
     half = (b - a) / 2.0
     # Levels cannot agree more closely than the float rounding of the
     # log-integrand near its peak, so a row's tolerance is at least that.
     row_tol = np.maximum(tol, _EPS * np.abs(shift))
-    depth = min(_SWEEP_LEVEL if tol <= _SWEEP_TOL else _SWEEP_LEVEL - 1, _MAX_LEVEL)
-    totals = _level_sums(logf, _MIN_LEVEL, depth, a, half, p, shift)
-    for i in range(1, len(totals)):
-        totals[i] += totals[i - 1] / 2.0
-    # change[i] is how far level _MIN_LEVEL + 1 + i moved each row's total
-    change = np.abs(totals[:-1] - totals[1:]) / totals[1:]
-    stop = change <= row_tol
-    # a row stops at its first level within tolerance: walk back from the deepest
-    total, err, nodes = totals[-1], change[-1], np.full(a.size, 8 * 2**depth + 1)
-    for i in range(len(change) - 2, -1, -1):
-        total = np.where(stop[i], totals[i + 1], total)
-        err = np.where(stop[i], change[i], err)
-        nodes = np.where(stop[i], 8 * 2 ** (_MIN_LEVEL + 1 + i) + 1, nodes)
-    # the rows no sweep level stopped, whose estimate is therefore not within tolerance
-    rows = np.flatnonzero(~(err <= row_tol))
-    if rows.size:
-        # their state, gathered again only when some of them stop
-        cur, ra, rhalf, rp, rshift, rtol = (col[rows] for col in (total, a, half, p, shift, row_tol))
-    level = depth
-    while rows.size and level < _MAX_LEVEL:
-        level += 1
-        prev = cur
-        cur = prev / 2.0 + _level_sums(logf, level, level, ra, rhalf, rp, rshift)[0]
-        change = np.abs(prev - cur) / cur
+    total, err, nodes = np.empty(a.size), np.empty(a.size), np.empty(a.size, dtype=int)
+    # the rows still refining, and their total at the level before the pass's first
+    rows, prev = np.arange(a.size), np.empty((0, a.size))
+    first = _MIN_LEVEL
+    last = min(_SWEEP_LEVEL if tol <= _SWEEP_TOL else _SWEEP_LEVEL - 1, _MAX_LEVEL)
+    while rows.size and last <= _MAX_LEVEL:
+        sums = _level_sums(logf, first, last, a[rows], half[rows], p[rows], shift[rows])
+        totals = np.concatenate((prev, sums))
+        for i in range(1, len(totals)):
+            totals[i] += totals[i - 1] / 2.0
+        # change[i] is how far level last + 1 − len(change) + i moved each row's total
+        change = np.abs(totals[:-1] - totals[1:]) / totals[1:]
+        rtol = row_tol[rows]
         stop = change <= rtol
-        if stop.any():
-            done, keep = rows[stop], ~stop
-            total[done], err[done], nodes[done] = cur[stop], change[stop], 8 * 2**level + 1
-            rows, cur, ra, rhalf, rp, rshift, rtol = (
-                col[keep] for col in (rows, cur, ra, rhalf, rp, rshift, rtol)
-            )
+        # a row stops at its first level within tolerance: walk back from the deepest
+        cur, cur_err, cur_nodes = totals[-1], change[-1], 8 * 2**last + 1
+        for i in range(len(change) - 2, -1, -1):
+            cur = np.where(stop[i], totals[i + 1], cur)
+            cur_err = np.where(stop[i], change[i], cur_err)
+            cur_nodes = np.where(stop[i], 8 * 2 ** (last + 1 - len(change) + i) + 1, cur_nodes)
+        total[rows], err[rows], nodes[rows] = cur, cur_err, cur_nodes
+        keep = ~(cur_err <= rtol)
+        rows, prev = rows[keep], cur[keep][None]
+        first = last = last + 1
     if not rows.size:
         return total * half, err, nodes
-    j = np.argmin(rp)
-    i = rows[j]
+    i = rows[np.argmin(p[rows])]
     raise QuadratureError(
         f"the integral for p = {p[i]:.17g} did not converge on panel [{a[i]:.6g}, {b[i]:.6g}] "
         f"to rel_tol={row_tol[i]:.1e} within {_MAX_LEVEL} refinement levels",
-        partial=SignedLogValue.from_log(float(np.log(cur[j] * (b[i] - a[i]) / 2.0) + shift[i])),
+        partial=SignedLogValue.from_log(float(np.log(total[i] * (b[i] - a[i]) / 2.0) + shift[i])),
     )
 
 

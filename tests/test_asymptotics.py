@@ -102,6 +102,21 @@ class TestEstimates:
         assert devs[1] <= 0.3
 
 
+    @pytest.mark.parametrize("t", [3e307, 1e308])
+    def test_overflowing_estimate_is_a_domain_error(self, t):
+        # Q(x_t, t) passes the float range from t ≈ 3e307 on
+        for estimate in (laplace_estimate_exact, laplace_estimate_leading):
+            with pytest.raises(DomainError, match=f"^{estimate.__name__} at t = "):
+                estimate(t)
+        with pytest.raises(DomainError, match="^asymptotic_kn at t = "):
+            asymptotic_kn(int(t))
+
+    def test_estimate_just_below_the_overflow(self):
+        for estimate in (laplace_estimate_exact, laplace_estimate_leading):
+            assert math.isfinite(estimate(2.7e307).logmag)
+        assert asymptotic_kn(27 * 10**306) == laplace_estimate_leading(2.7e307)
+
+
 class TestAsymptoticKn:
     def test_r_zero_is_exact_one(self):
         assert asymptotic_kn(5, 0.0) == SignedLogValue.one()
@@ -135,9 +150,13 @@ class TestGrowthTrends:
 
 
 class TestConditionChecks:
+    @pytest.mark.filterwarnings("error")
     def test_concavity_holds(self):
-        for t in (5.0, 100.0, 1e4):
+        for t in (5.0, 100.0, 1e4, 1e155, 1e200, 1e300, 1e308):
             assert verify_laplace_conditions(t).cond2_ok
+        # where ((1+x)·ln(1+x))² passes the float range, the window is flat
+        for t in (1e155, 1e200, 1e300, 1e308):
+            assert verify_laplace_conditions(t).cond1_sup_dev < 1e-6
 
     def test_window_width_anchor(self):
         # x_t·sqrt((1+W)/t) at t = 100; leading-order sqrt(t/W) agrees to ~15%

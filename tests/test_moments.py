@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momentdet.moments as moments_mod
+import momentdet.quadrature as quadrature
 from momentdet import (
     DomainError,
     FamilyParseError,
@@ -186,6 +187,16 @@ class TestValidationGates:
         with pytest.raises(SequenceError):
             MomentSequence("stieltjes", 1, entries)
 
+    def test_n_max_not_an_integer_rejected(self):
+        with pytest.raises(SequenceError, match=r"n_max must be an integer, got 40\.0"):
+            MomentSequence("stieltjes", 40.0, np.arange(41.0) ** 2)
+
+    def test_n_max_of_an_integer_type_is_stored_as_int(self):
+        seq = MomentSequence("stieltjes", np.int64(40), np.arange(41.0) ** 2)
+        assert type(seq.n_max) is int and seq.n_max == 40
+        assert from_json(to_json(seq)) == seq
+        assert from_csv(to_csv(seq)) == seq
+
     def test_unknown_support(self):
         entries = [float(n) for n in range(3)]
         with pytest.raises(SequenceError, match="support"):
@@ -269,6 +280,15 @@ class TestValidationGates:
         monkeypatch.setattr(moments_mod, "log_power_integral", fails_from_seven)
         with pytest.raises(QuadratureError, match="while generating moment of order 7 "):
             generate_from_label("product[(1,0.5),(1,1)]", 20)
+
+
+    def test_unconverged_error_keeps_its_partial(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_LEVEL", 4)
+        with pytest.raises(QuadratureError, match="while generating moment of order ") as info:
+            generate_from_label(X11, 50)
+        assert isinstance(info.value.__cause__, QuadratureError)
+        assert info.value.partial is not None
+        assert info.value.partial == info.value.__cause__.partial
 
 
 class TestBatchedGeneration:

@@ -393,6 +393,14 @@ class TestFirstSweep:
                 levels.update(int(n - 1).bit_length() - 4 for _, (_, _, ns) in calls for n in ns)
         assert levels == {4, 5, 6}
 
+    def test_rows_stopping_in_different_later_passes(self):
+        # a kink inside the panel: rows stop at levels 4, 4, 4, 5, 5, 5, 8 and 9
+        p = np.array([0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0])
+        args = (lambda x, p: -p * np.abs(x - 0.3), np.zeros(8), np.ones(8), p, np.zeros(8), 1e-4)
+        result = quadrature._tanh_sinh(*args)
+        self.assert_matches_reference([(args, result)])
+        assert [int(n - 1).bit_length() - 4 for n in result[2]] == [4, 4, 4, 5, 5, 5, 8, 9]
+
     @pytest.mark.parametrize("max_level", [4, 5, 6])
     @pytest.mark.parametrize("tol", [1e-4, 1e-9])
     def test_unconverged_error_matches_reference(self, monkeypatch, max_level, tol):
