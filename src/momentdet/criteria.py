@@ -35,10 +35,14 @@ ln g_n against both ln n and ln ln n.
 
 The series, growth-rate and Hardy checkers share one tail fit, over the
 last half of the available indices by default: its least-squares slope
-against ln n and whether the tail rose.  Verdicts describe the *given
-truncation*, not the limit: sequences whose log corrections settle
-slowly can honestly classify differently at short lengths.  The
-double-log-weighted product family, for instance, reads as
+against ln n and whether the tail rose.  Every fit, this one and the
+drift, b_n and ln ln n fits, is the closed-form slope on centred data,
+xc·(y − ȳ)/(xc·xc) with xc = x − x̄.  Hardy reads ln (2n)! from one
+module-level table, shared by all calls and grown on demand.
+
+Verdicts describe the *given truncation*, not the limit: sequences whose
+log corrections settle slowly can honestly classify differently at short
+lengths.  The double-log-weighted product family, for instance, reads as
 violated-evidence below n_max ≈ 100 (its local exponents are still
 rising there) and locks in satisfied-evidence from n_max ≈ 100 on;
 supply a few hundred moments when the family is expected to sit near the
@@ -53,7 +57,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, SequenceError, _float_arg
-from .moments import MomentSequence, _check_n_max, _log_carleman_terms
+from .moments import MomentSequence, _check_n_max, _index, _log_carleman_terms
 
 __all__ = [
     "INCONCLUSIVE",
@@ -152,7 +156,8 @@ class QFunction:
         return cls(kind="table", values=tuple(values))
 
     def __call__(self, n: int) -> float:
-        """q(n) for integer n ≥ 1.  Note q(1) = 0 for the log kind.
+        """q(n) for integer n ≥ 1 (an integral float such as 2.0 too).  Note
+        q(1) = 0 for the log kind.
 
         Raises DomainError outside the domain of ``log_at``, and where n^α
         over- or underflows a float (the power kind with large |α|);
@@ -175,10 +180,12 @@ class QFunction:
                 )
             return q
         assert self.values is not None
-        return self.values[n - 1]
+        return self.values[int(n) - 1]
 
     def log_at(self, n):
-        """ln q(n) for an integer n >= 1, or elementwise for an array of them.
+        """ln q(n) for an integer n >= 1, or elementwise for an array of them;
+        integral floats are accepted, and DomainError names the first n that
+        is NaN, infinite, not integral or below 1.
 
         Formed in the log domain for the power kind (α·ln n), where n^α
         itself under- or overflows for large |α|; raises DomainError, naming
@@ -189,8 +196,10 @@ class QFunction:
             ns = np.asarray(n, dtype=float)
         except OverflowError as exc:  # an int too large for a float
             raise DomainError(f"QFunction requires n to fit a float: {exc}") from exc
-        if np.any(ns < 1):
-            raise DomainError(f"QFunction is defined for n >= 1, got {ns.min():g}")
+        outside = ~(np.isfinite(ns) & (ns == np.floor(ns)) & (ns >= 1))
+        if outside.any():
+            bad = ns.flat[np.argmax(outside)]
+            raise DomainError(f"QFunction is defined for integer n >= 1, got {bad:g}")
         if self.kind == "constant-one":
             out = np.zeros_like(ns)
         elif self.kind == "log":
@@ -232,10 +241,11 @@ def _exp_or_inf(x: float) -> float:
 
 
 def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Least-squares slope of y against x."""
-    design = np.vstack([x, np.ones_like(x)]).T
-    sol, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return float(sol[0])
+    """Least-squares slope of y against x, in closed form on centred data:
+    xc·(y − ȳ)/(xc·xc) with xc = x − x̄.  The design is always (x, 1), so
+    this is the whole fit."""
+    xc = x - x.mean()
+    return float(xc @ (y - y.mean()) / (xc @ xc))
 
 
 def _tail_fit(
@@ -309,8 +319,8 @@ def check_carleman(seq: MomentSequence, n_min: int | None = None) -> Verdict:
     and must leave at least 8 points (and n_max >= 16).
     """
     n_max = seq.n_max
-    tail_start = max(2, n_max // 2) if n_min is None else n_min
-    if not isinstance(tail_start, int) or isinstance(tail_start, bool) or tail_start < 1:
+    tail_start = max(2, n_max // 2) if n_min is None else _index(n_min)
+    if tail_start is None or tail_start < 1:
         raise DomainError(f"n_min must be a positive integer, got {n_min!r}")
     if n_max < max(tail_start + 8, 16):
         raise SequenceError(
@@ -392,6 +402,24 @@ def check_q_divergence(q: QFunction, n_max: int = 400) -> Verdict:
     )
 
 
+#: ln (2n)! for n = 1, 2, …, as ``math.lgamma(2n + 1)``; read-only, and
+#: replaced by a longer table rather than written in place, so a checker
+#: running in another thread always reads a complete one.
+_LOG_FACTORIAL_2N = np.empty(0)
+
+
+def _log_factorial_2n(n_max: int) -> np.ndarray:
+    """ln (2n)! for n = 1..n_max, from the shared table (grown if too short)."""
+    global _LOG_FACTORIAL_2N
+    table = _LOG_FACTORIAL_2N
+    if table.size < n_max:
+        twice_n_plus_one = np.arange(2 * table.size + 3, 2 * n_max + 2, 2, dtype=float)
+        table = np.concatenate([table, list(map(math.lgamma, twice_n_plus_one.tolist()))])
+        table.flags.writeable = False
+        _LOG_FACTORIAL_2N = table
+    return table[:n_max]
+
+
 def check_hardy(seq: MomentSequence) -> Verdict:
     """Evidence for a constant c₀ with m_n ≤ (2n)!·c₀ⁿ (positive support only).
 
@@ -410,7 +438,7 @@ def check_hardy(seq: MomentSequence) -> Verdict:
         raise SequenceError(f"check_hardy needs n_max >= 16, got {n_max}")
     ns = np.arange(1, n_max + 1, dtype=float)
     log_m = seq.log_moments[1:]
-    log_fact = np.array(list(map(math.lgamma, (2.0 * ns + 1.0).tolist())))  # ln (2n)!
+    log_fact = _log_factorial_2n(n_max)
     b = (log_m - log_fact) / ns
     tail_start = max(2, n_max // 2)
     _, _, slope, rising = _tail_fit(ns, b, tail_start)

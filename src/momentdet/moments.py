@@ -113,6 +113,17 @@ class FamilySpec:
             )
 
 
+def _index(value) -> int | None:
+    """``value`` as an int if it is an integer (a numpy integer too) and not
+    a bool, else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
 @dataclass(frozen=True, eq=False)
 class MomentSequence:
     """A validated moment sequence in the log domain.
@@ -134,10 +145,10 @@ class MomentSequence:
     def __post_init__(self) -> None:
         if self.support not in _SUPPORTS:
             raise SequenceError(f"support must be one of {_SUPPORTS}, got {self.support!r}")
-        try:  # an int, or an integer type such as np.int64 stored as an int
-            object.__setattr__(self, "n_max", operator.index(self.n_max))
-        except TypeError:
-            raise SequenceError(f"n_max must be an integer, got {self.n_max!r}") from None
+        n_max = _index(self.n_max)  # np.int64 and the like are stored as an int
+        if n_max is None:
+            raise SequenceError(f"n_max must be an integer, got {self.n_max!r}")
+        object.__setattr__(self, "n_max", n_max)
         logs = np.array(self.log_moments, dtype=np.float64)  # a copy: the caller's stays writeable
         logs.flags.writeable = False
         object.__setattr__(self, "log_moments", logs)
@@ -173,8 +184,10 @@ class MomentSequence:
 
     def moment(self, k: int) -> SignedLogValue:
         """The k-th raw moment m_k (odd orders are zero on symmetric support)."""
-        if k < 0:
-            raise SequenceError(f"moment order must be >= 0, got {k}")
+        order = _index(k)
+        if order is None or order < 0:
+            raise SequenceError(f"moment order must be an integer >= 0, got {k!r}")
+        k = order
         if self.support == "stieltjes":
             if k > self.n_max:
                 raise SequenceError(f"moment order {k} exceeds n_max = {self.n_max}")

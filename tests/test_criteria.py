@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import momentdet.criteria as criteria
 from momentdet import (
     INCONCLUSIVE,
     SATISFIED,
@@ -115,8 +117,14 @@ class TestCarleman:
     def test_bad_n_min(self, seqs):
         with pytest.raises(DomainError):
             check_carleman(seqs("exp", 100), n_min=0)
-        with pytest.raises(DomainError):
-            check_carleman(seqs("exp", 100), n_min=2.5)
+        for n_min in (2.5, 20.0, True):
+            with pytest.raises(DomainError):
+                check_carleman(seqs("exp", 100), n_min=n_min)
+
+    def test_numpy_integer_n_min(self, seqs):
+        seq = seqs("exp", 100)
+        assert check_carleman(seq, n_min=np.int64(20)) == check_carleman(seq, n_min=20)
+        assert check_carleman(seq, n_min=np.int64(20)).diagnostics["tail_start"] == 20.0
 
     def test_n_used_records_orders(self, seqs):
         assert check_carleman(seqs("exp", 100)).n_used == 100
@@ -245,10 +253,11 @@ class TestQDivergence:
             check_q_divergence(QFunction.one(), n_max=n_max)
 
 
+QS = [QFunction.one(), QFunction.log(), QFunction.power(0.7), QFunction.table([2.0, 3.0, 5.0])]
+
+
 class TestQFunction:
-    @pytest.mark.parametrize(
-        "q", [QFunction.one(), QFunction.log(), QFunction.power(0.7), QFunction.table([2.0, 3.0, 5.0])]
-    )
+    @pytest.mark.parametrize("q", QS)
     def test_log_at_array_matches_scalar(self, q):
         ns = np.arange(2, 4)
         got = q.log_at(ns)
@@ -289,6 +298,20 @@ class TestQFunction:
                     q(out_of_domain)
                 with pytest.raises(DomainError):
                     q.log_at(out_of_domain)
+
+    @pytest.mark.parametrize("q", QS)
+    @pytest.mark.parametrize("n", [math.nan, 1.5, math.inf, np.array([2.0, 3.5, math.nan])])
+    def test_nan_and_non_integral_n_are_outside_the_domain(self, q, n):
+        for call in (q, q.log_at):
+            with pytest.raises(DomainError, match="QFunction is defined for integer n"):
+                call(n)
+
+    @pytest.mark.parametrize("q", QS)
+    def test_integral_floats_are_integers(self, q):
+        assert q(2.0) == q(2) == q(np.int64(2))
+        assert q.log_at(2.0) == q.log_at(2)
+        if q.kind == "table":
+            assert q(2.0) == q.values[1]
 
     @pytest.mark.parametrize("alpha", [1e308, -1e308])
     def test_log_at_names_the_first_n_where_alpha_ln_n_overflows(self, alpha):
@@ -489,3 +512,147 @@ class TestDeterminism:
     def test_identical_reports_on_repeat(self, seqs):
         seq = seqs("lognormal", 150)
         assert analyze(seq) == analyze(seq)
+
+
+# -- the tail fit and the ln (2n)! table --------------------------------------
+
+
+def _lstsq_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """The reference fit: an SVD least-squares solve on the design (x, 1)."""
+    sol, *_ = np.linalg.lstsq(np.vstack([x, np.ones_like(x)]).T, y, rcond=None)
+    return float(sol[0])
+
+
+def _exact_slope(x: np.ndarray, y: np.ndarray) -> Fraction:
+    """The least-squares slope of the floats x and y in exact arithmetic."""
+
+    def scaled_ints(values):
+        # every float is an integer over a power of two: bring them to one
+        ratios = [v.as_integer_ratio() for v in values.tolist()]
+        den = max(d for _, d in ratios)
+        return [n * (den // d) for n, d in ratios], den
+
+    (xs, dx), (ys, dy) = scaled_ints(x), scaled_ints(y)
+    n, sx, sy = len(xs), sum(xs), sum(ys)
+    sxy = sum(a * b for a, b in zip(xs, ys))
+    sxx = sum(a * a for a in xs)
+    return Fraction(n * sxy - sx * sy, n * sxx - sx * sx) * Fraction(dx, dy)
+
+
+def _recorded_fits(monkeypatch, run) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (x, y) of every tail fit that ``run()`` makes."""
+    fits = []
+    fit = criteria._fit_slope
+
+    def recording(x, y):
+        fits.append((x.copy(), y.copy()))
+        return fit(x, y)
+
+    with monkeypatch.context() as m:
+        m.setattr(criteria, "_fit_slope", recording)
+        run()
+    return fits
+
+
+def _bertrand(p: float, c: float, n_max: int = 3000):
+    """ns and ln of the Bertrand terms 1/(n^p·(ln n)^c), n = 2..n_max."""
+    ns = np.arange(2, n_max + 1, dtype=float)
+    return ns, -p * np.log(ns) - c * np.log(np.log(ns))
+
+
+def _near_float_limit(n_max: int = 400) -> MomentSequence:
+    """log m_n = 1.5e308·(n/n_max)², log-convex up to 1.5e308."""
+    ns = np.arange(n_max + 1, dtype=float)
+    return MomentSequence("stieltjes", n_max, 1.5e308 * (ns / n_max) ** 2)
+
+
+#: The check grid: the two-factor product grid and the stock and symmetrized families.
+GRID = [
+    f"product[(1,{r1}),(1,{r2})]"
+    for i, r1 in enumerate((0.5, 0.63, 0.81, 1))
+    for r2 in (0.5, 0.63, 0.81, 1)[i:]
+] + ["exp", "exp2", "lognormal", SYM_X11, "symprod[(1,1),(1,1)]"]
+
+
+class TestFitSlope:
+    """The closed-form centred slope against an exact oracle and against
+    the SVD solve it replaced."""
+
+    @pytest.mark.parametrize("label", [X11, "exp", "lognormal"])
+    def test_family_tails(self, seqs, monkeypatch, label):
+        seq = seqs(label, 3000)
+        fits = _recorded_fits(monkeypatch, lambda: analyze(seq))
+        assert len(fits) == 8  # Carleman's three, two per growth check, Hardy's one
+        self._assert_as_close_as_lstsq(fits)
+
+    @pytest.mark.parametrize("p", [0.9, 1.0, 1.1])
+    @pytest.mark.parametrize("c", [0.0, 1.0, 2.0])
+    def test_bertrand_tails(self, monkeypatch, p, c):
+        ns, log_terms = _bertrand(p, c)
+        fits = _recorded_fits(
+            monkeypatch, lambda: criteria._classify_series(ns, log_terms, 1500)
+        )
+        assert len(fits) == 3
+        self._assert_as_close_as_lstsq(fits)
+
+    def test_near_float_limit_tails(self, monkeypatch):
+        seq = _near_float_limit()
+        assert seq.log_moments[-1] == 1.5e308
+        fits = _recorded_fits(monkeypatch, lambda: analyze(seq))
+        assert max(float(np.max(np.abs(y))) for _, y in fits) > 1e305
+        self._assert_as_close_as_lstsq(fits)
+
+    @staticmethod
+    def _assert_as_close_as_lstsq(fits):
+        for x, y in fits:
+            exact = _exact_slope(x, y)
+            # |slope| <= ‖y − ȳ‖/‖x − x̄‖, the scale of its rounding errors
+            scale = math.hypot(*(y - y.mean())) / math.hypot(*(x - x.mean()))
+            closed = abs(Fraction(criteria._fit_slope(x, y)) - exact)
+            reference = abs(Fraction(_lstsq_slope(x, y)) - exact)
+            assert closed <= reference + 4 * Fraction(math.ulp(scale)), (float(exact), scale)
+
+    @pytest.mark.parametrize("n_max", [200, 1000, 3000])
+    def test_statuses_match_an_lstsq_fit(self, seqs, monkeypatch, n_max):
+        def statuses():
+            out = []
+            for label in GRID:
+                seq = seqs(label, n_max)
+                out += [v["status"] for v in analyze(seq)["verdicts"]]
+                out.append(check_growth_rate(seq, QFunction.power(0.6)).status)
+            for q in (QFunction.one(), QFunction.log(), QFunction.power(0.2)):
+                out.append(check_q_divergence(q, n_max).status)
+            return out
+
+        closed = statuses()
+        monkeypatch.setattr(criteria, "_fit_slope", _lstsq_slope)
+        assert closed == statuses()
+        assert {SATISFIED, VIOLATED} <= set(closed)
+
+
+def _lgamma_per_order(n_max: int) -> np.ndarray:
+    return np.array([math.lgamma(2.0 * n + 1.0) for n in range(1, n_max + 1)])
+
+
+class TestLogFactorialTable:
+    @pytest.mark.parametrize("sizes", [(5000, 200, 3000), (200, 3000, 5000)])
+    @pytest.mark.parametrize("label", [X11, "exp"])
+    def test_hardy_matches_lgamma_per_order(self, seqs, monkeypatch, sizes, label):
+        with monkeypatch.context() as m:
+            m.setattr(criteria, "_log_factorial_2n", _lgamma_per_order)
+            reference = [check_hardy(seqs(label, n)) for n in sizes]
+        monkeypatch.setattr(criteria, "_LOG_FACTORIAL_2N", np.empty(0))
+        for n, expected in zip(sizes, reference):
+            got = check_hardy(seqs(label, n))
+            assert got.to_dict() == expected.to_dict()
+            assert criteria._log_factorial_2n(n).tolist() == _lgamma_per_order(n).tolist()
+        table = criteria._LOG_FACTORIAL_2N
+        assert table.size == max(sizes) and not table.flags.writeable
+
+    def test_threads_growing_the_table(self, seqs, monkeypatch):
+        batch = [seqs(label, n) for label in (X11, "exp") for n in (300, 1200, 2500, 4000)]
+        serial = [analyze(seq) for seq in batch]
+        monkeypatch.setattr(criteria, "_LOG_FACTORIAL_2N", np.empty(0))
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(analyze, batch + batch[::-1]))
+        assert results == serial + serial[::-1]

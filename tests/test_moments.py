@@ -210,6 +210,15 @@ class TestValidationGates:
         with pytest.raises(SequenceError):
             seq.moment(-1)
 
+    @pytest.mark.parametrize("label", ["exp", "symroot[(1,1),(1,1)]"])
+    def test_moment_order_must_be_an_integer(self, seqs, label):
+        seq = seqs(label, 10)
+        for k in (2.5, 2.0, True, "2", None):
+            with pytest.raises(SequenceError, match="moment order must be an integer"):
+                seq.moment(k)
+        for k in (np.int64(4), np.uint8(3)):
+            assert seq.moment(k) == seq.moment(int(k))
+
     def test_log_moments_are_read_only(self, seqs):
         seq = seqs("exp", 10)
         assert seq.log_moments.dtype == np.float64
