@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _float_arg
+from .errors import DomainError, _float_arg, _int_arg
 from .lambertw import _require_positive_t, lambert_w0
 from .logdomain import SignedLogValue
 
@@ -131,8 +131,7 @@ def laplace_estimate_leading(t: float) -> SignedLogValue:
 
 def asymptotic_kn(n: int, r: float = 1.0) -> SignedLogValue:
     """Leading-order estimate of K_n(r) = S(n·r); exactly 1 when r = 0."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise DomainError(f"asymptotic_kn requires an integer n >= 1, got {n!r}")
+    n = _int_arg(n, 1, "asymptotic_kn requires an integer n >= 1")
     r = _float_arg(r, "asymptotic_kn", "r")
     if not (0.0 <= r <= 1.0):
         raise DomainError(f"asymptotic_kn requires r in [0, 1], got {r!r}")
@@ -161,8 +160,9 @@ def verify_laplace_conditions(t: float, grid_size: int = 41) -> ConditionCheck:
     t = _float_arg(t, "verify_laplace_conditions", "t")
     if not (math.isfinite(t) and t > math.e):
         raise DomainError(f"verify_laplace_conditions requires t > e, got {t!r}")
-    if not isinstance(grid_size, int) or isinstance(grid_size, bool) or grid_size < 11:
-        raise DomainError(f"grid_size must be an integer >= 11, got {grid_size!r}")
+    grid_size = _int_arg(
+        grid_size, 11, "verify_laplace_conditions requires an integer grid_size >= 11"
+    )
 
     report = saddle_point(t)
     w = math.log1p(report.x_t)  # = W(t), recovered from the saddle

@@ -56,8 +56,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SequenceError, _float_arg
-from .moments import MomentSequence, _check_n_max, _index, _log_carleman_terms
+from .errors import DomainError, SequenceError, _float_arg, _int_arg
+from .moments import MomentSequence, _check_n_max, _log_carleman_terms
 
 __all__ = [
     "INCONCLUSIVE",
@@ -125,12 +125,10 @@ class QFunction:
         if self.kind not in ("constant-one", "log", "power", "table"):
             raise DomainError(f"unknown QFunction kind {self.kind!r}")
         if self.kind == "power":
-            try:
-                finite = self.alpha is not None and math.isfinite(self.alpha)
-            except OverflowError as exc:  # an int too large for a float
-                raise DomainError(f"QFunction requires alpha to fit a float: {exc}") from exc
-            if not finite:
+            alpha = math.nan if self.alpha is None else _float_arg(self.alpha, "QFunction", "alpha")
+            if not math.isfinite(alpha):
                 raise DomainError("power QFunction requires a finite alpha")
+            object.__setattr__(self, "alpha", alpha)
         if self.kind == "table":
             if not self.values:
                 raise DomainError("table QFunction requires a non-empty values tuple")
@@ -192,10 +190,7 @@ class QFunction:
         the first such n, where α·ln n overflows too (|α| near 1e308).  The
         log kind gives −inf at n = 1, where q(1) = 0.
         """
-        try:
-            ns = np.asarray(n, dtype=float)
-        except OverflowError as exc:  # an int too large for a float
-            raise DomainError(f"QFunction requires n to fit a float: {exc}") from exc
+        ns = _float_arg(n, "QFunction", "n", array=True)
         outside = ~(np.isfinite(ns) & (ns == np.floor(ns)) & (ns >= 1))
         if outside.any():
             bad = ns.flat[np.argmax(outside)]
@@ -319,9 +314,10 @@ def check_carleman(seq: MomentSequence, n_min: int | None = None) -> Verdict:
     and must leave at least 8 points (and n_max >= 16).
     """
     n_max = seq.n_max
-    tail_start = max(2, n_max // 2) if n_min is None else _index(n_min)
-    if tail_start is None or tail_start < 1:
-        raise DomainError(f"n_min must be a positive integer, got {n_min!r}")
+    if n_min is None:
+        tail_start = max(2, n_max // 2)
+    else:
+        tail_start = _int_arg(n_min, 1, "check_carleman requires a positive integer n_min")
     if n_max < max(tail_start + 8, 16):
         raise SequenceError(
             f"check_carleman needs n_max >= max(n_min + 8, 16); got n_max = {n_max}, "
@@ -392,7 +388,7 @@ def check_q_divergence(q: QFunction, n_max: int = 400) -> Verdict:
     finite where n^α under- or overflows.  n = 1 is skipped where
     q(1) = 0 (the log kind).
     """
-    _check_n_max(n_max, 100, "check_q_divergence requires integer n_max >= 100")
+    n_max = _check_n_max(n_max, 100, "check_q_divergence requires integer n_max >= 100")
     n_start = 1 if q.log_at(1) > -math.inf else 2
     ns = np.arange(n_start, n_max + 1, dtype=float)
     log_terms = -np.log(ns) - q.log_at(ns)

@@ -1,8 +1,27 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument rules.
+
+Every public function checks its arguments by the same two rules, both
+here.  An integer argument (``_int_arg``) is anything ``operator.index``
+accepts, so a numpy integer counts wherever an int does, with the same
+result; a bool and a float (even an integral one such as 2.0) are not
+integers.  A real argument (``_float_arg``) is anything ``float()``
+converts, or ``np.asarray(..., dtype=float)`` where arrays are accepted.
+A non-integer, an integer below its floor, a real that is not numeric
+(such as ``"abc"``) and an int too large for a float raise DomainError
+with a message opening "<function> requires"; other values outside a
+function's domain raise DomainError too.  A value of the wrong kind,
+such as None or a two-element array where a real scalar is expected,
+raises TypeError.  ``MomentSequence`` (SequenceError) and the
+``SignedLogValue`` exponent (TypeError) refuse non-integers with their
+own types.
+"""
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from .logdomain import SignedLogValue
@@ -20,12 +39,36 @@ class DomainError(ValueError):
     """An argument lies outside the domain an operation is defined on."""
 
 
-def _float_arg(value, name: str, arg: str) -> float:
-    """``float(value)``, or DomainError naming ``name`` where it overflows (a huge int)."""
+def _index(value) -> int | None:
+    """``value`` as an int if it is an integer (a numpy integer too) and not
+    a bool, else None."""
+    if isinstance(value, bool):
+        return None
     try:
-        return float(value)
-    except OverflowError as exc:
-        raise DomainError(f"{name} requires {arg} to fit a float: {exc}") from exc
+        return operator.index(value)
+    except TypeError:
+        return None
+
+
+def _int_arg(value, lowest: int, requires: str) -> int:
+    """``value`` as an int (see ``_index``) of at least ``lowest``, else
+    DomainError; ``requires`` opens its message and names the function."""
+    n = _index(value)
+    if n is None or n < lowest:
+        raise DomainError(f"{requires}, got {value!r}")
+    return n
+
+
+def _float_arg(value, name: str, arg: str, array: bool = False):
+    """``float(value)``, or with ``array`` a float64 numpy scalar for a
+    scalar and a float64 array for an array; DomainError naming ``name``
+    where that overflows (a huge int) or ``value`` is not numeric, and
+    TypeError passed through."""
+    try:
+        # [()] turns a 0-d array into a numpy scalar and leaves others as they are
+        return np.asarray(value, dtype=float)[()] if array else float(value)
+    except (OverflowError, ValueError) as exc:
+        raise DomainError(f"{name} requires {arg} to be a number that fits a float: {exc}") from exc
 
 
 class ConvergenceError(RuntimeError):

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import DomainError
+from .errors import _float_arg, _index
 
 __all__ = ["SignedLogValue", "sum_signed"]
 
@@ -38,13 +38,11 @@ class SignedLogValue:
     def __post_init__(self) -> None:
         if self.sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
-        try:
-            bad = math.isnan(self.logmag) or self.logmag == math.inf
-        except OverflowError as exc:  # an int too large for a float
-            raise DomainError(f"SignedLogValue requires logmag to fit a float: {exc}") from exc
-        if bad:
+        logmag = _float_arg(self.logmag, "SignedLogValue", "logmag")
+        if math.isnan(logmag) or logmag == math.inf:
             raise ValueError(f"logmag must be finite or -inf, got {self.logmag!r}")
-        if (self.sign == 0) != (self.logmag == _NEG_INF):
+        object.__setattr__(self, "logmag", logmag)
+        if (self.sign == 0) != (logmag == _NEG_INF):
             raise ValueError(
                 f"zero must be (sign=0, logmag=-inf); got ({self.sign}, {self.logmag})"
             )
@@ -61,11 +59,8 @@ class SignedLogValue:
 
     @classmethod
     def from_float(cls, x: float) -> "SignedLogValue":
-        try:
-            finite = math.isfinite(x)
-        except OverflowError as exc:  # an int too large for a float
-            raise DomainError(f"SignedLogValue requires x to fit a float: {exc}") from exc
-        if not finite:
+        x = _float_arg(x, "SignedLogValue", "x")
+        if not math.isfinite(x):
             raise ValueError(f"cannot represent non-finite float {x!r}")
         if x == 0.0:
             return cls.zero()
@@ -74,6 +69,7 @@ class SignedLogValue:
     @classmethod
     def from_log(cls, logmag: float, sign: int = 1) -> "SignedLogValue":
         """Build ``sign * exp(logmag)`` directly from a log-magnitude."""
+        logmag = _float_arg(logmag, "SignedLogValue", "logmag")
         if logmag == _NEG_INF or sign == 0:
             return cls.zero()
         return cls(sign, logmag)
@@ -114,7 +110,8 @@ class SignedLogValue:
         return SignedLogValue(self.sign * other.sign, self.logmag - other.logmag)
 
     def __pow__(self, k: int) -> "SignedLogValue":
-        if not isinstance(k, int):
+        k = _index(k)
+        if k is None:
             raise TypeError("exponent must be an int")
         if self.sign == 0:
             if k == 0:
@@ -133,29 +130,22 @@ class SignedLogValue:
 
     # -- ordering (numeric order on the represented reals) ------------------
 
-    def _cmp(self, other: "SignedLogValue") -> int:
-        if self.sign != other.sign:
-            return -1 if self.sign < other.sign else 1
-        if self.sign == 0:
-            return 0
-        if self.logmag == other.logmag:
-            return 0
-        mag_less = self.logmag < other.logmag
-        # for negatives, larger magnitude means smaller value
-        less = mag_less if self.sign > 0 else not mag_less
-        return -1 if less else 1
+    def _key(self) -> tuple[int, float]:
+        """(sign, sign·logmag), zero as (0, 0.0): tuples in the numeric order
+        of the represented reals (a larger negative magnitude is smaller)."""
+        return (self.sign, self.sign * self.logmag) if self.sign else (0, 0.0)
 
     def __lt__(self, other: "SignedLogValue") -> bool:
-        return self._cmp(other) < 0
+        return self._key() < other._key()
 
     def __le__(self, other: "SignedLogValue") -> bool:
-        return self._cmp(other) <= 0
+        return self._key() <= other._key()
 
     def __gt__(self, other: "SignedLogValue") -> bool:
-        return self._cmp(other) > 0
+        return self._key() > other._key()
 
     def __ge__(self, other: "SignedLogValue") -> bool:
-        return self._cmp(other) >= 0
+        return self._key() >= other._key()
 
 
 def sum_signed(values: Iterable[SignedLogValue] | Iterator[SignedLogValue]) -> SignedLogValue:

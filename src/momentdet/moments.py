@@ -41,13 +41,20 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FamilyParseError, QuadratureError, SequenceError
+from .errors import (
+    DomainError,
+    FamilyParseError,
+    QuadratureError,
+    SequenceError,
+    _float_arg,
+    _index,
+    _int_arg,
+)
 from .logdomain import SignedLogValue
 from .quadrature import DEFAULT_REL_TOL, log_power_integral
 
@@ -66,7 +73,9 @@ __all__ = [
     "to_json",
 ]
 
-_SYMMETRIZATIONS = ("none", "symmetric-root", "symmetric-product")
+#: The head of a family description and the symmetrization it names.
+_FAMILY_HEADS = {"product": "none", "symroot": "symmetric-root", "symprod": "symmetric-product"}
+_SYMMETRIZATIONS = tuple(_FAMILY_HEADS.values())
 _SUPPORTS = ("stieltjes", "hamburger-symmetric")
 
 #: Float slack for the structural validation gates (m₀ = 1, log-convexity).
@@ -78,9 +87,7 @@ def _format_number(x: float) -> str:
 
 
 def _default_label(factors: tuple[tuple[float, float], ...], symmetrization: str) -> str:
-    head = {"none": "product", "symmetric-root": "symroot", "symmetric-product": "symprod"}[
-        symmetrization
-    ]
+    head = dict(zip(_SYMMETRIZATIONS, _FAMILY_HEADS))[symmetrization]
     body = ",".join(f"({_format_number(d)},{_format_number(r)})" for d, r in factors)
     return f"{head}[{body}]"
 
@@ -94,7 +101,10 @@ class FamilySpec:
     label: str = ""
 
     def __post_init__(self) -> None:
-        factors = tuple((float(d), float(r)) for d, r in self.factors)
+        factors = tuple(
+            (_float_arg(d, "FamilySpec", "delta"), _float_arg(r, "FamilySpec", "r"))
+            for d, r in self.factors
+        )
         object.__setattr__(self, "factors", factors)
         if not factors:
             raise DomainError("FamilySpec requires at least one (delta, r) factor")
@@ -111,17 +121,6 @@ class FamilySpec:
             object.__setattr__(
                 self, "label", _default_label(factors, self.symmetrization)
             )
-
-
-def _index(value) -> int | None:
-    """``value`` as an int if it is an integer (a numpy integer too) and not
-    a bool, else None."""
-    if isinstance(value, bool):
-        return None
-    try:
-        return operator.index(value)
-    except TypeError:
-        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,18 +205,18 @@ class MomentSequence:
 _N_MAX_LIMIT = min(2**53, int(np.iinfo(np.intp).max))
 
 
-def _check_n_max(n_max, lowest: int, requires: str) -> None:
-    """Refuse an n_max that is not an int (a bool is not), is below ``lowest``
-    or exceeds _N_MAX_LIMIT.  ``requires`` opens the DomainError's message
+def _check_n_max(n_max, lowest: int, requires: str) -> int:
+    """``n_max`` as an int (``errors._int_arg``) of at least ``lowest`` and
+    at most _N_MAX_LIMIT, else DomainError; ``requires`` opens its message
     and names the function."""
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < lowest:
-        raise DomainError(f"{requires}, got {n_max!r}")
+    n_max = _int_arg(n_max, lowest, requires)
     if n_max > _N_MAX_LIMIT:
         # no repr: a huge int's decimal digits can run to thousands, or past int's str limit
         raise DomainError(
             f"{requires} and at most {_N_MAX_LIMIT} (float64 orders, a numpy index), "
             f"got an int of {n_max.bit_length()} bits"
         )
+    return n_max
 
 
 def generate_moments(
@@ -229,7 +228,7 @@ def generate_moments(
     the even moments m_0, m_2, ..., m_{2·n_max}.  Every distinct S(p),
     p = n·r > 0, is evaluated once, all of them in one batch.
     """
-    _check_n_max(n_max, 2, "generate_moments requires an integer n_max >= 2")
+    n_max = _check_n_max(n_max, 2, "generate_moments requires an integer n_max >= 2")
     if family.symmetrization == "symmetric-product":
         orders = 2.0 * np.arange(n_max + 1)
         support = "hamburger-symmetric"
@@ -271,7 +270,7 @@ def generate_moments(
 
 def lognormal_moments(n_max: int) -> MomentSequence:
     """Stock lognormal-type calibration family: m_n = e^{n²/2} (closed form)."""
-    _check_n_max(n_max, 2, "lognormal_moments requires an integer n_max >= 2")
+    n_max = _check_n_max(n_max, 2, "lognormal_moments requires an integer n_max >= 2")
     ns = np.arange(n_max + 1, dtype=float)
     return MomentSequence(
         support="stieltjes", n_max=n_max, log_moments=ns * ns / 2.0, family=None, label="lognormal"
@@ -280,8 +279,7 @@ def lognormal_moments(n_max: int) -> MomentSequence:
 
 # -- family description grammar ---------------------------------------------
 
-_FAMILY_HEADS = {"product": "none", "symroot": "symmetric-root", "symprod": "symmetric-product"}
-_FAMILY_RE = re.compile(r"^(product|symroot|symprod)\[(.*)\]$")
+_FAMILY_RE = re.compile(rf"^({'|'.join(_FAMILY_HEADS)})\[(.*)\]$")
 _PAIR_RE = re.compile(r"\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)")
 
 
@@ -397,7 +395,7 @@ def _check_sign(index: int, sign: int) -> None:
 def _rehydrate(support: object, n_max: object, label: object, logs: list[float]):
     if not isinstance(support, str) or support not in _SUPPORTS:
         raise SequenceError(f"bad support field {support!r}")
-    if not isinstance(n_max, int):
+    if _index(n_max) is None:
         raise SequenceError(f"bad n_max field {n_max!r}")
     family = None
     if isinstance(label, str) and label:

@@ -66,7 +66,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, QuadratureError, _float_arg
+from .errors import DomainError, QuadratureError, _float_arg, _int_arg
 from .lambertw import _halley
 from .logdomain import SignedLogValue
 
@@ -154,13 +154,9 @@ def _checked(name: str, p, rel_tol: float, integer: bool = False) -> tuple[_Floa
     """``p`` as a float64 (a numpy scalar for a scalar, else an array), and
     ``rel_tol``, checked for the public function ``name``; ``integer`` asks
     for one int order."""
-    if integer and (not isinstance(p, int) or isinstance(p, bool) or p < 0):
-        raise DomainError(f"{name} requires an integer n >= 0, got {p!r}")
-    try:
-        # [()] turns a 0-d array into a numpy scalar and leaves others as they are
-        ps = np.asarray(p, dtype=float)[()]
-    except OverflowError as exc:
-        raise DomainError(f"{name} requires finite p >= 0: {exc}") from exc
+    if integer:
+        p = _int_arg(p, 0, f"{name} requires an integer n >= 0")
+    ps = _float_arg(p, name, "n" if integer else "p", array=True)
     ok = (ps >= 0.0) & (ps < np.inf)
     if not ok.all():
         raise DomainError(f"{name} requires finite p >= 0, got {float(np.extract(~ok, ps)[0])!r}")

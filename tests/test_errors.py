@@ -1,5 +1,6 @@
 """Arguments too large for a float, or n_max too large for a numpy index, are
-domain errors, not OverflowError or numpy's ValueError."""
+domain errors, not OverflowError or numpy's ValueError; so are real
+arguments that are not numeric.  Numpy integers are integers everywhere."""
 
 from __future__ import annotations
 
@@ -10,16 +11,24 @@ import pytest
 
 from momentdet import (
     DomainError,
+    FamilySpec,
+    MomentSequence,
     QFunction,
+    SequenceError,
     SignedLogValue,
     asymptotic_kn,
+    check_carleman,
     check_q_divergence,
+    gamma_derivative,
+    generate_from_label,
     generate_moments,
     integrate_logweighted,
+    integrate_unit_log_power,
     lambert_w0,
     lambert_w_bounds,
     laplace_estimate_exact,
     laplace_estimate_leading,
+    log_power_integral,
     lognormal_moments,
     parse_family,
     saddle_point,
@@ -65,6 +74,59 @@ CALLS = {
     "generate_moments n_max": lambda huge: generate_moments(parse_family("exp"), huge),
     "lognormal_moments n_max": lognormal_moments,
     "check_q_divergence n_max": lambda huge: check_q_divergence(QFunction.one(), huge),
+    "FamilySpec delta": lambda huge: FamilySpec(factors=((huge, 1),)),
+    "FamilySpec r": lambda huge: FamilySpec(factors=((1, huge),)),
+    "log_power_integral": log_power_integral,
+    "integrate_unit_log_power": integrate_unit_log_power,
+    "gamma_derivative": gamma_derivative,
+    "validate_rel_tol of integrate_logweighted": lambda huge: integrate_logweighted(1.0, huge),
+    "validate_rel_tol of log_power_integral": lambda huge: log_power_integral(1.0, huge),
+    "validate_rel_tol of integrate_unit_log_power": lambda huge: integrate_unit_log_power(1, huge),
+    "validate_rel_tol of gamma_derivative": lambda huge: gamma_derivative(1, huge),
+}
+
+#: The one CALLS case that negates its argument, which "abc" and None cannot be.
+NEGATES = "SignedLogValue negative logmag"
+#: The CALLS where None and arrays are not TypeErrors: integers, arguments
+#: that may be arrays (None converts to NaN), and alpha, where None is a
+#: missing alpha; and NEGATES, where -None would raise in the test itself.
+NOT_SCALAR_REALS = {
+    NEGATES,
+    "asymptotic_kn n",
+    "generate_moments n_max",
+    "lognormal_moments n_max",
+    "check_q_divergence n_max",
+    "integrate_unit_log_power",
+    "gamma_derivative",
+    "log_power_integral",
+    "QFunction alpha",
+    *(f"QFunction {kind} {method}" for kind in QFUNCTIONS for method in ("log_at", "call")),
+}
+SCALAR_REALS = [case for case in CALLS if case not in NOT_SCALAR_REALS]
+
+#: Each public integer argument, as (a call taking it, a value in its domain).
+INT_ARGS = {
+    "generate_moments n_max": (
+        lambda n: generate_moments(parse_family("product[(1,1)]"), n),
+        20,
+    ),
+    "generate_moments n_max from a label": (
+        lambda n: generate_from_label("symprod[(1,0.5)]", n),
+        20,
+    ),
+    "lognormal_moments n_max": (lognormal_moments, 20),
+    "check_q_divergence n_max": (lambda n: check_q_divergence(QFunction.log(), n), 200),
+    "check_carleman n_min": (lambda n: check_carleman(lognormal_moments(60), n_min=n), 20),
+    "asymptotic_kn n": (lambda n: asymptotic_kn(n, 0.5), 30),
+    "integrate_unit_log_power n": (integrate_unit_log_power, 7),
+    "gamma_derivative n": (gamma_derivative, 7),
+    "verify_laplace_conditions grid_size": (lambda n: verify_laplace_conditions(100.0, n), 21),
+    "SignedLogValue ** k": (lambda k: SignedLogValue.from_float(-2.0) ** k, 3),
+    "MomentSequence n_max": (
+        lambda n: MomentSequence("stieltjes", n, np.arange(6.0) ** 2 / 2.0),
+        5,
+    ),
+    "MomentSequence.moment k": (lambda k: lognormal_moments(10).moment(k), 3),
 }
 
 #: Each n_max check, as (call, the message's opening for an n_max too small).
@@ -109,3 +171,38 @@ def test_n_max_messages_stay_as_they_were(name, n_max):
     with pytest.raises(DomainError) as info:
         call(n_max)
     assert str(info.value) == f"{requires}, got {n_max!r}"
+
+
+@pytest.mark.parametrize("case", [case for case in CALLS if case != NEGATES])
+def test_non_numeric_is_a_domain_error(case):
+    name = case.split()[0]
+    with pytest.raises(DomainError, match=f"^{re.escape(name)} requires"):
+        CALLS[case]("abc")
+
+
+@pytest.mark.parametrize("case", SCALAR_REALS)
+@pytest.mark.parametrize("value", [None, np.array([1.0, 2.0])], ids=["None", "array"])
+def test_a_scalar_real_still_refuses_none_and_arrays(case, value):
+    with pytest.raises(TypeError):
+        CALLS[case](value)
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.intp], ids=["int64", "intp"])
+@pytest.mark.parametrize("case", INT_ARGS)
+def test_numpy_integer_gives_the_int_result(case, integer):
+    call, value = INT_ARGS[case]
+    assert repr(call(integer(value))) == repr(call(value))
+
+
+@pytest.mark.parametrize("value", [True, 2.0, 7.5, "abc"])
+@pytest.mark.parametrize("case", INT_ARGS)
+def test_bools_floats_and_non_numbers_are_not_integers(case, value):
+    call, _ = INT_ARGS[case]
+    if case.startswith("SignedLogValue"):
+        expected = pytest.raises(TypeError, match="^exponent must be an int$")
+    elif case.startswith("MomentSequence"):
+        expected = pytest.raises(SequenceError, match="must be an integer")
+    else:
+        expected = pytest.raises(DomainError, match=f"^{case.split()[0]} requires")
+    with expected:
+        call(value)
