@@ -162,18 +162,19 @@ class QFunction:
         ``log_at`` gives ln q(n) there.
         """
         self.log_at(n)  # for its domain checks; the value is formed below
+        n = float(n)  # as log_at converted it: a numeric string such as "3" too
         if self.kind == "constant-one":
             return 1.0
         if self.kind == "log":
             return math.log(n)
         if self.kind == "power":
             try:
-                q = float(n) ** self.alpha
+                q = n**self.alpha
             except OverflowError:
                 q = math.inf
             if not 0.0 < q < math.inf:
                 raise DomainError(
-                    f"q({n}) = {n}^{self.alpha:g} is not a positive finite float; "
+                    f"q({n:g}) = {n:g}^{self.alpha:g} is not a positive finite float; "
                     "use log_at for ln q(n)"
                 )
             return q

@@ -36,8 +36,10 @@ class SignedLogValue:
     logmag: float
 
     def __post_init__(self) -> None:
-        if self.sign not in (-1, 0, 1):
+        sign = _index(self.sign)  # np.int64 and the like are stored as an int
+        if sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
+        object.__setattr__(self, "sign", sign)
         logmag = _float_arg(self.logmag, "SignedLogValue", "logmag")
         if math.isnan(logmag) or logmag == math.inf:
             raise ValueError(f"logmag must be finite or -inf, got {self.logmag!r}")

@@ -21,6 +21,10 @@ Symmetrization modes for measures on the whole line (odd moments zero):
   Σᵢ [log Γ(2jδᵢ + 1) + log S(2j·rᵢ)] — genuinely larger than the
   symmetric-root moments from the same factors.
 
+A ``MomentSequence(support, log_moments, label=None)`` holds just those
+three fields.  Its ``n_max`` (``log_moments.size - 1``) and ``family``
+(its label parsed as a family description, or None) are derived, and two
+sequences are equal when their support, label and exact log-moments are.
 Construction validates the structural invariants of a genuine moment
 sequence: m₀ = 1, positivity, and log-convexity
 (m_n² ≤ m_{n−1}·m_{n+1}, by the Cauchy–Schwarz inequality), within a
@@ -56,7 +60,7 @@ from .errors import (
     _int_arg,
 )
 from .logdomain import SignedLogValue
-from .quadrature import DEFAULT_REL_TOL, log_power_integral
+from .quadrature import DEFAULT_REL_TOL, log_power_integral, validate_rel_tol
 
 __all__ = [
     "FamilySpec",
@@ -125,34 +129,38 @@ class FamilySpec:
 
 @dataclass(frozen=True, eq=False)
 class MomentSequence:
-    """A validated moment sequence in the log domain.
+    """A validated moment sequence in the log domain:
+    ``MomentSequence(support, log_moments, label=None)``.
 
     ``log_moments`` is a read-only 1-D float64 array of log-magnitudes:
     ``log_moments[j]`` is log m_j on Stieltjes support and log m_{2j} on
     hamburger-symmetric support (odd moments are implicitly zero there).
-    Every stored moment is positive, so no signs are kept.  ``label``
-    preserves provenance even for sequences without a parsed FamilySpec
-    (e.g. the lognormal stock family or loaded files).
+    Every stored moment is positive, so no signs are kept.  ``label`` is a
+    string or None and preserves provenance (a family description, or free
+    text such as ``lognormal``); ``""`` is stored as None, since neither
+    file format tells the two apart.
+
+    ``n_max`` (``log_moments.size - 1``) and ``family`` (the label parsed
+    by parse_family, None where it names no family) are derived, so two
+    sequences are equal when their support, label and exact log-moments
+    are, and a sequence equals its own JSON and CSV round trips.
     """
 
     support: str
-    n_max: int
     log_moments: np.ndarray
-    family: FamilySpec | None = None
     label: str | None = None
 
     def __post_init__(self) -> None:
         if self.support not in _SUPPORTS:
             raise SequenceError(f"support must be one of {_SUPPORTS}, got {self.support!r}")
-        n_max = _index(self.n_max)  # np.int64 and the like are stored as an int
-        if n_max is None:
-            raise SequenceError(f"n_max must be an integer, got {self.n_max!r}")
-        object.__setattr__(self, "n_max", n_max)
+        if self.label is not None and not isinstance(self.label, str):
+            raise SequenceError(f"label must be a string or None, got {self.label!r}")
+        object.__setattr__(self, "label", self.label or None)
         logs = np.array(self.log_moments, dtype=np.float64)  # a copy: the caller's stays writeable
         logs.flags.writeable = False
         object.__setattr__(self, "log_moments", logs)
-        if logs.ndim != 1 or self.n_max != logs.size - 1:
-            raise SequenceError(f"n_max = {self.n_max} inconsistent with stored shape {logs.shape}")
+        if logs.ndim != 1:
+            raise SequenceError(f"log_moments must be 1-D, got shape {logs.shape}")
         if self.n_max < 2:
             raise SequenceError(f"a moment sequence needs n_max >= 2, got {self.n_max}")
         finite = np.isfinite(logs)
@@ -172,12 +180,25 @@ class MomentSequence:
                 f"(log m_{j-1} + log m_{j+1} - 2 log m_{j} = {2.0 * float(half_gaps[j - 1]):.3e})"
             )
 
+    @property
+    def n_max(self) -> int:
+        """The highest stored index: ``log_moments.size - 1``."""
+        return self.log_moments.size - 1
+
+    @property
+    def family(self) -> FamilySpec | None:
+        """The product family the label names, or None (no label, free text
+        such as ``lognormal``, or a description outside the family domain)."""
+        try:
+            return parse_family(self.label or "")  # "" names no family
+        except (FamilyParseError, DomainError):
+            return None
+
     def __eq__(self, other: object) -> bool:
-        """Field-wise equality; the log-magnitudes must match exactly."""
+        """Equal support and label, and exactly equal log-magnitudes."""
         if not isinstance(other, MomentSequence):
             return NotImplemented
-        key = (self.support, self.n_max, self.family, self.label)
-        return key == (other.support, other.n_max, other.family, other.label) and np.array_equal(
+        return (self.support, self.label) == (other.support, other.label) and np.array_equal(
             self.log_moments, other.log_moments
         )
 
@@ -186,16 +207,15 @@ class MomentSequence:
         order = _index(k)
         if order is None or order < 0:
             raise SequenceError(f"moment order must be an integer >= 0, got {k!r}")
-        k = order
         if self.support == "stieltjes":
-            if k > self.n_max:
-                raise SequenceError(f"moment order {k} exceeds n_max = {self.n_max}")
-            return SignedLogValue.from_log(float(self.log_moments[k]))
-        if k % 2 == 1:
+            if order > self.n_max:
+                raise SequenceError(f"moment order {order} exceeds n_max = {self.n_max}")
+            return SignedLogValue.from_log(float(self.log_moments[order]))
+        if order % 2 == 1:
             return SignedLogValue.zero()
-        if k // 2 > self.n_max:
-            raise SequenceError(f"moment order {k} exceeds stored range 2n_max = {2 * self.n_max}")
-        return SignedLogValue.from_log(float(self.log_moments[k // 2]))
+        if order // 2 > self.n_max:
+            raise SequenceError(f"moment order {order} exceeds stored range 2n_max = {2 * self.n_max}")
+        return SignedLogValue.from_log(float(self.log_moments[order // 2]))
 
 
 # -- generation --------------------------------------------------------------
@@ -229,12 +249,9 @@ def generate_moments(
     p = n·r > 0, is evaluated once, all of them in one batch.
     """
     n_max = _check_n_max(n_max, 2, "generate_moments requires an integer n_max >= 2")
-    if family.symmetrization == "symmetric-product":
-        orders = 2.0 * np.arange(n_max + 1)
-        support = "hamburger-symmetric"
-    else:
-        orders = np.arange(n_max + 1, dtype=float)
-        support = "stieltjes" if family.symmetrization == "none" else "hamburger-symmetric"
+    step = 2.0 if family.symmetrization == "symmetric-product" else 1.0
+    orders = step * np.arange(n_max + 1, dtype=float)
+    support = "stieltjes" if family.symmetrization == "none" else "hamburger-symmetric"
     ps = np.outer(orders, [r for _, r in family.factors])
     log_s = np.zeros(ps.shape)  # p == 0 contributes log S(0) = log 1 = 0 exactly
     positive = ps > 0.0
@@ -256,25 +273,19 @@ def generate_moments(
                         *partial,
                     ) from exc
             raise
+    else:
+        validate_rel_tol(rel_tol)  # no S(p) to evaluate, so nothing else checks it
     logs = np.zeros(orders.size)
     for j, (d, _) in enumerate(family.factors):
         logs = logs + list(map(math.lgamma, (d * orders + 1.0).tolist())) + log_s[:, j]
-    return MomentSequence(
-        support=support,
-        n_max=n_max,
-        log_moments=logs,
-        family=family,
-        label=family.label,
-    )
+    return MomentSequence(support, logs, family.label)
 
 
 def lognormal_moments(n_max: int) -> MomentSequence:
     """Stock lognormal-type calibration family: m_n = e^{n²/2} (closed form)."""
     n_max = _check_n_max(n_max, 2, "lognormal_moments requires an integer n_max >= 2")
     ns = np.arange(n_max + 1, dtype=float)
-    return MomentSequence(
-        support="stieltjes", n_max=n_max, log_moments=ns * ns / 2.0, family=None, label="lognormal"
-    )
+    return MomentSequence("stieltjes", ns * ns / 2.0, "lognormal")
 
 
 # -- family description grammar ---------------------------------------------
@@ -395,21 +406,12 @@ def _check_sign(index: int, sign: int) -> None:
 def _rehydrate(support: object, n_max: object, label: object, logs: list[float]):
     if not isinstance(support, str) or support not in _SUPPORTS:
         raise SequenceError(f"bad support field {support!r}")
-    if _index(n_max) is None:
+    n = _index(n_max)
+    if n is None:
         raise SequenceError(f"bad n_max field {n_max!r}")
-    family = None
-    if isinstance(label, str) and label:
-        try:
-            family = parse_family(label)
-        except (FamilyParseError, DomainError):
-            family = None
-    return MomentSequence(
-        support=support,
-        n_max=n_max,
-        log_moments=logs,
-        family=family,
-        label=label if isinstance(label, str) and label else None,
-    )
+    if n != len(logs) - 1:
+        raise SequenceError(f"n_max = {n} inconsistent with stored shape {(len(logs),)}")
+    return MomentSequence(support, logs, label if isinstance(label, str) else None)
 
 
 def _json_canonical(text: str) -> tuple[dict, list[float]] | None:

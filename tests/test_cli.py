@@ -286,6 +286,29 @@ class TestCheck:
         )
         assert result.exit_code == 2
 
+    def test_growth_q_one_matches_growth(self, runner, tmp_path):
+        path = tmp_path / "exp.json"
+        runner.invoke(main, ["gen", "--family", "exp", "--nmax", "100", "--out", str(path)])
+        result = runner.invoke(
+            main, ["check", "--in", str(path), "--criteria", "growth,growth-q", "--q", "one"]
+        )
+        assert result.exit_code == 0, result.output
+        growth, growth_q = json.loads(result.output)["verdicts"]
+        assert growth_q == growth  # q = 1 is the plain growth-rate condition
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [(["--criteria", "growth-q", "--q", "power:x"],
+          "error: bad power q spec 'power:x': could not convert string to float: 'x'\n"),
+         (["--criteria", ","], "error: --criteria must name at least one checker\n")],
+    )
+    def test_bad_q_power_and_empty_criteria_exit_2(self, runner, tmp_path, args, message):
+        path = tmp_path / "exp.json"
+        runner.invoke(main, ["gen", "--family", "exp", "--nmax", "100", "--out", str(path)])
+        result = runner.invoke(main, ["check", "--in", str(path), *args])
+        assert result.exit_code == 2
+        assert result.output == message
+
     def test_hardy_on_symmetric_support_exits_2(self, runner, tmp_path):
         path = tmp_path / "sym.json"
         runner.invoke(

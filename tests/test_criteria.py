@@ -34,12 +34,12 @@ SYM_X11 = "symroot[(1,1),(1,1)]"
 def scaled(seq: MomentSequence, c: float) -> MomentSequence:
     """The sequence of c·X: m_n ↦ cⁿ·m_n."""
     entries = [float(x) + n * math.log(c) for n, x in enumerate(seq.log_moments)]
-    return MomentSequence(seq.support, seq.n_max, entries, label=seq.label)
+    return MomentSequence(seq.support, entries, label=seq.label)
 
 
 def synthetic(log_moment, n_max: int = 200) -> MomentSequence:
     entries = [float(log_moment(n)) for n in range(n_max + 1)]
-    return MomentSequence("stieltjes", n_max, entries)
+    return MomentSequence("stieltjes", entries)
 
 
 class TestCalibrationMatrix:
@@ -563,7 +563,7 @@ def _bertrand(p: float, c: float, n_max: int = 3000):
 def _near_float_limit(n_max: int = 400) -> MomentSequence:
     """log m_n = 1.5e308·(n/n_max)², log-convex up to 1.5e308."""
     ns = np.arange(n_max + 1, dtype=float)
-    return MomentSequence("stieltjes", n_max, 1.5e308 * (ns / n_max) ** 2)
+    return MomentSequence("stieltjes", 1.5e308 * (ns / n_max) ** 2)
 
 
 #: The check grid: the two-factor product grid and the stock and symmetrized families.

@@ -83,6 +83,10 @@ CALLS = {
     "validate_rel_tol of log_power_integral": lambda huge: log_power_integral(1.0, huge),
     "validate_rel_tol of integrate_unit_log_power": lambda huge: integrate_unit_log_power(1, huge),
     "validate_rel_tol of gamma_derivative": lambda huge: gamma_derivative(1, huge),
+    # a family with no factor r > 0 evaluates no S(p), yet checks rel_tol
+    "validate_rel_tol of generate_moments": (
+        lambda huge: generate_moments(parse_family("exp"), 10, rel_tol=huge)
+    ),
 }
 
 #: The one CALLS case that negates its argument, which "abc" and None cannot be.
@@ -122,10 +126,7 @@ INT_ARGS = {
     "gamma_derivative n": (gamma_derivative, 7),
     "verify_laplace_conditions grid_size": (lambda n: verify_laplace_conditions(100.0, n), 21),
     "SignedLogValue ** k": (lambda k: SignedLogValue.from_float(-2.0) ** k, 3),
-    "MomentSequence n_max": (
-        lambda n: MomentSequence("stieltjes", n, np.arange(6.0) ** 2 / 2.0),
-        5,
-    ),
+    "SignedLogValue sign": (lambda sign: SignedLogValue(sign, 2.0), -1),
     "MomentSequence.moment k": (lambda k: lognormal_moments(10).moment(k), 3),
 }
 
@@ -198,7 +199,9 @@ def test_numpy_integer_gives_the_int_result(case, integer):
 @pytest.mark.parametrize("case", INT_ARGS)
 def test_bools_floats_and_non_numbers_are_not_integers(case, value):
     call, _ = INT_ARGS[case]
-    if case.startswith("SignedLogValue"):
+    if case == "SignedLogValue sign":
+        expected = pytest.raises(ValueError, match=r"^sign must be -1, 0 or \+1, got ")
+    elif case.startswith("SignedLogValue"):
         expected = pytest.raises(TypeError, match="^exponent must be an int$")
     elif case.startswith("MomentSequence"):
         expected = pytest.raises(SequenceError, match="must be an integer")
@@ -206,3 +209,10 @@ def test_bools_floats_and_non_numbers_are_not_integers(case, value):
         expected = pytest.raises(DomainError, match=f"^{case.split()[0]} requires")
     with expected:
         call(value)
+
+
+@pytest.mark.parametrize("kind", QFUNCTIONS)
+def test_a_numeric_string_n_gives_q_of_n(kind):
+    # log_at takes "2" as float() does, and q(n) forms its value from that
+    q = QFUNCTIONS[kind]
+    assert q("2") == q(2)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -64,6 +65,17 @@ class TestConstruction:
             SignedLogValue(1, math.nan)
         with pytest.raises(ValueError):
             SignedLogValue(1, math.inf)
+
+    @pytest.mark.parametrize("sign", [1.0, True, -1.0, "1"])
+    def test_sign_must_be_an_integer(self, sign):
+        with pytest.raises(ValueError, match=r"^sign must be -1, 0 or \+1, got "):
+            SignedLogValue(sign, 2.0)
+
+    def test_numpy_integer_sign_is_stored_as_int(self):
+        value = SignedLogValue(np.int64(-1), 2.0)
+        assert type(value.sign) is int and value == SignedLogValue(-1, 2.0)
+        for result in (value < slv(1.0), value > slv(1.0), value <= slv(1.0), value >= slv(1.0)):
+            assert type(result) is bool
 
     def test_overflow_to_float(self):
         assert SignedLogValue.from_log(1000.0).to_float() == math.inf
@@ -152,6 +164,13 @@ class TestOrdering:
             assert (a < b) == (fa < fb)
         else:
             assert (a < b) or (b < a) or (a == b)
+
+    @given(moderate, moderate)
+    def test_greater_is_less_reversed(self, a, b):
+        assert (a > b) == (b < a)
+        assert (a >= b) == (b <= a)
+        if a.to_float() != b.to_float():
+            assert (a > b) == (a.to_float() > b.to_float())
 
 
 class TestSumSigned:

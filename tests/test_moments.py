@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -21,6 +22,7 @@ from momentdet import (
     QuadratureError,
     SequenceError,
     SignedLogValue,
+    analyze,
     carleman_terms,
     from_csv,
     from_json,
@@ -149,7 +151,7 @@ class TestDerivedSeries:
 
     def test_minimal_sequence_has_ratios(self):
         entries = [float(n) for n in range(3)]
-        seq = MomentSequence("stieltjes", 2, entries)
+        seq = MomentSequence("stieltjes", entries)
         assert len(moment_ratios(seq)) == 2
         assert len(carleman_terms(seq)) == 2
 
@@ -157,7 +159,7 @@ class TestDerivedSeries:
 class TestValidationGates:
     def build(self, logs, **kw):
         entries = [float(lg) for lg in logs]
-        return MomentSequence("stieltjes", len(logs) - 1, entries, **kw)
+        return MomentSequence("stieltjes", entries, **kw)
 
     def test_m0_must_be_one(self):
         with pytest.raises(SequenceError, match="m_0"):
@@ -177,22 +179,60 @@ class TestValidationGates:
         with pytest.raises(SequenceError, match="index 4 must be positive"):
             from_csv(text)
 
-    def test_n_max_mismatch(self):
-        entries = [float(n * n) for n in range(4)]
-        with pytest.raises(SequenceError, match="n_max"):
-            MomentSequence("stieltjes", 5, entries)
+    @pytest.mark.parametrize("n_max", [40.0, True, "abc"])
+    def test_json_n_max_field_must_be_an_integer(self, seqs, n_max):
+        doc = json.loads(to_json(seqs("exp", 40)))
+        doc["n_max"] = n_max
+        # indented as to_json writes it (the canonical path), and on one line
+        for text in (json.dumps(doc, indent=2) + "\n", json.dumps(doc)):
+            with pytest.raises(SequenceError, match=f"^bad n_max field {re.escape(repr(n_max))}$"):
+                from_json(text)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_n_max_in_a_file_must_match_its_moments(self, seqs, fmt):
+        if fmt == "json":
+            text = to_json(seqs("exp", 10)).replace('"n_max": 10,', '"n_max": 5,')
+        else:
+            text = to_csv(seqs("exp", 10)).replace("# n_max: 10\n", "# n_max: 5\n")
+        message = r"^n_max = 5 inconsistent with stored shape \(11,\)$"
+        with pytest.raises(SequenceError, match=message):
+            (from_json if fmt == "json" else from_csv)(text)
+
+    @pytest.mark.parametrize("label", [5, b"exp", ["exp"], 1.5])
+    def test_label_must_be_a_string_or_none(self, label):
+        with pytest.raises(SequenceError, match="^label must be a string or None, got "):
+            MomentSequence("stieltjes", [0.0, 0.0, 1.0], label)
+
+    def test_empty_label_is_stored_as_none(self):
+        seq = MomentSequence("stieltjes", [0.0, 0.0, 1.0], "")
+        assert seq.label is None
+        assert seq == MomentSequence("stieltjes", [0.0, 0.0, 1.0])
+
+    def test_n_max_and_family_are_derived(self, seqs):
+        seq = seqs(X11, 50)
+        assert [f.name for f in dataclasses.fields(seq)] == ["support", "log_moments", "label"]
+        assert seq.n_max == 50 and type(seq.n_max) is int
+        assert seq.family == parse_family(X11)
+        rebuilt = MomentSequence(seq.support, seq.log_moments, seq.label)
+        assert rebuilt == seq
+        assert "trends" in analyze(rebuilt)
+        assert lognormal_moments(20).family is None
+        assert dataclasses.replace(seq, label="flagship").family is None
+
+    @pytest.mark.parametrize("rel_tol", [0.5, "abc", 1e-15])
+    def test_rel_tol_is_checked_without_quadrature(self, rel_tol):
+        # exp and exp2 have no factor r > 0, so no S(p) is evaluated
+        for label in ("exp", "exp2"):
+            with pytest.raises(DomainError, match="rel_tol"):
+                generate_moments(parse_family(label), 10, rel_tol=rel_tol)
 
     def test_minimum_length(self):
         entries = [0.0, 0.0]
         with pytest.raises(SequenceError):
-            MomentSequence("stieltjes", 1, entries)
-
-    def test_n_max_not_an_integer_rejected(self):
-        with pytest.raises(SequenceError, match=r"n_max must be an integer, got 40\.0"):
-            MomentSequence("stieltjes", 40.0, np.arange(41.0) ** 2)
+            MomentSequence("stieltjes", entries)
 
     def test_n_max_of_an_integer_type_is_stored_as_int(self):
-        seq = MomentSequence("stieltjes", np.int64(40), np.arange(41.0) ** 2)
+        seq = MomentSequence("stieltjes", np.arange(41.0) ** 2)
         assert type(seq.n_max) is int and seq.n_max == 40
         assert from_json(to_json(seq)) == seq
         assert from_csv(to_csv(seq)) == seq
@@ -200,7 +240,7 @@ class TestValidationGates:
     def test_unknown_support(self):
         entries = [float(n) for n in range(3)]
         with pytest.raises(SequenceError, match="support"):
-            MomentSequence("hausdorff", 2, entries)
+            MomentSequence("hausdorff", entries)
 
     def test_moment_accessor_bounds(self, seqs):
         seq = seqs("exp", 10)
@@ -209,6 +249,14 @@ class TestValidationGates:
             seq.moment(11)
         with pytest.raises(SequenceError):
             seq.moment(-1)
+
+    def test_moment_accessor_bounds_on_symmetric_support(self, seqs):
+        seq = seqs("symroot[(1,1),(1,1)]", 10)
+        assert seq.moment(20) == SignedLogValue.from_log(float(seq.log_moments[10]))
+        assert seq.moment(21) == SignedLogValue.zero()
+        message = r"^moment order 22 exceeds stored range 2n_max = 20$"
+        with pytest.raises(SequenceError, match=message):
+            seq.moment(22)
 
     @pytest.mark.parametrize("label", ["exp", "symroot[(1,1),(1,1)]"])
     def test_moment_order_must_be_an_integer(self, seqs, label):
@@ -229,7 +277,7 @@ class TestValidationGates:
 
     def test_constructor_keeps_its_own_copy(self):
         logs = np.arange(4, dtype=float) ** 2
-        seq = MomentSequence("stieltjes", 3, logs)
+        seq = MomentSequence("stieltjes", logs)
         logs[2] = 100.0
         assert logs.flags.writeable
         assert seq.log_moments.tolist() == [0.0, 1.0, 4.0, 9.0]
@@ -243,7 +291,7 @@ class TestValidationGates:
 
     def test_two_dimensional_entries_rejected(self):
         with pytest.raises(SequenceError, match="shape"):
-            MomentSequence("stieltjes", 2, [[0.0, 1.0, 2.0]])
+            MomentSequence("stieltjes", [[0.0, 1.0, 2.0]])
 
     def test_convexity_names_first_failing_index(self):
         with pytest.raises(SequenceError, match="index 2 "):
@@ -260,12 +308,12 @@ class TestValidationGates:
 
     def test_equality_is_exact(self, seqs):
         seq = seqs("exp", 10)
-        same = MomentSequence(seq.support, seq.n_max, seq.log_moments.copy(), seq.family, seq.label)
+        same = MomentSequence(seq.support, seq.log_moments.copy(), seq.label)
         assert same == seq
         nudged = seq.log_moments.copy()
         nudged[7] = np.nextafter(nudged[7], np.inf)
-        assert MomentSequence(seq.support, seq.n_max, nudged, seq.family, seq.label) != seq
-        assert MomentSequence(seq.support, seq.n_max, seq.log_moments, label="other") != seq
+        assert MomentSequence(seq.support, nudged, seq.label) != seq
+        assert MomentSequence(seq.support, seq.log_moments, label="other") != seq
         assert seq != seq.log_moments.tolist()
 
     @pytest.mark.parametrize("n_max", [1, 0, -2])
@@ -360,6 +408,12 @@ class TestFamilyGrammar:
         with pytest.raises(DomainError):
             parse_family(text)
 
+    def test_family_spec_needs_a_factor_and_a_known_symmetrization(self):
+        with pytest.raises(DomainError, match="^FamilySpec requires at least one"):
+            FamilySpec(())
+        with pytest.raises(DomainError, match="^symmetrization must be one of "):
+            FamilySpec(((1.0, 1.0),), "symmetric")
+
     def test_default_labels(self):
         assert FamilySpec(((1.0, 1.0), (1.0, 1.0))).label == X11
         assert FamilySpec(((1.0, 0.5),), "symmetric-root").label == "symroot[(1,0.5)]"
@@ -384,7 +438,7 @@ class TestSerialization:
     @pytest.mark.parametrize("label", [X11, None, 'quo"te \\ é'])
     def test_json_text_is_indented_json_dumps(self, seqs, label):
         seq = seqs(X11, 30)
-        seq = MomentSequence(seq.support, seq.n_max, seq.log_moments, label=label)
+        seq = MomentSequence(seq.support, seq.log_moments, label=label)
         doc = {
             "support": seq.support,
             "n_max": seq.n_max,
@@ -427,7 +481,7 @@ class TestSerialization:
     @pytest.mark.parametrize("label", ['quo"te \\ é', "tab\tinside", "a: b # c", "n,sign,logmag"])
     def test_csv_label_is_written_verbatim(self, seqs, label):
         seq = seqs("exp", 5)
-        text = to_csv(MomentSequence(seq.support, seq.n_max, seq.log_moments, label=label))
+        text = to_csv(MomentSequence(seq.support, seq.log_moments, label=label))
         assert text == to_csv(seq).replace("# label: exp\n", f"# label: {label}\n")
         assert from_csv(text).label == label
 
@@ -435,7 +489,7 @@ class TestSerialization:
     def test_csv_refuses_a_label_it_cannot_read_back(self, seqs, label):
         seq = seqs("exp", 5)
         with pytest.raises(SequenceError, match="to_csv cannot store label"):
-            to_csv(MomentSequence(seq.support, seq.n_max, seq.log_moments, label=label))
+            to_csv(MomentSequence(seq.support, seq.log_moments, label=label))
 
     def test_csv_in_other_layouts_reads_the_same(self, seqs):
         seq = seqs("exp", 10)
@@ -550,6 +604,55 @@ class TestGeneratedFamilyProperties:
             assert back.support == seq.support
             assert back.n_max == seq.n_max
             assert back.label == seq.label
+
+
+@st.composite
+def any_sequences(draw):
+    """A sequence long enough for analyze: from generate_moments under its
+    family's own label or a custom one, from lognormal_moments, or built by
+    hand under no label, an empty one, a family description or free text."""
+    n_max = draw(st.integers(16, 40))
+    source = draw(st.sampled_from(["generated", "lognormal", "hand-built"]))
+    if source == "lognormal":
+        return lognormal_moments(n_max)
+    if source == "generated":
+        # two unit-delta factors with r > 0 make the X(r1, r2) family analyze adds trends for
+        unit_pairs = st.lists(st.tuples(st.just(1.0), st.floats(0.01, 1.0)), min_size=2, max_size=2)
+        factors = draw(st.one_of(factor_lists, unit_pairs))
+        symmetrization = draw(st.sampled_from(["none", "symmetric-root", "symmetric-product"]))
+        label = draw(st.sampled_from(["", "flagship", "my data", X11, "exp", " exp"]))
+        return generate_moments(FamilySpec(tuple(factors), symmetrization, label), n_max)
+    delta, c = draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 1.0))
+    logs = [math.lgamma(delta * n + 1.0) + c * n * n for n in range(n_max + 1)]
+    support = draw(st.sampled_from(["stieltjes", "hamburger-symmetric"]))
+    label = draw(
+        st.one_of(
+            st.sampled_from([None, "", X11, "symroot[(1,0.5),(1,1)]", "lognormal", "exp"]),
+            st.text(max_size=12),
+        )
+    )
+    return MomentSequence(support, logs, label)
+
+
+class TestRoundTripEquality:
+    """Every sequence equals its own JSON and CSV round trips, and analyze
+    reports the same on all three."""
+
+    @settings(max_examples=120)
+    @given(any_sequences())
+    def test_sequence_equals_its_round_trips(self, seq):
+        backs = [from_json(to_json(seq))]
+        try:
+            text = to_csv(seq)
+        except SequenceError as exc:  # a label with a line break or outer whitespace
+            assert str(exc).startswith("to_csv cannot store label")
+        else:
+            backs.append(from_csv(text))
+        report = json.dumps(analyze(seq))
+        for back in backs:
+            assert back == seq
+            assert back.family == seq.family
+            assert json.dumps(analyze(back)) == report
 
 
 # -- loader equivalence --------------------------------------------------------
@@ -701,7 +804,7 @@ def edited_files(draw, fmt: str):
     # the CSV header (to_csv refuses a label holding a line break)
     marker = '  "moments": [\n' if fmt == "json" else "n,sign,logmag"
     label = draw(st.sampled_from([seq.label, None, "exp", 'quo"te \\ é', marker]))
-    seq = MomentSequence(seq.support, seq.n_max, seq.log_moments, label=label)
+    seq = MomentSequence(seq.support, seq.log_moments, label=label)
     text = to_json(seq) if fmt == "json" else to_csv(seq)
     data = draw(st.data())
     for _ in range(draw(st.integers(0, 3))):
