@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, _float_arg, _int_arg
-from .lambertw import _require_positive_t, lambert_w0
+from .lambertw import _require_positive_t, _solve
 from .logdomain import SignedLogValue
 
 __all__ = [
@@ -88,9 +88,10 @@ def _saddle(t: float) -> tuple[float, float]:
     """(W(t), Q(x_t, t)) at the saddle x_t = e^{W(t)} − 1.
 
     e^{W} is taken as t/w: exact in the w·e^w = t sense, and shared
-    bitwise by ``saddle_point`` and both Laplace estimates.
+    bitwise by ``saddle_point`` and both Laplace estimates.  W comes from
+    ``lambert_w0``'s solve, without the WValue it would build.
     """
-    w = lambert_w0(t).w
+    w = _solve(t)[1]
     return w, t * math.log(w) - t / w + 1.0
 
 

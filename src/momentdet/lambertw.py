@@ -85,17 +85,14 @@ def _halley(t, xp):
     return w
 
 
-def lambert_w0(t: float) -> WValue:
-    """Evaluate the principal branch W(t) for t >= 0.
-
-    Raises DomainError for negative or non-finite t, and ConvergenceError
-    if the residual tolerance ``TOL_W * max(t, 1)`` is not met.
-    """
+def _solve(t) -> tuple[float, float, float]:
+    """(t, W(t), residual) as floats for ``lambert_w0``, with its checks and
+    errors; callers that need only W take it from here."""
     t = _float_arg(t, "lambert_w0", "t")
     if math.isnan(t) or math.isinf(t) or t < 0.0:
         raise DomainError(f"lambert_w0 requires finite t >= 0, got {t!r}")
     if t == 0.0:
-        return WValue(t=0.0, w=0.0, residual=0.0)
+        return 0.0, 0.0, 0.0
     w = _halley(t, math)
     residual = t * abs(math.expm1(w + math.log(w / t)))
     if not residual <= TOL_W * max(t, 1.0):
@@ -103,7 +100,16 @@ def lambert_w0(t: float) -> WValue:
             f"lambert_w0({t!r}) residual {residual:.3e} exceeds "
             f"{TOL_W:.0e} * max(t, 1) after {_STEPS} Halley steps"
         )
-    return WValue(t=t, w=w, residual=residual)
+    return t, w, residual
+
+
+def lambert_w0(t: float) -> WValue:
+    """Evaluate the principal branch W(t) for t >= 0.
+
+    Raises DomainError for negative or non-finite t, and ConvergenceError
+    if the residual tolerance ``TOL_W * max(t, 1)`` is not met.
+    """
+    return WValue(*_solve(t))
 
 
 def lambert_w_bounds(t: float) -> tuple[float, float]:
@@ -129,8 +135,8 @@ def _w_unit_increment(t: float) -> tuple[float, float, float]:
     overflow, d ≥ W(2) − W(1) needs no polish and L = log1p(t) − ln t.
     Returns (w0, d, L).
     """
-    w0 = lambert_w0(t).w
-    w1 = lambert_w0(t + 1.0).w
+    w0 = _solve(t)[1]
+    w1 = _solve(t + 1.0)[1]
     d = w1 - w0
     if t < 1.0:
         return w0, d, math.log1p(t) - math.log(t)

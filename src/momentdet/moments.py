@@ -87,7 +87,10 @@ _VALIDATION_SLACK = 1e-6
 
 
 def _format_number(x: float) -> str:
-    return f"{x:g}"
+    """``x`` as ``:g`` writes it where that reads back as ``x``, else the
+    shortest text that does, so a label names its own factors."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
 
 
 def _default_label(factors: tuple[tuple[float, float], ...], symmetrization: str) -> str:
@@ -409,9 +412,11 @@ def _rehydrate(support: object, n_max: object, label: object, logs: list[float])
     n = _index(n_max)
     if n is None:
         raise SequenceError(f"bad n_max field {n_max!r}")
+    if label is not None and not isinstance(label, str):
+        raise SequenceError(f"bad label field {label!r}")
     if n != len(logs) - 1:
         raise SequenceError(f"n_max = {n} inconsistent with stored shape {(len(logs),)}")
-    return MomentSequence(support, logs, label if isinstance(label, str) else None)
+    return MomentSequence(support, logs, label)
 
 
 def _json_canonical(text: str) -> tuple[dict, list[float]] | None:

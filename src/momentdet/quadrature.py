@@ -41,13 +41,19 @@ coarser; that last change is its error estimate, and a row unconverged
 at the last level raises QuadratureError.  Sums are taken relative to
 e^{peak log}, so no node value over- or underflows.
 
-The driver refines in array passes over the rows still refining, each
-pass deciding its rows' stops the same way.  Nearly every panel stops at
-level 4 or 5, so the first pass spans levels 3 to 5 where rel_tol ≤ 1e-8
-and 3 to 4 above it, and each later pass one level.  Each level's sum is
-a column slice of its pass, so the results are those of one pass per
-level, bit for bit.  A row's node count is that of the level it stopped
-at, 8·2^L + 1, even where its pass evaluated a deeper level for it.
+The driver refines in array passes, each deciding its rows' stops the
+same way.  Nearly every panel stops at level 4 or 5, so the first pass
+spans levels 3 to 5 where rel_tol ≤ 1e-8 and 3 to 4 above it.  It works
+on the caller's arrays, and where every row stops in it its columns are
+the result, so a one-point call pays for its two panels and no row
+bookkeeping.  At the default rel_tol every call tried stops there: S(p)
+for p in [0.5, 4000], the unit integral and Γ⁽ⁿ⁾(1) for n ≤ 200, and a
+generation batch at n_max 2000.  Only rows that continue are gathered,
+one level per later pass, and their columns scattered into the first
+pass's.  Each level's sum is a column slice of its pass, so the results
+are those of one pass per level, bit for bit.  A row's node count is
+that of the level it stopped at, 8·2^L + 1, even where its pass
+evaluated a deeper level for it.
 
 Error estimates are floored at eps·(4 + |log value|), the rounding of a
 log-magnitude summed and held in a float, so levels that agree bit for
@@ -243,9 +249,34 @@ def _level_sums(
         rows = slice(s, s + step)
         x = a[rows, None] + half[rows, None] * v
         terms = np.exp(logf(x, p[rows, None]) - shift[rows, None] + logw)
+        # np.add.reduce is ndarray.sum, the same sums, without its Python wrapper
         for i, level in enumerate(levels):
-            terms[:, level].sum(axis=1, out=out[i, rows])
+            np.add.reduce(terms[:, level], axis=1, out=out[i, rows])
     return out
+
+
+def _stops(totals: np.ndarray, last: int, rtol: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each panel's total, change and node count at its first level within
+    ``rtol``, or at level ``last`` where none is.
+
+    ``totals`` has one column per panel and one row per level up to
+    ``last``: the first row is each panel's total at its level, every
+    later one the sum of the nodes new at the next level, which is turned
+    into that level's total in place.  A level's change is how far it
+    moved the total, relative to the new total.
+    """
+    for i in range(1, len(totals)):
+        totals[i] += totals[i - 1] / 2.0
+    # change[i] is how far level last + 1 − len(change) + i moved each panel's total
+    change = np.abs(totals[:-1] - totals[1:]) / totals[1:]
+    stop = change <= rtol
+    # a panel stops at its first level within tolerance: walk back from the deepest
+    cur, cur_err, cur_nodes = totals[-1], change[-1], np.full(rtol.size, 8 * 2**last + 1)
+    for i in range(len(change) - 2, -1, -1):
+        cur = np.where(stop[i], totals[i + 1], cur)
+        cur_err = np.where(stop[i], change[i], cur_err)
+        cur_nodes = np.where(stop[i], 8 * 2 ** (last + 1 - len(change) + i) + 1, cur_nodes)
+    return cur, cur_err, cur_nodes
 
 
 def _tanh_sinh(
@@ -267,40 +298,30 @@ def _tanh_sinh(
     the partial estimate) names the lowest p among the rows still
     unconverged at _MAX_LEVEL.
 
-    Each pass evaluates the rows still refining over a span of levels and
-    stops each at its first level within tolerance.  The first pass spans
-    levels _MIN_LEVEL.._SWEEP_LEVEL where ``tol`` ≤ _SWEEP_TOL (nearly every
-    panel then stops at level 5) and one level less above it (where most
-    stop at level 4), never past _MAX_LEVEL; each later pass spans one level.
+    The first pass runs on the caller's arrays, every row over levels
+    _MIN_LEVEL.._SWEEP_LEVEL where ``tol`` ≤ _SWEEP_TOL (nearly every panel
+    then stops at level 5) and one level less above it (where most stop
+    at level 4), never past _MAX_LEVEL.  Where every row stops in it, its
+    columns are the result.  Otherwise the rows still refining are
+    gathered into later passes of one level each, and each pass scatters
+    its rows' columns into the first pass's.  Every pass stops its rows
+    by ``_stops``.
     """
     half = (b - a) / 2.0
     # Levels cannot agree more closely than the float rounding of the
     # log-integrand near its peak, so a row's tolerance is at least that.
     row_tol = np.maximum(tol, _EPS * np.abs(shift))
-    total, err, nodes = np.empty(a.size), np.empty(a.size), np.empty(a.size, dtype=int)
-    # the rows still refining, and their total at the level before the pass's first
-    rows, prev = np.arange(a.size), np.empty((0, a.size))
-    first = _MIN_LEVEL
     last = min(_SWEEP_LEVEL if tol <= _SWEEP_TOL else _SWEEP_LEVEL - 1, _MAX_LEVEL)
-    while rows.size and last <= _MAX_LEVEL:
-        sums = _level_sums(logf, first, last, a[rows], half[rows], p[rows], shift[rows])
-        totals = np.concatenate((prev, sums))
-        for i in range(1, len(totals)):
-            totals[i] += totals[i - 1] / 2.0
-        # change[i] is how far level last + 1 − len(change) + i moved each row's total
-        change = np.abs(totals[:-1] - totals[1:]) / totals[1:]
+    sums = _level_sums(logf, _MIN_LEVEL, last, a, half, p, shift)
+    total, err, nodes = _stops(sums, last, row_tol)
+    rows = (~(err <= row_tol)).nonzero()[0]
+    while rows.size and last < _MAX_LEVEL:
+        last += 1
+        sums = _level_sums(logf, last, last, a[rows], half[rows], p[rows], shift[rows])
         rtol = row_tol[rows]
-        stop = change <= rtol
-        # a row stops at its first level within tolerance: walk back from the deepest
-        cur, cur_err, cur_nodes = totals[-1], change[-1], 8 * 2**last + 1
-        for i in range(len(change) - 2, -1, -1):
-            cur = np.where(stop[i], totals[i + 1], cur)
-            cur_err = np.where(stop[i], change[i], cur_err)
-            cur_nodes = np.where(stop[i], 8 * 2 ** (last + 1 - len(change) + i) + 1, cur_nodes)
+        cur, cur_err, cur_nodes = _stops(np.concatenate((total[rows][None], sums)), last, rtol)
         total[rows], err[rows], nodes[rows] = cur, cur_err, cur_nodes
-        keep = ~(cur_err <= rtol)
-        rows, prev = rows[keep], cur[keep][None]
-        first = last = last + 1
+        rows = rows[~(cur_err <= rtol)]
     if not rows.size:
         return total * half, err, nodes
     i = rows[np.argmin(p[rows])]

@@ -188,6 +188,18 @@ class TestValidationGates:
             with pytest.raises(SequenceError, match=f"^bad n_max field {re.escape(repr(n_max))}$"):
                 from_json(text)
 
+    @pytest.mark.parametrize("label", [5, [], True, None])
+    def test_json_label_field_must_be_a_string_or_null(self, seqs, label):
+        doc = json.loads(to_json(seqs("exp", 40)))
+        doc["label"] = label
+        # indented as to_json writes it (the canonical path), and on one line
+        for text in (json.dumps(doc, indent=2) + "\n", json.dumps(doc)):
+            if label is None:
+                assert from_json(text).label is None
+            else:
+                with pytest.raises(SequenceError, match=f"^bad label field {re.escape(repr(label))}$"):
+                    from_json(text)
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_n_max_in_a_file_must_match_its_moments(self, seqs, fmt):
         if fmt == "json":
@@ -417,6 +429,19 @@ class TestFamilyGrammar:
     def test_default_labels(self):
         assert FamilySpec(((1.0, 1.0), (1.0, 1.0))).label == X11
         assert FamilySpec(((1.0, 0.5),), "symmetric-root").label == "symroot[(1,0.5)]"
+        # :g would round this r to 0.123457, another family
+        assert FamilySpec(((1.0, 0.123456789),)).label == "product[(1,0.123456789)]"
+
+    @given(
+        st.lists(st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 1.0)), min_size=1, max_size=4),
+        st.sampled_from(["none", "symmetric-root", "symmetric-product"]),
+    )
+    def test_default_label_names_its_factors_bit_for_bit(self, factors, symmetrization):
+        spec = parse_family(FamilySpec(tuple(factors), symmetrization).label)
+        assert [(d.hex(), r.hex()) for d, r in spec.factors] == [
+            (d.hex(), r.hex()) for d, r in factors
+        ]
+        assert spec.symmetrization == symmetrization
 
 
 class TestSerialization:

@@ -17,9 +17,11 @@ from momentdet import (
     QuadratureResult,
     SignedLogValue,
     gamma_derivative,
+    generate_moments,
     integrate_logweighted,
     integrate_unit_log_power,
     log_power_integral,
+    parse_family,
     validate_rel_tol,
 )
 
@@ -420,6 +422,47 @@ class TestFirstSweep:
             quadrature._tanh_sinh(*args)
         assert str(got.value) == str(want.value)
         assert got.value.partial == want.value.partial
+
+
+class TestOnePass:
+    """At the default rel_tol every driver call of the benchmark's kinds of
+    traffic stops in its first pass, which is then the whole result."""
+
+    @staticmethod
+    def driver_passes(run):
+        """Each ``_tanh_sinh`` call ``run`` makes, with its result, and the
+        number of ``_level_sums`` passes it took."""
+        calls, passes = [], []
+        driver, level_sums = quadrature._tanh_sinh, quadrature._level_sums
+
+        def driver_spy(*args):
+            passes.append(0)
+            calls.append((args, driver(*args)))
+            return calls[-1][1]
+
+        def level_sums_spy(*args):
+            passes[-1] += 1
+            return level_sums(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quadrature, "_tanh_sinh", driver_spy)
+            patch.setattr(quadrature, "_level_sums", level_sums_spy)
+            run()
+        return calls, passes
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: [integrate_logweighted(t) for t in np.geomspace(0.5, 4000.0, 64).tolist()],
+            lambda: [f(n) for n in range(201) for f in (gamma_derivative, integrate_unit_log_power)],
+            lambda: generate_moments(parse_family("product[(1,0.63),(1,0.81)]"), 2000),
+        ],
+        ids=["s-points", "gamma-and-unit-points", "generation"],
+    )
+    def test_default_tolerance_stops_in_the_first_pass(self, run):
+        calls, passes = self.driver_passes(run)
+        assert calls and passes == [1] * len(calls)
+        TestFirstSweep.assert_matches_reference(calls)
 
 
 class TestNodeCounts:
