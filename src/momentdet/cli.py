@@ -30,6 +30,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import click
 import numpy as np
@@ -226,7 +227,10 @@ def _finite_or_null(value: object) -> object:
 _CHECKERS = {
     "carleman": lambda seq, q_spec: check_carleman(seq),
     "growth": lambda seq, q_spec: check_growth_rate(seq, QFunction.one()),
-    "growth-q": lambda seq, q_spec: check_growth_rate(seq, _parse_q(q_spec)),
+    # named growth_rate_q whatever q is, so it never shares the growth verdict's name
+    "growth-q": lambda seq, q_spec: replace(
+        check_growth_rate(seq, _parse_q(q_spec)), criterion="growth_rate_q"
+    ),
     "hardy": lambda seq, q_spec: check_hardy(seq),
 }
 _CHECKER_NAMES = ", ".join(_CHECKERS)

@@ -1,15 +1,19 @@
-"""Log-domain tanh-sinh quadrature for the package's integral family.
+"""Log-domain evaluation of the package's integral family.
 
 Two integrals are evaluated, both entirely in the log domain because
 their values span hundreds of orders of magnitude:
 
 * ``S(p) = ∫₀^∞ ln(1+x)^p · e^{−x} dx`` for real p ≥ 0
-  (``integrate_logweighted``; ``log_power_integral`` for arrays of p).
-  S(100) is already ~4.5·10⁴¹, and p up to a few thousand must work.
+  (``integrate_logweighted``; ``log_power_integral`` for arrays of p),
+  by tanh-sinh quadrature.  S(100) is already ~4.5·10⁴¹, and p up to a
+  few thousand must work.
 * ``∫₀¹ (ln t)^n · e^{−t} dt`` for integer n ≥ 0
-  (``integrate_unit_log_power``), rewritten via t = e^{−u} as
-  ``(−1)^n ∫₀^∞ u^n · e^{−u − e^{−u}} du`` so the integrand is positive
-  and the sign is exact.
+  (``integrate_unit_log_power``), from its series: term by term,
+  ∫₀¹ t^k (ln t)^n dt = (−1)^n n!/(k+1)^{n+1}, so the integral is
+  (−1)^n·n!·σₙ with σₙ = Σₖ (−1)^k/(k!·(k+1)^{n+1}).  That alternating
+  sum lies in [1 − e^{−1}, 1] and 20 terms give it to rounding.  ln n!
+  comes from a table of compensated running sums of ln k, or from
+  Stirling's series in 40-digit decimals above the table.
 
 Their sum gives the derivatives of the gamma function at 1
 (``gamma_derivative``): Γ⁽ⁿ⁾(1) = ∫₀¹ (ln t)^n e^{−t} dt + e^{−1}·S(n).
@@ -20,18 +24,17 @@ and batches an array: a numpy scalar gives the bits a one-element array
 would, at a fraction of its per-operation cost.  Only the node sums of
 ``_tanh_sinh`` are always arrays, of one row per panel.
 
-Method.  Each log-integrand is concave with a single peak, placed for all
-orders at once: at expm1(W(p)) for S (W by ``lambertw._halley``), and by
-Newton steps where the convex, decreasing slope vanishes for the unit
-integral.  The axis is split into [0, peak] and [peak, cutoff] panels,
-the cutoff lying where the log-integrand has dropped 60 nats below the
-peak (mass below e^{−60} of the peak's is invisible at the supported
-tolerances).  By concavity, a tangent right of the peak meets that level
-at or beyond the integrand itself, so a few tangent steps, aimed slightly
-past the drop against rounding, never cut into the kept mass.
+Method for S.  The log-integrand is concave with a single peak, placed
+for all orders at once at expm1(W(p)) (W by ``lambertw._halley``).  The
+axis is split into [0, peak] and [peak, cutoff] panels, the cutoff lying
+where the log-integrand has dropped 60 nats below the peak (mass below
+e^{−60} of the peak's is invisible at the supported tolerances).  By
+concavity, a tangent right of the peak meets that level at or beyond
+the integrand itself, so a few tangent steps, aimed slightly past the
+drop against rounding, never cut into the kept mass.
 
 One tanh-sinh (double exponential) driver integrates all panels of all
-requested integrals together, one row per panel, in blocks of at most
+requested orders together, one row per panel, in blocks of at most
 _BLOCK nodes, with node and weight tables cached per level.  The levels
 are nested: level L+1 halves the step, evaluates only its new odd nodes
 and adds them to half of level L's sum.  A row stops when two successive
@@ -47,20 +50,22 @@ spans levels 3 to 5 where rel_tol ≤ 1e-8 and 3 to 4 above it.  It works
 on the caller's arrays, and where every row stops in it its columns are
 the result, so a one-point call pays for its two panels and no row
 bookkeeping.  At the default rel_tol every call tried stops there: S(p)
-for p in [0.5, 4000], the unit integral and Γ⁽ⁿ⁾(1) for n ≤ 200, and a
-generation batch at n_max 2000.  Only rows that continue are gathered,
-one level per later pass, and their columns scattered into the first
-pass's.  Each level's sum is a column slice of its pass, so the results
-are those of one pass per level, bit for bit.  A row's node count is
-that of the level it stopped at, 8·2^L + 1, even where its pass
-evaluated a deeper level for it.
+for p in [0.5, 4000], Γ⁽ⁿ⁾(1) for n ≤ 200, and a generation batch at
+n_max 2000.  Only rows that continue are gathered, one level per later
+pass, and their columns scattered into the first pass's.  Each level's
+sum is a column slice of its pass, so the results are those of one pass
+per level, bit for bit.  A row's node count is that of the level it
+stopped at, 8·2^L + 1, even where its pass evaluated a deeper level for
+it.
 
 Error estimates are floored at eps·(4 + |log value|), the rounding of a
 log-magnitude summed and held in a float, so levels that agree bit for
-bit do not claim an error of zero.  Where that rounding of the log-integrand
-near its peak reaches the 60-nat window itself (p ≳ 1e17 for S), no
-cutoff can be placed and DomainError is raised, as it is wherever a
-floored estimate exceeds rel_tol (for S at 1e-9 from p ≈ 2e6 on).
+bit do not claim an error of zero; the unit integral's series, exact to
+rounding, reports that floor alone.  Where the rounding of S's
+log-integrand near its peak reaches the 60-nat window itself
+(p ≳ 1e17), no cutoff can be placed and DomainError is raised, as it is
+wherever a floored estimate exceeds rel_tol (for S at 1e-9 from
+p ≈ 2e6 on, for the unit integral at 1e-9 from n ≈ 3.8e5 on).
 """
 
 from __future__ import annotations
@@ -129,13 +134,18 @@ _LOG_HALF_PI = math.log(math.pi / 2.0)
 #: point, a float64 array for a batch.
 _Floats = np.float64 | np.ndarray
 
-#: logf(x, p) or its x-derivative, on scalars or arrays broadcast together.
+#: A log-integrand logf(x, p), on scalars or arrays broadcast together.
 _LogIntegrand = Callable[[_Floats, _Floats], _Floats]
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """An integral value with its error estimate and node count."""
+    """An integral value with its error estimate and node count.
+
+    ``nodes_used`` counts the quadrature nodes summed; the unit integral,
+    summed from its series, reports the series' 20 terms, and Γ⁽ⁿ⁾(1)
+    those 20 plus the nodes of S(n).
+    """
 
     value: SignedLogValue
     est_rel_error: float
@@ -164,18 +174,15 @@ def _checked(name: str, p, rel_tol: float, integer: bool = False) -> tuple[_Floa
         p = _int_arg(p, 0, f"{name} requires an integer n >= 0")
     ps = _float_arg(p, name, "n" if integer else "p", array=True)
     ok = (ps >= 0.0) & (ps < np.inf)
-    if not ok.all():
+    # np.logical_and.reduce is ndarray.all without its Python wrapper
+    if not np.logical_and.reduce(ok, axis=None):
         raise DomainError(f"{name} requires finite p >= 0, got {float(np.extract(~ok, ps)[0])!r}")
     return ps, validate_rel_tol(rel_tol)
 
 
 def _scalar_result(sign: int, log, est, nodes) -> QuadratureResult:
     """The QuadratureResult of one order's (log, est, nodes) scalars."""
-    return QuadratureResult(
-        value=SignedLogValue.from_log(float(log), sign=sign),
-        est_rel_error=float(est),
-        nodes_used=int(nodes),
-    )
+    return QuadratureResult(SignedLogValue.from_log(float(log), sign=sign), float(est), int(nodes))
 
 
 def _floor_error(est, logmag):
@@ -183,6 +190,21 @@ def _floor_error(est, logmag):
     _LOG_ROUNDING eps for the node sum and its log, plus eps·|logmag|, the
     resolution of the log itself."""
     return np.maximum(est, _EPS * (_LOG_ROUNDING + np.abs(logmag)))
+
+
+def _floor_within(p: _Floats, est: _Floats, total: _Floats, rel_tol: float) -> _Floats:
+    """``_floor_error(est, total)`` for the log-integrals ``total`` of orders
+    ``p``; raises DomainError, naming the lowest such p, where it exceeds
+    ``rel_tol``."""
+    est = _floor_error(est, total)
+    if not np.logical_and.reduce(est <= rel_tol, axis=None):
+        p, est, total = np.atleast_1d(p, est, total)
+        i = np.argmin(np.where(est <= rel_tol, np.inf, p))
+        raise DomainError(
+            f"the integral for p = {p[i]:.17g} has a floored error estimate {est[i]:.2g} "
+            f"above rel_tol={rel_tol:.1e} (its log, {total[i]:.6g}, is too coarse in a float)"
+        )
+    return est
 
 
 # -- the tanh-sinh driver -----------------------------------------------------
@@ -210,8 +232,7 @@ def _level_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     logw = math.log(h) + _LOG_HALF_PI + np.log(np.cosh(t)) - 2.0 * np.log(np.cosh(trans))
     kept = v < 2.0
     v, logw = v[kept], logw[kept]
-    v.flags.writeable = False
-    logw.flags.writeable = False
+    v.flags.writeable = logw.flags.writeable = False
     return v, logw
 
 
@@ -332,78 +353,6 @@ def _tanh_sinh(
     )
 
 
-def _cutoff(
-    logf: _LogIntegrand,
-    slope: _LogIntegrand,
-    p: _Floats,
-    peak: _Floats,
-    peak_log: _Floats,
-    reach: _Floats,
-) -> _Floats:
-    """Rightmost abscissa kept: at or past where logf has dropped _CUTOFF_DROP below peak.
-
-    Starts from peak + reach (any point right of the peak) and takes
-    tangent steps towards the aim.  logf is concave, so each tangent lies
-    above logf: the first step lands at or past the aim and every later
-    step approaches it from the right without crossing it.
-    """
-    aim = peak_log - _CUTOFF_DROP - _CUTOFF_SLACK * (1.0 + np.abs(peak_log))
-    x = peak + reach
-    for _ in range(_CUTOFF_STEPS):
-        x = x + (aim - logf(x, p)) / slope(x, p)
-    return x
-
-
-def _integrate(
-    logf: _LogIntegrand,
-    slope: _LogIntegrand,
-    p: _Floats,
-    peak: _Floats,
-    peak_log: _Floats,
-    reach: _Floats,
-    rel_tol: float,
-) -> tuple[_Floats, _Floats, _Floats]:
-    """log ∫₀^∞ exp(logf(x, p_i)) dx for each p_i, with floored error estimates
-    and node counts; ``peak + reach`` must lie right of each peak.
-
-    Raises DomainError where the float rounding of the log-integrand near
-    its peak, eps·|peak log|, reaches the cutoff drop: the kept window then
-    collapses at float resolution and no cutoff can be placed.  Raises it
-    too where a floored estimate exceeds ``rel_tol``.  Both name the lowest
-    such p.
-    """
-    held = _EPS * np.abs(peak_log) < _CUTOFF_DROP
-    if not held.all():
-        p, peak_log, held = np.atleast_1d(p, peak_log, held)
-        i = np.argmin(np.where(held, np.inf, p))
-        raise DomainError(
-            f"the integrand for p = {p[i]:.17g} peaks at log {peak_log[i]:.6g}, whose "
-            f"float rounding exceeds the {_CUTOFF_DROP:g}-nat cutoff window"
-        )
-    cut = _cutoff(logf, slope, p, peak, peak_log, reach)
-    split = np.maximum(peak, _PEAK_SPLIT_FLOOR)
-    # _tanh_sinh's rows: every [0, split] panel, then every [split, cut] one
-    panels = [[np.zeros(p.shape), split], [split, cut], [p, p], [peak_log, peak_log]]
-    a, b, row_p, shift = np.array(panels).reshape(4, -1)
-    # each column as (left panels, right panels), scalars for a scalar p
-    scaled, errs, nodes = (
-        col.reshape(2, *p.shape) for col in _tanh_sinh(logf, a, b, row_p, shift, rel_tol / 2.0)
-    )
-    value = scaled[0] + scaled[1]
-    abs_err = errs[0] * scaled[0] + errs[1] * scaled[1]
-    total = np.log(value) + peak_log
-    est = _floor_error(abs_err / value, total)
-    within = est <= rel_tol
-    if not within.all():
-        p, est, total, within = np.atleast_1d(p, est, total, within)
-        i = np.argmin(np.where(within, np.inf, p))
-        raise DomainError(
-            f"the integral for p = {p[i]:.17g} has a floored error estimate {est[i]:.2g} "
-            f"above rel_tol={rel_tol:.1e} (its log, {total[i]:.6g}, is too coarse in a float)"
-        )
-    return total, est, nodes[0] + nodes[1]
-
-
 # -- S(p) -----------------------------------------------------------------------
 
 
@@ -416,27 +365,62 @@ def _s_slope(x: _Floats, p: _Floats) -> _Floats:
 
 
 def _s_shape(p: _Floats) -> tuple[_Floats, _Floats, _Floats]:
-    """Peak abscissa, peak log and cutoff reach of S's integrand, per p ≥ 0.
+    """Peak abscissa, peak log and cutoff of S's integrand, per p ≥ 0.
 
     The peak is expm1(W(p)), with W(p) from ``lambertw._halley``.  The
-    reach is 1 plus the distance at which the curvature −(1+W)/p at the
-    peak alone would bring the drop, which puts the first tangent point
-    just left of the cutoff.
+    cutoff is the rightmost abscissa kept, at or past where the
+    log-integrand has dropped _CUTOFF_DROP below the peak.  Tangent steps
+    aim there from peak + reach, where the reach is 1 plus the distance at
+    which the curvature −(1+W)/p at the peak alone would bring the drop,
+    just left of the cutoff.  The log-integrand is concave, so each
+    tangent lies above it: the first step lands at or past the aim and
+    every later step approaches it from the right without crossing it.
     """
     # W(0) is 0/0 in the Halley steps, so p = 0 takes w = 0 from np.where;
     # near the float maximum p·ln W and the reach overflow to inf, which
-    # _integrate reports as a peak too coarse to resolve
+    # _log_s reports as a peak too coarse to resolve
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         w = np.where(p > 0.0, _halley(p, np), 0.0)[()]
         peak = np.expm1(w)
         peak_log = np.where(p > 0.0, _s_logf(peak, p), 0.0)[()]
-        return peak, peak_log, 1.0 + np.sqrt(2.0 * _CUTOFF_DROP * p / (1.0 + w))
+        aim = peak_log - _CUTOFF_DROP - _CUTOFF_SLACK * (1.0 + np.abs(peak_log))
+        cut = peak + (1.0 + np.sqrt(2.0 * _CUTOFF_DROP * p / (1.0 + w)))
+        for _ in range(_CUTOFF_STEPS):
+            cut = cut + (aim - _s_logf(cut, p)) / _s_slope(cut, p)
+        return peak, peak_log, cut
 
 
 def _log_s(p: _Floats, rel_tol: float) -> tuple[_Floats, _Floats, _Floats]:
-    """(log S(p), estimated relative error, nodes used) for p ≥ 0, a scalar
-    or an array."""
-    return _integrate(_s_logf, _s_slope, p, *_s_shape(p), rel_tol)
+    """(log S(p), floored estimated relative error, nodes used) for p ≥ 0,
+    a scalar or an array.
+
+    Raises DomainError where the float rounding of the log-integrand near
+    its peak, eps·|peak log|, reaches the cutoff drop: the kept window then
+    collapses at float resolution and no cutoff can be placed.  Raises it
+    too where a floored estimate exceeds ``rel_tol``.  Both name the lowest
+    such p.
+    """
+    peak, peak_log, cut = _s_shape(p)
+    held = _EPS * np.abs(peak_log) < _CUTOFF_DROP
+    if not np.logical_and.reduce(held, axis=None):
+        p, peak_log, held = np.atleast_1d(p, peak_log, held)
+        i = np.argmin(np.where(held, np.inf, p))
+        raise DomainError(
+            f"the integrand for p = {p[i]:.17g} peaks at log {peak_log[i]:.6g}, whose "
+            f"float rounding exceeds the {_CUTOFF_DROP:g}-nat cutoff window"
+        )
+    split = np.maximum(peak, _PEAK_SPLIT_FLOOR)
+    # _tanh_sinh's rows: every [0, split] panel, then every [split, cut] one
+    panels = [[np.zeros(p.shape), split], [split, cut], [p, p], [peak_log, peak_log]]
+    a, b, row_p, shift = np.array(panels).reshape(4, -1)
+    # each column as (left panels, right panels), scalars for a scalar p
+    scaled, errs, nodes = (
+        col.reshape(2, *p.shape) for col in _tanh_sinh(_s_logf, a, b, row_p, shift, rel_tol / 2.0)
+    )
+    value = scaled[0] + scaled[1]
+    abs_err = errs[0] * scaled[0] + errs[1] * scaled[1]
+    total = np.log(value) + peak_log
+    return total, _floor_within(p, abs_err / value, total, rel_tol), nodes[0] + nodes[1]
 
 
 def integrate_logweighted(p: float, rel_tol: float = DEFAULT_REL_TOL) -> QuadratureResult:
@@ -463,42 +447,82 @@ def log_power_integral(p, rel_tol: float = DEFAULT_REL_TOL):
 # -- the unit integral and Γ⁽ⁿ⁾(1) ------------------------------------------------
 
 
-def _unit_logf(u: _Floats, n: _Floats) -> _Floats:
-    return n * np.log(u) - u - np.exp(-u)
+#: Terms of the unit integral's series summed: the first one left out,
+#: 1/(20!·21^{n+1}), is below 2e-20 for every order n ≥ 0.
+_UNIT_TERMS = 20
+#: (−1)^k/k! and k + 1 for k = 0.._UNIT_TERMS − 1.
+_UNIT_COEFS = np.array([(-1) ** k / math.factorial(k) for k in range(_UNIT_TERMS)])
+_UNIT_BASES = np.arange(1.0, _UNIT_TERMS + 1.0)
+
+#: ln k! comes from the table for k up to this, from Stirling's series above.
+_LOG_FACTORIAL_MAX = 8192
+
+#: ln k! for k = 0, 1, …; read-only, and replaced by a longer table rather
+#: than written in place, so a caller in another thread always reads a
+#: complete one.
+_LOG_FACTORIAL = np.empty(0)
 
 
-def _unit_slope(u: _Floats, n: _Floats) -> _Floats:
-    return n / u - 1.0 + np.exp(-u)
+def _log_factorial_table(top: int) -> np.ndarray:
+    """The ln k! table through k = top ≤ _LOG_FACTORIAL_MAX (grown if too short).
 
-
-def _unit_shape(n: _Floats) -> tuple[_Floats, _Floats, _Floats]:
-    """Peak abscissa, peak log and cutoff reach (as for S) of the unit
-    integral's magnitude integrand, per integer order n ≥ 0.
-
-    The peak of n·ln u − u − e^{−u} is where the slope n/u − 1 + e^{−u}
-    vanishes.  The slope is convex and decreasing, and positive at the
-    start u = max(n, 1) for n ≥ 1, so Newton steps rise monotonically onto
-    the root; a row stops moving once its step is at most 1e-15·u (one step
-    from n = 35 on).  For n = 0 the integrand peaks at u = 0 with log −1.
+    Entry k is the compensated (Neumaier) running sum of math.log(j) for
+    j = 2..k, rounded once.  A longer table is summed again from j = 2, so
+    each entry depends on k alone, not on the calls that grew the table.
     """
-    u = np.maximum(n, 1.0)
-    moving = n > 0.0
-    while moving.any():
-        e = np.exp(-u)
-        step = (n / u - 1.0 + e) / (n / (u * u) + e)
-        # adding step·0 leaves a stopped row's u as it is, bit for bit
-        u = u + step * moving
-        moving = moving & (step > 1e-15 * u)
-    zero = n == 0.0
-    peak_log = np.where(zero, -1.0, _unit_logf(u, n))[()]
-    curvature = np.where(zero, 1.0, n / (u * u) + np.exp(-u))[()]
-    return np.where(zero, 0.0, u)[()], peak_log, np.sqrt(2.0 * _CUTOFF_DROP / curvature)
+    global _LOG_FACTORIAL
+    table = _LOG_FACTORIAL
+    if table.size <= top:
+        size = min(max(top + 1, 2 * table.size), _LOG_FACTORIAL_MAX + 1)
+        logs, total, comp = [0.0, 0.0], 0.0, 0.0
+        for x in map(math.log, range(2, size)):
+            t = total + x
+            total, comp = t, comp + ((total - t) + x if total >= x else (x - t) + total)
+            logs.append(total + comp)
+        table = np.array(logs)
+        table.flags.writeable = False
+        _LOG_FACTORIAL = table
+    return table
+
+
+def _stirling_log_factorial(n: int) -> float:
+    """ln n! by Stirling's series to the n^{−5} term, in 40-digit decimals
+    rounded once to a float; for n > _LOG_FACTORIAL_MAX the first term
+    left out is below 1e-30."""
+    from decimal import Context, Decimal, localcontext  # here alone: it costs ~2 ms
+
+    with localcontext(Context(prec=40)):
+        x = Decimal(n)
+        # ½·ln 2π to 45 digits, then the series in 1/n
+        series = Decimal("0.918938533204672741780329736405617639861397474")
+        series += 1 / (12 * x) - 1 / (360 * x**3) + 1 / (1260 * x**5)
+        return float((x + Decimal("0.5")) * x.ln() - x + series)
+
+
+def _log_factorial(n: _Floats) -> _Floats:
+    """ln n! for integer orders n ≥ 0, a float64 scalar or array."""
+    small = n <= _LOG_FACTORIAL_MAX
+    table = _log_factorial_table(int(np.where(small, n, 0.0).max()))
+    if np.logical_and.reduce(small, axis=None):
+        return table[n.astype(np.intp)]
+    logs = [table[int(m)] if m <= _LOG_FACTORIAL_MAX else _stirling_log_factorial(int(m))
+            for m in np.ravel(n).tolist()]
+    return np.reshape(logs, n.shape)[()]
 
 
 def _log_unit(n: _Floats, rel_tol: float) -> tuple[_Floats, _Floats, _Floats]:
-    """(log |∫₀¹ (ln t)^n e^{−t} dt|, estimated relative error, nodes used)
-    for integer n ≥ 0, a scalar or an array; the integral's sign is (−1)^n."""
-    return _integrate(_unit_logf, _unit_slope, n, *_unit_shape(n), rel_tol)
+    """(log |∫₀¹ (ln t)^n e^{−t} dt|, estimated relative error, terms summed)
+    for integer n ≥ 0, a scalar or an array; the integral's sign is (−1)^n.
+
+    The magnitude is n!·σₙ, σₙ = Σₖ (−1)^k/(k!·(k+1)^{n+1}), summed over
+    its first _UNIT_TERMS terms by one expression for a scalar and an
+    array alike, so both give the same bits.  Exact to rounding, it
+    reports the floored estimate alone, and raises DomainError where that
+    exceeds ``rel_tol``.
+    """
+    sigma = np.add.reduce(_UNIT_COEFS * _UNIT_BASES ** -(n[..., None] + 1.0), axis=-1)
+    log = _log_factorial(n) + np.log(sigma)
+    return log, _floor_within(n, 0.0, log, rel_tol), np.full(n.shape, _UNIT_TERMS)
 
 
 def _log_gamma(n: _Floats, rel_tol: float):
@@ -525,8 +549,8 @@ def _log_gamma(n: _Floats, rel_tol: float):
 def integrate_unit_log_power(n: int, rel_tol: float = DEFAULT_REL_TOL) -> QuadratureResult:
     """Evaluate ∫₀¹ (ln t)^n · e^{−t} dt for integer n ≥ 0.
 
-    Computed as (−1)^n · ∫₀^∞ u^n · e^{−u − e^{−u}} du, so the returned
-    sign is exactly (−1)^n and the magnitude integrand is positive.
+    Computed as (−1)^n·n!·σₙ by ``_log_unit``, so the returned sign is
+    exactly (−1)^n.
     """
     ns, rel_tol = _checked("integrate_unit_log_power", n, rel_tol, integer=True)
     return _scalar_result(-1 if n % 2 else 1, *_log_unit(ns, rel_tol))

@@ -4,8 +4,6 @@ These deliberately avoid every code path of the package under test:
 
 * ``bisect_w`` solves w·e^w = t by plain bisection (no Halley, no log
   transform) — slow but correct to the last bit.
-* ``bisect_unit_peak`` locates the maximum of n·ln u − u − e^{−u} by
-  bisection on its slope.
 * ``simpson_s`` evaluates S(p) = ∫₀^∞ ln(1+x)^p e^{−x} dx by composite
   Simpson on the substitution x = u² (the substituted integrand
   2u·ln(1+u²)^p·e^{−u²} is smooth at 0 for the half-integer p used in
@@ -44,18 +42,6 @@ def bisect_w(t: float, iterations: int = 200) -> float:
     for _ in range(iterations):
         mid = (lo + hi) / 2.0
         if mid * math.exp(mid) < t:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
-
-
-def bisect_unit_peak(n: int, iterations: int = 200) -> float:
-    """Maximiser of n·ln u − u − e^{−u} on [0, n + 2] by bisection on its slope."""
-    lo, hi = 0.0, n + 2.0
-    for _ in range(iterations):
-        mid = (lo + hi) / 2.0
-        if n / mid - 1.0 + math.exp(-mid) > 0.0:
             lo = mid
         else:
             hi = mid

@@ -294,7 +294,9 @@ class TestCheck:
         )
         assert result.exit_code == 0, result.output
         growth, growth_q = json.loads(result.output)["verdicts"]
-        assert growth_q == growth  # q = 1 is the plain growth-rate condition
+        # q = 1 is the plain growth-rate condition, under the growth-q verdict's own name
+        assert (growth_q["status"], growth_q["diagnostics"]) == (growth["status"], growth["diagnostics"])
+        assert (growth["criterion"], growth_q["criterion"]) == ("growth_rate", "growth_rate_q")
 
     @pytest.mark.parametrize(
         "args, message",

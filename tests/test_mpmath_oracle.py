@@ -8,7 +8,10 @@ this module is skipped.  The references share no code with the package:
   the scalar and the batched path;
 * W(t): ``mpmath.lambertw`` over the whole positive float range;
 * Γ⁽ⁿ⁾(1): the recursion Γ⁽ᵐ⁺¹⁾(1) = Σₖ C(m,k) Γ⁽ᵐ⁻ᵏ⁾(1) ψ⁽ᵏ⁾(1) with
-  ψ(1) = −γ and ψ⁽ᵏ⁾(1) = (−1)ᵏ⁺¹ k! ζ(k+1), which needs no quadrature.
+  ψ(1) = −γ and ψ⁽ᵏ⁾(1) = (−1)ᵏ⁺¹ k! ζ(k+1), which needs no quadrature;
+* the unit integral ∫₀¹ (ln t)ⁿ e⁻ᵗ dt: Γ⁽ⁿ⁾(1) − e⁻¹·S(n) for n ≤ 200,
+  and for every order (−1)ⁿ·n!·σₙ at 50 digits, with mpmath's loggamma
+  and σₙ = Σₖ (−1)ᵏ/(k!·(k+1)ⁿ⁺¹) summed to 50 terms.
 """
 
 from __future__ import annotations
@@ -169,6 +172,44 @@ def test_unit_estimate_covers_true_error(rel_tol):
         res = integrate_unit_log_power(n, rel_tol)
         assert res.value.sign == int(mp.sign(unit)) == (-1) ** n, n
         assert true_error(res.value.logmag, ref) <= res.est_rel_error, n
+
+
+@lru_cache(maxsize=None)
+def mp_log_unit_series(n: int):
+    """log |∫₀¹ (ln t)ⁿ e⁻ᵗ dt| = ln n! + ln σₙ at 50 digits, an mpf; the
+    first term left out, k = 50, is below 1e-66 of σₙ."""
+    with mp.workdps(50):
+        sigma = mp.fsum((-1) ** k / (mp.factorial(k) * mp.mpf(k + 1) ** (n + 1)) for k in range(50))
+        return mp.loggamma(n + 1) + mp.log(sigma)
+
+
+def assert_unit_estimate_covers_series(n: int, rel_tol: float) -> None:
+    """The unit integral's estimate covers its true error, or, where the
+    floored estimate eps·(4 + |log|) exceeds rel_tol, DomainError says so."""
+    ref = mp_log_unit_series(n)
+    if EPS * (4.0 + abs(float(ref))) > rel_tol:
+        with pytest.raises(DomainError, match=f"p = {n} has a floored error estimate"):
+            integrate_unit_log_power(n, rel_tol)
+        return
+    res = integrate_unit_log_power(n, rel_tol)
+    assert res.value.sign == (-1) ** n, n
+    assert true_error(res.value.logmag, ref) <= res.est_rel_error, n
+
+
+@pytest.mark.parametrize("rel_tol", REL_TOLS)
+def test_unit_series_estimate_covers_true_error(rel_tol):
+    for n in [*range(401), 1000, 5000]:
+        assert_unit_estimate_covers_series(n, rel_tol)
+
+
+#: Orders from 401 to 1e9, log-spaced, and both sides of the ln k! table's end.
+LARGE_UNIT_ORDERS = sorted({*np.geomspace(401, 1e9, 40).round().astype(int).tolist(), 8192, 8193})
+
+
+@pytest.mark.parametrize("rel_tol", [1e-3, 1e-6])
+def test_large_unit_orders_estimate_covers_true_error(rel_tol):
+    for n in LARGE_UNIT_ORDERS:
+        assert_unit_estimate_covers_series(n, rel_tol)
 
 
 @pytest.mark.parametrize("rel_tol", REL_TOLS)

@@ -25,7 +25,7 @@ from momentdet import (
     validate_rel_tol,
 )
 
-from .oracles import EULER, bisect_unit_peak, bisect_w, simpson_s, simpson_unit
+from .oracles import EULER, bisect_w, simpson_s, simpson_unit
 
 # ∫₀^∞ ln(1+x)^p e^{−x} dx, independently computed / published anchors
 S1 = 0.596347362323194
@@ -122,6 +122,68 @@ class TestUnitIntegral:
     def test_matches_simpson_oracle(self, n):
         res = integrate_unit_log_power(n)
         assert abs(res.value.to_float()) == pytest.approx(simpson_unit(n), rel=1e-8)
+
+    @pytest.mark.parametrize("n", [0, 7, 400, 8192, 8193, 10**9])
+    def test_reports_the_series_terms_as_nodes(self, n):
+        assert integrate_unit_log_power(n, 1e-3).nodes_used == quadrature._UNIT_TERMS == 20
+
+    def test_orders_across_the_table_batch_as_scalars(self):
+        # table entries up to _LOG_FACTORIAL_MAX, Stirling's series above it
+        orders = [10**9, 8193, 0, 8192, 8191, 123457, 1]
+        logs, ests, nodes = quadrature._log_unit(np.array(orders, dtype=float), 1e-3)
+        for i, n in enumerate(orders):
+            res = integrate_unit_log_power(n, 1e-3)
+            assert res.value == SignedLogValue.from_log(logs[i], sign=(-1) ** n)
+            assert (res.est_rel_error, res.nodes_used) == (ests[i], nodes[i])
+
+    def test_no_driver_call(self, monkeypatch):
+        def driver(*args):
+            raise AssertionError("the unit integral called the tanh-sinh driver")
+
+        monkeypatch.setattr(quadrature, "_tanh_sinh", driver)
+        for n in (0, 1, 200, 5000):
+            integrate_unit_log_power(n)
+
+    def test_floored_estimate_above_rel_tol_raises(self):
+        # eps·ln(10^9)! ≈ 4.4e-6 is above 1e-6; the batch names its lowest such order
+        with pytest.raises(DomainError, match=r"p = 1000000000 .*above rel_tol=1\.0e-06"):
+            integrate_unit_log_power(10**9, 1e-6)
+        with pytest.raises(DomainError, match="p = 300000000 "):
+            quadrature._log_unit(np.array([1e9, 5.0, 3e8]), 1e-6)
+
+
+class TestLogFactorialTable:
+    """The ln k! table has the same bits whatever calls grew it."""
+
+    @staticmethod
+    def grown(monkeypatch, tops):
+        monkeypatch.setattr(quadrature, "_LOG_FACTORIAL", np.empty(0))
+        for top in tops:
+            table = quadrature._log_factorial_table(top)
+            assert not table.flags.writeable
+            assert table.size > top
+        return table
+
+    @pytest.mark.parametrize(
+        "tops",
+        [[1, 2, 3, 400, 401, 5000, 8192], [8192, 7, 300], [5, 17, 4096, 4097, 8000, 8191, 8192]],
+    )
+    def test_entries_depend_on_k_alone(self, monkeypatch, tops):
+        whole = self.grown(monkeypatch, [quadrature._LOG_FACTORIAL_MAX])
+        assert self.grown(monkeypatch, tops).tobytes() == whole.tobytes()
+
+    @given(st.lists(st.integers(min_value=0, max_value=8192), min_size=1, max_size=6))
+    def test_any_growth_order_gives_the_same_entries(self, tops):
+        with pytest.MonkeyPatch.context() as patch:
+            table = self.grown(patch, tops)
+            whole = self.grown(patch, [table.size - 1])
+        assert table.tobytes() == whole.tobytes()
+
+    def test_entries_are_ln_k_factorial(self):
+        table = quadrature._log_factorial_table(quadrature._LOG_FACTORIAL_MAX)
+        assert table.size == quadrature._LOG_FACTORIAL_MAX + 1
+        for k in (0, 1, 2, 3, 10, 170, 8192):
+            assert table[k] == pytest.approx(math.lgamma(k + 1.0), rel=4 * EPS, abs=4 * EPS)
 
 
 class TestGammaDerivatives:
@@ -341,7 +403,7 @@ def reference_tanh_sinh(logf, a, b, p, shift, tol):
 
 
 def driver_calls(integral, orders, rel_tol):
-    """The argument tuples ``integral`` (``_log_s`` or ``_log_unit``) hands
+    """The argument tuples ``integral`` (such as ``_log_s``) hands
     ``_tanh_sinh`` for ``orders``, each with the driver's result."""
     calls, real = [], quadrature._tanh_sinh
 
@@ -379,20 +441,14 @@ class TestFirstSweep:
     def test_s_panels_match_one_pass_per_level(self, ps, rel_tol):
         self.assert_matches_reference(driver_calls(quadrature._log_s, ps, rel_tol))
 
-    @given(ORDER_SETS, st.sampled_from(SWEEP_TOLS))
-    def test_unit_panels_match_one_pass_per_level(self, orders, rel_tol):
-        self.assert_matches_reference(driver_calls(quadrature._log_unit, orders, rel_tol))
-
     def test_panels_stop_at_levels_four_to_six(self):
+        # S(2000)'s left panel at rel_tol 1e-12 goes past the first sweep, to level 6
         levels = set()
         for rel_tol in SWEEP_TOLS:
-            for integral, orders in (
-                (quadrature._log_s, [0.0, 0.5, 7.0, 300.0, 1578.0]),
-                (quadrature._log_unit, [0.0, 3.0, 200.0, 400.0]),
-            ):
-                calls = driver_calls(integral, orders, rel_tol)
-                self.assert_matches_reference(calls)
-                levels.update(int(n - 1).bit_length() - 4 for _, (_, _, ns) in calls for n in ns)
+            orders = [0.0, 0.5, 7.0, 300.0, 1578.0] + [2000.0] * (rel_tol == 1e-12)
+            calls = driver_calls(quadrature._log_s, orders, rel_tol)
+            self.assert_matches_reference(calls)
+            levels.update(int(n - 1).bit_length() - 4 for _, (_, _, ns) in calls for n in ns)
         assert levels == {4, 5, 6}
 
     def test_rows_stopping_in_different_later_passes(self):
@@ -464,6 +520,11 @@ class TestOnePass:
         assert calls and passes == [1] * len(calls)
         TestFirstSweep.assert_matches_reference(calls)
 
+    def test_gamma_derivative_makes_one_driver_call(self):
+        # S(n) alone: the unit integral comes from its series
+        calls, _ = self.driver_passes(lambda: [gamma_derivative(n) for n in range(201)])
+        assert len(calls) == 201
+
 
 class TestNodeCounts:
     @pytest.mark.parametrize("tol", [1e-4, 1e-9, 1e-13])
@@ -504,24 +565,7 @@ class TestCutoff:
     @given(st.floats(min_value=0.0, max_value=1e6))
     def test_s_cutoff_lies_past_the_drop(self, p):
         ps = np.array([p])
-        cut = float(
-            quadrature._cutoff(
-                quadrature._s_logf, quadrature._s_slope, ps, *quadrature._s_shape(ps)
-            )[0]
-        )
+        cut = float(quadrature._s_shape(ps)[2][0])
         peak_log = _s_log_integrand(p, math.expm1(bisect_w(p)))
         drop = peak_log - _s_log_integrand(p, cut)
-        assert 60.0 <= drop <= 61.0
-
-    @given(st.integers(min_value=0, max_value=5000))
-    def test_unit_cutoff_lies_past_the_drop(self, n):
-        ns = np.array([float(n)])
-        cut = float(
-            quadrature._cutoff(
-                quadrature._unit_logf, quadrature._unit_slope, ns, *quadrature._unit_shape(ns)
-            )[0]
-        )
-        peak = bisect_unit_peak(n)
-        peak_log = n * math.log(peak) - peak - math.exp(-peak) if n else -1.0
-        drop = peak_log - (n * math.log(cut) - cut - math.exp(-cut))
         assert 60.0 <= drop <= 61.0
