@@ -89,7 +89,8 @@ def _saddle(t: float) -> tuple[float, float]:
 
     e^{W} is taken as t/w: exact in the w·e^w = t sense, and shared
     bitwise by ``saddle_point`` and both Laplace estimates.  W comes from
-    ``lambert_w0``'s solve, without the WValue it would build.
+    ``lambert_w0``'s solve, with its residual test, for a t its callers
+    have checked, without the WValue it would build.
     """
     w = _solve(t)[1]
     return w, t * math.log(w) - t / w + 1.0
@@ -117,7 +118,7 @@ def _laplace(name: str, t: float, log_denominator) -> SignedLogValue:
     log = 0.5 * (_LOG_2PI + math.log(t)) - 0.5 * log_denominator(w) + q_peak
     if not math.isfinite(log):
         raise DomainError(f"{name} at t = {t!r}: the log of the estimate overflows a float")
-    return SignedLogValue.from_log(log)
+    return SignedLogValue(1, log)
 
 
 def laplace_estimate_exact(t: float) -> SignedLogValue:

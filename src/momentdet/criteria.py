@@ -239,9 +239,10 @@ def _exp_or_inf(x: float) -> float:
 def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
     """Least-squares slope of y against x, in closed form on centred data:
     xc·(y − ȳ)/(xc·xc) with xc = x − x̄.  The design is always (x, 1), so
-    this is the whole fit."""
-    xc = x - x.mean()
-    return float(xc @ (y - y.mean()) / (xc @ xc))
+    this is the whole fit.  The means are np.add.reduce(v) / v.size, the bits
+    of v.mean() without its Python wrapper."""
+    xc = x - np.add.reduce(x) / x.size
+    return float(xc @ (y - np.add.reduce(y) / y.size) / (xc @ xc))
 
 
 def _tail_fit(

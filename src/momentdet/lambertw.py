@@ -85,14 +85,10 @@ def _halley(t, xp):
     return w
 
 
-def _solve(t) -> tuple[float, float, float]:
-    """(t, W(t), residual) as floats for ``lambert_w0``, with its checks and
-    errors; callers that need only W take it from here."""
-    t = _float_arg(t, "lambert_w0", "t")
-    if math.isnan(t) or math.isinf(t) or t < 0.0:
-        raise DomainError(f"lambert_w0 requires finite t >= 0, got {t!r}")
-    if t == 0.0:
-        return 0.0, 0.0, 0.0
+def _solve(t: float) -> tuple[float, float, float]:
+    """(t, W(t), residual) for a float t > 0 that the caller has checked;
+    ConvergenceError where the residual exceeds ``TOL_W * max(t, 1)``.
+    Callers that need only W take it from here."""
     w = _halley(t, math)
     residual = t * abs(math.expm1(w + math.log(w / t)))
     if not residual <= TOL_W * max(t, 1.0):
@@ -109,7 +105,10 @@ def lambert_w0(t: float) -> WValue:
     Raises DomainError for negative or non-finite t, and ConvergenceError
     if the residual tolerance ``TOL_W * max(t, 1)`` is not met.
     """
-    return WValue(*_solve(t))
+    t = _float_arg(t, "lambert_w0", "t")
+    if math.isnan(t) or math.isinf(t) or t < 0.0:
+        raise DomainError(f"lambert_w0 requires finite t >= 0, got {t!r}")
+    return WValue(0.0, 0.0, 0.0) if t == 0.0 else WValue(*_solve(t))
 
 
 def lambert_w_bounds(t: float) -> tuple[float, float]:

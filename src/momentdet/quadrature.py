@@ -24,6 +24,15 @@ and batches an array: a numpy scalar gives the bits a one-element array
 would, at a fraction of its per-operation cost.  Only the node sums of
 ``_tanh_sinh`` are always arrays, of one row per panel.
 
+A one-point call is bound by numpy's cost per dispatched call, not by its
+arithmetic, so the code path keeps one rule.  On values that may be 0-d
+it uses scalar operators and unary ufuncs (the builtin ``abs``, not
+``np.abs``), at 0.05–0.4 µs a call on a 2-core x86-64 host, and a binary
+ufunc, ``np.where`` or ``np.errstate`` (about 1–3 µs each) only where no
+cheaper form gives the same bits.  It branches on ``ndim`` only for an all-true test (``_all``),
+never for arithmetic, so a scalar and an array share every numeric
+expression.
+
 Method for S.  The log-integrand is concave with a single peak, placed
 for all orders at once at expm1(W(p)) (W by ``lambertw._halley``).  The
 axis is split into [0, peak] and [peak, cutoff] panels, the cutoff lying
@@ -174,22 +183,29 @@ def _checked(name: str, p, rel_tol: float, integer: bool = False) -> tuple[_Floa
         p = _int_arg(p, 0, f"{name} requires an integer n >= 0")
     ps = _float_arg(p, name, "n" if integer else "p", array=True)
     ok = (ps >= 0.0) & (ps < np.inf)
-    # np.logical_and.reduce is ndarray.all without its Python wrapper
-    if not np.logical_and.reduce(ok, axis=None):
+    if not _all(ok):
         raise DomainError(f"{name} requires finite p >= 0, got {float(np.extract(~ok, ps)[0])!r}")
     return ps, validate_rel_tol(rel_tol)
 
 
+def _all(x) -> bool:
+    """Whether every element of ``x`` is true: ``bool`` for a 0-d value, and
+    np.logical_and.reduce, ndarray.all without its Python wrapper, for an array."""
+    return bool(x) if x.ndim == 0 else bool(np.logical_and.reduce(x, axis=None))
+
+
 def _scalar_result(sign: int, log, est, nodes) -> QuadratureResult:
-    """The QuadratureResult of one order's (log, est, nodes) scalars."""
-    return QuadratureResult(SignedLogValue.from_log(float(log), sign=sign), float(est), int(nodes))
+    """The QuadratureResult of one order's (log, est, nodes) scalars.  The log
+    is finite, or −inf with sign 0 where Γ⁽ⁿ⁾(1)'s two pieces cancel exactly,
+    so the SignedLogValue constructor takes it as it is."""
+    return QuadratureResult(SignedLogValue(sign, float(log)), float(est), int(nodes))
 
 
 def _floor_error(est, logmag):
     """An error estimate no smaller than the float rounding of ``logmag``:
     _LOG_ROUNDING eps for the node sum and its log, plus eps·|logmag|, the
     resolution of the log itself."""
-    return np.maximum(est, _EPS * (_LOG_ROUNDING + np.abs(logmag)))
+    return np.maximum(est, _EPS * (_LOG_ROUNDING + abs(logmag)))
 
 
 def _floor_within(p: _Floats, est: _Floats, total: _Floats, rel_tol: float) -> _Floats:
@@ -197,7 +213,7 @@ def _floor_within(p: _Floats, est: _Floats, total: _Floats, rel_tol: float) -> _
     ``p``; raises DomainError, naming the lowest such p, where it exceeds
     ``rel_tol``."""
     est = _floor_error(est, total)
-    if not np.logical_and.reduce(est <= rel_tol, axis=None):
+    if not _all(est <= rel_tol):
         p, est, total = np.atleast_1d(p, est, total)
         i = np.argmin(np.where(est <= rel_tol, np.inf, p))
         raise DomainError(
@@ -284,18 +300,24 @@ def _stops(totals: np.ndarray, last: int, rtol: np.ndarray) -> tuple[np.ndarray,
     ``last``: the first row is each panel's total at its level, every
     later one the sum of the nodes new at the next level, which is turned
     into that level's total in place.  A level's change is how far it
-    moved the total, relative to the new total.
+    moved the total, relative to the new total.  The returned total and
+    change are the last rows of ``totals`` and of the changes, overwritten
+    in place with each panel's values at its stopping level.
     """
     for i in range(1, len(totals)):
         totals[i] += totals[i - 1] / 2.0
     # change[i] is how far level last + 1 − len(change) + i moved each panel's total
-    change = np.abs(totals[:-1] - totals[1:]) / totals[1:]
+    change = abs(totals[:-1] - totals[1:]) / totals[1:]
     stop = change <= rtol
-    # a panel stops at its first level within tolerance: walk back from the deepest
-    cur, cur_err, cur_nodes = totals[-1], change[-1], np.full(rtol.size, 8 * 2**last + 1)
+    # a panel stops at its first level within tolerance: walk back from the
+    # deepest, copying a level's total and change over the deepest's where
+    # it stopped; np.where spreads the deepest node count over the panels,
+    # or np.full where a single level leaves no choice
+    cur, cur_err, deepest = totals[-1], change[-1], 8 * 2**last + 1
+    cur_nodes = deepest if len(change) > 1 else np.full(rtol.size, deepest)
     for i in range(len(change) - 2, -1, -1):
-        cur = np.where(stop[i], totals[i + 1], cur)
-        cur_err = np.where(stop[i], change[i], cur_err)
+        np.copyto(cur, totals[i + 1], where=stop[i])
+        np.copyto(cur_err, change[i], where=stop[i])
         cur_nodes = np.where(stop[i], 8 * 2 ** (last + 1 - len(change) + i) + 1, cur_nodes)
     return cur, cur_err, cur_nodes
 
@@ -331,7 +353,7 @@ def _tanh_sinh(
     half = (b - a) / 2.0
     # Levels cannot agree more closely than the float rounding of the
     # log-integrand near its peak, so a row's tolerance is at least that.
-    row_tol = np.maximum(tol, _EPS * np.abs(shift))
+    row_tol = np.maximum(tol, _EPS * abs(shift))
     last = min(_SWEEP_LEVEL if tol <= _SWEEP_TOL else _SWEEP_LEVEL - 1, _MAX_LEVEL)
     sums = _level_sums(logf, _MIN_LEVEL, last, a, half, p, shift)
     total, err, nodes = _stops(sums, last, row_tol)
@@ -360,10 +382,6 @@ def _s_logf(x: _Floats, p: _Floats) -> _Floats:
     return p * np.log(np.log1p(x)) - x
 
 
-def _s_slope(x: _Floats, p: _Floats) -> _Floats:
-    return p / ((1.0 + x) * np.log1p(x)) - 1.0
-
-
 def _s_shape(p: _Floats) -> tuple[_Floats, _Floats, _Floats]:
     """Peak abscissa, peak log and cutoff of S's integrand, per p ≥ 0.
 
@@ -376,17 +394,19 @@ def _s_shape(p: _Floats) -> tuple[_Floats, _Floats, _Floats]:
     tangent lies above it: the first step lands at or past the aim and
     every later step approaches it from the right without crossing it.
     """
-    # W(0) is 0/0 in the Halley steps, so p = 0 takes w = 0 from np.where;
-    # near the float maximum p·ln W and the reach overflow to inf, which
-    # _log_s reports as a peak too coarse to resolve
+    # W(0) is 0/0 in the Halley steps, NaN, which np.fmax turns into w = 0
+    # (W(p) > 0 for every other p); near the float maximum p·ln W and the
+    # reach overflow to inf, which _log_s reports as a peak too coarse to resolve
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = np.where(p > 0.0, _halley(p, np), 0.0)[()]
+        w = np.fmax(_halley(p, np), 0.0)
         peak = np.expm1(w)
         peak_log = np.where(p > 0.0, _s_logf(peak, p), 0.0)[()]
-        aim = peak_log - _CUTOFF_DROP - _CUTOFF_SLACK * (1.0 + np.abs(peak_log))
+        aim = peak_log - _CUTOFF_DROP - _CUTOFF_SLACK * (1.0 + abs(peak_log))
         cut = peak + (1.0 + np.sqrt(2.0 * _CUTOFF_DROP * p / (1.0 + w)))
         for _ in range(_CUTOFF_STEPS):
-            cut = cut + (aim - _s_logf(cut, p)) / _s_slope(cut, p)
+            # the log-integrand p·ln ln(1+x) − x and its slope p/((1+x)·ln(1+x)) − 1
+            l1p = np.log1p(cut)
+            cut = cut + (aim - (p * np.log(l1p) - cut)) / (p / ((1.0 + cut) * l1p) - 1.0)
         return peak, peak_log, cut
 
 
@@ -401,8 +421,8 @@ def _log_s(p: _Floats, rel_tol: float) -> tuple[_Floats, _Floats, _Floats]:
     such p.
     """
     peak, peak_log, cut = _s_shape(p)
-    held = _EPS * np.abs(peak_log) < _CUTOFF_DROP
-    if not np.logical_and.reduce(held, axis=None):
+    held = _EPS * abs(peak_log) < _CUTOFF_DROP
+    if not _all(held):
         p, peak_log, held = np.atleast_1d(p, peak_log, held)
         i = np.argmin(np.where(held, np.inf, p))
         raise DomainError(
@@ -411,7 +431,7 @@ def _log_s(p: _Floats, rel_tol: float) -> tuple[_Floats, _Floats, _Floats]:
         )
     split = np.maximum(peak, _PEAK_SPLIT_FLOOR)
     # _tanh_sinh's rows: every [0, split] panel, then every [split, cut] one
-    panels = [[np.zeros(p.shape), split], [split, cut], [p, p], [peak_log, peak_log]]
+    panels = [np.zeros(p.shape), split, split, cut, p, p, peak_log, peak_log]
     a, b, row_p, shift = np.array(panels).reshape(4, -1)
     # each column as (left panels, right panels), scalars for a scalar p
     scaled, errs, nodes = (
@@ -502,8 +522,9 @@ def _stirling_log_factorial(n: int) -> float:
 def _log_factorial(n: _Floats) -> _Floats:
     """ln n! for integer orders n ≥ 0, a float64 scalar or array."""
     small = n <= _LOG_FACTORIAL_MAX
-    table = _log_factorial_table(int(np.where(small, n, 0.0).max()))
-    if np.logical_and.reduce(small, axis=None):
+    # the largest order in the table's range; n·small is n there and 0 elsewhere
+    table = _log_factorial_table(int(np.maximum.reduce(n * small, axis=None)))
+    if _all(small):
         return table[n.astype(np.intp)]
     logs = [table[int(m)] if m <= _LOG_FACTORIAL_MAX else _stirling_log_factorial(int(m))
             for m in np.ravel(n).tolist()]
@@ -539,7 +560,7 @@ def _log_gamma(n: _Floats, rel_tol: float):
     shift = np.maximum(unit_log, tail_log)
     acc = (-1.0) ** n * np.exp(unit_log - shift) + np.exp(tail_log - shift)
     with np.errstate(divide="ignore"):
-        log = shift + np.log(np.abs(acc))
+        log = shift + np.log(abs(acc))
     # both estimates are floored above 0, so their logs are finite
     abs_err = np.logaddexp(np.log(unit_est) + unit_log, np.log(s_est) + tail_log)
     est = _floor_error(np.exp(abs_err - log), log)

@@ -14,6 +14,10 @@ These deliberately avoid every code path of the package under test:
 
 Both Simpson oracles work in ordinary floating point, so they are only
 used where the values fit comfortably in double range (p ≤ ~250).
+
+``reference_s_shape`` is of another kind: the plain form of the package's
+``quadrature._s_shape``, one numpy call per quantity, whose bits the
+package's leaner form must reproduce.
 """
 
 from __future__ import annotations
@@ -82,3 +86,31 @@ def simpson_unit(n: int, n_panels: int = 2**17, u_max: float = 200.0) -> float:
     good = np.isfinite(body)
     vals[good] = np.exp(body[good])
     return _simpson(vals, u[1] - u[0])
+
+
+def reference_s_shape(p):
+    """Peak abscissa, peak log and cutoff of S's integrand, as
+    ``quadrature._s_shape`` gives them, for a float64 scalar or array p ≥ 0.
+
+    W is set to 0 at p = 0 by np.where, and each tangent step evaluates the
+    log-integrand p·ln ln(1+x) − x and its slope p/((1+x)·ln(1+x)) − 1
+    separately, each with its own ln(1+x).
+    """
+    from momentdet.lambertw import _halley
+    from momentdet.quadrature import _CUTOFF_DROP, _CUTOFF_SLACK, _CUTOFF_STEPS
+
+    def logf(x):
+        return p * np.log(np.log1p(x)) - x
+
+    def slope(x):
+        return p / ((1.0 + x) * np.log1p(x)) - 1.0
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        w = np.where(p > 0.0, _halley(p, np), 0.0)[()]
+        peak = np.expm1(w)
+        peak_log = np.where(p > 0.0, logf(peak), 0.0)[()]
+        aim = peak_log - _CUTOFF_DROP - _CUTOFF_SLACK * (1.0 + np.abs(peak_log))
+        cut = peak + (1.0 + np.sqrt(2.0 * _CUTOFF_DROP * p / (1.0 + w)))
+        for _ in range(_CUTOFF_STEPS):
+            cut = cut + (aim - logf(cut)) / slope(cut)
+        return peak, peak_log, cut

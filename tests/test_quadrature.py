@@ -25,7 +25,7 @@ from momentdet import (
     validate_rel_tol,
 )
 
-from .oracles import EULER, bisect_w, simpson_s, simpson_unit
+from .oracles import EULER, bisect_w, reference_s_shape, simpson_s, simpson_unit
 
 # ∫₀^∞ ln(1+x)^p e^{−x} dx, independently computed / published anchors
 S1 = 0.596347362323194
@@ -371,6 +371,31 @@ class TestRowIndependence:
             assert res.value == SignedLogValue.from_log(logs[i], sign=int(signs[i]))
             assert (res.est_rel_error, res.nodes_used) == (ests[i], nodes[i])
             assert integrate_unit_log_power(n).value.logmag == unit_logs[i]
+
+
+class TestShapeMatchesReference:
+    """``_s_shape`` gives the bits of ``oracles.reference_s_shape``, for a
+    batch and for each p alone.  The batch-equals-scalar tests cannot see a
+    change that moves both paths alike; this test can."""
+
+    @staticmethod
+    def assert_same_bits(p):
+        for got, want in zip(quadrature._s_shape(p), reference_s_shape(p)):
+            assert type(got) is type(want)
+            assert got.tobytes() == want.tobytes()
+
+    @given(P_SETS)
+    def test_batches_and_scalars(self, ps):
+        self.assert_same_bits(np.array(ps))
+        for p in ps:
+            self.assert_same_bits(np.float64(p))
+
+    @pytest.mark.parametrize("p", [-0.0, 0.0, 5e-324, 1e-300, 2e6, 1e17, 3e17, 1e300, 1.7e308])
+    def test_signed_zero_and_the_overflowing_range(self, p):
+        # p = −0.0 passes the p >= 0 check; near the float maximum the
+        # reach and the tangent steps overflow
+        self.assert_same_bits(np.float64(p))
+        self.assert_same_bits(np.array([p, 1.0]))
 
 
 def reference_tanh_sinh(logf, a, b, p, shift, tol):
