@@ -80,7 +80,8 @@ def _halley(t, xp):
     w = xp.log1p(t)
     for _ in range(_STEPS):
         f = w + xp.log(w / t)
-        step = f / (1.0 + w - f * w / (2.0 * (1.0 + w)))
+        w1 = 1.0 + w
+        step = f / (w1 - f * w / (2.0 * w1))
         w = w + w * xp.expm1(-step)  # w·e^{−step}
     return w
 

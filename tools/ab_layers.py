@@ -22,7 +22,12 @@ same tree twice shows the timer's own spread.  Layers:
 * ``_s_shape``, ``laplace``, ``lambert_w0``: S's peak and cutoff at
   p = 150, ``laplace_estimate_exact(150)`` and ``lambert_w0(150)``;
 * ``gen 2000``: the flagship ``product[(1,1),(1,1)]`` generated at n_max 2000;
-* ``from_json``, ``to_json``, ``analyze``: the flagship at n_max 5000.
+* ``from_json``, ``to_json``, ``analyze``: the flagship at n_max 5000;
+* ``fresh import``: the tree's package dropped from ``sys.modules``,
+  imported afresh under its A/B name, and one ``integrate_logweighted(150)``
+  call.  It includes compiling the source only where no bytecode is written
+  (``PYTHONDONTWRITEBYTECODE=1``, as start-up is measured for ROADMAP);
+  elsewhere, as in CI, the modules load from ``__pycache__``.
 """
 
 from __future__ import annotations
@@ -55,10 +60,22 @@ def load(tree: Path, name: str):
     return module
 
 
+def fresh_import(tree: Path, name: str) -> None:
+    """Drop package ``name`` from ``sys.modules``, import it afresh from
+    ``tree`` and make one S(150) call."""
+    for loaded in [n for n in sys.modules if n == name or n.startswith(name + ".")]:
+        del sys.modules[loaded]
+    load(tree, name).integrate_logweighted(150.0)
+
+
 def layers(md) -> dict[str, object]:
     """Each layer's name and a no-argument call into package ``md``."""
     import numpy as np
 
+    # Run every submodule of a package that loads them on first use, before
+    # a fresh import replaces them in sys.modules.
+    md.__all__
+    tree, name = Path(md.__file__).parents[2], md.__name__
     p = np.float64(150.0)
     family = md.parse_family(FLAGSHIP)
     seq = md.generate_moments(family, 5000)
@@ -73,6 +90,7 @@ def layers(md) -> dict[str, object]:
         "from_json": lambda: md.from_json(text),
         "to_json": lambda: md.to_json(seq),
         "analyze": lambda: md.analyze(seq),
+        "fresh import": lambda: fresh_import(tree, name),
     }
 
 
