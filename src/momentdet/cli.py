@@ -32,7 +32,6 @@ import os
 import sys
 from dataclasses import replace
 
-import click
 import numpy as np
 
 from . import __version__
@@ -48,6 +47,9 @@ from .errors import (
 from .lambertw import lambert_w0, lambert_w_bounds
 from .moments import from_csv, from_json, generate_from_label, to_csv, to_json
 from .quadrature import DEFAULT_REL_TOL, _log_gamma, log_power_integral, validate_rel_tol
+
+# after the package, so its modules do not compile on top of a loaded click
+import click
 
 _ENV_REL_TOL = "MOMENTDET_REL_TOL"
 _ENV_NMAX_CAP = "MOMENTDET_NMAX_CAP"

@@ -11,9 +11,9 @@ A non-integer, an integer below its floor, a real that is not numeric
 with a message opening "<function> requires"; other values outside a
 function's domain raise DomainError too.  A value of the wrong kind,
 such as None or a two-element array where a real scalar is expected,
-raises TypeError.  ``MomentSequence.moment`` (SequenceError), and the
-``SignedLogValue`` sign (ValueError) and exponent (TypeError), refuse
-non-integers with their own types.
+raises TypeError.  ``MomentSequence.moment`` (SequenceError) and the
+``SignedLogValue`` sign (ValueError) refuse non-integers with their own
+types.
 """
 
 from __future__ import annotations

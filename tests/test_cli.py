@@ -407,6 +407,25 @@ class TestPaperTable:
         result = runner.invoke(main, ["paper-table"])
         assert result.exit_code == 3
 
+    def test_tolerance_failure_exits_1(self, runner, monkeypatch):
+        import momentdet.cli as cli_mod
+
+        failing = {
+            "name": "K2",
+            "computed": 0.6,
+            "reference": 0.53,
+            "deviation": 0.07,
+            "tolerance": 0.01,
+            "mode": "abs",
+            "status": "FAIL",
+            "note": "",
+        }
+        monkeypatch.setattr(cli_mod, "_reference_rows", lambda rel_tol: [failing])
+        result = runner.invoke(main, ["paper-table", "--format", "json"])
+        assert result.exit_code == 1
+        assert '"all_within": false' in result.output
+        assert json.loads(result.output) == {"rows": [failing], "all_within": False}
+
 
 class TestAsym:
     def test_ratios_at_hundred(self, runner):

@@ -9,7 +9,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from momentdet import DomainError, TOL_W, lambert_w0, lambert_w_bounds, w_frac_diff, w_ratio_power
+import momentdet.lambertw as lambertw_mod
+from momentdet import (
+    ConvergenceError,
+    DomainError,
+    TOL_W,
+    lambert_w0,
+    lambert_w_bounds,
+    w_frac_diff,
+    w_ratio_power,
+)
 
 from .oracles import OMEGA, bisect_w
 
@@ -121,6 +130,15 @@ class TestDomainErrors:
     def test_rejects_bad_input(self, t):
         with pytest.raises(DomainError):
             lambert_w0(t)
+
+    def test_unmet_residual_is_a_convergence_error(self, monkeypatch):
+        # no Halley step leaves W at its log1p(t) start, far from W(100)
+        monkeypatch.setattr(lambertw_mod, "_STEPS", 0)
+        with pytest.raises(
+            ConvergenceError,
+            match=r"^lambert_w0\(100\.0\) residual .* exceeds .* after 0 Halley steps$",
+        ):
+            lambert_w0(100.0)
 
 
 class TestMonotonicity:

@@ -96,7 +96,7 @@ def test_all_is_the_union_of_the_submodules_and_names_are_their_objects():
                           "bound": sorted(set(namespace) - {"__builtins__"})}))
     """ % (SUBMODULES,))
     assert result["all"] == sorted(result["owners"])
-    assert len(result["all"]) == 49
+    assert len(result["all"]) == 48
     assert {name: subs for name, subs in result["owners"].items() if len(subs) > 1} == {}
     assert result["same"]
     assert result["bound"] == result["all"]
