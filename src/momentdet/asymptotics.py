@@ -72,16 +72,11 @@ class SaddleReport:
 
 @dataclass(frozen=True)
 class ConditionCheck:
-    """Numeric evidence for the three saddle-point hypotheses at one t.
-
-    ``grid_clipped`` records whether the curvature window had to be
-    truncated at the left domain boundary x > 0.
-    """
+    """Numeric evidence for the three saddle-point hypotheses at one t."""
 
     cond2_ok: bool
     cond3_value: float
     cond1_sup_dev: float
-    grid_clipped: bool = False
 
 
 def _saddle(t: float) -> tuple[float, float]:
@@ -178,19 +173,12 @@ def verify_laplace_conditions(t: float, grid_size: int = 41) -> ConditionCheck:
     cond3_value = report.x_t * math.sqrt((1.0 + w) / t)
 
     # Condition 1: curvature uniformity on |x − x_t| ≤ μ(t)·√(t/(1+W)).
+    # For t > e the window's left end stays at or above 0.128·x_t, inside x > 0.
     half_width = report.mu * math.sqrt(t / (1.0 + w))
-    lo = report.x_t - half_width
-    hi = report.x_t + half_width
-    grid_clipped = lo <= 0.0
-    if grid_clipped:
-        lo = report.x_t * 1e-9
-    grid1 = np.linspace(lo, hi, grid_size)
+    grid1 = np.linspace(report.x_t - half_width, report.x_t + half_width, grid_size)
     dev = np.abs(_q_curvature(grid1, t) / curv_peak - 1.0)
     cond1_sup_dev = float(np.max(dev))
 
     return ConditionCheck(
-        cond2_ok=cond2_ok,
-        cond3_value=cond3_value,
-        cond1_sup_dev=cond1_sup_dev,
-        grid_clipped=grid_clipped,
+        cond2_ok=cond2_ok, cond3_value=cond3_value, cond1_sup_dev=cond1_sup_dev
     )

@@ -115,27 +115,20 @@ class Verdict:
 
 @dataclass(frozen=True)
 class QFunction:
-    """A positive rate-modulation q(n): constant-one, log, power or table."""
+    """A positive rate-modulation q(n), read as ln q(n) through ``log_at``:
+    constant-one (q ≡ 1), log (q = ln n) or power (q = n^α)."""
 
     kind: str
     alpha: float | None = None
-    values: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("constant-one", "log", "power", "table"):
+        if self.kind not in ("constant-one", "log", "power"):
             raise DomainError(f"unknown QFunction kind {self.kind!r}")
         if self.kind == "power":
             alpha = math.nan if self.alpha is None else _float_arg(self.alpha, "QFunction", "alpha")
             if not math.isfinite(alpha):
                 raise DomainError("power QFunction requires a finite alpha")
             object.__setattr__(self, "alpha", alpha)
-        if self.kind == "table":
-            if not self.values:
-                raise DomainError("table QFunction requires a non-empty values tuple")
-            values = tuple(_float_arg(v, "QFunction.table", "values") for v in self.values)
-            object.__setattr__(self, "values", values)
-            if any(not (v > 0.0 and math.isfinite(v)) for v in self.values):
-                raise DomainError("table QFunction values must be positive and finite")
 
     @classmethod
     def one(cls) -> "QFunction":
@@ -148,38 +141,6 @@ class QFunction:
     @classmethod
     def power(cls, alpha: float) -> "QFunction":
         return cls(kind="power", alpha=_float_arg(alpha, "QFunction.power", "alpha"))
-
-    @classmethod
-    def table(cls, values) -> "QFunction":
-        return cls(kind="table", values=tuple(values))
-
-    def __call__(self, n: int) -> float:
-        """q(n) for integer n ≥ 1 (an integral float such as 2.0 too).  Note
-        q(1) = 0 for the log kind.
-
-        Raises DomainError outside the domain of ``log_at``, and where n^α
-        over- or underflows a float (the power kind with large |α|);
-        ``log_at`` gives ln q(n) there.
-        """
-        self.log_at(n)  # for its domain checks; the value is formed below
-        n = float(n)  # as log_at converted it: a numeric string such as "3" too
-        if self.kind == "constant-one":
-            return 1.0
-        if self.kind == "log":
-            return math.log(n)
-        if self.kind == "power":
-            try:
-                q = n**self.alpha
-            except OverflowError:
-                q = math.inf
-            if not 0.0 < q < math.inf:
-                raise DomainError(
-                    f"q({n:g}) = {n:g}^{self.alpha:g} is not a positive finite float; "
-                    "use log_at for ln q(n)"
-                )
-            return q
-        assert self.values is not None
-        return self.values[int(n) - 1]
 
     def log_at(self, n):
         """ln q(n) for an integer n >= 1, or elementwise for an array of them;
@@ -201,27 +162,17 @@ class QFunction:
         elif self.kind == "log":
             with np.errstate(divide="ignore"):
                 out = np.log(np.log(ns))
-        elif self.kind == "power":
+        else:
             with np.errstate(over="ignore"):
                 out = self.alpha * np.log(ns)
             if not np.all(np.isfinite(out)):
                 bad = ns[~np.isfinite(out)].min()
                 raise DomainError(f"ln q({bad:g}) = {self.alpha:g}*ln({bad:g}) overflows a float")
-        else:
-            assert self.values is not None
-            if np.any(ns > len(self.values)):
-                raise DomainError(
-                    f"table QFunction has {len(self.values)} values; "
-                    f"q({ns.max():g}) is out of range"
-                )
-            out = np.log(np.take(self.values, ns.astype(np.intp) - 1))
         return float(out) if out.ndim == 0 else out
 
     def label(self) -> str:
         if self.kind == "power":
             return f"power({self.alpha:g})"
-        if self.kind == "table":
-            return f"table[{len(self.values or ())}]"
         return self.kind
 
 
@@ -467,9 +418,12 @@ def check_hardy(seq: MomentSequence) -> Verdict:
 
 
 def _is_two_factor_log_family(seq: MomentSequence) -> bool:
+    """Whether the stored entry n is m_n of an X(r₁, r₂) family: a product,
+    or its symmetric root; a symmetric product stores m_{2n} there."""
     fam = seq.family
     return (
         fam is not None
+        and fam.symmetrization in ("none", "symmetric-root")
         and len(fam.factors) == 2
         and all(d == 1.0 for d, _ in fam.factors)
         and all(r > 0.0 for _, r in fam.factors)
@@ -496,7 +450,8 @@ def analyze(seq: MomentSequence) -> dict[str, object]:
 
     Always checks Carleman and the growth rate with q ≡ 1 and q = ln n;
     adds Hardy on positive support.  For two-factor families with unit
-    delta (the X(r₁, r₂) construction), appends the asymptotic trend
+    delta (the X(r₁, r₂) construction, or its symmetric root, whose entry
+    n is the same m_n), appends the asymptotic trend
     columns m_n^{1/(2n)}·e/(n·ln(n+1)) and
     (m_{n+1}/m_n)/((n+1)²·ln²(n+1)), which approach 1 and a constant
     respectively when both r = 1.

@@ -170,8 +170,14 @@ class TestConditionChecks:
         assert sups[0] > sups[1] > sups[2]
         assert sups[2] < 0.5
 
-    def test_grid_not_clipped_at_moderate_t(self):
-        assert not verify_laplace_conditions(100.0).grid_clipped
+    def test_curvature_window_stays_inside_the_positive_axis(self):
+        # verify_laplace_conditions' window x_t ± μ·√(t/(1+W)) starts at or
+        # above 0.128·x_t for every t > e (its minimum, 0.1288…, is at t → e)
+        ts = np.geomspace(math.nextafter(E, 3.0), 1.7e308, 22_000).tolist()
+        for t in ts:
+            rep = saddle_point(t)
+            lo = rep.x_t - rep.mu * math.sqrt(t / (1.0 + math.log1p(rep.x_t)))
+            assert lo >= 0.128 * rep.x_t, t
 
     def test_grid_size_floor(self):
         with pytest.raises(DomainError):

@@ -231,14 +231,6 @@ class TestQDivergence:
         assert v.status == VIOLATED
         assert v.diagnostics["refined"] == 0.0
 
-    def test_table_kind(self):
-        v = check_q_divergence(QFunction.table([1.0] * 400), n_max=400)
-        assert v.status == SATISFIED
-
-    def test_table_too_short(self):
-        with pytest.raises(DomainError):
-            check_q_divergence(QFunction.table([1.0] * 50), n_max=400)
-
     @pytest.mark.parametrize("alpha, status", [(400.0, VIOLATED), (-400.0, SATISFIED)])
     def test_extreme_power_stays_in_the_log_domain(self, alpha, status):
         # n^alpha over- or underflows; the terms are formed from alpha·ln n
@@ -253,7 +245,7 @@ class TestQDivergence:
             check_q_divergence(QFunction.one(), n_max=n_max)
 
 
-QS = [QFunction.one(), QFunction.log(), QFunction.power(0.7), QFunction.table([2.0, 3.0, 5.0])]
+QS = [QFunction.one(), QFunction.log(), QFunction.power(0.7)]
 
 
 class TestQFunction:
@@ -263,23 +255,25 @@ class TestQFunction:
         got = q.log_at(ns)
         assert got.dtype == np.float64
         assert got.tolist() == [q.log_at(int(n)) for n in ns]
-        assert got.tolist() == pytest.approx([math.log(q(int(n))) for n in ns], rel=1e-15)
+        closed_form = {
+            "constant-one": lambda n: 0.0,
+            "log": lambda n: math.log(math.log(n)),
+            "power": lambda n: 0.7 * math.log(n),
+        }[q.kind]
+        assert got.tolist() == pytest.approx([closed_form(int(n)) for n in ns], rel=1e-15)
         assert type(q.log_at(3)) is float
 
     def test_log_at_domain(self):
         assert QFunction.log().log_at(1) == -math.inf
         with pytest.raises(DomainError):
             QFunction.power(1.0).log_at(np.array([1.0, 0.0]))
-        with pytest.raises(DomainError, match="q\\(4\\)"):
-            QFunction.table([1.0, 2.0]).log_at(np.arange(1, 5))
 
     def test_kinds_and_labels(self):
-        assert QFunction.one()(17) == 1.0
-        assert QFunction.log()(math.isqrt(100)) == math.log(10)
-        assert QFunction.power(2.0)(3) == 9.0
-        assert QFunction.table([5.0, 6.0])(2) == 6.0
+        assert QFunction.one().log_at(17) == 0.0
+        assert QFunction.log().log_at(math.isqrt(100)) == math.log(math.log(10))
+        assert QFunction.power(2.0).log_at(3) == 2.0 * math.log(3)
         assert QFunction.power(0.5).label() == "power(0.5)"
-        assert QFunction.table([1.0, 2.0]).label() == "table[2]"
+        assert QFunction.log().label() == "log"
         assert QFunction.one().label() == "constant-one"
 
     def test_validation(self):
@@ -288,30 +282,20 @@ class TestQFunction:
         with pytest.raises(DomainError):
             QFunction.power(math.nan)
         with pytest.raises(DomainError):
-            QFunction.table([])
-        with pytest.raises(DomainError):
-            QFunction.table([1.0, -2.0])
-        qs = (QFunction.one(), QFunction.log(), QFunction.power(0.7), QFunction.table([1.0, 2.0]))
-        for q in qs:
-            for out_of_domain in (0, 3) if q.kind == "table" else (0,):
-                with pytest.raises(DomainError):
-                    q(out_of_domain)
-                with pytest.raises(DomainError):
-                    q.log_at(out_of_domain)
+            QFunction(kind="table")
+        for q in QS:
+            with pytest.raises(DomainError):
+                q.log_at(0)
 
     @pytest.mark.parametrize("q", QS)
     @pytest.mark.parametrize("n", [math.nan, 1.5, math.inf, np.array([2.0, 3.5, math.nan])])
     def test_nan_and_non_integral_n_are_outside_the_domain(self, q, n):
-        for call in (q, q.log_at):
-            with pytest.raises(DomainError, match="QFunction is defined for integer n"):
-                call(n)
+        with pytest.raises(DomainError, match="QFunction is defined for integer n"):
+            q.log_at(n)
 
     @pytest.mark.parametrize("q", QS)
     def test_integral_floats_are_integers(self, q):
-        assert q(2.0) == q(2) == q(np.int64(2))
-        assert q.log_at(2.0) == q.log_at(2)
-        if q.kind == "table":
-            assert q(2.0) == q.values[1]
+        assert q.log_at(2.0) == q.log_at(2) == q.log_at(np.int64(2))
 
     @pytest.mark.parametrize("alpha", [1e308, -1e308])
     def test_log_at_names_the_first_n_where_alpha_ln_n_overflows(self, alpha):
@@ -321,19 +305,16 @@ class TestQFunction:
             with pytest.raises(DomainError, match=r"ln q\(7\)"):
                 q.log_at(n)
 
+    @pytest.mark.parametrize("alpha", [400.0, -400.0])
+    def test_unrepresentable_power_points_to_log_at(self, alpha):
+        # 7^400 overflows and 7^-400 underflows to 0.0; ln q stays finite
+        assert QFunction.power(alpha).log_at(7) == alpha * math.log(7)
+
     @pytest.mark.parametrize("alpha", [1e308, 2e307, -2e307])
     def test_growth_rate_rejects_an_overflowing_q(self, seqs, alpha):
         # 2e307·ln n is finite up to n = 1000, but twice it is not
         with pytest.raises(DomainError, match="overflows a float"):
             check_growth_rate(seqs(X11, 100), QFunction.power(alpha))
-
-    @pytest.mark.parametrize("alpha", [400.0, -400.0])
-    def test_unrepresentable_power_points_to_log_at(self, alpha):
-        # 7^400 overflows and 7^-400 underflows to 0.0; ln q stays finite
-        q = QFunction.power(alpha)
-        with pytest.raises(DomainError, match="log_at"):
-            q(7)
-        assert q.log_at(7) == alpha * math.log(7)
 
 
 class TestHardy:
@@ -448,6 +429,14 @@ class TestAggregateReport:
         assert "trends" not in analyze(seqs("exp", 100))
         assert "trends" not in analyze(seqs("lognormal", 100))
 
+    def test_symmetric_product_gets_no_trends(self, seqs):
+        # its entry n is m_{2n}, not the m_n that both trend columns read
+        assert "trends" not in analyze(seqs("symprod[(1,1),(1,1)]", 100))
+
+    def test_symmetric_root_gets_the_trends_of_its_product(self, seqs):
+        # its entry n is the product's m_n
+        assert analyze(seqs(SYM_X11, 200))["trends"] == analyze(seqs(X11, 200))["trends"]
+
     def test_trend_columns_shape(self, seqs):
         # both trends dip through a pre-asymptotic minimum and then climb
         # (very slowly) toward their limits; assert the documented shape
@@ -491,7 +480,7 @@ class TestPlainReportValues:
         verdicts = [
             check_carleman(seq),
             check_growth_rate(seq, QFunction.power(0.5)),
-            check_growth_rate(seq, QFunction.table([1.0] * 200)),
+            check_growth_rate(seq, QFunction.log()),
             check_hardy(seqs("exp", 200)),
             check_q_divergence(QFunction.log()),
         ]

@@ -45,7 +45,6 @@ QFUNCTIONS = {
     "one": QFunction.one(),
     "log": QFunction.log(),
     "power": QFunction.power(2.0),
-    "table": QFunction.table([1.0, 2.0]),
 }
 
 #: The function each call should name, then (after a space) which argument.
@@ -62,14 +61,12 @@ CALLS = {
     "asymptotic_kn r": lambda huge: asymptotic_kn(3, huge),
     "asymptotic_kn n": lambda huge: asymptotic_kn(huge, 0.5),
     "QFunction.power": QFunction.power,
-    "QFunction.table": lambda huge: QFunction.table([1.0, huge]),
     "validate_rel_tol": validate_rel_tol,
     "SignedLogValue from_log": SignedLogValue.from_log,
     "SignedLogValue logmag": lambda huge: SignedLogValue(1, huge),
     "SignedLogValue negative logmag": lambda huge: SignedLogValue(-1, -huge),
     "QFunction alpha": lambda huge: QFunction(kind="power", alpha=huge),
     **{f"QFunction {kind} log_at": q.log_at for kind, q in QFUNCTIONS.items()},
-    **{f"QFunction {kind} call": q for kind, q in QFUNCTIONS.items()},
     "generate_moments n_max": lambda huge: generate_moments(parse_family("exp"), huge),
     "lognormal_moments n_max": lognormal_moments,
     "check_q_divergence n_max": lambda huge: check_q_divergence(QFunction.one(), huge),
@@ -103,7 +100,7 @@ NOT_SCALAR_REALS = {
     "gamma_derivative",
     "log_power_integral",
     "QFunction alpha",
-    *(f"QFunction {kind} {method}" for kind in QFUNCTIONS for method in ("log_at", "call")),
+    *(f"QFunction {kind} log_at" for kind in QFUNCTIONS),
 }
 SCALAR_REALS = [case for case in CALLS if case not in NOT_SCALAR_REALS]
 
@@ -209,6 +206,6 @@ def test_bools_floats_and_non_numbers_are_not_integers(case, value):
 
 @pytest.mark.parametrize("kind", QFUNCTIONS)
 def test_a_numeric_string_n_gives_q_of_n(kind):
-    # log_at takes "2" as float() does, and q(n) forms its value from that
+    # log_at takes "2" as float() does
     q = QFUNCTIONS[kind]
-    assert q("2") == q(2)
+    assert q.log_at("2") == q.log_at(2)

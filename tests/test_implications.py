@@ -1,0 +1,68 @@
+"""Reports that agree with the paper's own theorems.
+
+The paper proves that the quadratic growth condition (g_n bounded with
+q ≡ 1) implies Carleman's condition, and so does Hardy's.  The q-modulated
+form follows for a non-decreasing q: g_n ≤ C gives
+a_n ≥ 1/(√C·n·q(n)), so Carleman holds wherever Σ 1/(n·q(n)) diverges.
+So no report may pair a satisfied premise (growth with q ≡ 1, growth with
+q = ln n, Hardy) with a violated Carleman verdict.  ``inconclusive`` on
+either side is allowed.
+
+This needs no truth table: a contradiction shows that one of the two
+verdicts is wrong, whichever it is.  Today the Carleman verdict
+overestimates the decay exponent of a_n ~ e/(n·(ln n)^c) (ROADMAP item 1,
+Defect A), so the test is marked xfail until that lands.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from momentdet import SATISFIED, VIOLATED, QFunction, analyze, check_q_divergence
+
+#: The unit-δ two-factor families with r1 ≤ r2 in {0, 0.1, …, 1}: 66 of them.
+TWO_FACTOR = [
+    f"product[(1,{i / 10:g}),(1,{j / 10:g})]" for i in range(11) for j in range(i, 11)
+]
+#: Named families off that grid: stock, p ≠ 1, c > 1 and the symmetrizations.
+NAMED = [
+    "exp",
+    "exp2",
+    "product[(2,1)]",
+    "product[(1.5,0.5)]",
+    "product[(1,1),(1,1),(0,0.4)]",
+    "product[(0.5,1),(0.5,1),(1,0)]",
+    "symroot[(1,1),(1,1)]",
+    "symprod[(1,1),(1,1)]",
+]
+
+
+def _contradicted(report: dict[str, object], q_log_diverges: bool) -> list[str]:
+    """The satisfied premises of one report, if its Carleman verdict is violated."""
+    status = {v["criterion"]: v["status"] for v in report["verdicts"]}
+    if status["carleman"] != VIOLATED:
+        return []
+    premises = {
+        "growth_rate": status["growth_rate"] == SATISFIED,
+        "growth_rate_q": status["growth_rate_q"] == SATISFIED and q_log_diverges,
+        "hardy": status.get("hardy") == SATISFIED,
+    }
+    return [name for name, ok in premises.items() if ok]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 7: Carleman reads violated where growth (q = 1 or ln n) "
+    "reads satisfied, through item 1's Defect A",
+)
+@pytest.mark.parametrize("n_max", [200, 1000, 5000])
+def test_no_satisfied_premise_with_a_violated_carleman(seqs, n_max):
+    q_log_diverges = check_q_divergence(QFunction.log()).status == SATISFIED
+    labels = TWO_FACTOR + NAMED + (["lognormal"] if n_max == 200 else [])
+    found = []
+    for label in labels:
+        premises = _contradicted(analyze(seqs(label, n_max)), q_log_diverges)
+        if premises:
+            found.append(f"{label}: violated Carleman with satisfied {', '.join(premises)}")
+    assert not found, f"{len(found)} reports contradict themselves:\n" + "\n".join(found)
