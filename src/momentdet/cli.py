@@ -12,8 +12,9 @@ Subcommands:
   bracketing checks of the unit-interval part.
 
 Exit codes: 0 ok; 1 tolerance failure (paper-table only); 2 input error
-(bad family string, malformed file, out-of-range parameter); 3 numeric
-failure (non-convergence).
+(bad family string, malformed file, out-of-range parameter) or usage
+error (unknown, abbreviated or missing option, bad choice or number);
+3 numeric failure (non-convergence).
 
 Environment overrides (explicit flags take precedence):
 ``MOMENTDET_REL_TOL`` sets the default quadrature tolerance;
@@ -26,6 +27,8 @@ round-trip bit-exactly.
 
 from __future__ import annotations
 
+import argparse
+import codecs
 import json
 import math
 import os
@@ -47,9 +50,6 @@ from .errors import (
 from .lambertw import lambert_w0, lambert_w_bounds
 from .moments import from_csv, from_json, generate_from_label, to_csv, to_json
 from .quadrature import DEFAULT_REL_TOL, _log_gamma, log_power_integral, validate_rel_tol
-
-# after the package, so its modules do not compile on top of a loaded click
-import click
 
 _ENV_REL_TOL = "MOMENTDET_REL_TOL"
 _ENV_NMAX_CAP = "MOMENTDET_NMAX_CAP"
@@ -85,8 +85,11 @@ def _resolve_nmax(n_max: int) -> int:
 
 def _write(out: str, text: str) -> None:
     try:
-        with click.open_file(out, "w") as handle:
-            handle.write(text)
+        if out == "-":
+            sys.stdout.write(text)
+        else:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
     except OSError as exc:
         raise DomainError(f"cannot write {out!r}: {exc}") from exc
 
@@ -109,49 +112,9 @@ def _table(fmt: str, header: list[str], rows: list[list[object]]) -> str:
     return "".join("  ".join(map(str.ljust, row, widths)).rstrip() + "\n" for row in lines)
 
 
-def _format_option(*choices: str):
-    return click.option(
-        "--format", "fmt", type=click.Choice(choices), default=choices[0], show_default=True
-    )
-
-
-_out_option = click.option(
-    "--out", default="-", show_default=True, help="Output path ('-' for stdout)."
-)
-_rel_tol_option = click.option(
-    "--rel-tol", type=float, default=None, help="Quadrature relative tolerance."
-)
-
-
-class _Main(click.Group):
-    """The command group; the one place package exceptions become exit codes."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except (FamilyParseError, SequenceError, DomainError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except (QuadratureError, ConvergenceError) as exc:
-            click.echo(f"numeric error: {exc}", err=True)
-            sys.exit(3)
-
-
-@click.group(cls=_Main)
-@click.version_option(version=__version__)
-def main() -> None:
-    """Moment-determinacy diagnostics and log-domain special functions."""
-
-
 # -- gen ----------------------------------------------------------------------
 
 
-@main.command("gen")
-@click.option("--family", required=True, help="Family description, e.g. 'product[(1,1),(1,1)]'.")
-@click.option("--nmax", required=True, type=int, help="Highest stored order (>= 2).")
-@_rel_tol_option
-@_format_option("json", "csv")
-@_out_option
 def cmd_gen(family: str, nmax: int, rel_tol: float | None, fmt: str, out: str) -> None:
     """Generate a moment-sequence file for a family.
 
@@ -181,7 +144,8 @@ def _parse_q(text: str) -> QFunction:
 
 def _load_sequence(path: str):
     try:
-        with click.open_file(path, "r", encoding="utf-8") as handle:
+        # '-' is stdin, file descriptor 0, which stays open
+        with open(0 if path == "-" else path, encoding="utf-8", closefd=path != "-") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SequenceError(f"cannot read {path!r}: {exc}") from exc
@@ -225,32 +189,20 @@ def _finite_or_null(value: object) -> object:
     return value
 
 
-#: Each ``check --criteria`` name's checker, given the sequence and the ``--q`` spec.
+#: Each ``check --criteria`` name's checker, given the sequence and the ``--q`` function.
 _CHECKERS = {
-    "carleman": lambda seq, q_spec: check_carleman(seq),
-    "growth": lambda seq, q_spec: check_growth_rate(seq, QFunction.one()),
+    "carleman": lambda seq, q: check_carleman(seq),
+    "growth": lambda seq, q: check_growth_rate(seq, QFunction.one()),
     # named growth_rate_q whatever q is, so it never shares the growth verdict's name
-    "growth-q": lambda seq, q_spec: replace(
-        check_growth_rate(seq, _parse_q(q_spec)), criterion="growth_rate_q"
-    ),
-    "hardy": lambda seq, q_spec: check_hardy(seq),
+    "growth-q": lambda seq, q: replace(check_growth_rate(seq, q), criterion="growth_rate_q"),
+    "hardy": lambda seq, q: check_hardy(seq),
 }
 _CHECKER_NAMES = ", ".join(_CHECKERS)
 
 
-@main.command("check")
-@click.option("--in", "input_path", required=True, help="Moment-sequence file (JSON or CSV).")
-@click.option(
-    "--criteria",
-    default="all",
-    show_default=True,
-    help=f"Comma list from {{{_CHECKER_NAMES}}} or 'all'.",
-)
-@click.option("--q", "q_spec", default="log", show_default=True, help="q for growth-q: one, log, power:ALPHA.")
-@_format_option("json", "human")
-@_out_option
 def cmd_check(input_path: str, criteria: str, q_spec: str, fmt: str, out: str) -> None:
     """Run determinacy checkers on a sequence file; exit 0 regardless of verdicts."""
+    q = _parse_q(q_spec)
     seq = _load_sequence(input_path)
     wanted = [c.strip() for c in criteria.split(",") if c.strip()]
     if not wanted:
@@ -262,7 +214,7 @@ def cmd_check(input_path: str, criteria: str, q_spec: str, fmt: str, out: str) -
         for name in wanted:
             if name not in _CHECKERS:
                 raise DomainError(f"unknown criterion {name!r}; expected {_CHECKER_NAMES}")
-            verdicts.append(_CHECKERS[name](seq, q_spec))
+            verdicts.append(_CHECKERS[name](seq, q))
         report = _report(seq, verdicts)
     if fmt == "json":
         _write(out, json.dumps(_finite_or_null(report), indent=2, allow_nan=False) + "\n")
@@ -329,10 +281,6 @@ def _reference_rows(rel_tol: float) -> list[dict[str, object]]:
 _TABLE_HEADER = ["name", "computed", "reference", "deviation", "tolerance", "mode", "status", "note"]
 
 
-@main.command("paper-table")
-@_rel_tol_option
-@_format_option("human", "json", "csv")
-@_out_option
 def cmd_paper_table(rel_tol: float | None, fmt: str, out: str) -> None:
     """Reproduce the reference K-ratio/moment table; exit 1 on tolerance failure."""
     rows = _reference_rows(_resolve_rel_tol(rel_tol))
@@ -349,13 +297,8 @@ def cmd_paper_table(rel_tol: float | None, fmt: str, out: str) -> None:
 # -- asym ----------------------------------------------------------------------
 
 
-@main.command("asym")
-@click.option("--t", "t_values", required=True, multiple=True, type=float, help="Repeatable.")
-@_rel_tol_option
-@_format_option("human", "csv")
-@_out_option
-def cmd_asym(t_values: tuple[float, ...], rel_tol: float | None, fmt: str, out: str) -> None:
-    """Compare quadrature S(t) against the exact and leading saddle estimates."""
+def cmd_asym(t_values: list[float], rel_tol: float | None, fmt: str, out: str) -> None:
+    """Compare quadrature S(t) against the exact and leading saddle estimates, at each --t."""
     rel_tol = _resolve_rel_tol(rel_tol)
     header = [
         "t",
@@ -388,12 +331,8 @@ def _parse_t(token: str) -> float:
         raise DomainError(f"bad --t value {token!r} (use a number or 'e')") from exc
 
 
-@main.command("wtable")
-@click.option("--t", "t_values", required=True, multiple=True, help="Number or 'e'; repeatable.")
-@_format_option("human", "csv")
-@_out_option
-def cmd_wtable(t_values: tuple[str, ...], fmt: str, out: str) -> None:
-    """Tabulate W(t) with residuals and the a-priori bounds (t > e)."""
+def cmd_wtable(t_values: list[str], fmt: str, out: str) -> None:
+    """Tabulate W(t) at each --t, a number or e, with residuals and the a-priori bounds (t > e)."""
     header = ["t", "w", "residual", "lower_bound", "upper_bound", "note"]
     rows = []
     for token in t_values:
@@ -412,11 +351,6 @@ def cmd_wtable(t_values: tuple[str, ...], fmt: str, out: str) -> None:
 # -- gamma-derivs -----------------------------------------------------------------
 
 
-@main.command("gamma-derivs")
-@click.option("--nmax", required=True, type=int, help="Tabulate n = 0..nmax.")
-@_rel_tol_option
-@_format_option("human", "csv")
-@_out_option
 def cmd_gamma_derivs(nmax: int, rel_tol: float | None, fmt: str, out: str) -> None:
     """Tabulate gamma-function derivatives at 1 with unit-part bracket checks."""
     if nmax < 0:
@@ -445,6 +379,68 @@ def cmd_gamma_derivs(nmax: int, rel_tol: float | None, fmt: str, out: str) -> No
         value = sign * math.exp(log) if abs(log) < 700.0 else None
         rows.append([n, sign, log, value, unit_log, lo, hi, ok])
     _write(out, _table(fmt, header, rows))
+
+
+# -- the command line ---------------------------------------------------------------
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    """The parser of every command; each command's docstring is its help."""
+    exact = {"add_help": False, "allow_abbrev": False}  # no -h, and --fam is not --family
+    parser = argparse.ArgumentParser(prog, description=main.__doc__, **exact)
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name: str, run, *formats: str, rel_tol: bool = True) -> argparse.ArgumentParser:
+        """The subparser that calls ``run``, with the options every command shares."""
+        doc = run.__doc__
+        sub = commands.add_parser(name, help=doc.split("\n")[0], description=doc, **exact)
+        sub.set_defaults(run=run)
+        sub.add_argument("--help", action="help", help="Show this message and exit.")
+        if rel_tol:
+            sub.add_argument("--rel-tol", type=float, help="Quadrature relative tolerance.")
+        sub.add_argument(
+            "--format", dest="fmt", choices=formats, default=formats[0], help="Default: %(default)s."
+        )
+        sub.add_argument("--out", default="-", help="Output path; '-', the default, is stdout.")
+        return sub
+
+    gen = command("gen", cmd_gen, "json", "csv")
+    gen.add_argument("--family", required=True, help="A family, e.g. 'product[(1,1),(1,1)]'.")
+    gen.add_argument("--nmax", required=True, type=int, help="Highest stored order (>= 2).")
+    check = command("check", cmd_check, "json", "human", rel_tol=False)
+    check.add_argument("--in", dest="input_path", required=True, help="A JSON or CSV sequence file.")
+    check.add_argument("--criteria", default="all", help=f"Comma list from {{{_CHECKER_NAMES}}} or all.")
+    q_help = "q for growth-q: one, log (the default), power:ALPHA; all reports growth_rate_q at q = ln n."
+    check.add_argument("--q", dest="q_spec", default="log", help=q_help)
+    command("paper-table", cmd_paper_table, "human", "json", "csv")
+    asym = command("asym", cmd_asym, "human", "csv")
+    asym.add_argument("--t", dest="t_values", action="append", required=True, type=float, metavar="T")
+    wtable = command("wtable", cmd_wtable, "human", "csv", rel_tol=False)
+    wtable.add_argument("--t", dest="t_values", action="append", required=True, metavar="T")
+    gamma = command("gamma-derivs", cmd_gamma_derivs, "human", "csv")
+    gamma.add_argument("--nmax", required=True, type=int, help="Tabulate n = 0..nmax.")
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str = "momentdet") -> None:
+    """Moment-determinacy diagnostics and log-domain special functions."""
+    for stream in (sys.stdout, sys.stderr):  # UTF-8 whatever the locale
+        if stream.encoding and codecs.lookup(stream.encoding).name != "utf-8":
+            stream.reconfigure(encoding="utf-8", errors="replace")
+    try:  # the one place package exceptions become exit codes
+        options = vars(_parser(prog_name).parse_args(args))
+        options.pop("run")(**options)
+    except (FamilyParseError, SequenceError, DomainError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
+    except (QuadratureError, ConvergenceError) as exc:
+        print(f"numeric error: {exc}", file=sys.stderr)
+        sys.exit(3)
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,7 +13,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from click.testing import CliRunner
 
 from momentdet import (
     analyze,
@@ -37,6 +36,7 @@ from momentdet import (
 )
 from momentdet.cli import main
 
+from .conftest import CliRunner
 from .oracles import simpson_s, simpson_unit
 
 X11 = "product[(1,1),(1,1)]"

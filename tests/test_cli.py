@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 import momentdet
 from momentdet import (
@@ -27,12 +26,24 @@ from momentdet import (
 )
 from momentdet.cli import main
 
+from .conftest import CliRunner
+
 X11 = "product[(1,1),(1,1)]"
 
 
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+def run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter, with this package on its path."""
+    src = str(Path(momentdet.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def strict_json(text: str) -> object:
@@ -285,6 +296,14 @@ class TestCheck:
             main, ["check", "--in", str(path), "--criteria", "growth-q", "--q", "junk"]
         )
         assert result.exit_code == 2
+
+    def test_bad_q_spec_exits_2_under_the_default_criteria(self, runner, tmp_path):
+        # all reports growth_rate_q at q = ln n, yet --q is still read
+        path = tmp_path / "exp.json"
+        runner.invoke(main, ["gen", "--family", "exp", "--nmax", "100", "--out", str(path)])
+        result = runner.invoke(main, ["check", "--in", str(path), "--q", "junk"])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: unknown q spec 'junk'")
 
     def test_growth_q_one_matches_growth(self, runner, tmp_path):
         path = tmp_path / "exp.json"
@@ -580,15 +599,26 @@ class TestTopLevel:
         assert "0.1.0" in result.output
 
     def test_python_dash_m_runs_the_cli(self):
-        src = str(Path(momentdet.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        result = subprocess.run(
-            [sys.executable, "-m", "momentdet", "--version"],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        result = run_fresh("-m", "momentdet", "--version")
         assert result.returncode == 0, result.stderr
         assert result.stdout.endswith("version 0.1.0\n")
+
+    def test_runs_without_click(self, tmp_path):
+        # with click refused, gen then check; the CLI does not import it
+        blocked = f"""
+import sys
+sys.modules["click"] = None
+from momentdet.cli import main
+main(["gen", "--family", {X11!r}, "--nmax", "100", "--out", {str(tmp_path / "x11.json")!r}])
+main(["check", "--in", {str(tmp_path / "x11.json")!r}])
+"""
+        result = run_fresh("-c", blocked)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["label"] == X11
+        result = run_fresh("-c", "import sys, momentdet.cli; print('click' in sys.modules)")
+        assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
+        result = run_fresh("-m", "momentdet", "--version")
+        assert (result.returncode, result.stdout) == (0, "momentdet, version 0.1.0\n")
 
     def test_help_lists_commands(self, runner):
         result = runner.invoke(main, ["--help"])

@@ -7,12 +7,13 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentdet import generate_from_label, to_csv, to_json
 from momentdet.cli import main
+
+from .conftest import CliRunner
 
 #: On top of the suite profile (no deadline, 60 examples): the same examples
 #: on every run, so that the gate gives one answer for one tree.

@@ -350,6 +350,21 @@ class TestValidationGates:
         with pytest.raises(QuadratureError, match="while generating moment of order 7 "):
             generate_from_label("product[(1,0.5),(1,1)]", 20)
 
+    def test_batch_error_no_order_reproduces_is_raised_unchanged(self, monkeypatch):
+        # the batch holds every distinct p, an order at most two of them
+        real = moments_mod.log_power_integral
+        batch_error = QuadratureError("synthetic batch failure")
+
+        def fails_on_the_batch(ps, rel_tol):
+            if len(ps) > 2:
+                raise batch_error
+            return real(ps, rel_tol)
+
+        monkeypatch.setattr(moments_mod, "log_power_integral", fails_on_the_batch)
+        with pytest.raises(QuadratureError) as info:
+            generate_from_label("product[(1,0.5),(1,1)]", 20)
+        assert info.value is batch_error
+        assert str(info.value) == "synthetic batch failure"
 
     def test_unconverged_error_keeps_its_partial(self, monkeypatch):
         monkeypatch.setattr(quadrature, "_MAX_LEVEL", 4)

@@ -175,3 +175,13 @@ def test_a_name_runs_its_module_and_only_those_before_it():
         print(json.dumps(report))
     """ % (ONE_NAME,))
     assert result == [sorted(SUBMODULES[: i + 1]) for i in range(len(SUBMODULES))]
+
+
+def test_dir_lists_every_public_name_and_submodule():
+    result = run_fresh("""
+        import momentdet
+        print(json.dumps({"dir": dir(momentdet), "all": momentdet.__all__}))
+    """)
+    assert len(result["all"]) == 48
+    assert set(result["all"]) | set(SUBMODULES) <= set(result["dir"])
+    assert result["dir"] == sorted(result["dir"])
