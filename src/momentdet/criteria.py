@@ -33,12 +33,13 @@ The growth-rate checker analogously separates power-law growth of g_n
 (violation) from at-most-logarithmic drift (bounded evidence) by fitting
 ln g_n against both ln n and ln ln n.
 
-The series, growth-rate and Hardy checkers share one tail fit, over the
-last half of the available indices by default: its least-squares slope
-against ln n and whether the tail rose.  Every fit, this one and the
-drift, b_n and ln ln n fits, is the closed-form slope on centred data,
-xc·(y − ȳ)/(xc·xc) with xc = x − x̄.  Hardy reads ln (2n)! from one
-module-level table, shared by all calls and grown on demand.
+The checkers of one call read one private table, ``_Tails``: n, ln n and
+ln ln n for n = 1..n_max, and the x column of each fitted tail, centred
+once (Carleman and Hardy fit the same tail).  ``analyze`` builds one for
+all its checkers, and none outlives its call.  Every fit is the
+closed-form least-squares slope on centred data, xc·(y − ȳ)/(xc·xc) with
+xc = x − x̄.  Hardy reads ln (2n)! from one module-level table, shared by
+all calls and grown on demand.
 
 Verdicts describe the *given truncation*, not the limit: sequences whose
 log corrections settle slowly can honestly classify differently at short
@@ -56,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, SequenceError, _float_arg, _int_arg
+from .errors import DomainError, SequenceError, _float_arg, _int_arg, _kind_arg
 from .moments import MomentSequence, _check_n_max, _log_carleman_terms
 
 __all__ = [
@@ -157,18 +158,21 @@ class QFunction:
         if outside.any():
             bad = ns.flat[np.argmax(outside)]
             raise DomainError(f"QFunction is defined for integer n >= 1, got {bad:g}")
-        if self.kind == "constant-one":
-            out = np.zeros_like(ns)
-        elif self.kind == "log":
-            with np.errstate(divide="ignore"):
-                out = np.log(np.log(ns))
-        else:
-            with np.errstate(over="ignore"):
-                out = self.alpha * np.log(ns)
-            if not np.all(np.isfinite(out)):
-                bad = ns[~np.isfinite(out)].min()
-                raise DomainError(f"ln q({bad:g}) = {self.alpha:g}*ln({bad:g}) overflows a float")
+        with np.errstate(divide="ignore"):  # ln ln 1 = −inf
+            out = self._log_of(ns, np.log(ns), np.log(np.log(ns)))
         return float(out) if out.ndim == 0 else out
+
+    def _log_of(self, ns, ln_n, lnln):
+        """ln q(n) for integers ``ns`` >= 1, unchecked, from their ln n and
+        ln ln n; DomainError names the least n where α·ln n overflows."""
+        if self.kind != "power":
+            return lnln if self.kind == "log" else np.zeros_like(ln_n)
+        with np.errstate(over="ignore"):
+            out = self.alpha * ln_n
+        if not np.isfinite(out).all():
+            bad = ns[~np.isfinite(out)].min()
+            raise DomainError(f"ln q({bad:g}) = {self.alpha:g}*ln({bad:g}) overflows a float")
+        return out
 
     def label(self) -> str:
         if self.kind == "power":
@@ -176,7 +180,7 @@ class QFunction:
         return self.kind
 
 
-# -- tail fitting -------------------------------------------------------------
+# -- the tail table -----------------------------------------------------------
 
 
 def _exp_or_inf(x: float) -> float:
@@ -187,48 +191,54 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def _fit_slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Least-squares slope of y against x, in closed form on centred data:
-    xc·(y − ȳ)/(xc·xc) with xc = x − x̄.  The design is always (x, 1), so
-    this is the whole fit.  The means are np.add.reduce(v) / v.size, the bits
-    of v.mean() without its Python wrapper."""
-    xc = x - np.add.reduce(x) / x.size
-    return float(xc @ (y - np.add.reduce(y) / y.size) / (xc @ xc))
+class _Tails:
+    """n = 1..n_max as floats, ln n and ln ln n (entry n − 1 holds n's;
+    ln ln 1 = −inf) and each fitted tail's centred x; no array of it is
+    written to."""
 
+    def __init__(self, n_max: int) -> None:
+        self.n = np.arange(1.0, n_max + 1.0)
+        self.ln_n = np.log(self.n)
+        with np.errstate(divide="ignore"):
+            self.lnln = np.log(self.ln_n)
+        self._centred: dict = {}  # (start, size, loglog) -> (xc, xc·xc)
 
-def _tail_fit(
-    ns: np.ndarray, y: np.ndarray, tail_start: int
-) -> tuple[np.ndarray, np.ndarray, float, bool]:
-    """ln n and y over the tail n >= ``tail_start``, the least-squares slope
-    of y against ln n there, and whether y rose across the tail."""
-    tail = ns >= tail_start
-    ln_n, y_tail = np.log(ns[tail]), y[tail]
-    return ln_n, y_tail, _fit_slope(ln_n, y_tail), bool(y_tail[-1] > y_tail[0])
+    def slope(self, y: np.ndarray, start: int, loglog: bool = False) -> float:
+        """Least-squares slope of y, the values at n = start, start + 1, …,
+        against ln n (ln ln n with ``loglog``).  A mean is np.add.reduce(v) /
+        v.size, the bits of v.mean() without its Python wrapper."""
+        key = (start, y.size, loglog)
+        if key not in self._centred:
+            x = (self.lnln if loglog else self.ln_n)[start - 1 : start - 1 + y.size]
+            xc = x - np.add.reduce(x) / x.size
+            self._centred[key] = xc, xc @ xc
+        xc, xx = self._centred[key]
+        return float(xc @ (y - np.add.reduce(y) / y.size) / xx)
 
 
 def _classify_series(
-    ns: np.ndarray, log_terms: np.ndarray, tail_start: int
+    t: _Tails, log_terms: np.ndarray, tail_start: int
 ) -> tuple[str, dict[str, float]]:
     """Two-scale divergence classification of Σ term_n from ln term_n.
 
-    ``ns`` must be increasing integers (as floats) with at least 8 of them
-    at or beyond ``tail_start``; the callers' input checks ensure it.
+    ``log_terms`` ends at the table's last n, with at least 8 of its n at
+    or beyond ``tail_start``; the callers' input checks ensure it.
     """
-    ln_n, log_tail, slope, _ = _tail_fit(ns, log_terms, tail_start)
-    p_fit = -slope
+    log_tail = log_terms[tail_start - t.n.size - 1 :]
+    ln_n = t.ln_n[tail_start - 1 :]
+    p_fit = -t.slope(log_tail, tail_start)
 
-    # local exponents and their drift across the tail
-    local_p = -np.diff(log_tail) / np.diff(ln_n)
-    drift = _fit_slope(ln_n[1:], local_p)
+    # local exponents −Δ ln term / Δ ln n and their drift across the tail
+    local_p = (log_tail[1:] - log_tail[:-1]) / (ln_n[:-1] - ln_n[1:])
+    drift = t.slope(local_p, tail_start + 1)
 
     with np.errstate(over="ignore", under="ignore"):  # an overflowing sum reads inf
-        partial_sum = float(np.sum(np.exp(log_terms)))
+        partial_sum = float(np.add.reduce(np.exp(log_terms)))
 
     # critical-scale refinement data: b_n = term_n · n · ln n over the tail's n ≥ 2
-    b_ok = ln_n > 0.0
-    lnln = np.log(ln_n[b_ok])
-    log_b = log_tail[b_ok] + ln_n[b_ok] + lnln
-    b_slope = _fit_slope(lnln, log_b)
+    b_start = max(tail_start, 2)
+    log_b = (log_tail + ln_n)[b_start - tail_start :] + t.lnln[b_start - 1 :]
+    b_slope = t.slope(log_b, b_start, loglog=True)
     b_last = _exp_or_inf(float(log_b[-1]))
 
     if p_fit < 1.0 - BORDERLINE_BAND:
@@ -266,6 +276,10 @@ def check_carleman(seq: MomentSequence, n_min: int | None = None) -> Verdict:
     The tail fit runs over [n_min, n_max]; n_min defaults to n_max // 2
     and must leave at least 8 points (and n_max >= 16).
     """
+    return _carleman(_Tails(_kind_arg(seq, MomentSequence, "check_carleman").n_max), seq, n_min)
+
+
+def _carleman(t: _Tails, seq: MomentSequence, n_min: int | None) -> Verdict:
     n_max = seq.n_max
     if n_min is None:
         tail_start = max(2, n_max // 2)
@@ -276,8 +290,7 @@ def check_carleman(seq: MomentSequence, n_min: int | None = None) -> Verdict:
             f"check_carleman needs n_max >= max(n_min + 8, 16); got n_max = {n_max}, "
             f"tail start {tail_start}"
         )
-    ns = np.arange(1, n_max + 1, dtype=float)
-    status, diagnostics = _classify_series(ns, _log_carleman_terms(seq), tail_start)
+    status, diagnostics = _classify_series(t, _log_carleman_terms(seq), tail_start)
     return Verdict(
         criterion="carleman", status=status, diagnostics=diagnostics, n_used=n_max
     )
@@ -291,25 +304,31 @@ def check_growth_rate(seq: MomentSequence, q: QFunction | None = None) -> Verdic
     classified on the ln ln n scale: at-most-logarithmic drift counts as
     bounded evidence with constant C = sup g, faster growth as violation.
     """
-    if q is None:
-        q = QFunction.one()
+    q = _kind_arg(QFunction.one() if q is None else q, QFunction, "check_growth_rate")
+    return _growth_rate(_Tails(_kind_arg(seq, MomentSequence, "check_growth_rate").n_max), seq, q)
+
+
+def _growth_rate(t: _Tails, seq: MomentSequence, q: QFunction) -> Verdict:
     n_max = seq.n_max
     if n_max < 8:
         raise SequenceError(f"check_growth_rate needs >= 8 ratio terms, got {n_max}")
-    # g_n for ratio index n = 1..n_max−1 (n = 0 has no ln n scale)
-    ns = np.arange(1, n_max, dtype=float)
+    # ln g_n for ratio index n = 1..n_max−1 (n = 0 has no ln n scale): ln(n+1) and
+    # ln q(n+1) are the table's entries from n + 1 = 2 on
+    logs = seq.log_moments
     with np.errstate(over="ignore", invalid="ignore"):
-        log_g = np.diff(seq.log_moments)[1:] - 2.0 * np.log(ns + 1.0) - 2.0 * q.log_at(ns + 1.0)
-    if not np.all(np.isfinite(log_g)):
-        bad = ns[~np.isfinite(log_g)].min()
-        raise DomainError(f"ln g_n with q = {q.label()} overflows a float at n = {bad:g}")
+        log_q = q._log_of(t.n[1:], t.ln_n[1:], t.lnln[1:])
+        log_g = (logs[2:] - logs[1:-1]) - 2.0 * t.ln_n[1:] - 2.0 * log_q
+    bad = np.argmin(np.isfinite(log_g))  # the first non-finite entry, if any
+    if not math.isfinite(log_g[bad]):
+        raise DomainError(f"ln g_n with q = {q.label()} overflows a float at n = {t.n[bad]:g}")
     tail_start = max(1, (n_max - 1) // 2)
-    ln_n, log_g_tail, power_slope, rising = _tail_fit(ns, log_g, tail_start)
-    loglog_slope = _fit_slope(np.log(ln_n), log_g_tail)
-    sup_log_g = float(np.max(log_g))
+    log_g_tail = log_g[tail_start - 1 :]
+    power_slope = t.slope(log_g_tail, tail_start)
+    loglog_slope = t.slope(log_g_tail, tail_start, loglog=True)
+    sup_log_g = float(np.maximum.reduce(log_g))
     sup_g = _exp_or_inf(sup_log_g)
 
-    if power_slope >= GROWTH_POWER_SLOPE and rising:
+    if power_slope >= GROWTH_POWER_SLOPE and log_g_tail[-1] > log_g_tail[0]:
         status = VIOLATED
     elif loglog_slope <= GROWTH_ALPHA_BOUNDED:
         status = SATISFIED
@@ -341,13 +360,14 @@ def check_q_divergence(q: QFunction, n_max: int = 400) -> Verdict:
     finite where n^α under- or overflows.  n = 1 is skipped where
     q(1) = 0 (the log kind).
     """
+    q = _kind_arg(q, QFunction, "check_q_divergence")
     n_max = _check_n_max(n_max, 100, "check_q_divergence requires integer n_max >= 100")
-    n_start = 1 if q.log_at(1) > -math.inf else 2
-    ns = np.arange(n_start, n_max + 1, dtype=float)
-    log_terms = -np.log(ns) - q.log_at(ns)
-    status, diagnostics = _classify_series(ns, log_terms, max(2, n_max // 2))
+    t = _Tails(n_max)
+    skip = 1 if q.kind == "log" else 0  # n = 1 where q(1) = 0
+    log_terms = -t.ln_n[skip:] - q._log_of(t.n[skip:], t.ln_n[skip:], t.lnln[skip:])
+    status, diagnostics = _classify_series(t, log_terms, max(2, n_max // 2))
     return Verdict(
-        criterion="q_divergence", status=status, diagnostics=diagnostics, n_used=ns.size
+        criterion="q_divergence", status=status, diagnostics=diagnostics, n_used=log_terms.size
     )
 
 
@@ -377,6 +397,10 @@ def check_hardy(seq: MomentSequence) -> Verdict:
     otherwise c₀ = exp(sup b_n) is reported and the bound re-verified
     exactly at every stored order.
     """
+    return _hardy(_Tails(_kind_arg(seq, MomentSequence, "check_hardy").n_max), seq)
+
+
+def _hardy(t: _Tails, seq: MomentSequence) -> Verdict:
     if seq.support != "stieltjes":
         raise DomainError(
             "check_hardy is unsupported on hamburger-symmetric sequences; "
@@ -385,18 +409,18 @@ def check_hardy(seq: MomentSequence) -> Verdict:
     n_max = seq.n_max
     if n_max < 16:
         raise SequenceError(f"check_hardy needs n_max >= 16, got {n_max}")
-    ns = np.arange(1, n_max + 1, dtype=float)
     log_m = seq.log_moments[1:]
     log_fact = _log_factorial_2n(n_max)
-    b = (log_m - log_fact) / ns
+    b = (log_m - log_fact) / t.n
     tail_start = max(2, n_max // 2)
-    _, _, slope, rising = _tail_fit(ns, b, tail_start)
-    sup_b = float(np.max(b))
+    b_tail = b[tail_start - 1 :]
+    slope = t.slope(b_tail, tail_start)
+    sup_b = float(np.maximum.reduce(b))
     c0 = _exp_or_inf(sup_b)
     # a flat tail, and exact re-verification of m_n <= (2n)!·c0^n at every stored order
-    bound_ok = slope <= HARDY_SLOPE_TOL and not np.any(log_m > log_fact + ns * sup_b + 1e-9)
+    bound_ok = slope <= HARDY_SLOPE_TOL and not (log_m > log_fact + t.n * sup_b + 1e-9).any()
 
-    if slope > HARDY_SLOPE_TOL and rising:
+    if slope > HARDY_SLOPE_TOL and b_tail[-1] > b_tail[0]:
         status = VIOLATED
     elif bound_ok:
         status = SATISFIED
@@ -456,13 +480,14 @@ def analyze(seq: MomentSequence) -> dict[str, object]:
     (m_{n+1}/m_n)/((n+1)²·ln²(n+1)), which approach 1 and a constant
     respectively when both r = 1.
     """
+    t = _Tails(_kind_arg(seq, MomentSequence, "analyze").n_max)
     verdicts = [
-        check_carleman(seq),
-        check_growth_rate(seq, QFunction.one()),
-        check_growth_rate(seq, QFunction.log()),
+        _carleman(t, seq, None),
+        _growth_rate(t, seq, QFunction.one()),
+        _growth_rate(t, seq, QFunction.log()),
     ]
     if seq.support == "stieltjes":
-        verdicts.append(check_hardy(seq))
+        verdicts.append(_hardy(t, seq))
 
     report = _report(seq, verdicts)
     if _is_two_factor_log_family(seq):

@@ -10,10 +10,11 @@ A non-integer, an integer below its floor, a real that is not numeric
 (such as ``"abc"``) and an int too large for a float raise DomainError
 with a message opening "<function> requires"; other values outside a
 function's domain raise DomainError too.  A value of the wrong kind,
-such as None or a two-element array where a real scalar is expected,
-raises TypeError.  ``MomentSequence.moment`` (SequenceError) and the
-``SignedLogValue`` sign (ValueError) refuse non-integers with their own
-types.
+such as None or a two-element array where a real scalar is expected, or
+anything but a MomentSequence or QFunction where a checker expects one
+(``_kind_arg``), raises TypeError.  ``MomentSequence.moment``
+(SequenceError) and the ``SignedLogValue`` sign (ValueError) refuse
+non-integers with their own types.
 """
 
 from __future__ import annotations
@@ -69,6 +70,13 @@ def _float_arg(value, name: str, arg: str, array: bool = False):
         return np.asarray(value, dtype=float)[()] if array else float(value)
     except (OverflowError, ValueError) as exc:
         raise DomainError(f"{name} requires {arg} to be a number that fits a float: {exc}") from exc
+
+
+def _kind_arg(value, kind: type, name: str):
+    """``value`` if it is a ``kind``, else TypeError naming the function ``name``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} requires a {kind.__name__}, got {type(value).__name__}")
+    return value
 
 
 class ConvergenceError(RuntimeError):

@@ -34,11 +34,13 @@ Sequences serialize to JSON and CSV with log-magnitudes rendered through
 ``repr``/``%.17g`` so a save/load round-trip is bit-exact.  A file laid out
 exactly as to_json or to_csv writes it (the canonical layout) loads by
 slicing its text, with one ``float()`` per moment and no other object per
-moment.  Any other file (hand-edited, re-indented, with extra keys or
-reordered lines) loads through the general path: ``json.loads`` and a
-check of each entry, or a reader of one CSV line at a time, which names
-the first bad entry.  Both paths give the same sequence, or the same
-SequenceError, from the same text.
+moment: JSON logmags must be printable text (``str.isprintable``, so no
+control character, which JSON escapes), and the CSV index column is
+compared with one shared text of indices.  Any other file (hand-edited,
+re-indented, with extra keys or reordered lines) loads through the
+general path: ``json.loads`` and a check of each entry, or a reader of
+one CSV line at a time, which names the first bad entry.  Both paths
+give the same sequence, or the same SequenceError, from the same text.
 """
 
 from __future__ import annotations
@@ -381,9 +383,12 @@ _JSON_CLOSE = '"\n    }'
 _JSON_MOMENTS = '  "moments": [\n' + _JSON_OPEN
 _JSON_SEPARATOR = _JSON_CLOSE + ",\n" + _JSON_OPEN
 _JSON_END = _JSON_CLOSE + "\n  ]\n}\n"
-#: a character that a JSON string must escape
-_JSON_ESCAPED = re.compile(r'["\\\x00-\x1f]')
 _CSV_HEADER = "n,sign,logmag"
+#: The most CSV rows whose indices _INDEX_TEXT holds; a longer file builds the rest.
+_INDEX_ROWS_MAX = 8192
+#: (rows, "0\n1\n…\n{rows − 1}\n"): the index column of that many CSV rows,
+#: replaced by a longer one rather than grown in place.
+_INDEX_TEXT = (0, "")
 
 
 def to_json(seq: MomentSequence) -> str:
@@ -425,20 +430,21 @@ def _json_canonical(text: str) -> tuple[dict, list[float]] | None:
     other layout.
 
     The moments must run from the first ``"moments"`` marker to the end of
-    the text, each written exactly as to_json writes it, with no logmag
-    holding a character that JSON escapes (``"``, ``\\`` or a control
-    character), and the head before the marker must parse as an object
-    once the moments are replaced by ``[]``.  The text is then exactly the
-    document json would decode: the head's fields, every sign the int 1,
-    every logmag decoded verbatim, and ``"moments"`` the last key, so it
-    wins over a duplicate in the head.
+    the text, each written exactly as to_json writes it, with every logmag
+    printable (no control character, which JSON escapes; a ``"`` or ``\\``,
+    the other two, float() refuses) and parsed by float(), and the head
+    before the marker must parse as an object once the moments are
+    replaced by ``[]``.  The text is then exactly the document json would
+    decode: the head's fields, every sign the int 1, every logmag decoded
+    verbatim, and ``"moments"`` the last key, so it wins over a duplicate
+    in the head.
     """
     start = text.find(_JSON_MOMENTS)
     if start < 0 or not text.endswith(_JSON_END):
         return None
     # where the marker runs into the end, the one piece is empty and float refuses it
     pieces = text[start + len(_JSON_MOMENTS) : len(text) - len(_JSON_END)].split(_JSON_SEPARATOR)
-    if _JSON_ESCAPED.search("".join(pieces)):
+    if not "".join(pieces).isprintable():
         return None
     try:
         head = json.loads(text[:start] + '  "moments": []\n}')
@@ -497,10 +503,25 @@ def to_csv(seq: MomentSequence) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_index_column(indices: list[str]) -> bool:
+    """Whether ``indices`` are "0", "1", "2", …, with no string made per
+    index: up to _INDEX_ROWS_MAX of them are joined and compared with the
+    shared _INDEX_TEXT (grown if too short), any beyond with str(j)."""
+    global _INDEX_TEXT
+    rows, text = _INDEX_TEXT  # one read: another thread may replace it
+    if rows < min(len(indices), _INDEX_ROWS_MAX):
+        rows = min(max(len(indices), 2 * rows), _INDEX_ROWS_MAX)
+        text = "\n".join(map(str, range(rows))) + "\n"
+        _INDEX_TEXT = rows, text
+    return text.startswith("\n".join(indices[:rows]) + "\n") and indices[rows:] == list(
+        map(str, range(rows, len(indices)))
+    )
+
+
 def _csv_rows(lines: list[str]) -> list[float] | None:
     """Log-magnitudes of a file laid out as to_csv writes it (comments, the
-    header, then rows n,1,logmag), or None when the layout differs or a row
-    is malformed."""
+    header, then rows n,1,logmag with n = 0, 1, …), or None when the layout
+    differs or a row is malformed."""
     try:
         start = lines.index(_CSV_HEADER) + 1
     except ValueError:
@@ -514,7 +535,7 @@ def _csv_rows(lines: list[str]) -> list[float] | None:
         or fields[3::4].count("\n") != len(rows) - 1
         or any(not line.startswith("#") for line in lines[: start - 1])
         or set(fields[1::4]) != {"1"}
-        or fields[0::4] != list(map(str, range(len(rows))))
+        or not _is_index_column(fields[0::4])
     ):
         return None
     try:

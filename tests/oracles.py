@@ -17,7 +17,10 @@ used where the values fit comfortably in double range (p ≤ ~250).
 
 ``reference_s_shape`` is of another kind: the plain form of the package's
 ``quadrature._s_shape``, one numpy call per quantity, whose bits the
-package's leaner form must reproduce.
+package's leaner form must reproduce.  So are the ``reference_check_*``
+checkers and ``reference_analyze``: the arithmetic of ``criteria`` with
+each checker building its own n, ln n and centred tails, whose verdicts
+and diagnostics the package's shared tail table must reproduce.
 """
 
 from __future__ import annotations
@@ -114,3 +117,203 @@ def reference_s_shape(p):
         for _ in range(_CUTOFF_STEPS):
             cut = cut + (aim - logf(cut)) / slope(cut)
         return peak, peak_log, cut
+
+
+def _reference_fit_slope(x: np.ndarray, y: np.ndarray) -> float:
+    xc = x - np.add.reduce(x) / x.size
+    return float(xc @ (y - np.add.reduce(y) / y.size) / (xc @ xc))
+
+
+def _reference_tail_fit(ns, y, tail_start):
+    """ln n and y over n >= tail_start, the slope of y against ln n, and
+    whether y rose across the tail."""
+    tail = ns >= tail_start
+    ln_n, y_tail = np.log(ns[tail]), y[tail]
+    return ln_n, y_tail, _reference_fit_slope(ln_n, y_tail), bool(y_tail[-1] > y_tail[0])
+
+
+def _reference_classify_series(ns, log_terms, tail_start):
+    from momentdet import criteria as c
+
+    ln_n, log_tail, slope, _ = _reference_tail_fit(ns, log_terms, tail_start)
+    p_fit = -slope
+    local_p = -np.diff(log_tail) / np.diff(ln_n)
+    drift = _reference_fit_slope(ln_n[1:], local_p)
+    with np.errstate(over="ignore", under="ignore"):
+        partial_sum = float(np.sum(np.exp(log_terms)))
+    b_ok = ln_n > 0.0
+    lnln = np.log(ln_n[b_ok])
+    log_b = log_tail[b_ok] + ln_n[b_ok] + lnln
+    b_slope = _reference_fit_slope(lnln, log_b)
+    b_last = c._exp_or_inf(float(log_b[-1]))
+    if p_fit < 1.0 - c.BORDERLINE_BAND:
+        status, refined = c.SATISFIED, 0.0
+    elif p_fit > 1.0 + c.BORDERLINE_BAND and drift >= -c.DRIFT_TOL:
+        status, refined = c.VIOLATED, 0.0
+    else:
+        refined = 1.0
+        if b_slope >= -(1.0 - c.B_CRITICAL_BAND):
+            status = c.SATISFIED
+        elif b_slope <= -(1.0 + c.B_CRITICAL_BAND):
+            status = c.VIOLATED
+        else:
+            status = c.INCONCLUSIVE
+    diagnostics = {
+        "exponent": p_fit,
+        "exponent_drift": drift,
+        "partial_sum": partial_sum,
+        "b_slope": b_slope,
+        "b_last": b_last,
+        "tail_start": float(tail_start),
+        "refined": refined,
+    }
+    return status, diagnostics
+
+
+def reference_check_carleman(seq, n_min=None):
+    from momentdet import criteria as c
+    from momentdet.errors import SequenceError, _int_arg
+
+    n_max = seq.n_max
+    if n_min is None:
+        tail_start = max(2, n_max // 2)
+    else:
+        tail_start = _int_arg(n_min, 1, "check_carleman requires a positive integer n_min")
+    if n_max < max(tail_start + 8, 16):
+        raise SequenceError(
+            f"check_carleman needs n_max >= max(n_min + 8, 16); got n_max = {n_max}, "
+            f"tail start {tail_start}"
+        )
+    ns = np.arange(1, n_max + 1, dtype=float)
+    log_terms = -seq.log_moments[1:] / (2.0 * np.arange(1, n_max + 1))
+    status, diagnostics = _reference_classify_series(ns, log_terms, tail_start)
+    return c.Verdict(criterion="carleman", status=status, diagnostics=diagnostics, n_used=n_max)
+
+
+def reference_check_growth_rate(seq, q=None):
+    from momentdet import criteria as c
+    from momentdet.errors import DomainError, SequenceError
+
+    if q is None:
+        q = c.QFunction.one()
+    n_max = seq.n_max
+    if n_max < 8:
+        raise SequenceError(f"check_growth_rate needs >= 8 ratio terms, got {n_max}")
+    ns = np.arange(1, n_max, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_g = np.diff(seq.log_moments)[1:] - 2.0 * np.log(ns + 1.0) - 2.0 * q.log_at(ns + 1.0)
+    if not np.all(np.isfinite(log_g)):
+        bad = ns[~np.isfinite(log_g)].min()
+        raise DomainError(f"ln g_n with q = {q.label()} overflows a float at n = {bad:g}")
+    tail_start = max(1, (n_max - 1) // 2)
+    ln_n, log_g_tail, power_slope, rising = _reference_tail_fit(ns, log_g, tail_start)
+    loglog_slope = _reference_fit_slope(np.log(ln_n), log_g_tail)
+    sup_log_g = float(np.max(log_g))
+    if power_slope >= c.GROWTH_POWER_SLOPE and rising:
+        status = c.VIOLATED
+    elif loglog_slope <= c.GROWTH_ALPHA_BOUNDED:
+        status = c.SATISFIED
+    elif loglog_slope >= c.GROWTH_ALPHA_DIVERGENT:
+        status = c.VIOLATED
+    else:
+        status = c.INCONCLUSIVE
+    diagnostics = {
+        "power_slope": power_slope,
+        "loglog_slope": loglog_slope,
+        "sup_g": c._exp_or_inf(sup_log_g),
+        "sup_log_g": sup_log_g,
+        "g_last": c._exp_or_inf(float(log_g[-1])),
+        "tail_start": float(tail_start),
+    }
+    criterion = "growth_rate" if q.kind == "constant-one" else "growth_rate_q"
+    if q.kind == "power" and q.alpha is not None:
+        diagnostics["q_alpha"] = float(q.alpha)
+    return c.Verdict(criterion=criterion, status=status, diagnostics=diagnostics, n_used=n_max)
+
+
+def reference_check_q_divergence(q, n_max=400):
+    from momentdet import criteria as c
+    from momentdet.moments import _check_n_max
+
+    n_max = _check_n_max(n_max, 100, "check_q_divergence requires integer n_max >= 100")
+    n_start = 1 if q.log_at(1) > -math.inf else 2
+    ns = np.arange(n_start, n_max + 1, dtype=float)
+    log_terms = -np.log(ns) - q.log_at(ns)
+    status, diagnostics = _reference_classify_series(ns, log_terms, max(2, n_max // 2))
+    return c.Verdict(
+        criterion="q_divergence", status=status, diagnostics=diagnostics, n_used=ns.size
+    )
+
+
+def reference_check_hardy(seq):
+    from momentdet import criteria as c
+    from momentdet.errors import DomainError, SequenceError
+
+    if seq.support != "stieltjes":
+        raise DomainError(
+            "check_hardy is unsupported on hamburger-symmetric sequences; "
+            "the moment bound m_n <= (2n)!·c0^n is stated for positive variables"
+        )
+    n_max = seq.n_max
+    if n_max < 16:
+        raise SequenceError(f"check_hardy needs n_max >= 16, got {n_max}")
+    ns = np.arange(1, n_max + 1, dtype=float)
+    log_m = seq.log_moments[1:]
+    log_fact = np.array([math.lgamma(2.0 * n + 1.0) for n in range(1, n_max + 1)])
+    b = (log_m - log_fact) / ns
+    tail_start = max(2, n_max // 2)
+    _, _, slope, rising = _reference_tail_fit(ns, b, tail_start)
+    sup_b = float(np.max(b))
+    bound_ok = slope <= c.HARDY_SLOPE_TOL and not np.any(log_m > log_fact + ns * sup_b + 1e-9)
+    if slope > c.HARDY_SLOPE_TOL and rising:
+        status = c.VIOLATED
+    elif bound_ok:
+        status = c.SATISFIED
+    else:
+        status = c.INCONCLUSIVE
+    diagnostics = {
+        "slope": slope,
+        "c0": c._exp_or_inf(sup_b),
+        "sup_b": sup_b,
+        "b_last": float(b[-1]),
+        "tail_start": float(tail_start),
+        "bound_ok": float(bound_ok),
+    }
+    return c.Verdict(criterion="hardy", status=status, diagnostics=diagnostics, n_used=n_max)
+
+
+def reference_analyze(seq):
+    """``analyze``'s report from the reference checkers."""
+    from momentdet import criteria as c
+
+    verdicts = [
+        reference_check_carleman(seq),
+        reference_check_growth_rate(seq, c.QFunction.one()),
+        reference_check_growth_rate(seq, c.QFunction.log()),
+    ]
+    if seq.support == "stieltjes":
+        verdicts.append(reference_check_hardy(seq))
+    report = {
+        "label": seq.label,
+        "support": seq.support,
+        "n_max": seq.n_max,
+        "verdicts": [v.to_dict() for v in verdicts],
+    }
+    if c._is_two_factor_log_family(seq):
+        logs = seq.log_moments.tolist()
+        root_trend = []
+        ratio_trend = []
+        for n in c._trend_samples(seq.n_max):
+            root = c._exp_or_inf(logs[n] / (2.0 * n)) * math.e / (n * math.log(n + 1.0))
+            root_trend.append([n, root])
+            if n < seq.n_max:
+                lg_ratio = logs[n + 1] - logs[n]
+                ratio = c._exp_or_inf(
+                    lg_ratio - 2.0 * math.log(n + 1.0) - 2.0 * math.log(math.log(n + 1.0))
+                )
+                ratio_trend.append([n, ratio])
+        report["trends"] = {
+            "carleman_root_trend": root_trend,
+            "growth_ratio_trend": ratio_trend,
+        }
+    return report

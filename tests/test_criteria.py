@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import momentdet.criteria as criteria
@@ -26,6 +27,8 @@ from momentdet import (
     check_hardy,
     check_q_divergence,
 )
+
+from . import oracles
 
 X11 = "product[(1,1),(1,1)]"
 SYM_X11 = "symroot[(1,1),(1,1)]"
@@ -528,17 +531,23 @@ def _exact_slope(x: np.ndarray, y: np.ndarray) -> Fraction:
     return Fraction(n * sxy - sx * sy, n * sxx - sx * sx) * Fraction(dx, dy)
 
 
-def _recorded_fits(monkeypatch, run) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The (x, y) of every tail fit that ``run()`` makes."""
-    fits = []
-    fit = criteria._fit_slope
+def _fit_x(t, y: np.ndarray, start: int, loglog: bool = False) -> np.ndarray:
+    """The x of a fit of y by the table ``t``: ln n, or ln ln n with
+    ``loglog``, at n = start, start + 1, …"""
+    return (t.lnln if loglog else t.ln_n)[start - 1 : start - 1 + y.size].copy()
 
-    def recording(x, y):
-        fits.append((x.copy(), y.copy()))
-        return fit(x, y)
+
+def _recorded_fits(monkeypatch, run) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """The x, y and slope of every tail fit that ``run()`` makes."""
+    fits = []
+    slope = criteria._Tails.slope
+
+    def recording(t, y, start, loglog=False):
+        fits.append((_fit_x(t, y, start, loglog), y.copy(), slope(t, y, start, loglog)))
+        return fits[-1][2]
 
     with monkeypatch.context() as m:
-        m.setattr(criteria, "_fit_slope", recording)
+        m.setattr(criteria._Tails, "slope", recording)
         run()
     return fits
 
@@ -577,9 +586,9 @@ class TestFitSlope:
     @pytest.mark.parametrize("p", [0.9, 1.0, 1.1])
     @pytest.mark.parametrize("c", [0.0, 1.0, 2.0])
     def test_bertrand_tails(self, monkeypatch, p, c):
-        ns, log_terms = _bertrand(p, c)
+        _, log_terms = _bertrand(p, c)
         fits = _recorded_fits(
-            monkeypatch, lambda: criteria._classify_series(ns, log_terms, 1500)
+            monkeypatch, lambda: criteria._classify_series(criteria._Tails(3000), log_terms, 1500)
         )
         assert len(fits) == 3
         self._assert_as_close_as_lstsq(fits)
@@ -588,16 +597,16 @@ class TestFitSlope:
         seq = _near_float_limit()
         assert seq.log_moments[-1] == 1.5e308
         fits = _recorded_fits(monkeypatch, lambda: analyze(seq))
-        assert max(float(np.max(np.abs(y))) for _, y in fits) > 1e305
+        assert max(float(np.max(np.abs(y))) for _, y, _ in fits) > 1e305
         self._assert_as_close_as_lstsq(fits)
 
     @staticmethod
     def _assert_as_close_as_lstsq(fits):
-        for x, y in fits:
+        for x, y, slope in fits:
             exact = _exact_slope(x, y)
             # |slope| <= ‖y − ȳ‖/‖x − x̄‖, the scale of its rounding errors
             scale = math.hypot(*(y - y.mean())) / math.hypot(*(x - x.mean()))
-            closed = abs(Fraction(criteria._fit_slope(x, y)) - exact)
+            closed = abs(Fraction(slope) - exact)
             reference = abs(Fraction(_lstsq_slope(x, y)) - exact)
             assert closed <= reference + 4 * Fraction(math.ulp(scale)), (float(exact), scale)
 
@@ -614,7 +623,11 @@ class TestFitSlope:
             return out
 
         closed = statuses()
-        monkeypatch.setattr(criteria, "_fit_slope", _lstsq_slope)
+        monkeypatch.setattr(
+            criteria._Tails,
+            "slope",
+            lambda t, y, start, loglog=False: _lstsq_slope(_fit_x(t, y, start, loglog), y),
+        )
         assert closed == statuses()
         assert {SATISFIED, VIOLATED} <= set(closed)
 
@@ -645,3 +658,128 @@ class TestLogFactorialTable:
         with ThreadPoolExecutor(max_workers=4) as pool:
             results = list(pool.map(analyze, batch + batch[::-1]))
         assert results == serial + serial[::-1]
+
+
+# -- the shared tail table against the per-checker reference ----------------
+
+
+def _outcome(call):
+    """repr of what ``call()`` returns (a Verdict's to_dict, or a report),
+    or the type and message of what it raises, and the messages of the
+    warnings it gives (numpy's, where a tail's sum overflows)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call()
+        except Exception as exc:  # noqa: BLE001 - the outcome compared is any exception
+            result = type(exc), str(exc)
+    if isinstance(result, criteria.Verdict):
+        result = result.to_dict()
+    return repr(result), [str(w.message) for w in caught]
+
+
+@st.composite
+def log_convex_sequences(draw) -> MomentSequence:
+    """Log-moments with nondecreasing increments d_j = d_1 + Σ steps:
+    power-law steps scale·j^a, seeded exponential noise, or both; where
+    the partial sums outrun the validation slack's rounding, the increments
+    are rounded to a power-of-two grid on which every sum is exact."""
+    n_max = draw(st.integers(16, 3000))
+    j = np.arange(1.0, n_max + 1.0)
+    steps = draw(st.floats(0.0, 100.0)) * j ** draw(st.floats(-2.5, 2.0))
+    noise = draw(st.floats(0.0, 10.0))
+    if noise:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        steps = steps + rng.exponential(noise, n_max) * (rng.random(n_max) < 0.5)
+    d = draw(st.floats(-3000.0, 3000.0)) + np.cumsum(steps) - steps[0]
+    grid = 2.0 ** (math.frexp(float(np.abs(np.cumsum(d)).max()) + 1.0)[1] - 48)
+    d = np.round(d / grid) * grid
+    label = draw(st.sampled_from([None, "lognormal", X11, "symroot[(1,0.7),(1,1)]"]))
+    support = draw(st.sampled_from(["stieltjes", "hamburger-symmetric"]))
+    try:
+        return MomentSequence(support, np.concatenate([[0.0], np.cumsum(d)]), label)
+    except SequenceError:
+        assume(False)
+
+
+Q_ARGS = st.one_of(
+    st.none(),
+    st.sampled_from([QFunction.one(), QFunction.log()]),
+    st.floats(-400.0, 1e308).map(QFunction.power),
+)
+
+
+class TestSharedTableMatchesReference:
+    """Every checker, reading the one tail table of its call, gives the
+    report or the exception of ``oracles``' per-checker reference."""
+
+    @settings(max_examples=150)
+    @given(
+        log_convex_sequences(),
+        Q_ARGS,
+        st.one_of(st.none(), st.integers(1, 3000)),
+        st.integers(100, 3000),
+    )
+    def test_reports_and_exceptions(self, seq, q, n_min, q_n_max):
+        pairs = [
+            (lambda: analyze(seq), lambda: oracles.reference_analyze(seq)),
+            (
+                lambda: check_carleman(seq, n_min),
+                lambda: oracles.reference_check_carleman(seq, n_min),
+            ),
+            (
+                lambda: check_growth_rate(seq, q),
+                lambda: oracles.reference_check_growth_rate(seq, q),
+            ),
+            (lambda: check_hardy(seq), lambda: oracles.reference_check_hardy(seq)),
+        ]
+        if q is not None:
+            pairs.append(
+                (
+                    lambda: check_q_divergence(q, q_n_max),
+                    lambda: oracles.reference_check_q_divergence(q, q_n_max),
+                )
+            )
+        for got, want in pairs:
+            assert _outcome(got) == _outcome(want)
+
+    @pytest.mark.parametrize("label", [X11, "exp", "lognormal", SYM_X11])
+    @pytest.mark.parametrize("n_max", [16, 200, 3000])
+    def test_families(self, seqs, label, n_max):
+        seq = seqs(label, n_max)
+        assert _outcome(lambda: analyze(seq)) == _outcome(lambda: oracles.reference_analyze(seq))
+        for q in (QFunction.power(0.5), QFunction.power(1e300), QFunction.power(1e308)):
+            assert _outcome(lambda: check_growth_rate(seq, q)) == _outcome(
+                lambda: oracles.reference_check_growth_rate(seq, q)
+            )
+
+    def test_near_float_limit(self):
+        seq = _near_float_limit()
+        assert _outcome(lambda: analyze(seq)) == _outcome(lambda: oracles.reference_analyze(seq))
+
+
+#: Calls with an argument of the wrong kind, on ``exp`` at n_max 50, and
+#: the TypeError message each must give.
+WRONG_KINDS = {
+    "check_growth_rate requires a QFunction, got str": lambda seq: check_growth_rate(seq, "log"),
+    "check_growth_rate requires a QFunction, got int": lambda seq: check_growth_rate(seq, 0),
+    "check_growth_rate requires a MomentSequence, got ndarray": (
+        lambda seq: check_growth_rate(seq.log_moments)
+    ),
+    "check_q_divergence requires a QFunction, got NoneType": lambda seq: check_q_divergence(None),
+    "check_q_divergence requires a QFunction, got str": lambda seq: check_q_divergence("log", 200),
+    "check_hardy requires a MomentSequence, got list": lambda seq: check_hardy([1, 2]),
+    "check_carleman requires a MomentSequence, got NoneType": lambda seq: check_carleman(None),
+    "analyze requires a MomentSequence, got NoneType": lambda seq: analyze(None),
+}
+
+
+class TestWrongKinds:
+    """A value of the wrong kind is a TypeError naming the checker, not
+    the AttributeError of a missing field."""
+
+    @pytest.mark.parametrize("message", WRONG_KINDS)
+    def test_wrong_kind_is_a_type_error(self, seqs, message):
+        with pytest.raises(TypeError) as info:
+            WRONG_KINDS[message](seqs("exp", 50))
+        assert str(info.value) == message

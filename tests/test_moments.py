@@ -6,6 +6,8 @@ import dataclasses
 import json
 import math
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -885,3 +887,56 @@ class TestLoaderEquivalence:
         load, reference = (from_json, reference_from_json) if fmt == "json" else (
             from_csv, reference_from_csv)
         assert _outcome(load, text) == _outcome(reference, text)
+
+
+class TestCanonicalReaderTables:
+    """The CSV reader's shared table of index strings, and which logmag
+    characters send a JSON file to the general path."""
+
+    @pytest.mark.parametrize("n_max", [8190, 8191, 8192, 9000])
+    def test_csv_index_column_around_the_table_cap(self, n_max):
+        seq = lognormal_moments(n_max)
+        text = to_csv(seq)
+        assert from_csv(text) == seq
+        for old, new in ((f"\n{n_max},1,", f"\n{n_max + 1},1,"), ("\n8000,1,", "\n8001,1,")):
+            bad = text.replace(old, new, 1)
+            assert _outcome(from_csv, bad) == _outcome(reference_from_csv, bad)
+            assert isinstance(_outcome(from_csv, bad)[0], str)
+
+    def test_index_text_grows_on_demand_up_to_its_cap(self, monkeypatch):
+        monkeypatch.setattr(moments_mod, "_INDEX_TEXT", (0, ""))
+        monkeypatch.setattr(moments_mod, "_INDEX_ROWS_MAX", 16)
+        rows = []
+        for count in (5, 3, 7, 12, 40, 16, 1):
+            assert moments_mod._is_index_column(list(map(str, range(count))))
+            rows.append(moments_mod._INDEX_TEXT[0])
+        assert rows == [5, 5, 10, 16, 16, 16, 16]
+        for count in (1, 5, 16, 17, 40):
+            column = list(map(str, range(count)))
+            for j in {0, count // 2, count - 1}:
+                for wrong in (str(j + 1), str(j)[:-1], "0" + str(j), str(j) + " "):
+                    assert not moments_mod._is_index_column(column[:j] + [wrong] + column[j + 1 :])
+            assert not moments_mod._is_index_column(column + ["x"])
+        assert moments_mod._INDEX_TEXT[1] == "".join(f"{j}\n" for j in range(16))
+
+    def test_threads_growing_the_index_text(self, monkeypatch):
+        monkeypatch.setattr(moments_mod, "_INDEX_TEXT", (0, ""))
+        monkeypatch.setattr(moments_mod, "_INDEX_ROWS_MAX", 300)
+        columns = [list(map(str, range(n))) for n in [5, 700, 40, 299, 300, 301, 150, 1000] * 8]
+        columns += [column[:-1] + ["0"] for column in columns[:16]]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(moments_mod._is_index_column, columns, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [True] * 64 + [n == 1 for n in map(len, columns[:16])]
+
+    @pytest.mark.parametrize("char", ["\xa0", " ", "\x7f", "١", "\ud800", "é"])
+    def test_json_logmag_characters_read_as_the_general_path_reads_them(self, seqs, char):
+        text = to_json(seqs("exp", 10))
+        for old in ('"logmag": "1', '.0"'):
+            edited = text.replace(old, old[:-1] + char + old[-1], 1)
+            assert edited != text
+            assert _outcome(from_json, edited) == _outcome(reference_from_json, edited)

@@ -22,7 +22,12 @@ same tree twice shows the timer's own spread.  Layers:
 * ``_s_shape``, ``laplace``, ``lambert_w0``: S's peak and cutoff at
   p = 150, ``laplace_estimate_exact(150)`` and ``lambert_w0(150)``;
 * ``gen 2000``: the flagship ``product[(1,1),(1,1)]`` generated at n_max 2000;
-* ``from_json``, ``to_json``, ``analyze``: the flagship at n_max 5000;
+* ``from_json``, ``from_csv``, ``to_json``, ``analyze``: the flagship at
+  n_max 5000;
+* ``analyze 500``: ``analyze`` of ``exp`` at n_max 500, about the median
+  ``corpus-check`` file;
+* ``growth 500``: ``check_growth_rate`` of that sequence with
+  ``QFunction.power(0.5)``;
 * ``fresh import``: the tree's package dropped from ``sys.modules``,
   imported afresh under its A/B name, and one ``integrate_logweighted(150)``
   call.  It includes compiling the source only where no bytecode is written
@@ -79,7 +84,8 @@ def layers(md) -> dict[str, object]:
     p = np.float64(150.0)
     family = md.parse_family(FLAGSHIP)
     seq = md.generate_moments(family, 5000)
-    text = md.to_json(seq)
+    text, csv = md.to_json(seq), md.to_csv(seq)
+    exp500, half = md.generate_from_label("exp", 500), md.QFunction.power(0.5)
     return {
         "S(150)": lambda: md.integrate_logweighted(150.0),
         "gamma row": lambda: (md.gamma_derivative(60), md.integrate_unit_log_power(60)),
@@ -88,8 +94,11 @@ def layers(md) -> dict[str, object]:
         "lambert_w0": lambda: md.lambert_w0(150.0),
         "gen 2000": lambda: md.generate_moments(family, 2000),
         "from_json": lambda: md.from_json(text),
+        "from_csv": lambda: md.from_csv(csv),
         "to_json": lambda: md.to_json(seq),
         "analyze": lambda: md.analyze(seq),
+        "analyze 500": lambda: md.analyze(exp500),
+        "growth 500": lambda: md.check_growth_rate(exp500, half),
         "fresh import": lambda: fresh_import(tree, name),
     }
 
