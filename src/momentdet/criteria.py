@@ -33,13 +33,12 @@ The growth-rate checker analogously separates power-law growth of g_n
 (violation) from at-most-logarithmic drift (bounded evidence) by fitting
 ln g_n against both ln n and ln ln n.
 
-The checkers of one call read one private table, ``_Tails``: n, ln n and
-ln ln n for n = 1..n_max, and the x column of each fitted tail, centred
-once (Carleman and Hardy fit the same tail).  ``analyze`` builds one for
-all its checkers, and none outlives its call.  Every fit is the
-closed-form least-squares slope on centred data, xc·(y − ȳ)/(xc·xc) with
-xc = x − x̄.  Hardy reads ln (2n)! from one module-level table, shared by
-all calls and grown on demand.
+Every checker reads one module-level table, shared by all calls: the
+rows n, ln n, ln ln n and ln (2n)! for n = 1..N, of which it takes the
+first n_max columns.  The table is read-only, rebuilt to the n_max asked
+for when it is shorter, and replaced whole, never written in place.  Every
+fit is ``_slope``, the closed-form least-squares slope on centred data,
+xc·(y − ȳ)/(xc·xc) with xc = x − x̄.
 
 Verdicts describe the *given truncation*, not the limit: sequences whose
 log corrections settle slowly can honestly classify differently at short
@@ -180,7 +179,7 @@ class QFunction:
         return self.kind
 
 
-# -- the tail table -----------------------------------------------------------
+# -- the shared table and the fit ---------------------------------------------
 
 
 def _exp_or_inf(x: float) -> float:
@@ -191,54 +190,68 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-class _Tails:
-    """n = 1..n_max as floats, ln n and ln ln n (entry n − 1 holds n's;
-    ln ln 1 = −inf) and each fitted tail's centred x; no array of it is
-    written to."""
+#: Rows n, ln n, ln ln n and ln (2n)! (as ``math.lgamma(2n + 1)``) for
+#: n = 1..N, column n − 1 holding n's (ln ln 1 = −inf); read-only, and
+#: replaced by a longer table rather than written in place, so a checker
+#: running in another thread always reads a complete one.
+_TABLE = np.empty((4, 0))
 
-    def __init__(self, n_max: int) -> None:
-        self.n = np.arange(1.0, n_max + 1.0)
-        self.ln_n = np.log(self.n)
-        with np.errstate(divide="ignore"):
-            self.lnln = np.log(self.ln_n)
-        self._centred: dict = {}  # (start, size, loglog) -> (xc, xc·xc)
 
-    def slope(self, y: np.ndarray, start: int, loglog: bool = False) -> float:
-        """Least-squares slope of y, the values at n = start, start + 1, …,
-        against ln n (ln ln n with ``loglog``).  A mean is np.add.reduce(v) /
-        v.size, the bits of v.mean() without its Python wrapper."""
-        key = (start, y.size, loglog)
-        if key not in self._centred:
-            x = (self.lnln if loglog else self.ln_n)[start - 1 : start - 1 + y.size]
-            xc = x - np.add.reduce(x) / x.size
-            self._centred[key] = xc, xc @ xc
-        xc, xx = self._centred[key]
-        return float(xc @ (y - np.add.reduce(y) / y.size) / xx)
+def _table(n_max: int) -> np.ndarray:
+    """The shared table's first n_max columns, rebuilt to n_max if shorter."""
+    global _TABLE
+    table = _TABLE
+    if table.shape[1] < n_max:
+        n = np.arange(1.0, n_max + 1.0)
+        ln_n = np.log(n)
+        with np.errstate(divide="ignore"):  # ln ln 1 = −inf
+            table = np.array([n, ln_n, np.log(ln_n), list(map(math.lgamma, (2 * n + 1).tolist()))])
+        table.flags.writeable = False
+        _TABLE = table
+    return table[:, :n_max]
+
+
+def _slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y against x, in closed form on centred data:
+    xc·(y − ȳ)/(xc·xc) with xc = x − x̄.  A mean is np.add.reduce(v) /
+    v.size, the bits of v.mean() without its Python wrapper.  Where the
+    terms of y are finite but their sum overflows, y·2⁻ᵏ is fitted instead,
+    its largest term scaled into [0.5, 1), and the slope scaled back."""
+    xc = x - np.add.reduce(x) / x.size
+    with np.errstate(over="ignore"):
+        y_mean = np.add.reduce(y) / y.size
+    if math.isfinite(y_mean):
+        return float(xc @ (y - y_mean) / (xc @ xc))
+    k = math.frexp(np.maximum.reduce(np.abs(y)))[1]  # 0 where y holds an inf or a NaN
+    y = np.ldexp(y, -k)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(xc @ (y - np.add.reduce(y) / y.size) / (xc @ xc), k))
 
 
 def _classify_series(
-    t: _Tails, log_terms: np.ndarray, tail_start: int
+    t: np.ndarray, log_terms: np.ndarray, tail_start: int
 ) -> tuple[str, dict[str, float]]:
     """Two-scale divergence classification of Σ term_n from ln term_n.
 
-    ``log_terms`` ends at the table's last n, with at least 8 of its n at
-    or beyond ``tail_start``; the callers' input checks ensure it.
+    ``t`` is the shared table's first n_max columns; ``log_terms`` ends at
+    n = n_max, with at least 8 of its n at or beyond ``tail_start``; the
+    callers' input checks ensure it.
     """
-    log_tail = log_terms[tail_start - t.n.size - 1 :]
-    ln_n = t.ln_n[tail_start - 1 :]
-    p_fit = -t.slope(log_tail, tail_start)
+    _, ln_n, lnln, _ = t[:, tail_start - 1 :]
+    log_tail = log_terms[-ln_n.size :]
+    p_fit = -_slope(ln_n, log_tail)
 
     # local exponents −Δ ln term / Δ ln n and their drift across the tail
     local_p = (log_tail[1:] - log_tail[:-1]) / (ln_n[:-1] - ln_n[1:])
-    drift = t.slope(local_p, tail_start + 1)
+    drift = _slope(ln_n[1:], local_p)
 
     with np.errstate(over="ignore", under="ignore"):  # an overflowing sum reads inf
         partial_sum = float(np.add.reduce(np.exp(log_terms)))
 
     # critical-scale refinement data: b_n = term_n · n · ln n over the tail's n ≥ 2
-    b_start = max(tail_start, 2)
-    log_b = (log_tail + ln_n)[b_start - tail_start :] + t.lnln[b_start - 1 :]
-    b_slope = t.slope(log_b, b_start, loglog=True)
+    skip = 1 if tail_start == 1 else 0  # ln ln 1 = −inf
+    log_b = (log_tail + ln_n)[skip:] + lnln[skip:]
+    b_slope = _slope(lnln[skip:], log_b)
     b_last = _exp_or_inf(float(log_b[-1]))
 
     if p_fit < 1.0 - BORDERLINE_BAND:
@@ -276,11 +289,7 @@ def check_carleman(seq: MomentSequence, n_min: int | None = None) -> Verdict:
     The tail fit runs over [n_min, n_max]; n_min defaults to n_max // 2
     and must leave at least 8 points (and n_max >= 16).
     """
-    return _carleman(_Tails(_kind_arg(seq, MomentSequence, "check_carleman").n_max), seq, n_min)
-
-
-def _carleman(t: _Tails, seq: MomentSequence, n_min: int | None) -> Verdict:
-    n_max = seq.n_max
+    n_max = _kind_arg(seq, MomentSequence, "check_carleman").n_max
     if n_min is None:
         tail_start = max(2, n_max // 2)
     else:
@@ -290,7 +299,7 @@ def _carleman(t: _Tails, seq: MomentSequence, n_min: int | None) -> Verdict:
             f"check_carleman needs n_max >= max(n_min + 8, 16); got n_max = {n_max}, "
             f"tail start {tail_start}"
         )
-    status, diagnostics = _classify_series(t, _log_carleman_terms(seq), tail_start)
+    status, diagnostics = _classify_series(_table(n_max), _log_carleman_terms(seq), tail_start)
     return Verdict(
         criterion="carleman", status=status, diagnostics=diagnostics, n_used=n_max
     )
@@ -305,26 +314,24 @@ def check_growth_rate(seq: MomentSequence, q: QFunction | None = None) -> Verdic
     bounded evidence with constant C = sup g, faster growth as violation.
     """
     q = _kind_arg(QFunction.one() if q is None else q, QFunction, "check_growth_rate")
-    return _growth_rate(_Tails(_kind_arg(seq, MomentSequence, "check_growth_rate").n_max), seq, q)
-
-
-def _growth_rate(t: _Tails, seq: MomentSequence, q: QFunction) -> Verdict:
-    n_max = seq.n_max
+    n_max = _kind_arg(seq, MomentSequence, "check_growth_rate").n_max
     if n_max < 8:
         raise SequenceError(f"check_growth_rate needs >= 8 ratio terms, got {n_max}")
     # ln g_n for ratio index n = 1..n_max−1 (n = 0 has no ln n scale): ln(n+1) and
-    # ln q(n+1) are the table's entries from n + 1 = 2 on
+    # ln q(n+1) are the table's columns from n + 1 = 2 on
+    n, ln_n, lnln, _ = _table(n_max)
     logs = seq.log_moments
     with np.errstate(over="ignore", invalid="ignore"):
-        log_q = q._log_of(t.n[1:], t.ln_n[1:], t.lnln[1:])
-        log_g = (logs[2:] - logs[1:-1]) - 2.0 * t.ln_n[1:] - 2.0 * log_q
+        log_q = q._log_of(n[1:], ln_n[1:], lnln[1:])
+        log_g = (logs[2:] - logs[1:-1]) - 2.0 * ln_n[1:] - 2.0 * log_q
     bad = np.argmin(np.isfinite(log_g))  # the first non-finite entry, if any
     if not math.isfinite(log_g[bad]):
-        raise DomainError(f"ln g_n with q = {q.label()} overflows a float at n = {t.n[bad]:g}")
+        raise DomainError(f"ln g_n with q = {q.label()} overflows a float at n = {n[bad]:g}")
     tail_start = max(1, (n_max - 1) // 2)
+    # the fits' x is ln n at ratio index n = tail_start..n_max−1
     log_g_tail = log_g[tail_start - 1 :]
-    power_slope = t.slope(log_g_tail, tail_start)
-    loglog_slope = t.slope(log_g_tail, tail_start, loglog=True)
+    power_slope = _slope(ln_n[tail_start - 1 : -1], log_g_tail)
+    loglog_slope = _slope(lnln[tail_start - 1 : -1], log_g_tail)
     sup_log_g = float(np.maximum.reduce(log_g))
     sup_g = _exp_or_inf(sup_log_g)
 
@@ -362,31 +369,13 @@ def check_q_divergence(q: QFunction, n_max: int = 400) -> Verdict:
     """
     q = _kind_arg(q, QFunction, "check_q_divergence")
     n_max = _check_n_max(n_max, 100, "check_q_divergence requires integer n_max >= 100")
-    t = _Tails(n_max)
-    skip = 1 if q.kind == "log" else 0  # n = 1 where q(1) = 0
-    log_terms = -t.ln_n[skip:] - q._log_of(t.n[skip:], t.ln_n[skip:], t.lnln[skip:])
+    t = _table(n_max)
+    n, ln_n, lnln, _ = t[:, 1:] if q.kind == "log" else t  # skip n = 1, where ln q(1) = −inf
+    log_terms = -ln_n - q._log_of(n, ln_n, lnln)
     status, diagnostics = _classify_series(t, log_terms, max(2, n_max // 2))
     return Verdict(
         criterion="q_divergence", status=status, diagnostics=diagnostics, n_used=log_terms.size
     )
-
-
-#: ln (2n)! for n = 1, 2, …, as ``math.lgamma(2n + 1)``; read-only, and
-#: replaced by a longer table rather than written in place, so a checker
-#: running in another thread always reads a complete one.
-_LOG_FACTORIAL_2N = np.empty(0)
-
-
-def _log_factorial_2n(n_max: int) -> np.ndarray:
-    """ln (2n)! for n = 1..n_max, from the shared table (grown if too short)."""
-    global _LOG_FACTORIAL_2N
-    table = _LOG_FACTORIAL_2N
-    if table.size < n_max:
-        twice_n_plus_one = np.arange(2 * table.size + 3, 2 * n_max + 2, 2, dtype=float)
-        table = np.concatenate([table, list(map(math.lgamma, twice_n_plus_one.tolist()))])
-        table.flags.writeable = False
-        _LOG_FACTORIAL_2N = table
-    return table[:n_max]
 
 
 def check_hardy(seq: MomentSequence) -> Verdict:
@@ -397,11 +386,7 @@ def check_hardy(seq: MomentSequence) -> Verdict:
     otherwise c₀ = exp(sup b_n) is reported and the bound re-verified
     exactly at every stored order.
     """
-    return _hardy(_Tails(_kind_arg(seq, MomentSequence, "check_hardy").n_max), seq)
-
-
-def _hardy(t: _Tails, seq: MomentSequence) -> Verdict:
-    if seq.support != "stieltjes":
+    if _kind_arg(seq, MomentSequence, "check_hardy").support != "stieltjes":
         raise DomainError(
             "check_hardy is unsupported on hamburger-symmetric sequences; "
             "the moment bound m_n <= (2n)!·c0^n is stated for positive variables"
@@ -409,16 +394,16 @@ def _hardy(t: _Tails, seq: MomentSequence) -> Verdict:
     n_max = seq.n_max
     if n_max < 16:
         raise SequenceError(f"check_hardy needs n_max >= 16, got {n_max}")
+    n, ln_n, _, log_fact = _table(n_max)
     log_m = seq.log_moments[1:]
-    log_fact = _log_factorial_2n(n_max)
-    b = (log_m - log_fact) / t.n
+    b = (log_m - log_fact) / n
     tail_start = max(2, n_max // 2)
     b_tail = b[tail_start - 1 :]
-    slope = t.slope(b_tail, tail_start)
+    slope = _slope(ln_n[tail_start - 1 :], b_tail)
     sup_b = float(np.maximum.reduce(b))
     c0 = _exp_or_inf(sup_b)
     # a flat tail, and exact re-verification of m_n <= (2n)!·c0^n at every stored order
-    bound_ok = slope <= HARDY_SLOPE_TOL and not (log_m > log_fact + t.n * sup_b + 1e-9).any()
+    bound_ok = slope <= HARDY_SLOPE_TOL and not (log_m > log_fact + n * sup_b + 1e-9).any()
 
     if slope > HARDY_SLOPE_TOL and b_tail[-1] > b_tail[0]:
         status = VIOLATED
@@ -480,14 +465,14 @@ def analyze(seq: MomentSequence) -> dict[str, object]:
     (m_{n+1}/m_n)/((n+1)²·ln²(n+1)), which approach 1 and a constant
     respectively when both r = 1.
     """
-    t = _Tails(_kind_arg(seq, MomentSequence, "analyze").n_max)
+    _kind_arg(seq, MomentSequence, "analyze")
     verdicts = [
-        _carleman(t, seq, None),
-        _growth_rate(t, seq, QFunction.one()),
-        _growth_rate(t, seq, QFunction.log()),
+        check_carleman(seq),
+        check_growth_rate(seq, QFunction.one()),
+        check_growth_rate(seq, QFunction.log()),
     ]
     if seq.support == "stieltjes":
-        verdicts.append(_hardy(t, seq))
+        verdicts.append(check_hardy(seq))
 
     report = _report(seq, verdicts)
     if _is_two_factor_log_family(seq):

@@ -20,7 +20,7 @@ used where the values fit comfortably in double range (p ≤ ~250).
 package's leaner form must reproduce.  So are the ``reference_check_*``
 checkers and ``reference_analyze``: the arithmetic of ``criteria`` with
 each checker building its own n, ln n and centred tails, whose verdicts
-and diagnostics the package's shared tail table must reproduce.
+and diagnostics the package's shared table must reproduce.
 """
 
 from __future__ import annotations
@@ -120,8 +120,18 @@ def reference_s_shape(p):
 
 
 def _reference_fit_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """The closed-form centred slope; where the sum of y overflows, the
+    slope of y scaled by a power of two (its largest term into [0.5, 1)),
+    scaled back."""
     xc = x - np.add.reduce(x) / x.size
-    return float(xc @ (y - np.add.reduce(y) / y.size) / (xc @ xc))
+    with np.errstate(over="ignore"):
+        total = np.add.reduce(y)
+    if math.isfinite(total):
+        return float(xc @ (y - total / y.size) / (xc @ xc))
+    k = math.frexp(float(np.max(np.abs(y))))[1]
+    y = np.ldexp(y, -k)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(xc @ (y - np.add.reduce(y) / y.size) / (xc @ xc), k))
 
 
 def _reference_tail_fit(ns, y, tail_start):

@@ -206,6 +206,17 @@ class TestGrowthRate:
         assert v.status in (SATISFIED, VIOLATED, INCONCLUSIVE)
         assert math.isfinite(v.diagnostics["sup_log_g"])
 
+    @pytest.mark.parametrize("alpha", [1e304, 1e305, 1e307])
+    def test_tail_whose_sum_overflows_is_fitted(self, seqs, alpha):
+        # ln g_n ≈ −2α·ln(n+1) is finite at every n, but from α = 1e305 on
+        # the sum of its 251-term tail is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = check_growth_rate(seqs("exp", 500), QFunction.power(alpha))
+        assert v.status == SATISFIED
+        assert v.diagnostics["power_slope"] == pytest.approx(-2.0 * alpha, rel=0.01)
+        assert -math.inf < v.diagnostics["loglog_slope"] < 0.0
+
     def test_minimum_length(self, seqs):
         with pytest.raises(SequenceError):
             check_growth_rate(seqs("exp", 7))
@@ -459,6 +470,26 @@ class TestAggregateReport:
         assert "hardy" not in criteria
         assert len(criteria) == 3
 
+    @pytest.mark.parametrize("label", [X11, SYM_X11])
+    def test_every_verdict_comes_from_a_public_checker(self, seqs, monkeypatch, label):
+        # a tracer wrapping the public checkers sees every checker analyze runs
+        seq = seqs(label, 100)
+        calls = []
+        for name in ("check_carleman", "check_growth_rate", "check_hardy"):
+
+            def spy(*args, _name=name, _checker=getattr(criteria, name), **kwargs):
+                verdict = _checker(*args, **kwargs)
+                calls.append((_name, verdict.to_dict()))
+                return verdict
+
+            monkeypatch.setattr(criteria, name, spy)
+        report = analyze(seq)
+        expected = ["check_carleman", "check_growth_rate", "check_growth_rate"]
+        if seq.support == "stieltjes":
+            expected.append("check_hardy")
+        assert [name for name, _ in calls] == expected
+        assert [verdict for _, verdict in calls] == report["verdicts"]
+
 
 def _assert_plain(value, path="report"):
     """Reports hold only plain Python values, so json.dumps reads them as before."""
@@ -531,23 +562,17 @@ def _exact_slope(x: np.ndarray, y: np.ndarray) -> Fraction:
     return Fraction(n * sxy - sx * sy, n * sxx - sx * sx) * Fraction(dx, dy)
 
 
-def _fit_x(t, y: np.ndarray, start: int, loglog: bool = False) -> np.ndarray:
-    """The x of a fit of y by the table ``t``: ln n, or ln ln n with
-    ``loglog``, at n = start, start + 1, …"""
-    return (t.lnln if loglog else t.ln_n)[start - 1 : start - 1 + y.size].copy()
-
-
 def _recorded_fits(monkeypatch, run) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """The x, y and slope of every tail fit that ``run()`` makes."""
     fits = []
-    slope = criteria._Tails.slope
+    slope = criteria._slope
 
-    def recording(t, y, start, loglog=False):
-        fits.append((_fit_x(t, y, start, loglog), y.copy(), slope(t, y, start, loglog)))
+    def recording(x, y):
+        fits.append((x.copy(), y.copy(), slope(x, y)))
         return fits[-1][2]
 
     with monkeypatch.context() as m:
-        m.setattr(criteria._Tails, "slope", recording)
+        m.setattr(criteria, "_slope", recording)
         run()
     return fits
 
@@ -588,7 +613,7 @@ class TestFitSlope:
     def test_bertrand_tails(self, monkeypatch, p, c):
         _, log_terms = _bertrand(p, c)
         fits = _recorded_fits(
-            monkeypatch, lambda: criteria._classify_series(criteria._Tails(3000), log_terms, 1500)
+            monkeypatch, lambda: criteria._classify_series(criteria._table(3000), log_terms, 1500)
         )
         assert len(fits) == 3
         self._assert_as_close_as_lstsq(fits)
@@ -623,11 +648,7 @@ class TestFitSlope:
             return out
 
         closed = statuses()
-        monkeypatch.setattr(
-            criteria._Tails,
-            "slope",
-            lambda t, y, start, loglog=False: _lstsq_slope(_fit_x(t, y, start, loglog), y),
-        )
+        monkeypatch.setattr(criteria, "_slope", _lstsq_slope)
         assert closed == statuses()
         assert {SATISFIED, VIOLATED} <= set(closed)
 
@@ -640,21 +661,25 @@ class TestLogFactorialTable:
     @pytest.mark.parametrize("sizes", [(5000, 200, 3000), (200, 3000, 5000)])
     @pytest.mark.parametrize("label", [X11, "exp"])
     def test_hardy_matches_lgamma_per_order(self, seqs, monkeypatch, sizes, label):
-        with monkeypatch.context() as m:
-            m.setattr(criteria, "_log_factorial_2n", _lgamma_per_order)
-            reference = [check_hardy(seqs(label, n)) for n in sizes]
-        monkeypatch.setattr(criteria, "_LOG_FACTORIAL_2N", np.empty(0))
-        for n, expected in zip(sizes, reference):
-            got = check_hardy(seqs(label, n))
-            assert got.to_dict() == expected.to_dict()
-            assert criteria._log_factorial_2n(n).tolist() == _lgamma_per_order(n).tolist()
-        table = criteria._LOG_FACTORIAL_2N
-        assert table.size == max(sizes) and not table.flags.writeable
+        monkeypatch.setattr(criteria, "_TABLE", np.empty((4, 0)))
+        for n in sizes:
+            seq = seqs(label, n)
+            assert check_hardy(seq).to_dict() == oracles.reference_check_hardy(seq).to_dict()
+            ns = np.arange(1.0, n + 1.0)
+            rows = criteria._table(n)
+            assert rows[0].tolist() == ns.tolist()
+            assert rows[1].tolist() == np.log(ns).tolist()
+            with np.errstate(divide="ignore"):
+                assert rows[2].tolist() == np.log(np.log(ns)).tolist()
+            assert rows[3].tolist() == _lgamma_per_order(n).tolist()
+        table = criteria._TABLE
+        assert table.shape == (4, max(sizes))
+        assert not any(row.flags.writeable for row in (table, *table, *criteria._table(200)))
 
     def test_threads_growing_the_table(self, seqs, monkeypatch):
         batch = [seqs(label, n) for label in (X11, "exp") for n in (300, 1200, 2500, 4000)]
         serial = [analyze(seq) for seq in batch]
-        monkeypatch.setattr(criteria, "_LOG_FACTORIAL_2N", np.empty(0))
+        monkeypatch.setattr(criteria, "_TABLE", np.empty((4, 0)))
         with ThreadPoolExecutor(max_workers=4) as pool:
             results = list(pool.map(analyze, batch + batch[::-1]))
         assert results == serial + serial[::-1]
