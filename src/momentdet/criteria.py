@@ -26,8 +26,11 @@ logarithmic corrections make the apparent p overshoot (a_n ~ 1/(n ln n)
 measures p ≈ 1.2 at n ≈ 200 even though its series diverges).
 Otherwise the borderline is refined on the critical scale itself:
 b_n = a_n·n·ln n is fitted against ln ln n, and the series is classified
-by whether b_n decays slower or faster than the convergence/divergence
-watershed 1/ln n.
+by whether that slope lies above or below −1.  For a_n = 1/(n·(ln n)^c)
+the slope is 1 − c, so −1 is c = 2, whose series converges; Bertrand's
+watershed is c = 1, slope 0.  So a refined series with 1 < c ≤ 1.75
+reads satisfied-evidence though it converges (ROADMAP item 1, Defect B,
+moves the watershed).
 
 The growth-rate checker analogously separates power-law growth of g_n
 (violation) from at-most-logarithmic drift (bounded evidence) by fitting
@@ -81,8 +84,10 @@ BORDERLINE_BAND = 0.05
 #: Local exponents drifting down faster than this (per ln n) defer a
 #: p > 1 verdict to the critical-scale refinement.
 DRIFT_TOL = 0.01
-#: Refinement bands for the critical-scale exponent of b_n = a_n·n·ln n
-#: (fitted against ln ln n; the watershed rate 1/ln n has exponent −1).
+#: Half-width of the refinement's band around slope −1 of b_n = a_n·n·ln n
+#: against ln ln n.  That slope is 1 − c for a_n = 1/(n·(ln n)^c), so −1
+#: is c = 2, not Bertrand's watershed c = 1 (slope 0): ROADMAP item 1,
+#: Defect B.
 B_CRITICAL_BAND = 0.25
 #: Growth-rate: a fitted power slope of ln g vs ln n at or above this,
 #: with a rising tail, is power-law growth.

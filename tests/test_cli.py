@@ -36,13 +36,14 @@ def runner():
     return CliRunner()
 
 
-def run_fresh(*args: str) -> subprocess.CompletedProcess:
-    """``python *args`` in a new interpreter, with this package on its path."""
+def run_fresh(*args: str, text: bool = True, **env: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter, with this package on its path
+    and ``env`` added to its environment."""
     src = str(Path(momentdet.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], env=env, capture_output=True, text=text, timeout=120
     )
 
 
@@ -228,6 +229,15 @@ class TestCheck:
         trends = strict_json(result.output)["trends"]
         assert trends["carleman_root_trend"][-1] == [3000, None]
         assert trends["growth_ratio_trend"][-1] == [1311, None]
+
+    def test_symmetric_report_has_no_trends(self, runner, tmp_path):
+        # a symmetric product stores m_{2n} at entry n: no trend columns
+        path = tmp_path / "symprod.json"
+        runner.invoke(main, ["gen", "--family", "symprod[(1,1),(1,1)]", "--nmax", "300",
+                             "--out", str(path)])
+        result = runner.invoke(main, ["check", "--in", str(path)])
+        assert result.exit_code == 0, result.output
+        assert "trends" not in strict_json(result.output)
 
     def test_human_trend_values_stay_short(self, runner, tmp_path):
         # finite trend values up to ~1e300: exponent form, not hundreds of digits
@@ -619,6 +629,25 @@ main(["check", "--in", {str(tmp_path / "x11.json")!r}])
         assert (result.returncode, result.stdout) == (0, "False\n"), result.stderr
         result = run_fresh("-m", "momentdet", "--version")
         assert (result.returncode, result.stdout) == (0, "momentdet, version 0.1.0\n")
+
+    def test_streams_are_utf8_whatever_the_encoding(self):
+        # latin-1 has no δ: main switches stderr to UTF-8 before the error names it
+        result = run_fresh(
+            "-m", "momentdet", "gen", "--family", "δ", "--nmax", "10",
+            text=False, PYTHONIOENCODING="latin-1",
+        )
+        assert result.returncode == 2
+        assert "unrecognized family 'δ'".encode() in result.stderr
+
+    def test_ctrl_c_aborts_with_exit_1(self, runner, monkeypatch):
+        import momentdet.moments as moments_mod
+
+        def interrupted(p, rel_tol):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(moments_mod, "log_power_integral", interrupted)
+        result = runner.invoke(main, ["gen", "--family", X11, "--nmax", "10"])
+        assert (result.exit_code, result.output) == (1, "\nAborted!\n")
 
     def test_help_lists_commands(self, runner):
         result = runner.invoke(main, ["--help"])

@@ -618,6 +618,11 @@ class TestSerialization:
         with pytest.raises(SequenceError):
             from_csv(text)
 
+    def test_csv_without_its_header_line_rejected(self, seqs):
+        text = to_csv(seqs("exp", 10)).replace("n,sign,logmag\n", "")
+        with pytest.raises(SequenceError, match="^CSV moment file is missing its header or data rows$"):
+            from_csv(text)
+
     def test_truncated_csv_rejected(self, seqs):
         text = to_csv(seqs("exp", 10))
         truncated = "\n".join(text.splitlines()[:-3]) + "\n"
