@@ -36,12 +36,12 @@ The growth-rate checker analogously separates power-law growth of g_n
 (violation) from at-most-logarithmic drift (bounded evidence) by fitting
 ln g_n against both ln n and ln ln n.
 
-Every checker reads one module-level table, shared by all calls: the
-rows n, ln n, ln ln n and ln (2n)! for n = 1..N, of which it takes the
-first n_max columns.  The table is read-only, rebuilt to the n_max asked
-for when it is shorter, and replaced whole, never written in place.  Every
-fit is ``_slope``, the closed-form least-squares slope on centred data,
-xc·(y − ȳ)/(xc·xc) with xc = x − x̄.
+Every checker reads one table, the rows n, ln n, ln ln n and ln (2n)!
+for n = 1..N, of which it takes the first n_max columns.  The table is
+built once for each size N, 8192 or the least power of two at or above
+n_max where that is more, cached and read-only, and each entry depends
+on n alone.  Every fit is ``_slope``, the closed-form least-squares slope
+on centred data, xc·(y − ȳ)/(xc·xc) with xc = x − x̄.
 
 Verdicts describe the *given truncation*, not the limit: sequences whose
 log corrections settle slowly can honestly classify differently at short
@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -195,25 +196,27 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-#: Rows n, ln n, ln ln n and ln (2n)! (as ``math.lgamma(2n + 1)``) for
-#: n = 1..N, column n − 1 holding n's (ln ln 1 = −inf); read-only, and
-#: replaced by a longer table rather than written in place, so a checker
-#: running in another thread always reads a complete one.
-_TABLE = np.empty((4, 0))
+#: The fewest columns a table is built with: one table serves every n_max
+#: up to it.
+_TABLE_MIN = 8192
+
+
+@cache
+def _columns(size: int) -> np.ndarray:
+    """Rows n, ln n, ln ln n and ln (2n)! (as ``math.lgamma(2n + 1)``) for
+    n = 1..size, column n − 1 holding n's (ln ln 1 = −inf); read-only."""
+    n = np.arange(1.0, size + 1.0)
+    ln_n = np.log(n)
+    with np.errstate(divide="ignore"):  # ln ln 1 = −inf
+        table = np.array([n, ln_n, np.log(ln_n), list(map(math.lgamma, (2 * n + 1).tolist()))])
+    table.flags.writeable = False
+    return table
 
 
 def _table(n_max: int) -> np.ndarray:
-    """The shared table's first n_max columns, rebuilt to n_max if shorter."""
-    global _TABLE
-    table = _TABLE
-    if table.shape[1] < n_max:
-        n = np.arange(1.0, n_max + 1.0)
-        ln_n = np.log(n)
-        with np.errstate(divide="ignore"):  # ln ln 1 = −inf
-            table = np.array([n, ln_n, np.log(ln_n), list(map(math.lgamma, (2 * n + 1).tolist()))])
-        table.flags.writeable = False
-        _TABLE = table
-    return table[:, :n_max]
+    """The first n_max columns of the table of _TABLE_MIN columns, or of the
+    least power of two at or above n_max where that is more."""
+    return _columns(max(_TABLE_MIN, 1 << (n_max - 1).bit_length()))[:, :n_max]
 
 
 def _slope(x: np.ndarray, y: np.ndarray) -> float:

@@ -36,7 +36,7 @@ exactly as to_json or to_csv writes it (the canonical layout) loads by
 slicing its text, with one ``float()`` per moment and no other object per
 moment: JSON logmags must be printable text (``str.isprintable``, so no
 control character, which JSON escapes), and the CSV index column is
-compared with one shared text of indices.  Any other file (hand-edited,
+compared with one cached text of indices.  Any other file (hand-edited,
 re-indented, with extra keys or reordered lines) loads through the
 general path: ``json.loads`` and a check of each entry, or a reader of
 one CSV line at a time, which names the first bad entry.  Both paths
@@ -49,6 +49,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -384,11 +385,8 @@ _JSON_MOMENTS = '  "moments": [\n' + _JSON_OPEN
 _JSON_SEPARATOR = _JSON_CLOSE + ",\n" + _JSON_OPEN
 _JSON_END = _JSON_CLOSE + "\n  ]\n}\n"
 _CSV_HEADER = "n,sign,logmag"
-#: The most CSV rows whose indices _INDEX_TEXT holds; a longer file builds the rest.
+#: The CSV rows whose indices _index_text holds; a longer file builds the rest.
 _INDEX_ROWS_MAX = 8192
-#: (rows, "0\n1\n…\n{rows − 1}\n"): the index column of that many CSV rows,
-#: replaced by a longer one rather than grown in place.
-_INDEX_TEXT = (0, "")
 
 
 def to_json(seq: MomentSequence) -> str:
@@ -503,17 +501,19 @@ def to_csv(seq: MomentSequence) -> str:
     return "\n".join(lines) + "\n"
 
 
+@cache
+def _index_text(rows: int) -> str:
+    """"0\n1\n…\n{rows − 1}\n": the index column of that many CSV rows."""
+    return "\n".join(map(str, range(rows))) + "\n"
+
+
 def _is_index_column(indices: list[str]) -> bool:
     """Whether ``indices`` are "0", "1", "2", …, with no string made per
     index: up to _INDEX_ROWS_MAX of them are joined and compared with the
-    shared _INDEX_TEXT (grown if too short), any beyond with str(j)."""
-    global _INDEX_TEXT
-    rows, text = _INDEX_TEXT  # one read: another thread may replace it
-    if rows < min(len(indices), _INDEX_ROWS_MAX):
-        rows = min(max(len(indices), 2 * rows), _INDEX_ROWS_MAX)
-        text = "\n".join(map(str, range(rows))) + "\n"
-        _INDEX_TEXT = rows, text
-    return text.startswith("\n".join(indices[:rows]) + "\n") and indices[rows:] == list(
+    cached _index_text of that many rows, any beyond with str(j)."""
+    rows = _INDEX_ROWS_MAX
+    head = "\n".join(indices[:rows]) + "\n"
+    return _index_text(rows).startswith(head) and indices[rows:] == list(
         map(str, range(rows, len(indices)))
     )
 

@@ -12,8 +12,9 @@ their values span hundreds of orders of magnitude:
   ∫₀¹ t^k (ln t)^n dt = (−1)^n n!/(k+1)^{n+1}, so the integral is
   (−1)^n·n!·σₙ with σₙ = Σₖ (−1)^k/(k!·(k+1)^{n+1}).  That alternating
   sum lies in [1 − e^{−1}, 1] and 20 terms give it to rounding.  ln n!
-  comes from a table of compensated running sums of ln k, or from
-  Stirling's series in 40-digit decimals above the table.
+  comes from a cached table of compensated running sums of ln k, built
+  per power-of-two size up to 8193 entries, or from Stirling's series in
+  40-digit decimals above the table.
 
 Their sum gives the derivatives of the gamma function at 1
 (``gamma_derivative``): Γ⁽ⁿ⁾(1) = ∫₀¹ (ln t)^n e^{−t} dt + e^{−1}·S(n).
@@ -44,14 +45,15 @@ drop against rounding, never cut into the kept mass.
 
 One tanh-sinh (double exponential) driver integrates all panels of all
 requested orders together, one row per panel, in blocks of at most
-_BLOCK nodes, with node and weight tables cached per level.  The levels
-are nested: level L+1 halves the step, evaluates only its new odd nodes
-and adds them to half of level L's sum.  A row stops when two successive
-levels agree to half the requested relative tolerance (each panel's
-share), or to the float rounding of its log-integrand where that is
-coarser; that last change is its error estimate, and a row unconverged
-at the last level raises QuadratureError.  Sums are taken relative to
-e^{peak log}, so no node value over- or underflows.
+_BLOCK nodes, with node and weight tables cached per span of levels one
+pass evaluates.  The levels are nested: level L+1 halves the step,
+evaluates only its new odd nodes and adds them to half of level L's sum.
+A row stops when two successive levels agree to half the requested
+relative tolerance (each panel's share), or to the float rounding of its
+log-integrand where that is coarser; that last change is its error
+estimate, and a row unconverged at the last level raises
+QuadratureError.  Sums are taken relative to e^{peak log}, so no node
+value over- or underflows.
 
 The driver refines in array passes, each deciding its rows' stops the
 same way.  Nearly every panel stops at level 4 or 5, so the first pass
@@ -227,8 +229,9 @@ def _floor_within(p: _Floats, est: _Floats, total: _Floats, rel_tol: float) -> _
 
 
 @cache
-def _level_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Node offsets on (0, 2) and log weights of the nodes new at ``level``.
+def _span_nodes(first: int, last: int) -> tuple[np.ndarray, np.ndarray, tuple[slice, ...]]:
+    """Node offsets on (0, 2) and log weights of the nodes new at levels
+    first..last, concatenated, and each level's slice of them.
 
     The first level holds every k·h with |k·h| ≤ _TMAX, h = 2^{−level};
     each later level holds only the odd k, since its even k are the nodes
@@ -238,28 +241,22 @@ def _level_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     Nodes where v rounds to 2 are left out: they land on b, and their
     weight is negligible.  The arrays are read-only: threads share them.
     """
-    h = 2.0 ** (-level)
-    m = int(_TMAX / h)
-    k = np.arange(-m, m + 1) if level == _MIN_LEVEL else np.arange(1 - m, m, 2)
-    t = k * h
-    trans = np.pi / 2.0 * np.sinh(t)
-    v = 2.0 / (1.0 + np.exp(-2.0 * trans))
-    # log of the rule weight h·(π/2)·cosh(t) / cosh²((π/2)·sinh t) on (−1, 1)
-    logw = math.log(h) + _LOG_HALF_PI + np.log(np.cosh(t)) - 2.0 * np.log(np.cosh(trans))
-    kept = v < 2.0
-    v, logw = v[kept], logw[kept]
+    vs, logws = [], []
+    for level in range(first, last + 1):
+        h = 2.0 ** (-level)
+        m = int(_TMAX / h)
+        k = np.arange(-m, m + 1) if level == _MIN_LEVEL else np.arange(1 - m, m, 2)
+        t = k * h
+        trans = np.pi / 2.0 * np.sinh(t)
+        v = 2.0 / (1.0 + np.exp(-2.0 * trans))
+        # log of the rule weight h·(π/2)·cosh(t) / cosh²((π/2)·sinh t) on (−1, 1)
+        logw = math.log(h) + _LOG_HALF_PI + np.log(np.cosh(t)) - 2.0 * np.log(np.cosh(trans))
+        kept = v < 2.0
+        vs.append(v[kept])
+        logws.append(logw[kept])
+    v, logw = np.concatenate(vs), np.concatenate(logws)
     v.flags.writeable = logw.flags.writeable = False
-    return v, logw
-
-
-@cache
-def _span_nodes(first: int, last: int) -> tuple[np.ndarray, np.ndarray, tuple[slice, ...]]:
-    """The ``_level_nodes`` tables of levels first..last, concatenated, and
-    each level's slice of them.  Read-only, like the tables."""
-    tables = [_level_nodes(level) for level in range(first, last + 1)]
-    v, logw = tables[0] if first == last else map(np.concatenate, zip(*tables))
-    v.flags.writeable = logw.flags.writeable = False
-    ends = np.cumsum([0] + [len(tv) for tv, _ in tables]).tolist()
+    ends = np.cumsum([0, *map(len, vs)]).tolist()
     return v, logw, tuple(map(slice, ends[:-1], ends[1:]))
 
 
@@ -477,31 +474,21 @@ _UNIT_BASES = np.arange(1.0, _UNIT_TERMS + 1.0)
 #: ln k! comes from the table for k up to this, from Stirling's series above.
 _LOG_FACTORIAL_MAX = 8192
 
-#: ln k! for k = 0, 1, …; read-only, and replaced by a longer table rather
-#: than written in place, so a caller in another thread always reads a
-#: complete one.
-_LOG_FACTORIAL = np.empty(0)
 
-
-def _log_factorial_table(top: int) -> np.ndarray:
-    """The ln k! table through k = top ≤ _LOG_FACTORIAL_MAX (grown if too short).
+@cache
+def _log_factorial_table(size: int) -> np.ndarray:
+    """ln k! for k = 0..size − 1, size ≥ 1; read-only.
 
     Entry k is the compensated (Neumaier) running sum of math.log(j) for
-    j = 2..k, rounded once.  A longer table is summed again from j = 2, so
-    each entry depends on k alone, not on the calls that grew the table.
+    j = 1..k, rounded once, so it depends on k alone, not on the size.
     """
-    global _LOG_FACTORIAL
-    table = _LOG_FACTORIAL
-    if table.size <= top:
-        size = min(max(top + 1, 2 * table.size), _LOG_FACTORIAL_MAX + 1)
-        logs, total, comp = [0.0, 0.0], 0.0, 0.0
-        for x in map(math.log, range(2, size)):
-            t = total + x
-            total, comp = t, comp + ((total - t) + x if total >= x else (x - t) + total)
-            logs.append(total + comp)
-        table = np.array(logs)
-        table.flags.writeable = False
-        _LOG_FACTORIAL = table
+    logs, total, comp = [0.0], 0.0, 0.0
+    for x in map(math.log, range(1, size)):
+        t = total + x
+        total, comp = t, comp + ((total - t) + x if total >= x else (x - t) + total)
+        logs.append(total + comp)
+    table = np.array(logs)
+    table.flags.writeable = False
     return table
 
 
@@ -522,8 +509,10 @@ def _stirling_log_factorial(n: int) -> float:
 def _log_factorial(n: _Floats) -> _Floats:
     """ln n! for integer orders n ≥ 0, a float64 scalar or array."""
     small = n <= _LOG_FACTORIAL_MAX
-    # the largest order in the table's range; n·small is n there and 0 elsewhere
-    table = _log_factorial_table(int(np.maximum.reduce(n * small, axis=None)))
+    # the largest order in the table's range (n·small is n there and 0
+    # elsewhere), held by the least power-of-two table, capped at the range
+    top = int(np.maximum.reduce(n * small, axis=None))
+    table = _log_factorial_table(min(1 << top.bit_length(), _LOG_FACTORIAL_MAX + 1))
     if _all(small):
         return table[n.astype(np.intp)]
     logs = [table[int(m)] if m <= _LOG_FACTORIAL_MAX else _stirling_log_factorial(int(m))

@@ -660,8 +660,8 @@ def _lgamma_per_order(n_max: int) -> np.ndarray:
 class TestLogFactorialTable:
     @pytest.mark.parametrize("sizes", [(5000, 200, 3000), (200, 3000, 5000)])
     @pytest.mark.parametrize("label", [X11, "exp"])
-    def test_hardy_matches_lgamma_per_order(self, seqs, monkeypatch, sizes, label):
-        monkeypatch.setattr(criteria, "_TABLE", np.empty((4, 0)))
+    def test_hardy_matches_lgamma_per_order(self, seqs, sizes, label):
+        criteria._columns.cache_clear()
         for n in sizes:
             seq = seqs(label, n)
             assert check_hardy(seq).to_dict() == oracles.reference_check_hardy(seq).to_dict()
@@ -672,14 +672,24 @@ class TestLogFactorialTable:
             with np.errstate(divide="ignore"):
                 assert rows[2].tolist() == np.log(np.log(ns)).tolist()
             assert rows[3].tolist() == _lgamma_per_order(n).tolist()
-        table = criteria._TABLE
-        assert table.shape == (4, max(sizes))
+        # every size up to _TABLE_MIN reads one table
+        assert criteria._columns.cache_info().currsize == 1
+        table = criteria._columns(criteria._TABLE_MIN)
         assert not any(row.flags.writeable for row in (table, *table, *criteria._table(200)))
 
-    def test_threads_growing_the_table(self, seqs, monkeypatch):
+    def test_larger_tables_are_powers_of_two_with_the_same_entries(self):
+        criteria._columns.cache_clear()
+        sizes = (16, 8192, 8193, 16384, 16385, 300)
+        tables = [criteria._table(n) for n in sizes]
+        assert criteria._columns.cache_info().currsize == 3  # 8192, 16384 and 32768 columns
+        for n, rows in zip(sizes, tables):
+            assert rows.shape == (4, n)
+            assert rows.tobytes() == tables[-2][:, :n].tobytes()
+
+    def test_threads_growing_the_table(self, seqs):
         batch = [seqs(label, n) for label in (X11, "exp") for n in (300, 1200, 2500, 4000)]
         serial = [analyze(seq) for seq in batch]
-        monkeypatch.setattr(criteria, "_TABLE", np.empty((4, 0)))
+        criteria._columns.cache_clear()
         with ThreadPoolExecutor(max_workers=4) as pool:
             results = list(pool.map(analyze, batch + batch[::-1]))
         assert results == serial + serial[::-1]

@@ -12,13 +12,26 @@ This needs no truth table: a contradiction shows that one of the two
 verdicts is wrong, whichever it is.  Today the Carleman verdict
 overestimates the decay exponent of a_n ~ e/(n·(ln n)^c) (ROADMAP item 1,
 Defect A), so the test is marked xfail until that lands.
+
+The implications are strict: the paper's flagship X(1, 1) violates both
+premises, growth with q ≡ 1 and Hardy, while its Carleman series
+diverges.  Its reports must show that separation.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from momentdet import SATISFIED, VIOLATED, QFunction, analyze, check_q_divergence
+from momentdet import (
+    SATISFIED,
+    VIOLATED,
+    QFunction,
+    analyze,
+    check_carleman,
+    check_growth_rate,
+    check_hardy,
+    check_q_divergence,
+)
 
 #: The unit-δ two-factor families with r1 ≤ r2 in {0, 0.1, …, 1}: 66 of them.
 TWO_FACTOR = [
@@ -66,3 +79,13 @@ def test_no_satisfied_premise_with_a_violated_carleman(seqs, n_max):
         if premises:
             found.append(f"{label}: violated Carleman with satisfied {', '.join(premises)}")
     assert not found, f"{len(found)} reports contradict themselves:\n" + "\n".join(found)
+
+
+@pytest.mark.parametrize("n_max", [200, 1000, 5000])
+def test_the_flagship_separates_the_premises_from_carleman(seqs, n_max):
+    seq = seqs("product[(1,1),(1,1)]", n_max)
+    assert check_growth_rate(seq, QFunction.one()).status == VIOLATED
+    assert check_hardy(seq).status == VIOLATED
+    # satisfied today; inconclusive is allowed too, where the exponent's
+    # log corrections leave the series borderline
+    assert check_carleman(seq).status != VIOLATED

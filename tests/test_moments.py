@@ -908,24 +908,22 @@ class TestCanonicalReaderTables:
             assert _outcome(from_csv, bad) == _outcome(reference_from_csv, bad)
             assert isinstance(_outcome(from_csv, bad)[0], str)
 
-    def test_index_text_grows_on_demand_up_to_its_cap(self, monkeypatch):
-        monkeypatch.setattr(moments_mod, "_INDEX_TEXT", (0, ""))
+    def test_index_text_is_built_once_at_its_cap(self, monkeypatch):
+        moments_mod._index_text.cache_clear()
         monkeypatch.setattr(moments_mod, "_INDEX_ROWS_MAX", 16)
-        rows = []
         for count in (5, 3, 7, 12, 40, 16, 1):
             assert moments_mod._is_index_column(list(map(str, range(count))))
-            rows.append(moments_mod._INDEX_TEXT[0])
-        assert rows == [5, 5, 10, 16, 16, 16, 16]
         for count in (1, 5, 16, 17, 40):
             column = list(map(str, range(count)))
             for j in {0, count // 2, count - 1}:
                 for wrong in (str(j + 1), str(j)[:-1], "0" + str(j), str(j) + " "):
                     assert not moments_mod._is_index_column(column[:j] + [wrong] + column[j + 1 :])
             assert not moments_mod._is_index_column(column + ["x"])
-        assert moments_mod._INDEX_TEXT[1] == "".join(f"{j}\n" for j in range(16))
+        assert moments_mod._index_text.cache_info().currsize == 1
+        assert moments_mod._index_text(16) == "".join(f"{j}\n" for j in range(16))
 
     def test_threads_growing_the_index_text(self, monkeypatch):
-        monkeypatch.setattr(moments_mod, "_INDEX_TEXT", (0, ""))
+        moments_mod._index_text.cache_clear()
         monkeypatch.setattr(moments_mod, "_INDEX_ROWS_MAX", 300)
         columns = [list(map(str, range(n))) for n in [5, 700, 40, 299, 300, 301, 150, 1000] * 8]
         columns += [column[:-1] + ["0"] for column in columns[:16]]

@@ -153,34 +153,40 @@ class TestUnitIntegral:
 
 
 class TestLogFactorialTable:
-    """The ln k! table has the same bits whatever calls grew it."""
+    """The ln k! tables hold the same bits at every size, whatever sizes
+    were built first."""
 
     @staticmethod
-    def grown(monkeypatch, tops):
-        monkeypatch.setattr(quadrature, "_LOG_FACTORIAL", np.empty(0))
-        for top in tops:
-            table = quadrature._log_factorial_table(top)
+    def built(sizes):
+        """The tables of ``sizes``, built in that order from an empty cache."""
+        quadrature._log_factorial_table.cache_clear()
+        tables = [quadrature._log_factorial_table(size) for size in sizes]
+        for size, table in zip(sizes, tables):
+            assert table.size == size
             assert not table.flags.writeable
-            assert table.size > top
-        return table
+        return tables
 
     @pytest.mark.parametrize(
-        "tops",
-        [[1, 2, 3, 400, 401, 5000, 8192], [8192, 7, 300], [5, 17, 4096, 4097, 8000, 8191, 8192]],
+        "sizes",
+        [[1, 2, 3, 400, 401, 5000, 8193], [8193, 7, 300], [5, 17, 4096, 4097, 8000, 8192, 8193]],
     )
-    def test_entries_depend_on_k_alone(self, monkeypatch, tops):
-        whole = self.grown(monkeypatch, [quadrature._LOG_FACTORIAL_MAX])
-        assert self.grown(monkeypatch, tops).tobytes() == whole.tobytes()
+    def test_entries_depend_on_k_alone(self, sizes):
+        [whole] = self.built([quadrature._LOG_FACTORIAL_MAX + 1])
+        for table in self.built(sizes):
+            assert table.tobytes() == whole[: table.size].tobytes()
 
     @given(st.lists(st.integers(min_value=0, max_value=8192), min_size=1, max_size=6))
     def test_any_growth_order_gives_the_same_entries(self, tops):
-        with pytest.MonkeyPatch.context() as patch:
-            table = self.grown(patch, tops)
-            whole = self.grown(patch, [table.size - 1])
-        assert table.tobytes() == whole.tobytes()
+        quadrature._log_factorial_table.cache_clear()
+        got = [quadrature._log_factorial(np.float64(top)) for top in tops]
+        # one table per power-of-two size, capped at the table's range
+        sizes = {min(1 << top.bit_length(), quadrature._LOG_FACTORIAL_MAX + 1) for top in tops}
+        assert quadrature._log_factorial_table.cache_info().currsize == len(sizes)
+        [whole] = self.built([quadrature._LOG_FACTORIAL_MAX + 1])
+        assert np.array(got).tobytes() == whole[tops].tobytes()
 
     def test_entries_are_ln_k_factorial(self):
-        table = quadrature._log_factorial_table(quadrature._LOG_FACTORIAL_MAX)
+        table = quadrature._log_factorial_table(quadrature._LOG_FACTORIAL_MAX + 1)
         assert table.size == quadrature._LOG_FACTORIAL_MAX + 1
         for k in (0, 1, 2, 3, 10, 170, 8192):
             assert table[k] == pytest.approx(math.lgamma(k + 1.0), rel=4 * EPS, abs=4 * EPS)
@@ -399,13 +405,13 @@ class TestShapeMatchesReference:
 
 
 def reference_tanh_sinh(logf, a, b, p, shift, tol):
-    """``quadrature._tanh_sinh`` one level per array pass over ``_level_nodes``,
+    """``quadrature._tanh_sinh`` one level per array pass over ``_span_nodes``,
     gathering the active rows at every level, with its QuadratureError."""
     row_tol = np.maximum(tol, EPS * np.abs(shift))
     err, nodes = np.zeros(a.size), np.zeros(a.size, dtype=int)
     active = np.arange(a.size)
     for level in range(quadrature._MIN_LEVEL, quadrature._MAX_LEVEL + 1):
-        v, logw = quadrature._level_nodes(level)
+        v, logw, _ = quadrature._span_nodes(level, level)
         ra, rb = a[active], b[active]
         x = ra[:, None] + ((rb - ra) / 2.0)[:, None] * v
         sums = np.exp(logf(x, p[active, None]) - shift[active, None] + logw).sum(axis=1)
