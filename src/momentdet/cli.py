@@ -225,60 +225,36 @@ def cmd_check(input_path: str, criteria: str, q_spec: str, fmt: str, out: str) -
 # -- paper-table ----------------------------------------------------------------
 
 
+_TABLE_HEADER = ["name", "computed", "reference", "deviation", "tolerance", "mode", "status", "note"]
+
+# The paper's table: name, the log of the value over k[n] = ln K_n, the paper's
+# value, tolerance, mode (abs/rel) and a note; a row with a note is "info" only.
+_REFERENCE = [
+    ("K1/K0", lambda k: k[1] - k[0], 0.60, 0.01, "abs", ""),
+    ("K2/K1", lambda k: k[2] - k[1], 0.89, 0.01, "abs", ""),
+    ("K3/K2", lambda k: k[3] - k[2], 1.09, 0.01, "abs", ""),
+    ("K4/K3", lambda k: k[4] - k[3], 1.24, 0.01, "abs", ""),
+    ("K100/K99", lambda k: k[100] - k[99], 3.39, 0.01, "abs", ""),
+    ("K2", lambda k: k[2], 0.53, 0.01, "abs", ""),
+    ("K99", lambda k: k[99], 1.32e41, 0.01, "rel", ""),
+    ("K100", lambda k: k[100], 4.47e41, 0.01, "rel", ""),
+    ("m2", lambda k: 2.0 * math.log(2.0) + 2.0 * k[2], 1.13, 0.01, "abs", ""),
+    ("m99/(99!)^2", lambda k: 2.0 * k[99], 1.73e82, 0.02, "rel", ""),
+    ("m100/(100!)^2", lambda k: 2.0 * k[100], 2.0e83, 0.02, "rel", ""),
+    ("m1", lambda k: 2.0 * k[1], 1.0, 0.0, "abs", "paper value inconsistent; m1 = K1^2 by definition"),
+]
+
+
 def _reference_rows(rel_tol: float) -> list[dict[str, object]]:
     orders = (0, 1, 2, 3, 4, 99, 100)
-    logk = dict(zip(orders, log_power_integral(orders, rel_tol).tolist()))
-
-    def row(
-        name: str,
-        computed: float,
-        reference: float,
-        tol: float,
-        mode: str,
-        informational: bool = False,
-        note: str = "",
-    ) -> dict[str, object]:
-        if mode == "abs":
-            deviation = abs(computed - reference)
-        else:
-            deviation = abs(computed / reference - 1.0)
-        status = "info" if informational else ("ok" if deviation <= tol else "FAIL")
-        return {
-            "name": name,
-            "computed": computed,
-            "reference": reference,
-            "deviation": deviation,
-            "tolerance": tol,
-            "mode": mode,
-            "status": status,
-            "note": note,
-        }
-
-    return [
-        row("K1/K0", math.exp(logk[1] - logk[0]), 0.60, 0.01, "abs"),
-        row("K2/K1", math.exp(logk[2] - logk[1]), 0.89, 0.01, "abs"),
-        row("K3/K2", math.exp(logk[3] - logk[2]), 1.09, 0.01, "abs"),
-        row("K4/K3", math.exp(logk[4] - logk[3]), 1.24, 0.01, "abs"),
-        row("K100/K99", math.exp(logk[100] - logk[99]), 3.39, 0.01, "abs"),
-        row("K2", math.exp(logk[2]), 0.53, 0.01, "abs"),
-        row("K99", math.exp(logk[99]), 1.32e41, 0.01, "rel"),
-        row("K100", math.exp(logk[100]), 4.47e41, 0.01, "rel"),
-        row("m2", math.exp(2.0 * math.log(2.0) + 2.0 * logk[2]), 1.13, 0.01, "abs"),
-        row("m99/(99!)^2", math.exp(2.0 * logk[99]), 1.73e82, 0.02, "rel"),
-        row("m100/(100!)^2", math.exp(2.0 * logk[100]), 2.0e83, 0.02, "rel"),
-        row(
-            "m1",
-            math.exp(2.0 * logk[1]),
-            1.0,
-            0.0,
-            "abs",
-            informational=True,
-            note="paper value inconsistent; m1 = K1^2 by definition",
-        ),
-    ]
-
-
-_TABLE_HEADER = ["name", "computed", "reference", "deviation", "tolerance", "mode", "status", "note"]
+    k = dict(zip(orders, log_power_integral(orders, rel_tol).tolist()))
+    rows = []
+    for name, log, reference, tol, mode, note in _REFERENCE:
+        computed = math.exp(log(k))
+        deviation = abs(computed - reference) if mode == "abs" else abs(computed / reference - 1.0)
+        status = "info" if note else ("ok" if deviation <= tol else "FAIL")
+        rows.append(dict(zip(_TABLE_HEADER, (name, computed, reference, deviation, tol, mode, status, note))))
+    return rows
 
 
 def cmd_paper_table(rel_tol: float | None, fmt: str, out: str) -> None:

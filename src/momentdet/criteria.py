@@ -361,7 +361,7 @@ def check_growth_rate(seq: MomentSequence, q: QFunction | None = None) -> Verdic
         "tail_start": float(tail_start),
     }
     criterion = "growth_rate" if q.kind == "constant-one" else "growth_rate_q"
-    if q.kind == "power" and q.alpha is not None:
+    if q.kind == "power":
         diagnostics["q_alpha"] = float(q.alpha)
     return Verdict(
         criterion=criterion, status=status, diagnostics=diagnostics, n_used=n_max
@@ -447,8 +447,8 @@ def _is_two_factor_log_family(seq: MomentSequence) -> bool:
     )
 
 
-def _trend_samples(n_hi: int, count: int = 9) -> list[int]:
-    raw = np.geomspace(4, max(5, n_hi), count)
+def _trend_samples(n_hi: int) -> list[int]:
+    raw = np.geomspace(4, max(5, n_hi), 9)
     return sorted({min(n_hi, max(2, int(round(v)))) for v in raw})
 
 

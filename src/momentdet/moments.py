@@ -37,10 +37,11 @@ slicing its text, with one ``float()`` per moment and no other object per
 moment: JSON logmags must be printable text (``str.isprintable``, so no
 control character, which JSON escapes), and the CSV index column is
 compared with one cached text of indices.  Any other file (hand-edited,
-re-indented, with extra keys or reordered lines) loads through the
-general path: ``json.loads`` and a check of each entry, or a reader of
-one CSV line at a time, which names the first bad entry.  Both paths
-give the same sequence, or the same SequenceError, from the same text.
+re-indented, with extra keys, or with CSV comment and header lines moved)
+loads through the general path: ``json.loads`` and a check of each entry,
+or a reader of one CSV line at a time, which names the first bad entry;
+CSV data rows must still come in index order.  Both paths give the same
+sequence, or the same SequenceError, from the same text.
 """
 
 from __future__ import annotations

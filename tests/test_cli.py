@@ -455,6 +455,29 @@ class TestPaperTable:
         assert '"all_within": false' in result.output
         assert json.loads(result.output) == {"rows": [failing], "all_within": False}
 
+    def test_shifted_integrals_fail_their_rows(self, runner, monkeypatch):
+        """ln K_2 and ln K_99 off by 0.1: each row that reads either fails by
+        its own deviation rule, abs or rel, and the other rows stand."""
+        import momentdet.cli as cli_mod
+
+        real = cli_mod.log_power_integral
+
+        def shifted(p, rel_tol):
+            return real(p, rel_tol) + np.where(np.isin(p, (2, 99)), 0.1, 0.0)
+
+        monkeypatch.setattr(cli_mod, "log_power_integral", shifted)
+        result = runner.invoke(main, ["paper-table", "--format", "json"])
+        assert result.exit_code == 1
+        assert '"all_within": false' in result.output
+        rows = {r["name"]: r for r in json.loads(result.output)["rows"]}
+        failed = ["K2/K1", "K3/K2", "K100/K99", "K2", "K99", "m2", "m99/(99!)^2"]
+        assert {rows[name]["status"] for name in failed} == {"FAIL"}
+        assert {rows[name]["mode"] for name in failed} == {"abs", "rel"}
+        assert all(rows[name]["deviation"] > rows[name]["tolerance"] for name in failed)
+        for name in ("K1/K0", "K4/K3", "K100", "m100/(100!)^2"):
+            assert rows[name]["status"] == "ok"
+        assert rows["m1"]["status"] == "info"
+
 
 class TestAsym:
     def test_ratios_at_hundred(self, runner):

@@ -53,7 +53,10 @@ STRICT = f"-W error::RuntimeWarning {CLI}"
 COMMANDS = [
     Command(f"{CLI} --version"),
     Command("-m momentdet --version"),
+    # the reference table through each of its three writers
     Command(f"{CLI} paper-table"),
+    Command(f"{CLI} paper-table --format json"),
+    Command(f"{CLI} paper-table --format csv --rel-tol 1e-12"),
     Command(f"{CLI} gamma-derivs --nmax 200 --format csv"),
     # the scalar W from e to subnormal t, and saddle estimates that resolve
     Command(f"{CLI} wtable --t e --t 3 --t 1e300 --t 5e-324 --format csv"),
