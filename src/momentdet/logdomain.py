@@ -31,18 +31,22 @@ class SignedLogValue:
     logmag: float
 
     def __post_init__(self) -> None:
-        sign = _index(self.sign)  # np.int64 and the like are stored as an int
+        # An exact int sign and float logmag, as the package builds them, are
+        # checked as they are; anything else (np.int64, np.float64, a numeric
+        # string) is converted first and the converted value stored.
+        sign = self.sign if type(self.sign) is int else _index(self.sign)
         if sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
-        object.__setattr__(self, "sign", sign)
-        logmag = _float_arg(self.logmag, "SignedLogValue", "logmag")
-        if math.isnan(logmag) or logmag == math.inf:
+        logmag = self.logmag
+        if type(logmag) is not float:
+            logmag = _float_arg(logmag, "SignedLogValue", "logmag")
+        if logmag != logmag or logmag == math.inf:  # NaN is the value unequal to itself
             raise ValueError(f"logmag must be finite or -inf, got {self.logmag!r}")
-        object.__setattr__(self, "logmag", logmag)
-        if (self.sign == 0) != (logmag == _NEG_INF):
-            raise ValueError(
-                f"zero must be (sign=0, logmag=-inf); got ({self.sign}, {self.logmag})"
-            )
+        if (sign == 0) != (logmag == _NEG_INF):
+            raise ValueError(f"zero must be (sign=0, logmag=-inf); got ({sign}, {logmag})")
+        if sign is not self.sign or logmag is not self.logmag:
+            object.__setattr__(self, "sign", sign)
+            object.__setattr__(self, "logmag", logmag)
 
     # -- constructors ------------------------------------------------------
 

@@ -28,11 +28,12 @@ would, at a fraction of its per-operation cost.  Only the node sums of
 A one-point call is bound by numpy's cost per dispatched call, not by its
 arithmetic, so the code path keeps one rule.  On values that may be 0-d
 it uses scalar operators and unary ufuncs (the builtin ``abs``, not
-``np.abs``), at 0.05–0.4 µs a call on a 2-core x86-64 host, and a binary
-ufunc, ``np.where`` or ``np.errstate`` (about 1–3 µs each) only where no
-cheaper form gives the same bits.  It branches on ``ndim`` only for an all-true test (``_all``),
-never for arithmetic, so a scalar and an array share every numeric
-expression.
+``np.abs``), at about 0.08 and 0.2 µs a call on a 2-core x86-64 host,
+and a binary ufunc (0.7 µs), ``np.errstate`` (1.1 µs) or ``np.where``
+(1.6 µs on a 0-d value) only where no cheaper form gives the same bits.
+It branches on ``ndim`` only for a reduction over every element
+(``_all``, ``_whole``), never for elementwise arithmetic, so a scalar and
+an array share every numeric expression.
 
 Method for S.  The log-integrand is concave with a single peak, placed
 for all orders at once at expm1(W(p)) (W by ``lambertw._halley``).  The
@@ -163,7 +164,7 @@ class QuadratureResult:
     nodes_used: int
 
     def __post_init__(self) -> None:
-        if math.isnan(self.est_rel_error) or self.est_rel_error < 0.0:
+        if not self.est_rel_error >= 0.0:  # false for NaN too
             raise ValueError(f"est_rel_error must be >= 0, got {self.est_rel_error!r}")
         if self.nodes_used <= 0:
             raise ValueError(f"nodes_used must be positive, got {self.nodes_used!r}")
@@ -192,14 +193,22 @@ def _checked(name: str, p, rel_tol: float, integer: bool = False) -> tuple[_Floa
 
 def _all(x) -> bool:
     """Whether every element of ``x`` is true: ``bool`` for a 0-d value, and
-    np.logical_and.reduce, ndarray.all without its Python wrapper, for an array."""
-    return bool(x) if x.ndim == 0 else bool(np.logical_and.reduce(x, axis=None))
+    np.count_nonzero, cheaper than np.logical_and.reduce or ndarray.all, for
+    an array."""
+    return bool(x) if x.ndim == 0 else np.count_nonzero(x) == x.size
+
+
+def _whole(ufunc: np.ufunc, x):
+    """``ufunc`` reduced over every element of ``x``: ``x`` itself for a 0-d
+    value, whose reduction would be a numpy call that changes nothing, and
+    ``ufunc.reduce``, without ndarray's Python wrappers, for an array."""
+    return x if x.ndim == 0 else ufunc.reduce(x, axis=None)
 
 
 def _scalar_result(sign: int, log, est, nodes) -> QuadratureResult:
-    """The QuadratureResult of one order's (log, est, nodes) scalars.  The log
-    is finite, or −inf with sign 0 where Γ⁽ⁿ⁾(1)'s two pieces cancel exactly,
-    so the SignedLogValue constructor takes it as it is."""
+    """The QuadratureResult of one order's (log, est, nodes) scalars, built
+    from an int sign, float log and estimate and int node count: the types
+    whose invariant checks the constructors make without converting."""
     return QuadratureResult(SignedLogValue(sign, float(log)), float(est), int(nodes))
 
 
@@ -283,9 +292,12 @@ def _level_sums(
         rows = slice(s, s + step)
         x = a[rows, None] + half[rows, None] * v
         terms = np.exp(logf(x, p[rows, None]) - shift[rows, None] + logw)
-        # np.add.reduce is ndarray.sum, the same sums, without its Python wrapper
+        # np.add.reduce is ndarray.sum, the same sums, without its Python
+        # wrapper; each level's row of the block is an integer index, cheaper
+        # than a (level, rows) view per level
+        block = out[:, rows]
         for i, level in enumerate(levels):
-            np.add.reduce(terms[:, level], axis=1, out=out[i, rows])
+            np.add.reduce(terms[:, level], axis=1, out=block[i])
     return out
 
 
@@ -354,7 +366,10 @@ def _tanh_sinh(
     last = min(_SWEEP_LEVEL if tol <= _SWEEP_TOL else _SWEEP_LEVEL - 1, _MAX_LEVEL)
     sums = _level_sums(logf, _MIN_LEVEL, last, a, half, p, shift)
     total, err, nodes = _stops(sums, last, row_tol)
-    rows = (~(err <= row_tol)).nonzero()[0]
+    stopped = err <= row_tol
+    if _all(stopped):
+        return total * half, err, nodes
+    rows = (~stopped).nonzero()[0]
     while rows.size and last < _MAX_LEVEL:
         last += 1
         sums = _level_sums(logf, last, last, a[rows], half[rows], p[rows], shift[rows])
@@ -391,13 +406,18 @@ def _s_shape(p: _Floats) -> tuple[_Floats, _Floats, _Floats]:
     tangent lies above it: the first step lands at or past the aim and
     every later step approaches it from the right without crossing it.
     """
-    # W(0) is 0/0 in the Halley steps, NaN, which np.fmax turns into w = 0
-    # (W(p) > 0 for every other p); near the float maximum p·ln W and the
-    # reach overflow to inf, which _log_s reports as a peak too coarse to resolve
+    # near the float maximum p·ln W and the reach overflow to inf, which
+    # _log_s reports as a peak too coarse to resolve
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = np.fmax(_halley(p, np), 0.0)
+        # W(0) = 0 would be 0/0 in the Halley steps: at p = 0 they solve W(1)
+        # instead and the product with (p != 0) makes it +0.0; for p > 0
+        # (W(p) > 0) neither the sum nor the product moves a bit
+        w = _halley(p + (p == 0.0), np) * (p != 0.0)
         peak = np.expm1(w)
-        peak_log = np.where(p > 0.0, _s_logf(peak, p), 0.0)[()]
+        # the log-integrand at the peak, p·ln ln(1+peak) − peak, but 0 at p = 0,
+        # where ln ln 1 is −inf: adding (p == 0) makes it ln 1, and + 0.0
+        # turns the −0.0 of p = −0.0 into +0.0; for p > 0 neither moves a bit
+        peak_log = p * np.log(np.log1p(peak) + (p == 0.0)) - peak + 0.0
         aim = peak_log - _CUTOFF_DROP - _CUTOFF_SLACK * (1.0 + abs(peak_log))
         cut = peak + (1.0 + np.sqrt(2.0 * _CUTOFF_DROP * p / (1.0 + w)))
         for _ in range(_CUTOFF_STEPS):
@@ -511,7 +531,7 @@ def _log_factorial(n: _Floats) -> _Floats:
     small = n <= _LOG_FACTORIAL_MAX
     # the largest order in the table's range (n·small is n there and 0
     # elsewhere), held by the least power-of-two table, capped at the range
-    top = int(np.maximum.reduce(n * small, axis=None))
+    top = int(_whole(np.maximum, n * small))
     table = _log_factorial_table(min(1 << top.bit_length(), _LOG_FACTORIAL_MAX + 1))
     if _all(small):
         return table[n.astype(np.intp)]
@@ -530,7 +550,8 @@ def _log_unit(n: _Floats, rel_tol: float) -> tuple[_Floats, _Floats, _Floats]:
     reports the floored estimate alone, and raises DomainError where that
     exceeds ``rel_tol``.
     """
-    sigma = np.add.reduce(_UNIT_COEFS * _UNIT_BASES ** -(n[..., None] + 1.0), axis=-1)
+    # −(n + 1) on the orders, then one column per order against the terms
+    sigma = np.add.reduce(_UNIT_COEFS * _UNIT_BASES ** (-(n + 1.0))[..., None], axis=-1)
     log = _log_factorial(n) + np.log(sigma)
     return log, _floor_within(n, 0.0, log, rel_tol), np.full(n.shape, _UNIT_TERMS)
 
@@ -540,16 +561,17 @@ def _log_gamma(n: _Floats, rel_tol: float):
     integer n ≥ 0, a scalar or an array, and the ``_log_unit`` columns it
     was built from.
 
-    (−1)^n·|unit| + e^{−1}·S(n) is summed relative to the larger magnitude;
-    an exact cancellation would give sign 0 and an infinite estimate.
+    (−1)^n·|unit| + e^{−1}·S(n) is summed relative to the larger magnitude.
+    The two never cancel: |unit| = n!·σₙ ≥ (1 − e^{−1})·n! while e^{−1}·S(n)
+    ≤ e^{−1}·n! (ln(1+x) ≤ x), so the smaller term is at most e^{−0.54}
+    of the larger, |acc| ≥ 0.4 and its log needs no guard against log 0.
     """
     unit_log, unit_est, unit_nodes = unit = _log_unit(n, rel_tol)
     s_log, s_est, s_nodes = _log_s(n, rel_tol)
     tail_log = s_log - 1.0
     shift = np.maximum(unit_log, tail_log)
     acc = (-1.0) ** n * np.exp(unit_log - shift) + np.exp(tail_log - shift)
-    with np.errstate(divide="ignore"):
-        log = shift + np.log(abs(acc))
+    log = shift + np.log(abs(acc))
     # both estimates are floored above 0, so their logs are finite
     abs_err = np.logaddexp(np.log(unit_est) + unit_log, np.log(s_est) + tail_log)
     est = _floor_error(np.exp(abs_err - log), log)
@@ -572,7 +594,7 @@ def gamma_derivative(n: int, rel_tol: float = DEFAULT_REL_TOL) -> QuadratureResu
 
     The two pieces have opposite signs for odd n but never cancel
     catastrophically: the unit part dominates (its magnitude stays within
-    [e^{−1}·n!, n!] while e^{−1}·S(n) is smaller from n = 3 on).
+    [(1 − e^{−1})·n!, n!] while e^{−1}·S(n) ≤ e^{−1}·n!, see ``_log_gamma``).
     """
     ns, rel_tol = _checked("gamma_derivative", n, rel_tol, integer=True)
     (sign, *gamma), _ = _log_gamma(ns, rel_tol)

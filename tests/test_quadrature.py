@@ -25,7 +25,17 @@ from momentdet import (
     validate_rel_tol,
 )
 
-from .oracles import EULER, bisect_w, reference_s_shape, simpson_s, simpson_unit
+from .oracles import (
+    EULER,
+    bisect_w,
+    reference_log_gamma,
+    reference_log_s,
+    reference_log_unit,
+    reference_s_shape,
+    reference_tanh_sinh,
+    simpson_s,
+    simpson_unit,
+)
 
 # ∫₀^∞ ln(1+x)^p e^{−x} dx, independently computed / published anchors
 S1 = 0.596347362323194
@@ -241,10 +251,39 @@ class TestValidation:
                 fn(10**400)
 
     def test_result_field_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureResult(SignedLogValue.one(), -0.1, 10)
-        with pytest.raises(ValueError):
-            QuadratureResult(SignedLogValue.one(), 0.0, 0)
+        # each invariant of a result and of its value rejects, whether the
+        # value arrives as the int and float the package builds or as numpy
+        # scalars, which are converted
+        rejected = [
+            ((2, 1.0), "sign must be"),
+            ((np.int64(-2), 1.0), "sign must be"),
+            ((True, 1.0), "sign must be"),
+            ((np.bool_(False), -math.inf), "sign must be"),
+            ((1.0, 1.0), "sign must be"),
+            ((1, math.nan), "logmag must be"),
+            ((1, np.float64(math.nan)), "logmag must be"),
+            ((-1, math.inf), "logmag must be"),
+            ((0, 1.0), "zero must be"),
+            ((np.int8(0), np.float64(1.0)), "zero must be"),
+            ((1, -math.inf), "zero must be"),
+        ]
+        for (sign, logmag), message in rejected:
+            with pytest.raises(ValueError, match=message):
+                SignedLogValue(sign, logmag)
+        for est, nodes, message in [
+            (-0.1, 10, "est_rel_error"),
+            (math.nan, 10, "est_rel_error"),
+            (-math.inf, 10, "est_rel_error"),
+            (0.0, 0, "nodes_used"),
+            (1e-9, -3, "nodes_used"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                QuadratureResult(SignedLogValue.one(), est, nodes)
+        value = SignedLogValue(np.int64(-1), np.float64(2.5))
+        assert (type(value.sign), type(value.logmag)) == (int, float)
+        assert value == SignedLogValue(-1, 2.5)
+        assert SignedLogValue(np.int64(0), np.float64(-math.inf)) == SignedLogValue.zero()
+        assert QuadratureResult(value, 0.0, 1).est_rel_error == 0.0
 
 
 class TestErrorEstimates:
@@ -404,33 +443,48 @@ class TestShapeMatchesReference:
         self.assert_same_bits(np.array([p, 1.0]))
 
 
-def reference_tanh_sinh(logf, a, b, p, shift, tol):
-    """``quadrature._tanh_sinh`` one level per array pass over ``_span_nodes``,
-    gathering the active rows at every level, with its QuadratureError."""
-    row_tol = np.maximum(tol, EPS * np.abs(shift))
-    err, nodes = np.zeros(a.size), np.zeros(a.size, dtype=int)
-    active = np.arange(a.size)
-    for level in range(quadrature._MIN_LEVEL, quadrature._MAX_LEVEL + 1):
-        v, logw, _ = quadrature._span_nodes(level, level)
-        ra, rb = a[active], b[active]
-        x = ra[:, None] + ((rb - ra) / 2.0)[:, None] * v
-        sums = np.exp(logf(x, p[active, None]) - shift[active, None] + logw).sum(axis=1)
-        if level == quadrature._MIN_LEVEL:
-            total = sums
-            continue
-        prev = total[active]
-        total[active] = cur = prev / 2.0 + sums
-        err[active] = change = np.abs(prev - cur) / cur
-        nodes[active] = 8 * 2**level + 1
-        active = active[~(change <= row_tol[active])]
-        if not active.size:
-            return total * ((b - a) / 2.0), err, nodes
-    i = active[np.argmin(p[active])]
-    raise QuadratureError(
-        f"the integral for p = {p[i]:.17g} did not converge on panel [{a[i]:.6g}, {b[i]:.6g}] "
-        f"to rel_tol={row_tol[i]:.1e} within {quadrature._MAX_LEVEL} refinement levels",
-        partial=SignedLogValue.from_log(float(np.log(total[i] * (b[i] - a[i]) / 2.0) + shift[i])),
-    )
+class TestIntegralsMatchReference:
+    """``_log_s``, ``_log_unit`` and ``_log_gamma`` give the bits of
+    ``oracles.reference_log_s``, ``reference_log_unit`` and
+    ``reference_log_gamma``, for a batch and for each order alone.  The
+    batch-equals-scalar tests cannot see a change that moves the finishing
+    arithmetic of both paths alike; these tests can."""
+
+    @staticmethod
+    def assert_same_bits(integral, reference, orders, rel_tol=DEFAULT_REL_TOL):
+        orders = np.array(orders, dtype=float)
+        want = reference(orders, rel_tol)
+        for g, w in zip(integral(orders, rel_tol), want, strict=True):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        for i, order in enumerate(orders):
+            got = integral(order, rel_tol)  # a float64 scalar, as a one-point call passes
+            for g, w in zip(got, want, strict=True):
+                assert np.ndim(g) == 0 and g.dtype == w.dtype
+                assert g.tobytes() == w[i].tobytes()
+
+    @staticmethod
+    def log_gamma(n, rel_tol):
+        return quadrature._log_gamma(n, rel_tol)[0]
+
+    @given(P_SETS, st.sampled_from([1e-4, DEFAULT_REL_TOL]))
+    def test_s(self, ps, rel_tol):
+        self.assert_same_bits(quadrature._log_s, reference_log_s, ps, rel_tol)
+
+    @given(ORDER_SETS)
+    def test_unit(self, orders):
+        self.assert_same_bits(quadrature._log_unit, reference_log_unit, orders)
+
+    @given(ORDER_SETS)
+    def test_gamma(self, orders):
+        self.assert_same_bits(self.log_gamma, reference_log_gamma, orders)
+
+    @pytest.mark.parametrize("rel_tol", [1e-4, DEFAULT_REL_TOL])
+    def test_signed_zero_subnormal_and_the_first_orders(self, rel_tol):
+        # p = −0.0 passes the p >= 0 check, and S(0) = 1 takes the p = 0 branch
+        # of the peak's log
+        self.assert_same_bits(quadrature._log_s, reference_log_s, [-0.0, 0.0, 5e-324], rel_tol)
+        self.assert_same_bits(quadrature._log_unit, reference_log_unit, [0, 1], rel_tol)
+        self.assert_same_bits(self.log_gamma, reference_log_gamma, [0, 1], rel_tol)
 
 
 def driver_calls(integral, orders, rel_tol):

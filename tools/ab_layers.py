@@ -18,7 +18,11 @@ A tree is a checkout's root, such as the parent commit unpacked with
 same tree twice shows the timer's own spread.  Layers:
 
 * ``S(150)``: one ``integrate_logweighted(150)``;
-* ``gamma row``: ``gamma_derivative(60)`` and ``integrate_unit_log_power(60)``;
+* ``asym row``, ``gamma row``, ``wtable row``: one request of each of
+  ``point-eval``'s three kinds, ``integrate_logweighted(150)`` with both
+  Laplace estimates at 150, ``gamma_derivative(60)`` with
+  ``integrate_unit_log_power(60)``, and ``lambert_w0`` with
+  ``lambert_w_bounds`` at 1e3;
 * ``_s_shape``, ``laplace``, ``lambert_w0``: S's peak and cutoff at
   p = 150, ``laplace_estimate_exact(150)`` and ``lambert_w0(150)``;
 * ``gen 2000``: the flagship ``product[(1,1),(1,1)]`` generated at n_max 2000;
@@ -88,7 +92,13 @@ def layers(md) -> dict[str, object]:
     exp500, half = md.generate_from_label("exp", 500), md.QFunction.power(0.5)
     return {
         "S(150)": lambda: md.integrate_logweighted(150.0),
+        "asym row": lambda: (
+            md.integrate_logweighted(150.0),
+            md.laplace_estimate_exact(150.0),
+            md.laplace_estimate_leading(150.0),
+        ),
         "gamma row": lambda: (md.gamma_derivative(60), md.integrate_unit_log_power(60)),
+        "wtable row": lambda: (md.lambert_w0(1e3), md.lambert_w_bounds(1e3)),
         "_s_shape": lambda: md.quadrature._s_shape(p),
         "laplace": lambda: md.laplace_estimate_exact(150.0),
         "lambert_w0": lambda: md.lambert_w0(150.0),
