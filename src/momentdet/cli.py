@@ -207,15 +207,13 @@ def cmd_check(input_path: str, criteria: str, q_spec: str, fmt: str, out: str) -
     wanted = [c.strip() for c in criteria.split(",") if c.strip()]
     if not wanted:
         raise DomainError("--criteria must name at least one checker")
+    for name in wanted:  # every name, before any checker runs
+        if name != "all" and name not in _CHECKERS:
+            raise DomainError(f"unknown criterion {name!r}; expected {_CHECKER_NAMES}")
     if "all" in wanted:
         report = analyze(seq)
     else:
-        verdicts = []
-        for name in wanted:
-            if name not in _CHECKERS:
-                raise DomainError(f"unknown criterion {name!r}; expected {_CHECKER_NAMES}")
-            verdicts.append(_CHECKERS[name](seq, q))
-        report = _report(seq, verdicts)
+        report = _report(seq, [_CHECKERS[name](seq, q) for name in wanted])
     if fmt == "json":
         _write(out, json.dumps(_finite_or_null(report), indent=2, allow_nan=False) + "\n")
     else:

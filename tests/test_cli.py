@@ -299,6 +299,20 @@ class TestCheck:
         result = runner.invoke(main, ["check", "--in", str(path), "--criteria", "bogus"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("criteria", ["all,bogus", "bogus,all"])
+    def test_unknown_criterion_beside_all_exits_2(self, runner, tmp_path, criteria):
+        # every name is checked, not only those of a list without "all"
+        path, out = tmp_path / "exp.json", tmp_path / "report.json"
+        runner.invoke(main, ["gen", "--family", "exp", "--nmax", "100", "--out", str(path)])
+        result = runner.invoke(
+            main, ["check", "--in", str(path), "--criteria", criteria, "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert result.output == (
+            "error: unknown criterion 'bogus'; expected carleman, growth, growth-q, hardy\n"
+        )
+        assert not out.exists()
+
     def test_bad_q_spec_exits_2(self, runner, tmp_path):
         path = tmp_path / "exp.json"
         runner.invoke(main, ["gen", "--family", "exp", "--nmax", "100", "--out", str(path)])

@@ -2,20 +2,29 @@
 
 Both trees' ``src/momentdet`` are imported into one process under
 different package names (``momentdet_a`` and ``momentdet_b``) and timed
-in alternating rounds: each round times every layer on both trees, the
-tree that goes first swapping from round to round.  A timing is the wall
-time of a batch of calls divided by ``perfbench/harness.Clock.factor()``,
-the host's slow-down probed just before the batch, so it is in the
-benchmark's reference seconds; a round keeps the best of three batches
-of about 10 ms.
-Prints the median per-call time of each layer in each tree over the
-rounds, and the ratio b/a::
+in adjacent A/B pairs: in each round every layer gets one batch of calls
+of about 2 ms on each tree, back to back, the tree that goes first
+swapping from round to round.  One ``perfbench/harness.Clock.factor()``
+probe, the host's slow-down taken just before the pair, scales both of
+its batches, so a timing is in the benchmark's reference seconds per
+call.  One untimed call of each tree follows the probe: the probe slows
+the batch right after it (``S(150)`` by about 5% on a 2-core host).
+Prints each layer's median time in each tree over the rounds, and b/a,
+the median over the rounds of each pair's own ratio, with its quartiles::
 
     python3 tools/ab_layers.py TREE_A TREE_B [--rounds N]
 
+The two batches of a pair lie within a few milliseconds of each other, so
+both see the same phase of a shared host's speed, and their ratio needs
+no correction; the probe only keeps the µs columns comparable across
+runs.  A default run (50 rounds) takes about 10 s on a 2-core host.
+
 A tree is a checkout's root, such as the parent commit unpacked with
 ``git archive`` (or added with ``git worktree``) beside this one.  The
-same tree twice shows the timer's own spread.  Layers:
+same tree twice shows the timer's own spread: on the 2-core host, three
+default runs of a checkout against itself read every layer's b/a within
+0.979–1.017 and ``gen 2000``'s within 0.999–1.004, and a copy made about
+6% slower in S(p) read ``S(150)`` at 1.048–1.094 (CHANGES.md).  Layers:
 
 * ``S(150)``: one ``integrate_logweighted(150)``;
 * ``asym row``, ``gamma row``, ``wtable row``: one request of each of
@@ -43,18 +52,19 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import statistics
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from harness import Clock  # noqa: E402
 
 FLAGSHIP = "product[(1,1),(1,1)]"
-#: Wall time of one batch of calls, and batches per layer, tree and round.
-BATCH_S = 0.01
-REPEATS = 3
+#: Wall time of one batch of calls, and A/B pairs of batches per layer by default.
+BATCH_S = 0.002
+ROUNDS = 50
 
 
 def load(tree: Path, name: str):
@@ -79,8 +89,6 @@ def fresh_import(tree: Path, name: str) -> None:
 
 def layers(md) -> dict[str, object]:
     """Each layer's name and a no-argument call into package ``md``."""
-    import numpy as np
-
     # Run every submodule of a package that loads them on first use, before
     # a fresh import replaces them in sys.modules.
     md.__all__
@@ -121,24 +129,11 @@ def batch_size(call) -> int:
     return max(1, round(BATCH_S / max(time.perf_counter() - start, 1e-9)))
 
 
-def timed(call, count: int) -> float:
-    """Reference seconds per call: the best of REPEATS batches of ``count``
-    calls, each scaled by the host's slow-down just before it."""
-    best = float("inf")
-    for _ in range(REPEATS):
-        factor = Clock.factor()
-        start = time.perf_counter()
-        for _ in range(count):
-            call()
-        best = min(best, (time.perf_counter() - start) / count / factor)
-    return best
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tree_a", type=Path)
     parser.add_argument("tree_b", type=Path)
-    parser.add_argument("--rounds", type=int, default=15, help="alternating rounds (default 15)")
+    parser.add_argument("--rounds", type=int, default=ROUNDS, help=f"A/B pairs (default {ROUNDS})")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -148,16 +143,25 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"{tree} holds no src/momentdet package")
         trees[side] = layers(load(tree.resolve(), f"momentdet_{side}"))
     counts = {name: batch_size(call) for name, call in trees["a"].items()}
-    times = {side: {name: [] for name in counts} for side in trees}
+    # reference seconds per call: each layer's round-by-tree batch timings
+    times = {name: np.empty((args.rounds, 2)) for name in counts}
     for i in range(args.rounds):
         for name, count in counts.items():
-            for side in ("a", "b") if i % 2 == 0 else ("b", "a"):
-                times[side][name].append(timed(trees[side][name], count))
-    print(f"{'layer':<12} {'a (µs)':>11} {'b (µs)':>11} {'b/a':>7}   "
-          f"median of {args.rounds} alternating rounds, reference µs per call")
-    for name in counts:
-        a, b = (statistics.median(times[side][name]) * 1e6 for side in ("a", "b"))
-        print(f"{name:<12} {a:>11.1f} {b:>11.1f} {b / a:>7.3f}")
+            calls = [trees[side][name] for side in "ab"]
+            factor = Clock.factor()  # one probe scales both batches of the pair
+            for call in calls:  # one untimed call each: the probe slows what follows it
+                call()
+            for side in (0, 1) if i % 2 == 0 else (1, 0):
+                start = time.perf_counter()
+                for _ in range(count):
+                    calls[side]()
+                times[name][i, side] = (time.perf_counter() - start) / count / factor
+    print(f"{'layer':<12} {'a (µs)':>11} {'b (µs)':>11} {'b/a':>7} {'quartiles':>13}   "
+          f"medians of {args.rounds} adjacent A/B pairs, reference µs per call")
+    for name, pairs in times.items():
+        a, b = np.median(pairs, axis=0) * 1e6
+        low, ratio, high = np.percentile(pairs[:, 1] / pairs[:, 0], [25, 50, 75])
+        print(f"{name:<12} {a:>11.1f} {b:>11.1f} {ratio:>7.3f} {low:>6.3f}–{high:.3f}")
     return 0
 
 

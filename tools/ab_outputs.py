@@ -86,9 +86,12 @@ COMMANDS = [
     Command(f"{CLI} gamma-derivs --nmax 5000 --format csv"),
     # the left panel of S(2000) goes past the first sweep, to level 6
     Command(f"{CLI} asym --t 2000 --rel-tol 1e-12"),
-    # input errors: an unknown criterion, a file that is not UTF-8 text, and
-    # log S(1e7), which cannot be resolved to the default rel_tol
+    # input errors: an unknown criterion, alone and beside all, a file that is
+    # not UTF-8 text, and log S(1e7), which cannot be resolved to the default rel_tol
     Command(f"{CLI} check --in e.json --criteria bogus", 2),
+    Command(
+        f"{CLI} check --in e.json --criteria all,bogus", 2, stderr_has="unknown criterion 'bogus'"
+    ),
     Command(f"{CLI} check --in not-utf8.json", 2),
     Command(f"{CLI} asym --t 1e7", 2),
     # ln q(n) = alpha*ln n overflowing a float names the first such n
