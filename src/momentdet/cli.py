@@ -49,7 +49,14 @@ from .errors import (
 )
 from .lambertw import lambert_w0, lambert_w_bounds
 from .moments import from_csv, from_json, generate_from_label, to_csv, to_json
-from .quadrature import DEFAULT_REL_TOL, _log_gamma, log_power_integral, validate_rel_tol
+from .quadrature import (
+    DEFAULT_REL_TOL,
+    _checked,
+    _log_gamma,
+    _log_s_quadrature,
+    log_power_integral,
+    validate_rel_tol,
+)
 
 _ENV_REL_TOL = "MOMENTDET_REL_TOL"
 _ENV_NMAX_CAP = "MOMENTDET_NMAX_CAP"
@@ -282,8 +289,11 @@ def cmd_asym(t_values: list[float], rel_tol: float | None, fmt: str, out: str) -
         "exact_to_integral",
         "leading_to_integral",
     ]
+    # S(t) by quadrature, not by the series the library takes from t = 61 on:
+    # that series extends the saddle estimates this command compares it with
+    ts, rel_tol = _checked("log_power_integral", t_values, rel_tol)
     rows = []
-    for t, log_s in zip(t_values, log_power_integral(t_values, rel_tol).tolist()):
+    for t, log_s in zip(t_values, _log_s_quadrature(ts, rel_tol)[0].tolist()):
         estimates = (laplace_estimate_exact(t).logmag, laplace_estimate_leading(t).logmag)
         rows.append(
             [float(t), log_s / _LOG10, *(e / _LOG10 for e in estimates)]

@@ -5,8 +5,9 @@ their values span hundreds of orders of magnitude:
 
 * ``S(p) = ∫₀^∞ ln(1+x)^p · e^{−x} dx`` for real p ≥ 0
   (``integrate_logweighted``; ``log_power_integral`` for arrays of p),
-  by tanh-sinh quadrature.  S(100) is already ~4.5·10⁴¹, and p up to a
-  few thousand must work.
+  by the paper's saddle-point series from p = 61 on and by tanh-sinh
+  quadrature below.  S(100) is already ~4.5·10⁴¹, and p up to a few
+  thousand must work.
 * ``∫₀¹ (ln t)^n · e^{−t} dt`` for integer n ≥ 0
   (``integrate_unit_log_power``), from its series: term by term,
   ∫₀¹ t^k (ln t)^n dt = (−1)^n n!/(k+1)^{n+1}, so the integral is
@@ -32,10 +33,23 @@ it uses scalar operators and unary ufuncs (the builtin ``abs``, not
 and a binary ufunc (0.7 µs), ``np.errstate`` (1.1 µs) or ``np.where``
 (1.6 µs on a 0-d value) only where no cheaper form gives the same bits.
 It branches on ``ndim`` only for a reduction over every element
-(``_all``, ``_whole``), never for elementwise arithmetic, so a scalar and
-an array share every numeric expression.
+(``_all``, ``_whole``) and to route S's orders (``_log_s``: one comparison
+for a scalar, one mask for a batch), never for elementwise arithmetic, so
+a scalar and an array share every numeric expression.
 
-Method for S.  The log-integrand is concave with a single peak, placed
+Method for S.  ``_log_s`` takes orders p ≥ 61 from Laplace's method
+carried to eight correction terms (``_log_s_series``), exact there to
+float rounding, and the rest from the quadrature (``_log_s_quadrature``),
+which the CLI ``asym`` uses at every t, so that its integral column stays
+independent of the saddle estimates it is compared with.  With W = W(p),
+the substitution x = e^W − 1 + e^W·s turns S(p) into
+W^p·e^{−(e^W − 1)}·e^W·∫ exp(p·φ(s)) ds, φ(s) = ln(1 + ln(1+s)/W) − s/W,
+whose peak is at s = 0, so ln S(p) = p·ln W − (e^W − 1) +
+½·ln(2πp/(1+W)) + Σₘ dₘ·p⁻ᵐ, each dₘ a rational function of 1/W
+(``_SERIES``).  A batch is split by one mask, a single p by one
+comparison.
+
+For the quadrature, the log-integrand is concave with a single peak, placed
 for all orders at once at expm1(W(p)) (W by ``lambertw._halley``).  The
 axis is split into [0, peak] and [peak, cutoff] panels, the cutoff lying
 where the log-integrand has dropped 60 nats below the peak (mass below
@@ -72,12 +86,13 @@ it.
 
 Error estimates are floored at eps·(4 + |log value|), the rounding of a
 log-magnitude summed and held in a float, so levels that agree bit for
-bit do not claim an error of zero; the unit integral's series, exact to
-rounding, reports that floor alone.  Where the rounding of S's
-log-integrand near its peak reaches the 60-nat window itself
-(p ≳ 1e17), no cutoff can be placed and DomainError is raised, as it is
-wherever a floored estimate exceeds rel_tol (for S at 1e-9 from
-p ≈ 2e6 on, for the unit integral at 1e-9 from n ≈ 3.8e5 on).
+bit do not claim an error of zero; the unit integral's series and S's
+saddle-point series, exact to rounding, report that floor alone.  Where
+the rounding of S's log-integrand near its peak reaches the 60-nat
+window itself (p ≳ 1e17), no cutoff can be placed and DomainError is
+raised, by either path, as it is wherever a floored estimate exceeds
+rel_tol (for S at 1e-9 from p ≈ 2e6 on, for the unit integral at 1e-9
+from n ≈ 3.8e5 on).
 """
 
 from __future__ import annotations
@@ -154,9 +169,10 @@ _LogIntegrand = Callable[[_Floats, _Floats], _Floats]
 class QuadratureResult:
     """An integral value with its error estimate and node count.
 
-    ``nodes_used`` counts the quadrature nodes summed; the unit integral,
-    summed from its series, reports the series' 20 terms, and Γ⁽ⁿ⁾(1)
-    those 20 plus the nodes of S(n).
+    ``nodes_used`` counts the quadrature nodes summed; a series reports
+    its terms instead: the unit integral its 20 and S(p) from p = 61 on
+    its 8 correction terms.  Γ⁽ⁿ⁾(1) reports the unit integral's 20 plus
+    those of S(n).
     """
 
     value: SignedLogValue
@@ -427,17 +443,11 @@ def _s_shape(p: _Floats) -> tuple[_Floats, _Floats, _Floats]:
         return peak, peak_log, cut
 
 
-def _log_s(p: _Floats, rel_tol: float) -> tuple[_Floats, _Floats, _Floats]:
-    """(log S(p), floored estimated relative error, nodes used) for p ≥ 0,
-    a scalar or an array.
-
-    Raises DomainError where the float rounding of the log-integrand near
-    its peak, eps·|peak log|, reaches the cutoff drop: the kept window then
-    collapses at float resolution and no cutoff can be placed.  Raises it
-    too where a floored estimate exceeds ``rel_tol``.  Both name the lowest
-    such p.
-    """
-    peak, peak_log, cut = _s_shape(p)
+def _check_window(p: _Floats, peak_log: _Floats) -> None:
+    """DomainError, naming the lowest such p, where the float rounding of
+    the log-integrand near its peak, eps·|peak log|, reaches the cutoff
+    drop: the kept window then collapses at float resolution and no cutoff
+    can be placed."""
     held = _EPS * abs(peak_log) < _CUTOFF_DROP
     if not _all(held):
         p, peak_log, held = np.atleast_1d(p, peak_log, held)
@@ -446,6 +456,17 @@ def _log_s(p: _Floats, rel_tol: float) -> tuple[_Floats, _Floats, _Floats]:
             f"the integrand for p = {p[i]:.17g} peaks at log {peak_log[i]:.6g}, whose "
             f"float rounding exceeds the {_CUTOFF_DROP:g}-nat cutoff window"
         )
+
+
+def _log_s_quadrature(p: _Floats, rel_tol: float) -> tuple[_Floats, _Floats, _Floats]:
+    """(log S(p), floored estimated relative error, nodes used) for p ≥ 0,
+    a scalar or an array, by tanh-sinh quadrature.
+
+    Raises DomainError where ``_check_window`` does, and where a floored
+    estimate exceeds ``rel_tol``, naming the lowest such p.
+    """
+    peak, peak_log, cut = _s_shape(p)
+    _check_window(p, peak_log)
     split = np.maximum(peak, _PEAK_SPLIT_FLOOR)
     # _tanh_sinh's rows: every [0, split] panel, then every [split, cut] one
     panels = [np.zeros(p.shape), split, split, cut, p, p, peak_log, peak_log]
@@ -458,6 +479,135 @@ def _log_s(p: _Floats, rel_tol: float) -> tuple[_Floats, _Floats, _Floats]:
     abs_err = errs[0] * scaled[0] + errs[1] * scaled[1]
     total = np.log(value) + peak_log
     return total, _floor_within(p, abs_err / value, total, rel_tol), nodes[0] + nodes[1]
+
+
+#: Orders from this on take the saddle-point series: the least integer p
+#: from which its first term left out, d₉(v)·p⁻⁹, stays within a quarter
+#: of the floor eps·(4 + |log S(p)|) (``tests/test_series.py``).
+_SERIES_FROM = 61.0
+
+#: ln S(p) = p·ln W − (e^W − 1) + ½·ln(2πp/(1+W)) + Σₘ dₘ(v)·p⁻ᵐ, with
+#: W = W(p) and v = 1/W: Laplace's method on ∫ exp(p·φ(s)) ds, φ(s) =
+#: ln(1 + v·ln(1+s)) − v·s, in the log form of its expansion (F. W. J.
+#: Olver, Asymptotics and Special Functions, 1974, ch. 3).  One row
+#: "Cₘ: Nₘ" per m, with dₘ·p⁻ᵐ = Nₘ(v)·yᵐ/Cₘ, y = 1/(v·(1+v)³·p), and
+#: Nₘ's integer coefficients from v⁰ up; text, which compiles in a small
+#: fraction of the time a tuple of these 165 ints takes.  The first
+#: _SERIES_TERMS rows are summed and the next one, doubled, is the
+#: truncation estimate.  ``tests/test_series.py`` re-derives the table in
+#: exact rationals.
+_SERIES = (
+    "24: 2 9 16 6 2",
+    "48: 0 -2 -12 -29 -40 -36",
+    "5760: -16 -164 -616 -834 952 5217 8688 10192 10032 -1344 -576 -144 -16",
+    "11520: 0 144 1732 9380 29900 61142 80689 62917 19160 -13160 -51408 -91200",
+    "2903040: 2304 36576 154336 -424648 -7088088 -35546336 -107599000 -224143056"
+    " -335782838 -363597703 -280264992 -163569056 -96614272 -1357920 121472640 6918912"
+    " 3144960 1048320 241920 34560 2304",
+    "5806080: 0 -57600 -1024992 -7931456 -33935960 -77834624 -22129968 516016912"
+    " 2116211320 4994629810 8301796285 10255333723 9479892884 6512943556 3811831840"
+    " 2895682464 1354311936 -1271773440",
+    "1393459200: -829440 -17927424 -75398400 979421280 14702509760 95976165712"
+    " 393007055392 1098463324560 2081959474560 2257534962436 -503325715176 -7902367190574"
+    " -18790372093820 -28472870346375 -31491157692288 -25841077020608 -15271932477440"
+    " -7744378864000 -7016356224000 -4705524209664 1902085355520 -96447283200 -45008732160"
+    " -16878274560 -4964198400 -1103155200 -174182400 -17418240 -829440",
+    "2786918400: 0 40642560 959231232 9430373376 46483611552 67095196960 -657765723568"
+    " -5591597137872 -24305692592480 -72591992088016 -160172596601476 -264515046667220"
+    " -314202992051050 -219685183352818 48221317857097 401124310562753 672295813589264"
+    " 729072132780144 555377864264448 268859822378240 86848937201664 113411430406656"
+    " 109388379709440 -32247014768640",
+    "367873228800: 309657600 8500654080 34203193344 -1062970618368 -18081314661888"
+    " -143887850794304 -706001060654208 -2180775799386624 -3171995137533024"
+    " 6891664677743120 60943555934342464 221060643182558872 551532593819894200"
+    " 1044395224235690528 1544179768322266264 1772829300506118100 1502022663190403078"
+    " 757802490311360373 -149034567373286144 -827371495714460224 -1047423002698594688"
+    " -806760937454736832 -312785605474488320 9673087182108672 -94918447369543680"
+    " -174023845273681920 40015944157593600 1451310981120000 687463096320000"
+    " 274985238528000 91661746176000 24998658048000 5434490880000 905748480000"
+    " 108689817600 8360755200 309657600",
+)
+_SERIES_TERMS = 8
+#: Orders whose series terms are evaluated together, which bounds the temporaries.
+_SERIES_CHUNK = 512
+_TWO_PI = 2.0 * math.pi
+
+
+@cache
+def _series_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The _SERIES table as Nₘ/Cₘ, one row per m padded with zeros to the
+    highest degree; the powers of v from 0 to that degree; and the powers
+    of y, m = 1, 2, ....  Read-only."""
+    rows = [(float(big), np.array(num.split(), dtype=float))
+            for big, num in (row.split(":") for row in _SERIES)]
+    coefs = np.zeros((len(rows), max(len(num) for _, num in rows)))
+    for row, (big, num) in zip(coefs, rows):
+        row[: len(num)] = num / big
+    arrays = coefs, np.arange(float(coefs.shape[1])), np.arange(1.0, len(rows) + 1.0)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _log_s_series(p: _Floats) -> tuple[_Floats, _Floats]:
+    """(log S(p), estimated relative error) by the saddle-point series, for
+    p ≥ _SERIES_FROM, a scalar or an array; the estimate is not floored.
+
+    The saddle terms p·ln W − (e^W − 1) are the peak's log-integrand, which
+    ``_check_window`` checks as for the quadrature.  They are evaluated at
+    the computed W, whose rounding they feel only to second order (their
+    derivative in W, p/W − e^W, is 0 at W(p)), and in np.longdouble,
+    rounded to a float once with the sum: in float64 the series missed the
+    floor eps·(4 + |log|) at 14 of 400 log-spaced p in [61, 1e6], by up to
+    1.33 times, and in np.longdouble its worst error was 0.48 of it (README,
+    Performance).  The terms dₘ(v)·p⁻ᵐ are evaluated _SERIES_CHUNK orders
+    at a time, each polynomial in v by np.einsum over its powers, which
+    calls no BLAS: a first ``@`` on a 5,000-order batch added 2.1 MB to the
+    process.
+    """
+    coefs, powers, m = _series_arrays()
+    w = _halley(p, np)
+    wide = w.astype(np.longdouble)
+    saddle = p * np.log(wide) - np.expm1(wide)
+    _check_window(p, saddle)
+    v = 1.0 / w
+    # one row of terms per order: a 1-d row for a scalar, whose one chunk is itself
+    v, y = v[..., None], (w / ((1.0 + v) ** 3 * p))[..., None]
+    terms = np.concatenate([
+        np.einsum("...k,mk->...m", v[s : s + _SERIES_CHUNK] ** powers, coefs)
+        * y[s : s + _SERIES_CHUNK] ** m
+        for s in range(0, len(v), _SERIES_CHUNK)
+    ])
+    series = np.add.reduce(terms[..., :_SERIES_TERMS], axis=-1)
+    total = saddle + 0.5 * np.log(_TWO_PI * p / (1.0 + wide)) + series
+    return total.astype(float), 2.0 * abs(terms[..., _SERIES_TERMS])
+
+
+def _log_s(p: _Floats, rel_tol: float) -> tuple[_Floats, _Floats, _Floats]:
+    """(log S(p), floored estimated relative error, nodes used) for p ≥ 0,
+    a scalar or an array: by ``_log_s_series`` from p = _SERIES_FROM on,
+    reporting its _SERIES_TERMS terms as nodes, and by
+    ``_log_s_quadrature`` below.
+
+    Raises DomainError as ``_log_s_quadrature`` does, naming the lowest
+    such p of the whole batch: the series' window check comes before the
+    quadrature and its floored estimates after it, as a quadrature of the
+    whole batch would raise them.
+    """
+    if p.ndim == 0:
+        if p < _SERIES_FROM:
+            return _log_s_quadrature(p, rel_tol)
+        total, est = _log_s_series(p)
+        return total, _floor_within(p, est, total, rel_tol), _SERIES_TERMS
+    series = p >= _SERIES_FROM
+    total, est = np.empty(p.shape), np.empty(p.shape)
+    nodes = np.full(p.shape, _SERIES_TERMS)
+    if series.any():
+        total[series], est[series] = _log_s_series(p[series])
+    below = ~series
+    if below.any():
+        total[below], est[below], nodes[below] = _log_s_quadrature(p[below], rel_tol)
+    return total, _floor_within(p, est, total, rel_tol), nodes
 
 
 def integrate_logweighted(p: float, rel_tol: float = DEFAULT_REL_TOL) -> QuadratureResult:

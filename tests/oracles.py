@@ -167,10 +167,11 @@ def _reference_floor(est, log):
 
 def reference_log_s(p, rel_tol):
     """(log S(p), floored error estimate, nodes) for a 1-d float64 array of
-    p ≥ 0, as ``quadrature._log_s`` gives them: the peak and cutoff of
-    ``reference_s_shape``, the panels [0, peak] and [peak, cutoff] (the
-    split no closer to 0 than 1e-280), each at half the tolerance, summed
-    by ``reference_tanh_sinh`` relative to the peak's log-integrand."""
+    p ≥ 0, as ``quadrature._log_s_quadrature`` gives them: the peak and
+    cutoff of ``reference_s_shape``, the panels [0, peak] and [peak,
+    cutoff] (the split no closer to 0 than 1e-280), each at half the
+    tolerance, summed by ``reference_tanh_sinh`` relative to the peak's
+    log-integrand."""
     from momentdet.quadrature import _PEAK_SPLIT_FLOOR
 
     peak, peak_log, cut = reference_s_shape(p)
@@ -206,9 +207,10 @@ def reference_log_unit(n, rel_tol):
 
 def reference_log_gamma(n, rel_tol):
     """(sign, log |Γ⁽ⁿ⁾(1)|, floored error estimate, nodes) for a 1-d float64
-    array of integer n in 0..8192, as ``quadrature._log_gamma`` gives them:
-    (−1)^n·|unit| + e^{−1}·S(n) summed relative to the larger magnitude, the
-    two pieces' absolute errors added."""
+    array of integer n in 0..8192, as ``quadrature._log_gamma`` gives them
+    with S(n) by quadrature at every order: (−1)^n·|unit| + e^{−1}·S(n)
+    summed relative to the larger magnitude, the two pieces' absolute
+    errors added."""
     unit_log, unit_est, unit_nodes = reference_log_unit(n, rel_tol)
     s_log, s_est, s_nodes = reference_log_s(n, rel_tol)
     tail_log = s_log - 1.0

@@ -367,7 +367,7 @@ class TestBatchedPath:
         rel_tol, ps, lowest = self.UNCONVERGED[max_level]
         monkeypatch.setattr(quadrature, "_MAX_LEVEL", max_level)
         with pytest.raises(QuadratureError, match=f"the integral for p = {lowest} did not converge"):
-            log_power_integral(np.array(ps), rel_tol)
+            quadrature._log_s_quadrature(np.array(ps), rel_tol)
 
 
 #: Batches of orders for the batch/scalar comparisons.
@@ -444,9 +444,10 @@ class TestShapeMatchesReference:
 
 
 class TestIntegralsMatchReference:
-    """``_log_s``, ``_log_unit`` and ``_log_gamma`` give the bits of
-    ``oracles.reference_log_s``, ``reference_log_unit`` and
-    ``reference_log_gamma``, for a batch and for each order alone.  The
+    """``_log_s_quadrature``, ``_log_unit`` and ``_log_gamma`` (with S by
+    quadrature at every order) give the bits of ``oracles.reference_log_s``,
+    ``reference_log_unit`` and ``reference_log_gamma``, for a batch and for
+    each order alone.  The
     batch-equals-scalar tests cannot see a change that moves the finishing
     arithmetic of both paths alike; these tests can."""
 
@@ -468,7 +469,7 @@ class TestIntegralsMatchReference:
 
     @given(P_SETS, st.sampled_from([1e-4, DEFAULT_REL_TOL]))
     def test_s(self, ps, rel_tol):
-        self.assert_same_bits(quadrature._log_s, reference_log_s, ps, rel_tol)
+        self.assert_same_bits(quadrature._log_s_quadrature, reference_log_s, ps, rel_tol)
 
     @given(ORDER_SETS)
     def test_unit(self, orders):
@@ -476,7 +477,10 @@ class TestIntegralsMatchReference:
 
     @given(ORDER_SETS)
     def test_gamma(self, orders):
-        self.assert_same_bits(self.log_gamma, reference_log_gamma, orders)
+        # S(n) by quadrature at every order, as the reference takes it
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quadrature, "_log_s", quadrature._log_s_quadrature)
+            self.assert_same_bits(self.log_gamma, reference_log_gamma, orders)
 
     @pytest.mark.parametrize("rel_tol", [1e-4, DEFAULT_REL_TOL])
     def test_signed_zero_subnormal_and_the_first_orders(self, rel_tol):
@@ -531,7 +535,7 @@ class TestFirstSweep:
         levels = set()
         for rel_tol in SWEEP_TOLS:
             orders = [0.0, 0.5, 7.0, 300.0, 1578.0] + [2000.0] * (rel_tol == 1e-12)
-            calls = driver_calls(quadrature._log_s, orders, rel_tol)
+            calls = driver_calls(quadrature._log_s_quadrature, orders, rel_tol)
             self.assert_matches_reference(calls)
             levels.update(int(n - 1).bit_length() - 4 for _, (_, _, ns) in calls for n in ns)
         assert levels == {4, 5, 6}
@@ -605,8 +609,10 @@ class TestOnePass:
         assert calls and passes == [1] * len(calls)
         TestFirstSweep.assert_matches_reference(calls)
 
-    def test_gamma_derivative_makes_one_driver_call(self):
-        # S(n) alone: the unit integral comes from its series
+    def test_gamma_derivative_makes_one_driver_call(self, monkeypatch):
+        # S(n) alone, here by quadrature at every order: the unit integral
+        # comes from its series
+        monkeypatch.setattr(quadrature, "_log_s", quadrature._log_s_quadrature)
         calls, _ = self.driver_passes(lambda: [gamma_derivative(n) for n in range(201)])
         assert len(calls) == 201
 
@@ -635,7 +641,7 @@ class TestNodeCounts:
 
     @pytest.mark.parametrize("p", [0.0, 0.5, 7.0, 300.0, 5000.0])
     def test_two_panels_report_two_levels(self, p):
-        nodes = integrate_logweighted(p).nodes_used
+        nodes = quadrature._log_s_quadrature(np.float64(p), DEFAULT_REL_TOL)[2]
         assert any(nodes - left in LEVEL_NODES for left in LEVEL_NODES)
 
 

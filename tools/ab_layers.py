@@ -26,12 +26,14 @@ default runs of a checkout against itself read every layer's b/a within
 0.979–1.017 and ``gen 2000``'s within 0.999–1.004, and a copy made about
 6% slower in S(p) read ``S(150)`` at 1.048–1.094 (CHANGES.md).  Layers:
 
-* ``S(150)``: one ``integrate_logweighted(150)``;
+* ``S(150)``, ``S(30)``: one ``integrate_logweighted`` at 150, from the
+  saddle-point series, and at 30, by quadrature (below the series' p = 61);
 * ``asym row``, ``gamma row``, ``wtable row``: one request of each of
   ``point-eval``'s three kinds, ``integrate_logweighted(150)`` with both
   Laplace estimates at 150, ``gamma_derivative(60)`` with
-  ``integrate_unit_log_power(60)``, and ``lambert_w0`` with
-  ``lambert_w_bounds`` at 1e3;
+  ``integrate_unit_log_power(60)`` (S(60) by quadrature), and
+  ``lambert_w0`` with ``lambert_w_bounds`` at 1e3;
+* ``gamma row 150``: that gamma row at n = 150, S(150) from the series;
 * ``_s_shape``, ``laplace``, ``lambert_w0``: S's peak and cutoff at
   p = 150, ``laplace_estimate_exact(150)`` and ``lambert_w0(150)``;
 * ``gen 2000``: the flagship ``product[(1,1),(1,1)]`` generated at n_max 2000;
@@ -100,12 +102,14 @@ def layers(md) -> dict[str, object]:
     exp500, half = md.generate_from_label("exp", 500), md.QFunction.power(0.5)
     return {
         "S(150)": lambda: md.integrate_logweighted(150.0),
+        "S(30)": lambda: md.integrate_logweighted(30.0),
         "asym row": lambda: (
             md.integrate_logweighted(150.0),
             md.laplace_estimate_exact(150.0),
             md.laplace_estimate_leading(150.0),
         ),
         "gamma row": lambda: (md.gamma_derivative(60), md.integrate_unit_log_power(60)),
+        "gamma row 150": lambda: (md.gamma_derivative(150), md.integrate_unit_log_power(150)),
         "wtable row": lambda: (md.lambert_w0(1e3), md.lambert_w_bounds(1e3)),
         "_s_shape": lambda: md.quadrature._s_shape(p),
         "laplace": lambda: md.laplace_estimate_exact(150.0),
@@ -156,12 +160,12 @@ def main(argv: list[str] | None = None) -> int:
                 for _ in range(count):
                     calls[side]()
                 times[name][i, side] = (time.perf_counter() - start) / count / factor
-    print(f"{'layer':<12} {'a (µs)':>11} {'b (µs)':>11} {'b/a':>7} {'quartiles':>13}   "
+    print(f"{'layer':<13} {'a (µs)':>11} {'b (µs)':>11} {'b/a':>7} {'quartiles':>13}   "
           f"medians of {args.rounds} adjacent A/B pairs, reference µs per call")
     for name, pairs in times.items():
         a, b = np.median(pairs, axis=0) * 1e6
         low, ratio, high = np.percentile(pairs[:, 1] / pairs[:, 0], [25, 50, 75])
-        print(f"{name:<12} {a:>11.1f} {b:>11.1f} {ratio:>7.3f} {low:>6.3f}–{high:.3f}")
+        print(f"{name:<13} {a:>11.1f} {b:>11.1f} {ratio:>7.3f} {low:>6.3f}–{high:.3f}")
     return 0
 
 

@@ -81,11 +81,14 @@ COMMANDS = [
     Command(f"{CLI} gen --family 'symprod[(1,1),(1,1)]' --nmax 300 --out symprod.json"),
     Command(f"{CLI} check --in symprod.json", report_lacks="trends"),
     Command(f"{CLI} gamma-derivs --nmax 400 --format csv"),
+    # the saddle-point series across its threshold p = 61, at the tightest rel_tol here
     Command(f"{CLI} gamma-derivs --nmax 400 --rel-tol 1e-12 --format csv"),
     # the ln n! table of the unit integral's series at the CLI's n_max cap
     Command(f"{CLI} gamma-derivs --nmax 5000 --format csv"),
     # the left panel of S(2000) goes past the first sweep, to level 6
     Command(f"{CLI} asym --t 2000 --rel-tol 1e-12"),
+    # asym's quadrature at orders the library takes from the series, numpy warnings as errors
+    Command(f"{STRICT} asym --t 64 --t 150 --t 1e5 --format csv"),
     # input errors: an unknown criterion, alone and beside all, a file that is
     # not UTF-8 text, and log S(1e7), which cannot be resolved to the default rel_tol
     Command(f"{CLI} check --in e.json --criteria bogus", 2),
