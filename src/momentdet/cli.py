@@ -289,9 +289,9 @@ def cmd_asym(t_values: list[float], rel_tol: float | None, fmt: str, out: str) -
         "exact_to_integral",
         "leading_to_integral",
     ]
-    # S(t) by quadrature, not by the series the library takes from t = 61 on:
-    # that series extends the saddle estimates this command compares it with
-    ts, rel_tol = _checked("log_power_integral", t_values, rel_tol)
+    # S(t) by quadrature, not by the series and table the library takes:
+    # they extend the saddle terms of the estimates this command compares it with
+    ts, rel_tol = _checked("asym", t_values, rel_tol, "t")
     rows = []
     for t, log_s in zip(t_values, _log_s_quadrature(ts, rel_tol)[0].tolist()):
         estimates = (laplace_estimate_exact(t).logmag, laplace_estimate_leading(t).logmag)

@@ -57,7 +57,6 @@ import numpy as np
 from .errors import (
     DomainError,
     FamilyParseError,
-    QuadratureError,
     SequenceError,
     _float_arg,
     _index,
@@ -266,18 +265,15 @@ def generate_moments(
         unique_ps, inverse = np.unique(ps[positive], return_inverse=True)
         try:
             log_s[positive] = log_power_integral(unique_ps, rel_tol)[inverse]
-        except (DomainError, QuadratureError):
+        except DomainError:
             # name the lowest order whose own integrals fail (order 0 has none)
             for n, row in zip(orders[1:], ps[1:]):
                 try:
                     log_power_integral(row[row > 0.0], rel_tol)
-                except (DomainError, QuadratureError) as exc:
-                    # a QuadratureError keeps its failing panel's partial estimate
-                    partial = (exc.partial,) if isinstance(exc, QuadratureError) else ()
+                except DomainError as exc:
                     raise type(exc)(
                         f"while generating moment of order {_format_number(n)} "
-                        f"for {family.label!r}: {exc}",
-                        *partial,
+                        f"for {family.label!r}: {exc}"
                     ) from exc
             raise
     else:

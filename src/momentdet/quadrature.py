@@ -5,9 +5,9 @@ their values span hundreds of orders of magnitude:
 
 * ``S(p) = ∫₀^∞ ln(1+x)^p · e^{−x} dx`` for real p ≥ 0
   (``integrate_logweighted``; ``log_power_integral`` for arrays of p),
-  by the paper's saddle-point series from p = 61 on and by tanh-sinh
-  quadrature below.  S(100) is already ~4.5·10⁴¹, and p up to a few
-  thousand must work.
+  by the paper's saddle-point series from p = 61 on and from a literal
+  table below; tanh-sinh quadrature serves the CLI ``asym`` alone.
+  S(100) is already ~4.5·10⁴¹, and p up to a few thousand must work.
 * ``∫₀¹ (ln t)^n · e^{−t} dt`` for integer n ≥ 0
   (``integrate_unit_log_power``), from its series: term by term,
   ∫₀¹ t^k (ln t)^n dt = (−1)^n n!/(k+1)^{n+1}, so the integral is
@@ -33,30 +33,34 @@ it uses scalar operators and unary ufuncs (the builtin ``abs``, not
 and a binary ufunc (0.7 µs), ``np.errstate`` (1.1 µs) or ``np.where``
 (1.6 µs on a 0-d value) only where no cheaper form gives the same bits.
 It branches on ``ndim`` only for a reduction over every element
-(``_all``, ``_whole``) and to route S's orders (``_log_s``: one comparison
-for a scalar, one mask for a batch), never for elementwise arithmetic, so
-a scalar and an array share every numeric expression.
+(``_all``, ``_whole``) and to route S's orders (``_log_s``: comparisons
+for a scalar, one mask per piece for a batch), never for elementwise
+arithmetic, so a scalar and an array share every numeric expression.
 
 Method for S.  ``_log_s`` takes orders p ≥ 61 from Laplace's method
-carried to eight correction terms (``_log_s_series``), exact there to
-float rounding, and the rest from the quadrature (``_log_s_quadrature``),
-which the CLI ``asym`` uses at every t, so that its integral column stays
-independent of the saddle estimates it is compared with.  With W = W(p),
-the substitution x = e^W − 1 + e^W·s turns S(p) into
-W^p·e^{−(e^W − 1)}·e^W·∫ exp(p·φ(s)) ds, φ(s) = ln(1 + ln(1+s)/W) − s/W,
-whose peak is at s = 0, so ln S(p) = p·ln W − (e^W − 1) +
-½·ln(2πp/(1+W)) + Σₘ dₘ·p⁻ᵐ, each dₘ a rational function of 1/W
-(``_SERIES``).  A batch is split by one mask, a single p by one
-comparison.
+carried to eight correction terms (``_log_s_series``) and the orders
+below from a literal table (``_log_s_table`` from 1, ``_log_s_below_one``
+below it), both exact to float rounding.  With W = W(p), the substitution
+x = e^W − 1 + e^W·s turns S(p) into W^p·e^{−(e^W − 1)}·e^W·∫ exp(p·φ(s)) ds,
+φ(s) = ln(1 + ln(1+s)/W) − s/W, whose peak is at s = 0, so ln S(p) =
+p·ln W − (e^W − 1) + ½·ln(2πp/(1+W)) + Σₘ dₘ·p⁻ᵐ, each dₘ a rational
+function of 1/W (``_SERIES``).  Below 61 eight terms no longer reach
+float rounding, and the table ``_S_TABLE`` holds, per octave
+[2^(j−1), 2^j], a polynomial in p of what the saddle terms (``_saddle``,
+shared with the series) leave over, and on [0, 1] one of ln S(p)/p, so
+that ln S(0) is exactly 0.  No path of ``_log_s`` runs the quadrature.
 
-For the quadrature, the log-integrand is concave with a single peak, placed
-for all orders at once at expm1(W(p)) (W by ``lambertw._halley``).  The
-axis is split into [0, peak] and [peak, cutoff] panels, the cutoff lying
-where the log-integrand has dropped 60 nats below the peak (mass below
-e^{−60} of the peak's is invisible at the supported tolerances).  By
-concavity, a tangent right of the peak meets that level at or beyond
-the integrand itself, so a few tangent steps, aimed slightly past the
-drop against rounding, never cut into the kept mass.
+The quadrature (``_log_s_quadrature``) is what the CLI ``asym`` uses, at
+every t, so that its integral column stays independent of the saddle
+estimates it is compared with.  Its log-integrand is concave with a
+single peak, placed for all orders at once at expm1(W(p)) (W by
+``lambertw._halley``).  The axis is split into [0, peak] and [peak,
+cutoff] panels, the cutoff lying where the log-integrand has dropped 60
+nats below the peak (mass below e^{−60} of the peak's is invisible at
+the supported tolerances).  By concavity, a tangent right of the peak
+meets that level at or beyond the integrand itself, so a few tangent
+steps, aimed slightly past the drop against rounding, never cut into the
+kept mass.
 
 One tanh-sinh (double exponential) driver integrates all panels of all
 requested orders together, one row per panel, in blocks of at most
@@ -75,24 +79,24 @@ same way.  Nearly every panel stops at level 4 or 5, so the first pass
 spans levels 3 to 5 where rel_tol ≤ 1e-8 and 3 to 4 above it.  It works
 on the caller's arrays, and where every row stops in it its columns are
 the result, so a one-point call pays for its two panels and no row
-bookkeeping.  At the default rel_tol every call tried stops there: S(p)
-for p in [0.5, 4000], Γ⁽ⁿ⁾(1) for n ≤ 200, and a generation batch at
-n_max 2000.  Only rows that continue are gathered, one level per later
-pass, and their columns scattered into the first pass's.  Each level's
-sum is a column slice of its pass, so the results are those of one pass
-per level, bit for bit.  A row's node count is that of the level it
-stopped at, 8·2^L + 1, even where its pass evaluated a deeper level for
-it.
+bookkeeping.  At the default rel_tol every call tried stops there, with S
+by quadrature: S(p) for p in [0.5, 4000], Γ⁽ⁿ⁾(1) for n ≤ 200, and a
+generation batch at n_max 2000.  Only rows that continue are gathered,
+one level per later pass, and their columns scattered into the first
+pass's.  Each level's sum is a column slice of its pass, so the results
+are those of one pass per level, bit for bit.  A row's node count is
+that of the level it stopped at, 8·2^L + 1, even where its pass
+evaluated a deeper level for it.
 
 Error estimates are floored at eps·(4 + |log value|), the rounding of a
 log-magnitude summed and held in a float, so levels that agree bit for
 bit do not claim an error of zero; the unit integral's series and S's
-saddle-point series, exact to rounding, report that floor alone.  Where
-the rounding of S's log-integrand near its peak reaches the 60-nat
-window itself (p ≳ 1e17), no cutoff can be placed and DomainError is
-raised, by either path, as it is wherever a floored estimate exceeds
-rel_tol (for S at 1e-9 from p ≈ 2e6 on, for the unit integral at 1e-9
-from n ≈ 3.8e5 on).
+table and saddle-point series, exact to rounding, report that floor
+alone.  Where the rounding of S's log-integrand near its peak reaches the
+60-nat window itself (p ≳ 1e17), no cutoff can be placed and DomainError
+is raised, by the series and the quadrature alike, as it is wherever a
+floored estimate exceeds rel_tol (for S at 1e-9 from p ≈ 2e6 on, for the
+unit integral at 1e-9 from n ≈ 3.8e5 on).
 """
 
 from __future__ import annotations
@@ -169,10 +173,10 @@ _LogIntegrand = Callable[[_Floats, _Floats], _Floats]
 class QuadratureResult:
     """An integral value with its error estimate and node count.
 
-    ``nodes_used`` counts the quadrature nodes summed; a series reports
-    its terms instead: the unit integral its 20 and S(p) from p = 61 on
-    its 8 correction terms.  Γ⁽ⁿ⁾(1) reports the unit integral's 20 plus
-    those of S(n).
+    ``nodes_used`` counts the quadrature nodes summed; a series or table
+    reports its terms instead: the unit integral its 20, S(p) from p = 61
+    on its 8 correction terms and below that the 24 coefficients of its
+    table row.  Γ⁽ⁿ⁾(1) reports the unit integral's 20 plus those of S(n).
     """
 
     value: SignedLogValue
@@ -194,16 +198,19 @@ def validate_rel_tol(rel_tol: float) -> float:
     return rel_tol
 
 
-def _checked(name: str, p, rel_tol: float, integer: bool = False) -> tuple[_Floats, float]:
+def _checked(
+    name: str, p, rel_tol: float, arg: str = "p", integer: bool = False
+) -> tuple[_Floats, float]:
     """``p`` as a float64 (a numpy scalar for a scalar, else an array), and
-    ``rel_tol``, checked for the public function ``name``; ``integer`` asks
-    for one int order."""
+    ``rel_tol``, checked for the public function or command ``name``, whose
+    errors call ``p`` ``arg``; ``integer`` asks for one int order."""
     if integer:
-        p = _int_arg(p, 0, f"{name} requires an integer n >= 0")
-    ps = _float_arg(p, name, "n" if integer else "p", array=True)
+        p = _int_arg(p, 0, f"{name} requires an integer {arg} >= 0")
+    ps = _float_arg(p, name, arg, array=True)
     ok = (ps >= 0.0) & (ps < np.inf)
     if not _all(ok):
-        raise DomainError(f"{name} requires finite p >= 0, got {float(np.extract(~ok, ps)[0])!r}")
+        bad = float(np.extract(~ok, ps)[0])
+        raise DomainError(f"{name} requires finite {arg} >= 0, got {bad!r}")
     return ps, validate_rel_tol(rel_tol)
 
 
@@ -411,7 +418,8 @@ def _s_logf(x: _Floats, p: _Floats) -> _Floats:
 
 
 def _s_shape(p: _Floats) -> tuple[_Floats, _Floats, _Floats]:
-    """Peak abscissa, peak log and cutoff of S's integrand, per p ≥ 0.
+    """Peak abscissa, peak log and cutoff of S's integrand, per p ≥ 0 whose
+    cutoff window ``_saddle`` has checked.
 
     The peak is expm1(W(p)), with W(p) from ``lambertw._halley``.  The
     cutoff is the rightmost abscissa kept, at or past where the
@@ -421,26 +429,25 @@ def _s_shape(p: _Floats) -> tuple[_Floats, _Floats, _Floats]:
     just left of the cutoff.  The log-integrand is concave, so each
     tangent lies above it: the first step lands at or past the aim and
     every later step approaches it from the right without crossing it.
+    Nothing here warns for such p: the first p that would, about 4.3e32
+    (where a tangent step meets a zero slope), lies far past the window.
     """
-    # near the float maximum p·ln W and the reach overflow to inf, which
-    # _log_s reports as a peak too coarse to resolve
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # W(0) = 0 would be 0/0 in the Halley steps: at p = 0 they solve W(1)
-        # instead and the product with (p != 0) makes it +0.0; for p > 0
-        # (W(p) > 0) neither the sum nor the product moves a bit
-        w = _halley(p + (p == 0.0), np) * (p != 0.0)
-        peak = np.expm1(w)
-        # the log-integrand at the peak, p·ln ln(1+peak) − peak, but 0 at p = 0,
-        # where ln ln 1 is −inf: adding (p == 0) makes it ln 1, and + 0.0
-        # turns the −0.0 of p = −0.0 into +0.0; for p > 0 neither moves a bit
-        peak_log = p * np.log(np.log1p(peak) + (p == 0.0)) - peak + 0.0
-        aim = peak_log - _CUTOFF_DROP - _CUTOFF_SLACK * (1.0 + abs(peak_log))
-        cut = peak + (1.0 + np.sqrt(2.0 * _CUTOFF_DROP * p / (1.0 + w)))
-        for _ in range(_CUTOFF_STEPS):
-            # the log-integrand p·ln ln(1+x) − x and its slope p/((1+x)·ln(1+x)) − 1
-            l1p = np.log1p(cut)
-            cut = cut + (aim - (p * np.log(l1p) - cut)) / (p / ((1.0 + cut) * l1p) - 1.0)
-        return peak, peak_log, cut
+    # W(0) = 0 would be 0/0 in the Halley steps: at p = 0 they solve W(1)
+    # instead and the product with (p != 0) makes it +0.0; for p > 0
+    # (W(p) > 0) neither the sum nor the product moves a bit
+    w = _halley(p + (p == 0.0), np) * (p != 0.0)
+    peak = np.expm1(w)
+    # the log-integrand at the peak, p·ln ln(1+peak) − peak, but 0 at p = 0,
+    # where ln ln 1 is −inf: adding (p == 0) makes it ln 1, and + 0.0
+    # turns the −0.0 of p = −0.0 into +0.0; for p > 0 neither moves a bit
+    peak_log = p * np.log(np.log1p(peak) + (p == 0.0)) - peak + 0.0
+    aim = peak_log - _CUTOFF_DROP - _CUTOFF_SLACK * (1.0 + abs(peak_log))
+    cut = peak + (1.0 + np.sqrt(2.0 * _CUTOFF_DROP * p / (1.0 + w)))
+    for _ in range(_CUTOFF_STEPS):
+        # the log-integrand p·ln ln(1+x) − x and its slope p/((1+x)·ln(1+x)) − 1
+        l1p = np.log1p(cut)
+        cut = cut + (aim - (p * np.log(l1p) - cut)) / (p / ((1.0 + cut) * l1p) - 1.0)
+    return peak, peak_log, cut
 
 
 def _check_window(p: _Floats, peak_log: _Floats) -> None:
@@ -460,13 +467,17 @@ def _check_window(p: _Floats, peak_log: _Floats) -> None:
 
 def _log_s_quadrature(p: _Floats, rel_tol: float) -> tuple[_Floats, _Floats, _Floats]:
     """(log S(p), floored estimated relative error, nodes used) for p ≥ 0,
-    a scalar or an array, by tanh-sinh quadrature.
+    a scalar or an array, by tanh-sinh quadrature: the CLI ``asym``'s S(p),
+    independent of the saddle-point terms it is compared with.
 
-    Raises DomainError where ``_check_window`` does, and where a floored
-    estimate exceeds ``rel_tol``, naming the lowest such p.
+    Raises DomainError, naming the lowest such p, first where ``_saddle``
+    finds the cutoff window collapsed, and then where a floored estimate
+    exceeds ``rel_tol``.  The window check takes p below 1 at 1, where the
+    window holds, and its p·ln W, in np.longdouble, cannot overflow, so no
+    p warns, there or in ``_s_shape`` beyond the window.
     """
+    _saddle(np.maximum(p, 1.0))
     peak, peak_log, cut = _s_shape(p)
-    _check_window(p, peak_log)
     split = np.maximum(peak, _PEAK_SPLIT_FLOOR)
     # _tanh_sinh's rows: every [0, split] panel, then every [split, cut] one
     panels = [np.zeros(p.shape), split, split, cut, p, p, peak_log, peak_log]
@@ -479,6 +490,31 @@ def _log_s_quadrature(p: _Floats, rel_tol: float) -> tuple[_Floats, _Floats, _Fl
     abs_err = errs[0] * scaled[0] + errs[1] * scaled[1]
     total = np.log(value) + peak_log
     return total, _floor_within(p, abs_err / value, total, rel_tol), nodes[0] + nodes[1]
+
+
+_TWO_PI = 2.0 * math.pi
+
+
+def _saddle(p: _Floats) -> tuple[_Floats, _Floats]:
+    """W(p) and the saddle terms of ln S(p), p·ln W − (e^W − 1) +
+    ½·ln(2πp/(1+W)), for p ≥ 1, a scalar or an array; the terms in
+    np.longdouble.
+
+    p·ln W − (e^W − 1) is the log-integrand at the peak, which
+    ``_check_window`` checks before the last term is taken (2πp overflows
+    near the float maximum).  The terms are evaluated at W from
+    ``lambertw._halley``, whose rounding they feel only to second order
+    (their derivative in W, p/W − e^W, is 0 at W(p)), and in np.longdouble,
+    for the caller to round to a float once with its correction: in
+    float64 the series missed the floor eps·(4 + |log|) at 14 of 400
+    log-spaced p in [61, 1e6], by up to 1.33 times, and in np.longdouble
+    its worst error was 0.48 of it (README, Performance).
+    """
+    w = _halley(p, np)
+    wide = w.astype(np.longdouble)
+    peak_log = p * np.log(wide) - np.expm1(wide)
+    _check_window(p, peak_log)
+    return w, peak_log + 0.5 * np.log(_TWO_PI * p / (1.0 + wide))
 
 
 #: Orders from this on take the saddle-point series: the least integer p
@@ -530,7 +566,6 @@ _SERIES = (
 _SERIES_TERMS = 8
 #: Orders whose series terms are evaluated together, which bounds the temporaries.
 _SERIES_CHUNK = 512
-_TWO_PI = 2.0 * math.pi
 
 
 @cache
@@ -549,27 +584,17 @@ def _series_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return arrays
 
 
-def _log_s_series(p: _Floats) -> tuple[_Floats, _Floats]:
-    """(log S(p), estimated relative error) by the saddle-point series, for
-    p ≥ _SERIES_FROM, a scalar or an array; the estimate is not floored.
+def _log_s_series(p: _Floats) -> tuple[_Floats, _Floats, int]:
+    """(log S(p), estimated relative error, terms summed) by the saddle-point
+    series, for p ≥ _SERIES_FROM, a scalar or an array; the estimate is not
+    floored.
 
-    The saddle terms p·ln W − (e^W − 1) are the peak's log-integrand, which
-    ``_check_window`` checks as for the quadrature.  They are evaluated at
-    the computed W, whose rounding they feel only to second order (their
-    derivative in W, p/W − e^W, is 0 at W(p)), and in np.longdouble,
-    rounded to a float once with the sum: in float64 the series missed the
-    floor eps·(4 + |log|) at 14 of 400 log-spaced p in [61, 1e6], by up to
-    1.33 times, and in np.longdouble its worst error was 0.48 of it (README,
-    Performance).  The terms dₘ(v)·p⁻ᵐ are evaluated _SERIES_CHUNK orders
-    at a time, each polynomial in v by np.einsum over its powers, which
-    calls no BLAS: a first ``@`` on a 5,000-order batch added 2.1 MB to the
-    process.
+    The terms dₘ(v)·p⁻ᵐ are evaluated _SERIES_CHUNK orders at a time, each
+    polynomial in v by np.einsum over its powers, which calls no BLAS: a
+    first ``@`` on a 5,000-order batch added 2.1 MB to the process.
     """
     coefs, powers, m = _series_arrays()
-    w = _halley(p, np)
-    wide = w.astype(np.longdouble)
-    saddle = p * np.log(wide) - np.expm1(wide)
-    _check_window(p, saddle)
+    w, saddle = _saddle(p)
     v = 1.0 / w
     # one row of terms per order: a 1-d row for a scalar, whose one chunk is itself
     v, y = v[..., None], (w / ((1.0 + v) ** 3 * p))[..., None]
@@ -579,34 +604,137 @@ def _log_s_series(p: _Floats) -> tuple[_Floats, _Floats]:
         for s in range(0, len(v), _SERIES_CHUNK)
     ])
     series = np.add.reduce(terms[..., :_SERIES_TERMS], axis=-1)
-    total = saddle + 0.5 * np.log(_TWO_PI * p / (1.0 + wide)) + series
-    return total.astype(float), 2.0 * abs(terms[..., _SERIES_TERMS])
+    return (saddle + series).astype(float), 2.0 * abs(terms[..., _SERIES_TERMS]), _SERIES_TERMS
+
+
+#: Below _SERIES_FROM, ln S(p) comes from this table: one row per interval,
+#: [0, 1] and the octaves [2^(j−1), 2^j] for j = 1..6.  Row 0 holds
+#: g(p) = ln S(p)/p, and row j what the saddle terms of ``_saddle`` leave
+#: over, R(p) = ln S(p) − [p·ln W − (e^W − 1) + ½·ln(2πp/(1+W))], each as
+#: the coefficients of x⁰, x¹, ... in the interval's x ∈ [−1, 1].  Each row
+#: interpolates its function at 24 Chebyshev points, from 40-digit mpmath
+#: values (L. N. Trefethen, Approximation Theory and Approximation
+#: Practice, SIAM 2013, ch. 8): ln S(p) is analytic for Re p > −1, so the
+#: interpolants converge geometrically, and the next Chebyshev coefficient
+#: is below 4e-20 on every row.  |g| < 0.9 and |R| < 0.12, so the float
+#: rounding of a row's sum is negligible beside eps·(4 + |log S|).
+#: ``tools/s_table.py`` prints this text, and CI compares the two.
+_S_TABLE = (
+    # [0, 1]
+    "-0.6689210328446965 0.1807847326909101 -0.035682925783551096 0.008699472710667084"
+    " -0.002313954477822647 0.0006451365546173295 -0.00018526578138801277 5.430628953064239e-05"
+    " -1.616274522694372e-05 4.867641022424427e-06 -1.4799711151604888e-06 4.5351644403639184e-07"
+    " -1.398907378174067e-07 4.3394068732846255e-08 -1.3530126998579705e-08 4.235401370886415e-09"
+    " -1.3247678908496378e-09 4.1759225210410273e-10 -1.3831441964202338e-10 4.38725234151992e-11"
+    " -9.77742990224661e-12 3.104241591093697e-12 -2.576933785627147e-12 8.255285144306698e-13",
+    # [1, 2]
+    "0.09175946456700748 -0.019668873558020585 0.0053434712194169115 -0.0016073342093839782"
+    " 0.0005055040267078484 -0.00016169249848114084 5.195215202575829e-05 -1.6683799709658113e-05"
+    " 5.346616237572345e-06 -1.7096540806091825e-06 5.45729294485118e-07 -1.7399801533717594e-07"
+    " 5.5443605058741205e-08 -1.7665261057689254e-08 5.6317820951682e-09 -1.7959086643016979e-09"
+    " 5.703550287894798e-10 -1.821795878593064e-10 6.116093329140445e-11 -1.95836498275252e-11"
+    " 4.346969454490495e-12 -1.391732197007104e-12 1.181528326604204e-12 -3.803679349836098e-13",
+    # [2, 4]
+    "0.058381511376446364 -0.01298271854125791 0.0034279274895580836 -0.0009834974138825919"
+    " 0.00029725688153841293 -9.295230838294255e-05 2.970498726767076e-05 -9.619846532009054e-06"
+    " 3.1391452486025534e-06 -1.0283963704657611e-06 3.374561674643459e-07"
+    " -1.1076057281732167e-07 3.6334766325022694e-08 -1.1909010236897843e-08"
+    " 3.900646685885162e-09 -1.27576862937329e-09 4.145114082593062e-10 -1.3532202675726844e-10"
+    " 4.6588015666676905e-11 -1.518753458701053e-11 3.32830878686629e-12 -1.0843336423395746e-12"
+    " 9.704705797355898e-13 -3.15993720634484e-13",
+    # [4, 8]
+    "0.03623058668272581 -0.008580306078579637 0.002316407086099449 -0.0006612629403904407"
+    " 0.0001954332370676818 -5.9231462578798754e-05 1.8306524644594032e-05 -5.747236405658803e-06"
+    " 1.8272254433301933e-06 -5.868468506579779e-07 1.9000071664431084e-07 -6.190542828527047e-08"
+    " 2.0267986014759545e-08 -6.660467450378129e-09 2.195736804463963e-09 -7.2496233792836e-10"
+    " 2.381288451155815e-10 -7.87997919339439e-11 2.7716900575568455e-11 -9.17803563501051e-12"
+    " 1.9600728874819117e-12 -6.495520720864038e-13 6.263309724169086e-13 -2.071951810619351e-13",
+    # [8, 16]
+    "0.021815131750290803 -0.0054689395913938 0.0015311753841431013 -0.0004474067109059155"
+    " 0.00013392590588548968 -4.0747442239052414e-05 1.2549504237326141e-05 -3.90281268336314e-06"
+    " 1.2236364532653566e-06 -3.863244963952243e-07 1.2271565716408936e-07"
+    " -3.9191664245705666e-08 1.257692262396e-08 -4.053598716613858e-09 1.312117629654593e-09"
+    " -4.2603267803553995e-10 1.3790394674188857e-10 -4.503780125874156e-11"
+    " 1.5642583784670927e-11 -5.135704548841785e-12 1.0944970851449263e-12 -3.595293144038579e-13"
+    " 3.449225998956489e-13 -1.1408079927239525e-13",
+    # [16, 32]
+    "0.01279779737129325 -0.0033502173258212753 0.0009670796343082623 -0.0002894927776788876"
+    " 8.837482265593998e-05 -2.731967876389165e-05 8.521018570782675e-06 -2.675727413760489e-06"
+    " 8.447489541973703e-07 -2.6788012767038414e-07 8.52685034907533e-08 -2.7230462722294724e-08"
+    " 8.721012777416801e-09 -2.8003200780839516e-09 9.016245459982403e-10 -2.908149899997813e-10"
+    " 9.34597731745009e-11 -3.0257956890314427e-11 1.036390559272503e-11 -3.3681990794693013e-12"
+    " 7.308939739990842e-13 -2.375096069047958e-13 2.164845089700033e-13 -7.082722481709162e-14",
+    # [32, 64]
+    "0.007357276734638215 -0.001988511666981257 0.0005869988413141987 -0.0001789609688487278"
+    " 5.550199809507902e-05 -1.739912522123653e-05 5.495222385527239e-06 -1.745187335729816e-06"
+    " 5.566215848441531e-07 -1.7814486799199542e-07 5.717697827748925e-08 -1.8395450545644448e-08"
+    " 5.930444522860425e-09 -1.9153641503757153e-09 6.19821784821087e-10 -2.0078769214700617e-10"
+    " 6.476060017435715e-11 -2.1029135620405023e-11 7.219196181132546e-12 -2.3497232342952285e-12"
+    " 5.112834691974948e-13 -1.664105423955551e-13 1.510460249908868e-13 -4.935775192273101e-14",
+)
+_TABLE_TERMS = 24
+
+
+@cache
+def _table_arrays() -> tuple[np.ndarray, np.ndarray]:
+    """_S_TABLE as one row of coefficients per interval, and the powers of x
+    from 0 to _TABLE_TERMS − 1.  Read-only."""
+    coefs = np.array([row.split() for row in _S_TABLE], dtype=float)
+    arrays = coefs, np.arange(float(_TABLE_TERMS))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _table_fit(row, x: _Floats) -> _Floats:
+    """_S_TABLE's polynomial of row ``row`` (an int, or one per x) at ``x``,
+    a scalar or an array."""
+    coefs, powers = _table_arrays()
+    return np.einsum("...k,...k->...", x[..., None] ** powers, coefs[row])
+
+
+def _log_s_below_one(p: _Floats) -> tuple[_Floats, float, int]:
+    """(log S(p), 0.0, terms summed) for 0 ≤ p < 1, a scalar or an array:
+    p·g(p) from _S_TABLE's first row, exactly 0 at p = ±0 (+ 0.0 turns the
+    −0.0 of 0.0·g(0), g(0) < 0, into +0.0)."""
+    return p * _table_fit(0, 2.0 * p - 1.0) + 0.0, 0.0, _TABLE_TERMS
+
+
+def _log_s_table(p: _Floats) -> tuple[_Floats, float, int]:
+    """(log S(p), 0.0, terms summed) for 1 ≤ p < _SERIES_FROM, a scalar or an
+    array: the saddle terms plus R(p) from _S_TABLE, rounded to a float once.
+
+    p = m·2^j with m in [0.5, 1) (np.frexp) lies on the octave
+    [2^(j−1), 2^j) of row j, at x = 4m − 3, exactly.
+    """
+    m, row = np.frexp(p)
+    return (_saddle(p)[1] + _table_fit(row, 4.0 * m - 3.0)).astype(float), 0.0, _TABLE_TERMS
 
 
 def _log_s(p: _Floats, rel_tol: float) -> tuple[_Floats, _Floats, _Floats]:
-    """(log S(p), floored estimated relative error, nodes used) for p ≥ 0,
-    a scalar or an array: by ``_log_s_series`` from p = _SERIES_FROM on,
-    reporting its _SERIES_TERMS terms as nodes, and by
-    ``_log_s_quadrature`` below.
+    """(log S(p), floored estimated relative error, terms summed) for p ≥ 0,
+    a scalar or an array: by ``_log_s_series`` from p = _SERIES_FROM on, by
+    ``_log_s_table`` from 1 and by ``_log_s_below_one`` below.  The series
+    reports its _SERIES_TERMS terms as nodes and the table its _TABLE_TERMS;
+    the table, exact to rounding, reports the floored estimate alone.
 
-    Raises DomainError as ``_log_s_quadrature`` does, naming the lowest
-    such p of the whole batch: the series' window check comes before the
-    quadrature and its floored estimates after it, as a quadrature of the
-    whole batch would raise them.
+    Raises DomainError, naming the lowest such p of the whole batch, where
+    the series' window check fails, and after every piece where a floored
+    estimate exceeds ``rel_tol``.
     """
     if p.ndim == 0:
-        if p < _SERIES_FROM:
-            return _log_s_quadrature(p, rel_tol)
-        total, est = _log_s_series(p)
-        return total, _floor_within(p, est, total, rel_tol), _SERIES_TERMS
-    series = p >= _SERIES_FROM
+        piece = (_log_s_series if p >= _SERIES_FROM
+                 else _log_s_table if p >= 1.0 else _log_s_below_one)
+        total, est, nodes = piece(p)
+        return total, _floor_within(p, est, total, rel_tol), nodes
     total, est = np.empty(p.shape), np.empty(p.shape)
-    nodes = np.full(p.shape, _SERIES_TERMS)
-    if series.any():
-        total[series], est[series] = _log_s_series(p[series])
-    below = ~series
-    if below.any():
-        total[below], est[below], nodes[below] = _log_s_quadrature(p[below], rel_tol)
+    nodes = np.empty(p.shape, dtype=int)
+    series, below_one = p >= _SERIES_FROM, p < 1.0
+    table = ~(series | below_one)
+    for rows, piece in ((series, _log_s_series), (table, _log_s_table),
+                        (below_one, _log_s_below_one)):
+        if rows.any():
+            total[rows], est[rows], nodes[rows] = piece(p[rows])
     return total, _floor_within(p, est, total, rel_tol), nodes
 
 
@@ -734,7 +862,7 @@ def integrate_unit_log_power(n: int, rel_tol: float = DEFAULT_REL_TOL) -> Quadra
     Computed as (−1)^n·n!·σₙ by ``_log_unit``, so the returned sign is
     exactly (−1)^n.
     """
-    ns, rel_tol = _checked("integrate_unit_log_power", n, rel_tol, integer=True)
+    ns, rel_tol = _checked("integrate_unit_log_power", n, rel_tol, "n", integer=True)
     return _scalar_result(-1 if n % 2 else 1, *_log_unit(ns, rel_tol))
 
 
@@ -746,6 +874,6 @@ def gamma_derivative(n: int, rel_tol: float = DEFAULT_REL_TOL) -> QuadratureResu
     catastrophically: the unit part dominates (its magnitude stays within
     [(1 − e^{−1})·n!, n!] while e^{−1}·S(n) ≤ e^{−1}·n!, see ``_log_gamma``).
     """
-    ns, rel_tol = _checked("gamma_derivative", n, rel_tol, integer=True)
+    ns, rel_tol = _checked("gamma_derivative", n, rel_tol, "n", integer=True)
     (sign, *gamma), _ = _log_gamma(ns, rel_tol)
     return _scalar_result(int(sign), *gamma)

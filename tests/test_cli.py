@@ -525,6 +525,12 @@ class TestAsym:
         result = runner.invoke(main, ["asym", "--t", "-5", "--format", "csv"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("t, shown", [("-5", "-5.0"), ("nan", "nan"), ("inf", "inf")])
+    def test_invalid_t_is_named_under_asym(self, runner, t, shown):
+        result = runner.invoke(main, ["asym", "--t", "1", "--t", t])
+        assert result.exit_code == 2
+        assert result.output == f"error: asym requires finite t >= 0, got {shown}\n"
+
     def test_t_beyond_float_resolution_exits_2(self, runner):
         result = runner.invoke(main, ["asym", "--t", "1e20"])
         assert result.exit_code == 2

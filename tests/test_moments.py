@@ -15,13 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import momentdet.moments as moments_mod
-import momentdet.quadrature as quadrature
 from momentdet import (
     DomainError,
     FamilyParseError,
     FamilySpec,
     MomentSequence,
-    QuadratureError,
     SequenceError,
     SignedLogValue,
     analyze,
@@ -345,17 +343,18 @@ class TestValidationGates:
         # p = n·1 reaches 7 at order 7, p = n·0.5 only at order 14
         def fails_from_seven(ps, rel_tol):
             if (ps >= 7.0).any():
-                raise QuadratureError("synthetic non-convergence")
+                raise DomainError("synthetic failure")
             return ps * 0.0
 
         monkeypatch.setattr(moments_mod, "log_power_integral", fails_from_seven)
-        with pytest.raises(QuadratureError, match="while generating moment of order 7 "):
+        with pytest.raises(DomainError, match="while generating moment of order 7 ") as info:
             generate_from_label("product[(1,0.5),(1,1)]", 20)
+        assert str(info.value.__cause__) == "synthetic failure"
 
     def test_batch_error_no_order_reproduces_is_raised_unchanged(self, monkeypatch):
         # the batch holds every distinct p, an order at most two of them
         real = moments_mod.log_power_integral
-        batch_error = QuadratureError("synthetic batch failure")
+        batch_error = DomainError("synthetic batch failure")
 
         def fails_on_the_batch(ps, rel_tol):
             if len(ps) > 2:
@@ -363,18 +362,10 @@ class TestValidationGates:
             return real(ps, rel_tol)
 
         monkeypatch.setattr(moments_mod, "log_power_integral", fails_on_the_batch)
-        with pytest.raises(QuadratureError) as info:
+        with pytest.raises(DomainError) as info:
             generate_from_label("product[(1,0.5),(1,1)]", 20)
         assert info.value is batch_error
         assert str(info.value) == "synthetic batch failure"
-
-    def test_unconverged_error_keeps_its_partial(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "_MAX_LEVEL", 4)
-        with pytest.raises(QuadratureError, match="while generating moment of order ") as info:
-            generate_from_label(X11, 50)
-        assert isinstance(info.value.__cause__, QuadratureError)
-        assert info.value.partial is not None
-        assert info.value.partial == info.value.__cause__.partial
 
 
 class TestBatchedGeneration:

@@ -438,9 +438,30 @@ class TestShapeMatchesReference:
     @pytest.mark.parametrize("p", [-0.0, 0.0, 5e-324, 1e-300, 2e6, 1e17, 3e17, 1e300, 1.7e308])
     def test_signed_zero_and_the_overflowing_range(self, p):
         # p = −0.0 passes the p >= 0 check; near the float maximum the
-        # reach and the tangent steps overflow
-        self.assert_same_bits(np.float64(p))
-        self.assert_same_bits(np.array([p, 1.0]))
+        # reach and the tangent steps overflow.  _s_shape has no guard of
+        # its own: _log_s_quadrature rejects every p from about 1e17 on
+        # before calling it (TestNoWarnings), so the guard is the test's
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            self.assert_same_bits(np.float64(p))
+            self.assert_same_bits(np.array([p, 1.0]))
+
+
+class TestNoWarnings:
+    """``_log_s_quadrature`` warns for no p, accepted or rejected."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [0.0, -0.0, 5e-324, 1e-320, 0.5, 30.0, 1e5])
+    def test_accepted_orders(self, p):
+        for ps in (np.float64(p), np.array([p, 1.0])):
+            log, est, nodes = quadrature._log_s_quadrature(ps, DEFAULT_REL_TOL)
+            assert np.isfinite(log).all() and (est > 0.0).all() and (nodes > 0).all()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [1e17, 4.3e32, 1e300, 1.7e308])
+    def test_orders_past_the_window_raise_first(self, p):
+        for ps in (np.float64(p), np.array([1.0, p])):
+            with pytest.raises(DomainError, match="float rounding exceeds"):
+                quadrature._log_s_quadrature(ps, DEFAULT_REL_TOL)
 
 
 class TestIntegralsMatchReference:
@@ -485,14 +506,18 @@ class TestIntegralsMatchReference:
     @pytest.mark.parametrize("rel_tol", [1e-4, DEFAULT_REL_TOL])
     def test_signed_zero_subnormal_and_the_first_orders(self, rel_tol):
         # p = −0.0 passes the p >= 0 check, and S(0) = 1 takes the p = 0 branch
-        # of the peak's log
-        self.assert_same_bits(quadrature._log_s, reference_log_s, [-0.0, 0.0, 5e-324], rel_tol)
+        # of the peak's log; S(n) by quadrature, as the references take it
+        self.assert_same_bits(
+            quadrature._log_s_quadrature, reference_log_s, [-0.0, 0.0, 5e-324], rel_tol
+        )
         self.assert_same_bits(quadrature._log_unit, reference_log_unit, [0, 1], rel_tol)
-        self.assert_same_bits(self.log_gamma, reference_log_gamma, [0, 1], rel_tol)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(quadrature, "_log_s", quadrature._log_s_quadrature)
+            self.assert_same_bits(self.log_gamma, reference_log_gamma, [0, 1], rel_tol)
 
 
 def driver_calls(integral, orders, rel_tol):
-    """The argument tuples ``integral`` (such as ``_log_s``) hands
+    """The argument tuples ``integral`` (such as ``_log_s_quadrature``) hands
     ``_tanh_sinh`` for ``orders``, each with the driver's result."""
     calls, real = [], quadrature._tanh_sinh
 
@@ -528,7 +553,7 @@ class TestFirstSweep:
     @given(st.lists(st.floats(min_value=0.0, max_value=3000.0), min_size=1, max_size=8),
            st.sampled_from(SWEEP_TOLS))
     def test_s_panels_match_one_pass_per_level(self, ps, rel_tol):
-        self.assert_matches_reference(driver_calls(quadrature._log_s, ps, rel_tol))
+        self.assert_matches_reference(driver_calls(quadrature._log_s_quadrature, ps, rel_tol))
 
     def test_panels_stop_at_levels_four_to_six(self):
         # S(2000)'s left panel at rel_tol 1e-12 goes past the first sweep, to level 6
@@ -571,7 +596,8 @@ class TestFirstSweep:
 
 class TestOnePass:
     """At the default rel_tol every driver call of the benchmark's kinds of
-    traffic stops in its first pass, which is then the whole result."""
+    traffic, with S(p) by quadrature, stops in its first pass, which is
+    then the whole result."""
 
     @staticmethod
     def driver_passes(run):
@@ -604,7 +630,9 @@ class TestOnePass:
         ],
         ids=["s-points", "gamma-and-unit-points", "generation"],
     )
-    def test_default_tolerance_stops_in_the_first_pass(self, run):
+    def test_default_tolerance_stops_in_the_first_pass(self, monkeypatch, run):
+        # S(p) by quadrature at every order, as the CLI asym takes it
+        monkeypatch.setattr(quadrature, "_log_s", quadrature._log_s_quadrature)
         calls, passes = self.driver_passes(run)
         assert calls and passes == [1] * len(calls)
         TestFirstSweep.assert_matches_reference(calls)

@@ -182,12 +182,16 @@ def test_series_agrees_with_quadrature_past_the_mpmath_range():
 
 
 def test_scalar_and_batch_take_the_same_path_at_the_threshold():
+    # below the threshold S(p) comes from the table, which reports its own term count
     below, at = np.nextafter(quadrature._SERIES_FROM, 0.0), quadrature._SERIES_FROM
-    assert integrate_logweighted(below).nodes_used > quadrature._SERIES_TERMS
+    assert quadrature._TABLE_TERMS != quadrature._SERIES_TERMS
+    assert integrate_logweighted(below).nodes_used == quadrature._TABLE_TERMS
     assert integrate_logweighted(at).nodes_used == quadrature._SERIES_TERMS
     logs, _, nodes = quadrature._log_s(np.array([at, below]), DEFAULT_REL_TOL)
-    assert nodes[0] == quadrature._SERIES_TERMS < nodes[1]
+    assert nodes[0] == quadrature._SERIES_TERMS and nodes[1] == quadrature._TABLE_TERMS
     assert abs(logs[0] - logs[1]) < 1e-12
+    quad = quadrature._log_s_quadrature(np.array([at, below]), DEFAULT_REL_TOL)[0]
+    assert (abs(logs - quad) < 1e-12).all()
 
 
 @pytest.mark.filterwarnings("error")

@@ -27,11 +27,13 @@ default runs of a checkout against itself read every layer's b/a within
 6% slower in S(p) read ``S(150)`` at 1.048–1.094 (CHANGES.md).  Layers:
 
 * ``S(150)``, ``S(30)``: one ``integrate_logweighted`` at 150, from the
-  saddle-point series, and at 30, by quadrature (below the series' p = 61);
+  saddle-point series, and at 30, from the table below the series' p = 61;
+* ``S(30) quadrature``: S(30) by ``quadrature._log_s_quadrature``, the
+  tanh-sinh path the CLI ``asym`` takes at every t;
 * ``asym row``, ``gamma row``, ``wtable row``: one request of each of
   ``point-eval``'s three kinds, ``integrate_logweighted(150)`` with both
   Laplace estimates at 150, ``gamma_derivative(60)`` with
-  ``integrate_unit_log_power(60)`` (S(60) by quadrature), and
+  ``integrate_unit_log_power(60)`` (S(60) from the table), and
   ``lambert_w0`` with ``lambert_w_bounds`` at 1e3;
 * ``gamma row 150``: that gamma row at n = 150, S(150) from the series;
 * ``_s_shape``, ``laplace``, ``lambert_w0``: S's peak and cutoff at
@@ -95,7 +97,7 @@ def layers(md) -> dict[str, object]:
     # a fresh import replaces them in sys.modules.
     md.__all__
     tree, name = Path(md.__file__).parents[2], md.__name__
-    p = np.float64(150.0)
+    p, p30 = np.float64(150.0), np.float64(30.0)
     family = md.parse_family(FLAGSHIP)
     seq = md.generate_moments(family, 5000)
     text, csv = md.to_json(seq), md.to_csv(seq)
@@ -103,6 +105,7 @@ def layers(md) -> dict[str, object]:
     return {
         "S(150)": lambda: md.integrate_logweighted(150.0),
         "S(30)": lambda: md.integrate_logweighted(30.0),
+        "S(30) quadrature": lambda: md.quadrature._log_s_quadrature(p30, md.DEFAULT_REL_TOL),
         "asym row": lambda: (
             md.integrate_logweighted(150.0),
             md.laplace_estimate_exact(150.0),
@@ -160,12 +163,12 @@ def main(argv: list[str] | None = None) -> int:
                 for _ in range(count):
                     calls[side]()
                 times[name][i, side] = (time.perf_counter() - start) / count / factor
-    print(f"{'layer':<13} {'a (µs)':>11} {'b (µs)':>11} {'b/a':>7} {'quartiles':>13}   "
+    print(f"{'layer':<16} {'a (µs)':>11} {'b (µs)':>11} {'b/a':>7} {'quartiles':>13}   "
           f"medians of {args.rounds} adjacent A/B pairs, reference µs per call")
     for name, pairs in times.items():
         a, b = np.median(pairs, axis=0) * 1e6
         low, ratio, high = np.percentile(pairs[:, 1] / pairs[:, 0], [25, 50, 75])
-        print(f"{name:<13} {a:>11.1f} {b:>11.1f} {ratio:>7.3f} {low:>6.3f}–{high:.3f}")
+        print(f"{name:<16} {a:>11.1f} {b:>11.1f} {ratio:>7.3f} {low:>6.3f}–{high:.3f}")
     return 0
 
 

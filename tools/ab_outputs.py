@@ -89,14 +89,18 @@ COMMANDS = [
     Command(f"{CLI} asym --t 2000 --rel-tol 1e-12"),
     # asym's quadrature at orders the library takes from the series, numpy warnings as errors
     Command(f"{STRICT} asym --t 64 --t 150 --t 1e5 --format csv"),
+    # S(n) from the table at n = 0 and at every octave edge to 64, numpy warnings as errors
+    Command(f"{STRICT} gamma-derivs --nmax 64 --format csv"),
     # input errors: an unknown criterion, alone and beside all, a file that is
-    # not UTF-8 text, and log S(1e7), which cannot be resolved to the default rel_tol
+    # not UTF-8 text, log S(1e7), which cannot be resolved to the default
+    # rel_tol, and a negative t, named under asym
     Command(f"{CLI} check --in e.json --criteria bogus", 2),
     Command(
         f"{CLI} check --in e.json --criteria all,bogus", 2, stderr_has="unknown criterion 'bogus'"
     ),
     Command(f"{CLI} check --in not-utf8.json", 2),
     Command(f"{CLI} asym --t 1e7", 2),
+    Command(f"{CLI} asym --t -5", 2, stderr_has="error: asym requires finite t >= 0, got -5.0"),
     # ln q(n) = alpha*ln n overflowing a float names the first such n
     Command(
         f"{CLI} check --in e.json --criteria growth-q --q power:1e308",
