@@ -5,9 +5,10 @@ The package has two halves.
 The numeric half evaluates, entirely in the log domain, the special
 functions behind a family of moment sequences built from products of
 gamma factors and the log-power integrals
-S(p) = ∫₀^∞ ln(1+x)^p e^{−x} dx: Lambert W (``lambertw``), tanh-sinh
-quadrature for S(p), the unit-interval companion ∫₀¹ (ln t)^n e^{−t} dt
-and the gamma derivatives Γ⁽ⁿ⁾(1) they combine into (``quadrature``), and
+S(p) = ∫₀^∞ ln(1+x)^p e^{−x} dx: Lambert W (``lambertw``), S(p) from
+its saddle-point series and a table, the unit-interval companion
+∫₀¹ (ln t)^n e^{−t} dt and the gamma derivatives Γ⁽ⁿ⁾(1) they combine
+into (``quadrature``), and
 saddle-point asymptotics of S(t) with numeric verification of the
 Laplace-method hypotheses (``asymptotics``).
 

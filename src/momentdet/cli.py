@@ -6,7 +6,7 @@ Subcommands:
 * ``check`` — run determinacy checkers on a sequence file, emit a report.
 * ``paper-table`` — reproduce the reference table of K-ratios and moments
   with tolerances; exits 1 if any tolerance fails.
-* ``asym`` — quadrature vs. saddle-point estimates of S(t) at given t.
+* ``asym`` — S(t) vs. its exact and leading saddle-point estimates at given t.
 * ``wtable`` — Lambert W values with residuals and a-priori bounds.
 * ``gamma-derivs`` — derivatives of the gamma function at 1 with
   bracketing checks of the unit-interval part.
@@ -17,7 +17,7 @@ error (unknown, abbreviated or missing option, bad choice or number);
 3 numeric failure (non-convergence).
 
 Environment overrides (explicit flags take precedence):
-``MOMENTDET_REL_TOL`` sets the default quadrature tolerance;
+``MOMENTDET_REL_TOL`` sets the default relative tolerance;
 ``MOMENTDET_NMAX_CAP`` caps --nmax (default 5000).
 
 Numeric output is stable for machine consumption: CSV carries 17
@@ -40,20 +40,14 @@ import numpy as np
 from . import __version__
 from .asymptotics import laplace_estimate_exact, laplace_estimate_leading
 from .criteria import QFunction, _report, analyze, check_carleman, check_growth_rate, check_hardy
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    FamilyParseError,
-    QuadratureError,
-    SequenceError,
-)
+from .errors import ConvergenceError, DomainError, FamilyParseError, SequenceError
 from .lambertw import lambert_w0, lambert_w_bounds
 from .moments import from_csv, from_json, generate_from_label, to_csv, to_json
 from .quadrature import (
     DEFAULT_REL_TOL,
     _checked,
     _log_gamma,
-    _log_s_quadrature,
+    _log_s,
     log_power_integral,
     validate_rel_tol,
 )
@@ -279,7 +273,7 @@ def cmd_paper_table(rel_tol: float | None, fmt: str, out: str) -> None:
 
 
 def cmd_asym(t_values: list[float], rel_tol: float | None, fmt: str, out: str) -> None:
-    """Compare quadrature S(t) against the exact and leading saddle estimates, at each --t."""
+    """Compare S(t) against the exact and leading saddle estimates, at each --t."""
     rel_tol = _resolve_rel_tol(rel_tol)
     header = [
         "t",
@@ -289,11 +283,11 @@ def cmd_asym(t_values: list[float], rel_tol: float | None, fmt: str, out: str) -
         "exact_to_integral",
         "leading_to_integral",
     ]
-    # S(t) by quadrature, not by the series and table the library takes:
-    # they extend the saddle terms of the estimates this command compares it with
+    # the library's S(t), exact to float rounding; it extends the saddle terms
+    # of the estimates, so the tests check its column against mpmath
     ts, rel_tol = _checked("asym", t_values, rel_tol, "t")
     rows = []
-    for t, log_s in zip(t_values, _log_s_quadrature(ts, rel_tol)[0].tolist()):
+    for t, log_s in zip(t_values, _log_s(ts, rel_tol)[0].tolist()):
         estimates = (laplace_estimate_exact(t).logmag, laplace_estimate_leading(t).logmag)
         rows.append(
             [float(t), log_s / _LOG10, *(e / _LOG10 for e in estimates)]
@@ -419,7 +413,7 @@ def main(args: list[str] | None = None, prog_name: str = "momentdet") -> None:
     except (FamilyParseError, SequenceError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(2)
-    except (QuadratureError, ConvergenceError) as exc:
+    except ConvergenceError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         sys.exit(3)
     except KeyboardInterrupt:

@@ -20,18 +20,13 @@ non-integers with their own types.
 from __future__ import annotations
 
 import operator
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .logdomain import SignedLogValue
 
 __all__ = [
     "ConvergenceError",
     "DomainError",
     "FamilyParseError",
-    "QuadratureError",
     "SequenceError",
 ]
 
@@ -81,19 +76,6 @@ def _kind_arg(value, kind: type, name: str):
 
 class ConvergenceError(RuntimeError):
     """An iterative solver failed to reach its tolerance within its cap."""
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive integration failed to meet the requested tolerance.
-
-    Carries the best partial estimate (if any) so callers can inspect how
-    far the refinement got before giving up: ``partial`` is the partial
-    integral of the one panel that failed, not of the whole integral.
-    """
-
-    def __init__(self, message: str, partial: "SignedLogValue | None" = None):
-        super().__init__(message)
-        self.partial = partial
 
 
 class SequenceError(ValueError):

@@ -76,7 +76,7 @@ def _require_positive_t(t: float, op: str) -> float:
 
 def _halley(t, xp):
     """W(t) for t > 0: a Python float with ``xp`` = ``math`` (lambert_w0),
-    float64 scalars or arrays with ``xp`` = ``np`` (the quadrature's peaks)."""
+    float64 scalars or arrays with ``xp`` = ``np`` (the saddle terms of S(p))."""
     w = xp.log1p(t)
     for _ in range(_STEPS):
         f = w + xp.log(w / t)

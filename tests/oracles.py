@@ -15,15 +15,12 @@ These deliberately avoid every code path of the package under test:
 Both Simpson oracles work in ordinary floating point, so they are only
 used where the values fit comfortably in double range (p ≤ ~250).
 
-``reference_s_shape`` is of another kind: the plain form of the package's
-``quadrature._s_shape``, one numpy call per quantity, whose bits the
-package's leaner form must reproduce.  So are ``reference_tanh_sinh``
-(the tanh-sinh rule one level per array pass, gathering its active rows
-at every level), ``reference_log_s``, ``reference_log_unit`` and
-``reference_log_gamma`` (the integrals composed from those two, on 1-d
-arrays of orders), and the ``reference_check_*`` checkers and
-``reference_analyze``: the arithmetic of ``criteria`` with each checker
-building its own n, ln n and centred tails, whose verdicts and
+``reference_log_unit`` and ``reference_log_gamma`` are of another kind:
+the plain forms of the package's unit integral and of Γ⁽ⁿ⁾(1) composed
+from it and S(n), on 1-d arrays of orders, whose bits the package's
+leaner forms must reproduce.  So are the ``reference_check_*`` checkers
+and ``reference_analyze``: the arithmetic of ``criteria`` with each
+checker building its own n, ln n and centred tails, whose verdicts and
 diagnostics the package's shared table must reproduce.
 """
 
@@ -99,96 +96,9 @@ def simpson_unit(n: int, n_panels: int = 2**17, u_max: float = 200.0) -> float:
     return _simpson(vals, u[1] - u[0])
 
 
-def reference_s_shape(p):
-    """Peak abscissa, peak log and cutoff of S's integrand, as
-    ``quadrature._s_shape`` gives them, for a float64 scalar or array p ≥ 0.
-
-    W is set to 0 at p = 0 by np.where, and each tangent step evaluates the
-    log-integrand p·ln ln(1+x) − x and its slope p/((1+x)·ln(1+x)) − 1
-    separately, each with its own ln(1+x).
-    """
-    from momentdet.lambertw import _halley
-    from momentdet.quadrature import _CUTOFF_DROP, _CUTOFF_SLACK, _CUTOFF_STEPS
-
-    def logf(x):
-        return p * np.log(np.log1p(x)) - x
-
-    def slope(x):
-        return p / ((1.0 + x) * np.log1p(x)) - 1.0
-
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        w = np.where(p > 0.0, _halley(p, np), 0.0)[()]
-        peak = np.expm1(w)
-        peak_log = np.where(p > 0.0, logf(peak), 0.0)[()]
-        aim = peak_log - _CUTOFF_DROP - _CUTOFF_SLACK * (1.0 + np.abs(peak_log))
-        cut = peak + (1.0 + np.sqrt(2.0 * _CUTOFF_DROP * p / (1.0 + w)))
-        for _ in range(_CUTOFF_STEPS):
-            cut = cut + (aim - logf(cut)) / slope(cut)
-        return peak, peak_log, cut
-
-
-def reference_tanh_sinh(logf, a, b, p, shift, tol):
-    """``quadrature._tanh_sinh`` one level per array pass over ``_span_nodes``,
-    gathering the active rows at every level, with its QuadratureError."""
-    from momentdet import quadrature
-    from momentdet.errors import QuadratureError
-    from momentdet.logdomain import SignedLogValue
-
-    row_tol = np.maximum(tol, _EPS * np.abs(shift))
-    err, nodes = np.zeros(a.size), np.zeros(a.size, dtype=int)
-    active = np.arange(a.size)
-    for level in range(quadrature._MIN_LEVEL, quadrature._MAX_LEVEL + 1):
-        v, logw, _ = quadrature._span_nodes(level, level)
-        ra, rb = a[active], b[active]
-        x = ra[:, None] + ((rb - ra) / 2.0)[:, None] * v
-        sums = np.exp(logf(x, p[active, None]) - shift[active, None] + logw).sum(axis=1)
-        if level == quadrature._MIN_LEVEL:
-            total = sums
-            continue
-        prev = total[active]
-        total[active] = cur = prev / 2.0 + sums
-        err[active] = change = np.abs(prev - cur) / cur
-        nodes[active] = 8 * 2**level + 1
-        active = active[~(change <= row_tol[active])]
-        if not active.size:
-            return total * ((b - a) / 2.0), err, nodes
-    i = active[np.argmin(p[active])]
-    raise QuadratureError(
-        f"the integral for p = {p[i]:.17g} did not converge on panel [{a[i]:.6g}, {b[i]:.6g}] "
-        f"to rel_tol={row_tol[i]:.1e} within {quadrature._MAX_LEVEL} refinement levels",
-        partial=SignedLogValue.from_log(float(np.log(total[i] * (b[i] - a[i]) / 2.0) + shift[i])),
-    )
-
-
 def _reference_floor(est, log):
     """An error estimate floored at the float rounding of its log."""
     return np.maximum(est, _EPS * (_LOG_ROUNDING + np.abs(log)))
-
-
-def reference_log_s(p, rel_tol):
-    """(log S(p), floored error estimate, nodes) for a 1-d float64 array of
-    p ≥ 0, as ``quadrature._log_s_quadrature`` gives them: the peak and
-    cutoff of ``reference_s_shape``, the panels [0, peak] and [peak,
-    cutoff] (the split no closer to 0 than 1e-280), each at half the
-    tolerance, summed by ``reference_tanh_sinh`` relative to the peak's
-    log-integrand."""
-    from momentdet.quadrature import _PEAK_SPLIT_FLOOR
-
-    peak, peak_log, cut = reference_s_shape(p)
-    split = np.maximum(peak, _PEAK_SPLIT_FLOOR)
-    k = p.size
-    scaled, errs, nodes = reference_tanh_sinh(
-        lambda x, q: q * np.log(np.log1p(x)) - x,
-        np.concatenate([np.zeros(k), split]),
-        np.concatenate([split, cut]),
-        np.concatenate([p, p]),
-        np.concatenate([peak_log, peak_log]),
-        rel_tol / 2.0,
-    )
-    value = scaled[:k] + scaled[k:]
-    abs_err = errs[:k] * scaled[:k] + errs[k:] * scaled[k:]
-    total = np.log(value) + peak_log
-    return total, _reference_floor(abs_err / value, total), nodes[:k] + nodes[k:]
 
 
 def reference_log_unit(n, rel_tol):
@@ -207,19 +117,21 @@ def reference_log_unit(n, rel_tol):
 
 def reference_log_gamma(n, rel_tol):
     """(sign, log |Γ⁽ⁿ⁾(1)|, floored error estimate, nodes) for a 1-d float64
-    array of integer n in 0..8192, as ``quadrature._log_gamma`` gives them
-    with S(n) by quadrature at every order: (−1)^n·|unit| + e^{−1}·S(n)
-    summed relative to the larger magnitude, the two pieces' absolute
-    errors added."""
+    array of integer n in 0..8192, as ``quadrature._log_gamma`` gives them,
+    with S(n) from the package's ``quadrature._log_s`` (its values are
+    tested against mpmath on their own): (−1)^n·|unit| + e^{−1}·S(n) as
+    the sign (−1)^n and the log ln|unit| + log1p((−1)^n·e^{−1}·S(n)/|unit|),
+    the two pieces' absolute errors added."""
+    from momentdet.quadrature import _log_s
+
     unit_log, unit_est, unit_nodes = reference_log_unit(n, rel_tol)
-    s_log, s_est, s_nodes = reference_log_s(n, rel_tol)
+    s_log, s_est, s_nodes = _log_s(n, rel_tol)
     tail_log = s_log - 1.0
-    shift = np.maximum(unit_log, tail_log)
-    acc = (-1.0) ** n * np.exp(unit_log - shift) + np.exp(tail_log - shift)
-    log = shift + np.log(np.abs(acc))
+    sign = (-1.0) ** n
+    log = unit_log + np.log1p(sign * np.exp(tail_log - unit_log))
     abs_err = np.logaddexp(np.log(unit_est) + unit_log, np.log(s_est) + tail_log)
     est = _reference_floor(np.exp(abs_err - log), log)
-    return np.sign(acc), log, est, unit_nodes + s_nodes
+    return sign, log, est, unit_nodes + s_nodes
 
 
 def _reference_fit_slope(x: np.ndarray, y: np.ndarray) -> float:

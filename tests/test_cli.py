@@ -15,7 +15,7 @@ import pytest
 
 import momentdet
 from momentdet import (
-    QuadratureError,
+    ConvergenceError,
     from_csv,
     from_json,
     gamma_derivative,
@@ -125,7 +125,7 @@ class TestGen:
         import momentdet.moments as moments_mod
 
         def boom(p, rel_tol):
-            raise QuadratureError("synthetic non-convergence")
+            raise ConvergenceError("synthetic non-convergence")
 
         monkeypatch.setattr(moments_mod, "log_power_integral", boom)
         result = runner.invoke(main, ["gen", "--family", X11, "--nmax", "10"])
@@ -444,7 +444,7 @@ class TestPaperTable:
         import momentdet.cli as cli_mod
 
         def boom(p, rel_tol):
-            raise QuadratureError("synthetic non-convergence")
+            raise ConvergenceError("synthetic non-convergence")
 
         monkeypatch.setattr(cli_mod, "log_power_integral", boom)
         result = runner.invoke(main, ["paper-table"])
@@ -601,6 +601,13 @@ class TestGammaDerivs:
             assert cells["gamma_log_abs"] == f"{g.logmag:.17g}"
             assert cells["gamma_value"] == f"{g.to_float():.17g}"
             assert cells["unit_log_abs"] == f"{unit.logmag:.17g}"
+
+    def test_gamma_one_is_minus_euler_correctly_rounded(self, runner):
+        # −γ = −0.57721566490153286061..., whose nearest float prints as below
+        result = runner.invoke(main, ["gamma-derivs", "--nmax", "1", "--format", "csv"])
+        assert result.exit_code == 0
+        header, rows = csv_rows(result.output)
+        assert rows[1][header.index("gamma_value")] == "-0.57721566490153287"
 
     def test_nmax_zero_is_valid(self, runner):
         result = runner.invoke(main, ["gamma-derivs", "--nmax", "0", "--format", "csv"])

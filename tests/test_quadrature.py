@@ -1,4 +1,5 @@
-"""Log-domain tanh-sinh quadrature for the weighted log-power integrals."""
+"""The weighted log-power integrals S(p), the unit integral and Γ⁽ⁿ⁾(1),
+in the log domain."""
 
 from __future__ import annotations
 
@@ -13,37 +14,21 @@ import momentdet.quadrature as quadrature
 from momentdet import (
     DEFAULT_REL_TOL,
     DomainError,
-    QuadratureError,
     QuadratureResult,
     SignedLogValue,
     gamma_derivative,
-    generate_moments,
     integrate_logweighted,
     integrate_unit_log_power,
     log_power_integral,
-    parse_family,
     validate_rel_tol,
 )
 
-from .oracles import (
-    EULER,
-    bisect_w,
-    reference_log_gamma,
-    reference_log_s,
-    reference_log_unit,
-    reference_s_shape,
-    reference_tanh_sinh,
-    simpson_s,
-    simpson_unit,
-)
+from .oracles import EULER, reference_log_gamma, reference_log_unit, simpson_s, simpson_unit
 
 # ∫₀^∞ ln(1+x)^p e^{−x} dx, independently computed / published anchors
 S1 = 0.596347362323194
 
 EPS = 2.220446049250313e-16
-
-#: Node counts of one panel converged at refinement level L = 4..12.
-LEVEL_NODES = {8 * 2**level + 1 for level in range(4, 13)}
 
 
 def s_value(p: float, rel_tol: float = DEFAULT_REL_TOL) -> float:
@@ -100,7 +85,7 @@ class TestShapeProperties:
 
     @pytest.mark.parametrize("p", [5e-324, 1e-320, 1e-300, 1e-100])
     def test_subnormal_p_continuous_with_zero(self, p):
-        # the peak split must not break when the peak underflows toward 0
+        # S(p) tends to S(0) = 1, subnormal p included
         res = integrate_logweighted(p)
         assert res.value.to_float() == pytest.approx(1.0, rel=1e-9)
 
@@ -145,14 +130,6 @@ class TestUnitIntegral:
             res = integrate_unit_log_power(n, 1e-3)
             assert res.value == SignedLogValue.from_log(logs[i], sign=(-1) ** n)
             assert (res.est_rel_error, res.nodes_used) == (ests[i], nodes[i])
-
-    def test_no_driver_call(self, monkeypatch):
-        def driver(*args):
-            raise AssertionError("the unit integral called the tanh-sinh driver")
-
-        monkeypatch.setattr(quadrature, "_tanh_sinh", driver)
-        for n in (0, 1, 200, 5000):
-            integrate_unit_log_power(n)
 
     def test_floored_estimate_above_rel_tol_raises(self):
         # eps·ln(10^9)! ≈ 4.4e-6 is above 1e-6; the batch names its lowest such order
@@ -295,7 +272,7 @@ class TestErrorEstimates:
 
     @pytest.mark.parametrize("p", [0.0, 2.0, 100.0, 1000.0, 1e5])
     def test_estimate_never_below_float_resolution(self, p):
-        # levels that agree bit for bit still leave the rounding of log S
+        # a value exact to rounding still leaves the rounding of log S
         res = integrate_logweighted(p)
         assert res.est_rel_error >= EPS * max(1.0, abs(res.value.logmag))
 
@@ -358,17 +335,6 @@ class TestBatchedPath:
         with pytest.raises(DomainError, match="p = 10000000000 "):
             log_power_integral(np.array([5e10, 1.0, 1e10]))
 
-    #: Per last level: a rel_tol, and two orders both unconverged at that
-    #: level, the higher first, whose lower one the error must name.
-    UNCONVERGED = {4: (DEFAULT_REL_TOL, [300.0, 7.0], "7"), 5: (1e-12, [1579.0, 1543.0], "1543")}
-
-    @pytest.mark.parametrize("max_level", UNCONVERGED)
-    def test_unconverged_batch_names_the_lowest_p(self, monkeypatch, max_level):
-        rel_tol, ps, lowest = self.UNCONVERGED[max_level]
-        monkeypatch.setattr(quadrature, "_MAX_LEVEL", max_level)
-        with pytest.raises(QuadratureError, match=f"the integral for p = {lowest} did not converge"):
-            quadrature._log_s_quadrature(np.array(ps), rel_tol)
-
 
 #: Batches of orders for the batch/scalar comparisons.
 ORDER_SETS = st.lists(st.integers(min_value=0, max_value=5000), min_size=1, max_size=12)
@@ -418,59 +384,30 @@ class TestRowIndependence:
             assert integrate_unit_log_power(n).value.logmag == unit_logs[i]
 
 
-class TestShapeMatchesReference:
-    """``_s_shape`` gives the bits of ``oracles.reference_s_shape``, for a
-    batch and for each p alone.  The batch-equals-scalar tests cannot see a
-    change that moves both paths alike; this test can."""
-
-    @staticmethod
-    def assert_same_bits(p):
-        for got, want in zip(quadrature._s_shape(p), reference_s_shape(p)):
-            assert type(got) is type(want)
-            assert got.tobytes() == want.tobytes()
-
-    @given(P_SETS)
-    def test_batches_and_scalars(self, ps):
-        self.assert_same_bits(np.array(ps))
-        for p in ps:
-            self.assert_same_bits(np.float64(p))
-
-    @pytest.mark.parametrize("p", [-0.0, 0.0, 5e-324, 1e-300, 2e6, 1e17, 3e17, 1e300, 1.7e308])
-    def test_signed_zero_and_the_overflowing_range(self, p):
-        # p = −0.0 passes the p >= 0 check; near the float maximum the
-        # reach and the tangent steps overflow.  _s_shape has no guard of
-        # its own: _log_s_quadrature rejects every p from about 1e17 on
-        # before calling it (TestNoWarnings), so the guard is the test's
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            self.assert_same_bits(np.float64(p))
-            self.assert_same_bits(np.array([p, 1.0]))
-
-
 class TestNoWarnings:
-    """``_log_s_quadrature`` warns for no p, accepted or rejected."""
+    """``_log_s`` warns for no p, accepted or rejected, as a scalar or in a batch."""
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("p", [0.0, -0.0, 5e-324, 1e-320, 0.5, 30.0, 1e5])
     def test_accepted_orders(self, p):
         for ps in (np.float64(p), np.array([p, 1.0])):
-            log, est, nodes = quadrature._log_s_quadrature(ps, DEFAULT_REL_TOL)
-            assert np.isfinite(log).all() and (est > 0.0).all() and (nodes > 0).all()
+            log, est, nodes = quadrature._log_s(ps, DEFAULT_REL_TOL)
+            assert np.isfinite(log).all() and np.all(est > 0.0) and np.all(nodes > 0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("p", [1e17, 4.3e32, 1e300, 1.7e308])
     def test_orders_past_the_window_raise_first(self, p):
         for ps in (np.float64(p), np.array([1.0, p])):
             with pytest.raises(DomainError, match="float rounding exceeds"):
-                quadrature._log_s_quadrature(ps, DEFAULT_REL_TOL)
+                quadrature._log_s(ps, DEFAULT_REL_TOL)
 
 
 class TestIntegralsMatchReference:
-    """``_log_s_quadrature``, ``_log_unit`` and ``_log_gamma`` (with S by
-    quadrature at every order) give the bits of ``oracles.reference_log_s``,
-    ``reference_log_unit`` and ``reference_log_gamma``, for a batch and for
-    each order alone.  The
-    batch-equals-scalar tests cannot see a change that moves the finishing
-    arithmetic of both paths alike; these tests can."""
+    """``_log_unit`` and ``_log_gamma`` give the bits of
+    ``oracles.reference_log_unit`` and ``reference_log_gamma``, for a batch
+    and for each order alone.  The batch-equals-scalar tests cannot see a
+    change that moves the finishing arithmetic of both paths alike; these
+    tests can."""
 
     @staticmethod
     def assert_same_bits(integral, reference, orders, rel_tol=DEFAULT_REL_TOL):
@@ -488,203 +425,16 @@ class TestIntegralsMatchReference:
     def log_gamma(n, rel_tol):
         return quadrature._log_gamma(n, rel_tol)[0]
 
-    @given(P_SETS, st.sampled_from([1e-4, DEFAULT_REL_TOL]))
-    def test_s(self, ps, rel_tol):
-        self.assert_same_bits(quadrature._log_s_quadrature, reference_log_s, ps, rel_tol)
-
     @given(ORDER_SETS)
     def test_unit(self, orders):
         self.assert_same_bits(quadrature._log_unit, reference_log_unit, orders)
 
     @given(ORDER_SETS)
     def test_gamma(self, orders):
-        # S(n) by quadrature at every order, as the reference takes it
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(quadrature, "_log_s", quadrature._log_s_quadrature)
-            self.assert_same_bits(self.log_gamma, reference_log_gamma, orders)
+        self.assert_same_bits(self.log_gamma, reference_log_gamma, orders)
 
     @pytest.mark.parametrize("rel_tol", [1e-4, DEFAULT_REL_TOL])
-    def test_signed_zero_subnormal_and_the_first_orders(self, rel_tol):
-        # p = −0.0 passes the p >= 0 check, and S(0) = 1 takes the p = 0 branch
-        # of the peak's log; S(n) by quadrature, as the references take it
-        self.assert_same_bits(
-            quadrature._log_s_quadrature, reference_log_s, [-0.0, 0.0, 5e-324], rel_tol
-        )
+    def test_the_first_orders(self, rel_tol):
+        # Γ(1) = 1 from S(0) = 1, and Γ'(1) = −γ, whose two parts have opposite signs
         self.assert_same_bits(quadrature._log_unit, reference_log_unit, [0, 1], rel_tol)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(quadrature, "_log_s", quadrature._log_s_quadrature)
-            self.assert_same_bits(self.log_gamma, reference_log_gamma, [0, 1], rel_tol)
-
-
-def driver_calls(integral, orders, rel_tol):
-    """The argument tuples ``integral`` (such as ``_log_s_quadrature``) hands
-    ``_tanh_sinh`` for ``orders``, each with the driver's result."""
-    calls, real = [], quadrature._tanh_sinh
-
-    def spy(*args):
-        calls.append((args, real(*args)))
-        return calls[-1][1]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(quadrature, "_tanh_sinh", spy)
-        try:
-            integral(np.array(orders, dtype=float), rel_tol)
-        except DomainError:  # a floored estimate above a tight rel_tol; the driver ran
-            pass
-    return calls
-
-
-#: Tolerances whose panels stop at levels 4 to 6, with both first-sweep depths.
-SWEEP_TOLS = [1e-4, 1e-6, 1e-8, 1e-9, 1e-12]
-
-
-class TestFirstSweep:
-    """The driver's first sweep evaluates several levels in one array pass;
-    its results are those of one pass per level, bit for bit."""
-
-    @staticmethod
-    def assert_matches_reference(calls):
-        for args, (scaled, errs, nodes) in calls:
-            want = reference_tanh_sinh(*args)
-            assert scaled.tobytes() == want[0].tobytes()
-            assert errs.tobytes() == want[1].tobytes()
-            assert nodes.tolist() == want[2].tolist()
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=3000.0), min_size=1, max_size=8),
-           st.sampled_from(SWEEP_TOLS))
-    def test_s_panels_match_one_pass_per_level(self, ps, rel_tol):
-        self.assert_matches_reference(driver_calls(quadrature._log_s_quadrature, ps, rel_tol))
-
-    def test_panels_stop_at_levels_four_to_six(self):
-        # S(2000)'s left panel at rel_tol 1e-12 goes past the first sweep, to level 6
-        levels = set()
-        for rel_tol in SWEEP_TOLS:
-            orders = [0.0, 0.5, 7.0, 300.0, 1578.0] + [2000.0] * (rel_tol == 1e-12)
-            calls = driver_calls(quadrature._log_s_quadrature, orders, rel_tol)
-            self.assert_matches_reference(calls)
-            levels.update(int(n - 1).bit_length() - 4 for _, (_, _, ns) in calls for n in ns)
-        assert levels == {4, 5, 6}
-
-    def test_rows_stopping_in_different_later_passes(self):
-        # a kink inside the panel: rows stop at levels 4, 4, 4, 5, 5, 5, 8 and 9
-        p = np.array([0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0])
-        args = (lambda x, p: -p * np.abs(x - 0.3), np.zeros(8), np.ones(8), p, np.zeros(8), 1e-4)
-        result = quadrature._tanh_sinh(*args)
-        self.assert_matches_reference([(args, result)])
-        assert [int(n - 1).bit_length() - 4 for n in result[2]] == [4, 4, 4, 5, 5, 5, 8, 9]
-
-    @pytest.mark.parametrize("max_level", [4, 5, 6])
-    @pytest.mark.parametrize("tol", [1e-4, 1e-9])
-    def test_unconverged_error_matches_reference(self, monkeypatch, max_level, tol):
-        # a kink inside the panel: tanh-sinh converges too slowly for any level
-        args = (
-            lambda x, p: -p * np.abs(x - 0.3),
-            np.zeros(3),
-            np.ones(3),
-            np.array([300.0, 30.0, 100.0]),
-            np.zeros(3),
-            tol,
-        )
-        monkeypatch.setattr(quadrature, "_MAX_LEVEL", max_level)
-        with pytest.raises(QuadratureError) as want:
-            reference_tanh_sinh(*args)
-        with pytest.raises(QuadratureError, match="p = 30 ") as got:
-            quadrature._tanh_sinh(*args)
-        assert str(got.value) == str(want.value)
-        assert got.value.partial == want.value.partial
-
-
-class TestOnePass:
-    """At the default rel_tol every driver call of the benchmark's kinds of
-    traffic, with S(p) by quadrature, stops in its first pass, which is
-    then the whole result."""
-
-    @staticmethod
-    def driver_passes(run):
-        """Each ``_tanh_sinh`` call ``run`` makes, with its result, and the
-        number of ``_level_sums`` passes it took."""
-        calls, passes = [], []
-        driver, level_sums = quadrature._tanh_sinh, quadrature._level_sums
-
-        def driver_spy(*args):
-            passes.append(0)
-            calls.append((args, driver(*args)))
-            return calls[-1][1]
-
-        def level_sums_spy(*args):
-            passes[-1] += 1
-            return level_sums(*args)
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(quadrature, "_tanh_sinh", driver_spy)
-            patch.setattr(quadrature, "_level_sums", level_sums_spy)
-            run()
-        return calls, passes
-
-    @pytest.mark.parametrize(
-        "run",
-        [
-            lambda: [integrate_logweighted(t) for t in np.geomspace(0.5, 4000.0, 64).tolist()],
-            lambda: [f(n) for n in range(201) for f in (gamma_derivative, integrate_unit_log_power)],
-            lambda: generate_moments(parse_family("product[(1,0.63),(1,0.81)]"), 2000),
-        ],
-        ids=["s-points", "gamma-and-unit-points", "generation"],
-    )
-    def test_default_tolerance_stops_in_the_first_pass(self, monkeypatch, run):
-        # S(p) by quadrature at every order, as the CLI asym takes it
-        monkeypatch.setattr(quadrature, "_log_s", quadrature._log_s_quadrature)
-        calls, passes = self.driver_passes(run)
-        assert calls and passes == [1] * len(calls)
-        TestFirstSweep.assert_matches_reference(calls)
-
-    def test_gamma_derivative_makes_one_driver_call(self, monkeypatch):
-        # S(n) alone, here by quadrature at every order: the unit integral
-        # comes from its series
-        monkeypatch.setattr(quadrature, "_log_s", quadrature._log_s_quadrature)
-        calls, _ = self.driver_passes(lambda: [gamma_derivative(n) for n in range(201)])
-        assert len(calls) == 201
-
-
-class TestNodeCounts:
-    @pytest.mark.parametrize("tol", [1e-4, 1e-9, 1e-13])
-    def test_one_panel_reports_its_level_nodes(self, tol):
-        # ∫₀^60 e^{−x} dx: nested levels evaluate 8·2^L + 1 nodes in all
-        _, _, nodes = quadrature._tanh_sinh(
-            lambda x, p: -x, np.array([0.0]), np.array([60.0]), np.zeros(1), np.zeros(1), tol
-        )
-        assert nodes[0] in LEVEL_NODES
-
-    def test_tighter_panel_tolerance_reaches_a_deeper_level(self):
-        def nodes(tol):
-            return quadrature._tanh_sinh(
-                lambda x, p: p * np.log(x) - x,
-                np.array([0.0]),
-                np.array([80.0]),
-                np.array([0.5]),
-                np.zeros(1),
-                tol,
-            )[2][0]
-
-        assert nodes(1e-13) > nodes(1e-4)
-
-    @pytest.mark.parametrize("p", [0.0, 0.5, 7.0, 300.0, 5000.0])
-    def test_two_panels_report_two_levels(self, p):
-        nodes = quadrature._log_s_quadrature(np.float64(p), DEFAULT_REL_TOL)[2]
-        assert any(nodes - left in LEVEL_NODES for left in LEVEL_NODES)
-
-
-def _s_log_integrand(p: float, x: float) -> float:
-    return -x if p == 0.0 else p * math.log(math.log1p(x)) - x
-
-
-class TestCutoff:
-    # The peak comes from the bisection oracle and its value is at most the
-    # true maximum, so these checks are at least as strict as the contract.
-
-    @given(st.floats(min_value=0.0, max_value=1e6))
-    def test_s_cutoff_lies_past_the_drop(self, p):
-        ps = np.array([p])
-        cut = float(quadrature._s_shape(ps)[2][0])
-        peak_log = _s_log_integrand(p, math.expm1(bisect_w(p)))
-        drop = peak_log - _s_log_integrand(p, cut)
-        assert 60.0 <= drop <= 61.0
+        self.assert_same_bits(self.log_gamma, reference_log_gamma, [0, 1], rel_tol)

@@ -1,6 +1,6 @@
 """S(p) from its saddle-point series: the coefficient table re-derived in
-exact rationals, the threshold the series starts at, and its values
-against mpmath and against the package's own quadrature.
+exact rationals, the threshold the series starts at, and its values, and
+the CLI ``asym``'s, against mpmath.
 
 The table ``quadrature._SERIES`` holds, per m, dₘ(v) = Nₘ(v)/(Cₘ·(v·(1+v)³)ᵐ):
 the coefficients of ln ∫ exp(p·φ(s)) ds ~ ln √(2π/(p·φ''(0))) + Σₘ dₘ·p⁻ᵐ
@@ -132,11 +132,14 @@ def test_threshold_is_where_the_ninth_term_stays_under_a_quarter_of_the_floor():
 
 @lru_cache(maxsize=None)
 def mp_log_s(p: float):
-    """log S(p) at 25 digits, an mpf: mpmath's Gauss-Legendre quadrature,
-    split at the peak expm1(W(p)) from ``mpmath.lambertw`` and at multiples
-    of the width √(p/(1+W)) on both sides of it: on [61, 4000] it is within
-    1e-22 of ``test_mpmath_oracle.py``'s 30-digit tanh-sinh reference, in a
-    seventh of its time or less."""
+    """log S(p) at 25 digits, an mpf: mpmath's quadrature split at the peak
+    expm1(W(p)) from ``mpmath.lambertw`` and at multiples of the width
+    √(p/(1+W)) on both sides of it.  The first panel, from 0, is taken by
+    tanh-sinh, which converges on the integrand's x^p at 0 and on its far
+    tail before the peak, and the others by Gauss-Legendre: on [0.5, 4000]
+    it is within 1e-22 of a 40-digit tanh-sinh reference split at fractions
+    and multiples of the peak, and up to 1e6 within 1e-19 of one split at
+    every two widths, in about 30 ms per p."""
     with mp.workdps(25):
         q = mp.mpf(p)
         w = mp.lambertw(q).real
@@ -148,7 +151,8 @@ def mp_log_s(p: float):
 
         points = [peak + k * width for k in (-8, 0, 8, 16)]
         splits = [0, *(x for x in points if x > 0), mp.inf]
-        return mp.log(mp.quad(f, splits, method="gauss-legendre")) + top
+        head = mp.quad(f, splits[:2], method="tanh-sinh")
+        return mp.log(head + mp.quad(f, splits[1:], method="gauss-legendre")) + top
 
 
 #: 100 log-spaced orders from the threshold to the top of the mpmath oracle's range.
@@ -170,17 +174,33 @@ def test_series_estimate_covers_true_error(rel_tol):
             assert float(abs(mp.mpf(res.value.logmag) - ref)) <= res.est_rel_error, p
 
 
-def test_series_agrees_with_quadrature_past_the_mpmath_range():
-    ps = np.geomspace(4000.0, 1e6, 100)
-    series, series_est, terms = quadrature._log_s(ps, DEFAULT_REL_TOL)
-    quad, quad_est, _ = quadrature._log_s_quadrature(ps, DEFAULT_REL_TOL)
+#: 40 log-spaced orders from the top of ``SERIES_P`` to a million.
+MILLION_P = np.geomspace(4000.0, 1e6, 40).tolist()
+
+
+@needs_mpmath
+@pytest.mark.parametrize("p", MILLION_P, ids=lambda p: f"{p:.6g}")
+def test_series_estimate_covers_true_error_up_to_a_million(p):
+    # the estimate is the floor eps·(4 + |log S(p)|) from p = 61 on; the error
+    # was a fifth of it at p = 4000 and 1/43 of it at 1e6
+    log, est, terms = quadrature._log_s(np.float64(p), DEFAULT_REL_TOL)
+    assert terms == quadrature._SERIES_TERMS
+    with mp.workdps(25):
+        assert float(abs(mp.mpf(float(log)) - mp_log_s(p))) <= est
+
+
+def test_series_batch_up_to_a_million_gives_the_scalar_bits():
+    logs, ests, terms = quadrature._log_s(np.array(MILLION_P), DEFAULT_REL_TOL)
     assert (terms == quadrature._SERIES_TERMS).all()
-    assert (abs(series - quad) <= series_est + quad_est).all()
+    for i, p in enumerate(MILLION_P):
+        log, est, _ = quadrature._log_s(np.float64(p), DEFAULT_REL_TOL)
+        assert (float(log), float(est)) == (logs[i], ests[i]), p
 
 
 # -- where the two paths meet ---------------------------------------------------
 
 
+@needs_mpmath
 def test_scalar_and_batch_take_the_same_path_at_the_threshold():
     # below the threshold S(p) comes from the table, which reports its own term count
     below, at = np.nextafter(quadrature._SERIES_FROM, 0.0), quadrature._SERIES_FROM
@@ -190,8 +210,9 @@ def test_scalar_and_batch_take_the_same_path_at_the_threshold():
     logs, _, nodes = quadrature._log_s(np.array([at, below]), DEFAULT_REL_TOL)
     assert nodes[0] == quadrature._SERIES_TERMS and nodes[1] == quadrature._TABLE_TERMS
     assert abs(logs[0] - logs[1]) < 1e-12
-    quad = quadrature._log_s_quadrature(np.array([at, below]), DEFAULT_REL_TOL)[0]
-    assert (abs(logs - quad) < 1e-12).all()
+    with mp.workdps(25):
+        for p, log in zip((at, below), logs.tolist()):
+            assert float(abs(mp.mpf(log) - mp_log_s(p))) <= EPS * (4.0 + abs(log)), p
 
 
 @pytest.mark.filterwarnings("error")
@@ -202,14 +223,26 @@ def test_mixed_batch_names_the_lowest_p_beyond_float_resolution():
 
 def test_mixed_batch_names_the_lowest_floored_p():
     # at rel_tol 1.1e-14 the floor eps·(4 + |log S(p)|) exceeds it from p ≈ 57 on, so
-    # both orders fail; the lower, by quadrature, is named, as a quadrature of both would
+    # both orders fail; the lower, from the table, is named, though the series ran first
     with pytest.raises(DomainError, match="p = 60 has a floored error estimate"):
         log_power_integral(np.array([100.0, 60.0]), 1.1e-14)
 
 
-def test_asym_integral_column_is_the_quadrature():
-    result = CliRunner().invoke(main, ["asym", "--t", "150", "--t", "4000", "--format", "csv"])
+#: Every t that ``tools/ab_outputs.py`` gives the CLI ``asym`` and that it accepts.
+ASYM_T = [0.5, 1.0, 32.0, 60.5, 61.0, 64.0, 100.0, 150.0, 2000.0, 4000.0, 1e5]
+
+
+@needs_mpmath
+@pytest.mark.parametrize("t", ASYM_T)
+def test_asym_integral_column_is_within_the_floor_of_mpmath(t):
+    # the column is ln S(t)/ln 10 rounded to a float: ln S(t)'s floor
+    # eps·(4 + |ln S(t)|), divided by ln 10, plus the division's half ulp
+    result = CliRunner().invoke(main, ["asym", f"--t={t!r}", "--format", "csv"])
     assert result.exit_code == 0
-    column = [float(line.split(",")[1]) for line in result.output.splitlines()[1:]]
-    quad = quadrature._log_s_quadrature(np.array([150.0, 4000.0]), DEFAULT_REL_TOL)[0]
-    assert column == (quad / math.log(10.0)).tolist()
+    rows = result.output.splitlines()[1:]
+    assert len(rows) == 1
+    log10 = float(rows[0].split(",")[1])
+    with mp.workdps(25):
+        ref = mp_log_s(t)
+        floor = EPS * (4.0 + abs(float(ref))) / math.log(10.0) + math.ulp(log10) / 2.0
+        assert float(abs(mp.mpf(log10) - ref / mp.log(10))) <= floor

@@ -1,7 +1,7 @@
 """S(p) below the saddle-point series' threshold from the literal table
 ``quadrature._S_TABLE``: its values against 30-digit mpmath, its error
-estimates at every tolerance, scalar against batch bits, the signed zero
-at p = 0, and no quadrature on any path of ``_log_s``.
+estimates at every tolerance, scalar against batch bits, and the signed
+zero at p = 0.
 
 The reference takes S(p) by mpmath's tanh-sinh quadrature on [0, peak] and
 [peak, peak + 120], the peak at expm1(W(p)) from ``mpmath.lambertw``; past
@@ -24,10 +24,8 @@ from momentdet import (
     DEFAULT_REL_TOL,
     DomainError,
     gamma_derivative,
-    generate_moments,
     integrate_logweighted,
     log_power_integral,
-    parse_family,
 )
 
 try:
@@ -150,23 +148,3 @@ def test_gamma_one_has_log_exactly_zero():
     res = gamma_derivative(0)
     assert (res.value.sign, res.value.logmag) == (1, 0.0)
     assert res.nodes_used == 20 + quadrature._TABLE_TERMS
-
-
-def test_no_quadrature_on_any_path(monkeypatch):
-    calls, real = [], quadrature._tanh_sinh
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(quadrature, "_tanh_sinh", spy)
-    ps = [0.0, 5e-324, 1e-9, 0.5, *EDGE_P, 30.0, 61.0, 150.0, 4000.0, 1e6]
-    quadrature._log_s(np.array(ps), DEFAULT_REL_TOL)
-    for p in ps:
-        quadrature._log_s(np.float64(p), DEFAULT_REL_TOL)
-    for n in range(0, 201, 7):
-        gamma_derivative(n)
-    generate_moments(parse_family("product[(1,0.63),(1,0.81)]"), 200)
-    assert calls == []
-    quadrature._log_s_quadrature(np.float64(30.0), DEFAULT_REL_TOL)  # the spy sees the driver
-    assert len(calls) == 1

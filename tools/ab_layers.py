@@ -28,16 +28,14 @@ default runs of a checkout against itself read every layer's b/a within
 
 * ``S(150)``, ``S(30)``: one ``integrate_logweighted`` at 150, from the
   saddle-point series, and at 30, from the table below the series' p = 61;
-* ``S(30) quadrature``: S(30) by ``quadrature._log_s_quadrature``, the
-  tanh-sinh path the CLI ``asym`` takes at every t;
 * ``asym row``, ``gamma row``, ``wtable row``: one request of each of
   ``point-eval``'s three kinds, ``integrate_logweighted(150)`` with both
   Laplace estimates at 150, ``gamma_derivative(60)`` with
   ``integrate_unit_log_power(60)`` (S(60) from the table), and
   ``lambert_w0`` with ``lambert_w_bounds`` at 1e3;
 * ``gamma row 150``: that gamma row at n = 150, S(150) from the series;
-* ``_s_shape``, ``laplace``, ``lambert_w0``: S's peak and cutoff at
-  p = 150, ``laplace_estimate_exact(150)`` and ``lambert_w0(150)``;
+* ``laplace``, ``lambert_w0``: ``laplace_estimate_exact(150)`` and
+  ``lambert_w0(150)``;
 * ``gen 2000``: the flagship ``product[(1,1),(1,1)]`` generated at n_max 2000;
 * ``from_json``, ``from_csv``, ``to_json``, ``analyze``: the flagship at
   n_max 5000;
@@ -97,7 +95,6 @@ def layers(md) -> dict[str, object]:
     # a fresh import replaces them in sys.modules.
     md.__all__
     tree, name = Path(md.__file__).parents[2], md.__name__
-    p, p30 = np.float64(150.0), np.float64(30.0)
     family = md.parse_family(FLAGSHIP)
     seq = md.generate_moments(family, 5000)
     text, csv = md.to_json(seq), md.to_csv(seq)
@@ -105,7 +102,6 @@ def layers(md) -> dict[str, object]:
     return {
         "S(150)": lambda: md.integrate_logweighted(150.0),
         "S(30)": lambda: md.integrate_logweighted(30.0),
-        "S(30) quadrature": lambda: md.quadrature._log_s_quadrature(p30, md.DEFAULT_REL_TOL),
         "asym row": lambda: (
             md.integrate_logweighted(150.0),
             md.laplace_estimate_exact(150.0),
@@ -114,7 +110,6 @@ def layers(md) -> dict[str, object]:
         "gamma row": lambda: (md.gamma_derivative(60), md.integrate_unit_log_power(60)),
         "gamma row 150": lambda: (md.gamma_derivative(150), md.integrate_unit_log_power(150)),
         "wtable row": lambda: (md.lambert_w0(1e3), md.lambert_w_bounds(1e3)),
-        "_s_shape": lambda: md.quadrature._s_shape(p),
         "laplace": lambda: md.laplace_estimate_exact(150.0),
         "lambert_w0": lambda: md.lambert_w0(150.0),
         "gen 2000": lambda: md.generate_moments(family, 2000),

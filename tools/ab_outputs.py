@@ -64,7 +64,7 @@ COMMANDS = [
     Command(f"{CLI} gen --family exp --nmax 40 --out e.json"),
     Command(f"{CLI} check --in e.json"),
     Command(f"{CLI} check --in e.json --criteria carleman,growth,growth-q,hardy --format human"),
-    # the quadrature's first sweep through level 4 (rel_tol above 1e-8), then through level 5
+    # one family at a loose and at a tight rel_tol
     Command(f"{LOOSE} --rel-tol 1e-4 --out loose.json"),
     Command(f"{CLI} check --in loose.json"),
     # the same sequence as CSV: the two loaders give byte-identical reports
@@ -85,10 +85,12 @@ COMMANDS = [
     Command(f"{CLI} gamma-derivs --nmax 400 --rel-tol 1e-12 --format csv"),
     # the ln n! table of the unit integral's series at the CLI's n_max cap
     Command(f"{CLI} gamma-derivs --nmax 5000 --format csv"),
-    # the left panel of S(2000) goes past the first sweep, to level 6
+    # asym at the tightest rel_tol here, which S(2000)'s floored estimate meets
     Command(f"{CLI} asym --t 2000 --rel-tol 1e-12"),
-    # asym's quadrature at orders the library takes from the series, numpy warnings as errors
+    # asym on the saddle-point series, numpy warnings as errors
     Command(f"{STRICT} asym --t 64 --t 150 --t 1e5 --format csv"),
+    # asym across all three pieces of S(t): below 1, the table from 1, the series from 61
+    Command(f"{STRICT} asym --t 0.5 --t 1 --t 32 --t 60.5 --t 61 --format csv"),
     # S(n) from the table at n = 0 and at every octave edge to 64, numpy warnings as errors
     Command(f"{STRICT} gamma-derivs --nmax 64 --format csv"),
     # input errors: an unknown criterion, alone and beside all, a file that is
