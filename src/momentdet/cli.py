@@ -16,9 +16,12 @@ Exit codes: 0 ok; 1 tolerance failure (paper-table only); 2 input error
 error (unknown, abbreviated or missing option, bad choice or number);
 3 numeric failure (non-convergence).
 
-Environment overrides (explicit flags take precedence):
-``MOMENTDET_REL_TOL`` sets the default relative tolerance;
-``MOMENTDET_NMAX_CAP`` caps --nmax (default 5000).
+Environment: ``MOMENTDET_NMAX_CAP`` caps --nmax (default 5000).
+
+Every integral keeps one fixed accuracy, 1e-9 relative, and an order at
+which a float cannot hold its log that finely is refused with exit 2:
+S(p) from p ≈ 1.88e6 on (``asym --t 1e7``), and the unit integral behind
+``gamma-derivs`` from n ≈ 3.8e5 on.
 
 Numeric output is stable for machine consumption: CSV carries 17
 significant digits, JSON renders log-magnitudes as strings, so files
@@ -43,42 +46,20 @@ from .criteria import QFunction, _report, analyze, check_carleman, check_growth_
 from .errors import ConvergenceError, DomainError, FamilyParseError, SequenceError
 from .lambertw import lambert_w0, lambert_w_bounds
 from .moments import from_csv, from_json, generate_from_label, to_csv, to_json
-from .quadrature import (
-    DEFAULT_REL_TOL,
-    _checked,
-    _log_gamma,
-    _log_s,
-    log_power_integral,
-    validate_rel_tol,
-)
+from .quadrature import _ACCURACY, _log_gamma, _log_s, log_power_integral
 
-_ENV_REL_TOL = "MOMENTDET_REL_TOL"
 _ENV_NMAX_CAP = "MOMENTDET_NMAX_CAP"
 _DEFAULT_NMAX_CAP = 5000
 
 _LOG10 = math.log(10.0)
 
 
-def _env(name: str, parse, noun: str, default):
-    """The value of environment variable ``name`` read by ``parse``, or
-    ``default`` when it is unset."""
-    text = os.environ.get(name)
-    if text is None:
-        return default
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise DomainError(f"{name} must be {noun}, got {text!r}") from exc
-
-
-def _resolve_rel_tol(flag_value: float | None) -> float:
-    if flag_value is None:
-        flag_value = _env(_ENV_REL_TOL, float, "a float", DEFAULT_REL_TOL)
-    return validate_rel_tol(flag_value)
-
-
 def _resolve_nmax(n_max: int) -> int:
-    cap = _env(_ENV_NMAX_CAP, int, "an integer", _DEFAULT_NMAX_CAP)
+    text = os.environ.get(_ENV_NMAX_CAP)
+    try:
+        cap = _DEFAULT_NMAX_CAP if text is None else int(text)
+    except ValueError as exc:
+        raise DomainError(f"{_ENV_NMAX_CAP} must be an integer, got {text!r}") from exc
     if n_max > cap:
         raise DomainError(f"--nmax {n_max} exceeds the cap {cap} (set {_ENV_NMAX_CAP} to raise)")
     return n_max
@@ -116,13 +97,13 @@ def _table(fmt: str, header: list[str], rows: list[list[object]]) -> str:
 # -- gen ----------------------------------------------------------------------
 
 
-def cmd_gen(family: str, nmax: int, rel_tol: float | None, fmt: str, out: str) -> None:
+def cmd_gen(family: str, nmax: int, fmt: str, out: str) -> None:
     """Generate a moment-sequence file for a family.
 
     Grammar: exp | exp2 | lognormal | product[(delta,r),...] |
     symroot[(delta,r),...] | symprod[(delta,r),...].
     """
-    seq = generate_from_label(family, _resolve_nmax(nmax), rel_tol=_resolve_rel_tol(rel_tol))
+    seq = generate_from_label(family, _resolve_nmax(nmax))
     _write(out, to_json(seq) if fmt == "json" else to_csv(seq))
 
 
@@ -244,9 +225,9 @@ _REFERENCE = [
 ]
 
 
-def _reference_rows(rel_tol: float) -> list[dict[str, object]]:
+def _reference_rows() -> list[dict[str, object]]:
     orders = (0, 1, 2, 3, 4, 99, 100)
-    k = dict(zip(orders, log_power_integral(orders, rel_tol).tolist()))
+    k = dict(zip(orders, log_power_integral(orders).tolist()))
     rows = []
     for name, log, reference, tol, mode, note in _REFERENCE:
         computed = math.exp(log(k))
@@ -256,9 +237,9 @@ def _reference_rows(rel_tol: float) -> list[dict[str, object]]:
     return rows
 
 
-def cmd_paper_table(rel_tol: float | None, fmt: str, out: str) -> None:
+def cmd_paper_table(fmt: str, out: str) -> None:
     """Reproduce the reference K-ratio/moment table; exit 1 on tolerance failure."""
-    rows = _reference_rows(_resolve_rel_tol(rel_tol))
+    rows = _reference_rows()
     all_within = all(r["status"] != "FAIL" for r in rows)
     as_lists = [[r[h] for h in _TABLE_HEADER] for r in rows]
     if fmt == "json":
@@ -272,9 +253,11 @@ def cmd_paper_table(rel_tol: float | None, fmt: str, out: str) -> None:
 # -- asym ----------------------------------------------------------------------
 
 
-def cmd_asym(t_values: list[float], rel_tol: float | None, fmt: str, out: str) -> None:
+def cmd_asym(t_values: list[float], fmt: str, out: str) -> None:
     """Compare S(t) against the exact and leading saddle estimates, at each --t."""
-    rel_tol = _resolve_rel_tol(rel_tol)
+    bad = next((t for t in t_values if not 0.0 < t < math.inf), None)
+    if bad is not None:
+        raise DomainError(f"asym requires finite t > 0, got {bad!r}")
     header = [
         "t",
         "log10_integral",
@@ -283,14 +266,20 @@ def cmd_asym(t_values: list[float], rel_tol: float | None, fmt: str, out: str) -
         "exact_to_integral",
         "leading_to_integral",
     ]
-    # the library's S(t), exact to float rounding; it extends the saddle terms
-    # of the estimates, so the tests check its column against mpmath
-    ts, rel_tol = _checked("asym", t_values, rel_tol, "t")
     rows = []
-    for t, log_s in zip(t_values, _log_s(ts, rel_tol)[0].tolist()):
+    for t in t_values:
+        # the library's S(t), exact to float rounding; it extends the saddle terms
+        # of the estimates, so the tests check its column against mpmath
+        try:
+            log_s = float(_log_s(np.float64(t))[0])
+        except DomainError as exc:
+            raise DomainError(
+                f"asym cannot resolve S(t) at t = {t:.17g}: a float holds its log too "
+                f"coarsely for the accuracy {_ACCURACY:g} every result keeps"
+            ) from exc
         estimates = (laplace_estimate_exact(t).logmag, laplace_estimate_leading(t).logmag)
         rows.append(
-            [float(t), log_s / _LOG10, *(e / _LOG10 for e in estimates)]
+            [t, log_s / _LOG10, *(e / _LOG10 for e in estimates)]
             + [math.exp(e - log_s) for e in estimates]
         )
     _write(out, _table(fmt, header, rows))
@@ -329,11 +318,10 @@ def cmd_wtable(t_values: list[str], fmt: str, out: str) -> None:
 # -- gamma-derivs -----------------------------------------------------------------
 
 
-def cmd_gamma_derivs(nmax: int, rel_tol: float | None, fmt: str, out: str) -> None:
+def cmd_gamma_derivs(nmax: int, fmt: str, out: str) -> None:
     """Tabulate gamma-function derivatives at 1 with unit-part bracket checks."""
     if nmax < 0:
         raise DomainError(f"--nmax must be >= 0, got {nmax}")
-    rel_tol = _resolve_rel_tol(rel_tol)
     _resolve_nmax(nmax)  # cap applies to the tabulation order, which may be < 2
     header = [
         "n",
@@ -345,7 +333,7 @@ def cmd_gamma_derivs(nmax: int, rel_tol: float | None, fmt: str, out: str) -> No
         "unit_bracket_hi",
         "unit_bracket_ok",
     ]
-    (signs, logs, _, _), (unit_logs, _, _) = _log_gamma(np.arange(nmax + 1.0), rel_tol)
+    (signs, logs, _, _), (unit_logs, _, _) = _log_gamma(np.arange(nmax + 1.0))
     rows = []
     for n, sign, log, unit_log in zip(
         range(nmax + 1), signs.astype(int).tolist(), logs.tolist(), unit_logs.tolist()
@@ -370,14 +358,12 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     parser.add_argument("--help", action="help", help="Show this message and exit.")
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
 
-    def command(name: str, run, *formats: str, rel_tol: bool = True) -> argparse.ArgumentParser:
+    def command(name: str, run, *formats: str) -> argparse.ArgumentParser:
         """The subparser that calls ``run``, with the options every command shares."""
         doc = run.__doc__
         sub = commands.add_parser(name, help=doc.split("\n")[0], description=doc, **exact)
         sub.set_defaults(run=run)
         sub.add_argument("--help", action="help", help="Show this message and exit.")
-        if rel_tol:
-            sub.add_argument("--rel-tol", type=float, help="Quadrature relative tolerance.")
         sub.add_argument(
             "--format", dest="fmt", choices=formats, default=formats[0], help="Default: %(default)s."
         )
@@ -387,7 +373,7 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     gen = command("gen", cmd_gen, "json", "csv")
     gen.add_argument("--family", required=True, help="A family, e.g. 'product[(1,1),(1,1)]'.")
     gen.add_argument("--nmax", required=True, type=int, help="Highest stored order (>= 2).")
-    check = command("check", cmd_check, "json", "human", rel_tol=False)
+    check = command("check", cmd_check, "json", "human")
     check.add_argument("--in", dest="input_path", required=True, help="A JSON or CSV sequence file.")
     check.add_argument("--criteria", default="all", help=f"Comma list from {{{_CHECKER_NAMES}}} or all.")
     q_help = "q for growth-q: one, log (the default), power:ALPHA; all reports growth_rate_q at q = ln n."
@@ -395,7 +381,7 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     command("paper-table", cmd_paper_table, "human", "json", "csv")
     asym = command("asym", cmd_asym, "human", "csv")
     asym.add_argument("--t", dest="t_values", action="append", required=True, type=float, metavar="T")
-    wtable = command("wtable", cmd_wtable, "human", "csv", rel_tol=False)
+    wtable = command("wtable", cmd_wtable, "human", "csv")
     wtable.add_argument("--t", dest="t_values", action="append", required=True, metavar="T")
     gamma = command("gamma-derivs", cmd_gamma_derivs, "human", "csv")
     gamma.add_argument("--nmax", required=True, type=int, help="Tabulate n = 0..nmax.")

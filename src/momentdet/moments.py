@@ -63,7 +63,7 @@ from .errors import (
     _int_arg,
 )
 from .logdomain import SignedLogValue
-from .quadrature import DEFAULT_REL_TOL, log_power_integral, validate_rel_tol
+from .quadrature import log_power_integral
 
 __all__ = [
     "FamilySpec",
@@ -245,9 +245,7 @@ def _check_n_max(n_max, lowest: int, requires: str) -> int:
     return n_max
 
 
-def generate_moments(
-    family: FamilySpec, n_max: int, rel_tol: float = DEFAULT_REL_TOL
-) -> MomentSequence:
+def generate_moments(family: FamilySpec, n_max: int) -> MomentSequence:
     """Generate the moment sequence of a product family up to order n_max.
 
     Stieltjes mode stores m_0..m_{n_max}; the symmetrization modes store
@@ -264,20 +262,18 @@ def generate_moments(
     if positive.any():
         unique_ps, inverse = np.unique(ps[positive], return_inverse=True)
         try:
-            log_s[positive] = log_power_integral(unique_ps, rel_tol)[inverse]
+            log_s[positive] = log_power_integral(unique_ps)[inverse]
         except DomainError:
             # name the lowest order whose own integrals fail (order 0 has none)
             for n, row in zip(orders[1:], ps[1:]):
                 try:
-                    log_power_integral(row[row > 0.0], rel_tol)
+                    log_power_integral(row[row > 0.0])
                 except DomainError as exc:
                     raise type(exc)(
                         f"while generating moment of order {_format_number(n)} "
                         f"for {family.label!r}: {exc}"
                     ) from exc
             raise
-    else:
-        validate_rel_tol(rel_tol)  # no S(p) to evaluate, so nothing else checks it
     logs = np.zeros(orders.size)
     for j, (d, _) in enumerate(family.factors):
         logs = logs + list(map(math.lgamma, (d * orders + 1.0).tolist())) + log_s[:, j]
@@ -339,13 +335,11 @@ def parse_family(text: str) -> FamilySpec:
     return FamilySpec(factors=tuple(pairs), symmetrization=_FAMILY_HEADS[head], label=text)
 
 
-def generate_from_label(
-    text: str, n_max: int, rel_tol: float = DEFAULT_REL_TOL
-) -> MomentSequence:
+def generate_from_label(text: str, n_max: int) -> MomentSequence:
     """Generate a sequence from a family description string (CLI entry point)."""
     if text.strip() == "lognormal":
         return lognormal_moments(n_max)
-    return generate_moments(parse_family(text), n_max, rel_tol=rel_tol)
+    return generate_moments(parse_family(text), n_max)
 
 
 # -- derived sequences --------------------------------------------------------

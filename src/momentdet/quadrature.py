@@ -53,11 +53,12 @@ included, comes from ``_log_s``.
 Error estimates are floored at eps·(4 + |log value|), the rounding of a
 log-magnitude summed and held in a float, so that no estimate claims an
 error of zero; the unit integral's series and S's table and saddle-point
-series, exact to rounding, report that floor alone.  Where the float
-rounding of S's log-integrand at its peak reaches 60 nats (p ≳ 1e17),
-DomainError is raised before any series term is taken, as it is wherever
-a floored estimate exceeds rel_tol (for S at 1e-9 from p ≈ 2e6 on, for
-the unit integral at 1e-9 from n ≈ 3.8e5 on).
+series, exact to rounding, report that floor alone.  Every result keeps
+one fixed accuracy, 1e-9 relative (``_ACCURACY``): DomainError is raised
+wherever a floored estimate exceeds it, for S(p) from p ≈ 1.88e6 on and
+for the unit integral (so for Γ⁽ⁿ⁾(1) too) from n ≈ 3.8e5 on.  Where the
+float rounding of S's log-integrand at its peak reaches 60 nats
+(p ≳ 1e17), it is raised before any series term is taken.
 """
 
 from __future__ import annotations
@@ -73,17 +74,16 @@ from .lambertw import _halley
 from .logdomain import SignedLogValue
 
 __all__ = [
-    "DEFAULT_REL_TOL",
     "QuadratureResult",
     "gamma_derivative",
     "integrate_logweighted",
     "integrate_unit_log_power",
     "log_power_integral",
-    "validate_rel_tol",
 ]
 
-#: Default relative tolerance for all integrators.
-DEFAULT_REL_TOL = 1e-9
+#: The relative accuracy every result keeps: an order whose floored error
+#: estimate exceeds it is refused (``_floor_within``).
+_ACCURACY = 1e-9
 
 #: S(p) is refused (``_check_window``) where the float rounding of its
 #: log-integrand at the peak, eps·|peak log|, reaches this many nats, from
@@ -92,13 +92,13 @@ DEFAULT_REL_TOL = 1e-9
 #: check names that cause, where the floored estimate would name only its
 #: symptom, and it comes before the saddle terms' 2πp, which overflows near
 #: the float maximum, so no p warns.
-_CUTOFF_DROP = 60.0
+_PEAK_ROUNDING = 60.0
 
 _EPS = float(np.finfo(float).eps)
 
 #: The rounding of a computed log-integral beyond eps·|log|, in eps: at most
 #: 2 against 30-digit mpmath references (S(p) for p from 0.01 to 5000, the
-#: unit integral and Γ⁽ⁿ⁾(1) for n ≤ 200, at rel_tol 1e-9 and 1e-12), doubled.
+#: unit integral and Γ⁽ⁿ⁾(1) for n ≤ 200), doubled.
 _LOG_ROUNDING = 4.0
 
 #: Orders or per-order results: a numpy float64 scalar for one point, a
@@ -127,20 +127,10 @@ class QuadratureResult:
             raise ValueError(f"nodes_used must be positive, got {self.nodes_used!r}")
 
 
-def validate_rel_tol(rel_tol: float) -> float:
-    """Check rel_tol against the supported open range (1e-14, 1e-2)."""
-    rel_tol = _float_arg(rel_tol, "validate_rel_tol", "rel_tol")
-    if not (1e-14 < rel_tol < 1e-2):
-        raise DomainError(f"rel_tol must lie in (1e-14, 1e-2), got {rel_tol!r}")
-    return rel_tol
-
-
-def _checked(
-    name: str, p, rel_tol: float, arg: str = "p", integer: bool = False
-) -> tuple[_Floats, float]:
-    """``p`` as a float64 (a numpy scalar for a scalar, else an array), and
-    ``rel_tol``, checked for the public function or command ``name``, whose
-    errors call ``p`` ``arg``; ``integer`` asks for one int order."""
+def _checked(name: str, p, arg: str = "p", integer: bool = False) -> _Floats:
+    """``p`` as a float64 (a numpy scalar for a scalar, else an array),
+    checked for the public function ``name``, whose errors call ``p``
+    ``arg``; ``integer`` asks for one int order."""
     if integer:
         p = _int_arg(p, 0, f"{name} requires an integer {arg} >= 0")
     ps = _float_arg(p, name, arg, array=True)
@@ -148,7 +138,7 @@ def _checked(
     if not _all(ok):
         bad = float(np.extract(~ok, ps)[0])
         raise DomainError(f"{name} requires finite {arg} >= 0, got {bad!r}")
-    return ps, validate_rel_tol(rel_tol)
+    return ps
 
 
 def _all(x) -> bool:
@@ -179,17 +169,18 @@ def _floor_error(est, logmag):
     return np.maximum(est, _EPS * (_LOG_ROUNDING + abs(logmag)))
 
 
-def _floor_within(p: _Floats, est: _Floats, total: _Floats, rel_tol: float) -> _Floats:
+def _floor_within(p: _Floats, est: _Floats, total: _Floats) -> _Floats:
     """``_floor_error(est, total)`` for the log-integrals ``total`` of orders
     ``p``; raises DomainError, naming the lowest such p, where it exceeds
-    ``rel_tol``."""
+    _ACCURACY."""
     est = _floor_error(est, total)
-    if not _all(est <= rel_tol):
+    if not _all(est <= _ACCURACY):
         p, est, total = np.atleast_1d(p, est, total)
-        i = np.argmin(np.where(est <= rel_tol, np.inf, p))
+        i = np.argmin(np.where(est <= _ACCURACY, np.inf, p))
         raise DomainError(
             f"the integral for p = {p[i]:.17g} has a floored error estimate {est[i]:.2g} "
-            f"above rel_tol={rel_tol:.1e} (its log, {total[i]:.6g}, is too coarse in a float)"
+            f"above {_ACCURACY:g}, the accuracy every result keeps (its log, {total[i]:.6g}, "
+            "is too coarse in a float)"
         )
     return est
 
@@ -199,15 +190,15 @@ def _floor_within(p: _Floats, est: _Floats, total: _Floats, rel_tol: float) -> _
 
 def _check_window(p: _Floats, peak_log: _Floats) -> None:
     """DomainError, naming the lowest such p, where the float rounding of
-    the log-integrand at its peak, eps·|peak log|, reaches _CUTOFF_DROP
+    the log-integrand at its peak, eps·|peak log|, reaches _PEAK_ROUNDING
     nats."""
-    held = _EPS * abs(peak_log) < _CUTOFF_DROP
+    held = _EPS * abs(peak_log) < _PEAK_ROUNDING
     if not _all(held):
         p, peak_log, held = np.atleast_1d(p, peak_log, held)
         i = np.argmin(np.where(held, np.inf, p))
         raise DomainError(
-            f"the integrand for p = {p[i]:.17g} peaks at log {peak_log[i]:.6g}, whose "
-            f"float rounding exceeds the {_CUTOFF_DROP:g}-nat cutoff window"
+            f"the integrand for p = {p[i]:.17g} peaks at log {peak_log[i]:.6g}, which a float "
+            f"rounds by {_PEAK_ROUNDING:g} nats or more"
         )
 
 
@@ -430,7 +421,7 @@ def _log_s_table(p: _Floats) -> tuple[_Floats, float, int]:
     return (_saddle(p)[1] + _table_fit(row, 4.0 * m - 3.0)).astype(float), 0.0, _TABLE_TERMS
 
 
-def _log_s(p: _Floats, rel_tol: float) -> tuple[_Floats, _Floats, _Floats]:
+def _log_s(p: _Floats) -> tuple[_Floats, _Floats, _Floats]:
     """(log S(p), floored estimated relative error, terms summed) for p ≥ 0,
     a scalar or an array: by ``_log_s_series`` from p = _SERIES_FROM on, by
     ``_log_s_table`` from 1 and by ``_log_s_below_one`` below.  The series
@@ -439,13 +430,13 @@ def _log_s(p: _Floats, rel_tol: float) -> tuple[_Floats, _Floats, _Floats]:
 
     Raises DomainError, naming the lowest such p of the whole batch, where
     the series' window check fails, and after every piece where a floored
-    estimate exceeds ``rel_tol``.
+    estimate exceeds _ACCURACY.
     """
     if p.ndim == 0:
         piece = (_log_s_series if p >= _SERIES_FROM
                  else _log_s_table if p >= 1.0 else _log_s_below_one)
         total, est, nodes = piece(p)
-        return total, _floor_within(p, est, total, rel_tol), nodes
+        return total, _floor_within(p, est, total), nodes
     total, est = np.empty(p.shape), np.empty(p.shape)
     nodes = np.empty(p.shape, dtype=int)
     series, below_one = p >= _SERIES_FROM, p < 1.0
@@ -454,28 +445,27 @@ def _log_s(p: _Floats, rel_tol: float) -> tuple[_Floats, _Floats, _Floats]:
                         (below_one, _log_s_below_one)):
         if rows.any():
             total[rows], est[rows], nodes[rows] = piece(p[rows])
-    return total, _floor_within(p, est, total, rel_tol), nodes
+    return total, _floor_within(p, est, total), nodes
 
 
-def integrate_logweighted(p: float, rel_tol: float = DEFAULT_REL_TOL) -> QuadratureResult:
+def integrate_logweighted(p: float) -> QuadratureResult:
     """Evaluate S(p) = ∫₀^∞ ln(1+x)^p · e^{−x} dx in the log domain.
 
-    Supports real p ≥ 0 up to at least a few thousand; the result value
-    is always positive.
+    Supports real p ≥ 0 below about 1.88e6, where a float holds log S(p)
+    to _ACCURACY; the result value is always positive.
     """
     p = _float_arg(p, "integrate_logweighted", "p")  # refuses arrays, as float() does
-    ps, rel_tol = _checked("integrate_logweighted", p, rel_tol)
-    return _scalar_result(1, *_log_s(ps, rel_tol))
+    return _scalar_result(1, *_log_s(_checked("integrate_logweighted", p)))
 
 
-def log_power_integral(p, rel_tol: float = DEFAULT_REL_TOL):
+def log_power_integral(p):
     """log S(p): a float for a scalar p, an array of the same shape for an
     array of p (evaluated together in one batch); the workhorse for moment
     generation."""
-    ps, rel_tol = _checked("log_power_integral", p, rel_tol)
+    ps = _checked("log_power_integral", p)
     if ps.ndim == 0:
-        return float(_log_s(ps, rel_tol)[0])
-    return _log_s(ps.ravel(), rel_tol)[0].reshape(ps.shape)
+        return float(_log_s(ps)[0])
+    return _log_s(ps.ravel())[0].reshape(ps.shape)
 
 
 # -- the unit integral and Γ⁽ⁿ⁾(1) ------------------------------------------------
@@ -537,7 +527,7 @@ def _log_factorial(n: _Floats) -> _Floats:
     return np.reshape(logs, n.shape)[()]
 
 
-def _log_unit(n: _Floats, rel_tol: float) -> tuple[_Floats, _Floats, _Floats]:
+def _log_unit(n: _Floats) -> tuple[_Floats, _Floats, _Floats]:
     """(log |∫₀¹ (ln t)^n e^{−t} dt|, estimated relative error, terms summed)
     for integer n ≥ 0, a scalar or an array; the integral's sign is (−1)^n.
 
@@ -545,15 +535,15 @@ def _log_unit(n: _Floats, rel_tol: float) -> tuple[_Floats, _Floats, _Floats]:
     its first _UNIT_TERMS terms by one expression for a scalar and an
     array alike, so both give the same bits.  Exact to rounding, it
     reports the floored estimate alone, and raises DomainError where that
-    exceeds ``rel_tol``.
+    exceeds _ACCURACY.
     """
     # −(n + 1) on the orders, then one column per order against the terms
     sigma = np.add.reduce(_UNIT_COEFS * _UNIT_BASES ** (-(n + 1.0))[..., None], axis=-1)
     log = _log_factorial(n) + np.log(sigma)
-    return log, _floor_within(n, 0.0, log, rel_tol), np.full(n.shape, _UNIT_TERMS)
+    return log, _floor_within(n, 0.0, log), np.full(n.shape, _UNIT_TERMS)
 
 
-def _log_gamma(n: _Floats, rel_tol: float):
+def _log_gamma(n: _Floats):
     """(sign, log |Γ⁽ⁿ⁾(1)|, estimated relative error, nodes used) for
     integer n ≥ 0, a scalar or an array, and the ``_log_unit`` columns it
     was built from.
@@ -564,8 +554,8 @@ def _log_gamma(n: _Floats, rel_tol: float):
     then has the sign (−1)^n exactly and the log ln|unit| + log1p((−1)^n·r),
     whose argument lies in [−0.59, 0.59].
     """
-    unit_log, unit_est, unit_nodes = unit = _log_unit(n, rel_tol)
-    s_log, s_est, s_nodes = _log_s(n, rel_tol)
+    unit_log, unit_est, unit_nodes = unit = _log_unit(n)
+    s_log, s_est, s_nodes = _log_s(n)
     tail_log = s_log - 1.0
     sign = (-1.0) ** n
     log = unit_log + np.log1p(sign * np.exp(tail_log - unit_log))
@@ -575,17 +565,17 @@ def _log_gamma(n: _Floats, rel_tol: float):
     return (sign, log, est, unit_nodes + s_nodes), unit
 
 
-def integrate_unit_log_power(n: int, rel_tol: float = DEFAULT_REL_TOL) -> QuadratureResult:
+def integrate_unit_log_power(n: int) -> QuadratureResult:
     """Evaluate ∫₀¹ (ln t)^n · e^{−t} dt for integer n ≥ 0.
 
     Computed as (−1)^n·n!·σₙ by ``_log_unit``, so the returned sign is
     exactly (−1)^n.
     """
-    ns, rel_tol = _checked("integrate_unit_log_power", n, rel_tol, "n", integer=True)
-    return _scalar_result(-1 if n % 2 else 1, *_log_unit(ns, rel_tol))
+    ns = _checked("integrate_unit_log_power", n, "n", integer=True)
+    return _scalar_result(-1 if n % 2 else 1, *_log_unit(ns))
 
 
-def gamma_derivative(n: int, rel_tol: float = DEFAULT_REL_TOL) -> QuadratureResult:
+def gamma_derivative(n: int) -> QuadratureResult:
     """Evaluate Γ⁽ⁿ⁾(1) = ∫₀¹ (ln t)^n e^{−t} dt + e^{−1}·S(n) by ``_log_gamma``
     on one order; the estimate adds both pieces' absolute errors.
 
@@ -593,6 +583,5 @@ def gamma_derivative(n: int, rel_tol: float = DEFAULT_REL_TOL) -> QuadratureResu
     catastrophically: the unit part dominates (its magnitude stays within
     [(1 − e^{−1})·n!, n!] while e^{−1}·S(n) ≤ e^{−1}·n!, see ``_log_gamma``).
     """
-    ns, rel_tol = _checked("gamma_derivative", n, rel_tol, "n", integer=True)
-    (sign, *gamma), _ = _log_gamma(ns, rel_tol)
+    (sign, *gamma), _ = _log_gamma(_checked("gamma_derivative", n, "n", integer=True))
     return _scalar_result(int(sign), *gamma)

@@ -101,7 +101,7 @@ def _reference_floor(est, log):
     return np.maximum(est, _EPS * (_LOG_ROUNDING + np.abs(log)))
 
 
-def reference_log_unit(n, rel_tol):
+def reference_log_unit(n):
     """(log |∫₀¹ (ln t)^n e^{−t} dt|, floored error estimate, terms) for a
     1-d float64 array of integer n in 0..8192, as ``quadrature._log_unit``
     gives them: ln n! from the package's table (its entries are tested on
@@ -115,7 +115,7 @@ def reference_log_unit(n, rel_tol):
     return log, _reference_floor(0.0, log), np.full(n.size, 20)
 
 
-def reference_log_gamma(n, rel_tol):
+def reference_log_gamma(n):
     """(sign, log |Γ⁽ⁿ⁾(1)|, floored error estimate, nodes) for a 1-d float64
     array of integer n in 0..8192, as ``quadrature._log_gamma`` gives them,
     with S(n) from the package's ``quadrature._log_s`` (its values are
@@ -124,8 +124,8 @@ def reference_log_gamma(n, rel_tol):
     the two pieces' absolute errors added."""
     from momentdet.quadrature import _log_s
 
-    unit_log, unit_est, unit_nodes = reference_log_unit(n, rel_tol)
-    s_log, s_est, s_nodes = _log_s(n, rel_tol)
+    unit_log, unit_est, unit_nodes = reference_log_unit(n)
+    s_log, s_est, s_nodes = _log_s(n)
     tail_log = s_log - 1.0
     sign = (-1.0) ** n
     log = unit_log + np.log1p(sign * np.exp(tail_log - unit_log))

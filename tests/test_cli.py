@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 import os
@@ -99,17 +100,6 @@ class TestGen:
         result = runner.invoke(main, ["gen", "--family", "exp", "--nmax", "1"])
         assert result.exit_code == 2
 
-    def test_bad_rel_tol_exits_2(self, runner):
-        result = runner.invoke(main, ["gen", "--family", "exp", "--nmax", "10", "--rel-tol", "1"])
-        assert result.exit_code == 2
-
-    def test_lognormal_bad_rel_tol_exits_2(self, runner):
-        # the closed-form family runs no quadrature, so the flag is checked up front
-        args = ["gen", "--family", "lognormal", "--nmax", "10", "--rel-tol", "nan"]
-        result = runner.invoke(main, args)
-        assert result.exit_code == 2
-        assert "rel_tol" in result.output
-
     def test_lognormal_nmax_floor_exits_2(self, runner):
         result = runner.invoke(main, ["gen", "--family", "lognormal", "--nmax", "1"])
         assert result.exit_code == 2
@@ -124,7 +114,7 @@ class TestGen:
     def test_numeric_failure_exits_3(self, runner, monkeypatch):
         import momentdet.moments as moments_mod
 
-        def boom(p, rel_tol):
+        def boom(p):
             raise ConvergenceError("synthetic non-convergence")
 
         monkeypatch.setattr(moments_mod, "log_power_integral", boom)
@@ -443,7 +433,7 @@ class TestPaperTable:
     def test_numeric_failure_exits_3(self, runner, monkeypatch):
         import momentdet.cli as cli_mod
 
-        def boom(p, rel_tol):
+        def boom(p):
             raise ConvergenceError("synthetic non-convergence")
 
         monkeypatch.setattr(cli_mod, "log_power_integral", boom)
@@ -463,7 +453,7 @@ class TestPaperTable:
             "status": "FAIL",
             "note": "",
         }
-        monkeypatch.setattr(cli_mod, "_reference_rows", lambda rel_tol: [failing])
+        monkeypatch.setattr(cli_mod, "_reference_rows", lambda: [failing])
         result = runner.invoke(main, ["paper-table", "--format", "json"])
         assert result.exit_code == 1
         assert '"all_within": false' in result.output
@@ -476,8 +466,8 @@ class TestPaperTable:
 
         real = cli_mod.log_power_integral
 
-        def shifted(p, rel_tol):
-            return real(p, rel_tol) + np.where(np.isin(p, (2, 99)), 0.1, 0.0)
+        def shifted(p):
+            return real(p) + np.where(np.isin(p, (2, 99)), 0.1, 0.0)
 
         monkeypatch.setattr(cli_mod, "log_power_integral", shifted)
         result = runner.invoke(main, ["paper-table", "--format", "json"])
@@ -525,24 +515,26 @@ class TestAsym:
         result = runner.invoke(main, ["asym", "--t", "-5", "--format", "csv"])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("t, shown", [("-5", "-5.0"), ("nan", "nan"), ("inf", "inf")])
+    @pytest.mark.parametrize(
+        "t, shown", [("-5", "-5.0"), ("0", "0.0"), ("-0", "-0.0"), ("nan", "nan"), ("inf", "inf")]
+    )
     def test_invalid_t_is_named_under_asym(self, runner, t, shown):
+        # every t is checked before any row is computed
+        result = runner.invoke(main, ["asym", "--t", "1e7", "--t", t])
+        assert result.exit_code == 2
+        assert result.output == f"error: asym requires finite t > 0, got {shown}\n"
+
+    @pytest.mark.parametrize("t, shown", [("1e7", "10000000"), ("1e20", "1e+20")])
+    def test_t_past_the_accuracy_is_named_under_asym(self, runner, t, shown):
+        # the floored estimate of log S(1e7) is ~5.6e-9, above the accuracy 1e-9;
+        # at 1e20 a float rounds the log-integrand's peak by 60 nats or more
         result = runner.invoke(main, ["asym", "--t", "1", "--t", t])
         assert result.exit_code == 2
-        assert result.output == f"error: asym requires finite t >= 0, got {shown}\n"
-
-    def test_t_beyond_float_resolution_exits_2(self, runner):
-        result = runner.invoke(main, ["asym", "--t", "1e20"])
-        assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
-
-    def test_t_past_the_requested_accuracy_exits_2(self, runner):
-        # the floored estimate of log S(1e7) is ~5.6e-9, above the default 1e-9
-        result = runner.invoke(main, ["asym", "--t", "1", "--t", "1e7"])
-        assert result.exit_code == 2
-        assert isinstance(result.exception, SystemExit)
-        assert "p = 10000000 " in result.output
-        assert "Traceback" not in result.output
+        assert result.output == (
+            f"error: asym cannot resolve S(t) at t = {shown}: a float holds its log too "
+            "coarsely for the accuracy 1e-09 every result keeps\n"
+        )
 
 
 class TestWTable:
@@ -633,23 +625,28 @@ class TestEnvironmentOverrides:
         result = runner.invoke(main, ["gen", "--family", "exp", "--nmax", "10"])
         assert result.exit_code == 2
 
-    def test_rel_tol_env(self, runner, monkeypatch):
-        monkeypatch.setenv("MOMENTDET_REL_TOL", "1e-6")
-        result = runner.invoke(main, ["gen", "--family", X11, "--nmax", "10"])
-        assert result.exit_code == 0
-
-    def test_bad_rel_tol_env_exits_2(self, runner, monkeypatch):
+    def test_a_tolerance_variable_is_not_read(self, runner, monkeypatch):
+        # every integral keeps one fixed accuracy, so no variable sets a tolerance
+        args = ["gen", "--family", X11, "--nmax", "10"]
+        default = runner.invoke(main, args)
         monkeypatch.setenv("MOMENTDET_REL_TOL", "tight")
-        result = runner.invoke(main, ["gen", "--family", X11, "--nmax", "10"])
+        result = runner.invoke(main, args)
+        assert (result.exit_code, result.output) == (0, default.output)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gen", "--family", "exp", "--nmax", "10"],
+            ["paper-table"],
+            ["asym", "--t", "100"],
+            ["gamma-derivs", "--nmax", "5"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_a_tolerance_option_is_a_usage_error(self, runner, args):
+        result = runner.invoke(main, [*args, "--rel-tol", "1e-9"])
         assert result.exit_code == 2
-
-    def test_flag_beats_env(self, runner, monkeypatch):
-        # the flag short-circuits resolution, so a bogus env value is ignored
-        monkeypatch.setenv("MOMENTDET_REL_TOL", "tight")
-        result = runner.invoke(
-            main, ["gen", "--family", X11, "--nmax", "10", "--rel-tol", "1e-8"]
-        )
-        assert result.exit_code == 0
+        assert "error: unrecognized arguments: --rel-tol 1e-9\n" in result.output
 
 
 class TestTopLevel:
@@ -689,10 +686,22 @@ main(["check", "--in", {str(tmp_path / "x11.json")!r}])
         assert result.returncode == 2
         assert "unrecognized family 'δ'".encode() in result.stderr
 
+    def test_streams_are_switched_to_utf8_in_process(self, monkeypatch):
+        # the same switch on streams this process holds: stderr names δ in UTF-8
+        streams = [io.TextIOWrapper(io.BytesIO(), encoding="latin-1") for _ in range(2)]
+        monkeypatch.setattr(sys, "stdout", streams[0])
+        monkeypatch.setattr(sys, "stderr", streams[1])
+        with pytest.raises(SystemExit) as info:
+            main(["gen", "--family", "δ", "--nmax", "10"])
+        assert info.value.code == 2
+        assert [stream.encoding for stream in streams] == ["utf-8", "utf-8"]
+        streams[1].flush()
+        assert "unrecognized family 'δ'".encode() in streams[1].buffer.getvalue()
+
     def test_ctrl_c_aborts_with_exit_1(self, runner, monkeypatch):
         import momentdet.moments as moments_mod
 
-        def interrupted(p, rel_tol):
+        def interrupted(p):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(moments_mod, "log_power_integral", interrupted)

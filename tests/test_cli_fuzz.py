@@ -24,7 +24,6 @@ numbers = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.sampled_from(["nan", "-inf", "inf", "0", "-1", "5e-324", "1e-310", "1e308", "-0.0"]),
 )
-rel_tols = st.one_of(numbers, st.floats(1e-13, 1e-3).map(repr))
 t_values = st.one_of(numbers, st.floats(0.0, 1e4).map(repr))
 
 pairs = st.lists(
@@ -102,20 +101,15 @@ ARGS = {
     "gen": st.tuples(
         option("--family", families),
         option("--nmax", nmax),
-        optional("--rel-tol", rel_tols),
         outputs("json", "csv"),
     ),
-    "paper-table": st.tuples(optional("--rel-tol", rel_tols), outputs("human", "json", "csv")),
-    "asym": st.tuples(
-        repeated("--t", t_values), optional("--rel-tol", rel_tols), outputs("human", "csv")
-    ),
+    "paper-table": st.tuples(outputs("human", "json", "csv")),
+    "asym": st.tuples(repeated("--t", t_values), outputs("human", "csv")),
     "wtable": st.tuples(
         repeated("--t", st.one_of(t_values, st.just("e"), st.text(max_size=8))),
         outputs("human", "csv"),
     ),
-    "gamma-derivs": st.tuples(
-        option("--nmax", nmax), optional("--rel-tol", rel_tols), outputs("human", "csv")
-    ),
+    "gamma-derivs": st.tuples(option("--nmax", nmax), outputs("human", "csv")),
 }
 
 

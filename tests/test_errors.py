@@ -32,7 +32,6 @@ from momentdet import (
     lognormal_moments,
     parse_family,
     saddle_point,
-    validate_rel_tol,
     verify_laplace_conditions,
     w_frac_diff,
     w_ratio_power,
@@ -61,7 +60,6 @@ CALLS = {
     "asymptotic_kn r": lambda huge: asymptotic_kn(3, huge),
     "asymptotic_kn n": lambda huge: asymptotic_kn(huge, 0.5),
     "QFunction.power": QFunction.power,
-    "validate_rel_tol": validate_rel_tol,
     "SignedLogValue from_log": SignedLogValue.from_log,
     "SignedLogValue logmag": lambda huge: SignedLogValue(1, huge),
     "SignedLogValue negative logmag": lambda huge: SignedLogValue(-1, -huge),
@@ -75,14 +73,6 @@ CALLS = {
     "log_power_integral": log_power_integral,
     "integrate_unit_log_power": integrate_unit_log_power,
     "gamma_derivative": gamma_derivative,
-    "validate_rel_tol of integrate_logweighted": lambda huge: integrate_logweighted(1.0, huge),
-    "validate_rel_tol of log_power_integral": lambda huge: log_power_integral(1.0, huge),
-    "validate_rel_tol of integrate_unit_log_power": lambda huge: integrate_unit_log_power(1, huge),
-    "validate_rel_tol of gamma_derivative": lambda huge: gamma_derivative(1, huge),
-    # a family with no factor r > 0 evaluates no S(p), yet checks rel_tol
-    "validate_rel_tol of generate_moments": (
-        lambda huge: generate_moments(parse_family("exp"), 10, rel_tol=huge)
-    ),
 }
 
 #: The one CALLS case that negates its argument, which "abc" and None cannot be.

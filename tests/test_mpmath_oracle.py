@@ -122,13 +122,11 @@ def test_gamma_derivative_error_within_its_estimate():
         assert abs(res.value.logmag - ref) <= res.est_rel_error + EPS * max(1.0, abs(ref)), n
 
 
-# -- every estimate against its true error, at every tolerance ------------------
+# -- every estimate against its true error, and the refusals past the accuracy --
 
-REL_TOLS = [1e-4, 1e-6, 1e-9, 1e-12]
-
-#: (p, rel_tol) where eps·|log S(p)| alone exceeds rel_tol, so the floored
-#: estimate raises DomainError: log S(4000) ≈ 6829, an estimate ≈ 1.5e-12.
-FLOORED = {(4000.0, 1e-12)}
+#: Orders of S refused at the package's accuracy of 1e-9: the floored estimate
+#: eps·(4 + |log S(p)|) exceeds it from p ≈ 1.88e6 on (log S(2e6) ≈ 4.8e6).
+FLOORED = [2e6, 1e7]
 
 #: Orders of the unit integral, checked against Γ⁽ⁿ⁾(1) − e⁻¹·S(n).
 UNIT_ORDERS = [0, 1, 2, 3, 5, 10, 30, 60, 100, 150, 200]
@@ -141,37 +139,35 @@ def true_error(logmag: float, reference) -> float:
         return float(abs(mp.mpf(logmag) - reference))
 
 
-@pytest.mark.parametrize("rel_tol", REL_TOLS)
-def test_s_estimate_covers_true_error(rel_tol):
-    for p in P_VALUES:
-        if (p, rel_tol) in FLOORED:
-            with pytest.raises(DomainError, match="floored error estimate"):
-                integrate_logweighted(p, rel_tol)
-            continue
-        res = integrate_logweighted(p, rel_tol)
-        assert true_error(res.value.logmag, mp_log_s_exact(p)) <= res.est_rel_error, p
+@pytest.mark.parametrize("p", P_VALUES)
+def test_s_estimate_covers_true_error(p):
+    res = integrate_logweighted(p)
+    assert true_error(res.value.logmag, mp_log_s_exact(p)) <= res.est_rel_error
 
 
-@pytest.mark.parametrize("rel_tol", REL_TOLS)
-def test_gamma_estimate_covers_true_error(rel_tol):
+@pytest.mark.parametrize("p", FLOORED)
+def test_s_past_the_accuracy_is_refused(p):
+    with pytest.raises(DomainError, match=f"p = {p:.17g} has a floored error estimate"):
+        integrate_logweighted(p)
+
+
+def test_gamma_estimate_covers_true_error():
     for n, value in enumerate(mp_gamma_values()):
-        res = gamma_derivative(n, rel_tol)
+        res = gamma_derivative(n)
         assert res.value.sign == int(mp.sign(value)), n
         with mp.workdps(30):
             ref = mp.log(abs(value))
         assert true_error(res.value.logmag, ref) <= res.est_rel_error, n
 
 
-@pytest.mark.parametrize("rel_tol", REL_TOLS)
-def test_unit_estimate_covers_true_error(rel_tol):
-    gammas = mp_gamma_values()
-    for n in UNIT_ORDERS:
-        with mp.workdps(30):
-            unit = gammas[n] - mp_s(float(n)) / mp.e
-            ref = mp.log(abs(unit))
-        res = integrate_unit_log_power(n, rel_tol)
-        assert res.value.sign == int(mp.sign(unit)) == (-1) ** n, n
-        assert true_error(res.value.logmag, ref) <= res.est_rel_error, n
+@pytest.mark.parametrize("n", UNIT_ORDERS)
+def test_unit_estimate_covers_true_error(n):
+    with mp.workdps(30):
+        unit = mp_gamma_values()[n] - mp_s(float(n)) / mp.e
+        ref = mp.log(abs(unit))
+    res = integrate_unit_log_power(n)
+    assert res.value.sign == int(mp.sign(unit)) == (-1) ** n
+    assert true_error(res.value.logmag, ref) <= res.est_rel_error
 
 
 @lru_cache(maxsize=None)
@@ -183,45 +179,42 @@ def mp_log_unit_series(n: int):
         return mp.loggamma(n + 1) + mp.log(sigma)
 
 
-def assert_unit_estimate_covers_series(n: int, rel_tol: float) -> None:
+def assert_unit_estimate_covers_series(n: int) -> bool:
     """The unit integral's estimate covers its true error, or, where the
-    floored estimate eps·(4 + |log|) exceeds rel_tol, DomainError says so."""
+    floored estimate eps·(4 + |log|) exceeds the accuracy 1e-9, DomainError
+    says so; whether it was refused."""
     ref = mp_log_unit_series(n)
-    if EPS * (4.0 + abs(float(ref))) > rel_tol:
+    if EPS * (4.0 + abs(float(ref))) > 1e-9:
         with pytest.raises(DomainError, match=f"p = {n} has a floored error estimate"):
-            integrate_unit_log_power(n, rel_tol)
-        return
-    res = integrate_unit_log_power(n, rel_tol)
+            integrate_unit_log_power(n)
+        return True
+    res = integrate_unit_log_power(n)
     assert res.value.sign == (-1) ** n, n
     assert true_error(res.value.logmag, ref) <= res.est_rel_error, n
+    return False
 
 
-@pytest.mark.parametrize("rel_tol", REL_TOLS)
-def test_unit_series_estimate_covers_true_error(rel_tol):
+def test_unit_series_estimate_covers_true_error():
     for n in [*range(401), 1000, 5000]:
-        assert_unit_estimate_covers_series(n, rel_tol)
+        assert not assert_unit_estimate_covers_series(n)
 
 
 #: Orders from 401 to 1e9, log-spaced, and both sides of the ln k! table's end.
 LARGE_UNIT_ORDERS = sorted({*np.geomspace(401, 1e9, 40).round().astype(int).tolist(), 8192, 8193})
 
 
-@pytest.mark.parametrize("rel_tol", [1e-3, 1e-6])
-def test_large_unit_orders_estimate_covers_true_error(rel_tol):
-    for n in LARGE_UNIT_ORDERS:
-        assert_unit_estimate_covers_series(n, rel_tol)
+@pytest.mark.parametrize("n", LARGE_UNIT_ORDERS)
+def test_large_unit_orders_estimate_covers_true_error(n):
+    # refused from n ≈ 3.8e5 on, and only there
+    assert assert_unit_estimate_covers_series(n) == (n > 3.8e5)
 
 
-@pytest.mark.parametrize("rel_tol", REL_TOLS)
-def test_mixed_batch_within_scalar_estimates(rel_tol):
+def test_mixed_batch_within_scalar_estimates():
     # unsorted, with repeats; a floored order raises for the whole batch, naming the lowest
     batch = P_VALUES[::-1] + P_VALUES[::4]
-    floored = sorted(p for p in batch if (p, rel_tol) in FLOORED)
-    if floored:
-        with pytest.raises(DomainError, match=f"p = {floored[0]:g} "):
-            log_power_integral(np.array(batch), rel_tol)
-        batch = [p for p in batch if p not in floored]
-    got = log_power_integral(np.array(batch), rel_tol)
+    with pytest.raises(DomainError, match=f"p = {FLOORED[0]:.17g} "):
+        log_power_integral(np.array(FLOORED[::-1] + batch))
+    got = log_power_integral(np.array(batch))
     for p, lg in zip(batch, got):
-        est = integrate_logweighted(p, rel_tol).est_rel_error
+        est = integrate_logweighted(p).est_rel_error
         assert true_error(float(lg), mp_log_s_exact(p)) <= est, p

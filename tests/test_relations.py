@@ -5,31 +5,51 @@ decisive one (a move to ``inconclusive`` is allowed).
 * ``symroot`` stores the base family's moments, m_n of X at entry n, as
   the even moments m_{2n} of its symmetric root; Carleman's series is the
   same, so its verdict and diagnostics are the base family's exactly.
-* The verdicts describe the family, not the quadrature that generated
-  its moments, so generating at rel_tol 1e-3 or 1e-5 instead of the
-  default must not move one.
+* A point mass at 0 mixed in, (1 − C)·δ₀ + C·X, gives m_n → C·m_n for
+  n ≥ 1 and leaves every condition as it was (ROADMAP item 5).  Growth
+  with q ≡ 1 and with q = ln n keeps its verdicts at C = 1e-12.  Carleman
+  and Hardy do not yet: their tests are strict xfails naming the items
+  that should mend them (1 and 15, and 2).
 """
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from momentdet import SATISFIED, VIOLATED, analyze, check_carleman, generate_from_label
+from momentdet import (
+    SATISFIED,
+    VIOLATED,
+    MomentSequence,
+    QFunction,
+    check_carleman,
+    check_growth_rate,
+    check_hardy,
+)
 
-#: Families across the verdicts: stock, p ≠ 1, the two-factor grid's
-#: corners and middle, a c > 1 factor and a symmetric root.
-FAMILIES = [
+#: Item 5's 71 families: the 66 unit-δ two-factor families with r₁ ≤ r₂ in
+#: {0, 0.1, ..., 1}, and five more.
+_R = [round(0.1 * i, 1) for i in range(11)]
+POINT_MASS_FAMILIES = [
+    *(f"product[(1,{r1:g}),(1,{r2:g})]" for i, r1 in enumerate(_R) for r2 in _R[i:]),
     "exp",
     "exp2",
     "product[(2,1)]",
     "product[(1.5,0.5)]",
-    "product[(1,1),(1,1)]",
-    "product[(1,0),(1,0.3)]",
-    "product[(1,0.5),(1,0.7)]",
     "product[(1,1),(1,1),(0,0.4)]",
-    "symroot[(1,1),(1,1)]",
-    "product[(1,0.2),(1,1)]",
 ]
+
+#: The mass C of X in the mixture.
+POINT_MASS_C = 1e-12
+
+#: The checkers of an ``analyze`` report on positive support, by criterion name.
+CHECKERS = {
+    "carleman": check_carleman,
+    "growth_rate": lambda seq: check_growth_rate(seq, QFunction.one()),
+    "growth_rate_q": lambda seq: check_growth_rate(seq, QFunction.log()),
+    "hardy": check_hardy,
+}
 
 
 @pytest.mark.parametrize("n_max", [200, 1000])
@@ -40,14 +60,36 @@ def test_symroot_has_the_base_carleman_verdict(seqs, factors, n_max):
     assert root.to_dict() == base.to_dict()
 
 
-@pytest.mark.parametrize("rel_tol", [1e-3, 1e-5])
-@pytest.mark.parametrize("n_max", [200, 1000])
-def test_generation_tolerance_moves_no_verdict_to_its_opposite(seqs, n_max, rel_tol):
+def _with_point_mass(seq: MomentSequence) -> MomentSequence:
+    """``seq`` mixed with a point mass at 0: every entry from 1 on times POINT_MASS_C."""
+    logs = seq.log_moments.copy()
+    logs[1:] += math.log(POINT_MASS_C)
+    return MomentSequence(seq.support, logs)
+
+
+def _xfail(n_max: int, checker: str, reason: str):
+    mark = pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+    return pytest.param(n_max, checker, marks=mark)
+
+
+_CARLEMAN = "ROADMAP items 1 and 15: the mass adds -ln C/(2n) to ln a_n, which Carleman's fit reads"
+_HARDY = "ROADMAP item 2: the mass adds ln C/n to Hardy's b_n, which its fit reads"
+
+
+@pytest.mark.parametrize(
+    "n_max, checker",
+    [
+        *((n_max, checker) for n_max in (200, 1000) for checker in ("growth_rate", "growth_rate_q")),
+        *(_xfail(n_max, "carleman", _CARLEMAN) for n_max in (200, 1000)),
+        *(_xfail(n_max, "hardy", _HARDY) for n_max in (200, 1000)),
+    ],
+)
+def test_a_point_mass_at_zero_moves_no_verdict_to_its_opposite(seqs, n_max, checker):
+    check = CHECKERS[checker]
     flipped = []
-    for label in FAMILIES:
-        loose = analyze(generate_from_label(label, n_max, rel_tol=rel_tol))["verdicts"]
-        for tight, other in zip(analyze(seqs(label, n_max))["verdicts"], loose):
-            assert tight["criterion"] == other["criterion"]
-            if {tight["status"], other["status"]} == {SATISFIED, VIOLATED}:
-                flipped.append(f"{label} {tight['criterion']}: {tight['status']} -> {other['status']}")
+    for label in POINT_MASS_FAMILIES:
+        seq = seqs(label, n_max)
+        before, after = check(seq).status, check(_with_point_mass(seq)).status
+        if {before, after} == {SATISFIED, VIOLATED}:
+            flipped.append(f"{label}: {before} -> {after}")
     assert not flipped, "\n".join(flipped)
