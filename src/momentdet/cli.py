@@ -271,7 +271,7 @@ def cmd_asym(t_values: list[float], fmt: str, out: str) -> None:
         # the library's S(t), exact to float rounding; it extends the saddle terms
         # of the estimates, so the tests check its column against mpmath
         try:
-            log_s = float(_log_s(np.float64(t))[0])
+            log_s = float(_log_s(np.float64(t)))
         except DomainError as exc:
             raise DomainError(
                 f"asym cannot resolve S(t) at t = {t:.17g}: a float holds its log too "
@@ -333,7 +333,7 @@ def cmd_gamma_derivs(nmax: int, fmt: str, out: str) -> None:
         "unit_bracket_hi",
         "unit_bracket_ok",
     ]
-    (signs, logs, _, _), (unit_logs, _, _) = _log_gamma(np.arange(nmax + 1.0))
+    signs, logs, unit_logs, _ = _log_gamma(np.arange(nmax + 1.0))
     rows = []
     for n, sign, log, unit_log in zip(
         range(nmax + 1), signs.astype(int).tolist(), logs.tolist(), unit_logs.tolist()

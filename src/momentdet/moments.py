@@ -46,6 +46,7 @@ sequence, or the same SequenceError, from the same text.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import re
@@ -245,6 +246,15 @@ def _check_n_max(n_max, lowest: int, requires: str) -> int:
     return n_max
 
 
+def _refusal(row: np.ndarray) -> DomainError | None:
+    """The DomainError S(p) raises for the orders p > 0 of ``row``, if any."""
+    try:
+        log_power_integral(row[row > 0.0])
+    except DomainError as exc:
+        return exc
+    return None
+
+
 def generate_moments(family: FamilySpec, n_max: int) -> MomentSequence:
     """Generate the moment sequence of a product family up to order n_max.
 
@@ -264,16 +274,18 @@ def generate_moments(family: FamilySpec, n_max: int) -> MomentSequence:
         try:
             log_s[positive] = log_power_integral(unique_ps)[inverse]
         except DomainError:
-            # name the lowest order whose own integrals fail (order 0 has none)
-            for n, row in zip(orders[1:], ps[1:]):
-                try:
-                    log_power_integral(row[row > 0.0])
-                except DomainError as exc:
-                    raise type(exc)(
-                        f"while generating moment of order {_format_number(n)} "
-                        f"for {family.label!r}: {exc}"
-                    ) from exc
-            raise
+            # name the lowest order whose own integrals fail (order 0 has none): S(p) is
+            # refused from some p on and each row's p grow with the order, so the last
+            # row tells whether any order fails, and bisection finds the lowest
+            if _refusal(ps[-1]) is None:
+                raise
+            n = bisect.bisect_left(range(n_max + 1), True, lo=1, hi=n_max,
+                                   key=lambda i: _refusal(ps[i]) is not None)
+            exc = _refusal(ps[n])
+            raise type(exc)(
+                f"while generating moment of order {_format_number(orders[n])} "
+                f"for {family.label!r}: {exc}"
+            ) from exc
     logs = np.zeros(orders.size)
     for j, (d, _) in enumerate(family.factors):
         logs = logs + list(map(math.lgamma, (d * orders + 1.0).tolist())) + log_s[:, j]

@@ -50,15 +50,20 @@ shared with the series) leave over, and on [0, 1] one of ln S(p)/p, so
 that ln S(0) is exactly 0.  Every S(p) of the package, the CLI ``asym``'s
 included, comes from ``_log_s``.
 
-Error estimates are floored at eps·(4 + |log value|), the rounding of a
-log-magnitude summed and held in a float, so that no estimate claims an
-error of zero; the unit integral's series and S's table and saddle-point
-series, exact to rounding, report that floor alone.  Every result keeps
-one fixed accuracy, 1e-9 relative (``_ACCURACY``): DomainError is raised
-wherever a floored estimate exceeds it, for S(p) from p ≈ 1.88e6 on and
-for the unit integral (so for Γ⁽ⁿ⁾(1) too) from n ≈ 3.8e5 on.  Where the
-float rounding of S's log-integrand at its peak reaches 60 nats
-(p ≳ 1e17), it is raised before any series term is taken.
+The private paths return values only: ``_log_s``, its three pieces and
+``_log_unit`` the log, ``_log_gamma`` the sign and log of Γ⁽ⁿ⁾(1) with
+the logs of its two pieces.  The unit integral's series and S's table
+and saddle-point series are exact to rounding, so a result's error
+estimate is the floor eps·(4 + |log value|), the rounding of a
+log-magnitude summed and held in a float, which depends on the log alone:
+the public functions take it once per ``QuadratureResult``, and Γ⁽ⁿ⁾(1)
+adds its two pieces' absolute errors.  Every result keeps one fixed
+accuracy, 1e-9 relative (``_ACCURACY``): DomainError is raised wherever
+that floor exceeds it, for S(p) from p ≈ 1.88e6 on and for the unit
+integral (so for Γ⁽ⁿ⁾(1) too) from n ≈ 3.8e5 on, naming the lowest such
+order (``_lowest_refused``).  Where the float rounding of S's log-integrand at
+its peak reaches 60 nats (p ≳ 1e17), it is raised before any series term
+is taken.
 """
 
 from __future__ import annotations
@@ -82,10 +87,10 @@ __all__ = [
 ]
 
 #: The relative accuracy every result keeps: an order whose floored error
-#: estimate exceeds it is refused (``_floor_within``).
+#: estimate exceeds it is refused (``_within_accuracy``).
 _ACCURACY = 1e-9
 
-#: S(p) is refused (``_check_window``) where the float rounding of its
+#: S(p) is refused (``_saddle``) where the float rounding of its
 #: log-integrand at the peak, eps·|peak log|, reaches this many nats, from
 #: p ≈ 1e17 on: a float then no longer resolves the bulk of the integrand,
 #: the 60 nats below its peak that hold all but e^{−60} of its mass.  The
@@ -110,10 +115,13 @@ _Floats = np.float64 | np.ndarray
 class QuadratureResult:
     """An integral value with its error estimate and term count.
 
-    ``nodes_used`` counts the terms its series or table summed: the unit
-    integral its 20, S(p) from p = 61 on its 8 correction terms and below
-    that the 24 coefficients of its table row.  Γ⁽ⁿ⁾(1) reports the unit
-    integral's 20 plus those of S(n).
+    Every value is exact to float rounding, so ``est_rel_error`` is the
+    floor eps·(4 + |log|) of its log alone (``_floor_error``), which the
+    public functions take once per result; Γ⁽ⁿ⁾(1) adds the absolute
+    errors of its two floored pieces.  ``nodes_used`` counts the terms its
+    series or table summed: the unit integral its 20, S(p) from p = 61 on
+    its 8 correction terms and below that the 24 coefficients of its table
+    row.  Γ⁽ⁿ⁾(1) reports the unit integral's 20 plus those of S(n).
     """
 
     value: SignedLogValue
@@ -155,51 +163,40 @@ def _whole(ufunc: np.ufunc, x):
     return x if x.ndim == 0 else ufunc.reduce(x, axis=None)
 
 
-def _scalar_result(sign: int, log, est, nodes) -> QuadratureResult:
-    """The QuadratureResult of one order's (log, est, nodes) scalars, built
-    from an int sign, float log and estimate and int term count: the types
-    whose invariant checks the constructors make without converting."""
-    return QuadratureResult(SignedLogValue(sign, float(log)), float(est), int(nodes))
+def _scalar_result(sign: int, log, est, nodes: int) -> QuadratureResult:
+    """The QuadratureResult of one order's log and estimate, built from an
+    int sign, float log and estimate and int term count: the types whose
+    invariant checks the constructors make without converting."""
+    return QuadratureResult(SignedLogValue(sign, float(log)), float(est), nodes)
 
 
-def _floor_error(est, logmag):
-    """An error estimate no smaller than the float rounding of ``logmag``:
-    _LOG_ROUNDING eps for the sum and its log, plus eps·|logmag|, the
-    resolution of the log itself."""
-    return np.maximum(est, _EPS * (_LOG_ROUNDING + abs(logmag)))
+def _floor_error(logmag):
+    """The error estimate of a log-integral ``logmag`` exact to float
+    rounding: _LOG_ROUNDING eps for the sum and its log, plus eps·|logmag|,
+    the resolution of the log itself."""
+    return _EPS * (_LOG_ROUNDING + abs(logmag))
 
 
-def _floor_within(p: _Floats, est: _Floats, total: _Floats) -> _Floats:
-    """``_floor_error(est, total)`` for the log-integrals ``total`` of orders
-    ``p``; raises DomainError, naming the lowest such p, where it exceeds
+def _lowest_refused(held, orders: _Floats):
+    """The flat index of the lowest of ``orders`` where ``held`` is false,
+    or None where it holds for all; the accepted path takes one ``_all``."""
+    return None if _all(held) else int(np.argmin(np.where(held, np.inf, orders), axis=None))
+
+
+def _within_accuracy(orders: _Floats, arg: str, logs: _Floats) -> _Floats:
+    """``logs``, the log-integrals of ``orders``; raises DomainError, naming
+    the lowest order (called ``arg``) whose floored estimate exceeds
     _ACCURACY."""
-    est = _floor_error(est, total)
-    if not _all(est <= _ACCURACY):
-        p, est, total = np.atleast_1d(p, est, total)
-        i = np.argmin(np.where(est <= _ACCURACY, np.inf, p))
-        raise DomainError(
-            f"the integral for p = {p[i]:.17g} has a floored error estimate {est[i]:.2g} "
-            f"above {_ACCURACY:g}, the accuracy every result keeps (its log, {total[i]:.6g}, "
-            "is too coarse in a float)"
-        )
-    return est
+    est = _floor_error(logs)
+    if (i := _lowest_refused(est <= _ACCURACY, orders)) is not None:
+        raise DomainError(f"the integral for {arg} = {np.ravel(orders)[i]:.17g} has a floored "
+                          f"error estimate {np.ravel(est)[i]:.2g} above {_ACCURACY:g}, the "
+                          f"accuracy every result keeps (its log, {np.ravel(logs)[i]:.6g}, is "
+                          "too coarse in a float)")
+    return logs
 
 
 # -- S(p) -----------------------------------------------------------------------
-
-
-def _check_window(p: _Floats, peak_log: _Floats) -> None:
-    """DomainError, naming the lowest such p, where the float rounding of
-    the log-integrand at its peak, eps·|peak log|, reaches _PEAK_ROUNDING
-    nats."""
-    held = _EPS * abs(peak_log) < _PEAK_ROUNDING
-    if not _all(held):
-        p, peak_log, held = np.atleast_1d(p, peak_log, held)
-        i = np.argmin(np.where(held, np.inf, p))
-        raise DomainError(
-            f"the integrand for p = {p[i]:.17g} peaks at log {peak_log[i]:.6g}, which a float "
-            f"rounds by {_PEAK_ROUNDING:g} nats or more"
-        )
 
 
 _TWO_PI = 2.0 * math.pi
@@ -210,9 +207,10 @@ def _saddle(p: _Floats) -> tuple[_Floats, _Floats]:
     ½·ln(2πp/(1+W)), for p ≥ 1, a scalar or an array; the terms in
     np.longdouble.
 
-    p·ln W − (e^W − 1) is the log-integrand at the peak, which
-    ``_check_window`` checks before the last term is taken (2πp overflows
-    near the float maximum).  The terms are evaluated at W from
+    p·ln W − (e^W − 1) is the log-integrand at the peak: DomainError, naming
+    the lowest such p, where its float rounding eps·|peak log| reaches
+    _PEAK_ROUNDING nats, checked before the last term is taken (2πp
+    overflows near the float maximum).  The terms are evaluated at W from
     ``lambertw._halley``, whose rounding they feel only to second order
     (their derivative in W, p/W − e^W, is 0 at W(p)), and in np.longdouble,
     for the caller to round to a float once with its correction: in
@@ -223,13 +221,17 @@ def _saddle(p: _Floats) -> tuple[_Floats, _Floats]:
     w = _halley(p, np)
     wide = w.astype(np.longdouble)
     peak_log = p * np.log(wide) - np.expm1(wide)
-    _check_window(p, peak_log)
+    if (i := _lowest_refused(_EPS * abs(peak_log) < _PEAK_ROUNDING, p)) is not None:
+        raise DomainError(f"the integrand for p = {np.ravel(p)[i]:.17g} peaks at log "
+                          f"{np.ravel(peak_log)[i]:.6g}, which a float rounds by "
+                          f"{_PEAK_ROUNDING:g} nats or more")
     return w, peak_log + 0.5 * np.log(_TWO_PI * p / (1.0 + wide))
 
 
 #: Orders from this on take the saddle-point series: the least integer p
 #: from which its first term left out, d₉(v)·p⁻⁹, stays within a quarter
-#: of the floor eps·(4 + |log S(p)|) (``tests/test_series.py``).
+#: of the floor eps·(4 + |log S(p)|), as it does up to the refusal at
+#: p ≈ 1.88e6 (``tests/test_series.py``).
 _SERIES_FROM = 61.0
 
 #: ln S(p) = p·ln W − (e^W − 1) + ½·ln(2πp/(1+W)) + Σₘ dₘ(v)·p⁻ᵐ, with
@@ -238,9 +240,10 @@ _SERIES_FROM = 61.0
 #: Olver, Asymptotics and Special Functions, 1974, ch. 3).  One row
 #: "Cₘ: Nₘ" per m, with dₘ·p⁻ᵐ = Nₘ(v)·yᵐ/Cₘ, y = 1/(v·(1+v)³·p), and
 #: Nₘ's integer coefficients from v⁰ up; text, which compiles in a small
-#: fraction of the time a tuple of these 165 ints takes.  The first
-#: _SERIES_TERMS rows are summed and the next one, doubled, is the
-#: truncation estimate.  ``tests/test_series.py`` re-derives the table in
+#: fraction of the time a tuple of these 128 ints takes.  Every row is
+#: summed: the next term stays within a quarter of the floor wherever the
+#: series runs (``_SERIES_FROM``), so the estimate is the floor alone.
+#: ``tests/test_series.py`` re-derives the table, and the next term, in
 #: exact rationals.
 _SERIES = (
     "24: 2 9 16 6 2",
@@ -263,17 +266,8 @@ _SERIES = (
     " -314202992051050 -219685183352818 48221317857097 401124310562753 672295813589264"
     " 729072132780144 555377864264448 268859822378240 86848937201664 113411430406656"
     " 109388379709440 -32247014768640",
-    "367873228800: 309657600 8500654080 34203193344 -1062970618368 -18081314661888"
-    " -143887850794304 -706001060654208 -2180775799386624 -3171995137533024"
-    " 6891664677743120 60943555934342464 221060643182558872 551532593819894200"
-    " 1044395224235690528 1544179768322266264 1772829300506118100 1502022663190403078"
-    " 757802490311360373 -149034567373286144 -827371495714460224 -1047423002698594688"
-    " -806760937454736832 -312785605474488320 9673087182108672 -94918447369543680"
-    " -174023845273681920 40015944157593600 1451310981120000 687463096320000"
-    " 274985238528000 91661746176000 24998658048000 5434490880000 905748480000"
-    " 108689817600 8360755200 309657600",
 )
-_SERIES_TERMS = 8
+_SERIES_TERMS = len(_SERIES)
 #: Orders whose series terms are evaluated together, which bounds the temporaries.
 _SERIES_CHUNK = 512
 
@@ -294,10 +288,9 @@ def _series_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return arrays
 
 
-def _log_s_series(p: _Floats) -> tuple[_Floats, _Floats, int]:
-    """(log S(p), estimated relative error, terms summed) by the saddle-point
-    series, for p ≥ _SERIES_FROM, a scalar or an array; the estimate is not
-    floored.
+def _log_s_series(p: _Floats) -> _Floats:
+    """log S(p) by the saddle-point series, for p ≥ _SERIES_FROM, a scalar
+    or an array.
 
     The terms dₘ(v)·p⁻ᵐ are evaluated _SERIES_CHUNK orders at a time, each
     polynomial in v by np.einsum over its powers, which calls no BLAS: a
@@ -313,8 +306,7 @@ def _log_s_series(p: _Floats) -> tuple[_Floats, _Floats, int]:
         * y[s : s + _SERIES_CHUNK] ** m
         for s in range(0, len(v), _SERIES_CHUNK)
     ])
-    series = np.add.reduce(terms[..., :_SERIES_TERMS], axis=-1)
-    return (saddle + series).astype(float), 2.0 * abs(terms[..., _SERIES_TERMS]), _SERIES_TERMS
+    return (saddle + np.add.reduce(terms, axis=-1)).astype(float)
 
 
 #: Below _SERIES_FROM, ln S(p) comes from this table: one row per interval,
@@ -403,30 +395,28 @@ def _table_fit(row, x: _Floats) -> _Floats:
     return np.einsum("...k,...k->...", x[..., None] ** powers, coefs[row])
 
 
-def _log_s_below_one(p: _Floats) -> tuple[_Floats, float, int]:
-    """(log S(p), 0.0, terms summed) for 0 ≤ p < 1, a scalar or an array:
-    p·g(p) from _S_TABLE's first row, exactly 0 at p = ±0 (+ 0.0 turns the
-    −0.0 of 0.0·g(0), g(0) < 0, into +0.0)."""
-    return p * _table_fit(0, 2.0 * p - 1.0) + 0.0, 0.0, _TABLE_TERMS
+def _log_s_below_one(p: _Floats) -> _Floats:
+    """log S(p) for 0 ≤ p < 1, a scalar or an array: p·g(p) from _S_TABLE's
+    first row, exactly 0 at p = ±0 (+ 0.0 turns the −0.0 of 0.0·g(0),
+    g(0) < 0, into +0.0)."""
+    return p * _table_fit(0, 2.0 * p - 1.0) + 0.0
 
 
-def _log_s_table(p: _Floats) -> tuple[_Floats, float, int]:
-    """(log S(p), 0.0, terms summed) for 1 ≤ p < _SERIES_FROM, a scalar or an
-    array: the saddle terms plus R(p) from _S_TABLE, rounded to a float once.
+def _log_s_table(p: _Floats) -> _Floats:
+    """log S(p) for 1 ≤ p < _SERIES_FROM, a scalar or an array: the saddle
+    terms plus R(p) from _S_TABLE, rounded to a float once.
 
     p = m·2^j with m in [0.5, 1) (np.frexp) lies on the octave
     [2^(j−1), 2^j) of row j, at x = 4m − 3, exactly.
     """
     m, row = np.frexp(p)
-    return (_saddle(p)[1] + _table_fit(row, 4.0 * m - 3.0)).astype(float), 0.0, _TABLE_TERMS
+    return (_saddle(p)[1] + _table_fit(row, 4.0 * m - 3.0)).astype(float)
 
 
-def _log_s(p: _Floats) -> tuple[_Floats, _Floats, _Floats]:
-    """(log S(p), floored estimated relative error, terms summed) for p ≥ 0,
-    a scalar or an array: by ``_log_s_series`` from p = _SERIES_FROM on, by
-    ``_log_s_table`` from 1 and by ``_log_s_below_one`` below.  The series
-    reports its _SERIES_TERMS terms as nodes and the table its _TABLE_TERMS;
-    the table, exact to rounding, reports the floored estimate alone.
+def _log_s(p: _Floats) -> _Floats:
+    """log S(p) for p ≥ 0, a scalar or an array: by ``_log_s_series`` from
+    p = _SERIES_FROM on, by ``_log_s_table`` from 1 and by
+    ``_log_s_below_one`` below.
 
     Raises DomainError, naming the lowest such p of the whole batch, where
     the series' window check fails, and after every piece where a floored
@@ -435,17 +425,21 @@ def _log_s(p: _Floats) -> tuple[_Floats, _Floats, _Floats]:
     if p.ndim == 0:
         piece = (_log_s_series if p >= _SERIES_FROM
                  else _log_s_table if p >= 1.0 else _log_s_below_one)
-        total, est, nodes = piece(p)
-        return total, _floor_within(p, est, total), nodes
-    total, est = np.empty(p.shape), np.empty(p.shape)
-    nodes = np.empty(p.shape, dtype=int)
+        return _within_accuracy(p, "p", piece(p))
+    total = np.empty(p.shape)
     series, below_one = p >= _SERIES_FROM, p < 1.0
     table = ~(series | below_one)
     for rows, piece in ((series, _log_s_series), (table, _log_s_table),
                         (below_one, _log_s_below_one)):
         if rows.any():
-            total[rows], est[rows], nodes[rows] = piece(p[rows])
-    return total, _floor_within(p, est, total), nodes
+            total[rows] = piece(p[rows])
+    return _within_accuracy(p, "p", total)
+
+
+def _s_terms(p) -> int:
+    """The terms S(p) sums: the series' _SERIES_TERMS from p = _SERIES_FROM
+    on and a table row's _TABLE_TERMS below."""
+    return _SERIES_TERMS if p >= _SERIES_FROM else _TABLE_TERMS
 
 
 def integrate_logweighted(p: float) -> QuadratureResult:
@@ -455,7 +449,8 @@ def integrate_logweighted(p: float) -> QuadratureResult:
     to _ACCURACY; the result value is always positive.
     """
     p = _float_arg(p, "integrate_logweighted", "p")  # refuses arrays, as float() does
-    return _scalar_result(1, *_log_s(_checked("integrate_logweighted", p)))
+    log = _log_s(_checked("integrate_logweighted", p))
+    return _scalar_result(1, log, _floor_error(log), _s_terms(p))
 
 
 def log_power_integral(p):
@@ -464,8 +459,8 @@ def log_power_integral(p):
     generation."""
     ps = _checked("log_power_integral", p)
     if ps.ndim == 0:
-        return float(_log_s(ps)[0])
-    return _log_s(ps.ravel())[0].reshape(ps.shape)
+        return float(_log_s(ps))
+    return _log_s(ps.ravel()).reshape(ps.shape)
 
 
 # -- the unit integral and Γ⁽ⁿ⁾(1) ------------------------------------------------
@@ -527,26 +522,23 @@ def _log_factorial(n: _Floats) -> _Floats:
     return np.reshape(logs, n.shape)[()]
 
 
-def _log_unit(n: _Floats) -> tuple[_Floats, _Floats, _Floats]:
-    """(log |∫₀¹ (ln t)^n e^{−t} dt|, estimated relative error, terms summed)
-    for integer n ≥ 0, a scalar or an array; the integral's sign is (−1)^n.
+def _log_unit(n: _Floats) -> _Floats:
+    """log |∫₀¹ (ln t)^n e^{−t} dt| for integer n ≥ 0, a scalar or an array;
+    the integral's sign is (−1)^n.
 
     The magnitude is n!·σₙ, σₙ = Σₖ (−1)^k/(k!·(k+1)^{n+1}), summed over
     its first _UNIT_TERMS terms by one expression for a scalar and an
-    array alike, so both give the same bits.  Exact to rounding, it
-    reports the floored estimate alone, and raises DomainError where that
-    exceeds _ACCURACY.
+    array alike, so both give the same bits.  Raises DomainError where its
+    floored estimate exceeds _ACCURACY.
     """
     # −(n + 1) on the orders, then one column per order against the terms
     sigma = np.add.reduce(_UNIT_COEFS * _UNIT_BASES ** (-(n + 1.0))[..., None], axis=-1)
-    log = _log_factorial(n) + np.log(sigma)
-    return log, _floor_within(n, 0.0, log), np.full(n.shape, _UNIT_TERMS)
+    return _within_accuracy(n, "n", _log_factorial(n) + np.log(sigma))
 
 
 def _log_gamma(n: _Floats):
-    """(sign, log |Γ⁽ⁿ⁾(1)|, estimated relative error, nodes used) for
-    integer n ≥ 0, a scalar or an array, and the ``_log_unit`` columns it
-    was built from.
+    """(sign, log |Γ⁽ⁿ⁾(1)|, log |∫₀¹ (ln t)^n e^{−t} dt|, log S(n)) for
+    integer n ≥ 0, a scalar or an array.
 
     The unit part dominates: |unit| = n!·σₙ ≥ (1 − e^{−1})·n! while
     e^{−1}·S(n) ≤ e^{−1}·n! (ln(1+x) ≤ x), so their ratio r is at most
@@ -554,15 +546,9 @@ def _log_gamma(n: _Floats):
     then has the sign (−1)^n exactly and the log ln|unit| + log1p((−1)^n·r),
     whose argument lies in [−0.59, 0.59].
     """
-    unit_log, unit_est, unit_nodes = unit = _log_unit(n)
-    s_log, s_est, s_nodes = _log_s(n)
-    tail_log = s_log - 1.0
+    unit_log, s_log = _log_unit(n), _log_s(n)
     sign = (-1.0) ** n
-    log = unit_log + np.log1p(sign * np.exp(tail_log - unit_log))
-    # both estimates are floored above 0, so their logs are finite
-    abs_err = np.logaddexp(np.log(unit_est) + unit_log, np.log(s_est) + tail_log)
-    est = _floor_error(np.exp(abs_err - log), log)
-    return (sign, log, est, unit_nodes + s_nodes), unit
+    return sign, unit_log + np.log1p(sign * np.exp(s_log - 1.0 - unit_log)), unit_log, s_log
 
 
 def integrate_unit_log_power(n: int) -> QuadratureResult:
@@ -571,8 +557,8 @@ def integrate_unit_log_power(n: int) -> QuadratureResult:
     Computed as (−1)^n·n!·σₙ by ``_log_unit``, so the returned sign is
     exactly (−1)^n.
     """
-    ns = _checked("integrate_unit_log_power", n, "n", integer=True)
-    return _scalar_result(-1 if n % 2 else 1, *_log_unit(ns))
+    log = _log_unit(_checked("integrate_unit_log_power", n, "n", integer=True))
+    return _scalar_result(-1 if n % 2 else 1, log, _floor_error(log), _UNIT_TERMS)
 
 
 def gamma_derivative(n: int) -> QuadratureResult:
@@ -583,5 +569,10 @@ def gamma_derivative(n: int) -> QuadratureResult:
     catastrophically: the unit part dominates (its magnitude stays within
     [(1 − e^{−1})·n!, n!] while e^{−1}·S(n) ≤ e^{−1}·n!, see ``_log_gamma``).
     """
-    (sign, *gamma), _ = _log_gamma(_checked("gamma_derivative", n, "n", integer=True))
-    return _scalar_result(int(sign), *gamma)
+    sign, log, unit_log, s_log = _log_gamma(_checked("gamma_derivative", n, "n", integer=True))
+    # each piece's floored estimate times its magnitude; both are above 0, so their logs
+    # are finite
+    abs_err = np.logaddexp(np.log(_floor_error(unit_log)) + unit_log,
+                           np.log(_floor_error(s_log)) + (s_log - 1.0))
+    est = max(np.exp(abs_err - log), _floor_error(log))
+    return _scalar_result(int(sign), log, est, _UNIT_TERMS + _s_terms(n))

@@ -96,42 +96,53 @@ def simpson_unit(n: int, n_panels: int = 2**17, u_max: float = 200.0) -> float:
     return _simpson(vals, u[1] - u[0])
 
 
-def _reference_floor(est, log):
-    """An error estimate floored at the float rounding of its log."""
-    return np.maximum(est, _EPS * (_LOG_ROUNDING + np.abs(log)))
+def reference_floor(log):
+    """The error estimate of a log exact to float rounding: eps·(4 + |log|)."""
+    return _EPS * (_LOG_ROUNDING + np.abs(log))
+
+
+def s_terms(p: float) -> int:
+    """The terms S(p) reports as ``nodes_used``: the saddle-point series' 8
+    from p = 61 on, a table row's 24 below."""
+    return 8 if p >= 61.0 else 24
 
 
 def reference_log_unit(n):
-    """(log |∫₀¹ (ln t)^n e^{−t} dt|, floored error estimate, terms) for a
-    1-d float64 array of integer n in 0..8192, as ``quadrature._log_unit``
-    gives them: ln n! from the package's table (its entries are tested on
-    their own) plus ln σₙ, σₙ the sum of the 20 terms (−1)^k/(k!·(k+1)^{n+1})."""
+    """log |∫₀¹ (ln t)^n e^{−t} dt| for a 1-d float64 array of integer n in
+    0..8192, as ``quadrature._log_unit`` gives it: ln n! from the
+    package's table (its entries are tested on their own) plus ln σₙ, σₙ
+    the sum of the 20 terms (−1)^k/(k!·(k+1)^{n+1})."""
     from momentdet.quadrature import _log_factorial_table
 
     coefs = np.array([(-1) ** k / math.factorial(k) for k in range(20)])
     bases = np.arange(1.0, 21.0)
     sigma = (coefs * bases ** -(n[:, None] + 1.0)).sum(axis=1)
-    log = _log_factorial_table(8193)[n.astype(int)] + np.log(sigma)
-    return log, _reference_floor(0.0, log), np.full(n.size, 20)
+    return _log_factorial_table(8193)[n.astype(int)] + np.log(sigma)
 
 
 def reference_log_gamma(n):
-    """(sign, log |Γ⁽ⁿ⁾(1)|, floored error estimate, nodes) for a 1-d float64
-    array of integer n in 0..8192, as ``quadrature._log_gamma`` gives them,
-    with S(n) from the package's ``quadrature._log_s`` (its values are
-    tested against mpmath on their own): (−1)^n·|unit| + e^{−1}·S(n) as
-    the sign (−1)^n and the log ln|unit| + log1p((−1)^n·e^{−1}·S(n)/|unit|),
-    the two pieces' absolute errors added."""
+    """(sign, log |Γ⁽ⁿ⁾(1)|, log |unit|, log S(n)) for a 1-d float64 array
+    of integer n in 0..8192, as ``quadrature._log_gamma`` gives them, with
+    S(n) from the package's ``quadrature._log_s`` (its values are tested
+    against mpmath on their own): (−1)^n·|unit| + e^{−1}·S(n) as the sign
+    (−1)^n and the log ln|unit| + log1p((−1)^n·e^{−1}·S(n)/|unit|)."""
     from momentdet.quadrature import _log_s
 
-    unit_log, unit_est, unit_nodes = reference_log_unit(n)
-    s_log, s_est, s_nodes = _log_s(n)
-    tail_log = s_log - 1.0
+    unit_log = reference_log_unit(n)
+    s_log = _log_s(n)
     sign = (-1.0) ** n
-    log = unit_log + np.log1p(sign * np.exp(tail_log - unit_log))
-    abs_err = np.logaddexp(np.log(unit_est) + unit_log, np.log(s_est) + tail_log)
-    est = _reference_floor(np.exp(abs_err - log), log)
-    return sign, log, est, unit_nodes + s_nodes
+    log = unit_log + np.log1p(sign * np.exp(s_log - 1.0 - unit_log))
+    return sign, log, unit_log, s_log
+
+
+def reference_gamma_error(log, unit_log, s_log):
+    """The estimated relative error of Γ⁽ⁿ⁾(1) from the logs
+    ``reference_log_gamma`` gives: the absolute errors of its two floored
+    pieces added, relative to |Γ⁽ⁿ⁾(1)|, and floored."""
+    tail_log = s_log - 1.0
+    abs_err = np.logaddexp(np.log(reference_floor(unit_log)) + unit_log,
+                           np.log(reference_floor(s_log)) + tail_log)
+    return np.maximum(np.exp(abs_err - log), reference_floor(log))
 
 
 def _reference_fit_slope(x: np.ndarray, y: np.ndarray) -> float:

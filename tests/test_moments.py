@@ -347,6 +347,24 @@ class TestValidationGates:
             generate_from_label("product[(1,0.5),(1,1)]", 20)
         assert str(info.value.__cause__) == "synthetic failure"
 
+    @pytest.mark.parametrize("first", [1, 2, 7, 76_543, 99_999, 100_000])
+    def test_lowest_failing_order_is_bisected(self, monkeypatch, first):
+        # refusal is monotone in p, so the last row and about log₂(n_max) more are
+        # evaluated, not one row per order
+        calls = []
+
+        def fails_from_first(ps):
+            calls.append(len(ps))
+            if (ps >= first).any():
+                raise DomainError("synthetic failure")
+            return ps * 0.0
+
+        monkeypatch.setattr(moments_mod, "log_power_integral", fails_from_first)
+        with pytest.raises(DomainError, match=f"while generating moment of order {first} ") as info:
+            generate_from_label("product[(1,0.5),(1,1)]", 100_000)
+        assert str(info.value.__cause__) == "synthetic failure"
+        assert len(calls) <= 2 * math.log2(100_000)
+
     def test_batch_error_no_order_reproduces_is_raised_unchanged(self, monkeypatch):
         # the batch holds every distinct p, an order at most two of them
         real = moments_mod.log_power_integral

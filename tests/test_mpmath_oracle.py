@@ -185,7 +185,7 @@ def assert_unit_estimate_covers_series(n: int) -> bool:
     says so; whether it was refused."""
     ref = mp_log_unit_series(n)
     if EPS * (4.0 + abs(float(ref))) > 1e-9:
-        with pytest.raises(DomainError, match=f"p = {n} has a floored error estimate"):
+        with pytest.raises(DomainError, match=f"n = {n} has a floored error estimate"):
             integrate_unit_log_power(n)
         return True
     res = integrate_unit_log_power(n)

@@ -21,7 +21,16 @@ from momentdet import (
     log_power_integral,
 )
 
-from .oracles import EULER, reference_log_gamma, reference_log_unit, simpson_s, simpson_unit
+from .oracles import (
+    EULER,
+    reference_floor,
+    reference_gamma_error,
+    reference_log_gamma,
+    reference_log_unit,
+    s_terms,
+    simpson_s,
+    simpson_unit,
+)
 
 # ∫₀^∞ ln(1+x)^p e^{−x} dx, independently computed / published anchors
 S1 = 0.596347362323194
@@ -123,17 +132,17 @@ class TestUnitIntegral:
     def test_orders_across_the_table_batch_as_scalars(self):
         # table entries up to _LOG_FACTORIAL_MAX, Stirling's series above it
         orders = [300_000, 8193, 0, 8192, 8191, 123457, 1]
-        logs, ests, nodes = quadrature._log_unit(np.array(orders, dtype=float))
+        logs = quadrature._log_unit(np.array(orders, dtype=float))
         for i, n in enumerate(orders):
             res = integrate_unit_log_power(n)
             assert res.value == SignedLogValue.from_log(logs[i], sign=(-1) ** n)
-            assert (res.est_rel_error, res.nodes_used) == (ests[i], nodes[i])
+            assert (res.est_rel_error, res.nodes_used) == (reference_floor(logs[i]), 20)
 
     def test_floored_estimate_above_the_accuracy_raises(self):
         # eps·ln(10^9)! ≈ 4.4e-6 is above 1e-9; the batch names its lowest such order
-        with pytest.raises(DomainError, match=r"p = 1000000000 .*above 1e-09"):
+        with pytest.raises(DomainError, match=r"n = 1000000000 .*above 1e-09"):
             integrate_unit_log_power(10**9)
-        with pytest.raises(DomainError, match="p = 300000000 "):
+        with pytest.raises(DomainError, match="n = 300000000 "):
             quadrature._log_unit(np.array([1e9, 5.0, 3e8]))
 
 
@@ -332,33 +341,36 @@ P_SETS = st.lists(
 
 
 class TestRowIndependence:
-    """Each row of a batch is the value its scalar wrapper gives, bit for bit."""
+    """Each row of a batch is the value its scalar wrapper gives, bit for
+    bit, and the public estimate is the floor of the batch's log."""
 
     @given(P_SETS)
     def test_s_batch_equals_scalar_calls(self, ps):
-        logs, ests, nodes = quadrature._log_s(np.array(ps))
+        logs = quadrature._log_s(np.array(ps))
         for i, p in enumerate(ps):
             res = integrate_logweighted(p)
             assert res.value == SignedLogValue.from_log(logs[i])
-            assert (res.est_rel_error, res.nodes_used) == (ests[i], nodes[i])
+            assert (res.est_rel_error, res.nodes_used) == (reference_floor(logs[i]), s_terms(p))
             assert log_power_integral(p) == logs[i]
 
     @given(ORDER_SETS)
     def test_unit_batch_equals_scalar_calls(self, orders):
-        logs, ests, nodes = quadrature._log_unit(np.array(orders, dtype=float))
+        logs = quadrature._log_unit(np.array(orders, dtype=float))
         for i, n in enumerate(orders):
             res = integrate_unit_log_power(n)
             assert res.value == SignedLogValue.from_log(logs[i], sign=(-1) ** n)
-            assert (res.est_rel_error, res.nodes_used) == (ests[i], nodes[i])
+            assert (res.est_rel_error, res.nodes_used) == (reference_floor(logs[i]), 20)
 
     @given(ORDER_SETS)
     def test_gamma_batch_equals_scalar_calls(self, orders):
-        (signs, logs, ests, nodes), (unit_logs, _, _) = quadrature._log_gamma(np.array(orders, dtype=float))
+        signs, logs, unit_logs, s_logs = quadrature._log_gamma(np.array(orders, dtype=float))
+        ests = reference_gamma_error(logs, unit_logs, s_logs)
         for i, n in enumerate(orders):
             res = gamma_derivative(n)
             assert res.value == SignedLogValue.from_log(logs[i], sign=int(signs[i]))
-            assert (res.est_rel_error, res.nodes_used) == (ests[i], nodes[i])
+            assert (res.est_rel_error, res.nodes_used) == (ests[i], 20 + s_terms(n))
             assert integrate_unit_log_power(n).value.logmag == unit_logs[i]
+            assert log_power_integral(n) == s_logs[i]
 
 
 class TestNoWarnings:
@@ -368,8 +380,9 @@ class TestNoWarnings:
     @pytest.mark.parametrize("p", [0.0, -0.0, 5e-324, 1e-320, 0.5, 30.0, 1e5])
     def test_accepted_orders(self, p):
         for ps in (np.float64(p), np.array([p, 1.0])):
-            log, est, nodes = quadrature._log_s(ps)
-            assert np.isfinite(log).all() and np.all(est > 0.0) and np.all(nodes > 0)
+            assert np.isfinite(quadrature._log_s(ps)).all()
+        res = integrate_logweighted(p)
+        assert res.est_rel_error > 0.0 and res.nodes_used > 0
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("p", [1e17, 4.3e32, 1e300, 1.7e308])
@@ -388,6 +401,7 @@ class TestIntegralsMatchReference:
 
     @staticmethod
     def assert_same_bits(integral, reference, orders):
+        """``integral`` and ``reference`` give the same tuple of columns."""
         orders = np.array(orders, dtype=float)
         want = reference(orders)
         for g, w in zip(integral(orders), want, strict=True):
@@ -397,20 +411,46 @@ class TestIntegralsMatchReference:
             for g, w in zip(got, want, strict=True):
                 assert np.ndim(g) == 0 and g.dtype == w.dtype
                 assert g.tobytes() == w[i].tobytes()
+        return want
 
-    @staticmethod
-    def log_gamma(n):
-        return quadrature._log_gamma(n)[0]
+    def check_unit(self, orders):
+        logs = self.assert_same_bits(lambda n: (quadrature._log_unit(n),),
+                                     lambda n: (reference_log_unit(n),), orders)[0]
+        for n, floor in zip(orders, reference_floor(logs).tolist()):
+            res = integrate_unit_log_power(n)
+            assert (res.est_rel_error, res.nodes_used) == (floor, 20)
+
+    def check_gamma(self, orders):
+        _, *logs = self.assert_same_bits(quadrature._log_gamma, reference_log_gamma, orders)
+        for n, est in zip(orders, reference_gamma_error(*logs).tolist()):
+            res = gamma_derivative(n)
+            assert (res.est_rel_error, res.nodes_used) == (est, 20 + s_terms(n))
 
     @given(ORDER_SETS)
     def test_unit(self, orders):
-        self.assert_same_bits(quadrature._log_unit, reference_log_unit, orders)
+        self.check_unit(orders)
 
     @given(ORDER_SETS)
     def test_gamma(self, orders):
-        self.assert_same_bits(self.log_gamma, reference_log_gamma, orders)
+        self.check_gamma(orders)
 
     def test_the_first_orders(self):
         # Γ(1) = 1 from S(0) = 1, and Γ'(1) = −γ, whose two parts have opposite signs
-        self.assert_same_bits(quadrature._log_unit, reference_log_unit, [0, 1])
-        self.assert_same_bits(self.log_gamma, reference_log_gamma, [0, 1])
+        self.check_unit([0, 1])
+        self.check_gamma([0, 1])
+
+
+@pytest.mark.parametrize(
+    "p", [0.0, 5e-324, 0.3, 0.999, 1.0, 7.5, 32.0, 60.999, 61.0, 150.0, 4000.0, 1e5, 1_877_828.0]
+)
+def test_s_estimate_is_the_floor_of_its_log(p):
+    # on each piece: below 1, the table from 1 and the series from 61
+    res = integrate_logweighted(p)
+    assert res.est_rel_error == EPS * (4.0 + abs(res.value.logmag))
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 400, 8192, 8193, 123_457, 300_000])
+def test_unit_estimate_is_the_floor_of_its_log(n):
+    # on both sides of the ln n! table's top, 8192
+    res = integrate_unit_log_power(n)
+    assert res.est_rel_error == EPS * (4.0 + abs(res.value.logmag))

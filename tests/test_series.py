@@ -92,8 +92,8 @@ def test_table_is_the_laplace_coefficients():
     # v, one more than fixes a polynomial of its degree; for even m, Nₘ(0) = 0
     # and Nₘ/v has the degree of dₘ's reduced numerator
     rows = table()
-    assert len(rows) == quadrature._SERIES_TERMS + 1
-    assert [len(num) - 1 for _, num in rows] == [4, 5, 12, 11, 20, 17, 28, 23, 36]
+    assert len(rows) == quadrature._SERIES_TERMS == 8
+    assert [len(num) - 1 for _, num in rows] == [4, 5, 12, 11, 20, 17, 28, 23]
     assert all(num[0] == 0 for _, num in rows[1::2])
     for v in range(1, max(len(num) for _, num in rows) + 2):
         ds = laplace_log_coefficients(Fraction(v), len(rows))
@@ -109,15 +109,45 @@ def test_first_terms_are_the_published_ones():
     assert d2 == -(36 * v**4 + 40 * v**3 + 29 * v**2 + 12 * v + 2) / (48 * v * (1 + v) ** 6)
 
 
+@lru_cache(maxsize=None)
+def ninth_numerator() -> list[Fraction]:
+    """d₉(v)·(v·(1+v)³)⁹, a polynomial of degree 36 in v, as its Newton
+    divided differences on v = 1..37, from ``laplace_log_coefficients`` in
+    exact rationals; a 38th point checks the degree."""
+    values = [laplace_log_coefficients(Fraction(v), 9)[-1] * (v * (1 + v) ** 3) ** 9
+              for v in range(1, 39)]
+    diffs = []
+    for k in range(1, len(values) + 1):
+        diffs.append(values[0])
+        values = [(b - a) / k for a, b in zip(values, values[1:])]
+    assert diffs[-1] == 0 != diffs[-2]
+    return diffs[:-1]
+
+
 def ninth_term(p: float) -> float:
-    """|d₉(v)·p⁻⁹| at v = 1/W(p), from the table in exact rationals."""
-    big, num = table()[-1]
+    """|d₉(v)·p⁻⁹| at v = 1/W(p), in exact rationals: the first term the
+    series leaves out."""
     v = 1 / Fraction(lambert_w0(p).w)
-    return float(abs(sum(c * v**k for k, c in enumerate(num)) / big) / (v * (1 + v) ** 3 * p) ** 9)
+    numerator = Fraction(0)
+    for k, diff in reversed(list(enumerate(ninth_numerator(), 1))):
+        numerator = numerator * (v - k) + diff
+    return float(abs(numerator) / (v * (1 + v) ** 3 * p) ** 9)
+
+
+#: The highest order S(p) accepts: eps·(4 + |log S(p)|) exceeds 1e-9 from the next.
+LAST_ORDER = 1_877_828.0
+
+
+def test_the_last_order_is_the_last_accepted():
+    assert integrate_logweighted(LAST_ORDER).nodes_used == quadrature._SERIES_TERMS
+    with pytest.raises(DomainError, match="p = 1877829 has a floored error estimate"):
+        integrate_logweighted(LAST_ORDER + 1.0)
 
 
 def test_threshold_is_where_the_ninth_term_stays_under_a_quarter_of_the_floor():
-    grid = [*map(float, range(20, 200)), *np.geomspace(200.0, 1e6, 60).tolist()]
+    # from the threshold to the last order S(p) accepts, so the series, summed
+    # whole, stays within its floor estimate wherever it runs
+    grid = [*map(float, range(20, 200)), *np.geomspace(200.0, LAST_ORDER, 64).tolist()]
     logs = log_power_integral(np.array(grid))
     over = [i for i, (p, log) in enumerate(zip(grid, logs))
             if ninth_term(p) > 0.25 * EPS * (4.0 + abs(log))]
@@ -174,18 +204,20 @@ MILLION_P = np.geomspace(4000.0, 1e6, 40).tolist()
 def test_series_estimate_covers_true_error_up_to_a_million(p):
     # the estimate is the floor eps·(4 + |log S(p)|) from p = 61 on; the error
     # was a fifth of it at p = 4000 and 1/43 of it at 1e6
-    log, est, terms = quadrature._log_s(np.float64(p))
-    assert terms == quadrature._SERIES_TERMS
+    res = integrate_logweighted(p)
+    assert res.nodes_used == quadrature._SERIES_TERMS
     with mp.workdps(25):
-        assert float(abs(mp.mpf(float(log)) - mp_log_s(p))) <= est
+        assert float(abs(mp.mpf(res.value.logmag) - mp_log_s(p))) <= res.est_rel_error
 
 
 def test_series_batch_up_to_a_million_gives_the_scalar_bits():
-    logs, ests, terms = quadrature._log_s(np.array(MILLION_P))
-    assert (terms == quadrature._SERIES_TERMS).all()
+    logs = quadrature._log_s(np.array(MILLION_P))
     for i, p in enumerate(MILLION_P):
-        log, est, _ = quadrature._log_s(np.float64(p))
-        assert (float(log), float(est)) == (logs[i], ests[i]), p
+        log = quadrature._log_s(np.float64(p))
+        assert np.ndim(log) == 0 and log.tobytes() == logs[i].tobytes(), p
+        res = integrate_logweighted(p)
+        assert (res.est_rel_error, res.nodes_used) == (
+            EPS * (4.0 + abs(logs[i])), quadrature._SERIES_TERMS), p
 
 
 # -- where the two paths meet ---------------------------------------------------
@@ -198,8 +230,14 @@ def test_scalar_and_batch_take_the_same_path_at_the_threshold():
     assert quadrature._TABLE_TERMS != quadrature._SERIES_TERMS
     assert integrate_logweighted(below).nodes_used == quadrature._TABLE_TERMS
     assert integrate_logweighted(at).nodes_used == quadrature._SERIES_TERMS
-    logs, _, nodes = quadrature._log_s(np.array([at, below]))
-    assert nodes[0] == quadrature._SERIES_TERMS and nodes[1] == quadrature._TABLE_TERMS
+    # the batch sends each order to the scalar's piece: pinned by bits, which the two
+    # pieces do not share at either order
+    logs = quadrature._log_s(np.array([at, below]))
+    for p, log, piece, other in ((at, logs[0], quadrature._log_s_series, quadrature._log_s_table),
+                                 (below, logs[1], quadrature._log_s_table,
+                                  quadrature._log_s_series)):
+        assert log.tobytes() == quadrature._log_s(np.float64(p)).tobytes(), p
+        assert log.tobytes() == piece(np.float64(p)).tobytes() != other(np.float64(p)).tobytes(), p
     assert abs(logs[0] - logs[1]) < 1e-12
     with mp.workdps(25):
         for p, log in zip((at, below), logs.tolist()):
