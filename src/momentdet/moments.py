@@ -283,7 +283,7 @@ def generate_moments(family: FamilySpec, n_max: int) -> MomentSequence:
                                    key=lambda i: _refusal(ps[i]) is not None)
             exc = _refusal(ps[n])
             raise type(exc)(
-                f"while generating moment of order {_format_number(orders[n])} "
+                f"while generating moment of order {int(orders[n])} "
                 f"for {family.label!r}: {exc}"
             ) from exc
     logs = np.zeros(orders.size)
@@ -301,8 +301,13 @@ def lognormal_moments(n_max: int) -> MomentSequence:
 
 # -- family description grammar ---------------------------------------------
 
-_FAMILY_RE = re.compile(rf"^({'|'.join(_FAMILY_HEADS)})\[(.*)\]$")
-_PAIR_RE = re.compile(r"\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)")
+#: The stock families named by a bare word, and their one factor.
+_STOCK_FAMILIES = {"exp": ((1.0, 0.0),), "exp2": ((2.0, 0.0),)}
+#: A number of a factor, padded by any whitespace but a line break.
+_NUMBER = r"[^\S\n]*([^,()\s]+)[^\S\n]*"
+_PAIR = rf"\({_NUMBER},{_NUMBER}\)"
+_PAIR_RE = re.compile(_PAIR)
+_FAMILY_RE = re.compile(rf"({'|'.join(_FAMILY_HEADS)})\[((?:{_PAIR},)*{_PAIR})\]")
 
 
 def parse_family(text: str) -> FamilySpec:
@@ -311,40 +316,26 @@ def parse_family(text: str) -> FamilySpec:
     Grammar: ``exp`` | ``exp2`` | ``product[(δ,r),...]`` |
     ``symroot[(δ,r),...]`` | ``symprod[(δ,r),...]``.
     (``lognormal`` is a closed-form stock sequence, not a product family;
-    see generate_from_label.)
+    see generate_from_label.)  The description, stripped of outer
+    whitespace, is matched whole: one or more factors ``(δ,r)`` separated
+    by a bare comma, where whitespace other than a line break may pad each
+    number inside its parentheses.  Anything else is unrecognized, and a
+    number that ``float`` does not read is a non-numeric factor.
     """
     text = text.strip()
-    if text == "exp":
-        return FamilySpec(factors=((1.0, 0.0),), symmetrization="none", label="exp")
-    if text == "exp2":
-        return FamilySpec(factors=((2.0, 0.0),), symmetrization="none", label="exp2")
-    m = _FAMILY_RE.match(text)
+    if text in _STOCK_FAMILIES:
+        return FamilySpec(factors=_STOCK_FAMILIES[text], symmetrization="none", label=text)
+    m = _FAMILY_RE.fullmatch(text)
     if m is None:
         raise FamilyParseError(
             f"unrecognized family {text!r}; expected exp, exp2, lognormal, "
             "product[(delta,r),...], symroot[...], or symprod[...]"
         )
-    head, body = m.groups()
-    pairs = []
-    pos = 0
-    while pos < len(body):
-        pm = _PAIR_RE.match(body, pos)
-        if pm is None:
-            raise FamilyParseError(f"malformed factor list in {text!r} at position {pos}")
-        try:
-            pairs.append((float(pm.group(1)), float(pm.group(2))))
-        except ValueError as exc:
-            raise FamilyParseError(f"non-numeric factor in {text!r}: {exc}") from exc
-        pos = pm.end()
-        if pos < len(body):
-            if body[pos] != ",":
-                raise FamilyParseError(f"expected ',' between factors in {text!r} at {pos}")
-            pos += 1
-            if pos == len(body):
-                raise FamilyParseError(f"trailing ',' in factor list of {text!r}")
-    if not pairs:
-        raise FamilyParseError(f"family {text!r} has an empty factor list")
-    return FamilySpec(factors=tuple(pairs), symmetrization=_FAMILY_HEADS[head], label=text)
+    try:
+        pairs = [(float(d), float(r)) for d, r in _PAIR_RE.findall(m[2])]
+    except ValueError as exc:
+        raise FamilyParseError(f"non-numeric factor in {text!r}: {exc}") from exc
+    return FamilySpec(factors=tuple(pairs), symmetrization=_FAMILY_HEADS[m[1]], label=text)
 
 
 def generate_from_label(text: str, n_max: int) -> MomentSequence:

@@ -21,12 +21,16 @@ from it and S(n), on 1-d arrays of orders, whose bits the package's
 leaner forms must reproduce.  So are the ``reference_check_*`` checkers
 and ``reference_analyze``: the arithmetic of ``criteria`` with each
 checker building its own n, ln n and centred tails, whose verdicts and
-diagnostics the package's shared table must reproduce.
+diagnostics the package's shared table must reproduce.  And so is
+``reference_parse_family``: the family grammar read by a cursor that
+matches one factor at a time, whose specs and exception types the
+package's single match must reproduce.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
@@ -353,3 +357,53 @@ def reference_analyze(seq):
             "growth_ratio_trend": ratio_trend,
         }
     return report
+
+
+_FAMILY_HEADS = {"product": "none", "symroot": "symmetric-root", "symprod": "symmetric-product"}
+_FAMILY_RE = re.compile(rf"^({'|'.join(_FAMILY_HEADS)})\[(.*)\]$")
+_PAIR_RE = re.compile(r"\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)")
+
+
+def reference_parse_family(text: str):
+    """Parse a family description string.
+
+    Grammar: ``exp`` | ``exp2`` | ``product[(δ,r),...]`` |
+    ``symroot[(δ,r),...]`` | ``symprod[(δ,r),...]``.
+    (``lognormal`` is a closed-form stock sequence, not a product family;
+    see generate_from_label.)
+    """
+    from momentdet.errors import FamilyParseError
+    from momentdet.moments import FamilySpec
+
+    text = text.strip()
+    if text == "exp":
+        return FamilySpec(factors=((1.0, 0.0),), symmetrization="none", label="exp")
+    if text == "exp2":
+        return FamilySpec(factors=((2.0, 0.0),), symmetrization="none", label="exp2")
+    m = _FAMILY_RE.match(text)
+    if m is None:
+        raise FamilyParseError(
+            f"unrecognized family {text!r}; expected exp, exp2, lognormal, "
+            "product[(delta,r),...], symroot[...], or symprod[...]"
+        )
+    head, body = m.groups()
+    pairs = []
+    pos = 0
+    while pos < len(body):
+        pm = _PAIR_RE.match(body, pos)
+        if pm is None:
+            raise FamilyParseError(f"malformed factor list in {text!r} at position {pos}")
+        try:
+            pairs.append((float(pm.group(1)), float(pm.group(2))))
+        except ValueError as exc:
+            raise FamilyParseError(f"non-numeric factor in {text!r}: {exc}") from exc
+        pos = pm.end()
+        if pos < len(body):
+            if body[pos] != ",":
+                raise FamilyParseError(f"expected ',' between factors in {text!r} at {pos}")
+            pos += 1
+            if pos == len(body):
+                raise FamilyParseError(f"trailing ',' in factor list of {text!r}")
+    if not pairs:
+        raise FamilyParseError(f"family {text!r} has an empty factor list")
+    return FamilySpec(factors=tuple(pairs), symmetrization=_FAMILY_HEADS[head], label=text)

@@ -37,6 +37,8 @@ from momentdet import (
     to_json,
 )
 
+from .oracles import reference_parse_family
+
 X11 = "product[(1,1),(1,1)]"
 
 
@@ -347,10 +349,15 @@ class TestValidationGates:
             generate_from_label("product[(1,0.5),(1,1)]", 20)
         assert str(info.value.__cause__) == "synthetic failure"
 
-    @pytest.mark.parametrize("first", [1, 2, 7, 76_543, 99_999, 100_000])
-    def test_lowest_failing_order_is_bisected(self, monkeypatch, first):
+    @pytest.mark.parametrize(
+        "first, n_max",
+        [pytest.param(first, n_max, id=str(first)) for first, n_max in [
+            (1, 100_000), (2, 100_000), (7, 100_000), (76_543, 100_000), (99_999, 100_000),
+            (100_000, 100_000), (1_234_567, 1_300_000)]],
+    )
+    def test_lowest_failing_order_is_bisected(self, monkeypatch, first, n_max):
         # refusal is monotone in p, so the last row and about log₂(n_max) more are
-        # evaluated, not one row per order
+        # evaluated, not one row per order; an order from 10⁶ on is named as an integer
         calls = []
 
         def fails_from_first(ps):
@@ -361,9 +368,9 @@ class TestValidationGates:
 
         monkeypatch.setattr(moments_mod, "log_power_integral", fails_from_first)
         with pytest.raises(DomainError, match=f"while generating moment of order {first} ") as info:
-            generate_from_label("product[(1,0.5),(1,1)]", 100_000)
+            generate_from_label("product[(1,0.5),(1,1)]", n_max)
         assert str(info.value.__cause__) == "synthetic failure"
-        assert len(calls) <= 2 * math.log2(100_000)
+        assert len(calls) <= 2 * math.log2(n_max)
 
     def test_batch_error_no_order_reproduces_is_raised_unchanged(self, monkeypatch):
         # the batch holds every distinct p, an order at most two of them
@@ -431,11 +438,17 @@ class TestFamilyGrammar:
             "product[(a,1)]",
             "symroot",
             "product[(1,1),]",
+            "product[(1,\n1)]",
+            "product[(1,1)\n,(1,1)]",
+            "product[(1,1), (1,1)]",
+            "product[ ]",
         ],
     )
     def test_malformed_strings(self, text):
         with pytest.raises(FamilyParseError):
             parse_family(text)
+        with pytest.raises(FamilyParseError):
+            reference_parse_family(text)
 
     @pytest.mark.parametrize("text", ["product[(3,0)]", "product[(1,2)]", "product[(-1,0)]"])
     def test_out_of_range_parameters(self, text):
@@ -464,6 +477,67 @@ class TestFamilyGrammar:
             (d.hex(), r.hex()) for d, r in factors
         ]
         assert spec.symmetrization == symmetrization
+
+
+_GRAMMAR_WHITESPACE = [" ", "\n", "\r", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028",
+                       "\u3000"]
+_GRAMMAR_CHARS = [*"0123456789_e+-.[](),", *_GRAMMAR_WHITESPACE]
+_GRAMMAR_WORDS = ["product", "symroot", "symprod", "exp", "exp2", "lognormal", "inf", "nan"]
+
+
+@st.composite
+def family_descriptions(draw):
+    """A family description with random padding, or a string of the
+    grammar's own characters and words, after zero to three random edits."""
+    pad = st.text(st.sampled_from(_GRAMMAR_WHITESPACE), max_size=2)
+    number = st.one_of(st.sampled_from(["0", "1", "0.5", "2", "1e-3", "1_0", "-0", "inf", "nan"]),
+                       st.text(st.sampled_from([*"0123456789_e+-."]), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.tuples(pad, number, pad, pad, number, pad), min_size=1, max_size=3))
+        body = ",".join(f"({a}{d}{b},{c}{r}{e})" for a, d, b, c, r, e in pairs)
+        head = draw(st.sampled_from(["product", "symroot", "symprod"]))
+        text = draw(pad) + f"{head}[{body}]" + draw(pad)
+    else:
+        text = "".join(draw(st.lists(st.sampled_from(_GRAMMAR_CHARS + _GRAMMAR_WORDS), max_size=12)))
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(text)))
+        how, ch = draw(st.sampled_from(["replace", "insert", "delete"])), draw(
+            st.sampled_from(_GRAMMAR_CHARS))
+        text = text[:pos] + (ch if how != "delete" else "") + text[pos + (how != "insert") :]
+    return text
+
+
+def _parsed(parse, text: str):
+    """The spec's factors by their bits, symmetrization and label, or the exception's type."""
+    try:
+        spec = parse(text)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+    return [(d.hex(), r.hex()) for d, r in spec.factors], spec.symmetrization, spec.label
+
+
+class TestGrammarMatchesReference:
+    """parse_family accepts what the cursor-loop reference accepts, with the
+    same spec, and refuses the rest with the same exception type."""
+
+    @settings(max_examples=2000)
+    @given(family_descriptions())
+    def test_drawn_descriptions(self, text):
+        assert _parsed(parse_family, text) == _parsed(reference_parse_family, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["exp", " exp2\n", "lognormal", "product", "product[]", "product[ ]", "product[,]",
+         "product[(1,1)]", "\u3000symroot[( 1\t, 0.5\xa0)]\u2028", "symprod[(1,1),(0.5,0.25)]",
+         "product[(1,1),]", "product[,(1,1)]", "product[(1,1),,(1,1)]", "product[(1,1)(1,1)]",
+         "product[(1,1) ,(1,1)]", "product[(1,\n1)]", "product[(1\r,1)]", "product[(1,1)]\n]",
+         "product[(1],1)]", "product[(1,1]", "product[(a,1)]", "product[(a,1),x]",
+         "product[(1_0,1)]", "product[(inf,1)]", "product[(nan,1)]", "product[(3,0)]",
+         "product[(1,2)]", "product[(-0,1)]", "product[(1e-400,1)]", "Product[(1,1)]",
+         "product [(1,1)]", "product[(1,1)] x", "product[((1,1))]"],
+    )
+    def test_fixed_descriptions(self, text):
+        assert _parsed(parse_family, text) == _parsed(reference_parse_family, text)
 
 
 class TestSerialization:

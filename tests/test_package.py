@@ -122,6 +122,25 @@ def test_unknown_names_raise_attribute_error():
     assert result["ran"] == [[], [], sorted(SUBMODULES)]
 
 
+def test_a_submodule_that_fails_to_run_runs_again_on_the_next_lookup():
+    result = run_fresh("""
+        import momentdet
+        sys.modules["numpy"] = None  # errors, the first submodule, imports numpy
+        failed = False
+        try:
+            momentdet.lambert_w0
+        except ImportError:
+            failed = True
+        ran_blocked = ran()
+        del sys.modules["numpy"]
+        found = momentdet.lambert_w0 is sys.modules["momentdet.lambertw"].lambert_w0
+        print(json.dumps({"failed": failed, "ran_blocked": ran_blocked, "found": found,
+                          "ran": ran()}))
+    """)
+    assert result == {"failed": True, "ran_blocked": [], "found": True,
+                      "ran": ["errors", "lambertw", "logdomain"]}
+
+
 @pytest.mark.parametrize("lookup", ["momentdet.analyze", "momentdet.criteria.analyze"])
 def test_threads_resolving_one_name_first_get_one_object(lookup):
     result = run_fresh("""

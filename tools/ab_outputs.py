@@ -109,6 +109,12 @@ COMMANDS = [
     ),
     # --q is read whatever --criteria says: an unknown q spec under the default all
     Command(f"{CLI} check --in e.json --q junk", 2),
+    # the family grammar: spaces pad each number inside its parentheses and the
+    # description, and a trailing comma leaves the factor list unrecognized
+    Command(f"{CLI} gen --family ' symroot[( 1 , 0.5 ),(1,1)] ' --nmax 20"),
+    Command(
+        f"{CLI} gen --family 'product[(1,1),]' --nmax 10", 2, stderr_has="error: unrecognized family"
+    ),
     # usage errors: an abbreviated option, a missing required option, a bad choice,
     # and the tolerance option the commands no longer take
     Command(f"{CLI} gen --fam exp --nmax 10", 2),

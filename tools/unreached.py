@@ -43,8 +43,8 @@ ALLOWED = {
         ("__main__.py", "*", "*"),
         ("cli.py", "if __name__ == '__main__'", "main()"),
     ],
-    "the package's loader after its first use: tests/test_package.py reaches it in subprocesses, "
-    "each from a fresh import": [
+    "the package's loader after its first use, and its retry of a submodule that failed to run: "
+    "tests/test_package.py reaches both in subprocesses, each from a fresh import": [
         ("__init__.py", "if name in _pending", "_pending.add(name)"),
         ("__init__.py", "if name in _pending", "raise"),
         ("__init__.py", "_first_use", "*"),
