@@ -12,10 +12,11 @@ their values span hundreds of orders of magnitude:
   (``integrate_unit_log_power``), from its series: term by term,
   ∫₀¹ t^k (ln t)^n dt = (−1)^n n!/(k+1)^{n+1}, so the integral is
   (−1)^n·n!·σₙ with σₙ = Σₖ (−1)^k/(k!·(k+1)^{n+1}).  That alternating
-  sum lies in [1 − e^{−1}, 1] and 20 terms give it to rounding.  ln n!
-  comes from a cached table of compensated running sums of ln k, built
-  per power-of-two size up to 8193 entries, or from Stirling's series in
-  40-digit decimals above the table.
+  sum lies in [1 − e^{−1}, 1], 20 terms give it to rounding, and from
+  n = 53 on it rounds to exactly 1.0.  So its log, ln n! + ln σₙ, is read
+  from one cached table, built per power-of-two size up to 8193 entries:
+  compensated running sums of ln k, with ln σₖ added to the first 53.
+  Above the table it is ln n! from Stirling's series in 40-digit decimals.
 
 Their sum gives the derivatives of the gamma function at 1
 (``gamma_derivative``): Γ⁽ⁿ⁾(1) = ∫₀¹ (ln t)^n e^{−t} dt + e^{−1}·S(n).
@@ -292,21 +293,23 @@ def _log_s_series(p: _Floats) -> _Floats:
     """log S(p) by the saddle-point series, for p ≥ _SERIES_FROM, a scalar
     or an array.
 
-    The terms dₘ(v)·p⁻ᵐ are evaluated _SERIES_CHUNK orders at a time, each
-    polynomial in v by np.einsum over its powers, which calls no BLAS: a
-    first ``@`` on a 5,000-order batch added 2.1 MB to the process.
+    The terms dₘ(v)·p⁻ᵐ are evaluated and summed _SERIES_CHUNK orders at
+    a time, so no more than one chunk's terms are held, each polynomial in
+    v by np.einsum over its powers, which calls no BLAS: a first ``@`` on a
+    5,000-order batch added 2.1 MB to the process.
     """
     coefs, powers, m = _series_arrays()
     w, saddle = _saddle(p)
     v = 1.0 / w
     # one row of terms per order: a 1-d row for a scalar, whose one chunk is itself
     v, y = v[..., None], (w / ((1.0 + v) ** 3 * p))[..., None]
-    terms = np.concatenate([
-        np.einsum("...k,mk->...m", v[s : s + _SERIES_CHUNK] ** powers, coefs)
-        * y[s : s + _SERIES_CHUNK] ** m
+    sums = [
+        np.add.reduce(np.einsum("...k,mk->...m", v[s : s + _SERIES_CHUNK] ** powers, coefs)
+                      * y[s : s + _SERIES_CHUNK] ** m, axis=-1)
         for s in range(0, len(v), _SERIES_CHUNK)
-    ])
-    return (saddle + np.add.reduce(terms, axis=-1)).astype(float)
+    ]
+    # a scalar's one chunk sums to a 0-d value, which np.concatenate refuses
+    return (saddle + (np.concatenate(sums) if len(sums) > 1 else sums[0])).astype(float)
 
 
 #: Below _SERIES_FROM, ln S(p) comes from this table: one row per interval,
@@ -469,20 +472,27 @@ def log_power_integral(p):
 #: Terms of the unit integral's series summed: the first one left out,
 #: 1/(20!·21^{n+1}), is below 2e-20 for every order n ≥ 0.
 _UNIT_TERMS = 20
-#: (−1)^k/k! and k + 1 for k = 0.._UNIT_TERMS − 1.
-_UNIT_COEFS = np.array([(-1) ** k / math.factorial(k) for k in range(_UNIT_TERMS)])
-_UNIT_BASES = np.arange(1.0, _UNIT_TERMS + 1.0)
 
-#: ln k! comes from the table for k up to this, from Stirling's series above.
-_LOG_FACTORIAL_MAX = 8192
+#: log |unit| comes from the table for n up to this, from Stirling's ln n! above.
+_UNIT_TABLE_MAX = 8192
+
+#: From this order on σₙ rounds to exactly 1.0, so log |unit| is ln n!: its
+#: k = 1 term, −2^{−(n+1)}, is at most 2^{−54}, half a float's step below 1,
+#: and the terms after it, each below 2^{−86} and positive in sum, round the
+#: total up to 1.0.  At n = 52 that term is −2^{−53}, a whole step, and σ₅₂
+#: is below 1 (the tests sum σₙ for every n up to _UNIT_TABLE_MAX).
+_SIGMA_ONE_FROM = 53
 
 
 @cache
-def _log_factorial_table(size: int) -> np.ndarray:
-    """ln k! for k = 0..size − 1, size ≥ 1; read-only.
+def _log_unit_table(size: int) -> np.ndarray:
+    """log |∫₀¹ (ln t)^k e^{−t} dt| = ln k! + ln σₖ for k = 0..size − 1,
+    size ≥ 1; read-only.
 
-    Entry k is the compensated (Neumaier) running sum of math.log(j) for
-    j = 1..k, rounded once, so it depends on k alone, not on the size.
+    ln k! is the compensated (Neumaier) running sum of math.log(j) for
+    j = 1..k, rounded once, and ln σₖ, σₖ = Σⱼ (−1)^j/(j!·(j+1)^{k+1})
+    summed over its first _UNIT_TERMS terms, is added to it below
+    _SIGMA_ONE_FROM, so entry k depends on k alone, not on the size.
     """
     logs, total, comp = [0.0], 0.0, 0.0
     for x in map(math.log, range(1, size)):
@@ -490,14 +500,19 @@ def _log_factorial_table(size: int) -> np.ndarray:
         total, comp = t, comp + ((total - t) + x if total >= x else (x - t) + total)
         logs.append(total + comp)
     table = np.array(logs)
+    k = np.arange(float(min(size, _SIGMA_ONE_FROM)))
+    # (−1)^j/j! against (j + 1)^{−(k+1)}: one row of terms per order
+    coefs = np.array([(-1) ** j / math.factorial(j) for j in range(_UNIT_TERMS)])
+    bases = np.arange(1.0, _UNIT_TERMS + 1.0)
+    table[: k.size] += np.log(np.add.reduce(coefs * bases ** (-(k + 1.0))[..., None], axis=-1))
     table.flags.writeable = False
     return table
 
 
 def _stirling_log_factorial(n: int) -> float:
     """ln n! by Stirling's series to the n^{−5} term, in 40-digit decimals
-    rounded once to a float; for n > _LOG_FACTORIAL_MAX the first term
-    left out is below 1e-30."""
+    rounded once to a float; for n > _UNIT_TABLE_MAX the first term left
+    out is below 1e-30."""
     from decimal import Context, Decimal, localcontext  # here alone: it costs ~2 ms
 
     with localcontext(Context(prec=40)):
@@ -508,32 +523,24 @@ def _stirling_log_factorial(n: int) -> float:
         return float((x + Decimal("0.5")) * x.ln() - x + series)
 
 
-def _log_factorial(n: _Floats) -> _Floats:
-    """ln n! for integer orders n ≥ 0, a float64 scalar or array."""
-    small = n <= _LOG_FACTORIAL_MAX
-    # the largest order in the table's range (n·small is n there and 0
-    # elsewhere), held by the least power-of-two table, capped at the range
-    top = int(_whole(np.maximum, n * small))
-    table = _log_factorial_table(min(1 << top.bit_length(), _LOG_FACTORIAL_MAX + 1))
-    if _all(small):
-        return table[n.astype(np.intp)]
-    logs = [table[int(m)] if m <= _LOG_FACTORIAL_MAX else _stirling_log_factorial(int(m))
-            for m in np.ravel(n).tolist()]
-    return np.reshape(logs, n.shape)[()]
-
-
 def _log_unit(n: _Floats) -> _Floats:
     """log |∫₀¹ (ln t)^n e^{−t} dt| for integer n ≥ 0, a scalar or an array;
     the integral's sign is (−1)^n.
 
-    The magnitude is n!·σₙ, σₙ = Σₖ (−1)^k/(k!·(k+1)^{n+1}), summed over
-    its first _UNIT_TERMS terms by one expression for a scalar and an
-    array alike, so both give the same bits.  Raises DomainError where its
-    floored estimate exceeds _ACCURACY.
+    The magnitude is n!·σₙ: its log is read from ``_log_unit_table`` up to
+    _UNIT_TABLE_MAX and is Stirling's ln n! above, where σₙ is 1.0.
+    Raises DomainError where its floored estimate exceeds _ACCURACY.
     """
-    # −(n + 1) on the orders, then one column per order against the terms
-    sigma = np.add.reduce(_UNIT_COEFS * _UNIT_BASES ** (-(n + 1.0))[..., None], axis=-1)
-    return _within_accuracy(n, "n", _log_factorial(n) + np.log(sigma))
+    small = n <= _UNIT_TABLE_MAX
+    # the largest order in the table's range (n·small is n there and 0
+    # elsewhere), held by the least power-of-two table, capped at the range
+    top = int(_whole(np.maximum, n * small))
+    table = _log_unit_table(min(1 << top.bit_length(), _UNIT_TABLE_MAX + 1))
+    if _all(small):
+        return _within_accuracy(n, "n", table[n.astype(np.intp)])
+    logs = [table[int(m)] if m <= _UNIT_TABLE_MAX else _stirling_log_factorial(int(m))
+            for m in np.ravel(n).tolist()]
+    return _within_accuracy(n, "n", np.reshape(logs, n.shape)[()])
 
 
 def _log_gamma(n: _Floats):

@@ -16,9 +16,10 @@ Both Simpson oracles work in ordinary floating point, so they are only
 used where the values fit comfortably in double range (p ≤ ~250).
 
 ``reference_log_unit`` and ``reference_log_gamma`` are of another kind:
-the plain forms of the package's unit integral and of Γ⁽ⁿ⁾(1) composed
-from it and S(n), on 1-d arrays of orders, whose bits the package's
-leaner forms must reproduce.  So are the ``reference_check_*`` checkers
+the plain forms of the package's unit integral, ln n! and σₙ summed for
+every order, and of Γ⁽ⁿ⁾(1) composed from it and S(n), on 1-d arrays of
+orders, whose bits the package's leaner forms (a table read) must
+reproduce.  So are the ``reference_check_*`` checkers
 and ``reference_analyze``: the arithmetic of ``criteria`` with each
 checker building its own n, ln n and centred tails, whose verdicts and
 diagnostics the package's shared table must reproduce.  And so is
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 import re
+from functools import cache
 
 import numpy as np
 
@@ -111,17 +113,31 @@ def s_terms(p: float) -> int:
     return 8 if p >= 61.0 else 24
 
 
-def reference_log_unit(n):
-    """log |∫₀¹ (ln t)^n e^{−t} dt| for a 1-d float64 array of integer n in
-    0..8192, as ``quadrature._log_unit`` gives it: ln n! from the
-    package's table (its entries are tested on their own) plus ln σₙ, σₙ
-    the sum of the 20 terms (−1)^k/(k!·(k+1)^{n+1})."""
-    from momentdet.quadrature import _log_factorial_table
+@cache
+def reference_log_factorial(top: int) -> np.ndarray:
+    """ln k! for k = 0..top: the compensated (Neumaier) running sum of
+    math.log(j) for j = 1..k, rounded once per entry."""
+    logs, total, comp = [0.0], 0.0, 0.0
+    for x in map(math.log, range(1, top + 1)):
+        t = total + x
+        total, comp = t, comp + ((total - t) + x if total >= x else (x - t) + total)
+        logs.append(total + comp)
+    return np.array(logs)
 
+
+def reference_sigma(n):
+    """σₙ = Σₖ (−1)^k/(k!·(k+1)^{n+1}) over its first 20 terms, for a 1-d
+    float64 array of integer n."""
     coefs = np.array([(-1) ** k / math.factorial(k) for k in range(20)])
     bases = np.arange(1.0, 21.0)
-    sigma = (coefs * bases ** -(n[:, None] + 1.0)).sum(axis=1)
-    return _log_factorial_table(8193)[n.astype(int)] + np.log(sigma)
+    return (coefs * bases ** -(n[:, None] + 1.0)).sum(axis=1)
+
+
+def reference_log_unit(n):
+    """log |∫₀¹ (ln t)^n e^{−t} dt| for a 1-d float64 array of integer n in
+    0..8192, as ``quadrature._log_unit`` gives it: ln n! plus ln σₙ, both
+    summed here for every order."""
+    return reference_log_factorial(8192)[n.astype(int)] + np.log(reference_sigma(n))
 
 
 def reference_log_gamma(n):

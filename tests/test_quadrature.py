@@ -26,7 +26,9 @@ from .oracles import (
     reference_floor,
     reference_gamma_error,
     reference_log_gamma,
+    reference_log_factorial,
     reference_log_unit,
+    reference_sigma,
     s_terms,
     simpson_s,
     simpson_unit,
@@ -130,7 +132,7 @@ class TestUnitIntegral:
         assert integrate_unit_log_power(n).nodes_used == quadrature._UNIT_TERMS == 20
 
     def test_orders_across_the_table_batch_as_scalars(self):
-        # table entries up to _LOG_FACTORIAL_MAX, Stirling's series above it
+        # table entries up to _UNIT_TABLE_MAX, Stirling's series above it
         orders = [300_000, 8193, 0, 8192, 8191, 123457, 1]
         logs = quadrature._log_unit(np.array(orders, dtype=float))
         for i, n in enumerate(orders):
@@ -147,14 +149,14 @@ class TestUnitIntegral:
 
 
 class TestLogFactorialTable:
-    """The ln k! tables hold the same bits at every size, whatever sizes
-    were built first."""
+    """The unit integral's tables, of ln k! + ln σₖ (ln k! alone from k = 53
+    on), hold the same bits at every size, whatever sizes were built first."""
 
     @staticmethod
     def built(sizes):
         """The tables of ``sizes``, built in that order from an empty cache."""
-        quadrature._log_factorial_table.cache_clear()
-        tables = [quadrature._log_factorial_table(size) for size in sizes]
+        quadrature._log_unit_table.cache_clear()
+        tables = [quadrature._log_unit_table(size) for size in sizes]
         for size, table in zip(sizes, tables):
             assert table.size == size
             assert not table.flags.writeable
@@ -165,25 +167,55 @@ class TestLogFactorialTable:
         [[1, 2, 3, 400, 401, 5000, 8193], [8193, 7, 300], [5, 17, 4096, 4097, 8000, 8192, 8193]],
     )
     def test_entries_depend_on_k_alone(self, sizes):
-        [whole] = self.built([quadrature._LOG_FACTORIAL_MAX + 1])
+        [whole] = self.built([quadrature._UNIT_TABLE_MAX + 1])
         for table in self.built(sizes):
             assert table.tobytes() == whole[: table.size].tobytes()
 
     @given(st.lists(st.integers(min_value=0, max_value=8192), min_size=1, max_size=6))
     def test_any_growth_order_gives_the_same_entries(self, tops):
-        quadrature._log_factorial_table.cache_clear()
-        got = [quadrature._log_factorial(np.float64(top)) for top in tops]
+        quadrature._log_unit_table.cache_clear()
+        got = [quadrature._log_unit(np.float64(top)) for top in tops]
         # one table per power-of-two size, capped at the table's range
-        sizes = {min(1 << top.bit_length(), quadrature._LOG_FACTORIAL_MAX + 1) for top in tops}
-        assert quadrature._log_factorial_table.cache_info().currsize == len(sizes)
-        [whole] = self.built([quadrature._LOG_FACTORIAL_MAX + 1])
+        sizes = {min(1 << top.bit_length(), quadrature._UNIT_TABLE_MAX + 1) for top in tops}
+        assert quadrature._log_unit_table.cache_info().currsize == len(sizes)
+        [whole] = self.built([quadrature._UNIT_TABLE_MAX + 1])
         assert np.array(got).tobytes() == whole[tops].tobytes()
 
     def test_entries_are_ln_k_factorial(self):
-        table = quadrature._log_factorial_table(quadrature._LOG_FACTORIAL_MAX + 1)
-        assert table.size == quadrature._LOG_FACTORIAL_MAX + 1
-        for k in (0, 1, 2, 3, 10, 170, 8192):
-            assert table[k] == pytest.approx(math.lgamma(k + 1.0), rel=4 * EPS, abs=4 * EPS)
+        # the ln k! part: ln σₖ taken off below k = 53, and 0.0 from there on
+        table = quadrature._log_unit_table(quadrature._UNIT_TABLE_MAX + 1)
+        assert table.size == quadrature._UNIT_TABLE_MAX + 1
+        ks = [0, 1, 2, 3, 10, 52, 53, 170, 8192]
+        parts = table[ks] - np.log(reference_sigma(np.array(ks, dtype=float)))
+        for k, part in zip(ks, parts.tolist()):
+            assert part == pytest.approx(math.lgamma(k + 1.0), rel=4 * EPS, abs=4 * EPS)
+
+    def test_entries_are_ln_k_factorial_plus_ln_sigma(self):
+        table = quadrature._log_unit_table(quadrature._UNIT_TABLE_MAX + 1)
+        ks = np.arange(quadrature._UNIT_TABLE_MAX + 1.0)
+        want = reference_log_factorial(quadrature._UNIT_TABLE_MAX) + np.log(reference_sigma(ks))
+        assert table.tobytes() == want.tobytes()
+
+
+class TestSigmaIsOneFrom53:
+    """σₙ rounds to exactly 1.0 from n = _SIGMA_ONE_FROM on, so the unit
+    integral's log there is ln n!: the table stops adding ln σₙ at 53, and
+    above it _log_unit is Stirling's ln n! alone."""
+
+    def test_sigma_is_one_from_53_to_the_table_top(self):
+        assert quadrature._SIGMA_ONE_FROM == 53
+        sigma = reference_sigma(np.arange(52.0, quadrature._UNIT_TABLE_MAX + 1.0))
+        assert sigma[0] != 1.0
+        assert np.all(sigma[1:] == 1.0)
+
+    def test_above_the_table_stirling_plus_ln_sigma(self):
+        orders = np.array(sorted({*np.geomspace(8193, 379_999, 30).round().tolist(),
+                                  8193.0, 8194.0, 9060.0, 123457.0, 379_999.0}))
+        want = np.array([quadrature._stirling_log_factorial(int(n)) for n in orders])
+        want += np.log(reference_sigma(orders))
+        assert quadrature._log_unit(orders).tobytes() == want.tobytes()
+        for n, log in zip(orders, want):
+            assert quadrature._log_unit(n).tobytes() == log.tobytes(), n
 
 
 class TestGammaDerivatives:

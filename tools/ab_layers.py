@@ -28,6 +28,8 @@ default runs of a checkout against itself read every layer's b/a within
 
 * ``S(150)``, ``S(30)``: one ``integrate_logweighted`` at 150, from the
   saddle-point series, and at 30, from the table below the series' p = 61;
+* ``unit(100)``: one ``integrate_unit_log_power(100)``, the unit integral
+  alone;
 * ``asym row``, ``gamma row``, ``wtable row``: one request of each of
   ``point-eval``'s three kinds, ``integrate_logweighted(150)`` with both
   Laplace estimates at 150, ``gamma_derivative(60)`` with
@@ -102,6 +104,7 @@ def layers(md) -> dict[str, object]:
     return {
         "S(150)": lambda: md.integrate_logweighted(150.0),
         "S(30)": lambda: md.integrate_logweighted(30.0),
+        "unit(100)": lambda: md.integrate_unit_log_power(100),
         "asym row": lambda: (
             md.integrate_logweighted(150.0),
             md.laplace_estimate_exact(150.0),
