@@ -19,12 +19,18 @@ their values span hundreds of orders of magnitude:
   Above the table it is ln n! from Stirling's series in 40-digit decimals.
 
 Their sum gives the derivatives of the gamma function at 1
-(``gamma_derivative``): Γ⁽ⁿ⁾(1) = ∫₀¹ (ln t)^n e^{−t} dt + e^{−1}·S(n).
-Each has one code path (``_log_s``, ``_log_unit``, ``_log_gamma``) that
-takes its orders as a numpy float64 scalar or a 1-d array and returns
+(``gamma_derivative``): Γ⁽ⁿ⁾(1) = ∫₀¹ (ln t)^n e^{−t} dt + e^{−1}·S(n),
+a sequence over integer n.  Up to the unit table's top its sign, its log
+and the logs of its two pieces are read from one cached table of those
+four columns, built per size by the one expression that combines the
+pieces (``_gamma_rows``) over every order below the size; above it that
+expression runs on the call's own orders.
+Each integral has one code path (``_log_s``, ``_log_unit``, ``_log_gamma``)
+that takes its orders as a numpy float64 scalar or a 1-d array and returns
 results of the same shape.  The public one-point functions pass a scalar
 and batches an array: a numpy scalar gives the bits a one-element array
-would, at a fraction of its per-operation cost.
+would, at a fraction of its per-operation cost, so a table entry holds the
+bits its order gets alone.
 
 A one-point call is bound by numpy's cost per dispatched call, not by its
 arithmetic, so the code path keeps one rule.  On values that may be 0-d
@@ -58,7 +64,9 @@ and saddle-point series are exact to rounding, so a result's error
 estimate is the floor eps·(4 + |log value|), the rounding of a
 log-magnitude summed and held in a float, which depends on the log alone:
 the public functions take it once per ``QuadratureResult``, and Γ⁽ⁿ⁾(1)
-adds its two pieces' absolute errors.  Every result keeps one fixed
+adds its two pieces' absolute errors.  S's floor is eps·(4 + 2·|log|)
+where ``_WIDE``, the type of its saddle terms, is no wider than float64
+(``_S_LOG_SCALE``).  Every result keeps one fixed
 accuracy, 1e-9 relative (``_ACCURACY``): DomainError is raised wherever
 that floor exceeds it, for S(p) from p ≈ 1.88e6 on and for the unit
 integral (so for Γ⁽ⁿ⁾(1) too) from n ≈ 3.8e5 on, naming the lowest such
@@ -106,6 +114,19 @@ _EPS = float(np.finfo(float).eps)
 #: 2 against 30-digit mpmath references (S(p) for p from 0.01 to 5000, the
 #: unit integral and Γ⁽ⁿ⁾(1) for n ≤ 200), doubled.
 _LOG_ROUNDING = 4.0
+
+#: The type S's saddle terms are evaluated in (``_saddle``): 80-bit extended
+#: on x86-64 Linux, float64 itself with MSVC on Windows and on macOS on
+#: Apple silicon.
+_WIDE = np.longdouble
+
+#: eps per nat of |log S(p)| in S's floor eps·(4 + scale·|log|).  Where
+#: _WIDE is wider than float64, S stays within 0.5 of the floor at scale 1.
+#: Where it is not, the saddle terms' float64 rounding missed that floor at
+#: 18 of 400 p in [1, 1e6], by up to 1.92 times, and reached at worst 0.96
+#: of the floor at scale 2 there and on 1,000 more p up to 1.87e6 (against
+#: 30-digit mpmath; README, Performance).
+_S_LOG_SCALE = 1.0 if np.finfo(_WIDE).eps < _EPS else 2.0
 
 #: Orders or per-order results: a numpy float64 scalar for one point, a
 #: float64 array for a batch.
@@ -171,11 +192,11 @@ def _scalar_result(sign: int, log, est, nodes: int) -> QuadratureResult:
     return QuadratureResult(SignedLogValue(sign, float(log)), float(est), nodes)
 
 
-def _floor_error(logmag):
+def _floor_error(logmag, scale: float = 1.0):
     """The error estimate of a log-integral ``logmag`` exact to float
     rounding: _LOG_ROUNDING eps for the sum and its log, plus eps·|logmag|,
-    the resolution of the log itself."""
-    return _EPS * (_LOG_ROUNDING + abs(logmag))
+    the resolution of the log itself, ``scale`` times (_S_LOG_SCALE for S)."""
+    return _EPS * (_LOG_ROUNDING + scale * abs(logmag))
 
 
 def _lowest_refused(held, orders: _Floats):
@@ -184,11 +205,11 @@ def _lowest_refused(held, orders: _Floats):
     return None if _all(held) else int(np.argmin(np.where(held, np.inf, orders), axis=None))
 
 
-def _within_accuracy(orders: _Floats, arg: str, logs: _Floats) -> _Floats:
+def _within_accuracy(orders: _Floats, arg: str, logs: _Floats, scale: float = 1.0) -> _Floats:
     """``logs``, the log-integrals of ``orders``; raises DomainError, naming
-    the lowest order (called ``arg``) whose floored estimate exceeds
-    _ACCURACY."""
-    est = _floor_error(logs)
+    the lowest order (called ``arg``) whose floored estimate, at ``scale``,
+    exceeds _ACCURACY."""
+    est = _floor_error(logs, scale)
     if (i := _lowest_refused(est <= _ACCURACY, orders)) is not None:
         raise DomainError(f"the integral for {arg} = {np.ravel(orders)[i]:.17g} has a floored "
                           f"error estimate {np.ravel(est)[i]:.2g} above {_ACCURACY:g}, the "
@@ -205,22 +226,20 @@ _TWO_PI = 2.0 * math.pi
 
 def _saddle(p: _Floats) -> tuple[_Floats, _Floats]:
     """W(p) and the saddle terms of ln S(p), p·ln W − (e^W − 1) +
-    ½·ln(2πp/(1+W)), for p ≥ 1, a scalar or an array; the terms in
-    np.longdouble.
+    ½·ln(2πp/(1+W)), for p ≥ 1, a scalar or an array; the terms in _WIDE.
 
     p·ln W − (e^W − 1) is the log-integrand at the peak: DomainError, naming
     the lowest such p, where its float rounding eps·|peak log| reaches
     _PEAK_ROUNDING nats, checked before the last term is taken (2πp
     overflows near the float maximum).  The terms are evaluated at W from
     ``lambertw._halley``, whose rounding they feel only to second order
-    (their derivative in W, p/W − e^W, is 0 at W(p)), and in np.longdouble,
-    for the caller to round to a float once with its correction: in
-    float64 the series missed the floor eps·(4 + |log|) at 14 of 400
-    log-spaced p in [61, 1e6], by up to 1.33 times, and in np.longdouble
-    its worst error was 0.48 of it (README, Performance).
+    (their derivative in W, p/W − e^W, is 0 at W(p)), and in _WIDE, for
+    the caller to round to a float once with its correction: in 80-bit
+    extended the series' worst error was 0.48 of the floor eps·(4 + |log|),
+    and where _WIDE is float64 the floor is doubled (``_S_LOG_SCALE``).
     """
     w = _halley(p, np)
-    wide = w.astype(np.longdouble)
+    wide = w.astype(_WIDE)
     peak_log = p * np.log(wide) - np.expm1(wide)
     if (i := _lowest_refused(_EPS * abs(peak_log) < _PEAK_ROUNDING, p)) is not None:
         raise DomainError(f"the integrand for p = {np.ravel(p)[i]:.17g} peaks at log "
@@ -428,7 +447,7 @@ def _log_s(p: _Floats) -> _Floats:
     if p.ndim == 0:
         piece = (_log_s_series if p >= _SERIES_FROM
                  else _log_s_table if p >= 1.0 else _log_s_below_one)
-        return _within_accuracy(p, "p", piece(p))
+        return _within_accuracy(p, "p", piece(p), _S_LOG_SCALE)
     total = np.empty(p.shape)
     series, below_one = p >= _SERIES_FROM, p < 1.0
     table = ~(series | below_one)
@@ -436,7 +455,7 @@ def _log_s(p: _Floats) -> _Floats:
                         (below_one, _log_s_below_one)):
         if rows.any():
             total[rows] = piece(p[rows])
-    return _within_accuracy(p, "p", total)
+    return _within_accuracy(p, "p", total, _S_LOG_SCALE)
 
 
 def _s_terms(p) -> int:
@@ -453,7 +472,7 @@ def integrate_logweighted(p: float) -> QuadratureResult:
     """
     p = _float_arg(p, "integrate_logweighted", "p")  # refuses arrays, as float() does
     log = _log_s(_checked("integrate_logweighted", p))
-    return _scalar_result(1, log, _floor_error(log), _s_terms(p))
+    return _scalar_result(1, log, _floor_error(log, _S_LOG_SCALE), _s_terms(p))
 
 
 def log_power_integral(p):
@@ -473,7 +492,8 @@ def log_power_integral(p):
 #: 1/(20!·21^{n+1}), is below 2e-20 for every order n ≥ 0.
 _UNIT_TERMS = 20
 
-#: log |unit| comes from the table for n up to this, from Stirling's ln n! above.
+#: log |unit| and Γ⁽ⁿ⁾(1) come from their tables for n up to this; above it
+#: log |unit| is Stirling's ln n!.
 _UNIT_TABLE_MAX = 8192
 
 #: From this order on σₙ rounds to exactly 1.0, so log |unit| is ln n!: its
@@ -482,6 +502,14 @@ _UNIT_TABLE_MAX = 8192
 #: total up to 1.0.  At n = 52 that term is −2^{−53}, a whole step, and σ₅₂
 #: is below 1 (the tests sum σₙ for every n up to _UNIT_TABLE_MAX).
 _SIGMA_ONE_FROM = 53
+
+
+def _table_size(n: _Floats, small) -> int:
+    """The size of the unit and Γ⁽ⁿ⁾(1) tables that hold the orders ``n``
+    in their range (where ``small`` is true): the least power of two above
+    the largest of them, capped at _UNIT_TABLE_MAX + 1 entries."""
+    # n·small is n in the range and 0 elsewhere
+    return min(1 << int(_whole(np.maximum, n * small)).bit_length(), _UNIT_TABLE_MAX + 1)
 
 
 @cache
@@ -532,10 +560,7 @@ def _log_unit(n: _Floats) -> _Floats:
     Raises DomainError where its floored estimate exceeds _ACCURACY.
     """
     small = n <= _UNIT_TABLE_MAX
-    # the largest order in the table's range (n·small is n there and 0
-    # elsewhere), held by the least power-of-two table, capped at the range
-    top = int(_whole(np.maximum, n * small))
-    table = _log_unit_table(min(1 << top.bit_length(), _UNIT_TABLE_MAX + 1))
+    table = _log_unit_table(_table_size(n, small))
     if _all(small):
         return _within_accuracy(n, "n", table[n.astype(np.intp)])
     logs = [table[int(m)] if m <= _UNIT_TABLE_MAX else _stirling_log_factorial(int(m))
@@ -543,9 +568,9 @@ def _log_unit(n: _Floats) -> _Floats:
     return _within_accuracy(n, "n", np.reshape(logs, n.shape)[()])
 
 
-def _log_gamma(n: _Floats):
+def _gamma_rows(n: _Floats):
     """(sign, log |Γ⁽ⁿ⁾(1)|, log |∫₀¹ (ln t)^n e^{−t} dt|, log S(n)) for
-    integer n ≥ 0, a scalar or an array.
+    integer n ≥ 0, a scalar or an array, from ``_log_unit`` and ``_log_s``.
 
     The unit part dominates: |unit| = n!·σₙ ≥ (1 − e^{−1})·n! while
     e^{−1}·S(n) ≤ e^{−1}·n! (ln(1+x) ≤ x), so their ratio r is at most
@@ -556,6 +581,25 @@ def _log_gamma(n: _Floats):
     unit_log, s_log = _log_unit(n), _log_s(n)
     sign = (-1.0) ** n
     return sign, unit_log + np.log1p(sign * np.exp(s_log - 1.0 - unit_log)), unit_log, s_log
+
+
+@cache
+def _gamma_table(size: int) -> np.ndarray:
+    """``_gamma_rows`` of k = 0..size − 1, size ≥ 1, one row per column;
+    read-only.  Each entry holds the bits its order gets alone."""
+    table = np.array(_gamma_rows(np.arange(float(size))))
+    table.flags.writeable = False
+    return table
+
+
+def _log_gamma(n: _Floats):
+    """``_gamma_rows`` of integer n ≥ 0, a scalar or an array: read from
+    ``_gamma_table`` where every order is at most _UNIT_TABLE_MAX, and
+    evaluated for these orders where one is above."""
+    small = n <= _UNIT_TABLE_MAX
+    if not _all(small):
+        return _gamma_rows(n)
+    return tuple(_gamma_table(_table_size(n, small))[:, n.astype(np.intp)])
 
 
 def integrate_unit_log_power(n: int) -> QuadratureResult:
@@ -580,6 +624,6 @@ def gamma_derivative(n: int) -> QuadratureResult:
     # each piece's floored estimate times its magnitude; both are above 0, so their logs
     # are finite
     abs_err = np.logaddexp(np.log(_floor_error(unit_log)) + unit_log,
-                           np.log(_floor_error(s_log)) + (s_log - 1.0))
+                           np.log(_floor_error(s_log, _S_LOG_SCALE)) + (s_log - 1.0))
     est = max(np.exp(abs_err - log), _floor_error(log))
     return _scalar_result(int(sign), log, est, _UNIT_TERMS + _s_terms(n))

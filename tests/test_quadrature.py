@@ -218,6 +218,66 @@ class TestSigmaIsOneFrom53:
             assert quadrature._log_unit(n).tobytes() == log.tobytes(), n
 
 
+class TestGammaTable:
+    """Γ⁽ⁿ⁾(1)'s four columns are read from a table up to _UNIT_TABLE_MAX and
+    evaluated above it, with the bits each order gets from ``_gamma_rows``
+    alone, on both routes and across them."""
+
+    @staticmethod
+    def built(sizes):
+        """The tables of ``sizes``, built in that order from an empty cache."""
+        quadrature._gamma_table.cache_clear()
+        tables = [quadrature._gamma_table(size) for size in sizes]
+        for size, table in zip(sizes, tables):
+            assert table.shape == (4, size)
+            assert not table.flags.writeable
+        return tables
+
+    def test_orders_across_the_table_top(self):
+        top = quadrature._UNIT_TABLE_MAX
+        for orders in ([top - 1, top, top + 1], [top + 1, 150, top, 0, top - 1], [top, top - 1]):
+            batch = quadrature._log_gamma(np.array(orders, dtype=float))
+            for i, n in enumerate(orders):
+                alone = quadrature._gamma_rows(np.float64(n))
+                for got, column, want in zip(quadrature._log_gamma(np.float64(n)), batch, alone,
+                                             strict=True):
+                    assert np.ndim(got) == 0 and got.dtype == want.dtype == np.float64
+                    assert got.tobytes() == column[i].tobytes() == want.tobytes(), n
+
+    def test_every_order_of_the_table_reads_what_it_gets_alone(self):
+        for n in range(quadrature._UNIT_TABLE_MAX + 1):
+            got = np.array(quadrature._log_gamma(np.float64(n)))
+            assert got.tobytes() == np.array(quadrature._gamma_rows(np.float64(n))).tobytes(), n
+
+    @pytest.mark.parametrize("sizes", [[8, 8193], [8193, 8]])
+    def test_entries_depend_on_k_alone(self, sizes):
+        small, whole = sorted(self.built(sizes), key=lambda table: table.shape[1])
+        assert small.tobytes() == whole[:, : small.shape[1]].tobytes()
+
+    def test_every_table_is_read_only(self):
+        quadrature._gamma_table.cache_clear()
+        for n in (0, 1, 150, 4000, quadrature._UNIT_TABLE_MAX):
+            quadrature._log_gamma(np.float64(n))
+        quadrature._log_gamma(np.arange(300.0))
+        assert quadrature._gamma_table.cache_info().currsize == 6
+        for size in (1, 2, 256, 512, 4096, quadrature._UNIT_TABLE_MAX + 1):
+            table = quadrature._gamma_table(size)
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 0.0
+
+    def test_a_first_one_point_call_builds_tables_of_its_size(self, monkeypatch):
+        # n = 150 needs 256 rows, and neither table is built larger on the way
+        sizes = []
+        for name in ("_gamma_table", "_log_unit_table"):
+            build = getattr(quadrature, name)
+            build.cache_clear()
+            monkeypatch.setattr(quadrature, name,
+                                lambda size, build=build, name=name:
+                                sizes.append((name, size)) or build(size))
+        gamma_derivative(150)
+        assert sizes == [("_gamma_table", 256), ("_log_unit_table", 256)]
+
+
 class TestGammaDerivatives:
     def test_gamma_0(self):
         assert gamma_derivative(0).value.to_float() == pytest.approx(1.0, abs=1e-12)

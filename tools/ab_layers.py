@@ -33,9 +33,14 @@ default runs of a checkout against itself read every layer's b/a within
 * ``asym row``, ``gamma row``, ``wtable row``: one request of each of
   ``point-eval``'s three kinds, ``integrate_logweighted(150)`` with both
   Laplace estimates at 150, ``gamma_derivative(60)`` with
-  ``integrate_unit_log_power(60)`` (S(60) from the table), and
-  ``lambert_w0`` with ``lambert_w_bounds`` at 1e3;
-* ``gamma row 150``: that gamma row at n = 150, S(150) from the series;
+  ``integrate_unit_log_power(60)`` (one read each of the Γ⁽ⁿ⁾(1) table and
+  of the unit integral's), and ``lambert_w0`` with ``lambert_w_bounds`` at
+  1e3;
+* ``gamma row 150``: that gamma row at n = 150, whose S(150) the Γ⁽ⁿ⁾(1)
+  table took from the series when it was built;
+* ``gamma-derivs 5000``: ``quadrature._log_gamma`` of the orders 0..5000,
+  the one batched call of the CLI ``gamma-derivs --nmax 5000``, from warm
+  caches;
 * ``laplace``, ``lambert_w0``: ``laplace_estimate_exact(150)`` and
   ``lambert_w0(150)``;
 * ``gen 2000``: the flagship ``product[(1,1),(1,1)]`` generated at n_max 2000;
@@ -101,6 +106,7 @@ def layers(md) -> dict[str, object]:
     seq = md.generate_moments(family, 5000)
     text, csv = md.to_json(seq), md.to_csv(seq)
     exp500, half = md.generate_from_label("exp", 500), md.QFunction.power(0.5)
+    orders = np.arange(5001.0)
     return {
         "S(150)": lambda: md.integrate_logweighted(150.0),
         "S(30)": lambda: md.integrate_logweighted(30.0),
@@ -112,6 +118,7 @@ def layers(md) -> dict[str, object]:
         ),
         "gamma row": lambda: (md.gamma_derivative(60), md.integrate_unit_log_power(60)),
         "gamma row 150": lambda: (md.gamma_derivative(150), md.integrate_unit_log_power(150)),
+        "gamma-derivs 5000": lambda: md.quadrature._log_gamma(orders),
         "wtable row": lambda: (md.lambert_w0(1e3), md.lambert_w_bounds(1e3)),
         "laplace": lambda: md.laplace_estimate_exact(150.0),
         "lambert_w0": lambda: md.lambert_w0(150.0),
