@@ -76,7 +76,9 @@ def _require_positive_t(t: float, op: str) -> float:
 
 def _halley(t, xp):
     """W(t) for t > 0: a Python float with ``xp`` = ``math`` (lambert_w0),
-    float64 scalars or arrays with ``xp`` = ``np`` (the saddle terms of S(p))."""
+    float64 arrays with ``xp`` = ``np`` (the saddle terms of a batch of
+    S(p)), and a Python float with numpy's bits with ``xp`` =
+    ``quadrature._FLOAT_UFUNCS`` (one S(p))."""
     w = xp.log1p(t)
     for _ in range(_STEPS):
         f = w + xp.log(w / t)

@@ -20,28 +20,40 @@ their values span hundreds of orders of magnitude:
 
 Their sum gives the derivatives of the gamma function at 1
 (``gamma_derivative``): Γ⁽ⁿ⁾(1) = ∫₀¹ (ln t)^n e^{−t} dt + e^{−1}·S(n),
-a sequence over integer n.  Up to the unit table's top its sign, its log
-and the logs of its two pieces are read from one cached table of those
-four columns, built per size by the one expression that combines the
-pieces (``_gamma_rows``) over every order below the size; above it that
-expression runs on the call's own orders.
+a sequence over integer n.  One order up to the unit table's top reads
+five columns from one cached table: the sign and log of Γ⁽ⁿ⁾(1), the logs
+of its two pieces and its error estimate, built per size by the one
+expression that combines the pieces and their estimates
+(``_gamma_columns``) over every order below the size.  An order above the
+table, and every batch, runs that expression on its own orders.
 Each integral has one code path (``_log_s``, ``_log_unit``, ``_log_gamma``)
 that takes its orders as a numpy float64 scalar or a 1-d array and returns
 results of the same shape.  The public one-point functions pass a scalar
-and batches an array: a numpy scalar gives the bits a one-element array
-would, at a fraction of its per-operation cost, so a table entry holds the
-bits its order gets alone.
+and batches an array, and a scalar gets the bits its order gets in a
+batch, so a table entry holds the bits its order gets alone.
 
-A one-point call is bound by numpy's cost per dispatched call, not by its
-arithmetic, so the code path keeps one rule.  On values that may be 0-d
-it uses scalar operators and unary ufuncs (the builtin ``abs``, not
-``np.abs``), at about 0.08 and 0.2 µs a call on a 2-core x86-64 host,
+A one-point call is bound by the cost of each call it dispatches, not by
+its arithmetic, so it pays only for work that depends on its order.  It
+reads a table by an int index (``_log_unit``, ``_gamma_column``), where a
+batch gathers.  S's pieces take it as a Python float (``_log_s``), so
+their float64 arithmetic runs on Python operators, about 0.02 µs each
+against a numpy scalar's 0.08 on a 2-core x86-64 host, and W calls
+numpy's log, log1p and expm1 on that float (``_FLOAT_UFUNCS``, the third
+namespace of ``lambertw._halley``), about 0.15 µs each.  Such a call runs
+the ufunc's array loop, so it gives an array's bits, which ``math`` does
+not: glibc's log, log1p and expm1 differ from numpy's AVX-512 loops in
+the last bit on some arguments.  A float's octave comes from
+``math.frexp``, exact like ``np.frexp``.  Values that stay numpy scalars
+(S's saddle terms in ``_WIDE``, the checks) use scalar operators and
+unary ufuncs (the builtin ``abs``, not ``np.abs``), about 0.2 µs a call,
 and a binary ufunc (0.7 µs), ``np.errstate`` (1.1 µs) or ``np.where``
 (1.6 µs on a 0-d value) only where no cheaper form gives the same bits.
-It branches on ``ndim`` only for a reduction over every element
-(``_all``, ``_whole``) and to route S's orders (``_log_s``: comparisons
-for a scalar, one mask per piece for a batch), never for elementwise
+The code branches on the kind of its orders only to index or route them
+and for a reduction over every element (``_all``), never in elementwise
 arithmetic, so a scalar and an array share every numeric expression.
+Each is one that rounds alike on both: (1 + v)³ is u·u·u, as numpy's
+scalar ``**`` rounds it differently from its array ``**`` for about one
+v in twenty.
 
 Method for S.  ``_log_s`` takes orders p ≥ 61 from Laplace's method
 carried to eight correction terms (``_log_s_series``) and the orders
@@ -80,6 +92,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -129,7 +142,8 @@ _WIDE = np.longdouble
 _S_LOG_SCALE = 1.0 if np.finfo(_WIDE).eps < _EPS else 2.0
 
 #: Orders or per-order results: a numpy float64 scalar for one point, a
-#: float64 array for a batch.
+#: float64 array for a batch.  S's pieces also take one point as a Python
+#: float (``_log_s``).
 _Floats = np.float64 | np.ndarray
 
 
@@ -139,11 +153,13 @@ class QuadratureResult:
 
     Every value is exact to float rounding, so ``est_rel_error`` is the
     floor eps·(4 + |log|) of its log alone (``_floor_error``), which the
-    public functions take once per result; Γ⁽ⁿ⁾(1) adds the absolute
-    errors of its two floored pieces.  ``nodes_used`` counts the terms its
-    series or table summed: the unit integral its 20, S(p) from p = 61 on
-    its 8 correction terms and below that the 24 coefficients of its table
-    row.  Γ⁽ⁿ⁾(1) reports the unit integral's 20 plus those of S(n).
+    public functions take once per result.  Γ⁽ⁿ⁾(1)'s adds the absolute
+    errors of its two floored pieces (``_gamma_columns``), and up to
+    n = 8192 it is read from Γ⁽ⁿ⁾(1)'s table with the value.
+    ``nodes_used`` counts the terms its series or table summed: the unit
+    integral its 20, S(p) from p = 61 on its 8 correction terms and below
+    that the 24 coefficients of its table row.  Γ⁽ⁿ⁾(1) reports the unit
+    integral's 20 plus those of S(n).
     """
 
     value: SignedLogValue
@@ -176,13 +192,6 @@ def _all(x) -> bool:
     np.count_nonzero, cheaper than np.logical_and.reduce or ndarray.all, for
     an array."""
     return bool(x) if x.ndim == 0 else np.count_nonzero(x) == x.size
-
-
-def _whole(ufunc: np.ufunc, x):
-    """``ufunc`` reduced over every element of ``x``: ``x`` itself for a 0-d
-    value, whose reduction would be a numpy call that changes nothing, and
-    ``ufunc.reduce``, without ndarray's Python wrappers, for an array."""
-    return x if x.ndim == 0 else ufunc.reduce(x, axis=None)
 
 
 def _scalar_result(sign: int, log, est, nodes: int) -> QuadratureResult:
@@ -223,6 +232,16 @@ def _within_accuracy(orders: _Floats, arg: str, logs: _Floats, scale: float = 1.
 
 _TWO_PI = 2.0 * math.pi
 
+#: ``lambertw._halley``'s namespace for one order, a Python float: numpy's
+#: own ufuncs, each returning a Python float.  A ufunc called on a float
+#: runs its array loop, so W gets an array's bits, and the arithmetic
+#: between the calls is IEEE float64 in Python as in numpy.  ``math`` would
+#: not do: glibc's log, log1p and expm1 differ in the last bit from numpy's
+#: AVX-512 loops on some arguments.
+_FLOAT_UFUNCS = SimpleNamespace(log=lambda x: float(np.log(x)),
+                                log1p=lambda x: float(np.log1p(x)),
+                                expm1=lambda x: float(np.expm1(x)))
+
 
 def _saddle(p: _Floats) -> tuple[_Floats, _Floats]:
     """W(p) and the saddle terms of ln S(p), p·ln W − (e^W − 1) +
@@ -238,8 +257,8 @@ def _saddle(p: _Floats) -> tuple[_Floats, _Floats]:
     extended the series' worst error was 0.48 of the floor eps·(4 + |log|),
     and where _WIDE is float64 the floor is doubled (``_S_LOG_SCALE``).
     """
-    w = _halley(p, np)
-    wide = w.astype(_WIDE)
+    w = _halley(p, np if isinstance(p, np.ndarray) else _FLOAT_UFUNCS)
+    wide = _WIDE(w)
     peak_log = p * np.log(wide) - np.expm1(wide)
     if (i := _lowest_refused(_EPS * abs(peak_log) < _PEAK_ROUNDING, p)) is not None:
         raise DomainError(f"the integrand for p = {np.ravel(p)[i]:.17g} peaks at log "
@@ -320,15 +339,16 @@ def _log_s_series(p: _Floats) -> _Floats:
     coefs, powers, m = _series_arrays()
     w, saddle = _saddle(p)
     v = 1.0 / w
+    u = 1.0 + v
     # one row of terms per order: a 1-d row for a scalar, whose one chunk is itself
-    v, y = v[..., None], (w / ((1.0 + v) ** 3 * p))[..., None]
+    v, y = np.asarray(v)[..., None], np.asarray(w / (u * u * u * p))[..., None]
     sums = [
         np.add.reduce(np.einsum("...k,mk->...m", v[s : s + _SERIES_CHUNK] ** powers, coefs)
                       * y[s : s + _SERIES_CHUNK] ** m, axis=-1)
         for s in range(0, len(v), _SERIES_CHUNK)
     ]
     # a scalar's one chunk sums to a 0-d value, which np.concatenate refuses
-    return (saddle + (np.concatenate(sums) if len(sums) > 1 else sums[0])).astype(float)
+    return np.float64(saddle + (np.concatenate(sums) if len(sums) > 1 else sums[0]))
 
 
 #: Below _SERIES_FROM, ln S(p) comes from this table: one row per interval,
@@ -414,7 +434,7 @@ def _table_fit(row, x: _Floats) -> _Floats:
     """_S_TABLE's polynomial of row ``row`` (an int, or one per x) at ``x``,
     a scalar or an array."""
     coefs, powers = _table_arrays()
-    return np.einsum("...k,...k->...", x[..., None] ** powers, coefs[row])
+    return np.einsum("...k,...k->...", np.power.outer(x, powers), coefs[row])
 
 
 def _log_s_below_one(p: _Floats) -> _Floats:
@@ -428,17 +448,19 @@ def _log_s_table(p: _Floats) -> _Floats:
     """log S(p) for 1 ≤ p < _SERIES_FROM, a scalar or an array: the saddle
     terms plus R(p) from _S_TABLE, rounded to a float once.
 
-    p = m·2^j with m in [0.5, 1) (np.frexp) lies on the octave
-    [2^(j−1), 2^j) of row j, at x = 4m − 3, exactly.
+    p = m·2^j with m in [0.5, 1) (np.frexp for an array, math.frexp for
+    a float) lies on the octave [2^(j−1), 2^j) of row j, at x = 4m − 3,
+    exactly.
     """
-    m, row = np.frexp(p)
-    return (_saddle(p)[1] + _table_fit(row, 4.0 * m - 3.0)).astype(float)
+    m, row = np.frexp(p) if isinstance(p, np.ndarray) else math.frexp(p)
+    return np.float64(_saddle(p)[1] + _table_fit(row, 4.0 * m - 3.0))
 
 
 def _log_s(p: _Floats) -> _Floats:
     """log S(p) for p ≥ 0, a scalar or an array: by ``_log_s_series`` from
     p = _SERIES_FROM on, by ``_log_s_table`` from 1 and by
-    ``_log_s_below_one`` below.
+    ``_log_s_below_one`` below.  One order goes to its piece as a Python
+    float.
 
     Raises DomainError, naming the lowest such p of the whole batch, where
     the series' window check fails, and after every piece where a floored
@@ -447,7 +469,7 @@ def _log_s(p: _Floats) -> _Floats:
     if p.ndim == 0:
         piece = (_log_s_series if p >= _SERIES_FROM
                  else _log_s_table if p >= 1.0 else _log_s_below_one)
-        return _within_accuracy(p, "p", piece(p), _S_LOG_SCALE)
+        return _within_accuracy(p, "p", piece(float(p)), _S_LOG_SCALE)
     total = np.empty(p.shape)
     series, below_one = p >= _SERIES_FROM, p < 1.0
     table = ~(series | below_one)
@@ -504,12 +526,11 @@ _UNIT_TABLE_MAX = 8192
 _SIGMA_ONE_FROM = 53
 
 
-def _table_size(n: _Floats, small) -> int:
-    """The size of the unit and Γ⁽ⁿ⁾(1) tables that hold the orders ``n``
-    in their range (where ``small`` is true): the least power of two above
-    the largest of them, capped at _UNIT_TABLE_MAX + 1 entries."""
-    # n·small is n in the range and 0 elsewhere
-    return min(1 << int(_whole(np.maximum, n * small)).bit_length(), _UNIT_TABLE_MAX + 1)
+def _table_size(top: int) -> int:
+    """The size of the unit and Γ⁽ⁿ⁾(1) tables that hold the orders up to
+    ``top``: the least power of two above it, capped at _UNIT_TABLE_MAX + 1
+    entries."""
+    return min(1 << top.bit_length(), _UNIT_TABLE_MAX + 1)
 
 
 @cache
@@ -556,16 +577,23 @@ def _log_unit(n: _Floats) -> _Floats:
     the integral's sign is (−1)^n.
 
     The magnitude is n!·σₙ: its log is read from ``_log_unit_table`` up to
-    _UNIT_TABLE_MAX and is Stirling's ln n! above, where σₙ is 1.0.
-    Raises DomainError where its floored estimate exceeds _ACCURACY.
+    _UNIT_TABLE_MAX, by an int index for one order and by a gather for a
+    batch, and is Stirling's ln n! above, where σₙ is 1.0.  Raises
+    DomainError where its floored estimate exceeds _ACCURACY.
     """
+    if n.ndim == 0:
+        k = int(n)
+        log = (_log_unit_table(_table_size(k))[k] if k <= _UNIT_TABLE_MAX
+               else np.float64(_stirling_log_factorial(k)))
+        return _within_accuracy(n, "n", log)
     small = n <= _UNIT_TABLE_MAX
-    table = _log_unit_table(_table_size(n, small))
+    # n·small is n in the range and 0 elsewhere
+    table = _log_unit_table(_table_size(int(np.maximum.reduce(n * small))))
     if _all(small):
         return _within_accuracy(n, "n", table[n.astype(np.intp)])
     logs = [table[int(m)] if m <= _UNIT_TABLE_MAX else _stirling_log_factorial(int(m))
-            for m in np.ravel(n).tolist()]
-    return _within_accuracy(n, "n", np.reshape(logs, n.shape)[()])
+            for m in n.tolist()]
+    return _within_accuracy(n, "n", np.array(logs))
 
 
 def _gamma_rows(n: _Floats):
@@ -583,23 +611,40 @@ def _gamma_rows(n: _Floats):
     return sign, unit_log + np.log1p(sign * np.exp(s_log - 1.0 - unit_log)), unit_log, s_log
 
 
+def _gamma_columns(n: _Floats) -> np.ndarray:
+    """``_gamma_rows`` of integer n ≥ 0, a scalar or an array, stacked with
+    Γ⁽ⁿ⁾(1)'s estimated relative error as a fifth row: its two pieces'
+    floored estimates times their magnitudes, added, relative to |Γ⁽ⁿ⁾(1)|
+    and floored."""
+    sign, log, unit_log, s_log = rows = _gamma_rows(n)
+    # both pieces' estimates are above 0, so their logs are finite
+    abs_err = np.logaddexp(np.log(_floor_error(unit_log)) + unit_log,
+                           np.log(_floor_error(s_log, _S_LOG_SCALE)) + (s_log - 1.0))
+    return np.array([*rows, np.maximum(np.exp(abs_err - log), _floor_error(log))])
+
+
 @cache
 def _gamma_table(size: int) -> np.ndarray:
-    """``_gamma_rows`` of k = 0..size − 1, size ≥ 1, one row per column;
-    read-only.  Each entry holds the bits its order gets alone."""
-    table = np.array(_gamma_rows(np.arange(float(size))))
+    """``_gamma_columns`` of k = 0..size − 1, size ≥ 1: one column per
+    order; read-only.  Each entry holds the bits its order gets alone."""
+    table = _gamma_columns(np.arange(float(size)))
     table.flags.writeable = False
     return table
 
 
+def _gamma_column(n: np.float64) -> np.ndarray:
+    """``_gamma_columns`` of one integer order n ≥ 0: its column of
+    ``_gamma_table``, read by an int index, up to _UNIT_TABLE_MAX, and
+    evaluated above it."""
+    k = int(n)
+    return _gamma_table(_table_size(k))[:, k] if k <= _UNIT_TABLE_MAX else _gamma_columns(n)
+
+
 def _log_gamma(n: _Floats):
-    """``_gamma_rows`` of integer n ≥ 0, a scalar or an array: read from
-    ``_gamma_table`` where every order is at most _UNIT_TABLE_MAX, and
-    evaluated for these orders where one is above."""
-    small = n <= _UNIT_TABLE_MAX
-    if not _all(small):
-        return _gamma_rows(n)
-    return tuple(_gamma_table(_table_size(n, small))[:, n.astype(np.intp)])
+    """``_gamma_rows`` of integer n ≥ 0, a scalar or an array: one order
+    reads the first four rows of its ``_gamma_column``, and a batch
+    evaluates its own orders, so it builds no table."""
+    return tuple(_gamma_column(n)[:4]) if n.ndim == 0 else _gamma_rows(n)
 
 
 def integrate_unit_log_power(n: int) -> QuadratureResult:
@@ -613,17 +658,13 @@ def integrate_unit_log_power(n: int) -> QuadratureResult:
 
 
 def gamma_derivative(n: int) -> QuadratureResult:
-    """Evaluate Γ⁽ⁿ⁾(1) = ∫₀¹ (ln t)^n e^{−t} dt + e^{−1}·S(n) by ``_log_gamma``
-    on one order; the estimate adds both pieces' absolute errors.
+    """Evaluate Γ⁽ⁿ⁾(1) = ∫₀¹ (ln t)^n e^{−t} dt + e^{−1}·S(n) from one
+    ``_gamma_column``: its sign, log and estimate, which adds both pieces'
+    absolute errors.
 
     The two pieces have opposite signs for odd n but never cancel
     catastrophically: the unit part dominates (its magnitude stays within
-    [(1 − e^{−1})·n!, n!] while e^{−1}·S(n) ≤ e^{−1}·n!, see ``_log_gamma``).
+    [(1 − e^{−1})·n!, n!] while e^{−1}·S(n) ≤ e^{−1}·n!, see ``_gamma_rows``).
     """
-    sign, log, unit_log, s_log = _log_gamma(_checked("gamma_derivative", n, "n", integer=True))
-    # each piece's floored estimate times its magnitude; both are above 0, so their logs
-    # are finite
-    abs_err = np.logaddexp(np.log(_floor_error(unit_log)) + unit_log,
-                           np.log(_floor_error(s_log, _S_LOG_SCALE)) + (s_log - 1.0))
-    est = max(np.exp(abs_err - log), _floor_error(log))
+    sign, log, _, _, est = _gamma_column(_checked("gamma_derivative", n, "n", integer=True)).tolist()
     return _scalar_result(int(sign), log, est, _UNIT_TERMS + _s_terms(n))

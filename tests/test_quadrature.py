@@ -20,6 +20,7 @@ from momentdet import (
     integrate_unit_log_power,
     log_power_integral,
 )
+from momentdet.lambertw import _halley
 
 from .oracles import (
     EULER,
@@ -219,9 +220,10 @@ class TestSigmaIsOneFrom53:
 
 
 class TestGammaTable:
-    """Γ⁽ⁿ⁾(1)'s four columns are read from a table up to _UNIT_TABLE_MAX and
-    evaluated above it, with the bits each order gets from ``_gamma_rows``
-    alone, on both routes and across them."""
+    """Γ⁽ⁿ⁾(1)'s four columns and its estimate are read from a table by one
+    order up to _UNIT_TABLE_MAX and evaluated above it and by a batch, with
+    the bits each order gets from ``_gamma_rows`` alone, on both routes and
+    across them."""
 
     @staticmethod
     def built(sizes):
@@ -229,7 +231,7 @@ class TestGammaTable:
         quadrature._gamma_table.cache_clear()
         tables = [quadrature._gamma_table(size) for size in sizes]
         for size, table in zip(sizes, tables):
-            assert table.shape == (4, size)
+            assert table.shape == (5, size)
             assert not table.flags.writeable
         return tables
 
@@ -254,13 +256,20 @@ class TestGammaTable:
         small, whole = sorted(self.built(sizes), key=lambda table: table.shape[1])
         assert small.tobytes() == whole[:, : small.shape[1]].tobytes()
 
+    def test_every_estimate_is_the_reference_estimate(self):
+        # through 8193, the first order above the table
+        _, *logs = quadrature._log_gamma(np.arange(quadrature._UNIT_TABLE_MAX + 2.0))
+        for n, est in enumerate(reference_gamma_error(*logs).tolist()):
+            assert gamma_derivative(n).est_rel_error == est, n
+
     def test_every_table_is_read_only(self):
         quadrature._gamma_table.cache_clear()
         for n in (0, 1, 150, 4000, quadrature._UNIT_TABLE_MAX):
             quadrature._log_gamma(np.float64(n))
+        # a batch evaluates its own orders and builds no table
         quadrature._log_gamma(np.arange(300.0))
-        assert quadrature._gamma_table.cache_info().currsize == 6
-        for size in (1, 2, 256, 512, 4096, quadrature._UNIT_TABLE_MAX + 1):
+        assert quadrature._gamma_table.cache_info().currsize == 5
+        for size in (1, 2, 256, 4096, quadrature._UNIT_TABLE_MAX + 1):
             table = quadrature._gamma_table(size)
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 0.0
@@ -463,6 +472,33 @@ class TestRowIndependence:
             assert (res.est_rel_error, res.nodes_used) == (ests[i], 20 + s_terms(n))
             assert integrate_unit_log_power(n).value.logmag == unit_logs[i]
             assert log_power_integral(n) == s_logs[i]
+
+
+class TestOnePointBits:
+    """A one-point S(p) runs on Python floats, with numpy's ufuncs called on
+    them, and gives the bits a batch gives each of its orders."""
+
+    def test_halley_on_floats_gives_the_array_bits(self):
+        # seeded bit patterns of positive finite floats, subnormals included, and both ends
+        rng = np.random.default_rng(3901)
+        t = rng.integers(1, 0x7FF0000000000000, 100_000, dtype=np.uint64).view(float)
+        t = np.concatenate([t, [5e-324, 1.7976931348623157e308]])
+        got = [_halley(x, quadrature._FLOAT_UFUNCS) for x in t.tolist()]
+        assert all(type(w) is float for w in got)
+        assert np.array(got).tobytes() == _halley(t, np).tobytes()
+
+    def test_one_point_log_s_gives_the_batch_bits(self):
+        # all three pieces, both sides of 1 and of the series' 61, up to the last accepted p
+        rng = np.random.default_rng(3902)
+        ps = np.concatenate([
+            rng.uniform(0.0, 1.0, 4000),
+            rng.uniform(1.0, quadrature._SERIES_FROM, 8000),
+            np.exp(rng.uniform(math.log(quadrature._SERIES_FROM), math.log(1.87e6), 8000)),
+            [0.0, 5e-324, np.nextafter(1.0, 0.0), 1.0,
+             np.nextafter(quadrature._SERIES_FROM, 0.0), quadrature._SERIES_FROM],
+        ])
+        for p, log in zip(ps, quadrature._log_s(ps)):
+            assert quadrature._log_s(p).tobytes() == log.tobytes(), p
 
 
 class TestNoWarnings:
