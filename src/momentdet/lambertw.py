@@ -58,13 +58,20 @@ TOL_W = 1e-12
 _STEPS = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WValue:
-    """A solved Lambert W point: argument, value, and achieved residual."""
+    """A solved Lambert W point: argument, value, and achieved residual.
+
+    ``__init__`` stores each field once, as ``SignedLogValue``'s does, and
+    checks nothing."""
 
     t: float
     w: float
     residual: float
+
+    def __init__(self, t: float, w: float, residual: float) -> None:
+        fields = self.__dict__
+        fields["t"], fields["w"], fields["residual"] = t, w, residual
 
 
 def _require_positive_t(t: float, op: str) -> float:

@@ -19,34 +19,35 @@ __all__ = ["SignedLogValue"]
 _NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SignedLogValue:
     """A real number stored as ``sign * exp(logmag)``.
 
     Invariants: ``sign`` is -1, 0 or +1; ``logmag`` is never NaN or +inf;
-    ``sign == 0`` if and only if ``logmag == -inf``.
+    ``sign == 0`` if and only if ``logmag == -inf``.  ``__init__`` checks
+    them and stores each field once, into the instance dict, which the
+    frozen ``__setattr__`` does not guard; a generated ``__init__`` would
+    store every field through ``object.__setattr__`` and leave the checks
+    to a ``__post_init__`` that reads them back.
     """
 
     sign: int
     logmag: float
 
-    def __post_init__(self) -> None:
+    def __init__(self, sign: int, logmag: float) -> None:
         # An exact int sign and float logmag, as the package builds them, are
         # checked as they are; anything else (np.int64, np.float64, a numeric
         # string) is converted first and the converted value stored.
-        sign = self.sign if type(self.sign) is int else _index(self.sign)
-        if sign not in (-1, 0, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {self.sign!r}")
-        logmag = self.logmag
-        if type(logmag) is not float:
-            logmag = _float_arg(logmag, "SignedLogValue", "logmag")
-        if logmag != logmag or logmag == math.inf:  # NaN is the value unequal to itself
-            raise ValueError(f"logmag must be finite or -inf, got {self.logmag!r}")
-        if (sign == 0) != (logmag == _NEG_INF):
-            raise ValueError(f"zero must be (sign=0, logmag=-inf); got ({sign}, {logmag})")
-        if sign is not self.sign or logmag is not self.logmag:
-            object.__setattr__(self, "sign", sign)
-            object.__setattr__(self, "logmag", logmag)
+        s = sign if type(sign) is int else _index(sign)
+        if s not in (-1, 0, 1):
+            raise ValueError(f"sign must be -1, 0 or +1, got {sign!r}")
+        log = logmag if type(logmag) is float else _float_arg(logmag, "SignedLogValue", "logmag")
+        if not log < math.inf:  # false for NaN too
+            raise ValueError(f"logmag must be finite or -inf, got {logmag!r}")
+        if (s == 0) != (log == _NEG_INF):
+            raise ValueError(f"zero must be (sign=0, logmag=-inf); got ({s}, {log})")
+        fields = self.__dict__
+        fields["sign"], fields["logmag"] = s, log
 
     # -- constructors ------------------------------------------------------
 

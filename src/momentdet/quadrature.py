@@ -33,24 +33,31 @@ and batches an array, and a scalar gets the bits its order gets in a
 batch, so a table entry holds the bits its order gets alone.
 
 A one-point call is bound by the cost of each call it dispatches, not by
-its arithmetic, so it pays only for work that depends on its order.  It
-reads a table by an int index (``_log_unit``, ``_gamma_column``), where a
-batch gathers.  S's pieces take it as a Python float (``_log_s``), so
-their float64 arithmetic runs on Python operators, about 0.02 µs each
-against a numpy scalar's 0.08 on a 2-core x86-64 host, and W calls
-numpy's log, log1p and expm1 on that float (``_FLOAT_UFUNCS``, the third
-namespace of ``lambertw._halley``), about 0.15 µs each.  Such a call runs
-the ufunc's array loop, so it gives an array's bits, which ``math`` does
-not: glibc's log, log1p and expm1 differ from numpy's AVX-512 loops in
-the last bit on some arguments.  A float's octave comes from
-``math.frexp``, exact like ``np.frexp``.  Values that stay numpy scalars
-(S's saddle terms in ``_WIDE``, the checks) use scalar operators and
-unary ufuncs (the builtin ``abs``, not ``np.abs``), about 0.2 µs a call,
-and a binary ufunc (0.7 µs), ``np.errstate`` (1.1 µs) or ``np.where``
-(1.6 µs on a 0-d value) only where no cheaper form gives the same bits.
-The code branches on the kind of its orders only to index or route them
-and for a reduction over every element (``_all``), never in elementwise
-arithmetic, so a scalar and an array share every numeric expression.
+its arithmetic, so it pays only for work that depends on its order, and
+its boundary once.  A Python int or float argument is checked with Python
+comparisons (``_checked``; an integer order is the int ``_int_arg``
+returns), which hand the private paths the numpy float64 scalar they take.
+The accuracy check tests a 0-d log's floor on a Python float
+(``_within_accuracy``), the public function takes its estimate once from
+the log as a Python float, and the records check their fields in their own
+``__init__``.  The call reads a table by an int index (``_log_unit``,
+``_gamma_column``), where a batch gathers.  S's pieces take it as a Python
+float (``_log_s``), so their float64 arithmetic runs on Python operators,
+about 0.02 µs each against a numpy scalar's 0.08 on a 2-core x86-64 host,
+and W calls numpy's log, log1p and expm1 on that float (``_FLOAT_UFUNCS``,
+the third namespace of ``lambertw._halley``), about 0.15 µs each.  Such a
+call runs the ufunc's array loop, so it gives an array's bits, which
+``math`` does not: glibc's log, log1p and expm1 differ from numpy's
+AVX-512 loops in the last bit on some arguments.  A float's octave comes
+from ``math.frexp``, exact like ``np.frexp``.  Values that stay numpy
+scalars (S's saddle terms in ``_WIDE``) use scalar operators and unary
+ufuncs (the builtin ``abs``, not ``np.abs``), about 0.2 µs a call, and a
+binary ufunc (0.7 µs), ``np.errstate`` (1.1 µs) or ``np.where`` (1.6 µs on
+a 0-d value) only where no cheaper form gives the same bits.
+The code branches on the kind of its orders only to index or route them,
+to check one order on Python numbers and for a reduction over every
+element (``_all``), never in elementwise arithmetic, so a scalar and an
+array share every numeric expression.
 Each is one that rounds alike on both: (1 + v)³ is u·u·u, as numpy's
 scalar ``**`` rounds it differently from its array ``**`` for about one
 v in twenty.
@@ -147,7 +154,7 @@ _S_LOG_SCALE = 1.0 if np.finfo(_WIDE).eps < _EPS else 2.0
 _Floats = np.float64 | np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QuadratureResult:
     """An integral value with its error estimate and term count.
 
@@ -160,25 +167,34 @@ class QuadratureResult:
     integral its 20, S(p) from p = 61 on its 8 correction terms and below
     that the 24 coefficients of its table row.  Γ⁽ⁿ⁾(1) reports the unit
     integral's 20 plus those of S(n).
+
+    ``__init__`` checks the estimate and the term count and stores each
+    field once, as ``SignedLogValue``'s does.
     """
 
     value: SignedLogValue
     est_rel_error: float
     nodes_used: int
 
-    def __post_init__(self) -> None:
-        if not self.est_rel_error >= 0.0:  # false for NaN too
-            raise ValueError(f"est_rel_error must be >= 0, got {self.est_rel_error!r}")
-        if self.nodes_used <= 0:
-            raise ValueError(f"nodes_used must be positive, got {self.nodes_used!r}")
+    def __init__(self, value: SignedLogValue, est_rel_error: float, nodes_used: int) -> None:
+        if not est_rel_error >= 0.0:  # false for NaN too
+            raise ValueError(f"est_rel_error must be >= 0, got {est_rel_error!r}")
+        if nodes_used <= 0:
+            raise ValueError(f"nodes_used must be positive, got {nodes_used!r}")
+        fields = self.__dict__
+        fields["value"], fields["est_rel_error"], fields["nodes_used"] = value, est_rel_error, nodes_used
 
 
-def _checked(name: str, p, arg: str = "p", integer: bool = False) -> _Floats:
+def _checked(name: str, p, arg: str = "p") -> _Floats:
     """``p`` as a float64 (a numpy scalar for a scalar, else an array),
     checked for the public function ``name``, whose errors call ``p``
-    ``arg``; ``integer`` asks for one int order."""
-    if integer:
-        p = _int_arg(p, 0, f"{name} requires an integer {arg} >= 0")
+    ``arg``.  A Python int or float, one order, is tested with Python
+    comparisons."""
+    if type(p) is float or type(p) is int:
+        x = _float_arg(p, name, arg)
+        if not 0.0 <= x < math.inf:  # false for NaN too
+            raise DomainError(f"{name} requires finite {arg} >= 0, got {x!r}")
+        return np.float64(x)
     ps = _float_arg(p, name, arg, array=True)
     ok = (ps >= 0.0) & (ps < np.inf)
     if not _all(ok):
@@ -192,13 +208,6 @@ def _all(x) -> bool:
     np.count_nonzero, cheaper than np.logical_and.reduce or ndarray.all, for
     an array."""
     return bool(x) if x.ndim == 0 else np.count_nonzero(x) == x.size
-
-
-def _scalar_result(sign: int, log, est, nodes: int) -> QuadratureResult:
-    """The QuadratureResult of one order's log and estimate, built from an
-    int sign, float log and estimate and int term count: the types whose
-    invariant checks the constructors make without converting."""
-    return QuadratureResult(SignedLogValue(sign, float(log)), float(est), nodes)
 
 
 def _floor_error(logmag, scale: float = 1.0):
@@ -217,7 +226,10 @@ def _lowest_refused(held, orders: _Floats):
 def _within_accuracy(orders: _Floats, arg: str, logs: _Floats, scale: float = 1.0) -> _Floats:
     """``logs``, the log-integrals of ``orders``; raises DomainError, naming
     the lowest order (called ``arg``) whose floored estimate, at ``scale``,
-    exceeds _ACCURACY."""
+    exceeds _ACCURACY.  One order's floor is tested on a Python float, and
+    only a refused one goes on to the raise."""
+    if logs.ndim == 0 and _floor_error(float(logs), scale) <= _ACCURACY:
+        return logs
     est = _floor_error(logs, scale)
     if (i := _lowest_refused(est <= _ACCURACY, orders)) is not None:
         raise DomainError(f"the integral for {arg} = {np.ravel(orders)[i]:.17g} has a floored "
@@ -493,8 +505,8 @@ def integrate_logweighted(p: float) -> QuadratureResult:
     to _ACCURACY; the result value is always positive.
     """
     p = _float_arg(p, "integrate_logweighted", "p")  # refuses arrays, as float() does
-    log = _log_s(_checked("integrate_logweighted", p))
-    return _scalar_result(1, log, _floor_error(log, _S_LOG_SCALE), _s_terms(p))
+    log = float(_log_s(_checked("integrate_logweighted", p)))
+    return QuadratureResult(SignedLogValue(1, log), _floor_error(log, _S_LOG_SCALE), _s_terms(p))
 
 
 def log_power_integral(p):
@@ -653,8 +665,9 @@ def integrate_unit_log_power(n: int) -> QuadratureResult:
     Computed as (−1)^n·n!·σₙ by ``_log_unit``, so the returned sign is
     exactly (−1)^n.
     """
-    log = _log_unit(_checked("integrate_unit_log_power", n, "n", integer=True))
-    return _scalar_result(-1 if n % 2 else 1, log, _floor_error(log), _UNIT_TERMS)
+    k = _int_arg(n, 0, "integrate_unit_log_power requires an integer n >= 0")
+    log = float(_log_unit(_checked("integrate_unit_log_power", k, "n")))
+    return QuadratureResult(SignedLogValue(-1 if k % 2 else 1, log), _floor_error(log), _UNIT_TERMS)
 
 
 def gamma_derivative(n: int) -> QuadratureResult:
@@ -666,5 +679,6 @@ def gamma_derivative(n: int) -> QuadratureResult:
     catastrophically: the unit part dominates (its magnitude stays within
     [(1 − e^{−1})·n!, n!] while e^{−1}·S(n) ≤ e^{−1}·n!, see ``_gamma_rows``).
     """
-    sign, log, _, _, est = _gamma_column(_checked("gamma_derivative", n, "n", integer=True)).tolist()
-    return _scalar_result(int(sign), log, est, _UNIT_TERMS + _s_terms(n))
+    k = _int_arg(n, 0, "gamma_derivative requires an integer n >= 0")
+    sign, log, _, _, est = _gamma_column(_checked("gamma_derivative", k, "n")).tolist()
+    return QuadratureResult(SignedLogValue(int(sign), log), est, _UNIT_TERMS + _s_terms(k))

@@ -4,6 +4,7 @@ arguments that are not numeric.  Numpy integers are integers everywhere."""
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -199,3 +200,112 @@ def test_a_numeric_string_n_gives_q_of_n(kind):
     # log_at takes "2" as float() does
     q = QFUNCTIONS[kind]
     assert q.log_at("2") == q.log_at(2)
+
+
+class IndexOnly:
+    """An integer to ``operator.index`` alone: no arithmetic, no comparisons."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+
+    def __index__(self) -> int:
+        return self.n
+
+
+def result_bits(result) -> tuple:
+    """A QuadratureResult's sign, log, estimate and term count, bit for bit."""
+    value = result.value
+    return (type(value.sign), value.sign, value.logmag.hex(), result.est_rel_error.hex(),
+            result.nodes_used)
+
+
+@pytest.mark.parametrize("n", [0, 1, 60, 255])
+@pytest.mark.parametrize(
+    "integer", [IndexOnly, np.int64, np.uint8, np.array], ids=["__index__", "int64", "uint8", "0-d array"]
+)
+@pytest.mark.parametrize("call", [integrate_unit_log_power, gamma_derivative])
+def test_any_index_integer_gives_the_int_bits(call, integer, n):
+    # the int of the argument check, not the argument, takes the parity and the term count
+    assert result_bits(call(integer(n))) == result_bits(call(n))
+
+
+#: The public one-point functions, and log_power_integral on a scalar, with
+#: the argument their messages name and the domain a real argument keeps.
+ONE_POINT = {
+    "integrate_logweighted": (integrate_logweighted, "p", ">= 0"),
+    "log_power_integral": (log_power_integral, "p", ">= 0"),
+    "lambert_w0": (lambert_w0, "t", ">= 0"),
+    "laplace_estimate_exact": (laplace_estimate_exact, "t", "> 0"),
+    "laplace_estimate_leading": (laplace_estimate_leading, "t", "> 0"),
+    "integrate_unit_log_power": (integrate_unit_log_power, "n", None),
+    "gamma_derivative": (gamma_derivative, "n", None),
+}
+
+#: The arguments of the one-point differential test.
+ONE_POINT_VALUES = {
+    "float": 3.5,
+    "int": 7,
+    "np.float64": np.float64(7.0),
+    "bool": True,
+    "numeric string": "7",
+    "nan": math.nan,
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "negative": -2,
+    "10**400": HUGE,
+    "None": None,
+    "one-element array": np.array([7.0]),
+}
+
+
+def outcome(call, value):
+    """``call(value)``'s result, or its exception's type and message."""
+    try:
+        return call(value)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def float_refusal(name: str, arg: str, value):
+    """The exception type and message of float()'s refusal of a real
+    argument, or None where float() converts it."""
+    try:
+        float(value)
+    except OverflowError as exc:
+        return DomainError, f"{name} requires {arg} to be a number that fits a float: {exc}"
+    except TypeError as exc:
+        return TypeError, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("kind", ONE_POINT_VALUES)
+@pytest.mark.parametrize("name", ONE_POINT)
+def test_one_point_arguments_keep_their_results_and_refusals(name, kind):
+    # each value gives its plain number's result bit for bit, or the refusal of
+    # the argument rules of this module's docstring, type and message text
+    call, arg, domain = ONE_POINT[name]
+    value = ONE_POINT_VALUES[kind]
+    got = outcome(call, value)
+    if domain is None:  # an integer argument: of these, 7 alone is one
+        if kind == "int":
+            assert result_bits(got) == result_bits(call(7))
+        elif kind == "10**400":
+            assert got == (DomainError, f"{name} requires n to be a number that fits a float: "
+                                        "int too large to convert to float")
+        else:
+            assert got == (DomainError, f"{name} requires an integer n >= 0, got {value!r}")
+    elif name == "log_power_integral" and kind in ("None", "one-element array"):
+        # np.asarray converts both: None to nan, an array to an array of results
+        if kind == "None":
+            assert got == (DomainError, "log_power_integral requires finite p >= 0, got nan")
+        else:
+            assert got.tobytes() == np.array([log_power_integral(7.0)]).tobytes()
+    elif (refusal := float_refusal(name, arg, value)) is not None:
+        assert got == refusal
+    else:
+        x = float(value)
+        if (x >= 0.0 if domain == ">= 0" else x > 0.0) and x < math.inf:
+            want = call(x)
+            assert type(got) is type(want) and repr(got) == repr(want)
+        else:
+            assert got == (DomainError, f"{name} requires finite {arg} {domain}, got {x!r}")

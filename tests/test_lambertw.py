@@ -14,6 +14,7 @@ from momentdet import (
     ConvergenceError,
     DomainError,
     TOL_W,
+    WValue,
     lambert_w0,
     lambert_w_bounds,
     w_frac_diff,
@@ -139,6 +140,17 @@ class TestDomainErrors:
             match=r"^lambert_w0\(100\.0\) residual .* exceeds .* after 0 Halley steps$",
         ):
             lambert_w0(100.0)
+
+
+class TestRecord:
+    def test_a_frozen_dataclass(self, assert_frozen_record):
+        value = lambert_w0(3.5)
+        assert_frozen_record(value, residual=1.0)
+        assert_frozen_record(lambert_w0(0.0), t=1.0)
+        assert repr(value) == f"WValue(t=3.5, w={value.w!r}, residual={value.residual!r})"
+        assert WValue(residual=value.residual, w=value.w, t=3.5) == value
+        # the record checks and converts nothing
+        assert type(WValue(np.float64(1.0), 0.5, 0.0).t) is np.float64
 
 
 class TestMonotonicity:

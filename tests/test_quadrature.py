@@ -3,6 +3,7 @@ in the log domain."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -147,6 +148,19 @@ class TestUnitIntegral:
             integrate_unit_log_power(10**9)
         with pytest.raises(DomainError, match="n = 300000000 "):
             quadrature._log_unit(np.array([1e9, 5.0, 3e8]))
+
+    def test_the_first_refused_order_as_one_point_and_in_a_batch(self):
+        # 380,107 is the last order whose floored estimate keeps 1e-9: a one-point
+        # call tests its floor on a Python float, and 380,108 goes on to the raise
+        assert integrate_unit_log_power(380_107).est_rel_error <= quadrature._ACCURACY
+        assert gamma_derivative(380_107).est_rel_error <= quadrature._ACCURACY
+        message = ("the integral for n = 380108 has a floored error estimate 1e-09 above 1e-09, "
+                   "the accuracy every result keeps (its log, 4.50361e+06, is too coarse in a float)")
+        for call in (integrate_unit_log_power, gamma_derivative,
+                     lambda n: quadrature._log_unit(np.array([n, 380_107.0]))):
+            with pytest.raises(DomainError) as info:
+                call(380_108)
+            assert str(info.value) == message
 
 
 class TestLogFactorialTable:
@@ -357,6 +371,34 @@ class TestValidation:
         assert value == SignedLogValue(-1, 2.5)
         assert SignedLogValue(np.int64(0), np.float64(-math.inf)) == SignedLogValue.zero()
         assert QuadratureResult(value, 0.0, 1).est_rel_error == 0.0
+
+    @pytest.mark.parametrize(
+        "est, nodes, message",
+        [
+            (math.nan, 20, "est_rel_error must be >= 0, got nan"),
+            (-0.1, 20, "est_rel_error must be >= 0, got -0.1"),
+            (np.float64(-1e-300), 0, f"est_rel_error must be >= 0, got {np.float64(-1e-300)!r}"),
+            (1e-15, 0, "nodes_used must be positive, got 0"),
+            (0.0, -3, "nodes_used must be positive, got -3"),
+        ],
+    )
+    def test_each_result_refusal_keeps_its_type_and_message(self, est, nodes, message):
+        # the estimate is checked before the term count
+        with pytest.raises(ValueError) as info:
+            QuadratureResult(SignedLogValue.one(), est, nodes)
+        assert type(info.value) is ValueError and str(info.value) == message
+
+    def test_a_result_is_a_frozen_dataclass(self, assert_frozen_record):
+        result = integrate_unit_log_power(7)
+        assert_frozen_record(result, nodes_used=24)
+        assert_frozen_record(result, value=SignedLogValue.one())
+        assert repr(result) == (f"QuadratureResult(value={result.value!r}, "
+                                f"est_rel_error={result.est_rel_error!r}, nodes_used=20)")
+        # the record stores what it is given: a numpy estimate stays one
+        kept = QuadratureResult(value=result.value, nodes_used=20, est_rel_error=np.float64(0.5))
+        assert type(kept.est_rel_error) is np.float64 and kept == dataclasses.replace(result, est_rel_error=0.5)
+        with pytest.raises(ValueError, match="^nodes_used must be positive, got 0$"):
+            dataclasses.replace(result, nodes_used=0)
 
 
 class TestErrorEstimates:

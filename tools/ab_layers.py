@@ -43,6 +43,9 @@ default runs of a checkout against itself read every layer's b/a within
   caches, as that one-shot process meets them;
 * ``laplace``, ``lambert_w0``: ``laplace_estimate_exact(150)`` and
   ``lambert_w0(150)``;
+* ``records``: one ``SignedLogValue(1, x)`` and one ``QuadratureResult``
+  of it, built from Python floats and an int, as every one-point call
+  builds its result;
 * ``gen 2000``: the flagship ``product[(1,1),(1,1)]`` generated at n_max 2000;
 * ``from_json``, ``from_csv``, ``to_json``, ``analyze``: the flagship at
   n_max 5000;
@@ -129,6 +132,7 @@ def layers(md) -> dict[str, object]:
         "wtable row": lambda: (md.lambert_w0(1e3), md.lambert_w_bounds(1e3)),
         "laplace": lambda: md.laplace_estimate_exact(150.0),
         "lambert_w0": lambda: md.lambert_w0(150.0),
+        "records": lambda: md.QuadratureResult(md.SignedLogValue(1, 2.5), 1e-15, 20),
         "gen 2000": lambda: md.generate_moments(family, 2000),
         "from_json": lambda: md.from_json(text),
         "from_csv": lambda: md.from_csv(csv),
