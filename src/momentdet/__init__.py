@@ -54,16 +54,19 @@ _pending = set(_SUBMODULES)
 
 def _run(name: str) -> None:
     """Run submodule ``name`` in its registered module, once, and bind its
-    public names here."""
+    public names here.  A name assigned to the module before it ran is
+    assigned again after, so the assignment holds."""
     with _lock:
         if name in _pending:
             _pending.discard(name)
             module = globals()[name]
+            assigned = {k: v for k, v in vars(module).items() if not k.startswith("__")}
             try:
                 module.__spec__.loader.exec_module(module)
             except BaseException:
                 _pending.add(name)
                 raise
+            vars(module).update(assigned)
             del module.__getattr__
             globals().update((public, getattr(module, public)) for public in module.__all__)
 

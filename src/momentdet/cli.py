@@ -46,7 +46,7 @@ from .criteria import QFunction, _report, analyze, check_carleman, check_growth_
 from .errors import ConvergenceError, DomainError, FamilyParseError, SequenceError
 from .lambertw import lambert_w0, lambert_w_bounds
 from .moments import from_csv, from_json, generate_from_label, to_csv, to_json
-from .quadrature import _ACCURACY, _log_gamma, _log_s, log_power_integral
+from .quadrature import _ACCURACY, _log_gamma, log_power_integral
 
 _ENV_NMAX_CAP = "MOMENTDET_NMAX_CAP"
 _DEFAULT_NMAX_CAP = 5000
@@ -271,7 +271,7 @@ def cmd_asym(t_values: list[float], fmt: str, out: str) -> None:
         # the library's S(t), exact to float rounding; it extends the saddle terms
         # of the estimates, so the tests check its column against mpmath
         try:
-            log_s = float(_log_s(np.float64(t)))
+            log_s = log_power_integral(t)
         except DomainError as exc:
             raise DomainError(
                 f"asym cannot resolve S(t) at t = {t:.17g}: a float holds its log too "

@@ -40,8 +40,10 @@ Every checker reads one table, the rows n, ln n, ln ln n and ln (2n)!
 for n = 1..N, of which it takes the first n_max columns.  The table is
 built once for each size N, 8192 or the least power of two at or above
 n_max where that is more, cached and read-only, and each entry depends
-on n alone.  Every fit is ``_slope``, the closed-form least-squares slope
-on centred data, xc·(y − ȳ)/(xc·xc) with xc = x − x̄.
+on n alone.  Every tail runs from n_max // 2 to n_max (the growth rate's
+from ratio index (n_max − 1) // 2), so from n = 3 on, and ln ln n is finite
+over every tail.  Every fit is ``_slope``, the closed-form least-squares
+slope on centred data, xc·(y − ȳ)/(xc·xc) with xc = x − x̄.
 
 Verdicts describe the *given truncation*, not the limit: sequences whose
 log corrections settle slowly can honestly classify differently at short
@@ -60,7 +62,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import DomainError, SequenceError, _float_arg, _int_arg, _kind_arg
+from .errors import DomainError, SequenceError, _float_arg, _kind_arg
 from .moments import MomentSequence, _check_n_max, _log_carleman_terms
 
 __all__ = [
@@ -236,15 +238,14 @@ def _slope(x: np.ndarray, y: np.ndarray) -> float:
         return float(np.ldexp(xc @ (y - np.add.reduce(y) / y.size) / (xc @ xc), k))
 
 
-def _classify_series(
-    t: np.ndarray, log_terms: np.ndarray, tail_start: int
-) -> tuple[str, dict[str, float]]:
+def _classify_series(t: np.ndarray, log_terms: np.ndarray) -> tuple[str, dict[str, float]]:
     """Two-scale divergence classification of Σ term_n from ln term_n.
 
-    ``t`` is the shared table's first n_max columns; ``log_terms`` ends at
-    n = n_max, with at least 8 of its n at or beyond ``tail_start``; the
-    callers' input checks ensure it.
+    ``t`` is the shared table's first n_max columns and ``log_terms`` ends
+    at n = n_max; the tail starts at n_max // 2, which the callers' n_max
+    floors put at 8 or more, so ln ln n is finite over it.
     """
+    tail_start = t.shape[1] // 2
     _, ln_n, lnln, _ = t[:, tail_start - 1 :]
     log_tail = log_terms[-ln_n.size :]
     p_fit = -_slope(ln_n, log_tail)
@@ -256,10 +257,9 @@ def _classify_series(
     with np.errstate(over="ignore", under="ignore"):  # an overflowing sum reads inf
         partial_sum = float(np.add.reduce(np.exp(log_terms)))
 
-    # critical-scale refinement data: b_n = term_n · n · ln n over the tail's n ≥ 2
-    skip = 1 if tail_start == 1 else 0  # ln ln 1 = −inf
-    log_b = (log_tail + ln_n)[skip:] + lnln[skip:]
-    b_slope = _slope(lnln[skip:], log_b)
+    # critical-scale refinement data: b_n = term_n · n · ln n over the tail
+    log_b = log_tail + ln_n + lnln
+    b_slope = _slope(lnln, log_b)
     b_last = _exp_or_inf(float(log_b[-1]))
 
     if p_fit < 1.0 - BORDERLINE_BAND:
@@ -290,24 +290,16 @@ def _classify_series(
 # -- checkers -----------------------------------------------------------------
 
 
-def check_carleman(seq: MomentSequence, n_min: int | None = None) -> Verdict:
+def check_carleman(seq: MomentSequence) -> Verdict:
     """Divergence evidence for the series of a_n = m_n^{−1/(2n)}
-    (m_{2n}^{−1/(2n)} on symmetric support).
+    (m_{2n}^{−1/(2n)} on symmetric support); requires n_max >= 16.
 
-    The tail fit runs over [n_min, n_max]; n_min defaults to n_max // 2
-    and must leave at least 8 points (and n_max >= 16).
+    The tail fit runs over [n_max // 2, n_max].
     """
     n_max = _kind_arg(seq, MomentSequence, "check_carleman").n_max
-    if n_min is None:
-        tail_start = max(2, n_max // 2)
-    else:
-        tail_start = _int_arg(n_min, 1, "check_carleman requires a positive integer n_min")
-    if n_max < max(tail_start + 8, 16):
-        raise SequenceError(
-            f"check_carleman needs n_max >= max(n_min + 8, 16); got n_max = {n_max}, "
-            f"tail start {tail_start}"
-        )
-    status, diagnostics = _classify_series(_table(n_max), _log_carleman_terms(seq), tail_start)
+    if n_max < 16:
+        raise SequenceError(f"check_carleman needs n_max >= 16, got {n_max}")
+    status, diagnostics = _classify_series(_table(n_max), _log_carleman_terms(seq))
     return Verdict(
         criterion="carleman", status=status, diagnostics=diagnostics, n_used=n_max
     )
@@ -335,7 +327,7 @@ def check_growth_rate(seq: MomentSequence, q: QFunction | None = None) -> Verdic
     bad = np.argmin(np.isfinite(log_g))  # the first non-finite entry, if any
     if not math.isfinite(log_g[bad]):
         raise DomainError(f"ln g_n with q = {q.label()} overflows a float at n = {n[bad]:g}")
-    tail_start = max(1, (n_max - 1) // 2)
+    tail_start = (n_max - 1) // 2
     # the fits' x is ln n at ratio index n = tail_start..n_max−1
     log_g_tail = log_g[tail_start - 1 :]
     power_slope = _slope(ln_n[tail_start - 1 : -1], log_g_tail)
@@ -380,7 +372,7 @@ def check_q_divergence(q: QFunction, n_max: int = 400) -> Verdict:
     t = _table(n_max)
     n, ln_n, lnln, _ = t[:, 1:] if q.kind == "log" else t  # skip n = 1, where ln q(1) = −inf
     log_terms = -ln_n - q._log_of(n, ln_n, lnln)
-    status, diagnostics = _classify_series(t, log_terms, max(2, n_max // 2))
+    status, diagnostics = _classify_series(t, log_terms)
     return Verdict(
         criterion="q_divergence", status=status, diagnostics=diagnostics, n_used=log_terms.size
     )
@@ -405,7 +397,7 @@ def check_hardy(seq: MomentSequence) -> Verdict:
     n, ln_n, _, log_fact = _table(n_max)
     log_m = seq.log_moments[1:]
     b = (log_m - log_fact) / n
-    tail_start = max(2, n_max // 2)
+    tail_start = n_max // 2
     b_tail = b[tail_start - 1 :]
     slope = _slope(ln_n[tail_start - 1 :], b_tail)
     sup_b = float(np.maximum.reduce(b))

@@ -21,11 +21,11 @@ their values span hundreds of orders of magnitude:
 Their sum gives the derivatives of the gamma function at 1
 (``gamma_derivative``): Γ⁽ⁿ⁾(1) = ∫₀¹ (ln t)^n e^{−t} dt + e^{−1}·S(n),
 a sequence over integer n.  One order up to the unit table's top reads
-five columns from one cached table: the sign and log of Γ⁽ⁿ⁾(1), the logs
-of its two pieces and its error estimate, built per size by the one
-expression that combines the pieces and their estimates
-(``_gamma_columns``) over every order below the size.  An order above the
-table, and every batch, runs that expression on its own orders.
+three rows of its column in one cached table: the sign and log of
+Γ⁽ⁿ⁾(1) and its error estimate, built per size by the one expression that
+combines the pieces (``_log_gamma``), with their estimates added
+(``_gamma_columns``), over every order below the size.  An order above
+the table, and every batch, runs that expression on its own orders.
 Each integral has one code path (``_log_s``, ``_log_unit``, ``_log_gamma``)
 that takes its orders as a numpy float64 scalar or a 1-d array and returns
 results of the same shape.  The public one-point functions pass a scalar
@@ -162,7 +162,8 @@ class QuadratureResult:
     floor eps·(4 + |log|) of its log alone (``_floor_error``), which the
     public functions take once per result.  Γ⁽ⁿ⁾(1)'s adds the absolute
     errors of its two floored pieces (``_gamma_columns``), and up to
-    n = 8192 it is read from Γ⁽ⁿ⁾(1)'s table with the value.
+    n = 8192 it is read from Γ⁽ⁿ⁾(1)'s table with the sign and log, as
+    its third row.
     ``nodes_used`` counts the terms its series or table summed: the unit
     integral its 20, S(p) from p = 61 on its 8 correction terms and below
     that the 24 coefficients of its table row.  Γ⁽ⁿ⁾(1) reports the unit
@@ -608,9 +609,11 @@ def _log_unit(n: _Floats) -> _Floats:
     return _within_accuracy(n, "n", np.array(logs))
 
 
-def _gamma_rows(n: _Floats):
+def _log_gamma(n: _Floats):
     """(sign, log |Γ⁽ⁿ⁾(1)|, log |∫₀¹ (ln t)^n e^{−t} dt|, log S(n)) for
-    integer n ≥ 0, a scalar or an array, from ``_log_unit`` and ``_log_s``.
+    integer n ≥ 0, a scalar or an array, from ``_log_unit`` and ``_log_s``:
+    the one expression of Γ⁽ⁿ⁾(1), which evaluates its own orders and builds
+    no table.
 
     The unit part dominates: |unit| = n!·σₙ ≥ (1 − e^{−1})·n! while
     e^{−1}·S(n) ≤ e^{−1}·n! (ln(1+x) ≤ x), so their ratio r is at most
@@ -624,15 +627,15 @@ def _gamma_rows(n: _Floats):
 
 
 def _gamma_columns(n: _Floats) -> np.ndarray:
-    """``_gamma_rows`` of integer n ≥ 0, a scalar or an array, stacked with
-    Γ⁽ⁿ⁾(1)'s estimated relative error as a fifth row: its two pieces'
-    floored estimates times their magnitudes, added, relative to |Γ⁽ⁿ⁾(1)|
-    and floored."""
-    sign, log, unit_log, s_log = rows = _gamma_rows(n)
+    """The sign and log of Γ⁽ⁿ⁾(1) for integer n ≥ 0, a scalar or an array,
+    stacked with its estimated relative error as a third row: its two
+    pieces' floored estimates times their magnitudes, added, relative to
+    |Γ⁽ⁿ⁾(1)| and floored."""
+    sign, log, unit_log, s_log = _log_gamma(n)
     # both pieces' estimates are above 0, so their logs are finite
     abs_err = np.logaddexp(np.log(_floor_error(unit_log)) + unit_log,
                            np.log(_floor_error(s_log, _S_LOG_SCALE)) + (s_log - 1.0))
-    return np.array([*rows, np.maximum(np.exp(abs_err - log), _floor_error(log))])
+    return np.array([sign, log, np.maximum(np.exp(abs_err - log), _floor_error(log))])
 
 
 @cache
@@ -650,13 +653,6 @@ def _gamma_column(n: np.float64) -> np.ndarray:
     evaluated above it."""
     k = int(n)
     return _gamma_table(_table_size(k))[:, k] if k <= _UNIT_TABLE_MAX else _gamma_columns(n)
-
-
-def _log_gamma(n: _Floats):
-    """``_gamma_rows`` of integer n ≥ 0, a scalar or an array: one order
-    reads the first four rows of its ``_gamma_column``, and a batch
-    evaluates its own orders, so it builds no table."""
-    return tuple(_gamma_column(n)[:4]) if n.ndim == 0 else _gamma_rows(n)
 
 
 def integrate_unit_log_power(n: int) -> QuadratureResult:
@@ -677,8 +673,8 @@ def gamma_derivative(n: int) -> QuadratureResult:
 
     The two pieces have opposite signs for odd n but never cancel
     catastrophically: the unit part dominates (its magnitude stays within
-    [(1 − e^{−1})·n!, n!] while e^{−1}·S(n) ≤ e^{−1}·n!, see ``_gamma_rows``).
+    [(1 − e^{−1})·n!, n!] while e^{−1}·S(n) ≤ e^{−1}·n!, see ``_log_gamma``).
     """
     k = _int_arg(n, 0, "gamma_derivative requires an integer n >= 0")
-    sign, log, _, _, est = _gamma_column(_checked("gamma_derivative", k, "n")).tolist()
+    sign, log, est = _gamma_column(_checked("gamma_derivative", k, "n")).tolist()
     return QuadratureResult(SignedLogValue(int(sign), log), est, _UNIT_TERMS + _s_terms(k))

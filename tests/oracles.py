@@ -226,20 +226,14 @@ def _reference_classify_series(ns, log_terms, tail_start):
     return status, diagnostics
 
 
-def reference_check_carleman(seq, n_min=None):
+def reference_check_carleman(seq):
     from momentdet import criteria as c
-    from momentdet.errors import SequenceError, _int_arg
+    from momentdet.errors import SequenceError
 
     n_max = seq.n_max
-    if n_min is None:
-        tail_start = max(2, n_max // 2)
-    else:
-        tail_start = _int_arg(n_min, 1, "check_carleman requires a positive integer n_min")
+    tail_start = max(2, n_max // 2)
     if n_max < max(tail_start + 8, 16):
-        raise SequenceError(
-            f"check_carleman needs n_max >= max(n_min + 8, 16); got n_max = {n_max}, "
-            f"tail start {tail_start}"
-        )
+        raise SequenceError(f"check_carleman needs n_max >= 16, got {n_max}")
     ns = np.arange(1, n_max + 1, dtype=float)
     log_terms = -seq.log_moments[1:] / (2.0 * np.arange(1, n_max + 1))
     status, diagnostics = _reference_classify_series(ns, log_terms, tail_start)

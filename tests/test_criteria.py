@@ -105,29 +105,9 @@ class TestCarleman:
         assert v.diagnostics["refined"] == 1.0
         assert v.diagnostics["b_slope"] > -0.75
 
-    def test_explicit_tail_window(self, seqs):
-        seq = seqs(X11, 200)
-        v = check_carleman(seq, n_min=150)
-        assert v.status == SATISFIED
-        assert v.diagnostics["tail_start"] == 150.0
-
     def test_too_short_sequence(self, seqs):
-        with pytest.raises(SequenceError):
+        with pytest.raises(SequenceError, match=r"^check_carleman needs n_max >= 16, got 12$"):
             check_carleman(seqs("exp", 12))
-        with pytest.raises(SequenceError):
-            check_carleman(seqs("exp", 20), n_min=15)
-
-    def test_bad_n_min(self, seqs):
-        with pytest.raises(DomainError):
-            check_carleman(seqs("exp", 100), n_min=0)
-        for n_min in (2.5, 20.0, True):
-            with pytest.raises(DomainError):
-                check_carleman(seqs("exp", 100), n_min=n_min)
-
-    def test_numpy_integer_n_min(self, seqs):
-        seq = seqs("exp", 100)
-        assert check_carleman(seq, n_min=np.int64(20)) == check_carleman(seq, n_min=20)
-        assert check_carleman(seq, n_min=np.int64(20)).diagnostics["tail_start"] == 20.0
 
     def test_n_used_records_orders(self, seqs):
         assert check_carleman(seqs("exp", 100)).n_used == 100
@@ -388,6 +368,16 @@ class TestScaleEquivariance:
         other = check_hardy(scaled(seqs("exp", 200), c)).diagnostics["c0"]
         assert other == pytest.approx(base * c, rel=1e-9)
 
+    @pytest.mark.parametrize("q", [QFunction.one(), QFunction.log()], ids=["one", "log"])
+    @pytest.mark.parametrize("c", [0.1, 10.0])
+    def test_growth_bound_scales_linearly(self, seqs, c, q):
+        # g_n = (m_{n+1}/m_n)/((n+1)²·q(n+1)²) takes the factor c, and its slopes do not move
+        base = check_growth_rate(seqs(X11, 200), q).diagnostics
+        other = check_growth_rate(scaled(seqs(X11, 200), c), q).diagnostics
+        assert other["sup_g"] == pytest.approx(base["sup_g"] * c, rel=1e-9)
+        for slope in ("power_slope", "loglog_slope"):
+            assert other[slope] == pytest.approx(base[slope], rel=1e-9, abs=1e-12)
+
 
 class TestStabilityAcrossLengths:
     @pytest.mark.parametrize("label", ["exp", "exp2", "lognormal"])
@@ -613,7 +603,7 @@ class TestFitSlope:
     def test_bertrand_tails(self, monkeypatch, p, c):
         _, log_terms = _bertrand(p, c)
         fits = _recorded_fits(
-            monkeypatch, lambda: criteria._classify_series(criteria._table(3000), log_terms, 1500)
+            monkeypatch, lambda: criteria._classify_series(criteria._table(3000), log_terms)
         )
         assert len(fits) == 3
         self._assert_as_close_as_lstsq(fits)
@@ -749,19 +739,11 @@ class TestSharedTableMatchesReference:
     report or the exception of ``oracles``' per-checker reference."""
 
     @settings(max_examples=150)
-    @given(
-        log_convex_sequences(),
-        Q_ARGS,
-        st.one_of(st.none(), st.integers(1, 3000)),
-        st.integers(100, 3000),
-    )
-    def test_reports_and_exceptions(self, seq, q, n_min, q_n_max):
+    @given(log_convex_sequences(), Q_ARGS, st.integers(100, 3000))
+    def test_reports_and_exceptions(self, seq, q, q_n_max):
         pairs = [
             (lambda: analyze(seq), lambda: oracles.reference_analyze(seq)),
-            (
-                lambda: check_carleman(seq, n_min),
-                lambda: oracles.reference_check_carleman(seq, n_min),
-            ),
+            (lambda: check_carleman(seq), lambda: oracles.reference_check_carleman(seq)),
             (
                 lambda: check_growth_rate(seq, q),
                 lambda: oracles.reference_check_growth_rate(seq, q),

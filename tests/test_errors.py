@@ -18,7 +18,6 @@ from momentdet import (
     SequenceError,
     SignedLogValue,
     asymptotic_kn,
-    check_carleman,
     check_q_divergence,
     gamma_derivative,
     generate_from_label,
@@ -107,7 +106,6 @@ INT_ARGS = {
     ),
     "lognormal_moments n_max": (lognormal_moments, 20),
     "check_q_divergence n_max": (lambda n: check_q_divergence(QFunction.log(), n), 200),
-    "check_carleman n_min": (lambda n: check_carleman(lognormal_moments(60), n_min=n), 20),
     "asymptotic_kn n": (lambda n: asymptotic_kn(n, 0.5), 30),
     "integrate_unit_log_power n": (integrate_unit_log_power, 7),
     "gamma_derivative n": (gamma_derivative, 7),

@@ -141,6 +141,28 @@ def test_a_submodule_that_fails_to_run_runs_again_on_the_next_lookup():
                       "ran": ["errors", "lambertw", "logdomain"]}
 
 
+def test_an_assignment_made_before_a_submodule_runs_holds():
+    result = run_fresh("""
+        import numpy as np
+        import momentdet
+        import momentdet.criteria as c
+        import momentdet.quadrature as q
+        c.BORDERLINE_BAND = 0.3
+        q._WIDE = np.float64
+        q.integrate_logweighted = "assigned"
+        c.analyze  # runs all seven
+        print(json.dumps({
+            "ran": ran(),
+            "band": c.BORDERLINE_BAND,
+            "wide": q._WIDE.__name__,
+            "saddle": type(q._saddle(150.0)[1]).__name__,
+            "public": [q.integrate_logweighted, momentdet.integrate_logweighted],
+        }))
+    """)
+    assert result == {"ran": sorted(SUBMODULES), "band": 0.3, "wide": "float64",
+                      "saddle": "float64", "public": ["assigned", "assigned"]}
+
+
 @pytest.mark.parametrize("lookup", ["momentdet.analyze", "momentdet.criteria.analyze"])
 def test_threads_resolving_one_name_first_get_one_object(lookup):
     result = run_fresh("""

@@ -234,10 +234,10 @@ class TestSigmaIsOneFrom53:
 
 
 class TestGammaTable:
-    """Γ⁽ⁿ⁾(1)'s four columns and its estimate are read from a table by one
-    order up to _UNIT_TABLE_MAX and evaluated above it and by a batch, with
-    the bits each order gets from ``_gamma_rows`` alone, on both routes and
-    across them."""
+    """Γ⁽ⁿ⁾(1)'s sign, log and estimate are read from a table by one order up
+    to _UNIT_TABLE_MAX and evaluated above it and by a batch, with the bits
+    each order gets from ``_gamma_columns`` alone, on both routes and across
+    them."""
 
     @staticmethod
     def built(sizes):
@@ -245,25 +245,24 @@ class TestGammaTable:
         quadrature._gamma_table.cache_clear()
         tables = [quadrature._gamma_table(size) for size in sizes]
         for size, table in zip(sizes, tables):
-            assert table.shape == (5, size)
+            assert table.shape == (3, size)
             assert not table.flags.writeable
         return tables
 
     def test_orders_across_the_table_top(self):
         top = quadrature._UNIT_TABLE_MAX
         for orders in ([top - 1, top, top + 1], [top + 1, 150, top, 0, top - 1], [top, top - 1]):
-            batch = quadrature._log_gamma(np.array(orders, dtype=float))
+            batch = quadrature._gamma_columns(np.array(orders, dtype=float))
             for i, n in enumerate(orders):
-                alone = quadrature._gamma_rows(np.float64(n))
-                for got, column, want in zip(quadrature._log_gamma(np.float64(n)), batch, alone,
-                                             strict=True):
-                    assert np.ndim(got) == 0 and got.dtype == want.dtype == np.float64
-                    assert got.tobytes() == column[i].tobytes() == want.tobytes(), n
+                got = quadrature._gamma_column(np.float64(n))
+                want = quadrature._gamma_columns(np.float64(n))
+                assert got.shape == want.shape == (3,) and got.dtype == want.dtype == np.float64
+                assert got.tobytes() == batch[:, i].tobytes() == want.tobytes(), n
 
     def test_every_order_of_the_table_reads_what_it_gets_alone(self):
         for n in range(quadrature._UNIT_TABLE_MAX + 1):
-            got = np.array(quadrature._log_gamma(np.float64(n)))
-            assert got.tobytes() == np.array(quadrature._gamma_rows(np.float64(n))).tobytes(), n
+            got = quadrature._gamma_column(np.float64(n))
+            assert got.tobytes() == quadrature._gamma_columns(np.float64(n)).tobytes(), n
 
     @pytest.mark.parametrize("sizes", [[8, 8193], [8193, 8]])
     def test_entries_depend_on_k_alone(self, sizes):
@@ -279,9 +278,10 @@ class TestGammaTable:
     def test_every_table_is_read_only(self):
         quadrature._gamma_table.cache_clear()
         for n in (0, 1, 150, 4000, quadrature._UNIT_TABLE_MAX):
-            quadrature._log_gamma(np.float64(n))
+            quadrature._gamma_column(np.float64(n))
         # a batch evaluates its own orders and builds no table
         quadrature._log_gamma(np.arange(300.0))
+        quadrature._gamma_columns(np.arange(300.0))
         assert quadrature._gamma_table.cache_info().currsize == 5
         for size in (1, 2, 256, 4096, quadrature._UNIT_TABLE_MAX + 1):
             table = quadrature._gamma_table(size)

@@ -10,12 +10,20 @@ decisive one (a move to ``inconclusive`` is allowed).
   with q ≡ 1 and with q = ln n keeps its verdicts at C = 1e-12.  Carleman
   and Hardy do not yet: their tests are strict xfails naming the items
   that should mend them (1 and 15, and 2).
+* Scaling, X → cX, gives m_n → cⁿ·m_n and leaves every condition as it
+  was.  Every checker keeps its verdicts at c = 0.1 and 10: each deciding
+  statistic is a slope, or a comparison the shift leaves alone.
+* Size-biasing, m'_n = m_{n+k}/m_k, gives the moments of the law
+  ∝ x^k dP(x), which keeps every condition (ROADMAP item 20).  Growth with
+  q = ln n keeps its verdicts at k = 1 and 4; Carleman, growth with q ≡ 1
+  and Hardy do not yet, and are strict xfails naming items 1 and 15, and 2.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from momentdet import (
@@ -67,6 +75,22 @@ def _with_point_mass(seq: MomentSequence) -> MomentSequence:
     return MomentSequence(seq.support, logs)
 
 
+def _opposite_flips(seqs, n_max: int, checker: str, related) -> str:
+    """Each family at ``n_max`` whose ``checker`` verdict moves to the
+    opposite decisive one on a sequence ``related(seq)`` gives, as
+    (name, sequence) pairs; one line per flip."""
+    check = CHECKERS[checker]
+    flipped = []
+    for label in POINT_MASS_FAMILIES:
+        seq = seqs(label, n_max)
+        before = check(seq).status
+        for name, other in related(seq):
+            after = check(other).status
+            if {before, after} == {SATISFIED, VIOLATED}:
+                flipped.append(f"{label}{name}: {before} -> {after}")
+    return "\n".join(flipped)
+
+
 def _xfail(n_max: int, checker: str, reason: str):
     mark = pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
     return pytest.param(n_max, checker, marks=mark)
@@ -85,11 +109,54 @@ _HARDY = "ROADMAP item 2: the mass adds ln C/n to Hardy's b_n, which its fit rea
     ],
 )
 def test_a_point_mass_at_zero_moves_no_verdict_to_its_opposite(seqs, n_max, checker):
-    check = CHECKERS[checker]
-    flipped = []
-    for label in POINT_MASS_FAMILIES:
-        seq = seqs(label, n_max)
-        before, after = check(seq).status, check(_with_point_mass(seq)).status
-        if {before, after} == {SATISFIED, VIOLATED}:
-            flipped.append(f"{label}: {before} -> {after}")
-    assert not flipped, "\n".join(flipped)
+    flipped = _opposite_flips(seqs, n_max, checker, lambda seq: [("", _with_point_mass(seq))])
+    assert not flipped, flipped
+
+
+#: The scales c of c·X.
+SCALES = (0.1, 10.0)
+
+
+def _scaled(seq: MomentSequence, c: float) -> MomentSequence:
+    """The sequence of c·X: entry n plus n·ln c."""
+    logs = seq.log_moments + np.arange(seq.log_moments.size) * math.log(c)
+    return MomentSequence(seq.support, logs)
+
+
+@pytest.mark.parametrize("checker", list(CHECKERS))
+@pytest.mark.parametrize("n_max", [200, 1000])
+def test_scaling_moves_no_verdict_to_its_opposite(seqs, n_max, checker):
+    flipped = _opposite_flips(
+        seqs, n_max, checker, lambda seq: [(f", c = {c:g}", _scaled(seq, c)) for c in SCALES]
+    )
+    assert not flipped, flipped
+
+
+#: The orders k of the k-size-biased law.
+BIAS_ORDERS = (1, 4)
+
+
+def _size_biased(seq: MomentSequence, k: int) -> MomentSequence:
+    """The moments m_{n+k}/m_k of the k-size-biased law, n = 0..n_max − k."""
+    return MomentSequence(seq.support, seq.log_moments[k:] - seq.log_moments[k])
+
+
+_CARLEMAN_BIAS = "ROADMAP items 1 and 15: the bias adds O(ln n/n) to ln a_n, which Carleman's fit reads"
+_GROWTH_BIAS = "ROADMAP item 2: the bias multiplies g_n by about ((n+k+1)/(n+1))², which its fit reads"
+_HARDY_BIAS = "ROADMAP item 2: the bias adds terms of order k·ln(n)/n to Hardy's b_n, which its fit reads"
+
+
+@pytest.mark.parametrize(
+    "n_max, checker",
+    [
+        *((n_max, "growth_rate_q") for n_max in (200, 1000)),
+        *(_xfail(n_max, "carleman", _CARLEMAN_BIAS) for n_max in (200, 1000)),
+        *(_xfail(n_max, "growth_rate", _GROWTH_BIAS) for n_max in (200, 1000)),
+        *(_xfail(n_max, "hardy", _HARDY_BIAS) for n_max in (200, 1000)),
+    ],
+)
+def test_size_biasing_moves_no_verdict_to_its_opposite(seqs, n_max, checker):
+    flipped = _opposite_flips(
+        seqs, n_max, checker, lambda seq: [(f", k = {k}", _size_biased(seq, k)) for k in BIAS_ORDERS]
+    )
+    assert not flipped, flipped

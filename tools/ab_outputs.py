@@ -101,6 +101,13 @@ COMMANDS = [
     Command(f"{CLI} asym --t 0", 2, stderr_has="error: asym requires finite t > 0, got 0.0\n"),
     Command(f"{CLI} asym --t -5", 2, stderr_has="error: asym requires finite t > 0, got -5.0\n"),
     Command(f"{CLI} asym --t 1e7", 2, stderr_has="error: asym cannot resolve S(t) at t = 10000000: "),
+    # a sequence too short for Carleman's tail fit
+    Command(f"{CLI} gen --family exp --nmax 12 --out short.json"),
+    Command(
+        f"{CLI} check --in short.json --criteria carleman",
+        2,
+        stderr_has="check_carleman needs n_max >= 16, got 12",
+    ),
     # ln q(n) = alpha*ln n overflowing a float names the first such n
     Command(
         f"{CLI} check --in e.json --criteria growth-q --q power:1e308",
