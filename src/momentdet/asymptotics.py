@@ -52,6 +52,9 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+#: The points of each grid ``verify_laplace_conditions`` probes.
+_GRID_SIZE = 41
+
 
 @dataclass(frozen=True)
 class SaddleReport:
@@ -148,25 +151,23 @@ def _q_curvature(x: np.ndarray, t: float) -> np.ndarray:
     return -ratio * (1.0 + l1p) / l1p / (1.0 + x)
 
 
-def verify_laplace_conditions(t: float, grid_size: int = 41) -> ConditionCheck:
-    """Probe the saddle-point hypotheses on finite grids at one t.
+def verify_laplace_conditions(t: float) -> ConditionCheck:
+    """Probe the saddle-point hypotheses at one t on two grids of _GRID_SIZE
+    points.
 
-    Requires t > e (so the curvature window sits comfortably inside the
-    positive axis) and grid_size >= 11.
+    Requires t > e, so the curvature window sits comfortably inside the
+    positive axis.
     """
     t = _float_arg(t, "verify_laplace_conditions", "t")
     if not (math.isfinite(t) and t > math.e):
         raise DomainError(f"verify_laplace_conditions requires t > e, got {t!r}")
-    grid_size = _int_arg(
-        grid_size, 11, "verify_laplace_conditions requires an integer grid_size >= 11"
-    )
 
     report = saddle_point(t)
     w = math.log1p(report.x_t)  # = W(t), recovered from the saddle
     curv_peak = report.q_curv
 
     # Condition 2: concavity of Q(·, t) on (0, 4·x_t], log-spaced grid.
-    grid2 = np.geomspace(report.x_t * 1e-6, 4.0 * report.x_t, grid_size)
+    grid2 = np.geomspace(report.x_t * 1e-6, 4.0 * report.x_t, _GRID_SIZE)
     cond2_ok = bool(np.all(_q_curvature(grid2, t) < 0.0))
 
     # Condition 3: x_t·√|Q″(x_t,t)| — must diverge as t grows.
@@ -175,7 +176,7 @@ def verify_laplace_conditions(t: float, grid_size: int = 41) -> ConditionCheck:
     # Condition 1: curvature uniformity on |x − x_t| ≤ μ(t)·√(t/(1+W)).
     # For t > e the window's left end stays at or above 0.128·x_t, inside x > 0.
     half_width = report.mu * math.sqrt(t / (1.0 + w))
-    grid1 = np.linspace(report.x_t - half_width, report.x_t + half_width, grid_size)
+    grid1 = np.linspace(report.x_t - half_width, report.x_t + half_width, _GRID_SIZE)
     dev = np.abs(_q_curvature(grid1, t) / curv_peak - 1.0)
     cond1_sup_dev = float(np.max(dev))
 

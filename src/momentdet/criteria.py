@@ -123,8 +123,10 @@ class Verdict:
 
 @dataclass(frozen=True)
 class QFunction:
-    """A positive rate-modulation q(n), read as ln q(n) through ``log_at``:
-    constant-one (q ≡ 1), log (q = ln n) or power (q = n^α)."""
+    """A positive rate-modulation q(n): constant-one (q ≡ 1), log (q = ln n)
+    or power (q = n^α).  The checkers read ln q(n) through ``_log_of`` on
+    the shared table's columns, α·ln n for the power kind, so it stays
+    finite where n^α itself under- or overflows."""
 
     kind: str
     alpha: float | None = None
@@ -149,25 +151,6 @@ class QFunction:
     @classmethod
     def power(cls, alpha: float) -> "QFunction":
         return cls(kind="power", alpha=_float_arg(alpha, "QFunction.power", "alpha"))
-
-    def log_at(self, n):
-        """ln q(n) for an integer n >= 1, or elementwise for an array of them;
-        integral floats are accepted, and DomainError names the first n that
-        is NaN, infinite, not integral or below 1.
-
-        Formed in the log domain for the power kind (α·ln n), where n^α
-        itself under- or overflows for large |α|; raises DomainError, naming
-        the first such n, where α·ln n overflows too (|α| near 1e308).  The
-        log kind gives −inf at n = 1, where q(1) = 0.
-        """
-        ns = _float_arg(n, "QFunction", "n", array=True)
-        outside = ~(np.isfinite(ns) & (ns == np.floor(ns)) & (ns >= 1))
-        if outside.any():
-            bad = ns.flat[np.argmax(outside)]
-            raise DomainError(f"QFunction is defined for integer n >= 1, got {bad:g}")
-        with np.errstate(divide="ignore"):  # ln ln 1 = −inf
-            out = self._log_of(ns, np.log(ns), np.log(np.log(ns)))
-        return float(out) if out.ndim == 0 else out
 
     def _log_of(self, ns, ln_n, lnln):
         """ln q(n) for integers ``ns`` >= 1, unchecked, from their ln n and

@@ -40,9 +40,10 @@ returns), which hand the private paths the numpy float64 scalar they take.
 The accuracy check tests a 0-d log's floor on a Python float
 (``_within_accuracy``), the public function takes its estimate once from
 the log as a Python float, and the records check their fields in their own
-``__init__``.  The call reads a table by an int index (``_log_unit``,
-``_gamma_column``), where a batch gathers.  S's pieces take it as a Python
-float (``_log_s``), so their float64 arithmetic runs on Python operators,
+``__init__``.  The call reads a table by an int index (``_log_unit``, and
+``gamma_derivative`` itself, which checks only an order above its table),
+where a batch gathers.  S's pieces take it as a Python float
+(``_log_s``), so their float64 arithmetic runs on Python operators,
 about 0.02 µs each against a numpy scalar's 0.08 on a 2-core x86-64 host,
 and W calls numpy's log, log1p and expm1 on that float (``_FLOAT_UFUNCS``,
 the third namespace of ``lambertw._halley``), about 0.15 µs each.  Such a
@@ -137,7 +138,8 @@ _LOG_ROUNDING = 4.0
 
 #: The type S's saddle terms are evaluated in (``_saddle``): 80-bit extended
 #: on x86-64 Linux, float64 itself with MSVC on Windows and on macOS on
-#: Apple silicon.
+#: Apple silicon.  ``_S_LOG_SCALE`` is derived from it once, at import, so
+#: an emulation of a float64-only platform sets both.
 _WIDE = np.longdouble
 
 #: eps per nat of |log S(p)| in S's floor eps·(4 + scale·|log|).  Where
@@ -647,14 +649,6 @@ def _gamma_table(size: int) -> np.ndarray:
     return table
 
 
-def _gamma_column(n: np.float64) -> np.ndarray:
-    """``_gamma_columns`` of one integer order n ≥ 0: its column of
-    ``_gamma_table``, read by an int index, up to _UNIT_TABLE_MAX, and
-    evaluated above it."""
-    k = int(n)
-    return _gamma_table(_table_size(k))[:, k] if k <= _UNIT_TABLE_MAX else _gamma_columns(n)
-
-
 def integrate_unit_log_power(n: int) -> QuadratureResult:
     """Evaluate ∫₀¹ (ln t)^n · e^{−t} dt for integer n ≥ 0.
 
@@ -668,13 +662,17 @@ def integrate_unit_log_power(n: int) -> QuadratureResult:
 
 def gamma_derivative(n: int) -> QuadratureResult:
     """Evaluate Γ⁽ⁿ⁾(1) = ∫₀¹ (ln t)^n e^{−t} dt + e^{−1}·S(n) from one
-    ``_gamma_column``: its sign, log and estimate, which adds both pieces'
-    absolute errors.
+    column of ``_gamma_columns``: its sign, log and estimate, which adds both
+    pieces' absolute errors.  Up to _UNIT_TABLE_MAX the column is read from
+    ``_gamma_table`` by an int index; above it, it is evaluated.
 
     The two pieces have opposite signs for odd n but never cancel
     catastrophically: the unit part dominates (its magnitude stays within
     [(1 − e^{−1})·n!, n!] while e^{−1}·S(n) ≤ e^{−1}·n!, see ``_log_gamma``).
     """
     k = _int_arg(n, 0, "gamma_derivative requires an integer n >= 0")
-    sign, log, est = _gamma_column(_checked("gamma_derivative", k, "n")).tolist()
+    # an int order up to the table's top is in range, so only the orders above it are checked
+    column = (_gamma_table(_table_size(k))[:, k] if k <= _UNIT_TABLE_MAX
+              else _gamma_columns(_checked("gamma_derivative", k, "n")))
+    sign, log, est = column.tolist()
     return QuadratureResult(SignedLogValue(int(sign), log), est, _UNIT_TERMS + _s_terms(k))

@@ -21,7 +21,7 @@ every order, and of Γ⁽ⁿ⁾(1) composed from it and S(n), on 1-d arrays of
 orders, whose bits the package's leaner forms (a table read) must
 reproduce.  So are the ``reference_check_*`` checkers
 and ``reference_analyze``: the arithmetic of ``criteria`` with each
-checker building its own n, ln n and centred tails, whose verdicts and
+checker building its own n, ln n, ln q and centred tails, whose verdicts and
 diagnostics the package's shared table must reproduce.  And so is
 ``reference_parse_family``: the family grammar read by a cursor that
 matches one factor at a time, whose specs and exception types the
@@ -240,6 +240,26 @@ def reference_check_carleman(seq):
     return c.Verdict(criterion="carleman", status=status, diagnostics=diagnostics, n_used=n_max)
 
 
+def _reference_log_q(q, ns):
+    """ln q(n) for an array of integers ``ns`` >= 1, from np.log of ``ns``
+    itself: 0, ln ln n or α·ln n; DomainError names the least n where α·ln n
+    overflows."""
+    from momentdet.errors import DomainError
+
+    ln_n = np.log(ns)
+    if q.kind == "constant-one":
+        return np.zeros_like(ns)
+    if q.kind == "log":
+        with np.errstate(divide="ignore"):  # ln ln 1 = −inf
+            return np.log(ln_n)
+    with np.errstate(over="ignore"):
+        out = q.alpha * ln_n
+    if not np.all(np.isfinite(out)):
+        bad = ns[~np.isfinite(out)].min()
+        raise DomainError(f"ln q({bad:g}) = {q.alpha:g}*ln({bad:g}) overflows a float")
+    return out
+
+
 def reference_check_growth_rate(seq, q=None):
     from momentdet import criteria as c
     from momentdet.errors import DomainError, SequenceError
@@ -251,7 +271,7 @@ def reference_check_growth_rate(seq, q=None):
         raise SequenceError(f"check_growth_rate needs >= 8 ratio terms, got {n_max}")
     ns = np.arange(1, n_max, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        log_g = np.diff(seq.log_moments)[1:] - 2.0 * np.log(ns + 1.0) - 2.0 * q.log_at(ns + 1.0)
+        log_g = np.diff(seq.log_moments)[1:] - 2.0 * np.log(ns + 1.0) - 2.0 * _reference_log_q(q, ns + 1.0)
     if not np.all(np.isfinite(log_g)):
         bad = ns[~np.isfinite(log_g)].min()
         raise DomainError(f"ln g_n with q = {q.label()} overflows a float at n = {bad:g}")
@@ -286,9 +306,9 @@ def reference_check_q_divergence(q, n_max=400):
     from momentdet.moments import _check_n_max
 
     n_max = _check_n_max(n_max, 100, "check_q_divergence requires integer n_max >= 100")
-    n_start = 1 if q.log_at(1) > -math.inf else 2
+    n_start = 2 if q.kind == "log" else 1  # q(1) = ln 1 = 0
     ns = np.arange(n_start, n_max + 1, dtype=float)
-    log_terms = -np.log(ns) - q.log_at(ns)
+    log_terms = -np.log(ns) - _reference_log_q(q, ns)
     status, diagnostics = _reference_classify_series(ns, log_terms, max(2, n_max // 2))
     return c.Verdict(
         criterion="q_divergence", status=status, diagnostics=diagnostics, n_used=ns.size

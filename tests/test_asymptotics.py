@@ -179,10 +179,6 @@ class TestConditionChecks:
             lo = rep.x_t - rep.mu * math.sqrt(t / (1.0 + math.log1p(rep.x_t)))
             assert lo >= 0.128 * rep.x_t, t
 
-    def test_grid_size_floor(self):
-        with pytest.raises(DomainError):
-            verify_laplace_conditions(100.0, grid_size=10)
-
     @pytest.mark.parametrize("t", [E, 1.0, 0.5])
     def test_requires_t_above_e(self, t):
         with pytest.raises(DomainError):

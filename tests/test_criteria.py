@@ -29,6 +29,7 @@ from momentdet import (
 )
 
 from . import oracles
+from .truth import bertrand
 
 X11 = "product[(1,1),(1,1)]"
 SYM_X11 = "symroot[(1,1),(1,1)]"
@@ -180,8 +181,9 @@ class TestGrowthRate:
 
     @pytest.mark.parametrize("alpha", [-400.0, 400.0])
     def test_extreme_power_q_stays_in_the_log_domain(self, seqs, alpha):
-        # n^alpha under- or overflows; ln q(n) = alpha·ln n does not
-        assert QFunction.power(alpha).log_at(10) == alpha * math.log(10)
+        # n^alpha under- or overflows; ln q(n) = alpha·ln n, as the checkers read it, does not
+        n, ln_n, lnln, _ = criteria._table(10)
+        assert QFunction.power(alpha)._log_of(n, ln_n, lnln)[-1] == alpha * math.log(10)
         v = check_growth_rate(seqs(X11, 100), QFunction.power(alpha))
         assert v.status in (SATISFIED, VIOLATED, INCONCLUSIVE)
         assert math.isfinite(v.diagnostics["sup_log_g"])
@@ -243,29 +245,9 @@ QS = [QFunction.one(), QFunction.log(), QFunction.power(0.7)]
 
 
 class TestQFunction:
-    @pytest.mark.parametrize("q", QS)
-    def test_log_at_array_matches_scalar(self, q):
-        ns = np.arange(2, 4)
-        got = q.log_at(ns)
-        assert got.dtype == np.float64
-        assert got.tolist() == [q.log_at(int(n)) for n in ns]
-        closed_form = {
-            "constant-one": lambda n: 0.0,
-            "log": lambda n: math.log(math.log(n)),
-            "power": lambda n: 0.7 * math.log(n),
-        }[q.kind]
-        assert got.tolist() == pytest.approx([closed_form(int(n)) for n in ns], rel=1e-15)
-        assert type(q.log_at(3)) is float
-
-    def test_log_at_domain(self):
-        assert QFunction.log().log_at(1) == -math.inf
-        with pytest.raises(DomainError):
-            QFunction.power(1.0).log_at(np.array([1.0, 0.0]))
-
     def test_kinds_and_labels(self):
-        assert QFunction.one().log_at(17) == 0.0
-        assert QFunction.log().log_at(math.isqrt(100)) == math.log(math.log(10))
-        assert QFunction.power(2.0).log_at(3) == 2.0 * math.log(3)
+        assert [(q.kind, q.alpha) for q in QS] == [("constant-one", None), ("log", None), ("power", 0.7)]
+        assert type(QFunction.power(2).alpha) is float
         assert QFunction.power(0.5).label() == "power(0.5)"
         assert QFunction.log().label() == "log"
         assert QFunction.one().label() == "constant-one"
@@ -277,32 +259,15 @@ class TestQFunction:
             QFunction.power(math.nan)
         with pytest.raises(DomainError):
             QFunction(kind="table")
-        for q in QS:
-            with pytest.raises(DomainError):
-                q.log_at(0)
-
-    @pytest.mark.parametrize("q", QS)
-    @pytest.mark.parametrize("n", [math.nan, 1.5, math.inf, np.array([2.0, 3.5, math.nan])])
-    def test_nan_and_non_integral_n_are_outside_the_domain(self, q, n):
-        with pytest.raises(DomainError, match="QFunction is defined for integer n"):
-            q.log_at(n)
-
-    @pytest.mark.parametrize("q", QS)
-    def test_integral_floats_are_integers(self, q):
-        assert q.log_at(2.0) == q.log_at(2) == q.log_at(np.int64(2))
 
     @pytest.mark.parametrize("alpha", [1e308, -1e308])
-    def test_log_at_names_the_first_n_where_alpha_ln_n_overflows(self, alpha):
+    def test_the_least_n_where_alpha_ln_n_overflows_is_named(self, seqs, alpha):
+        # alpha·ln 6 is a float and alpha·ln 7 is not
+        assert math.isfinite(alpha * math.log(6)) and not math.isfinite(alpha * math.log(7))
         q = QFunction.power(alpha)
-        assert q.log_at(6) == alpha * math.log(6)
-        for n in (7, np.arange(1.0, 10.0)):
-            with pytest.raises(DomainError, match=r"ln q\(7\)"):
-                q.log_at(n)
-
-    @pytest.mark.parametrize("alpha", [400.0, -400.0])
-    def test_unrepresentable_power_points_to_log_at(self, alpha):
-        # 7^400 overflows and 7^-400 underflows to 0.0; ln q stays finite
-        assert QFunction.power(alpha).log_at(7) == alpha * math.log(7)
+        for check in (lambda: check_growth_rate(seqs(X11, 100), q), lambda: check_q_divergence(q)):
+            with pytest.raises(DomainError, match=r"^ln q\(7\) = "):
+                check()
 
     @pytest.mark.parametrize("alpha", [1e308, 2e307, -2e307])
     def test_growth_rate_rejects_an_overflowing_q(self, seqs, alpha):
@@ -567,12 +532,6 @@ def _recorded_fits(monkeypatch, run) -> list[tuple[np.ndarray, np.ndarray, float
     return fits
 
 
-def _bertrand(p: float, c: float, n_max: int = 3000):
-    """ns and ln of the Bertrand terms 1/(n^p·(ln n)^c), n = 2..n_max."""
-    ns = np.arange(2, n_max + 1, dtype=float)
-    return ns, -p * np.log(ns) - c * np.log(np.log(ns))
-
-
 def _near_float_limit(n_max: int = 400) -> MomentSequence:
     """log m_n = 1.5e308·(n/n_max)², log-convex up to 1.5e308."""
     ns = np.arange(n_max + 1, dtype=float)
@@ -601,7 +560,7 @@ class TestFitSlope:
     @pytest.mark.parametrize("p", [0.9, 1.0, 1.1])
     @pytest.mark.parametrize("c", [0.0, 1.0, 2.0])
     def test_bertrand_tails(self, monkeypatch, p, c):
-        _, log_terms = _bertrand(p, c)
+        _, log_terms = bertrand(p, c)
         fits = _recorded_fits(
             monkeypatch, lambda: criteria._classify_series(criteria._table(3000), log_terms)
         )

@@ -39,13 +39,6 @@ from momentdet import (
 
 HUGE = 10**400  # an int that float() cannot convert
 
-#: One QFunction of each kind.
-QFUNCTIONS = {
-    "one": QFunction.one(),
-    "log": QFunction.log(),
-    "power": QFunction.power(2.0),
-}
-
 #: The function each call should name, then (after a space) which argument.
 CALLS = {
     "integrate_logweighted": integrate_logweighted,
@@ -64,7 +57,6 @@ CALLS = {
     "SignedLogValue logmag": lambda huge: SignedLogValue(1, huge),
     "SignedLogValue negative logmag": lambda huge: SignedLogValue(-1, -huge),
     "QFunction alpha": lambda huge: QFunction(kind="power", alpha=huge),
-    **{f"QFunction {kind} log_at": q.log_at for kind, q in QFUNCTIONS.items()},
     "generate_moments n_max": lambda huge: generate_moments(parse_family("exp"), huge),
     "lognormal_moments n_max": lognormal_moments,
     "check_q_divergence n_max": lambda huge: check_q_divergence(QFunction.one(), huge),
@@ -90,7 +82,6 @@ NOT_SCALAR_REALS = {
     "gamma_derivative",
     "log_power_integral",
     "QFunction alpha",
-    *(f"QFunction {kind} log_at" for kind in QFUNCTIONS),
 }
 SCALAR_REALS = [case for case in CALLS if case not in NOT_SCALAR_REALS]
 
@@ -109,7 +100,6 @@ INT_ARGS = {
     "asymptotic_kn n": (lambda n: asymptotic_kn(n, 0.5), 30),
     "integrate_unit_log_power n": (integrate_unit_log_power, 7),
     "gamma_derivative n": (gamma_derivative, 7),
-    "verify_laplace_conditions grid_size": (lambda n: verify_laplace_conditions(100.0, n), 21),
     "SignedLogValue sign": (lambda sign: SignedLogValue(sign, 2.0), -1),
     "MomentSequence.moment k": (lambda k: lognormal_moments(10).moment(k), 3),
 }
@@ -191,13 +181,6 @@ def test_bools_floats_and_non_numbers_are_not_integers(case, value):
         expected = pytest.raises(DomainError, match=f"^{case.split()[0]} requires")
     with expected:
         call(value)
-
-
-@pytest.mark.parametrize("kind", QFUNCTIONS)
-def test_a_numeric_string_n_gives_q_of_n(kind):
-    # log_at takes "2" as float() does
-    q = QFUNCTIONS[kind]
-    assert q.log_at("2") == q.log_at(2)
 
 
 class IndexOnly:

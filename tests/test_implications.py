@@ -33,22 +33,7 @@ from momentdet import (
     check_q_divergence,
 )
 
-#: The unit-δ two-factor families with r1 ≤ r2 in {0, 0.1, …, 1}: 66 of them.
-TWO_FACTOR = [
-    f"product[(1,{i / 10:g}),(1,{j / 10:g})]" for i in range(11) for j in range(i, 11)
-]
-#: Named families off that grid: stock, p ≠ 1, c > 1 and the symmetrizations.
-NAMED = [
-    "exp",
-    "exp2",
-    "product[(2,1)]",
-    "product[(1.5,0.5)]",
-    "product[(1,1),(1,1),(0,0.4)]",
-    "product[(0.5,1),(0.5,1),(1,0)]",
-    "symroot[(1,1),(1,1)]",
-    "symprod[(1,1),(1,1)]",
-]
-
+from .truth import NAMED, TWO_FACTOR
 
 def _contradicted(report: dict[str, object], q_log_diverges: bool) -> list[str]:
     """The satisfied premises of one report, if its Carleman verdict is violated."""

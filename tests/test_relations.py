@@ -36,17 +36,7 @@ from momentdet import (
     check_hardy,
 )
 
-#: Item 5's 71 families: the 66 unit-δ two-factor families with r₁ ≤ r₂ in
-#: {0, 0.1, ..., 1}, and five more.
-_R = [round(0.1 * i, 1) for i in range(11)]
-POINT_MASS_FAMILIES = [
-    *(f"product[(1,{r1:g}),(1,{r2:g})]" for i, r1 in enumerate(_R) for r2 in _R[i:]),
-    "exp",
-    "exp2",
-    "product[(2,1)]",
-    "product[(1.5,0.5)]",
-    "product[(1,1),(1,1),(0,0.4)]",
-]
+from .truth import POINT_MASS_FAMILIES
 
 #: The mass C of X in the mixture.
 POINT_MASS_C = 1e-12
