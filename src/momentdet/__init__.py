@@ -29,11 +29,21 @@ it, and binds the public names of each module it runs, so later lookups
 are plain attribute hits: a caller of the numeric half alone never
 compiles the diagnostic half.  The first lookup in a submodule object
 that has not run, as in ``from momentdet.criteria import analyze`` or
-``sys.modules["momentdet.quadrature"].integrate_logweighted``, runs all
-seven, as importing the package did before.  So every module has taken
-its siblings' names, and the package all of theirs, before code that
-found a module in ``sys.modules`` rebinds any of them (the benchmark's
-tracer rebinds the layers' functions that way).
+``sys.modules["momentdet.quadrature"].integrate_logweighted``, runs that
+submodule alone, and its own ``from .x import ...`` lines run the
+siblings it takes names from, each by the same first lookup.  ``cli``
+binds the submodules themselves and looks a name up when a command calls
+it, so each command runs only what it uses: ``gen`` runs ``errors``,
+``logdomain``, ``lambertw``, ``quadrature`` and ``moments``; ``check``
+runs ``errors``, ``logdomain``, ``moments`` and ``criteria``; ``wtable``
+runs ``errors`` and ``lambertw``; ``--help`` and ``--version`` run
+``errors`` alone.  Code that finds a module in ``sys.modules`` and
+rebinds a function wherever it is bound still sees every call: its first
+lookup there runs the module, the modules run before the rebinding hold
+the same function object, and a module run after it imports the function
+as rebound.  The benchmark's tracer works that way: it looks each
+layer's functions up in the layer's module, which runs the layer, then
+rebinds them in every module of the package that holds them.
 """
 
 from __future__ import annotations
@@ -73,9 +83,8 @@ def _run(name: str) -> None:
 
 def _first_use(module, attr: str):
     """The ``__getattr__`` (PEP 562) of a submodule that has not run: runs
-    every submodule, then looks ``attr`` up again."""
-    for name in _SUBMODULES:
-        _run(name)
+    that submodule alone, then looks ``attr`` up again."""
+    _run(module.__name__.rpartition(".")[2])
     return getattr(module, attr)
 
 

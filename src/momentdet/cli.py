@@ -40,13 +40,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import __version__
-from .asymptotics import laplace_estimate_exact, laplace_estimate_leading
-from .criteria import QFunction, _report, analyze, check_carleman, check_growth_rate, check_hardy
+# A command runs only the submodules it looks a name up in (see the package's docstring).
+from . import __version__, asymptotics, lambertw, moments, quadrature
+from . import criteria as determinacy  # cmd_check's --criteria takes the name criteria
 from .errors import ConvergenceError, DomainError, FamilyParseError, SequenceError
-from .lambertw import lambert_w0, lambert_w_bounds
-from .moments import from_csv, from_json, generate_from_label, to_csv, to_json
-from .quadrature import _ACCURACY, _log_gamma, log_power_integral
 
 _ENV_NMAX_CAP = "MOMENTDET_NMAX_CAP"
 _DEFAULT_NMAX_CAP = 5000
@@ -103,22 +100,22 @@ def cmd_gen(family: str, nmax: int, fmt: str, out: str) -> None:
     Grammar: exp | exp2 | lognormal | product[(delta,r),...] |
     symroot[(delta,r),...] | symprod[(delta,r),...].
     """
-    seq = generate_from_label(family, _resolve_nmax(nmax))
-    _write(out, to_json(seq) if fmt == "json" else to_csv(seq))
+    seq = moments.generate_from_label(family, _resolve_nmax(nmax))
+    _write(out, moments.to_json(seq) if fmt == "json" else moments.to_csv(seq))
 
 
 # -- check --------------------------------------------------------------------
 
 
-def _parse_q(text: str) -> QFunction:
+def _parse_q(text: str) -> determinacy.QFunction:
     text = text.strip()
     if text in ("one", "1", "constant-one"):
-        return QFunction.one()
+        return determinacy.QFunction.one()
     if text == "log":
-        return QFunction.log()
+        return determinacy.QFunction.log()
     if text.startswith("power:"):
         try:
-            return QFunction.power(float(text.partition(":")[2]))
+            return determinacy.QFunction.power(float(text.partition(":")[2]))
         except ValueError as exc:
             raise DomainError(f"bad power q spec {text!r}: {exc}") from exc
     raise DomainError(f"unknown q spec {text!r}; expected one, log, or power:ALPHA")
@@ -132,8 +129,8 @@ def _load_sequence(path: str):
     except (OSError, UnicodeDecodeError) as exc:
         raise SequenceError(f"cannot read {path!r}: {exc}") from exc
     if text.lstrip().startswith("{"):
-        return from_json(text)
-    return from_csv(text)
+        return moments.from_json(text)
+    return moments.from_csv(text)
 
 
 def _trend_value(value: float) -> str:
@@ -173,11 +170,11 @@ def _finite_or_null(value: object) -> object:
 
 #: Each ``check --criteria`` name's checker, given the sequence and the ``--q`` function.
 _CHECKERS = {
-    "carleman": lambda seq, q: check_carleman(seq),
-    "growth": lambda seq, q: check_growth_rate(seq, QFunction.one()),
+    "carleman": lambda seq, q: determinacy.check_carleman(seq),
+    "growth": lambda seq, q: determinacy.check_growth_rate(seq, determinacy.QFunction.one()),
     # named growth_rate_q whatever q is, so it never shares the growth verdict's name
-    "growth-q": lambda seq, q: replace(check_growth_rate(seq, q), criterion="growth_rate_q"),
-    "hardy": lambda seq, q: check_hardy(seq),
+    "growth-q": lambda seq, q: replace(determinacy.check_growth_rate(seq, q), criterion="growth_rate_q"),
+    "hardy": lambda seq, q: determinacy.check_hardy(seq),
 }
 _CHECKER_NAMES = ", ".join(_CHECKERS)
 
@@ -193,9 +190,9 @@ def cmd_check(input_path: str, criteria: str, q_spec: str, fmt: str, out: str) -
         if name != "all" and name not in _CHECKERS:
             raise DomainError(f"unknown criterion {name!r}; expected {_CHECKER_NAMES}")
     if "all" in wanted:
-        report = analyze(seq)
+        report = determinacy.analyze(seq)
     else:
-        report = _report(seq, [_CHECKERS[name](seq, q) for name in wanted])
+        report = determinacy._report(seq, [_CHECKERS[name](seq, q) for name in wanted])
     if fmt == "json":
         _write(out, json.dumps(_finite_or_null(report), indent=2, allow_nan=False) + "\n")
     else:
@@ -227,7 +224,7 @@ _REFERENCE = [
 
 def _reference_rows() -> list[dict[str, object]]:
     orders = (0, 1, 2, 3, 4, 99, 100)
-    k = dict(zip(orders, log_power_integral(orders).tolist()))
+    k = dict(zip(orders, quadrature.log_power_integral(orders).tolist()))
     rows = []
     for name, log, reference, tol, mode, note in _REFERENCE:
         computed = math.exp(log(k))
@@ -271,13 +268,14 @@ def cmd_asym(t_values: list[float], fmt: str, out: str) -> None:
         # the library's S(t), exact to float rounding; it extends the saddle terms
         # of the estimates, so the tests check its column against mpmath
         try:
-            log_s = log_power_integral(t)
+            log_s = quadrature.log_power_integral(t)
         except DomainError as exc:
             raise DomainError(
                 f"asym cannot resolve S(t) at t = {t:.17g}: a float holds its log too "
-                f"coarsely for the accuracy {_ACCURACY:g} every result keeps"
+                f"coarsely for the accuracy {quadrature._ACCURACY:g} every result keeps"
             ) from exc
-        estimates = (laplace_estimate_exact(t).logmag, laplace_estimate_leading(t).logmag)
+        exact, leading = asymptotics.laplace_estimate_exact(t), asymptotics.laplace_estimate_leading(t)
+        estimates = (exact.logmag, leading.logmag)
         rows.append(
             [t, log_s / _LOG10, *(e / _LOG10 for e in estimates)]
             + [math.exp(e - log_s) for e in estimates]
@@ -304,9 +302,9 @@ def cmd_wtable(t_values: list[str], fmt: str, out: str) -> None:
     rows = []
     for token in t_values:
         t = _parse_t(token)
-        wv = lambert_w0(t)
+        wv = lambertw.lambert_w0(t)
         if t > math.e:
-            lower, upper = lambert_w_bounds(t)
+            lower, upper = lambertw.lambert_w_bounds(t)
             note = ""
         else:
             lower = upper = None
@@ -333,7 +331,7 @@ def cmd_gamma_derivs(nmax: int, fmt: str, out: str) -> None:
         "unit_bracket_hi",
         "unit_bracket_ok",
     ]
-    signs, logs, unit_logs, _ = _log_gamma(np.arange(nmax + 1.0))
+    signs, logs, unit_logs, _ = quadrature._log_gamma(np.arange(nmax + 1.0))
     rows = []
     for n, sign, log, unit_log in zip(
         range(nmax + 1), signs.astype(int).tolist(), logs.tolist(), unit_logs.tolist()

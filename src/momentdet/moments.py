@@ -55,6 +55,7 @@ from functools import cache
 
 import numpy as np
 
+from . import quadrature  # looked up on use: reading a sequence never runs it
 from .errors import (
     DomainError,
     FamilyParseError,
@@ -64,7 +65,6 @@ from .errors import (
     _int_arg,
 )
 from .logdomain import SignedLogValue
-from .quadrature import log_power_integral
 
 __all__ = [
     "FamilySpec",
@@ -249,7 +249,7 @@ def _check_n_max(n_max, lowest: int, requires: str) -> int:
 def _refusal(row: np.ndarray) -> DomainError | None:
     """The DomainError S(p) raises for the orders p > 0 of ``row``, if any."""
     try:
-        log_power_integral(row[row > 0.0])
+        quadrature.log_power_integral(row[row > 0.0])
     except DomainError as exc:
         return exc
     return None
@@ -272,7 +272,7 @@ def generate_moments(family: FamilySpec, n_max: int) -> MomentSequence:
     if positive.any():
         unique_ps, inverse = np.unique(ps[positive], return_inverse=True)
         try:
-            log_s[positive] = log_power_integral(unique_ps)[inverse]
+            log_s[positive] = quadrature.log_power_integral(unique_ps)[inverse]
         except DomainError:
             # name the lowest order whose own integrals fail (order 0 has none): S(p) is
             # refused from some p on and each row's p grow with the order, so the last

@@ -112,12 +112,12 @@ class TestGen:
         assert result.output.startswith(f"error: cannot write {out!r}")
 
     def test_numeric_failure_exits_3(self, runner, monkeypatch):
-        import momentdet.moments as moments_mod
+        import momentdet.quadrature as quadrature_mod
 
         def boom(p):
             raise ConvergenceError("synthetic non-convergence")
 
-        monkeypatch.setattr(moments_mod, "log_power_integral", boom)
+        monkeypatch.setattr(quadrature_mod, "log_power_integral", boom)
         result = runner.invoke(main, ["gen", "--family", X11, "--nmax", "10"])
         assert result.exit_code == 3
 
@@ -431,12 +431,12 @@ class TestPaperTable:
         assert float(k2[1]) == pytest.approx(0.5319, abs=1e-3)
 
     def test_numeric_failure_exits_3(self, runner, monkeypatch):
-        import momentdet.cli as cli_mod
+        import momentdet.quadrature as quadrature_mod
 
         def boom(p):
             raise ConvergenceError("synthetic non-convergence")
 
-        monkeypatch.setattr(cli_mod, "log_power_integral", boom)
+        monkeypatch.setattr(quadrature_mod, "log_power_integral", boom)
         result = runner.invoke(main, ["paper-table"])
         assert result.exit_code == 3
 
@@ -462,14 +462,14 @@ class TestPaperTable:
     def test_shifted_integrals_fail_their_rows(self, runner, monkeypatch):
         """ln K_2 and ln K_99 off by 0.1: each row that reads either fails by
         its own deviation rule, abs or rel, and the other rows stand."""
-        import momentdet.cli as cli_mod
+        import momentdet.quadrature as quadrature_mod
 
-        real = cli_mod.log_power_integral
+        real = quadrature_mod.log_power_integral
 
         def shifted(p):
             return real(p) + np.where(np.isin(p, (2, 99)), 0.1, 0.0)
 
-        monkeypatch.setattr(cli_mod, "log_power_integral", shifted)
+        monkeypatch.setattr(quadrature_mod, "log_power_integral", shifted)
         result = runner.invoke(main, ["paper-table", "--format", "json"])
         assert result.exit_code == 1
         assert '"all_within": false' in result.output
@@ -699,12 +699,12 @@ main(["check", "--in", {str(tmp_path / "x11.json")!r}])
         assert "unrecognized family 'δ'".encode() in streams[1].buffer.getvalue()
 
     def test_ctrl_c_aborts_with_exit_1(self, runner, monkeypatch):
-        import momentdet.moments as moments_mod
+        import momentdet.quadrature as quadrature_mod
 
         def interrupted(p):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(moments_mod, "log_power_integral", interrupted)
+        monkeypatch.setattr(quadrature_mod, "log_power_integral", interrupted)
         result = runner.invoke(main, ["gen", "--family", X11, "--nmax", "10"])
         assert (result.exit_code, result.output) == (1, "\nAborted!\n")
 

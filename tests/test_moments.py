@@ -344,7 +344,7 @@ class TestValidationGates:
                 raise DomainError("synthetic failure")
             return ps * 0.0
 
-        monkeypatch.setattr(moments_mod, "log_power_integral", fails_from_seven)
+        monkeypatch.setattr(quadrature_mod, "log_power_integral", fails_from_seven)
         with pytest.raises(DomainError, match="while generating moment of order 7 ") as info:
             generate_from_label("product[(1,0.5),(1,1)]", 20)
         assert str(info.value.__cause__) == "synthetic failure"
@@ -366,7 +366,7 @@ class TestValidationGates:
                 raise DomainError("synthetic failure")
             return ps * 0.0
 
-        monkeypatch.setattr(moments_mod, "log_power_integral", fails_from_first)
+        monkeypatch.setattr(quadrature_mod, "log_power_integral", fails_from_first)
         with pytest.raises(DomainError, match=f"while generating moment of order {first} ") as info:
             generate_from_label("product[(1,0.5),(1,1)]", n_max)
         assert str(info.value.__cause__) == "synthetic failure"
@@ -374,7 +374,7 @@ class TestValidationGates:
 
     def test_batch_error_no_order_reproduces_is_raised_unchanged(self, monkeypatch):
         # the batch holds every distinct p, an order at most two of them
-        real = moments_mod.log_power_integral
+        real = quadrature_mod.log_power_integral
         batch_error = DomainError("synthetic batch failure")
 
         def fails_on_the_batch(ps):
@@ -382,7 +382,7 @@ class TestValidationGates:
                 raise batch_error
             return real(ps)
 
-        monkeypatch.setattr(moments_mod, "log_power_integral", fails_on_the_batch)
+        monkeypatch.setattr(quadrature_mod, "log_power_integral", fails_on_the_batch)
         with pytest.raises(DomainError) as info:
             generate_from_label("product[(1,0.5),(1,1)]", 20)
         assert info.value is batch_error

@@ -150,17 +150,45 @@ def test_an_assignment_made_before_a_submodule_runs_holds():
         c.BORDERLINE_BAND = 0.3
         q._WIDE = np.float64
         q.integrate_logweighted = "assigned"
-        c.analyze  # runs all seven
+        c.analyze  # runs criteria and what its own imports run
+        ran_by_analyze = ran()
+        q._saddle  # runs quadrature
         print(json.dumps({
-            "ran": ran(),
+            "ran": ran_by_analyze,
             "band": c.BORDERLINE_BAND,
             "wide": q._WIDE.__name__,
             "saddle": type(q._saddle(150.0)[1]).__name__,
             "public": [q.integrate_logweighted, momentdet.integrate_logweighted],
         }))
     """)
-    assert result == {"ran": sorted(SUBMODULES), "band": 0.3, "wide": "float64",
-                      "saddle": "float64", "public": ["assigned", "assigned"]}
+    assert result == {"ran": ["criteria", "errors", "logdomain", "moments"], "band": 0.3,
+                      "wide": "float64", "saddle": "float64", "public": ["assigned", "assigned"]}
+
+
+def test_each_command_runs_only_the_submodules_it_uses(tmp_path):
+    sequence = tmp_path / "flagship.json"
+    commands = {
+        "gen": ["gen", "--family", "product[(1,1),(1,1)]", "--nmax", "200", "--out", str(sequence)],
+        "check": ["check", "--in", str(sequence), "--out", os.devnull],
+        "wtable": ["wtable", "--t", "e", "--out", os.devnull],
+        "--version": ["--version"],
+    }
+    ran = {}
+    for name, args in commands.items():  # gen first: check reads its file
+        ran[name] = run_fresh("""
+            from momentdet.cli import main
+            try:
+                main(%r)
+            except SystemExit as exc:
+                assert not exc.code, exc.code
+            print(json.dumps(ran()))
+        """ % (args,))
+    assert ran == {
+        "gen": ["errors", "lambertw", "logdomain", "moments", "quadrature"],
+        "check": ["criteria", "errors", "logdomain", "moments"],
+        "wtable": ["errors", "lambertw"],
+        "--version": ["errors"],
+    }
 
 
 @pytest.mark.parametrize("lookup", ["momentdet.analyze", "momentdet.criteria.analyze"])

@@ -57,7 +57,12 @@ default runs of a checkout against itself read every layer's b/a within
   imported afresh under its A/B name, and one ``integrate_logweighted(150)``
   call.  It includes compiling the source only where no bytecode is written
   (``PYTHONDONTWRITEBYTECODE=1``, as start-up is measured for ROADMAP);
-  elsewhere, as in CI, the modules load from ``__pycache__``.
+  elsewhere, as in CI, the modules load from ``__pycache__``;
+* ``check start-up``: the tree's package and its ``cli`` imported afresh,
+  and the first lookups that ``check`` makes (``QFunction`` and
+  ``analyze`` in ``criteria``, ``from_json`` in ``moments``), so it times
+  the modules that ``check`` runs before its first call; compiling counts
+  as in ``fresh import``.
 """
 
 from __future__ import annotations
@@ -91,12 +96,20 @@ def load(tree: Path, name: str):
     return module
 
 
-def fresh_import(tree: Path, name: str) -> None:
-    """Drop package ``name`` from ``sys.modules``, import it afresh from
-    ``tree`` and make one S(150) call."""
+def fresh_import(tree: Path, name: str):
+    """Drop package ``name`` from ``sys.modules`` and import it afresh from
+    ``tree``."""
     for loaded in [n for n in sys.modules if n == name or n.startswith(name + ".")]:
         del sys.modules[loaded]
-    load(tree, name).integrate_logweighted(150.0)
+    return load(tree, name)
+
+
+def check_start(tree: Path, name: str) -> None:
+    """Import package ``name`` and its ``cli`` afresh from ``tree``, and make
+    the first lookups that the ``check`` command makes."""
+    md = fresh_import(tree, name)
+    importlib.import_module(f"{name}.cli")
+    md.criteria.QFunction, md.moments.from_json, md.criteria.analyze
 
 
 def empty_caches(md) -> None:
@@ -140,7 +153,8 @@ def layers(md) -> dict[str, object]:
         "analyze": lambda: md.analyze(seq),
         "analyze 500": lambda: md.analyze(exp500),
         "growth 500": lambda: md.check_growth_rate(exp500, half),
-        "fresh import": lambda: fresh_import(tree, name),
+        "fresh import": lambda: fresh_import(tree, name).integrate_logweighted(150.0),
+        "check start-up": lambda: check_start(tree, name),
     }
 
 
