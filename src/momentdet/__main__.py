@@ -1,6 +1,6 @@
-"""``python -m momentdet``: the command-line interface, as ``momentdet.cli``."""
+"""``python -m momentdet``: the command-line interface, through ``momentdet.cli.entry_point``."""
 
-from momentdet.cli import main
+from momentdet.cli import entry_point
 
 if __name__ == "__main__":
-    main()
+    entry_point()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -659,6 +660,34 @@ class TestTopLevel:
         result = run_fresh("-m", "momentdet", "--version")
         assert result.returncode == 0, result.stderr
         assert result.stdout.endswith("version 0.1.0\n")
+
+    def test_entry_point_freezes_what_the_imports_made(self):
+        # in a fresh interpreter: a freeze here would keep the test runner's heap for good
+        code = """
+import gc, sys
+from momentdet.cli import entry_point
+print(gc.get_freeze_count())
+sys.argv = ["momentdet", "--version"]
+try:
+    entry_point()
+except SystemExit as exc:
+    print(exc.code, gc.get_freeze_count() > 0)
+"""
+        result = run_fresh("-c", code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "0\nmomentdet, version 0.1.0\n0 True\n"
+
+    def test_main_never_freezes(self, runner):
+        before = gc.get_freeze_count()
+        result = runner.invoke(main, ["wtable", "--t", "3"])
+        assert result.exit_code == 0
+        assert gc.get_freeze_count() == before
+
+    def test_installed_command_runs_the_entry_point(self):
+        # read as text: Python 3.10 has no tomllib
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        scripts = text.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert scripts.strip() == 'momentdet = "momentdet.cli:entry_point"'
 
     def test_runs_without_click(self, tmp_path):
         # with click refused, gen then check; the CLI does not import it

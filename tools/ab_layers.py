@@ -62,7 +62,10 @@ default runs of a checkout against itself read every layer's b/a within
   and the first lookups that ``check`` makes (``QFunction`` and
   ``analyze`` in ``criteria``, ``from_json`` in ``moments``), so it times
   the modules that ``check`` runs before its first call; compiling counts
-  as in ``fresh import``.
+  as in ``fresh import``.  It runs in this process, so it cannot see
+  process exit: the collections at interpreter exit, which
+  ``cli.entry_point``'s ``gc.freeze()`` spares a CLI child, show only in
+  fresh children, as ``cli-pipeline`` runs them.
 """
 
 from __future__ import annotations
