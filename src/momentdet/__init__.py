@@ -35,9 +35,15 @@ siblings it takes names from, each by the same first lookup.  ``cli``
 binds the submodules themselves and looks a name up when a command calls
 it, so each command runs only what it uses: ``gen`` runs ``errors``,
 ``logdomain``, ``lambertw``, ``quadrature`` and ``moments``; ``check``
-runs ``errors``, ``logdomain``, ``moments`` and ``criteria``; ``wtable``
-runs ``errors`` and ``lambertw``; ``--help`` and ``--version`` run
-``errors`` alone.  Code that finds a module in ``sys.modules`` and
+runs ``errors``, ``logdomain``, ``moments`` and ``criteria``;
+``paper-table`` and ``gamma-derivs`` run ``errors``, ``logdomain``,
+``lambertw`` and ``quadrature``, and ``asym`` those and ``asymptotics``;
+``wtable`` runs ``errors`` and ``lambertw``; ``--help``, ``--version``
+and a usage error run ``errors`` alone.  Only ``quadrature``,
+``asymptotics``, ``moments`` and ``criteria`` import numpy, so the
+commands that compute load it when they first look a name up in one of
+them, and ``wtable``, ``--help``, ``--version`` and a usage error never
+load it.  Code that finds a module in ``sys.modules`` and
 rebinds a function wherever it is bound still sees every call: its first
 lookup there runs the module, the modules run before the rebinding hold
 the same function object, and a module run after it imports the function

@@ -39,8 +39,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 # A command runs only the submodules it looks a name up in (see the package's docstring).
 from . import __version__, asymptotics, lambertw, moments, quadrature
 from . import criteria as determinacy  # cmd_check's --criteria takes the name criteria
@@ -332,6 +330,8 @@ def cmd_gamma_derivs(nmax: int, fmt: str, out: str) -> None:
         "unit_bracket_hi",
         "unit_bracket_ok",
     ]
+    import numpy as np  # here, not at the top: a command that computes nothing never loads it
+
     signs, logs, unit_logs, _ = quadrature._log_gamma(np.arange(nmax + 1.0))
     rows = []
     for n, sign, log, unit_log in zip(
@@ -408,14 +408,17 @@ def main(args: list[str] | None = None, prog_name: str = "momentdet") -> None:
 
 def entry_point() -> None:
     """Run ``main`` as a process: ``momentdet``, ``python -m momentdet`` and
-    ``python -m momentdet.cli`` all start here.  It first freezes what the
-    imports made, numpy's ~20,000 objects among it, so that no collection
-    walks it again, the one at interpreter exit included; what the command
-    makes stays collectable.  ``main`` never freezes: tests and library
-    callers run it in a process that goes on, where a frozen object is
-    never freed."""
-    gc.freeze()
-    main()
+    ``python -m momentdet.cli`` all start here.  No collection runs from
+    here to exit: gc is off through ``main``, which imports numpy when a
+    command computes, and everything is frozen at the end, so that the
+    collection at interpreter exit, which runs even with gc off, walks
+    nothing.  ``main`` does neither: tests and library callers run it in
+    a process that goes on, where a frozen object is never freed."""
+    gc.disable()
+    try:
+        main()
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -5,7 +5,10 @@ here.  An integer argument (``_int_arg``) is anything ``operator.index``
 accepts, so a numpy integer counts wherever an int does, with the same
 result; a bool and a float (even an integral one such as 2.0) are not
 integers.  A real argument (``_float_arg``) is anything ``float()``
-converts, or ``np.asarray(..., dtype=float)`` where arrays are accepted.
+converts, or, where arrays are accepted, anything
+``np.asarray(..., dtype=float)`` converts (``quadrature._floats``, which
+``_checked`` passes in: this module imports no numpy, so that a command
+that computes nothing never loads it).
 A non-integer, an integer below its floor, a real that is not numeric
 (such as ``"abc"``) and an int too large for a float raise DomainError
 with a message opening "<function> requires"; other values outside a
@@ -20,8 +23,6 @@ non-integers with their own types.
 from __future__ import annotations
 
 import operator
-
-import numpy as np
 
 __all__ = [
     "ConvergenceError",
@@ -55,14 +56,13 @@ def _int_arg(value, lowest: int, requires: str) -> int:
     return n
 
 
-def _float_arg(value, name: str, arg: str, array: bool = False):
-    """``float(value)``, or with ``array`` a float64 numpy scalar for a
-    scalar and a float64 array for an array; DomainError naming ``name``
-    where that overflows (a huge int) or ``value`` is not numeric, and
-    TypeError passed through."""
+def _float_arg(value, name: str, arg: str, convert=float):
+    """``convert(value)``, by default ``float(value)``; DomainError naming
+    ``name`` where that overflows (a huge int) or ``value`` is not numeric,
+    and TypeError passed through.  A function that accepts arrays passes
+    its own converter, so that only the modules that compute import numpy."""
     try:
-        # [()] turns a 0-d array into a numpy scalar and leaves others as they are
-        return np.asarray(value, dtype=float)[()] if array else float(value)
+        return convert(value)
     except (OverflowError, ValueError) as exc:
         raise DomainError(f"{name} requires {arg} to be a number that fits a float: {exc}") from exc
 

@@ -198,12 +198,18 @@ def _checked(name: str, p, arg: str = "p") -> _Floats:
         if not 0.0 <= x < math.inf:  # false for NaN too
             raise DomainError(f"{name} requires finite {arg} >= 0, got {x!r}")
         return np.float64(x)
-    ps = _float_arg(p, name, arg, array=True)
+    ps = _float_arg(p, name, arg, _floats)
     ok = (ps >= 0.0) & (ps < np.inf)
     if not _all(ok):
         bad = float(np.extract(~ok, ps)[0])
         raise DomainError(f"{name} requires finite {arg} >= 0, got {bad!r}")
     return ps
+
+
+def _floats(value) -> _Floats:
+    """``value`` as float64: a numpy scalar for a scalar, else an array."""
+    # [()] turns a 0-d array into a numpy scalar and leaves others as they are
+    return np.asarray(value, dtype=float)[()]
 
 
 def _all(x) -> bool:

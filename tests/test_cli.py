@@ -677,11 +677,32 @@ except SystemExit as exc:
         assert result.returncode == 0, result.stderr
         assert result.stdout == "0\nmomentdet, version 0.1.0\n0 True\n"
 
+    def test_a_cli_process_never_collects(self, tmp_path):
+        # gen imports numpy inside main, so its import's collections would show here;
+        # the collect first leaves too few allocations to trigger one before entry_point
+        code = f"""
+import gc, sys
+from momentdet.cli import entry_point
+sys.argv = ["momentdet", "gen", "--family", {X11!r}, "--nmax", "200", "--out", {str(tmp_path / "x.json")!r}]
+gc.collect()
+before = [stats["collections"] for stats in gc.get_stats()]
+entry_point()
+print([stats["collections"] for stats in gc.get_stats()] == before, gc.get_freeze_count() > 0)
+"""
+        result = run_fresh("-c", code)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "True True\n"
+        assert json.loads((tmp_path / "x.json").read_text())["label"] == X11
+
     def test_main_never_freezes(self, runner):
+        # nor switches gc off; gc is switched on first, as a main that switched it off
+        # would have done so in an earlier test already
+        gc.enable()
         before = gc.get_freeze_count()
         result = runner.invoke(main, ["wtable", "--t", "3"])
         assert result.exit_code == 0
         assert gc.get_freeze_count() == before
+        assert gc.isenabled()
 
     def test_installed_command_runs_the_entry_point(self):
         # read as text: Python 3.10 has no tomllib

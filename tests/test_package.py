@@ -125,20 +125,20 @@ def test_unknown_names_raise_attribute_error():
 def test_a_submodule_that_fails_to_run_runs_again_on_the_next_lookup():
     result = run_fresh("""
         import momentdet
-        sys.modules["numpy"] = None  # errors, the first submodule, imports numpy
+        sys.modules["numpy"] = None  # quadrature, the first submodule to import numpy, fails
         failed = False
         try:
-            momentdet.lambert_w0
+            momentdet.log_power_integral
         except ImportError:
             failed = True
         ran_blocked = ran()
         del sys.modules["numpy"]
-        found = momentdet.lambert_w0 is sys.modules["momentdet.lambertw"].lambert_w0
+        found = momentdet.log_power_integral is sys.modules["momentdet.quadrature"].log_power_integral
         print(json.dumps({"failed": failed, "ran_blocked": ran_blocked, "found": found,
                           "ran": ran()}))
     """)
-    assert result == {"failed": True, "ran_blocked": [], "found": True,
-                      "ran": ["errors", "lambertw", "logdomain"]}
+    assert result == {"failed": True, "ran_blocked": ["errors", "lambertw", "logdomain"],
+                      "found": True, "ran": ["errors", "lambertw", "logdomain", "quadrature"]}
 
 
 def test_an_assignment_made_before_a_submodule_runs_holds():
@@ -166,12 +166,18 @@ def test_an_assignment_made_before_a_submodule_runs_holds():
 
 
 def test_each_command_runs_only_the_submodules_it_uses(tmp_path):
+    # and only a command that computes imports numpy
     sequence = tmp_path / "flagship.json"
     commands = {
         "gen": ["gen", "--family", "product[(1,1),(1,1)]", "--nmax", "200", "--out", str(sequence)],
         "check": ["check", "--in", str(sequence), "--out", os.devnull],
+        "asym": ["asym", "--t", "100", "--out", os.devnull],
+        "paper-table": ["paper-table", "--out", os.devnull],
+        "gamma-derivs": ["gamma-derivs", "--nmax", "10", "--out", os.devnull],
         "wtable": ["wtable", "--t", "e", "--out", os.devnull],
         "--version": ["--version"],
+        "--help": ["--help"],
+        "usage error": ["gen", "--nmax", "10"],
     }
     ran = {}
     for name, args in commands.items():  # gen first: check reads its file
@@ -179,15 +185,22 @@ def test_each_command_runs_only_the_submodules_it_uses(tmp_path):
             from momentdet.cli import main
             try:
                 main(%r)
+                code = 0
             except SystemExit as exc:
-                assert not exc.code, exc.code
-            print(json.dumps(ran()))
+                code = exc.code
+            print(json.dumps([code, "numpy" in sys.modules, ran()]))
         """ % (args,))
+    quadrature = ["errors", "lambertw", "logdomain", "quadrature"]
     assert ran == {
-        "gen": ["errors", "lambertw", "logdomain", "moments", "quadrature"],
-        "check": ["criteria", "errors", "logdomain", "moments"],
-        "wtable": ["errors", "lambertw"],
-        "--version": ["errors"],
+        "gen": [0, True, ["errors", "lambertw", "logdomain", "moments", "quadrature"]],
+        "check": [0, True, ["criteria", "errors", "logdomain", "moments"]],
+        "asym": [0, True, ["asymptotics", *quadrature]],
+        "paper-table": [0, True, quadrature],
+        "gamma-derivs": [0, True, quadrature],
+        "wtable": [0, False, ["errors", "lambertw"]],
+        "--version": [0, False, ["errors"]],
+        "--help": [0, False, ["errors"]],
+        "usage error": [2, False, ["errors"]],
     }
 
 

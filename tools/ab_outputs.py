@@ -53,6 +53,10 @@ STRICT = f"-W error::RuntimeWarning {CLI}"
 COMMANDS = [
     Command(f"{CLI} --version"),
     Command("-m momentdet --version"),
+    # help, which imports no numpy, from both modules and for one command
+    Command(f"{CLI} --help"),
+    Command("-m momentdet --help"),
+    Command(f"{CLI} gen --help"),
     # the reference table through each of its three writers
     Command(f"{CLI} paper-table"),
     Command(f"{CLI} paper-table --format json"),
