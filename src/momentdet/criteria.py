@@ -29,7 +29,7 @@ b_n = a_n·n·ln n is fitted against ln ln n, and the series is classified
 by whether that slope lies above or below −1.  For a_n = 1/(n·(ln n)^c)
 the slope is 1 − c, so −1 is c = 2, whose series converges; Bertrand's
 watershed is c = 1, slope 0.  So a refined series with 1 < c ≤ 1.75
-reads satisfied-evidence though it converges (ROADMAP item 1, Defect B,
+reads satisfied-evidence though it converges (ROADMAP item 15, Defect B,
 moves the watershed).
 
 The growth-rate checker analogously separates power-law growth of g_n
@@ -89,7 +89,7 @@ BORDERLINE_BAND = 0.05
 DRIFT_TOL = 0.01
 #: Half-width of the refinement's band around slope −1 of b_n = a_n·n·ln n
 #: against ln ln n.  That slope is 1 − c for a_n = 1/(n·(ln n)^c), so −1
-#: is c = 2, not Bertrand's watershed c = 1 (slope 0): ROADMAP item 1,
+#: is c = 2, not Bertrand's watershed c = 1 (slope 0): ROADMAP item 15,
 #: Defect B.
 B_CRITICAL_BAND = 0.25
 #: Growth-rate: a fitted power slope of ln g vs ln n at or above this,

@@ -19,10 +19,14 @@ used where the values fit comfortably in double range (p ≤ ~250).
 the plain forms of the package's unit integral, ln n! and σₙ summed for
 every order, and of Γ⁽ⁿ⁾(1) composed from it and S(n), on 1-d arrays of
 orders, whose bits the package's leaner forms (a table read) must
-reproduce.  So are the ``reference_check_*`` checkers
-and ``reference_analyze``: the arithmetic of ``criteria`` with each
-checker building its own n, ln n, ln q and centred tails, whose verdicts and
-diagnostics the package's shared table must reproduce.  And so is
+reproduce.  So are the ``*_ingredients`` functions: what each checker and
+``analyze`` read and report, each building its own n, ln n, ln ln n, ln q,
+ln (2n)! and tail windows, with no decision.  They give the (x, y) of
+every fit, each diagnostic but ``refined``, the trend columns and every
+exception, whose bits the checkers reading the shared table must give.
+The verdicts, ``status`` and ``refined``, are judged elsewhere: against
+each condition's truth (``tests/test_truth.py``), the paper's implications
+and the metamorphic relations, and by pinned statuses.  And so is
 ``reference_parse_family``: the family grammar read by a cursor that
 matches one factor at a time, whose specs and exception types the
 package's single match must reproduce.
@@ -165,6 +169,9 @@ def reference_gamma_error(log, unit_log, s_log):
     return np.maximum(np.exp(abs_err - log), reference_floor(log))
 
 
+# -- what each checker reads and reports ---------------------------------------
+
+
 def _reference_fit_slope(x: np.ndarray, y: np.ndarray) -> float:
     """The closed-form centred slope; where the sum of y overflows, the
     slope of y scaled by a power of two (its largest term into [0.5, 1)),
@@ -180,64 +187,36 @@ def _reference_fit_slope(x: np.ndarray, y: np.ndarray) -> float:
         return float(np.ldexp(xc @ (y - np.add.reduce(y) / y.size) / (xc @ xc), k))
 
 
-def _reference_tail_fit(ns, y, tail_start):
-    """ln n and y over n >= tail_start, the slope of y against ln n, and
-    whether y rose across the tail."""
-    tail = ns >= tail_start
-    ln_n, y_tail = np.log(ns[tail]), y[tail]
-    return ln_n, y_tail, _reference_fit_slope(ln_n, y_tail), bool(y_tail[-1] > y_tail[0])
+def _tail(ns, y, tail_start):
+    """The fit of y over n >= tail_start against ln n: (ln n, y) there."""
+    return np.log(ns[ns >= tail_start]), y[ns >= tail_start]
 
 
-def _reference_classify_series(ns, log_terms, tail_start):
-    from momentdet import criteria as c
+def _series_ingredients(criterion, ns, log_terms, tail_start):
+    """The fits of ln term_n against ln n over the tail, of its local
+    exponents −Δ ln term/Δ ln n against ln n, and of ln b_n,
+    b_n = term_n·n·ln n, against ln ln n; and the diagnostics they give."""
+    from momentdet.criteria import _exp_or_inf
 
-    ln_n, log_tail, slope, _ = _reference_tail_fit(ns, log_terms, tail_start)
-    p_fit = -slope
-    local_p = -np.diff(log_tail) / np.diff(ln_n)
-    drift = _reference_fit_slope(ln_n[1:], local_p)
+    ln_n, log_tail = _tail(ns, log_terms, tail_start)
+    log_b = log_tail + ln_n + np.log(ln_n)
+    fits = [(ln_n, log_tail), (ln_n[1:], -np.diff(log_tail) / np.diff(ln_n)), (np.log(ln_n), log_b)]
+    slope, drift, b_slope = (_reference_fit_slope(x, y) for x, y in fits)
     with np.errstate(over="ignore", under="ignore"):
         partial_sum = float(np.sum(np.exp(log_terms)))
-    b_ok = ln_n > 0.0
-    lnln = np.log(ln_n[b_ok])
-    log_b = log_tail[b_ok] + ln_n[b_ok] + lnln
-    b_slope = _reference_fit_slope(lnln, log_b)
-    b_last = c._exp_or_inf(float(log_b[-1]))
-    if p_fit < 1.0 - c.BORDERLINE_BAND:
-        status, refined = c.SATISFIED, 0.0
-    elif p_fit > 1.0 + c.BORDERLINE_BAND and drift >= -c.DRIFT_TOL:
-        status, refined = c.VIOLATED, 0.0
-    else:
-        refined = 1.0
-        if b_slope >= -(1.0 - c.B_CRITICAL_BAND):
-            status = c.SATISFIED
-        elif b_slope <= -(1.0 + c.B_CRITICAL_BAND):
-            status = c.VIOLATED
-        else:
-            status = c.INCONCLUSIVE
-    diagnostics = {
-        "exponent": p_fit,
-        "exponent_drift": drift,
-        "partial_sum": partial_sum,
-        "b_slope": b_slope,
-        "b_last": b_last,
-        "tail_start": float(tail_start),
-        "refined": refined,
-    }
-    return status, diagnostics
+    diagnostics = dict(exponent=-slope, exponent_drift=drift, partial_sum=partial_sum, b_slope=b_slope,
+                       b_last=_exp_or_inf(float(log_b[-1])), tail_start=float(tail_start))
+    return {"criterion": criterion, "diagnostics": diagnostics, "n_used": ns.size}, fits
 
 
-def reference_check_carleman(seq):
-    from momentdet import criteria as c
+def carleman_ingredients(seq):
+    """``check_carleman``'s: a_n = m_n^{−1/(2n)} for n = 1..n_max, tail from n_max // 2."""
     from momentdet.errors import SequenceError
 
-    n_max = seq.n_max
-    tail_start = max(2, n_max // 2)
-    if n_max < max(tail_start + 8, 16):
-        raise SequenceError(f"check_carleman needs n_max >= 16, got {n_max}")
-    ns = np.arange(1, n_max + 1, dtype=float)
-    log_terms = -seq.log_moments[1:] / (2.0 * np.arange(1, n_max + 1))
-    status, diagnostics = _reference_classify_series(ns, log_terms, tail_start)
-    return c.Verdict(criterion="carleman", status=status, diagnostics=diagnostics, n_used=n_max)
+    if seq.n_max < 16:
+        raise SequenceError(f"check_carleman needs n_max >= 16, got {seq.n_max}")
+    ns = np.arange(1.0, seq.n_max + 1.0)
+    return _series_ingredients("carleman", ns, -seq.log_moments[1:] / (2.0 * ns), seq.n_max // 2)
 
 
 def _reference_log_q(q, ns):
@@ -246,147 +225,102 @@ def _reference_log_q(q, ns):
     overflows."""
     from momentdet.errors import DomainError
 
-    ln_n = np.log(ns)
-    if q.kind == "constant-one":
-        return np.zeros_like(ns)
-    if q.kind == "log":
-        with np.errstate(divide="ignore"):  # ln ln 1 = −inf
-            return np.log(ln_n)
-    with np.errstate(over="ignore"):
-        out = q.alpha * ln_n
+    with np.errstate(divide="ignore", over="ignore"):  # ln ln 1 = −inf
+        if q.kind != "power":
+            return np.log(np.log(ns)) if q.kind == "log" else np.zeros_like(ns)
+        out = q.alpha * np.log(ns)
     if not np.all(np.isfinite(out)):
         bad = ns[~np.isfinite(out)].min()
         raise DomainError(f"ln q({bad:g}) = {q.alpha:g}*ln({bad:g}) overflows a float")
     return out
 
 
-def reference_check_growth_rate(seq, q=None):
-    from momentdet import criteria as c
-    from momentdet.errors import DomainError, SequenceError
-
-    if q is None:
-        q = c.QFunction.one()
-    n_max = seq.n_max
-    if n_max < 8:
-        raise SequenceError(f"check_growth_rate needs >= 8 ratio terms, got {n_max}")
-    ns = np.arange(1, n_max, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_g = np.diff(seq.log_moments)[1:] - 2.0 * np.log(ns + 1.0) - 2.0 * _reference_log_q(q, ns + 1.0)
-    if not np.all(np.isfinite(log_g)):
-        bad = ns[~np.isfinite(log_g)].min()
-        raise DomainError(f"ln g_n with q = {q.label()} overflows a float at n = {bad:g}")
-    tail_start = max(1, (n_max - 1) // 2)
-    ln_n, log_g_tail, power_slope, rising = _reference_tail_fit(ns, log_g, tail_start)
-    loglog_slope = _reference_fit_slope(np.log(ln_n), log_g_tail)
-    sup_log_g = float(np.max(log_g))
-    if power_slope >= c.GROWTH_POWER_SLOPE and rising:
-        status = c.VIOLATED
-    elif loglog_slope <= c.GROWTH_ALPHA_BOUNDED:
-        status = c.SATISFIED
-    elif loglog_slope >= c.GROWTH_ALPHA_DIVERGENT:
-        status = c.VIOLATED
-    else:
-        status = c.INCONCLUSIVE
-    diagnostics = {
-        "power_slope": power_slope,
-        "loglog_slope": loglog_slope,
-        "sup_g": c._exp_or_inf(sup_log_g),
-        "sup_log_g": sup_log_g,
-        "g_last": c._exp_or_inf(float(log_g[-1])),
-        "tail_start": float(tail_start),
-    }
-    criterion = "growth_rate" if q.kind == "constant-one" else "growth_rate_q"
-    if q.kind == "power" and q.alpha is not None:
-        diagnostics["q_alpha"] = float(q.alpha)
-    return c.Verdict(criterion=criterion, status=status, diagnostics=diagnostics, n_used=n_max)
-
-
-def reference_check_q_divergence(q, n_max=400):
-    from momentdet import criteria as c
+def q_divergence_ingredients(q, n_max=400):
+    """``check_q_divergence``'s: 1/(n·q(n)) from n = 1 (2 for q = ln n, where
+    q(1) = 0) to n_max, tail from n_max // 2."""
     from momentdet.moments import _check_n_max
 
     n_max = _check_n_max(n_max, 100, "check_q_divergence requires integer n_max >= 100")
-    n_start = 2 if q.kind == "log" else 1  # q(1) = ln 1 = 0
-    ns = np.arange(n_start, n_max + 1, dtype=float)
-    log_terms = -np.log(ns) - _reference_log_q(q, ns)
-    status, diagnostics = _reference_classify_series(ns, log_terms, max(2, n_max // 2))
-    return c.Verdict(
-        criterion="q_divergence", status=status, diagnostics=diagnostics, n_used=ns.size
-    )
+    ns = np.arange(2.0 if q.kind == "log" else 1.0, n_max + 1.0)
+    return _series_ingredients("q_divergence", ns, -np.log(ns) - _reference_log_q(q, ns), n_max // 2)
 
 
-def reference_check_hardy(seq):
+def growth_rate_ingredients(seq, q=None):
+    """``check_growth_rate``'s: ln g_n for ratio index n = 1..n_max − 1,
+    fitted from (n_max − 1) // 2 on against ln n and against ln ln n."""
+    from momentdet import criteria as c
+    from momentdet.errors import DomainError, SequenceError
+
+    q = c.QFunction.one() if q is None else q
+    if seq.n_max < 8:
+        raise SequenceError(f"check_growth_rate needs >= 8 ratio terms, got {seq.n_max}")
+    ns = np.arange(1.0, seq.n_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_q = _reference_log_q(q, ns + 1.0)
+        log_g = np.diff(seq.log_moments)[1:] - 2.0 * np.log(ns + 1.0) - 2.0 * log_q
+    if not np.all(np.isfinite(log_g)):
+        bad = ns[~np.isfinite(log_g)].min()
+        raise DomainError(f"ln g_n with q = {q.label()} overflows a float at n = {bad:g}")
+    tail_start = (seq.n_max - 1) // 2
+    ln_n, log_g_tail = _tail(ns, log_g, tail_start)
+    fits = [(ln_n, log_g_tail), (np.log(ln_n), log_g_tail)]
+    power_slope, loglog_slope = (_reference_fit_slope(x, y) for x, y in fits)
+    sup_log_g = float(np.max(log_g))
+    diagnostics = dict(power_slope=power_slope, loglog_slope=loglog_slope,
+                       sup_g=c._exp_or_inf(sup_log_g), sup_log_g=sup_log_g,
+                       g_last=c._exp_or_inf(float(log_g[-1])), tail_start=float(tail_start))
+    if q.kind == "power":
+        diagnostics["q_alpha"] = q.alpha
+    criterion = "growth_rate" if q.kind == "constant-one" else "growth_rate_q"
+    return {"criterion": criterion, "diagnostics": diagnostics, "n_used": seq.n_max}, fits
+
+
+def hardy_ingredients(seq):
+    """``check_hardy``'s: b_n = (ln m_n − ln (2n)!)/n, fitted from n_max // 2
+    on against ln n.  ``bound_ok`` is a diagnostic with a documented
+    definition: a flat tail, slope <= HARDY_SLOPE_TOL, and m_n <= (2n)!·c0^n
+    re-verified at every stored order."""
     from momentdet import criteria as c
     from momentdet.errors import DomainError, SequenceError
 
     if seq.support != "stieltjes":
-        raise DomainError(
-            "check_hardy is unsupported on hamburger-symmetric sequences; "
-            "the moment bound m_n <= (2n)!·c0^n is stated for positive variables"
-        )
-    n_max = seq.n_max
-    if n_max < 16:
-        raise SequenceError(f"check_hardy needs n_max >= 16, got {n_max}")
-    ns = np.arange(1, n_max + 1, dtype=float)
+        raise DomainError("check_hardy is unsupported on hamburger-symmetric sequences; the moment "
+                          "bound m_n <= (2n)!·c0^n is stated for positive variables")
+    if seq.n_max < 16:
+        raise SequenceError(f"check_hardy needs n_max >= 16, got {seq.n_max}")
+    ns = np.arange(1.0, seq.n_max + 1.0)
     log_m = seq.log_moments[1:]
-    log_fact = np.array([math.lgamma(2.0 * n + 1.0) for n in range(1, n_max + 1)])
+    log_fact = np.array([math.lgamma(2.0 * n + 1.0) for n in ns.tolist()])
     b = (log_m - log_fact) / ns
-    tail_start = max(2, n_max // 2)
-    _, _, slope, rising = _reference_tail_fit(ns, b, tail_start)
-    sup_b = float(np.max(b))
+    fits = [_tail(ns, b, seq.n_max // 2)]
+    slope, sup_b = _reference_fit_slope(*fits[0]), float(np.max(b))
     bound_ok = slope <= c.HARDY_SLOPE_TOL and not np.any(log_m > log_fact + ns * sup_b + 1e-9)
-    if slope > c.HARDY_SLOPE_TOL and rising:
-        status = c.VIOLATED
-    elif bound_ok:
-        status = c.SATISFIED
-    else:
-        status = c.INCONCLUSIVE
-    diagnostics = {
-        "slope": slope,
-        "c0": c._exp_or_inf(sup_b),
-        "sup_b": sup_b,
-        "b_last": float(b[-1]),
-        "tail_start": float(tail_start),
-        "bound_ok": float(bound_ok),
-    }
-    return c.Verdict(criterion="hardy", status=status, diagnostics=diagnostics, n_used=n_max)
+    diagnostics = dict(slope=slope, c0=c._exp_or_inf(sup_b), sup_b=sup_b, b_last=float(b[-1]),
+                       tail_start=float(seq.n_max // 2), bound_ok=float(bound_ok))
+    return {"criterion": "hardy", "diagnostics": diagnostics, "n_used": seq.n_max}, fits
 
 
-def reference_analyze(seq):
-    """``analyze``'s report from the reference checkers."""
+def analyze_ingredients(seq):
+    """``analyze``'s: the fits and verdicts of Carleman, growth with q ≡ 1
+    and q = ln n, and Hardy on positive support, under the sequence's
+    header; and for a two-factor family of unit δ, or its symmetric root,
+    the trend columns m_n^{1/(2n)}·e/(n·ln(n+1)) and
+    (m_{n+1}/m_n)/((n+1)²·ln²(n+1)) in scalar math at ``analyze``'s samples."""
     from momentdet import criteria as c
 
-    verdicts = [
-        reference_check_carleman(seq),
-        reference_check_growth_rate(seq, c.QFunction.one()),
-        reference_check_growth_rate(seq, c.QFunction.log()),
-    ]
+    parts = [carleman_ingredients(seq), growth_rate_ingredients(seq, c.QFunction.one()),
+             growth_rate_ingredients(seq, c.QFunction.log())]
     if seq.support == "stieltjes":
-        verdicts.append(reference_check_hardy(seq))
-    report = {
-        "label": seq.label,
-        "support": seq.support,
-        "n_max": seq.n_max,
-        "verdicts": [v.to_dict() for v in verdicts],
-    }
+        parts.append(hardy_ingredients(seq))
+    report = {"label": seq.label, "support": seq.support, "n_max": seq.n_max,
+              "verdicts": [verdict for verdict, _ in parts]}
     if c._is_two_factor_log_family(seq):
-        logs = seq.log_moments.tolist()
-        root_trend = []
-        ratio_trend = []
-        for n in c._trend_samples(seq.n_max):
-            root = c._exp_or_inf(logs[n] / (2.0 * n)) * math.e / (n * math.log(n + 1.0))
-            root_trend.append([n, root])
-            if n < seq.n_max:
-                lg_ratio = logs[n + 1] - logs[n]
-                ratio = c._exp_or_inf(
-                    lg_ratio - 2.0 * math.log(n + 1.0) - 2.0 * math.log(math.log(n + 1.0))
-                )
-                ratio_trend.append([n, ratio])
-        report["trends"] = {
-            "carleman_root_trend": root_trend,
-            "growth_ratio_trend": ratio_trend,
-        }
-    return report
+        logs, ns = seq.log_moments.tolist(), c._trend_samples(seq.n_max)
+        root = [[n, c._exp_or_inf(logs[n] / (2.0 * n)) * math.e / (n * math.log(n + 1.0))] for n in ns]
+        ratio = [(n, logs[n + 1] - logs[n] - 2.0 * math.log(n + 1.0)) for n in ns if n < seq.n_max]
+        ratio = [[n, c._exp_or_inf(log - 2.0 * math.log(math.log(n + 1.0)))] for n, log in ratio]
+        report["trends"] = {"carleman_root_trend": root, "growth_ratio_trend": ratio}
+    return report, [fit for _, fits in parts for fit in fits]
 
 
 _FAMILY_HEADS = {"product": "none", "symroot": "symmetric-root", "symprod": "symmetric-product"}

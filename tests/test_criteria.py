@@ -6,6 +6,7 @@ import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -179,6 +180,18 @@ class TestGrowthRate:
         v = check_growth_rate(seqs("lognormal", 200))
         assert v.status == VIOLATED
 
+    def test_a_tail_that_falls_back_is_not_power_growth(self):
+        # ln g_n rises as 0.5·ln n over most of the tail, then falls as
+        # −1.95·ln n (as fast as log-convexity allows) to 0.01 below its start
+        n = np.arange(1.0, 200.0)
+        x = np.maximum(np.log(n / 99.0), 0.0)
+        top = (1.95 * x[-1] - 0.01) / 2.45
+        log_g = np.where(x <= top, 0.5 * x, 0.5 * top - 1.95 * (x - top))
+        log_m = np.cumsum(log_g + 2.0 * np.log(n + 1.0))
+        v = check_growth_rate(MomentSequence("stieltjes", np.concatenate([[0.0, 0.0], log_m])))
+        assert v.diagnostics["power_slope"] >= criteria.GROWTH_POWER_SLOPE
+        assert v.status != VIOLATED
+
     @pytest.mark.parametrize("alpha", [-400.0, 400.0])
     def test_extreme_power_q_stays_in_the_log_domain(self, seqs, alpha):
         # n^alpha under- or overflows; ln q(n) = alpha·ln n, as the checkers read it, does not
@@ -209,6 +222,8 @@ class TestQDivergence:
         v = check_q_divergence(QFunction.one())
         assert v.status == SATISFIED
         assert v.n_used == 400
+        # the harmonic series fits p = 1 exactly, so the critical scale decides
+        assert v.diagnostics["refined"] == 1.0
 
     def test_log_diverges(self):
         v = check_q_divergence(QFunction.log())
@@ -517,8 +532,8 @@ def _exact_slope(x: np.ndarray, y: np.ndarray) -> Fraction:
     return Fraction(n * sxy - sx * sy, n * sxx - sx * sx) * Fraction(dx, dy)
 
 
-def _recorded_fits(monkeypatch, run) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """The x, y and slope of every tail fit that ``run()`` makes."""
+def _recorded_fits(run) -> tuple[object, list[tuple[np.ndarray, np.ndarray, float]]]:
+    """What ``run()`` returns, and the x, y and slope of every tail fit it makes."""
     fits = []
     slope = criteria._slope
 
@@ -526,10 +541,8 @@ def _recorded_fits(monkeypatch, run) -> list[tuple[np.ndarray, np.ndarray, float
         fits.append((x.copy(), y.copy(), slope(x, y)))
         return fits[-1][2]
 
-    with monkeypatch.context() as m:
-        m.setattr(criteria, "_slope", recording)
-        run()
-    return fits
+    with mock.patch.object(criteria, "_slope", recording):
+        return run(), fits
 
 
 def _near_float_limit(n_max: int = 400) -> MomentSequence:
@@ -551,26 +564,24 @@ class TestFitSlope:
     the SVD solve it replaced."""
 
     @pytest.mark.parametrize("label", [X11, "exp", "lognormal"])
-    def test_family_tails(self, seqs, monkeypatch, label):
+    def test_family_tails(self, seqs, label):
         seq = seqs(label, 3000)
-        fits = _recorded_fits(monkeypatch, lambda: analyze(seq))
+        _, fits = _recorded_fits(lambda: analyze(seq))
         assert len(fits) == 8  # Carleman's three, two per growth check, Hardy's one
         self._assert_as_close_as_lstsq(fits)
 
     @pytest.mark.parametrize("p", [0.9, 1.0, 1.1])
     @pytest.mark.parametrize("c", [0.0, 1.0, 2.0])
-    def test_bertrand_tails(self, monkeypatch, p, c):
+    def test_bertrand_tails(self, p, c):
         _, log_terms = bertrand(p, c)
-        fits = _recorded_fits(
-            monkeypatch, lambda: criteria._classify_series(criteria._table(3000), log_terms)
-        )
+        _, fits = _recorded_fits(lambda: criteria._classify_series(criteria._table(3000), log_terms))
         assert len(fits) == 3
         self._assert_as_close_as_lstsq(fits)
 
-    def test_near_float_limit_tails(self, monkeypatch):
+    def test_near_float_limit_tails(self):
         seq = _near_float_limit()
         assert seq.log_moments[-1] == 1.5e308
-        fits = _recorded_fits(monkeypatch, lambda: analyze(seq))
+        _, fits = _recorded_fits(lambda: analyze(seq))
         assert max(float(np.max(np.abs(y))) for _, y, _ in fits) > 1e305
         self._assert_as_close_as_lstsq(fits)
 
@@ -613,7 +624,7 @@ class TestLogFactorialTable:
         criteria._columns.cache_clear()
         for n in sizes:
             seq = seqs(label, n)
-            assert check_hardy(seq).to_dict() == oracles.reference_check_hardy(seq).to_dict()
+            _assert_reads_its_ingredients(check_hardy, oracles.hardy_ingredients, seq)
             ns = np.arange(1.0, n + 1.0)
             rows = criteria._table(n)
             assert rows[0].tolist() == ns.tolist()
@@ -644,22 +655,41 @@ class TestLogFactorialTable:
         assert results == serial + serial[::-1]
 
 
-# -- the shared tail table against the per-checker reference ----------------
+# -- what each checker reads and reports, against its ingredients -----------
+
+
+def _undecided(verdict: dict) -> dict:
+    """A verdict's to_dict without its decisions, ``status`` and ``refined``."""
+    diagnostics = {k: v for k, v in verdict["diagnostics"].items() if k != "refined"}
+    return {k: diagnostics if k == "diagnostics" else v for k, v in verdict.items() if k != "status"}
 
 
 def _outcome(call):
-    """repr of what ``call()`` returns (a Verdict's to_dict, or a report),
-    or the type and message of what it raises, and the messages of the
-    warnings it gives (numpy's, where a tail's sum overflows)."""
+    """The repr of the verdict or report ``call()`` returns and the bytes of
+    the (x, y) of its fits, or the type and message of what it raises, and
+    the messages of the warnings it gives (numpy's, where a tail's sum
+    overflows)."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            result = call()
+            result, fits = call()
+            fits = [(fit[0].tobytes(), fit[1].tobytes()) for fit in fits]
         except Exception as exc:  # noqa: BLE001 - the outcome compared is any exception
-            result = type(exc), str(exc)
-    if isinstance(result, criteria.Verdict):
-        result = result.to_dict()
-    return repr(result), [str(w.message) for w in caught]
+            result, fits = (type(exc), str(exc)), []
+    return repr(result), fits, [str(w.message) for w in caught]
+
+
+def _assert_reads_its_ingredients(checker, ingredients, *args):
+    """``checker(*args)`` fits and reports, decisions aside, what
+    ``ingredients(*args)`` gives."""
+
+    def run():
+        result, fits = _recorded_fits(lambda: checker(*args))
+        if isinstance(result, criteria.Verdict):
+            return _undecided(result.to_dict()), fits
+        return {**result, "verdicts": [_undecided(v) for v in result["verdicts"]]}, fits
+
+    assert _outcome(run) == _outcome(lambda: ingredients(*args))
 
 
 @st.composite
@@ -693,45 +723,34 @@ Q_ARGS = st.one_of(
 )
 
 
-class TestSharedTableMatchesReference:
-    """Every checker, reading the one tail table of its call, gives the
-    report or the exception of ``oracles``' per-checker reference."""
+class TestFitsAndDiagnosticsMatchIngredients:
+    """Every checker, reading the one table of its call, fits the (x, y),
+    reports the diagnostics, trend columns and exceptions of ``oracles``'
+    ingredients, bit for bit.  Its verdicts are judged by the truth table,
+    the implications, the relations and the pinned statuses."""
 
     @settings(max_examples=150)
     @given(log_convex_sequences(), Q_ARGS, st.integers(100, 3000))
     def test_reports_and_exceptions(self, seq, q, q_n_max):
-        pairs = [
-            (lambda: analyze(seq), lambda: oracles.reference_analyze(seq)),
-            (lambda: check_carleman(seq), lambda: oracles.reference_check_carleman(seq)),
-            (
-                lambda: check_growth_rate(seq, q),
-                lambda: oracles.reference_check_growth_rate(seq, q),
-            ),
-            (lambda: check_hardy(seq), lambda: oracles.reference_check_hardy(seq)),
-        ]
+        _assert_reads_its_ingredients(analyze, oracles.analyze_ingredients, seq)
+        _assert_reads_its_ingredients(check_carleman, oracles.carleman_ingredients, seq)
+        _assert_reads_its_ingredients(check_growth_rate, oracles.growth_rate_ingredients, seq, q)
+        _assert_reads_its_ingredients(check_hardy, oracles.hardy_ingredients, seq)
         if q is not None:
-            pairs.append(
-                (
-                    lambda: check_q_divergence(q, q_n_max),
-                    lambda: oracles.reference_check_q_divergence(q, q_n_max),
-                )
+            _assert_reads_its_ingredients(
+                check_q_divergence, oracles.q_divergence_ingredients, q, q_n_max
             )
-        for got, want in pairs:
-            assert _outcome(got) == _outcome(want)
 
     @pytest.mark.parametrize("label", [X11, "exp", "lognormal", SYM_X11])
     @pytest.mark.parametrize("n_max", [16, 200, 3000])
     def test_families(self, seqs, label, n_max):
         seq = seqs(label, n_max)
-        assert _outcome(lambda: analyze(seq)) == _outcome(lambda: oracles.reference_analyze(seq))
+        _assert_reads_its_ingredients(analyze, oracles.analyze_ingredients, seq)
         for q in (QFunction.power(0.5), QFunction.power(1e300), QFunction.power(1e308)):
-            assert _outcome(lambda: check_growth_rate(seq, q)) == _outcome(
-                lambda: oracles.reference_check_growth_rate(seq, q)
-            )
+            _assert_reads_its_ingredients(check_growth_rate, oracles.growth_rate_ingredients, seq, q)
 
     def test_near_float_limit(self):
-        seq = _near_float_limit()
-        assert _outcome(lambda: analyze(seq)) == _outcome(lambda: oracles.reference_analyze(seq))
+        _assert_reads_its_ingredients(analyze, oracles.analyze_ingredients, _near_float_limit())
 
 
 #: Calls with an argument of the wrong kind, on ``exp`` at n_max 50, and

@@ -1,12 +1,12 @@
 """Every checker's verdict against the truth of its condition
-(``tests/truth.py``): one case per (family, n_max, checker), and one per
-(exact Bertrand series, n_max) for Carleman's classifier, at n_max 200, 1000
-and 5000.
+(``tests/truth.py``): one case per (family, n_max, checker), for the table's
+families and the near-critical ring, and one per (exact Bertrand series,
+n_max) for Carleman's classifier, at n_max 200, 1000 and 5000.
 
 A case fails where its verdict is the decisive opposite of the truth;
 ``inconclusive`` passes.  Each case that reads wrong today is a strict xfail
 that names the ROADMAP item whose defect it shows, so the change that mends
-it must drop it from ``WRONG``:
+it must drop it from ``WRONG``, ``WRONG_RING`` or ``WRONG_BERTRAND``:
 
 * item 1 (Defect A): Carleman's p is fitted against ln n alone, and its
   drift guard hands clear p > 1 tails to the critical-scale refinement;
@@ -23,7 +23,7 @@ import pytest
 from momentdet import SATISFIED, VIOLATED, QFunction, parse_family
 from momentdet import criteria
 
-from .truth import BERTRAND, TABLE_FAMILIES, bertrand, carleman_diverges, exponents, truth
+from .truth import BERTRAND, RING, TABLE_FAMILIES, bertrand, carleman_diverges, exponents, truth
 
 N_MAX = (200, 1000, 5000)
 
@@ -148,6 +148,23 @@ WRONG = {
         product[(0.9,1),(0.9,1),(0,1)]
     """,
 }
+#: The ring's cases that read the decisive opposite of their truth today, by
+#: (checker, n_max): cells Σδ:Σr of ``RING`` whose two members both read
+#: wrong, and Σδ:Σr/k where only the k-factor member does.
+WRONG_RING = {
+    ("carleman", 200): "1.9:1 1.95:1 2.05:0 2.05:2 2.1:0 2.1:2 2.15:0/3 2.15:2",
+    ("carleman", 1000): "2.05:0 2.05:1 2.05:2 2.1:0 2.1:1 2.1:2 2.15:1 2.15:2/2",
+    ("carleman", 5000): "2.05:0 2.05:1 2.05:2 2.1:0 2.1:1 2.1:2 2.15:1",
+    ("growth_rate", 200): "1.9:2 1.95:1 1.95:2 2.05:0 2.1:0 2.15:0",
+    ("growth_rate", 1000): "1.9:2 1.95:2 2.05:0 2.1:0 2.15:0",
+    ("growth_rate", 5000): "1.9:2 1.95:2 2.05:0 2.1:0",
+    ("growth_rate_q", 200): "2.05:0 2.05:1 2.05:2 2.1:0 2.1:1 2.1:2 2.15:0 2.15:1",
+    ("growth_rate_q", 1000): "2.05:0 2.05:1 2.05:2 2.1:0 2.1:1 2.1:2 2.15:0 2.15:1",
+    ("growth_rate_q", 5000): "2.05:0 2.05:1 2.05:2 2.1:0 2.1:1 2.15:0 2.15:1",
+    ("hardy", 200): "1.9:1 1.9:2 1.95:1 1.95:2 2.05:0",
+    ("hardy", 1000): "1.9:1 1.9:2 1.95:1 1.95:2 2.05:0",
+    ("hardy", 5000): "1.9:1 1.9:2 1.95:1 1.95:2 2.05:0",
+}
 #: The exact Bertrand series, as (p, c), that read the decisive opposite of
 #: their truth today, by n_max.
 WRONG_BERTRAND = {
@@ -174,14 +191,27 @@ def _carleman_item(p: float, diverges: bool) -> int:
     return 15 if p == 1.0 and not diverges else 1
 
 
+def _ring_cells(spec) -> tuple[str, str]:
+    """A ring family's cell Σδ:Σr, and the cell of its member, Σδ:Σr/k."""
+    p, c = exponents(spec)
+    cell = f"{2 * p:g}:{2 * c:g}"
+    return cell, f"{cell}/{len(spec.factors)}"
+
+
+def _wrong(label: str, spec, key) -> bool:
+    if label in RING:
+        return not set(_ring_cells(spec)).isdisjoint(WRONG_RING.get(key, "").split())
+    return label in WRONG.get(key, "").split()
+
+
 def _family_cases():
     for n_max in N_MAX:
-        for label in TABLE_FAMILIES:
+        for label in TABLE_FAMILIES + RING:
             spec = parse_family(label)
             p, _ = exponents(spec)
             for checker, holds in truth(spec).items():
                 item = _carleman_item(p, holds) if checker == "carleman" else 2
-                wrong = label in WRONG.get((checker, n_max), "").split()
+                wrong = _wrong(label, spec, (checker, n_max))
                 yield _case((label, n_max, checker), wrong, item, f"{checker}-{n_max}-{label}")
 
 
@@ -207,7 +237,12 @@ def test_a_bertrand_verdict_is_not_the_opposite_of_its_truth(p, c, n_max):
 
 
 def test_every_wrong_case_is_a_case_of_the_table():
-    assert {key for key in WRONG} <= {(checker, n_max) for checker in CHECKERS for n_max in N_MAX}
+    keys = {(checker, n_max) for checker in CHECKERS for n_max in N_MAX}
+    assert set(WRONG) <= keys and set(WRONG_RING) <= keys
+    cells = {cell for label in RING for cell in _ring_cells(parse_family(label))}
+    for ring_cells in WRONG_RING.values():
+        ring_cells = ring_cells.split()
+        assert set(ring_cells) <= cells and len(set(ring_cells)) == len(ring_cells)
     for labels in WRONG.values():
         labels = labels.split()
         assert set(labels) <= set(TABLE_FAMILIES) and len(set(labels)) == len(labels)

@@ -57,6 +57,20 @@ WIDER = [
 #: The families of the truth table: item 5's and the wider products.
 TABLE_FAMILIES = POINT_MASS_FAMILIES + WIDER
 
+#: The near-critical ring: for Σδ ∈ {1.9, 1.95, 2.05, 2.1, 2.15} (p from 0.95
+#: to 1.075) and Σr ∈ {0, 1, 2}, a two-factor product, δ and r split evenly,
+#: and a three-factor one, δ split as (1, (Σδ − 1)/2, (Σδ − 1)/2) and r as
+#: (Σr/2, Σr/4, Σr/4): 30 labels.
+RING = [
+    label
+    for d in (1.9, 1.95, 2.05, 2.1, 2.15)
+    for r in (0, 1, 2)
+    for label in (
+        f"product[({d / 2:g},{r / 2:g}),({d / 2:g},{r / 2:g})]",
+        f"product[(1,{r / 2:g}),({(d - 1) / 2:g},{r / 4:g}),({(d - 1) / 2:g},{r / 4:g})]",
+    )
+]
+
 #: The exact Bertrand series n^{−p}·(ln n)^{−c} of the truth table, as (p, c).
 BERTRAND = [(p, c) for p in (0.9, 1.0, 1.1) for c in (0, 0.5, 1, 1.2, 1.25, 1.5, 2, 3)]
 

@@ -1,10 +1,13 @@
-"""Count the code lines of each module in src/momentdet.
+"""Count the code lines of each module in src/momentdet, or in any other
+directory of Python files.
 
 A code line is a line that is not blank, not a comment line and not part
 of a docstring (of a module, class or function).  Prints one line per
-module and the total::
+``*.py`` file of the directory (not of its subdirectories) and the total;
+the directory defaults to src/momentdet::
 
-    python3 tools/code_lines.py [package-directory]
+    python3 tools/code_lines.py [directory]
+    python3 tools/code_lines.py tests
 """
 
 from __future__ import annotations
