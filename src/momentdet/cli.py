@@ -37,7 +37,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 
 # A command runs only the submodules it looks a name up in (see the package's docstring).
 from . import __version__, asymptotics, lambertw, moments, quadrature
@@ -171,8 +170,10 @@ def _finite_or_null(value: object) -> object:
 _CHECKERS = {
     "carleman": lambda seq, q: determinacy.check_carleman(seq),
     "growth": lambda seq, q: determinacy.check_growth_rate(seq, determinacy.QFunction.one()),
-    # named growth_rate_q whatever q is, so it never shares the growth verdict's name
-    "growth-q": lambda seq, q: replace(determinacy.check_growth_rate(seq, q), criterion="growth_rate_q"),
+    # named growth_rate_q whatever q is, so it never shares the growth verdict's name; built
+    # from its fields, as a module-level dataclasses import loads inspect into every child
+    "growth-q": lambda seq, q: determinacy.Verdict(
+        **{**vars(determinacy.check_growth_rate(seq, q)), "criterion": "growth_rate_q"}),
     "hardy": lambda seq, q: determinacy.check_hardy(seq),
 }
 _CHECKER_NAMES = ", ".join(_CHECKERS)

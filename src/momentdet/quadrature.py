@@ -40,12 +40,17 @@ returns), which hand the private paths the numpy float64 scalar they take.
 The accuracy check tests a 0-d log's floor on a Python float
 (``_within_accuracy``), the public function takes its estimate once from
 the log as a Python float, and the records check their fields in their own
-``__init__``.  The call reads a table by an int index (``_log_unit``, and
-``gamma_derivative`` itself, which checks only an order above its table),
-where a batch gathers.  S's pieces take it as a Python float
-(``_log_s``), so their float64 arithmetic runs on Python operators,
-about 0.02 µs each against a numpy scalar's 0.08 on a 2-core x86-64 host,
-and W calls numpy's log, log1p and expm1 on that float (``_FLOAT_UFUNCS``,
+``__init__``.  The call reads a table by an int index, where a batch
+gathers: ``integrate_unit_log_power`` and ``gamma_derivative`` read their
+tables themselves, up to the top, where no order fails the accuracy check,
+and check only an order above it (``_log_unit`` reads by an int too).  It
+pays for no batch scaffolding: the series sums one order's row from its
+floats v and y, the function a batch calls on each chunk's columns
+(``_series_sum``), and the table raises one x to its powers
+(``_table_fit``).  S's pieces take the order as a Python float
+(``_log_s``), so their float64 arithmetic runs on Python operators, about
+0.02 µs each against a numpy scalar's 0.08 on a 2-core x86-64 host, and
+W calls numpy's log, log1p and expm1 on that float (``_FLOAT_UFUNCS``,
 the third namespace of ``lambertw._halley``), about 0.15 µs each.  Such a
 call runs the ufunc's array loop, so it gives an array's bits, which
 ``math`` does not: glibc's log, log1p and expm1 differ from numpy's
@@ -348,28 +353,35 @@ def _series_arrays() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return arrays
 
 
+def _series_sum(v, y):
+    """Σₘ dₘ(v)·p⁻ᵐ = Σₘ Nₘ(v)·yᵐ/Cₘ: one sum for one order's Python floats
+    v and y, one per row for a column of each."""
+    coefs, powers, m = _series_arrays()
+    # the axis passed positionally: the axis= keyword alone costs about 0.5 µs a call
+    return np.add.reduce(np.einsum("...k,mk->...m", v ** powers, coefs) * y ** m, -1)
+
+
 def _log_s_series(p: _Floats) -> _Floats:
     """log S(p) by the saddle-point series, for p ≥ _SERIES_FROM, a scalar
     or an array.
 
-    The terms dₘ(v)·p⁻ᵐ are evaluated and summed _SERIES_CHUNK orders at
-    a time, so no more than one chunk's terms are held, each polynomial in
-    v by np.einsum over its powers, which calls no BLAS: a first ``@`` on a
-    5,000-order batch added 2.1 MB to the process.
+    ``_series_sum`` takes one order's v and y as they are, and a batch's as
+    columns, _SERIES_CHUNK orders at a time, so no more than one chunk's
+    terms are held.  Each polynomial in v is taken by np.einsum over its
+    powers, which calls no BLAS: a first ``@`` on a 5,000-order batch added
+    2.1 MB to the process.
     """
-    coefs, powers, m = _series_arrays()
     w, saddle = _saddle(p)
     v = 1.0 / w
     u = 1.0 + v
-    # one row of terms per order: a 1-d row for a scalar, whose one chunk is itself
-    v, y = np.asarray(v)[..., None], np.asarray(w / (u * u * u * p))[..., None]
-    sums = [
-        np.add.reduce(np.einsum("...k,mk->...m", v[s : s + _SERIES_CHUNK] ** powers, coefs)
-                      * y[s : s + _SERIES_CHUNK] ** m, axis=-1)
+    y = w / (u * u * u * p)
+    if not isinstance(p, np.ndarray):
+        return np.float64(saddle + _series_sum(v, y))
+    v, y = v[:, None], y[:, None]
+    return np.float64(saddle + np.concatenate([
+        _series_sum(v[s : s + _SERIES_CHUNK], y[s : s + _SERIES_CHUNK])
         for s in range(0, len(v), _SERIES_CHUNK)
-    ]
-    # a scalar's one chunk sums to a 0-d value, which np.concatenate refuses
-    return np.float64(saddle + (np.concatenate(sums) if len(sums) > 1 else sums[0]))
+    ]))
 
 
 #: Below _SERIES_FROM, ln S(p) comes from this table: one row per interval,
@@ -455,7 +467,8 @@ def _table_fit(row, x: _Floats) -> _Floats:
     """_S_TABLE's polynomial of row ``row`` (an int, or one per x) at ``x``,
     a scalar or an array."""
     coefs, powers = _table_arrays()
-    return np.einsum("...k,...k->...", np.power.outer(x, powers), coefs[row])
+    return np.einsum("...k,...k->...", (x[:, None] if isinstance(x, np.ndarray) else x) ** powers,
+                     coefs[row])
 
 
 def _log_s_below_one(p: _Floats) -> _Floats:
@@ -658,11 +671,15 @@ def _gamma_table(size: int) -> np.ndarray:
 def integrate_unit_log_power(n: int) -> QuadratureResult:
     """Evaluate ∫₀¹ (ln t)^n · e^{−t} dt for integer n ≥ 0.
 
-    Computed as (−1)^n·n!·σₙ by ``_log_unit``, so the returned sign is
-    exactly (−1)^n.
+    Computed as (−1)^n·n!·σₙ, so the returned sign is exactly (−1)^n: up
+    to _UNIT_TABLE_MAX its log is read from ``_log_unit_table`` by the int
+    order, as ``_log_unit`` reads it, and above it ``_log_unit`` evaluates
+    it.
     """
     k = _int_arg(n, 0, "integrate_unit_log_power requires an integer n >= 0")
-    log = float(_log_unit(_checked("integrate_unit_log_power", k, "n")))
+    # an int order up to the table's top is in range and within _ACCURACY (ln 8192! ≈ 65,600)
+    log = float(_log_unit_table(_table_size(k))[k] if k <= _UNIT_TABLE_MAX
+                else _log_unit(_checked("integrate_unit_log_power", k, "n")))
     return QuadratureResult(SignedLogValue(-1 if k % 2 else 1, log), _floor_error(log), _UNIT_TERMS)
 
 

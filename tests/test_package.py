@@ -166,7 +166,8 @@ def test_an_assignment_made_before_a_submodule_runs_holds():
 
 
 def test_each_command_runs_only_the_submodules_it_uses(tmp_path):
-    # and only a command that computes imports numpy
+    # and only a command that computes imports numpy, and only one that runs a
+    # dataclass module imports inspect, which dataclasses loads
     sequence = tmp_path / "flagship.json"
     commands = {
         "gen": ["gen", "--family", "product[(1,1),(1,1)]", "--nmax", "200", "--out", str(sequence)],
@@ -188,19 +189,19 @@ def test_each_command_runs_only_the_submodules_it_uses(tmp_path):
                 code = 0
             except SystemExit as exc:
                 code = exc.code
-            print(json.dumps([code, "numpy" in sys.modules, ran()]))
+            print(json.dumps([code, "numpy" in sys.modules, "inspect" in sys.modules, ran()]))
         """ % (args,))
     quadrature = ["errors", "lambertw", "logdomain", "quadrature"]
     assert ran == {
-        "gen": [0, True, ["errors", "lambertw", "logdomain", "moments", "quadrature"]],
-        "check": [0, True, ["criteria", "errors", "logdomain", "moments"]],
-        "asym": [0, True, ["asymptotics", *quadrature]],
-        "paper-table": [0, True, quadrature],
-        "gamma-derivs": [0, True, quadrature],
-        "wtable": [0, False, ["errors", "lambertw"]],
-        "--version": [0, False, ["errors"]],
-        "--help": [0, False, ["errors"]],
-        "usage error": [2, False, ["errors"]],
+        "gen": [0, True, True, ["errors", "lambertw", "logdomain", "moments", "quadrature"]],
+        "check": [0, True, True, ["criteria", "errors", "logdomain", "moments"]],
+        "asym": [0, True, True, ["asymptotics", *quadrature]],
+        "paper-table": [0, True, True, quadrature],
+        "gamma-derivs": [0, True, True, quadrature],
+        "wtable": [0, False, True, ["errors", "lambertw"]],
+        "--version": [0, False, False, ["errors"]],
+        "--help": [0, False, False, ["errors"]],
+        "usage error": [2, False, False, ["errors"]],
     }
 
 

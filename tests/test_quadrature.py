@@ -142,6 +142,18 @@ class TestUnitIntegral:
             assert res.value == SignedLogValue.from_log(logs[i], sign=(-1) ** n)
             assert (res.est_rel_error, res.nodes_used) == (reference_floor(logs[i]), 20)
 
+    def test_every_order_of_the_table_gives_its_batch_bits(self):
+        # one order up to _UNIT_TABLE_MAX reads its entry by its int and skips the
+        # accuracy check, which no such order fails; 8193 takes Stirling's ln n!
+        logs = quadrature._log_unit(np.arange(quadrature._UNIT_TABLE_MAX + 1.0))
+        for n, log in enumerate(logs.tolist()):
+            res = integrate_unit_log_power(n)
+            assert (res.value.sign, res.value.logmag.hex(), res.est_rel_error) == (
+                (-1) ** n, log.hex(), reference_floor(log)), n
+        res = integrate_unit_log_power(8193)
+        assert (res.value.sign, res.value.logmag.hex(), res.est_rel_error) == (
+            -1, "0x1.0067d66bc11f7p+16", reference_floor(65639.83758170145))
+
     def test_floored_estimate_above_the_accuracy_raises(self):
         # eps·ln(10^9)! ≈ 4.4e-6 is above 1e-9; the batch names its lowest such order
         with pytest.raises(DomainError, match=r"n = 1000000000 .*above 1e-09"):

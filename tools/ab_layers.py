@@ -26,8 +26,10 @@ default runs of a checkout against itself read every layer's b/a within
 0.979–1.017 and ``gen 2000``'s within 0.999–1.004, and a copy made about
 6% slower in S(p) read ``S(150)`` at 1.048–1.094 (CHANGES.md).  Layers:
 
-* ``S(150)``, ``S(30)``: one ``integrate_logweighted`` at 150, from the
-  saddle-point series, and at 30, from the table below the series' p = 61;
+* ``S(150)``, ``S(30)``, ``S(0.7)``: one ``integrate_logweighted`` at 150,
+  from the saddle-point series, at 30, from the table below the series'
+  p = 61, and at 0.7, from the table's row for p below 1
+  (``_log_s_below_one``);
 * ``unit(100)``: one ``integrate_unit_log_power(100)``, the unit integral
   alone;
 * ``asym row``, ``gamma row``, ``wtable row``: one request of each of
@@ -136,6 +138,7 @@ def layers(md) -> dict[str, object]:
     return {
         "S(150)": lambda: md.integrate_logweighted(150.0),
         "S(30)": lambda: md.integrate_logweighted(30.0),
+        "S(0.7)": lambda: md.integrate_logweighted(0.7),
         "unit(100)": lambda: md.integrate_unit_log_power(100),
         "asym row": lambda: (
             md.integrate_logweighted(150.0),
